@@ -20,10 +20,8 @@ sys.path.insert(0, str(REPO / "tests"))
 
 from gridclear.dispatch import (
     ConstraintRegime,
-    clear_copper_plate,
-    clear_nodal,
-    clear_with_forced_bounds,
-    clear_zonal,
+    clear,
+    with_forced_bounds,
 )
 from gridclear.lp import solve
 from helpers import random_gens, random_network
@@ -43,18 +41,18 @@ def sweep_scenarios(n, rng):
     for _ in range(n):
         net = random_network(rng)
         gens = random_gens(rng, net)
-        rn = clear_nodal(net, gens, nodal)
+        rn = clear(net, gens, nodal)
         if not rn.feasible:
             skipped += 1
             continue
-        rc = clear_copper_plate(net, gens, copper)
-        rz = clear_zonal(net, gens, zonal)
+        rc = clear(net, gens, copper)
+        rz = clear(net, gens, zonal)
         assert rc.total_cost <= rz.total_cost + 1e-6, "copper > zonal"
         assert rz.total_cost <= rn.total_cost + 1e-6, "zonal > nodal"
         ordered += 1
         bounds = {g.id: (round(rng.uniform(0, g.p_max * 0.4), 2), None)
                   for g in rng.sample(gens, min(2, len(gens)))}
-        rf = clear_with_forced_bounds(net, gens, zonal, forced_bounds=bounds)
+        rf = clear(net, with_forced_bounds(gens, bounds), zonal)
         if rf.feasible and not rf.physical_violations:
             assert surplus(net, rf) <= surplus(net, rn) + 1e-6, "forced beats nodal"
             welfare += 1

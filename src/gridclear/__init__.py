@@ -16,15 +16,13 @@ from gridclear.grid import (
     evaluate_flows,
     interface_flow,
 )
-from gridclear.lp import LinearProgram, LpBuilder, LpSolution, SimplexOptions, solve
+from gridclear.lp import LinearProgram, LpBuilder, LpSolution, solve
 from gridclear.dispatch import (
     ConstraintRegime,
     DispatchResult,
     GeneratorSpec,
-    clear_copper_plate,
-    clear_nodal,
-    clear_with_forced_bounds,
-    clear_zonal,
+    clear,
+    with_forced_bounds,
 )
 from gridclear.commitment import (
     RedispatchRecord,
@@ -65,9 +63,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Bus", "Line", "Interface", "Network", "PtdfMatrix", "FlowSet",
     "build_ptdf", "evaluate_flows", "interface_flow",
-    "LinearProgram", "LpBuilder", "LpSolution", "SimplexOptions", "solve",
+    "LinearProgram", "LpBuilder", "LpSolution", "solve",
     "GeneratorSpec", "ConstraintRegime", "DispatchResult",
-    "clear_nodal", "clear_zonal", "clear_copper_plate", "clear_with_forced_bounds",
+    "clear", "with_forced_bounds",
     "UcGenerator", "UcSchedule", "RedispatchRecord",
     "solve_uc", "run_dauc_ruc", "single_interval_schedule",
     "StackPrice", "MarginalSet", "PriceReport", "PriceComponents",

@@ -17,11 +17,13 @@ from gridclear.dispatch import (
     ConstraintRegime,
     DispatchResult,
     GeneratorSpec,
-    clear_nodal,
-    clear_zonal,
+    clear,
 )
 from gridclear.grid import Network
 from gridclear.pricing import form_smp
+
+
+BID_SCHEMES = ("uniform", "zonal", "nodal")
 
 
 @dataclass(frozen=True)
@@ -48,14 +50,6 @@ class PriceSeriesStats:
     p10: float
     p90: float
     normalized: tuple[float, ...]  # series divided by its arithmetic mean
-
-
-def _clear_for_scheme(net, gens, scheme, regime):
-    if scheme == "nodal":
-        r = regime if regime is not None and regime.mode == "nodal" else ConstraintRegime(mode="nodal")
-        return clear_nodal(net, gens, r)
-    r = regime if regime is not None and regime.mode == "zonal" else ConstraintRegime(mode="zonal")
-    return clear_zonal(net, gens, r)
 
 
 def _unit_price(net, gens, result: DispatchResult, scheme: str, gen_id: str, currency: str) -> float:
@@ -89,18 +83,24 @@ def evaluate_bid_deviation(
 
     ``scheme`` selects how the unit is settled: ``uniform`` (screened system
     marginal price over the network-constrained schedule), ``zonal`` (zone
-    dual) or ``nodal`` (bus dual).
+    dual) or ``nodal`` (bus dual).  ``regime`` is the clearing regime: nodal
+    for the ``nodal`` scheme, zonal otherwise; a default regime of that mode
+    when omitted.
     """
     by_id = {g.id: g for g in gens}
     if gen_id not in by_id:
         raise KeyError(f"unknown generator {gen_id!r}")
-    if scheme not in ("uniform", "zonal", "nodal"):
+    if scheme not in BID_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    mode = "nodal" if scheme == "nodal" else "zonal"
+    regime = regime or ConstraintRegime(mode=mode)
+    if regime.mode != mode:
+        raise ValueError(f"scheme {scheme!r} clears under a {mode} regime, not {regime.mode!r}")
     true_ic = by_id[gen_id].ic
 
-    truthful = _clear_for_scheme(net, gens, scheme, regime)
+    truthful = clear(net, gens, regime)
     offered_gens = [replace(g, ic=offered_ic) if g.id == gen_id else g for g in gens]
-    deviated = _clear_for_scheme(net, offered_gens, scheme, regime)
+    deviated = clear(net, offered_gens, regime)
 
     price_t = _unit_price(net, gens, truthful, scheme, gen_id, currency)
     price_d = _unit_price(net, offered_gens, deviated, scheme, gen_id, currency)

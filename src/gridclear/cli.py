@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from gridclear.analysis import evaluate_bid_deviation, price_stats, redispatch_summary
+from gridclear.analysis import BID_SCHEMES, evaluate_bid_deviation, price_stats, redispatch_summary
 from gridclear.commitment import (
     UcEnumerationLimitError,
     UcInfeasibleError,
@@ -27,10 +27,8 @@ from gridclear.dispatch import (
     MW_TOL,
     ConstraintRegime,
     DispatchResult,
-    clear_copper_plate,
-    clear_nodal,
-    clear_with_forced_bounds,
-    clear_zonal,
+    clear,
+    with_forced_bounds,
 )
 from gridclear.grid import Network, build_ptdf
 from gridclear.pricing import (
@@ -86,32 +84,24 @@ def _violations_at(net: Network, result: DispatchResult, tol: float) -> tuple[st
 
 
 def _regime_for(scenario: Scenario, scheme: str) -> ConstraintRegime:
-    if scheme == "nodal":
-        return scenario.regimes.get("nodal", ConstraintRegime(mode="nodal"))
-    if scheme == "copper":
-        return scenario.regimes.get("copper", ConstraintRegime(mode="copper_plate"))
-    return scenario.regimes.get("zonal", ConstraintRegime(mode="zonal"))
+    if scheme not in SCHEME_LABELS:
+        raise CliUsageError(f"unknown scheme {scheme!r}")
+    name, mode = {"nodal": ("nodal", "nodal"),
+                  "copper": ("copper", "copper_plate")}.get(scheme, ("zonal", "zonal"))
+    regime = scenario.regimes.get(name, ConstraintRegime(mode=mode))
+    if regime.mode != mode:
+        raise ValueError(f"regime {name!r} has mode {regime.mode!r}; scheme {scheme!r} needs {mode!r}")
+    return regime
 
 
 def run_scheme(scenario: Scenario, scheme: str, tol: float = MW_TOL) -> SchemeOutcome:
-    """Clear, price and settle one scheme of a scenario."""
+    """Clear, price and settle one scheme of a scenario at its first hour's loads."""
     net = scenario.network
-    specs = scenario.specs()
-    sync = scenario.synchronous_ids()
     regime = _regime_for(scenario, scheme)
-    kwargs = dict(synchronous=sync)
-    if scheme == "nodal":
-        result = clear_nodal(net, specs, regime, **kwargs)
-    elif scheme == "zonal" or scheme == "uniform":
-        result = clear_zonal(net, specs, regime, **kwargs)
-    elif scheme == "zonal_cm":
-        result = clear_with_forced_bounds(
-            net, specs, regime, forced_bounds=scenario.run.forced_bounds, **kwargs
-        )
-    elif scheme == "copper":
-        result = clear_copper_plate(net, specs, regime, **kwargs)
-    else:
-        raise CliUsageError(f"unknown scheme {scheme!r}")
+    specs = scenario.specs()
+    gens = with_forced_bounds(specs, scenario.run.forced_bounds) if scheme == "zonal_cm" else specs
+    result = clear(net, gens, regime, loads=scenario.hourly_loads()[0],
+                   synchronous=scenario.synchronous_ids())
 
     lp_failed = any(v.startswith("lp_") for v in result.violations)
     if lp_failed:
@@ -379,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--generator")
     p.add_argument("--offered-ic", type=float, dest="offered_ic")
-    p.add_argument("--scheme", choices=("uniform", "zonal", "nodal"))
+    p.add_argument("--scheme", choices=BID_SCHEMES)
     _add_common(p)
     p.set_defaults(func=cmd_bidding)
 

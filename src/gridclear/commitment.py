@@ -13,8 +13,6 @@ reliability pass inherits the day-ahead commitments as lower bounds and may
 only add units.  The per-unit, per-hour dispatch difference between the two
 passes is the redispatch record, aggregated per zone into constrained-on and
 constrained-off energy.
-
-Ramp rates are carried on the data model but not enforced in this version.
 """
 from __future__ import annotations
 
@@ -27,9 +25,7 @@ from gridclear.dispatch import (
     ConstraintRegime,
     DispatchResult,
     GeneratorSpec,
-    clear_copper_plate,
-    clear_nodal,
-    clear_zonal,
+    clear,
 )
 from gridclear.grid import Network
 
@@ -57,13 +53,17 @@ class UcGenerator:
     initially_on: bool = False
     initial_hours: int = 24  # hours already spent in the initial on/off state
     is_synchronous: bool = True
-    ramp_mw_per_h: float | None = None  # declared, not enforced
 
     def __post_init__(self):
         if self.min_up_h < 1 or self.min_down_h < 1:
             raise ValueError(f"unit {self.spec.id}: min up/down must be >= 1 hour")
         if self.initial_hours < 0:
             raise ValueError(f"unit {self.spec.id}: initial_hours must be >= 0")
+
+
+def as_specs(gens: Sequence[GeneratorSpec] | Sequence[UcGenerator]) -> list[GeneratorSpec]:
+    """The dispatch specs of plain specs or commitment units alike."""
+    return [g.spec if isinstance(g, UcGenerator) else g for g in gens]
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,6 @@ class UcSchedule:
     total_cost: float  # sum of hourly cost plus start-up costs
     objective: float  # total_cost plus curtailment penalties
     feasible: bool
-
-    def dispatch_of(self, gen_id: str, hour: int) -> float:
-        return self.dispatch_mw[gen_id][hour]
 
 
 @dataclass(frozen=True)
@@ -171,16 +168,6 @@ def _normalize_hours(
     return out
 
 
-def _dispatch_hour(net, specs, regime, loads, on_ids, sync):
-    committed = {s.id: (s.id in on_ids) for s in specs}
-    kwargs = dict(loads=loads, committed=committed, synchronous=sync)
-    if regime.mode == "nodal":
-        return clear_nodal(net, specs, regime, **kwargs)
-    if regime.mode == "zonal":
-        return clear_zonal(net, specs, regime, **kwargs)
-    return clear_copper_plate(net, specs, regime, **kwargs)
-
-
 def solve_uc(
     net: Network,
     ucgens: Sequence[UcGenerator],
@@ -223,7 +210,9 @@ def solve_uc(
     def hour_result(t: int, on_ids: frozenset[str]) -> DispatchResult:
         key = (t, on_ids)
         if key not in cache:
-            cache[key] = _dispatch_hour(net, specs, regime, hourly_loads[t], on_ids, sync)
+            committed = {s.id: (s.id in on_ids) for s in specs}
+            cache[key] = clear(net, specs, regime, loads=hourly_loads[t],
+                               committed=committed, synchronous=sync)
         return cache[key]
 
     best_obj = None

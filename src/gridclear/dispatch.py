@@ -1,6 +1,7 @@
 """Economic dispatch under selectable constraint regimes.
 
-Three network representations are supported:
+``clear(net, gens, regime)`` is the one clearing entry point; the regime's
+``mode`` selects one of three network representations:
 
 * ``nodal``          -- DC optimal power flow over monitored line limits and
                         (optionally) interface limits; bus balance duals are
@@ -27,7 +28,7 @@ All functions are pure; parallel evaluation over scenarios is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
@@ -77,6 +78,24 @@ class GeneratorSpec:
         return lo, hi
 
 
+def with_forced_bounds(
+    gens: Sequence[GeneratorSpec],
+    bounds: Mapping[str, tuple[float | None, float | None]],
+) -> list[GeneratorSpec]:
+    """The specs with operator-imposed (min, max) output bounds applied.
+
+    ``bounds`` maps generator id to (min, max); ``None`` keeps the spec's own
+    forced bound.  Generators binding at a forced bound are flagged and
+    excluded from the marginal set downstream.
+    """
+    out = []
+    for g in gens:
+        fmin, fmax = bounds.get(g.id, (None, None))
+        out.append(replace(g, forced_min=g.forced_min if fmin is None else fmin,
+                           forced_max=g.forced_max if fmax is None else fmax))
+    return out
+
+
 @dataclass(frozen=True)
 class ConstraintRegime:
     """Which constraints a clearing pass enforces.
@@ -121,11 +140,8 @@ class DispatchResult:
     gen_bus: dict[str, str]
     gen_zone: dict[str, str]
     bus_zone: dict[str, str]
-    gen_eff_bounds: dict[str, tuple[float, float]]
     objective_value: float
-
-    def binding_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.binding)
+    limits: dict[str, float]  # constraint row label -> right-hand side
 
     def transmission_rent(self) -> float:
         """Congestion rent from duals: sum over transmission rows of
@@ -133,120 +149,30 @@ class DispatchResult:
         rent = 0.0
         for label, dual in self.binding:
             if label.startswith(("flow", "iface")):
-                rent += -dual * _rhs_of(label, self._rhs_map)
+                rent += -dual * self.limits[label]
         return rent
 
-    # populated by the clearing functions; maps binding label -> rhs
-    _rhs_map: dict[str, float] = field(default_factory=dict, repr=False)
-
-
-def _rhs_of(label: str, rhs_map: Mapping[str, float]) -> float:
-    return rhs_map[label]
-
 
 # ---------------------------------------------------------------------------
-# public clearing operations
+# clearing
 # ---------------------------------------------------------------------------
 
-def clear_nodal(
-    net: Network,
-    gens: Sequence[GeneratorSpec],
-    regime: ConstraintRegime | None = None,
-    *,
-    loads: Mapping[str, float] | None = None,
-    committed: Mapping[str, bool] | None = None,
-    synchronous: Collection[str] | None = None,
-) -> DispatchResult:
-    """Cost-minimal dispatch honoring every monitored line limit, interface
-    limit and generator bound; bus balance duals carry nodal prices."""
-    regime = regime or ConstraintRegime(mode="nodal")
-    if regime.mode != "nodal":
-        raise ValueError("clear_nodal requires a nodal regime")
-    return _clear(net, gens, regime, loads, committed, synchronous)
-
-
-def clear_zonal(
-    net: Network,
-    gens: Sequence[GeneratorSpec],
-    regime: ConstraintRegime | None = None,
-    *,
-    loads: Mapping[str, float] | None = None,
-    committed: Mapping[str, bool] | None = None,
-    synchronous: Collection[str] | None = None,
-) -> DispatchResult:
-    """Merit-order dispatch per zone subject only to interface limits.  The
-    result is annotated with the physically implied line flows."""
-    regime = regime or ConstraintRegime(mode="zonal")
-    if regime.mode != "zonal":
-        raise ValueError("clear_zonal requires a zonal regime")
-    return _clear(net, gens, regime, loads, committed, synchronous)
-
-
-def clear_copper_plate(
-    net: Network,
-    gens: Sequence[GeneratorSpec],
-    regime: ConstraintRegime | None = None,
-    *,
-    loads: Mapping[str, float] | None = None,
-    committed: Mapping[str, bool] | None = None,
-    synchronous: Collection[str] | None = None,
-) -> DispatchResult:
-    """Pure merit-order stack over a single node; one system balance dual."""
-    regime = regime or ConstraintRegime(mode="copper_plate")
-    if regime.mode != "copper_plate":
-        raise ValueError("clear_copper_plate requires a copper_plate regime")
-    return _clear(net, gens, regime, loads, committed, synchronous)
-
-
-def clear_with_forced_bounds(
-    net: Network,
-    gens: Sequence[GeneratorSpec],
-    regime: ConstraintRegime | None = None,
-    *,
-    forced_bounds: Mapping[str, tuple[float | None, float | None]] | None = None,
-    loads: Mapping[str, float] | None = None,
-    committed: Mapping[str, bool] | None = None,
-    synchronous: Collection[str] | None = None,
-) -> DispatchResult:
-    """Zonal clearing with operator-imposed generator output bounds enforced.
-
-    ``forced_bounds`` maps generator id to (min, max) overrides applied on top
-    of any bounds already present on the specs.  Generators binding at a
-    forced bound are flagged and excluded from the marginal set downstream.
-    """
-    regime = regime or ConstraintRegime(mode="zonal")
-    if regime.mode != "zonal":
-        raise ValueError("clear_with_forced_bounds requires a zonal regime")
-    if forced_bounds:
-        adjusted = []
-        for g in gens:
-            if g.id in forced_bounds:
-                fmin, fmax = forced_bounds[g.id]
-                adjusted.append(
-                    GeneratorSpec(
-                        g.id, g.bus_id, g.p_min, g.p_max, g.ic, g.nlc, g.suc,
-                        forced_min=fmin if fmin is not None else g.forced_min,
-                        forced_max=fmax if fmax is not None else g.forced_max,
-                    )
-                )
-            else:
-                adjusted.append(g)
-        gens = adjusted
-    return _clear(net, gens, regime, loads, committed, synchronous)
-
-
-# ---------------------------------------------------------------------------
-# shared clearing machinery
-# ---------------------------------------------------------------------------
-
-def _clear(
+def clear(
     net: Network,
     gens: Sequence[GeneratorSpec],
     regime: ConstraintRegime,
-    loads: Mapping[str, float] | None,
-    committed: Mapping[str, bool] | None,
-    synchronous: Collection[str] | None,
+    *,
+    loads: Mapping[str, float] | None = None,
+    committed: Mapping[str, bool] | None = None,
+    synchronous: Collection[str] | None = None,
 ) -> DispatchResult:
+    """Cost-minimal dispatch of ``gens`` under ``regime``.
+
+    ``loads`` overrides bus loads, ``committed`` takes units offline (every
+    unit is on when omitted) and ``synchronous`` names the units counted
+    towards ``regime.min_sync_mw`` (every unit when omitted).  An LP that has
+    no optimum yields ``feasible=False`` with an ``lp_*`` violation.
+    """
     gen_ids = [g.id for g in gens]
     if len(set(gen_ids)) != len(gen_ids):
         raise ValueError("duplicate generator ids")
@@ -277,32 +203,31 @@ def _clear(
 
     problem = builder.build()
     sol = lpmod.solve(problem)
+    shared = dict(
+        mode=regime.mode, line_limit_mw={l.id: l.limit_mw for l in net.lines},
+        gen_bus={g.id: g.bus_id for g in gens}, gen_zone={g.id: net.zone_of(g.bus_id) for g in gens},
+        bus_zone={b.id: b.zone_id for b in net.buses}, limits=rhs_map,
+    )
 
     if sol.status != "optimal":
-        zero = {g.id: 0.0 for g in gens}
         return DispatchResult(
-            mode=regime.mode, gen_mw=zero,
+            gen_mw={g.id: 0.0 for g in gens},
             line_flow_mw={l.id: 0.0 for l in net.lines},
-            line_limit_mw={l.id: l.limit_mw for l in net.lines},
             interface_flow_mw={i.id: 0.0 for i in net.interfaces},
             binding=(), balance_duals={}, total_cost=0.0, feasible=False,
             violations=(f"lp_{sol.status}: no dispatch satisfies the enforced constraints",),
             physical_violations=(), curtailment_mw={}, served_mw={},
             gen_flags={g.id: ("offline" if not is_on[g.id] else "") for g in gens},
-            gen_local_dual={}, gen_bus={g.id: g.bus_id for g in gens},
-            gen_zone={g.id: net.zone_of(g.bus_id) for g in gens},
-            bus_zone={b.id: b.zone_id for b in net.buses},
-            gen_eff_bounds={g.id: g.effective_bounds() for g in gens},
-            objective_value=0.0, _rhs_map=dict(rhs_map),
+            gen_local_dual={}, objective_value=0.0, **shared,
         )
 
     gen_mw = {g.id: (sol.primal[f"g[{g.id}]"] if is_on[g.id] else 0.0) for g in gens}
     curtail = {b: sol.primal[f"curt[{b}]"] for b in cvar}
 
-    gen_mw = _resolve_ties(net, active, gen_mw, regime, load_of, curtail)
+    ptdf = build_ptdf(net)
+    gen_mw = _resolve_ties(net, ptdf, active, gen_mw, regime, load_of, curtail)
 
     served = {b.id: load_of[b.id] - curtail.get(b.id, 0.0) for b in net.buses}
-    ptdf = build_ptdf(net)
     inj = {b.id: -served[b.id] for b in net.buses}
     for g in gens:
         inj[g.bus_id] = inj.get(g.bus_id, 0.0) + gen_mw[g.id]
@@ -329,14 +254,7 @@ def _clear(
         if not r.label.startswith(("balance", "zone", "system")) and abs(sol.duals[r.label]) > _DUAL_EPS
     )
 
-    local_dual: dict[str, float] = {}
-    for g in gens:
-        if regime.mode == "nodal":
-            local_dual[g.id] = balance_duals.get(g.bus_id, 0.0)
-        elif regime.mode == "zonal":
-            local_dual[g.id] = balance_duals.get(net.zone_of(g.bus_id), 0.0)
-        else:
-            local_dual[g.id] = balance_duals.get("system", 0.0)
+    local_dual = {g.id: balance_duals.get(_location(net, regime, g.bus_id), 0.0) for g in gens}
 
     flags = _gen_flags(gens, gen_mw, local_dual, is_on)
     total_cost = sum(g.ic * gen_mw[g.id] for g in gens)
@@ -353,18 +271,20 @@ def _clear(
     feasible = total_curtail <= MW_TOL
 
     return DispatchResult(
-        mode=regime.mode, gen_mw=gen_mw, line_flow_mw=line_flows,
-        line_limit_mw={l.id: l.limit_mw for l in net.lines},
+        gen_mw=gen_mw, line_flow_mw=line_flows,
         interface_flow_mw=iface_flows, binding=binding, balance_duals=balance_duals,
         total_cost=total_cost, feasible=feasible, violations=tuple(violations),
         physical_violations=physical, curtailment_mw=curtail, served_mw=served,
         gen_flags=flags, gen_local_dual=local_dual,
-        gen_bus={g.id: g.bus_id for g in gens},
-        gen_zone={g.id: net.zone_of(g.bus_id) for g in gens},
-        bus_zone={b.id: b.zone_id for b in net.buses},
-        gen_eff_bounds={g.id: g.effective_bounds() for g in gens},
-        objective_value=sol.objective_value, _rhs_map=dict(rhs_map),
+        objective_value=sol.objective_value, **shared,
     )
+
+
+def _location(net: Network, regime: ConstraintRegime, bus_id: str) -> str:
+    """Key of the balance row that serves a bus: the bus, its zone or "system"."""
+    if regime.mode == "nodal":
+        return bus_id
+    return net.zone_of(bus_id) if regime.mode == "zonal" else "system"
 
 
 def _vec(ptdf: PtdfMatrix, injections: Mapping[str, float]) -> np.ndarray:
@@ -549,19 +469,13 @@ def _gen_flags(gens, gen_mw, local_dual, is_on) -> dict[str, str]:
 # deterministic tie resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_ties(net, gens, gen_mw, regime, load_of, curtail) -> dict[str, float]:
+def _resolve_ties(net, ptdf, gens, gen_mw, regime, load_of, curtail) -> dict[str, float]:
     """Redistribute equal-cost groups pro rata to capacity; in zonal modes,
     project the redistribution back onto physical line-limit feasibility when
     an equal-cost feasible split exists."""
     groups: dict[tuple[str, float], list[GeneratorSpec]] = {}
     for g in gens:
-        if regime.mode == "nodal":
-            loc = g.bus_id
-        elif regime.mode == "zonal":
-            loc = net.zone_of(g.bus_id)
-        else:
-            loc = "system"
-        groups.setdefault((loc, g.ic), []).append(g)
+        groups.setdefault((_location(net, regime, g.bus_id), g.ic), []).append(g)
 
     multi = {key: members for key, members in groups.items() if len(members) > 1}
     if not multi:
@@ -578,7 +492,7 @@ def _resolve_ties(net, gens, gen_mw, regime, load_of, curtail) -> dict[str, floa
             out[g.id] = t
 
     if regime.mode == "zonal":
-        out = _project_to_physical(net, gens, out, multi, load_of, curtail)
+        out = _project_to_physical(net, ptdf, gens, out, multi, load_of, curtail)
     return out
 
 
@@ -612,11 +526,10 @@ def _water_fill(total, lows, highs, weights):
     return t
 
 
-def _project_to_physical(net, gens, gen_mw, multi, load_of, curtail):
+def _project_to_physical(net, ptdf, gens, gen_mw, multi, load_of, curtail):
     """L1-minimal equal-cost adjustment of tied groups onto physical line
     limits.  Keeps the pro-rata split when it is already feasible or when no
     equal-cost split is feasible."""
-    ptdf = build_ptdf(net)
     inj = {b.id: -(load_of[b.id] - curtail.get(b.id, 0.0)) for b in net.buses}
     for g in gens:
         inj[g.bus_id] = inj.get(g.bus_id, 0.0) + gen_mw[g.id]

@@ -23,15 +23,11 @@ INF = math.inf
 
 _BASIC, _AT_LOWER, _AT_UPPER, _FREE_NB = 0, 1, 2, 3
 
-
-@dataclass(frozen=True)
-class SimplexOptions:
-    """Central tolerance policy for the solver."""
-
-    feas_tol: float = 1e-7
-    opt_tol: float = 1e-7
-    pivot_tol: float = 1e-10
-    max_iterations: int = 20000
+# tolerance policy
+FEAS_TOL = 1e-7
+OPT_TOL = 1e-7
+PIVOT_TOL = 1e-10
+MAX_ITERATIONS = 20000
 
 
 @dataclass(frozen=True)
@@ -102,28 +98,21 @@ class LpSolution:
     reduced_costs: dict[str, float]
     objective_value: float
 
-    def value(self, name: str) -> float:
-        return self.primal[name]
-
-    def dual(self, label: str) -> float:
-        return self.duals[label]
-
 
 class LpNumericalError(ArithmeticError):
     """Raised when the simplex fails to make progress (iteration cap, singular
     basis); indicates a pathological input rather than infeasibility."""
 
 
-def solve(lp: LinearProgram, options: SimplexOptions = SimplexOptions()) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP.  Infeasibility and unboundedness are reported through the
     solution status, never silently."""
-    return _Simplex(lp, options).run()
+    return _Simplex(lp).run()
 
 
 class _Simplex:
-    def __init__(self, lp: LinearProgram, opt: SimplexOptions):
+    def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.opt = opt
         n = len(lp.objective)
         m = len(lp.rows)
         self.n_struct = n
@@ -169,7 +158,7 @@ class _Simplex:
         if status != "optimal":
             raise LpNumericalError("phase 1 did not terminate at an optimum")
         art_sum = float(self.x[self.art0:].sum())
-        if art_sum > self.opt.feas_tol * (1.0 + float(np.abs(self.b).sum())):
+        if art_sum > FEAS_TOL * (1.0 + float(np.abs(self.b).sum())):
             return self._report("infeasible")
         self._expel_artificials()
         # artificials are pinned at zero for phase 2
@@ -224,8 +213,8 @@ class _Simplex:
             raise LpNumericalError(f"singular basis (dual solve): {exc}") from exc
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
-        tol = self.opt.opt_tol
-        for _ in range(self.opt.max_iterations):
+        tol = OPT_TOL
+        for _ in range(MAX_ITERATIONS):
             self._recompute_basics()
             y = self._duals(cost)
             rc = cost - y @ self.A
@@ -252,10 +241,10 @@ class _Simplex:
             best_idx = entering if best_t < INF else -1
             for pos, k in enumerate(self.basis):
                 delta = -direction * d[pos]
-                if delta > self.opt.pivot_tol:
+                if delta > PIVOT_TOL:
                     room = self.upper[k] - self.x[k]
                     t = room / delta if room < INF else INF
-                elif delta < -self.opt.pivot_tol:
+                elif delta < -PIVOT_TOL:
                     room = self.x[k] - self.lower[k]
                     t = room / (-delta) if room < INF else INF
                 else:
@@ -302,7 +291,7 @@ class _Simplex:
             for cand in range(self.art0):
                 if self.status[cand] == _BASIC:
                     continue
-                if abs(row[cand]) > self.opt.pivot_tol:
+                if abs(row[cand]) > PIVOT_TOL:
                     pivot = cand
                     break
             if pivot >= 0:

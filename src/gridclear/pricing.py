@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from gridclear.commitment import UcGenerator, UcSchedule
+from gridclear.commitment import UcGenerator, UcSchedule, as_specs
 from gridclear.dispatch import MW_TOL, PRICE_TOL, DispatchResult, GeneratorSpec
 from gridclear.grid import PtdfMatrix
 
@@ -97,10 +97,6 @@ def stack_price(gen: GeneratorSpec, q: float, hours_on: int = 1, hour: int = 0) 
     return StackPrice(gen.id, hour, gen.ic + nlc_share + suc_share, gen.ic, nlc_share, suc_share)
 
 
-def _as_specs(gens: Sequence[GeneratorSpec] | Sequence[UcGenerator]) -> list[GeneratorSpec]:
-    return [g.spec if isinstance(g, UcGenerator) else g for g in gens]
-
-
 def _served_by_location(result: DispatchResult) -> dict[str, float]:
     """Served load keyed the same way as the result's balance duals."""
     if result.mode == "nodal":
@@ -146,7 +142,7 @@ def form_smp(
     """Uniform price per hour: the maximum stack price over the screened
     marginal set, with recorded exclusion reasons for every screened-out
     dispatched unit."""
-    specs = {g.id: g for g in _as_specs(gens)}
+    specs = {g.id: g for g in as_specs(gens)}
     prices: list[dict[str, float]] = []
     msets: list[MarginalSet] = []
     for t, result in enumerate(schedule.hourly_results):

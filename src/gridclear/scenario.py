@@ -32,12 +32,14 @@ object graph exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from gridclear.analysis import BID_SCHEMES
 from gridclear.commitment import UcGenerator
-from gridclear.dispatch import ConstraintRegime, DispatchResult, GeneratorSpec
+from gridclear.dispatch import ConstraintRegime, DispatchResult, GeneratorSpec, with_forced_bounds
 from gridclear.grid import Bus, GridStructureError, Interface, Line, Network
 from gridclear.pricing import PriceReport
 from gridclear.settlement import SettlementReport
@@ -140,6 +142,14 @@ def _expect(col, raw, where, key, types, default=None, required=False):
         col.add(E_TYPE, f"{where}.{key}", f"expected {types}, got {type(val).__name__}")
         return default
     return val
+
+
+def _finite_number(v: Any) -> bool:
+    """A JSON number that is neither a boolean nor NaN/Infinity."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -404,33 +414,42 @@ def _parse_run(raw, gens, regimes, col) -> RunSection:
     if horizon is not None and horizon < 1:
         col.add(E_RUN, "run.horizon", "horizon must be >= 1")
         horizon = 1
-    gen_ids = {u.spec.id for u in gens or ()}
+    specs = {u.spec.id: u.spec for u in gens or ()}
     fb_raw = _expect(col, raw, "run", "forced_bounds", dict, default={}) or {}
     forced: dict[str, tuple[float | None, float | None]] = {}
     for gid, bounds in fb_raw.items():
         where = f"run.forced_bounds.{gid}"
-        if gens is not None and gid not in gen_ids:
+        if gens is not None and gid not in specs:
             col.add(E_REF, where, f"unknown generator {gid!r}")
             continue
         if not isinstance(bounds, dict):
             col.add(E_TYPE, where, "bounds must be an object with 'min'/'max'")
             continue
-        fmin = bounds.get("min")
-        fmax = bounds.get("max")
-        forced[gid] = (
-            float(fmin) if fmin is not None else None,
-            float(fmax) if fmax is not None else None,
-        )
+        bad = [k for k in ("min", "max") if bounds.get(k) is not None and not _finite_number(bounds[k])]
+        for k in bad:
+            col.add(E_TYPE, f"{where}.{k}", f"expected a finite number, got {bounds[k]!r}")
+        if bad:
+            continue
+        pair = tuple(None if bounds.get(k) is None else float(bounds[k]) for k in ("min", "max"))
+        if gid in specs:
+            try:
+                with_forced_bounds([specs[gid]], {gid: pair})
+            except ValueError as exc:
+                col.add(E_VALUE, where, str(exc))
+                continue
+        forced[gid] = pair
     dev_raw = _expect(col, raw, "run", "bid_deviation", dict, default=None)
     deviation = None
     if dev_raw is not None:
         dgen = _expect(col, dev_raw, "run.bid_deviation", "generator", str, required=True)
         dic = _expect(col, dev_raw, "run.bid_deviation", "offered_ic", (int, float), required=True)
         dscheme = _expect(col, dev_raw, "run.bid_deviation", "scheme", str, default="uniform")
-        if dgen is not None and gens is not None and dgen not in gen_ids:
+        if dscheme not in BID_SCHEMES:
+            col.add(E_RUN, "run.bid_deviation.scheme", f"unknown scheme {dscheme!r}; allowed: {BID_SCHEMES}")
+        if dgen is not None and gens is not None and dgen not in specs:
             col.add(E_REF, "run.bid_deviation", f"unknown generator {dgen!r}")
         elif dgen is not None and dic is not None:
-            deviation = (dgen, float(dic), dscheme or "uniform")
+            deviation = (dgen, float(dic), dscheme)
     dauc = _expect(col, raw, "run", "dauc_regime", str, default=None)
     ruc = _expect(col, raw, "run", "ruc_regime", str, default=None)
     for label, rname in (("dauc_regime", dauc), ("ruc_regime", ruc)):
@@ -662,7 +681,7 @@ def _write_scheme_csv(name, oc: SchemeOutcome, out_dir: Path, timestamp) -> list
         flag = "yes" if lid in r.physical_violations else "no"
         lines.append(f"0,{lid},line,{_fmt(flow)},{_fmt(lim)},{flag}")
     for iid, flow in r.interface_flow_mw.items():
-        lim = r._rhs_map.get(f"iface+[{iid}]", float("nan"))
+        lim = r.limits.get(f"iface+[{iid}]", float("nan"))
         lines.append(f"0,{iid},interface,{_fmt(flow)},{_fmt(lim)},no")
     paths.append(_write(out_dir / f"{name}_{oc.scheme}_flows.csv", lines))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from gridclear.commitment import RedispatchRecord, UcGenerator, UcSchedule
+from gridclear.commitment import RedispatchRecord, UcGenerator, UcSchedule, as_specs
 from gridclear.dispatch import MW_TOL, DispatchResult, GeneratorSpec
 from gridclear.grid import Network
 from gridclear.pricing import PriceReport
@@ -72,10 +72,6 @@ class SettlementReport:
     @property
     def total_uplift(self) -> float:
         return sum(g.uplift for g in self.per_generator.values())
-
-
-def _as_specs(gens: Sequence[GeneratorSpec] | Sequence[UcGenerator]) -> list[GeneratorSpec]:
-    return [g.spec if isinstance(g, UcGenerator) else g for g in gens]
 
 
 def _hourly_results(source: DispatchResult | UcSchedule) -> tuple[DispatchResult, ...]:
@@ -149,7 +145,7 @@ def as_cleared_costs(
     """Assessed production cost of the schedule: incremental cost times
     energy, plus no-load cost per committed hour, plus start-up cost per
     start."""
-    specs = _as_specs(gens)
+    specs = as_specs(gens)
     results = _hourly_results(source)
     hours = len(results)
     out: dict[str, float] = {}
@@ -202,7 +198,7 @@ def settle_redispatch(
         raise ValueError(
             f"price series covers {len(smp_per_hour)} hours, record has {record.hours}"
         )
-    specs = {g.id: g for g in _as_specs(gens)}
+    specs = {g.id: g for g in as_specs(gens)}
     con_mwh: dict[str, float] = {}
     coff_mwh: dict[str, float] = {}
     con_pay: dict[str, float] = {}
@@ -242,7 +238,7 @@ def summarize(
     redispatch: RedispatchSettlement | None = None,
 ) -> SettlementReport:
     """Full settlement report with every accounting identity enforced."""
-    specs = _as_specs(gens)
+    specs = as_specs(gens)
     results = _hourly_results(source)
     revenue = settle_energy(prices, source, q_rt)
     cleared = as_cleared_costs(source, gens)

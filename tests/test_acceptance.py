@@ -17,10 +17,8 @@ from gridclear.cli import main, run_scheme
 from gridclear.commitment import UcInfeasibleError, run_dauc_ruc, solve_uc
 from gridclear.dispatch import (
     ConstraintRegime,
-    clear_copper_plate,
-    clear_nodal,
-    clear_with_forced_bounds,
-    clear_zonal,
+    clear,
+    with_forced_bounds,
 )
 from gridclear.lp import solve
 from gridclear.scenario import load_scenario
@@ -160,11 +158,11 @@ def test_criterion_06_surplus_and_cost_ordering():
         rng = random.Random(rng_master.randint(0, 10**9) + seed)
         net = random_network(rng)
         gens = random_gens(rng, net)
-        rn = clear_nodal(net, gens, nodal_regime)
+        rn = clear(net, gens, nodal_regime)
         if not _fully_served(rn):
             continue
-        rc = clear_copper_plate(net, gens, copper_regime)
-        rz = clear_zonal(net, gens, zonal_regime)
+        rc = clear(net, gens, copper_regime)
+        rz = clear(net, gens, zonal_regime)
         if _fully_served(rc) and _fully_served(rz):
             assert rc.total_cost <= rz.total_cost + 1e-6
             assert rz.total_cost <= rn.total_cost + 1e-6
@@ -173,7 +171,7 @@ def test_criterion_06_surplus_and_cost_ordering():
         bounds = {}
         for g in rng.sample(gens, min(2, len(gens))):
             bounds[g.id] = (round(rng.uniform(0.0, g.p_max * 0.4), 2), None)
-        rf = clear_with_forced_bounds(net, gens, zonal_regime, forced_bounds=bounds)
+        rf = clear(net, with_forced_bounds(gens, bounds), zonal_regime)
         if not _fully_served(rf) or rf.physical_violations:
             continue
         assert _surplus(net, gens, rf) <= _surplus(net, gens, rn) + 1e-6
@@ -238,7 +236,7 @@ def test_criterion_09_strategic_bidding(scenario_dir):
     assert uniform.welfare_delta <= 1e-9
     assert nodal.welfare_delta <= 1e-9
     # verify the welfare figure against an explicit truthful re-solve
-    truthful = clear_zonal(net, gens, zonal_regime)
+    truthful = clear(net, gens, zonal_regime)
     truthful_cost = sum(g.ic * truthful.gen_mw[g.id] for g in gens)
     deviated_cost = sum(
         g.ic * uniform.dispatch_deviated[g.id] for g in gens

@@ -1,3 +1,5 @@
+import pytest
+
 from gridclear.cli import main
 
 
@@ -159,6 +161,44 @@ def test_clear_lp_infeasible_still_writes_diagnostics(tmp_path, capsys):
     assert code == 2
     summary = (tmp_path / "floors_nodal_summary.csv").read_text()
     assert "lp_infeasible" in summary
+
+
+def _edited_scenario(scenario_dir, tmp_path, name, edit):
+    import json
+
+    doc = json.loads((scenario_dir / f"{name}.scn").read_text())
+    edit(doc)
+    p = tmp_path / f"{name}.scn"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+def test_clear_honours_loads_section(scenario_dir, tmp_path):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus",
+                         lambda doc: doc.update(loads={"a": 100, "b": 100}))
+    code = run(["clear", p, "--scheme", "copper", "--out", tmp_path / "o", "--no-timestamp"])
+    assert code == 0
+    dispatch = (tmp_path / "o" / "twobus_copper_dispatch.csv").read_text()
+    assert "0,A1,200.00,\n" in dispatch
+    assert "0,A2,0.00,\n" in dispatch
+
+
+@pytest.mark.parametrize("key,value,code", [
+    ("forced_bounds", {"P3": {"min": "abc"}}, "E_TYPE"),
+    ("forced_bounds", {"P3": {"min": 9999}}, "E_VALUE"),
+    ("bid_deviation", {"generator": "P3", "offered_ic": 30.0, "scheme": "banana"}, "E_RUN"),
+])
+def test_validate_rejects_bad_run_section(scenario_dir, tmp_path, capsys, key, value, code):
+    p = _edited_scenario(scenario_dir, tmp_path, "fourbus", lambda doc: doc["run"].update({key: value}))
+    assert run(["validate", p]) == 1
+    assert code in capsys.readouterr().err
+
+
+def test_bidding_rejects_regime_of_wrong_mode(scenario_dir, tmp_path, capsys):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus",
+                         lambda doc: doc["regimes"]["nodal"].update(mode="zonal"))
+    assert run(["bidding", p, "--scheme", "nodal", "--out", tmp_path / "o"]) == 1
+    assert "needs 'nodal'" in capsys.readouterr().err
 
 
 def test_stats_constant_series(tmp_path, capsys):

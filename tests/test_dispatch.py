@@ -7,10 +7,8 @@ import hypothesis.strategies as st
 from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
-    clear_copper_plate,
-    clear_nodal,
-    clear_with_forced_bounds,
-    clear_zonal,
+    clear,
+    with_forced_bounds,
 )
 from gridclear.grid import Bus, Interface, Line, Network, build_ptdf
 from helpers import make_fourbus, random_gens, random_network
@@ -26,7 +24,7 @@ COPPER = ConstraintRegime(mode="copper_plate")
 
 def test_fourbus_nodal(fourbus):
     net, gens = fourbus
-    r = clear_nodal(net, gens, NODAL)
+    r = clear(net, gens, NODAL)
     assert r.feasible
     assert [r.gen_mw[g] for g in ("P1", "P2", "P3", "P4")] == pytest.approx(
         [175.0, 100.0, 225.0, 300.0], abs=1e-6
@@ -42,7 +40,7 @@ def test_fourbus_nodal(fourbus):
 
 def test_fourbus_nodal_binding_duals(fourbus):
     net, gens = fourbus
-    r = clear_nodal(net, gens, NODAL)
+    r = clear(net, gens, NODAL)
     duals = dict(r.binding)
     assert duals["flow+[l13]"] == pytest.approx(-45.0, abs=1e-6)
     assert duals["flow+[l34]"] == pytest.approx(-10.0, abs=1e-6)
@@ -51,7 +49,7 @@ def test_fourbus_nodal_binding_duals(fourbus):
 
 def test_fourbus_zonal_physically_infeasible(fourbus):
     net, gens = fourbus
-    r = clear_zonal(net, gens, ZONAL)
+    r = clear(net, gens, ZONAL)
     assert [r.gen_mw[g] for g in ("P1", "P2", "P3", "P4")] == pytest.approx(
         [200.0, 100.0, 200.0, 300.0], abs=1e-6
     )
@@ -64,7 +62,7 @@ def test_fourbus_zonal_physically_infeasible(fourbus):
 
 def test_fourbus_tie270_pro_rata(fourbus):
     net, gens = make_fourbus(ttc=270.0)
-    r = clear_zonal(net, gens, ZONAL)
+    r = clear(net, gens, ZONAL)
     assert [r.gen_mw[g] for g in ("P1", "P2", "P3", "P4")] == pytest.approx(
         [180.0, 90.0, 0.0, 530.0], abs=1e-6
     )
@@ -75,7 +73,7 @@ def test_fourbus_tie270_pro_rata(fourbus):
 
 def test_fourbus_forced_min_matches_nodal_dispatch(fourbus):
     net, gens = fourbus
-    r = clear_with_forced_bounds(net, gens, ZONAL, forced_bounds={"P3": (225.0, None)})
+    r = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
     assert [r.gen_mw[g] for g in ("P1", "P2", "P3", "P4")] == pytest.approx(
         [175.0, 100.0, 225.0, 300.0], abs=1e-6
     )
@@ -87,18 +85,16 @@ def test_fourbus_forced_min_matches_nodal_dispatch(fourbus):
 
 def test_forced_bounds_noop_when_zero(fourbus):
     net, gens = fourbus
-    plain = clear_zonal(net, gens, ZONAL)
-    forced = clear_with_forced_bounds(
-        net, gens, ZONAL, forced_bounds={g.id: (0.0, None) for g in gens}
-    )
+    plain = clear(net, gens, ZONAL)
+    forced = clear(net, with_forced_bounds(gens, {g.id: (0.0, None) for g in gens}), ZONAL)
     assert forced.gen_mw == pytest.approx(plain.gen_mw)
     assert forced.total_cost == pytest.approx(plain.total_cost)
 
 
 def test_forced_min_above_optimum_costs_more(fourbus):
     net, gens = fourbus
-    r = clear_with_forced_bounds(net, gens, ZONAL, forced_bounds={"P3": (226.0, None)})
-    nodal = clear_nodal(net, gens, NODAL)
+    r = clear(net, with_forced_bounds(gens, {"P3": (226.0, None)}), ZONAL)
+    nodal = clear(net, gens, NODAL)
     assert r.total_cost > 26750.0 + 1.0
     assert r.gen_mw != pytest.approx(nodal.gen_mw)
     # the security-preferred equal-cost split keeps the bottleneck line loaded
@@ -114,7 +110,7 @@ def test_forced_min_above_optimum_costs_more(fourbus):
 
 def test_twobus_copper_plate(twobus):
     net, gens = twobus
-    r = clear_copper_plate(net, gens, COPPER)
+    r = clear(net, gens, COPPER)
     area_a = sum(r.gen_mw[g] for g in ("A1", "A2", "A3", "A4"))
     area_b = sum(r.gen_mw[g] for g in ("B1", "B2"))
     assert area_a == pytest.approx(700.0, abs=1e-6)
@@ -124,8 +120,8 @@ def test_twobus_copper_plate(twobus):
 
 def test_twobus_nodal_prices(twobus):
     net, gens = twobus
-    r = clear_nodal(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
-                                                enforce_interfaces=False))
+    r = clear(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
+                                          enforce_interfaces=False))
     assert r.interface_flow_mw["tie"] == pytest.approx(100.0, abs=1e-6)
     assert r.balance_duals["a"] == pytest.approx(75.0, abs=1e-6)
     assert r.balance_duals["b"] == pytest.approx(100.0, abs=1e-6)
@@ -135,9 +131,9 @@ def test_twobus_nodal_prices(twobus):
 
 def test_twobus_zonal_matches_nodal(twobus):
     net, gens = twobus
-    rn = clear_nodal(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
-                                                 enforce_interfaces=False))
-    rz = clear_zonal(net, gens, ZONAL)
+    rn = clear(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
+                                           enforce_interfaces=False))
+    rz = clear(net, gens, ZONAL)
     assert rz.gen_mw == pytest.approx(rn.gen_mw, abs=1e-6)
     assert rz.balance_duals["ZA"] == pytest.approx(75.0, abs=1e-6)
     assert rz.balance_duals["ZB"] == pytest.approx(100.0, abs=1e-6)
@@ -150,7 +146,7 @@ def test_twobus_zonal_matches_nodal(twobus):
 def test_single_bus_zero_load_prices_zero():
     net = Network((Bus("n", "Z", 0.0, 0.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("g", "n", 0.0, 100.0, 25.0)]
-    r = clear_copper_plate(net, gens, COPPER)
+    r = clear(net, gens, COPPER)
     assert r.gen_mw["g"] == 0.0
     assert r.balance_duals["system"] == 0.0
     assert r.feasible
@@ -162,7 +158,7 @@ def test_copper_exhaustion_prices_at_marginal_ic():
         GeneratorSpec("cheap", "n", 0.0, 100.0, 20.0),
         GeneratorSpec("dear", "n", 0.0, 50.0, 60.0),
     ]
-    r = clear_copper_plate(net, gens, COPPER)
+    r = clear(net, gens, COPPER)
     assert r.gen_mw["cheap"] == pytest.approx(100.0)
     assert r.gen_mw["dear"] == pytest.approx(50.0)
     assert r.feasible
@@ -175,7 +171,7 @@ def test_equal_cost_split_is_capacity_proportional():
         GeneratorSpec("big", "n", 0.0, 200.0, 30.0),
         GeneratorSpec("small", "n", 0.0, 100.0, 30.0),
     ]
-    r = clear_copper_plate(net, gens, COPPER)
+    r = clear(net, gens, COPPER)
     assert r.gen_mw["big"] == pytest.approx(60.0, abs=1e-9)
     assert r.gen_mw["small"] == pytest.approx(30.0, abs=1e-9)
 
@@ -187,8 +183,8 @@ def test_single_zone_no_interfaces_collapses_to_copper():
         ("Z",), (), "x",
     )
     gens = [GeneratorSpec("g1", "x", 0.0, 60.0, 10.0), GeneratorSpec("g2", "y", 0.0, 60.0, 20.0)]
-    rz = clear_zonal(net, gens, ZONAL)
-    rc = clear_copper_plate(net, gens, COPPER)
+    rz = clear(net, gens, ZONAL)
+    rc = clear(net, gens, COPPER)
     assert rz.gen_mw == pytest.approx(rc.gen_mw)
     assert rz.balance_duals["Z"] == pytest.approx(rc.balance_duals["system"])
 
@@ -196,7 +192,7 @@ def test_single_zone_no_interfaces_collapses_to_copper():
 def test_capacity_shortfall_is_infeasible_result_not_exception():
     net = Network((Bus("n", "Z", 100.0, 400.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("g", "n", 0.0, 60.0, 20.0)]
-    r = clear_copper_plate(net, gens, COPPER)
+    r = clear(net, gens, COPPER)
     assert not r.feasible
     assert r.curtailment_mw["n"] == pytest.approx(40.0)
     assert any(v.startswith("curtailment") for v in r.violations)
@@ -206,7 +202,7 @@ def test_capacity_shortfall_is_infeasible_result_not_exception():
 def test_committed_subset_excludes_offline_units():
     net = Network((Bus("n", "Z", 50.0, 400.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("on", "n", 0.0, 60.0, 20.0), GeneratorSpec("off", "n", 0.0, 60.0, 5.0)]
-    r = clear_copper_plate(net, gens, COPPER, committed={"on": True, "off": False})
+    r = clear(net, gens, COPPER, committed={"on": True, "off": False})
     assert r.gen_mw["off"] == 0.0
     assert r.gen_flags["off"] == "offline"
     assert r.gen_mw["on"] == pytest.approx(50.0)
@@ -216,7 +212,7 @@ def test_reserve_constraint_binds_and_flags():
     net = Network((Bus("n", "Z", 90.0, 400.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("a", "n", 0.0, 100.0, 10.0), GeneratorSpec("b", "n", 0.0, 100.0, 50.0)]
     regime = ConstraintRegime(mode="copper_plate", reserve_req_mw=120.0)
-    r = clear_copper_plate(net, gens, regime)
+    r = clear(net, gens, regime)
     # headroom 200 - 90 = 110 < 120 would be short; total output capped at 80
     assert sum(r.gen_mw.values()) == pytest.approx(80.0)
     assert not r.feasible  # 10 MW curtailed to hold reserve
@@ -232,7 +228,7 @@ def test_min_sync_constraint_flags_units():
         GeneratorSpec("steam", "n", 0.0, 100.0, 40.0),
     ]
     regime = ConstraintRegime(mode="copper_plate", min_sync_mw=30.0)
-    r = clear_copper_plate(net, gens, regime, synchronous={"steam"})
+    r = clear(net, gens, regime, synchronous={"steam"})
     assert r.gen_mw["steam"] == pytest.approx(30.0)
     assert r.gen_mw["wind"] == pytest.approx(20.0)
     assert r.gen_flags["steam"] == "stability_bound"
@@ -254,8 +250,8 @@ def test_multi_line_flowgate_binds_in_nodal_mode():
     )
     gens = [GeneratorSpec("cheap", "g", 0.0, 300.0, 10.0),
             GeneratorSpec("dear", "d", 0.0, 300.0, 50.0)]
-    r = clear_nodal(net, gens, ConstraintRegime(mode="nodal", monitored_profile="all",
-                                                enforce_interfaces=True))
+    r = clear(net, gens, ConstraintRegime(mode="nodal", monitored_profile="all",
+                                          enforce_interfaces=True))
     assert r.gen_mw["cheap"] == pytest.approx(120.0, abs=1e-6)
     assert r.gen_mw["dear"] == pytest.approx(80.0, abs=1e-6)
     assert r.interface_flow_mw["gate"] == pytest.approx(120.0, abs=1e-6)
@@ -275,7 +271,7 @@ def test_intra_zonal_interface_ignored_by_zonal_model():
         "x",
     )
     gens = [GeneratorSpec("gx", "x", 0.0, 30.0, 10.0), GeneratorSpec("gy", "y", 0.0, 60.0, 20.0)]
-    r = clear_zonal(net, gens, ZONAL)
+    r = clear(net, gens, ZONAL)
     assert r.feasible
     assert sum(r.gen_mw.values()) == pytest.approx(50.0)
 
@@ -304,7 +300,7 @@ def test_interface_spanning_inconsistent_zones_rejected():
 
 def test_nodal_duals_satisfy_ptdf_identity(fourbus):
     net, gens = fourbus
-    r = clear_nodal(net, gens, NODAL)
+    r = clear(net, gens, NODAL)
     ptdf = build_ptdf(net)
     lam_ref = r.balance_duals[net.slack_bus]
     mu = {}
@@ -322,7 +318,7 @@ def test_nodal_duals_satisfy_ptdf_identity(fourbus):
 
 def test_removing_nonbinding_constraint_is_invariant(fourbus):
     net, gens = fourbus
-    base = clear_nodal(net, gens, NODAL)
+    base = clear(net, gens, NODAL)
     # unmonitor the slack lines l12 and l23 (they do not bind)
     lines = tuple(
         Line(l.id, l.from_bus, l.to_bus, l.reactance, l.limit_mw,
@@ -330,7 +326,7 @@ def test_removing_nonbinding_constraint_is_invariant(fourbus):
         for l in net.lines
     )
     net2 = Network(net.buses, lines, net.zones, net.interfaces, net.slack_bus)
-    trimmed = clear_nodal(net2, gens, NODAL)
+    trimmed = clear(net2, gens, NODAL)
     for gid in base.gen_mw:
         assert trimmed.gen_mw[gid] == pytest.approx(base.gen_mw[gid], abs=1e-8)
     assert trimmed.total_cost == pytest.approx(base.total_cost, abs=1e-8)
@@ -338,9 +334,9 @@ def test_removing_nonbinding_constraint_is_invariant(fourbus):
 
 def test_cost_ordering_on_fixture(fourbus):
     net, gens = fourbus
-    cc = clear_copper_plate(net, gens, COPPER).total_cost
-    cz = clear_zonal(net, gens, ZONAL).total_cost
-    cn = clear_nodal(net, gens, NODAL).total_cost
+    cc = clear(net, gens, COPPER).total_cost
+    cz = clear(net, gens, ZONAL).total_cost
+    cn = clear(net, gens, NODAL).total_cost
     assert cc <= cz + 1e-6 <= cn + 2e-6
 
 
@@ -351,9 +347,9 @@ def test_cost_ordering_random(seed):
     net = random_network(rng)
     gens = random_gens(rng, net)
     nodal_regime = ConstraintRegime(mode="nodal", monitored_profile="all")
-    cc = clear_copper_plate(net, gens, COPPER)
-    cz = clear_zonal(net, gens, ZONAL)
-    cn = clear_nodal(net, gens, nodal_regime)
+    cc = clear(net, gens, COPPER)
+    cz = clear(net, gens, ZONAL)
+    cn = clear(net, gens, nodal_regime)
     if not (cc.feasible and cz.feasible and cn.feasible):
         return  # ordering is asserted on fully served scenarios
     assert cc.total_cost <= cz.total_cost + 1e-6
@@ -362,6 +358,6 @@ def test_cost_ordering_random(seed):
 
 def test_determinism_bit_for_bit(fourbus):
     net, gens = fourbus
-    a = clear_nodal(net, gens, NODAL)
-    b = clear_nodal(net, gens, NODAL)
+    a = clear(net, gens, NODAL)
+    b = clear(net, gens, NODAL)
     assert repr(a) == repr(b)

@@ -6,10 +6,8 @@ from gridclear.commitment import UcGenerator, single_interval_schedule
 from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
-    clear_copper_plate,
-    clear_nodal,
-    clear_with_forced_bounds,
-    clear_zonal,
+    clear,
+    with_forced_bounds,
 )
 from gridclear.grid import Bus, Interface, Line, Network, build_ptdf
 from gridclear.pricing import (
@@ -69,7 +67,7 @@ def test_stack_price_rejects_idle_unit():
 
 def test_twobus_constrained_smp_set_by_import_side(twobus):
     net, gens = twobus
-    result = clear_zonal(net, gens, ZONAL)
+    result = clear(net, gens, ZONAL)
     report = form_smp(single_interval_schedule(result, _wrap(gens)), gens)
     assert report.prices[0]["system"] == pytest.approx(100.0)
     mset = report.marginal_sets[0]
@@ -81,7 +79,7 @@ def test_twobus_constrained_smp_set_by_import_side(twobus):
 
 def test_twobus_copper_smp_is_90(twobus):
     net, gens = twobus
-    result = clear_copper_plate(net, gens, COPPER)
+    result = clear(net, gens, COPPER)
     report = form_smp(single_interval_schedule(result, _wrap(gens)), gens)
     assert report.prices[0]["system"] == pytest.approx(90.0)
     assert "A3" in report.marginal_sets[0].members
@@ -89,7 +87,7 @@ def test_twobus_copper_smp_is_90(twobus):
 
 def test_fourbus_forced_bound_zone1_view(fourbus):
     net, gens = fourbus
-    result = clear_with_forced_bounds(net, gens, ZONAL, forced_bounds={"P3": (225.0, None)})
+    result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
     report = form_smp(single_interval_schedule(result, _wrap(gens)), gens, region="Z1")
     assert report.prices[0]["Z1"] == pytest.approx(10.0)
     mset = report.marginal_sets[0]
@@ -101,7 +99,7 @@ def test_fourbus_forced_bound_zone1_view(fourbus):
 def test_single_marginal_unit_sets_its_ic():
     net = Network((Bus("n", "Z", 60.0, 300.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("g", "n", 0.0, 100.0, 42.0)]
-    result = clear_copper_plate(net, gens, COPPER)
+    result = clear(net, gens, COPPER)
     report = form_smp(single_interval_schedule(result, _wrap(gens)), gens)
     assert report.prices[0]["system"] == pytest.approx(42.0)
 
@@ -109,7 +107,7 @@ def test_single_marginal_unit_sets_its_ic():
 def test_empty_marginal_set_is_hard_error():
     net = Network((Bus("n", "Z", 100.0, 300.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("g", "n", 0.0, 100.0, 42.0)]  # exactly at capacity
-    result = clear_copper_plate(net, gens, COPPER)
+    result = clear(net, gens, COPPER)
     with pytest.raises(PriceFormationError, match="at_capacity"):
         form_smp(single_interval_schedule(result, _wrap(gens)), gens)
 
@@ -126,7 +124,7 @@ def test_smp_is_max_over_marginal_set():
     ]
     # both dispatched strictly inside bounds via equal-cost... instead use
     # a tie-free case: lo at cap (excluded), hi marginal
-    result = clear_copper_plate(net, gens, COPPER)
+    result = clear(net, gens, COPPER)
     report = form_smp(single_interval_schedule(result, _wrap(gens)), gens)
     mset = report.marginal_sets[0]
     sps = [stack_price(g, result.gen_mw[g.id], 1).sp for g in gens if g.id in mset.members]
@@ -139,7 +137,7 @@ def test_smp_is_max_over_marginal_set():
 
 def test_fourbus_zonal_prices(fourbus):
     net, gens = fourbus
-    report = form_zonal_prices(clear_zonal(net, gens, ZONAL))
+    report = form_zonal_prices(clear(net, gens, ZONAL))
     assert report.prices[0]["Z1"] == pytest.approx(40.0)
     assert report.prices[0]["Z2"] == pytest.approx(50.0)
 
@@ -153,14 +151,14 @@ def test_uncongested_two_zone_prices_equal():
         "x",
     )
     gens = [GeneratorSpec("g1", "x", 0.0, 200.0, 25.0), GeneratorSpec("g2", "y", 0.0, 200.0, 60.0)]
-    report = form_zonal_prices(clear_zonal(net, gens, ZONAL))
+    report = form_zonal_prices(clear(net, gens, ZONAL))
     assert report.prices[0]["ZA"] == pytest.approx(report.prices[0]["ZB"])
 
 
 def test_zonal_prices_require_zonal_result(fourbus):
     net, gens = fourbus
     with pytest.raises(PricingContractError):
-        form_zonal_prices(clear_nodal(net, gens, NODAL))
+        form_zonal_prices(clear(net, gens, NODAL))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ def test_zonal_prices_require_zonal_result(fourbus):
 
 def test_fourbus_nodal_lmps_and_decomposition(fourbus):
     net, gens = fourbus
-    result = clear_nodal(net, gens, NODAL)
+    result = clear(net, gens, NODAL)
     report = form_nodal_prices(result, build_ptdf(net))
     prices = report.prices[0]
     assert [prices[b] for b in ("b1", "b2", "b3", "b4")] == pytest.approx(
@@ -183,7 +181,7 @@ def test_fourbus_nodal_lmps_and_decomposition(fourbus):
 
 def test_fourbus_congestion_rent_from_duals(fourbus):
     net, gens = fourbus
-    result = clear_nodal(net, gens, NODAL)
+    result = clear(net, gens, NODAL)
     assert result.transmission_rent() == pytest.approx(11750.0, rel=1e-9)
 
 
@@ -194,7 +192,7 @@ def test_no_congestion_all_lmps_equal_reference():
         ("Z",), (), "x",
     )
     gens = [GeneratorSpec("g1", "x", 0.0, 200.0, 25.0), GeneratorSpec("g2", "y", 0.0, 200.0, 60.0)]
-    result = clear_nodal(net, gens, ConstraintRegime(mode="nodal"))
+    result = clear(net, gens, ConstraintRegime(mode="nodal"))
     report = form_nodal_prices(result, build_ptdf(net))
     assert report.prices[0]["x"] == pytest.approx(report.prices[0]["y"], abs=1e-9)
     assert all(c.congestion == pytest.approx(0.0, abs=1e-9)
@@ -203,7 +201,7 @@ def test_no_congestion_all_lmps_equal_reference():
 
 def test_loss_factors_populate_loss_component(fourbus):
     net, gens = fourbus
-    result = clear_nodal(net, gens, NODAL)
+    result = clear(net, gens, NODAL)
     lf = {"b1": 0.02, "b2": -0.01}
     report = form_nodal_prices(result, build_ptdf(net), loss_factors=lf)
     comps = report.decomposition[0]
@@ -217,7 +215,7 @@ def test_loss_factors_populate_loss_component(fourbus):
 def test_nodal_prices_require_nodal_result(fourbus):
     net, gens = fourbus
     with pytest.raises(PricingContractError):
-        form_nodal_prices(clear_zonal(net, gens, ZONAL), build_ptdf(net))
+        form_nodal_prices(clear(net, gens, ZONAL), build_ptdf(net))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +229,9 @@ def test_scheme_collapse_single_zone():
         ("Z",), (), "x",
     )
     gens = [GeneratorSpec("g1", "x", 0.0, 50.0, 25.0), GeneratorSpec("g2", "y", 0.0, 200.0, 60.0)]
-    nodal = clear_nodal(net, gens, ConstraintRegime(mode="nodal"))
-    zonal = clear_zonal(net, gens, ZONAL)
-    copper = clear_copper_plate(net, gens, COPPER)
+    nodal = clear(net, gens, ConstraintRegime(mode="nodal"))
+    zonal = clear(net, gens, ZONAL)
+    copper = clear(net, gens, COPPER)
     lmp = form_nodal_prices(nodal, build_ptdf(net)).prices[0]
     zp = form_zonal_prices(zonal).prices[0]["Z"]
     smp = form_smp(single_interval_schedule(copper, _wrap(gens)), gens).prices[0]["system"]
@@ -244,13 +242,13 @@ def test_scheme_collapse_single_zone():
 
 def test_screening_soundness(fourbus):
     net, gens = fourbus
-    result = clear_zonal(net, gens, ZONAL)
+    result = clear(net, gens, ZONAL)
     report = form_smp(single_interval_schedule(result, _wrap(gens)), gens, region="Z1")
     mset = report.marginal_sets[0]
     for gid in result.gen_mw:
         if result.gen_zone[gid] != "Z1" or result.gen_mw[gid] <= 1e-6:
             continue
-        lo, hi = result.gen_eff_bounds[gid]
+        lo, hi = next(g for g in gens if g.id == gid).effective_bounds()
         flagged = bool(result.gen_flags[gid])
         interior = lo + 1e-6 < result.gen_mw[gid] < hi - 1e-6
         if interior and not flagged:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridclear.dispatch import ConstraintRegime, clear_nodal, clear_zonal
+from gridclear.dispatch import ConstraintRegime, clear
 from gridclear.grid import build_ptdf
 from gridclear.pricing import form_nodal_prices, form_zonal_prices
 from gridclear.scenario import (
@@ -215,11 +215,11 @@ def test_round_trip_with_hourly_loads(tmp_path):
 def _outcome(fourbus, scheme="nodal"):
     net, gens = fourbus
     if scheme == "nodal":
-        r = clear_nodal(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
-                                                    enforce_interfaces=False))
+        r = clear(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
+                                              enforce_interfaces=False))
         prices = form_nodal_prices(r, build_ptdf(net), currency="$/MWh")
     else:
-        r = clear_zonal(net, gens, ConstraintRegime(mode="zonal"))
+        r = clear(net, gens, ConstraintRegime(mode="zonal"))
         prices = form_zonal_prices(r, currency="$/MWh")
     settlement = summarize(prices, r, net, gens)
     violated = scheme != "nodal" and bool(r.physical_violations)

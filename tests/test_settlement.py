@@ -4,10 +4,8 @@ from gridclear.commitment import UcGenerator, run_dauc_ruc, single_interval_sche
 from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
-    clear_copper_plate,
-    clear_nodal,
-    clear_with_forced_bounds,
-    clear_zonal,
+    clear,
+    with_forced_bounds,
 )
 from gridclear.grid import build_ptdf
 from gridclear.pricing import form_nodal_prices, form_smp, form_zonal_prices
@@ -29,7 +27,7 @@ ZONAL = ConstraintRegime(mode="zonal")
 
 def _nodal_bundle(fourbus):
     net, gens = fourbus
-    result = clear_nodal(net, gens, NODAL)
+    result = clear(net, gens, NODAL)
     prices = form_nodal_prices(result, build_ptdf(net))
     return net, gens, result, prices
 
@@ -48,7 +46,7 @@ def test_fourbus_nodal_revenue(fourbus):
 
 def test_forced_bound_market_revenue(fourbus):
     net, gens = fourbus
-    result = clear_with_forced_bounds(net, gens, ZONAL, forced_bounds={"P3": (225.0, None)})
+    result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
     prices = form_zonal_prices(result)
     revenue = settle_energy(prices, result)
     assert sum(revenue.values()) == pytest.approx(20000.0, rel=1e-9)
@@ -69,12 +67,12 @@ def test_real_time_quantities_override_schedule(fourbus):
 
 def test_missing_price_key_raises(fourbus):
     net, gens, result, _ = _nodal_bundle(fourbus)
-    zonal_prices = form_zonal_prices(clear_zonal(net, gens, ZONAL))
+    zonal_prices = form_zonal_prices(clear(net, gens, ZONAL))
     broken = zonal_prices.__class__(
         scheme="zonal", prices=({"Z1": 40.0},), decomposition=(), marginal_sets=(),
         currency="",
     )
-    zres = clear_zonal(net, gens, ZONAL)
+    zres = clear(net, gens, ZONAL)
     with pytest.raises(SettlementKeyError):
         settle_energy(broken, zres)
 
@@ -85,7 +83,7 @@ def test_missing_price_key_raises(fourbus):
 
 def test_forced_bound_uplift_is_make_whole(fourbus):
     net, gens = fourbus
-    result = clear_with_forced_bounds(net, gens, ZONAL, forced_bounds={"P3": (225.0, None)})
+    result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
     prices = form_zonal_prices(result)
     revenue = settle_energy(prices, result)
     cleared = as_cleared_costs(result, gens)
@@ -173,7 +171,7 @@ def test_fourbus_nodal_summary(fourbus):
 
 def test_fourbus_tie270_summary():
     net, gens = make_fourbus(ttc=270.0)
-    result = clear_zonal(net, gens, ZONAL)
+    result = clear(net, gens, ZONAL)
     report = summarize(form_zonal_prices(result), result, net, gens)
     assert report.total_market_revenue == pytest.approx(29200.0, rel=1e-9)
     assert report.consumer_market_payment == pytest.approx(40000.0, rel=1e-9)
@@ -183,7 +181,7 @@ def test_fourbus_tie270_summary():
 
 def test_fourbus_forced_bound_summary(fourbus):
     net, gens = fourbus
-    result = clear_with_forced_bounds(net, gens, ZONAL, forced_bounds={"P3": (225.0, None)})
+    result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
     report = summarize(form_zonal_prices(result), result, net, gens)
     assert report.total_market_revenue + report.total_uplift == pytest.approx(26750.0, rel=1e-9)
     assert report.total_uplift == pytest.approx(6750.0, rel=1e-9)
@@ -215,7 +213,7 @@ def test_surplus_identity_matches_component_sum(fourbus):
 
 def test_uniform_scheme_has_zero_rent(twobus):
     net, gens = twobus
-    result = clear_zonal(net, gens, ZONAL)
+    result = clear(net, gens, ZONAL)
     wrapped = [UcGenerator(spec=g) for g in gens]
     prices = form_smp(single_interval_schedule(result, wrapped), gens)
     report = summarize(prices, result, net, gens)
