@@ -37,7 +37,7 @@ def show_daucruc(path: Path):
         sc.network, sc.generators, sc.hourly_loads(),
         sc.regime(sc.run.dauc_regime), sc.regime(sc.run.ruc_regime),
     )
-    smp = form_smp(dauc, sc.specs(), currency=sc.currency)
+    smp = form_smp(dauc, sc.network, sc.specs(), currency=sc.currency)
     series = [smp.prices[t]["system"] for t in range(dauc.hours)]
     redis = settle_redispatch(record, sc.specs(), series)
     print(f"\n=== {sc.name}: day-ahead vs reliability commitment ===")

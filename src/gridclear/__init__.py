@@ -14,7 +14,7 @@ from gridclear.grid import (
     PtdfMatrix,
     build_ptdf,
     evaluate_flows,
-    interface_flow,
+    overloaded_lines,
 )
 from gridclear.lp import LinearProgram, LpBuilder, LpSolution, solve
 from gridclear.dispatch import (
@@ -62,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bus", "Line", "Interface", "Network", "PtdfMatrix", "FlowSet",
-    "build_ptdf", "evaluate_flows", "interface_flow",
+    "build_ptdf", "evaluate_flows", "overloaded_lines",
     "LinearProgram", "LpBuilder", "LpSolution", "solve",
     "GeneratorSpec", "ConstraintRegime", "DispatchResult",
     "clear", "with_forced_bounds",

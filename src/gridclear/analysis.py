@@ -55,7 +55,7 @@ class PriceSeriesStats:
 def _unit_price(net, gens, result: DispatchResult, scheme: str, gen_id: str, currency: str) -> float:
     if scheme == "uniform":
         ucwrap = [UcGenerator(spec=g) for g in gens]
-        report = form_smp(single_interval_schedule(result, ucwrap), gens, currency=currency)
+        report = form_smp(single_interval_schedule(result, ucwrap), net, gens, currency=currency)
         return report.prices[0]["system"]
     return result.gen_local_dual[gen_id]
 

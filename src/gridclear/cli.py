@@ -2,9 +2,10 @@
 
 Subcommands: ``validate``, ``clear``, ``compare``, ``daucruc``, ``bidding``,
 ``stats``.  Exit codes follow a strict contract: 0 success, 1 usage / IO /
-validation error, 2 infeasible-but-reported clearing (diagnostics are still
-written).  Reports are deterministic; the optional timestamp header is
-disabled with ``--no-timestamp``.  The default output directory comes from
+validation error or an input the engine cannot handle numerically, 2
+infeasible-but-reported clearing (diagnostics are still written).  Reports
+are deterministic; the optional timestamp header is disabled with
+``--no-timestamp``.  The default output directory comes from
 ``$GRIDCLEAR_OUT`` (falling back to ``./out``).
 """
 from __future__ import annotations
@@ -23,14 +24,9 @@ from gridclear.commitment import (
     run_dauc_ruc,
     single_interval_schedule,
 )
-from gridclear.dispatch import (
-    MW_TOL,
-    ConstraintRegime,
-    DispatchResult,
-    clear,
-    with_forced_bounds,
-)
-from gridclear.grid import Network, build_ptdf
+from gridclear.dispatch import ConstraintRegime, clear, with_forced_bounds
+from gridclear.grid import MW_TOL, GridNumericalError, overloaded_lines
+from gridclear.lp import LpNumericalError
 from gridclear.pricing import (
     PriceFormationError,
     PriceReport,
@@ -48,7 +44,12 @@ from gridclear.scenario import (
     write_compare_markdown,
     write_report,
 )
-from gridclear.settlement import settle_redispatch, summarize
+from gridclear.settlement import (
+    AccountingIdentityError,
+    SettlementKeyError,
+    settle_redispatch,
+    summarize,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,12 +76,6 @@ def _out_dir(args) -> Path:
         return Path(args.out)
     env = os.environ.get("GRIDCLEAR_OUT")
     return Path(env) if env else Path("out")
-
-
-def _violations_at(net: Network, result: DispatchResult, tol: float) -> tuple[str, ...]:
-    return tuple(
-        l.id for l in net.lines if abs(result.line_flow_mw.get(l.id, 0.0)) > l.limit_mw + tol
-    )
 
 
 def _regime_for(scenario: Scenario, scheme: str) -> ConstraintRegime:
@@ -112,18 +107,18 @@ def run_scheme(scenario: Scenario, scheme: str, tol: float = MW_TOL) -> SchemeOu
         prices = PriceReport(scheme_kind, ({},), currency=scenario.currency)
         settlement = None
     elif scheme == "nodal":
-        prices = form_nodal_prices(result, build_ptdf(net), currency=scenario.currency)
+        prices = form_nodal_prices(result, net, currency=scenario.currency)
         settlement = summarize(prices, result, net, specs)
     elif scheme in ("zonal", "zonal_cm"):
         prices = form_zonal_prices(result, currency=scenario.currency)
         settlement = summarize(prices, result, net, specs)
     else:  # copper, uniform: screened stack price
         schedule = single_interval_schedule(result, scenario.generators)
-        prices = form_smp(schedule, specs, currency=scenario.currency)
+        prices = form_smp(schedule, net, specs, currency=scenario.currency)
         settlement = summarize(prices, result, net, specs)
 
     violated = scheme in DELIVERABLE_SCHEMES and (
-        bool(_violations_at(net, result, tol)) or not result.feasible
+        bool(overloaded_lines(net, result.line_flow_mw, tol)) or not result.feasible
     )
     return SchemeOutcome(
         scheme=scheme, dispatch=result, prices=prices,
@@ -150,7 +145,7 @@ def cmd_clear(args) -> int:
     sc = load_scenario(args.scenario)
     outcome = run_scheme(sc, args.scheme, args.tolerance)
     out = _out_dir(args)
-    written = write_report(sc.name, [outcome], out, args.format, _timestamp(args))
+    written = write_report(sc.name, sc.network, [outcome], out, args.format, _timestamp(args))
     for p in written:
         print(p)
     if outcome.deliverable_violated or not outcome.dispatch.feasible:
@@ -168,7 +163,7 @@ def cmd_compare(args) -> int:
     path = write_compare_markdown(sc.name, outcomes, out, _timestamp(args))
     print(path)
     if args.format == "csv":
-        for p in write_report(sc.name, outcomes, out, "csv", _timestamp(args)):
+        for p in write_report(sc.name, sc.network, outcomes, out, "csv", _timestamp(args)):
             print(p)
     return EXIT_OK
 
@@ -186,7 +181,7 @@ def cmd_daucruc(args) -> int:
         net, sc.generators, sc.hourly_loads(),
         sc.regime(sc.run.dauc_regime), sc.regime(sc.run.ruc_regime),
     )
-    smp = form_smp(dauc, sc.specs(), currency=sc.currency)
+    smp = form_smp(dauc, net, sc.specs(), currency=sc.currency)
     smp_series = [smp.prices[t]["system"] for t in range(dauc.hours)]
     redis = settle_redispatch(record, sc.specs(), smp_series)
 
@@ -332,9 +327,13 @@ def cmd_stats(args) -> int:
 
 def _add_common(p):
     p.add_argument("--out", help="output directory (default: $GRIDCLEAR_OUT or ./out)")
-    p.add_argument("--format", choices=("csv", "md"), default="csv", help="report format")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the generated-at header for byte-identical output")
+
+
+def _add_report_options(p):
+    _add_common(p)
+    p.add_argument("--format", choices=("csv", "md"), default="csv", help="report format")
     p.add_argument("--tolerance", type=float, default=MW_TOL,
                    help="violation tolerance in MW")
 
@@ -352,12 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--scheme", choices=("nodal", "zonal", "zonal_cm", "copper", "uniform"),
                    default="nodal")
-    _add_common(p)
+    _add_report_options(p)
     p.set_defaults(func=cmd_clear)
 
     p = sub.add_parser("compare", help="run the scenario's schemes and write a comparison table")
     p.add_argument("scenario")
-    _add_common(p)
+    _add_report_options(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("daucruc", help="run day-ahead and reliability passes and the redispatch settlement")
@@ -392,22 +391,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ScenarioValidationError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UcInfeasibleError, UcEnumerationLimitError, PriceFormationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except (CliUsageError, OSError, ValueError, LpNumericalError, GridNumericalError,
+            AccountingIdentityError, SettlementKeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,14 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from gridclear.dispatch import (
-    MW_TOL,
-    ConstraintRegime,
-    DispatchResult,
-    GeneratorSpec,
-    clear,
-)
-from gridclear.grid import Network
+from gridclear.dispatch import ConstraintRegime, DispatchResult, GeneratorSpec, clear
+from gridclear.grid import MW_TOL, Network
 
 ENUMERATION_CAP = 1 << 20
 
@@ -75,8 +69,7 @@ class UcSchedule:
     hours_on: dict[str, tuple[int, ...]]  # consecutive online hours, 0 when off
     starts: dict[str, int]
     hourly_results: tuple[DispatchResult, ...]
-    hourly_cost: tuple[float, ...]  # incremental + no-load cost per hour
-    total_cost: float  # sum of hourly cost plus start-up costs
+    total_cost: float  # incremental, no-load and start-up costs
     objective: float  # total_cost plus curtailment penalties
     feasible: bool
 
@@ -153,9 +146,7 @@ def _start_count(unit: UcGenerator, seq: Sequence[int]) -> int:
 # commitment search
 # ---------------------------------------------------------------------------
 
-def _normalize_hours(
-    net: Network, hours: int | Sequence[Mapping[str, float] | None]
-) -> list[dict[str, float] | None]:
+def _normalize_hours(hours: int | Sequence[Mapping[str, float] | None]) -> list[dict[str, float] | None]:
     if isinstance(hours, int):
         if hours < 1:
             raise ValueError("horizon must be >= 1 hour")
@@ -181,7 +172,7 @@ def solve_uc(
     ``lower_bounds`` restricts the search to sequences that keep each listed
     unit on wherever the bound sequence is on (used by the reliability pass).
     """
-    hourly_loads = _normalize_hours(net, hours)
+    hourly_loads = _normalize_hours(hours)
     horizon = len(hourly_loads)
     specs = [u.spec for u in ucgens]
     sync = {u.spec.id for u in ucgens if u.is_synchronous}
@@ -280,7 +271,6 @@ def _assemble_schedule(net, ucgens, hourly_loads, regime, sync, combo, hour_resu
         hours_on=hours_on,
         starts=starts,
         hourly_results=tuple(results),
-        hourly_cost=tuple(hourly_cost),
         total_cost=total_cost,
         objective=total_cost + curtail_penalty,
         feasible=feasible,
@@ -313,7 +303,6 @@ def single_interval_schedule(result: DispatchResult, ucgens: Sequence[UcGenerato
         hours_on=hours_on,
         starts=starts,
         hourly_results=(result,),
-        hourly_cost=(cost,),
         total_cost=cost + start_cost,
         objective=cost + start_cost,
         feasible=result.feasible,
@@ -323,14 +312,6 @@ def single_interval_schedule(result: DispatchResult, ucgens: Sequence[UcGenerato
 # ---------------------------------------------------------------------------
 # sequential day-ahead / reliability passes
 # ---------------------------------------------------------------------------
-
-def _enforced_lines(net: Network, regime: ConstraintRegime) -> frozenset[str]:
-    if regime.mode != "nodal":
-        return frozenset()
-    if regime.monitored_profile is None:
-        return frozenset(l.id for l in net.lines)
-    return frozenset(l.id for l in net.lines_monitored(regime.monitored_profile))
-
 
 def run_dauc_ruc(
     net: Network,
@@ -342,8 +323,8 @@ def run_dauc_ruc(
     """Run the day-ahead pass, then the reliability pass under its broader
     constraint set with the day-ahead commitments as lower bounds, and record
     the per-unit redispatch between the two."""
-    dauc_lines = _enforced_lines(net, regime_dauc)
-    ruc_lines = _enforced_lines(net, regime_ruc)
+    dauc_lines = {l.id for l in regime_dauc.monitored_lines(net)}
+    ruc_lines = {l.id for l in regime_ruc.monitored_lines(net)}
     if not dauc_lines.issubset(ruc_lines):
         raise ValueError(
             "reliability pass must monitor a superset of the day-ahead line set; "

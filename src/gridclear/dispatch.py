@@ -31,14 +31,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
 
-import numpy as np
-
-from gridclear.grid import Network, PtdfMatrix, build_ptdf
+from gridclear.grid import MW_TOL, Line, Network, build_ptdf, evaluate_flows
 from gridclear import lp as lpmod
 
 INF = math.inf
 
-MW_TOL = 1e-6
 PRICE_TOL = 1e-6
 _DUAL_EPS = 1e-9
 
@@ -119,13 +116,21 @@ class ConstraintRegime:
         if self.reserve_req_mw < 0 or self.min_sync_mw < 0:
             raise ValueError("reserve_req_mw and min_sync_mw must be >= 0")
 
+    def monitored_lines(self, net: Network) -> tuple[Line, ...]:
+        """The lines whose limits this regime enforces: none outside nodal
+        mode, every line without a monitoring profile, else the tagged ones."""
+        if self.mode != "nodal":
+            return ()
+        if self.monitored_profile is None:
+            return net.lines
+        return tuple(l for l in net.lines if self.monitored_profile in l.monitored_in)
+
 
 @dataclass(frozen=True)
 class DispatchResult:
     mode: str
     gen_mw: dict[str, float]
     line_flow_mw: dict[str, float]
-    line_limit_mw: dict[str, float]
     interface_flow_mw: dict[str, float]
     binding: tuple[tuple[str, float], ...]  # (constraint label, dual)
     balance_duals: dict[str, float]  # keyed by bus, zone, or "system"
@@ -137,9 +142,6 @@ class DispatchResult:
     served_mw: dict[str, float]  # by bus
     gen_flags: dict[str, str]
     gen_local_dual: dict[str, float]
-    gen_bus: dict[str, str]
-    gen_zone: dict[str, str]
-    bus_zone: dict[str, str]
     objective_value: float
     limits: dict[str, float]  # constraint row label -> right-hand side
 
@@ -203,43 +205,26 @@ def clear(
 
     problem = builder.build()
     sol = lpmod.solve(problem)
-    shared = dict(
-        mode=regime.mode, line_limit_mw={l.id: l.limit_mw for l in net.lines},
-        gen_bus={g.id: g.bus_id for g in gens}, gen_zone={g.id: net.zone_of(g.bus_id) for g in gens},
-        bus_zone={b.id: b.zone_id for b in net.buses}, limits=rhs_map,
-    )
 
     if sol.status != "optimal":
         return DispatchResult(
-            gen_mw={g.id: 0.0 for g in gens},
+            mode=regime.mode, gen_mw={g.id: 0.0 for g in gens},
             line_flow_mw={l.id: 0.0 for l in net.lines},
             interface_flow_mw={i.id: 0.0 for i in net.interfaces},
             binding=(), balance_duals={}, total_cost=0.0, feasible=False,
             violations=(f"lp_{sol.status}: no dispatch satisfies the enforced constraints",),
             physical_violations=(), curtailment_mw={}, served_mw={},
             gen_flags={g.id: ("offline" if not is_on[g.id] else "") for g in gens},
-            gen_local_dual={}, objective_value=0.0, **shared,
+            gen_local_dual={}, objective_value=0.0, limits=rhs_map,
         )
 
     gen_mw = {g.id: (sol.primal[f"g[{g.id}]"] if is_on[g.id] else 0.0) for g in gens}
     curtail = {b: sol.primal[f"curt[{b}]"] for b in cvar}
+    served = {b.id: load_of[b.id] - curtail.get(b.id, 0.0) for b in net.buses}
 
     ptdf = build_ptdf(net)
-    gen_mw = _resolve_ties(net, ptdf, active, gen_mw, regime, load_of, curtail)
-
-    served = {b.id: load_of[b.id] - curtail.get(b.id, 0.0) for b in net.buses}
-    inj = {b.id: -served[b.id] for b in net.buses}
-    for g in gens:
-        inj[g.bus_id] = inj.get(g.bus_id, 0.0) + gen_mw[g.id]
-    raw_flows = ptdf.matrix @ _vec(ptdf, inj)
-    line_flows = {lid: float(raw_flows[i]) for i, lid in enumerate(ptdf.line_ids)}
-    iface_flows = {
-        itf.id: sum(sign * line_flows[lid] for lid, sign in itf.member_lines)
-        for itf in net.interfaces
-    }
-    physical = tuple(
-        l.id for l in net.lines if abs(line_flows[l.id]) > l.limit_mw + MW_TOL
-    )
+    gen_mw = _resolve_ties(net, ptdf, active, gen_mw, regime, served)
+    flows = evaluate_flows(net, ptdf, _injections(net, gens, gen_mw, served))
 
     balance_duals = {key: sol.duals[lab] for key, lab in labels.items()}
     total_served = sum(served.values())
@@ -263,20 +248,20 @@ def clear(
     for b, mw in sorted(curtail.items()):
         if mw > MW_TOL:
             violations.append(f"curtailment[{b}]: {mw:.2f} MW unserved")
-    for lid in physical:
-        line = net.line(lid)
+    for lid in flows.violations:
         violations.append(
-            f"line_overload[{lid}]: flow {abs(line_flows[lid]):.2f} MW exceeds limit {line.limit_mw:.2f} MW"
+            f"line_overload[{lid}]: flow {abs(flows.flows_mw[lid]):.2f} MW "
+            f"exceeds limit {net.line(lid).limit_mw:.2f} MW"
         )
     feasible = total_curtail <= MW_TOL
 
     return DispatchResult(
-        gen_mw=gen_mw, line_flow_mw=line_flows,
-        interface_flow_mw=iface_flows, binding=binding, balance_duals=balance_duals,
+        mode=regime.mode, gen_mw=gen_mw, line_flow_mw=flows.flows_mw,
+        interface_flow_mw=flows.interface_flows_mw, binding=binding, balance_duals=balance_duals,
         total_cost=total_cost, feasible=feasible, violations=tuple(violations),
-        physical_violations=physical, curtailment_mw=curtail, served_mw=served,
+        physical_violations=flows.violations, curtailment_mw=curtail, served_mw=served,
         gen_flags=flags, gen_local_dual=local_dual,
-        objective_value=sol.objective_value, **shared,
+        objective_value=sol.objective_value, limits=rhs_map,
     )
 
 
@@ -287,11 +272,12 @@ def _location(net: Network, regime: ConstraintRegime, bus_id: str) -> str:
     return net.zone_of(bus_id) if regime.mode == "zonal" else "system"
 
 
-def _vec(ptdf: PtdfMatrix, injections: Mapping[str, float]) -> np.ndarray:
-    vec = np.zeros(len(ptdf.bus_ids))
-    for i, b in enumerate(ptdf.bus_ids):
-        vec[i] = injections.get(b, 0.0)
-    return vec
+def _injections(net: Network, gens, gen_mw, served) -> dict[str, float]:
+    """Net injection per bus: output of ``gens`` minus served load."""
+    inj = {b.id: -served[b.id] for b in net.buses}
+    for g in gens:
+        inj[g.bus_id] += gen_mw[g.id]
+    return inj
 
 
 def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime, rhs_map):
@@ -329,8 +315,7 @@ def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime, rhs_map):
         builder.row(coeffs, "=", load_of[b.id], label)
         labels[b.id] = label
 
-    monitored = net.lines if regime.monitored_profile is None else net.lines_monitored(regime.monitored_profile)
-    for line in monitored:
+    for line in regime.monitored_lines(net):
         pos, neg = f"flow+[{line.id}]", f"flow-[{line.id}]"
         builder.row(flow_terms(line, +1.0), "<=", line.limit_mw, pos)
         builder.row(flow_terms(line, -1.0), "<=", line.limit_mw, neg)
@@ -469,7 +454,7 @@ def _gen_flags(gens, gen_mw, local_dual, is_on) -> dict[str, str]:
 # deterministic tie resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_ties(net, ptdf, gens, gen_mw, regime, load_of, curtail) -> dict[str, float]:
+def _resolve_ties(net, ptdf, gens, gen_mw, regime, served) -> dict[str, float]:
     """Redistribute equal-cost groups pro rata to capacity; in zonal modes,
     project the redistribution back onto physical line-limit feasibility when
     an equal-cost feasible split exists."""
@@ -492,7 +477,7 @@ def _resolve_ties(net, ptdf, gens, gen_mw, regime, load_of, curtail) -> dict[str
             out[g.id] = t
 
     if regime.mode == "zonal":
-        out = _project_to_physical(net, ptdf, gens, out, multi, load_of, curtail)
+        out = _project_to_physical(net, ptdf, gens, out, multi, served)
     return out
 
 
@@ -526,19 +511,12 @@ def _water_fill(total, lows, highs, weights):
     return t
 
 
-def _project_to_physical(net, ptdf, gens, gen_mw, multi, load_of, curtail):
+def _project_to_physical(net, ptdf, gens, gen_mw, multi, served):
     """L1-minimal equal-cost adjustment of tied groups onto physical line
     limits.  Keeps the pro-rata split when it is already feasible or when no
     equal-cost split is feasible."""
-    inj = {b.id: -(load_of[b.id] - curtail.get(b.id, 0.0)) for b in net.buses}
-    for g in gens:
-        inj[g.bus_id] = inj.get(g.bus_id, 0.0) + gen_mw[g.id]
-    flows = ptdf.matrix @ _vec(ptdf, inj)
-    overloaded = any(
-        abs(flows[i]) > net.line(lid).limit_mw + MW_TOL
-        for i, lid in enumerate(ptdf.line_ids)
-    )
-    if not overloaded:
+    inj = _injections(net, gens, gen_mw, served)
+    if not evaluate_flows(net, ptdf, inj).violations:
         return gen_mw
 
     movers = [g for members in multi.values() for g in members]
@@ -558,7 +536,7 @@ def _project_to_physical(net, ptdf, gens, gen_mw, multi, load_of, curtail):
     for (loc, ic), members in multi.items():
         builder.row({qv[g.id]: 1.0 for g in members}, "=",
                     sum(gen_mw[g.id] for g in members), f"group[{loc}|{ic:g}]")
-    base = ptdf.matrix @ _vec(ptdf, fixed_inj)
+    base = ptdf.matrix @ ptdf.injection_vector(fixed_inj)  # unbalanced: movers removed
     for i, lid in enumerate(ptdf.line_ids):
         limit = net.line(lid).limit_mw
         coeffs_pos: dict[int, float] = {}

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-FLOW_TOL_MW = 1e-6
+MW_TOL = 1e-6
 
 
 class GridStructureError(ValueError):
@@ -149,15 +149,6 @@ class Network:
     def zone_of(self, bus_id: str) -> str:
         return self.bus(bus_id).zone_id
 
-    def total_load(self) -> float:
-        return sum(b.load_mw for b in self.buses)
-
-    def lines_monitored(self, profile: str | None) -> tuple[Line, ...]:
-        """Lines whose limits are enforced under the given monitoring profile."""
-        if profile is None:
-            return ()
-        return tuple(l for l in self.lines if profile in l.monitored_in)
-
 
 def _connected(net: Network) -> bool:
     if not net.buses:
@@ -190,15 +181,23 @@ class PtdfMatrix:
     def sensitivity(self, line_id: str, bus_id: str) -> float:
         return float(self.matrix[self.line_ids.index(line_id), self.bus_ids.index(bus_id)])
 
-    def row(self, line_id: str) -> np.ndarray:
-        return self.matrix[self.line_ids.index(line_id)]
+    def injection_vector(self, injections: Mapping[str, float]) -> np.ndarray:
+        """Per-bus injections (MW) in ``bus_ids`` order; absent buses are 0."""
+        index = {b: i for i, b in enumerate(self.bus_ids)}
+        vec = np.zeros(len(self.bus_ids))
+        for bus_id, mw in injections.items():
+            if bus_id not in index:
+                raise KeyError(f"unknown bus in injection vector: {bus_id!r}")
+            vec[index[bus_id]] = mw
+        return vec
 
 
 @dataclass(frozen=True)
 class FlowSet:
-    """Signed per-line flows with limit-violation flags."""
+    """Signed per-line and per-interface flows with line-limit violation flags."""
 
     flows_mw: dict[str, float]
+    interface_flows_mw: dict[str, float]
     violations: tuple[str, ...]  # line ids with |flow| > limit + tolerance
 
     def flow(self, line_id: str) -> float:
@@ -245,25 +244,22 @@ def build_ptdf(net: Network) -> PtdfMatrix:
     return PtdfMatrix(tuple(l.id for l in net.lines), bus_ids, net.slack_bus, mat)
 
 
-def _injection_vector(net: Network, ptdf: PtdfMatrix, injections: Mapping[str, float]) -> np.ndarray:
-    vec = np.zeros(len(ptdf.bus_ids))
-    known = set(ptdf.bus_ids)
-    for bus_id, mw in injections.items():
-        if bus_id not in known:
-            raise KeyError(f"unknown bus in injection vector: {bus_id!r}")
-        vec[ptdf.bus_ids.index(bus_id)] = mw
-    return vec
+def overloaded_lines(net: Network, flows_mw: Mapping[str, float], tol: float) -> tuple[str, ...]:
+    """Ids of the lines whose |flow| exceeds their thermal limit by more than
+    ``tol`` MW, in network order."""
+    return tuple(l.id for l in net.lines if abs(flows_mw[l.id]) > l.limit_mw + tol)
 
 
 def evaluate_flows(
     net: Network,
     ptdf: PtdfMatrix,
     injections: Mapping[str, float],
-    tol: float = FLOW_TOL_MW,
+    tol: float = MW_TOL,
 ) -> FlowSet:
     """Superpose per-bus net injections (MW, must balance to zero) into signed
-    line flows, flagging lines loaded beyond their thermal limit."""
-    vec = _injection_vector(net, ptdf, injections)
+    line and interface flows, flagging lines loaded beyond their thermal
+    limit.  Interface flow is the signed sum of its member line flows."""
+    vec = ptdf.injection_vector(injections)
     imbalance = float(vec.sum())
     if abs(imbalance) > tol:
         raise UnbalancedInjectionError(
@@ -271,21 +267,8 @@ def evaluate_flows(
         )
     raw = ptdf.matrix @ vec
     flows = {lid: float(raw[i]) for i, lid in enumerate(ptdf.line_ids)}
-    violations = tuple(
-        l.id for l in net.lines if abs(flows[l.id]) > l.limit_mw + tol
-    )
-    return FlowSet(flows, violations)
-
-
-def interface_flow(
-    net: Network,
-    ptdf: PtdfMatrix,
-    injections: Mapping[str, float],
-    tol: float = FLOW_TOL_MW,
-) -> dict[str, float]:
-    """Signed interface flows: sum of member line flows with direction signs."""
-    flows = evaluate_flows(net, ptdf, injections, tol=tol).flows_mw
-    out: dict[str, float] = {}
-    for itf in net.interfaces:
-        out[itf.id] = sum(sign * flows[lid] for lid, sign in itf.member_lines)
-    return out
+    iface = {
+        itf.id: sum(sign * flows[lid] for lid, sign in itf.member_lines)
+        for itf in net.interfaces
+    }
+    return FlowSet(flows, iface, overloaded_lines(net, flows, tol))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from gridclear.commitment import UcGenerator, UcSchedule, as_specs
-from gridclear.dispatch import MW_TOL, PRICE_TOL, DispatchResult, GeneratorSpec
-from gridclear.grid import PtdfMatrix
+from gridclear.dispatch import PRICE_TOL, DispatchResult, GeneratorSpec
+from gridclear.grid import MW_TOL, Network
 
 
 class UnitNotRunningError(ValueError):
@@ -81,9 +81,6 @@ class PriceReport:
     marginal_sets: tuple[MarginalSet, ...] = ()
     currency: str = ""
 
-    def price(self, hour: int, key: str) -> float:
-        return self.prices[hour][key]
-
 
 def stack_price(gen: GeneratorSpec, q: float, hours_on: int = 1, hour: int = 0) -> StackPrice:
     """Avoided-cost stack price: incremental cost plus no-load cost spread
@@ -97,7 +94,7 @@ def stack_price(gen: GeneratorSpec, q: float, hours_on: int = 1, hour: int = 0) 
     return StackPrice(gen.id, hour, gen.ic + nlc_share + suc_share, gen.ic, nlc_share, suc_share)
 
 
-def _served_by_location(result: DispatchResult) -> dict[str, float]:
+def _served_by_location(result: DispatchResult, net: Network) -> dict[str, float]:
     """Served load keyed the same way as the result's balance duals."""
     if result.mode == "nodal":
         return dict(result.served_mw)
@@ -105,11 +102,12 @@ def _served_by_location(result: DispatchResult) -> dict[str, float]:
         return {"system": sum(result.served_mw.values())}
     by_zone = {key: 0.0 for key in result.balance_duals}
     for bus, served in result.served_mw.items():
-        by_zone[result.bus_zone[bus]] = by_zone.get(result.bus_zone[bus], 0.0) + served
+        zone = net.zone_of(bus)
+        by_zone[zone] = by_zone.get(zone, 0.0) + served
     return by_zone
 
 
-def _reference_dual(result: DispatchResult, region: str | None) -> float:
+def _reference_dual(result: DispatchResult, net: Network, region: str | None) -> float:
     """Dual of the pricing region: the zone's own dual when restricted, else
     the highest balance dual among locations actually serving load."""
     duals = result.balance_duals
@@ -120,12 +118,12 @@ def _reference_dual(result: DispatchResult, region: str | None) -> float:
             if region not in duals:
                 raise PricingContractError(f"no balance dual for zone {region!r}")
             return duals[region]
-        in_region = [b for b in duals if result.bus_zone.get(b) == region]
+        in_region = [b.id for b in net.buses_in_zone(region) if b.id in duals]
         if not in_region:
             raise PricingContractError(f"no buses in region {region!r}")
         serving = [b for b in in_region if result.served_mw.get(b, 0.0) > MW_TOL]
         return max(duals[b] for b in (serving or in_region))
-    served = _served_by_location(result)
+    served = _served_by_location(result, net)
     keys_serving = [k for k, v in served.items() if v > MW_TOL]
     if keys_serving:
         return max(duals[k] for k in keys_serving)
@@ -134,6 +132,7 @@ def _reference_dual(result: DispatchResult, region: str | None) -> float:
 
 def form_smp(
     schedule: UcSchedule,
+    net: Network,
     gens: Sequence[GeneratorSpec] | Sequence[UcGenerator],
     *,
     region: str | None = None,
@@ -141,12 +140,12 @@ def form_smp(
 ) -> PriceReport:
     """Uniform price per hour: the maximum stack price over the screened
     marginal set, with recorded exclusion reasons for every screened-out
-    dispatched unit."""
+    dispatched unit.  ``net`` locates buses and units in zones."""
     specs = {g.id: g for g in as_specs(gens)}
     prices: list[dict[str, float]] = []
     msets: list[MarginalSet] = []
     for t, result in enumerate(schedule.hourly_results):
-        ref = _reference_dual(result, region)
+        ref = _reference_dual(result, net, region)
         members: list[str] = []
         exclusions: dict[str, str] = {}
         for gid in schedule.gen_ids:
@@ -155,7 +154,7 @@ def form_smp(
             q = schedule.dispatch_mw[gid][t]
             if q <= MW_TOL:
                 continue
-            if region is not None and result.gen_zone.get(gid) != region:
+            if region is not None and net.zone_of(specs[gid].bus_id) != region:
                 continue
             flag = result.gen_flags.get(gid, "")
             if flag in ("at_capacity",):
@@ -205,7 +204,7 @@ def form_zonal_prices(result: DispatchResult, *, currency: str = "") -> PriceRep
 
 def form_nodal_prices(
     result: DispatchResult,
-    ptdf: PtdfMatrix,
+    net: Network,
     loss_factors: Mapping[str, float] | None = None,
     *,
     currency: str = "",
@@ -218,13 +217,13 @@ def form_nodal_prices(
     matching the lossless network model)."""
     if result.mode != "nodal":
         raise PricingContractError("form_nodal_prices requires a nodal dispatch result")
-    if ptdf.slack_bus not in result.balance_duals:
-        raise PricingContractError(f"reference bus {ptdf.slack_bus!r} dual missing")
-    lam_ref = result.balance_duals[ptdf.slack_bus]
+    if net.slack_bus not in result.balance_duals:
+        raise PricingContractError(f"reference bus {net.slack_bus!r} dual missing")
+    lam_ref = result.balance_duals[net.slack_bus]
     lf = dict(loss_factors or {})
     prices: dict[str, float] = {}
     comps: dict[str, PriceComponents] = {}
-    for bus in ptdf.bus_ids:
+    for bus in (b.id for b in net.buses):
         if bus not in result.balance_duals:
             raise PricingContractError(f"balance dual missing for bus {bus!r}")
         lam = result.balance_duals[bus]

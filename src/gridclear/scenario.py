@@ -132,7 +132,13 @@ class _Collector:
             raise ScenarioValidationError(self.issues)
 
 
+_NUMBER = (int, float)
+
+
 def _expect(col, raw, where, key, types, default=None, required=False):
+    """The field's value if it has one of ``types``, else ``default``; a
+    number field (``int`` or ``_NUMBER``) also rejects booleans, NaN and
+    infinities."""
     if key not in raw or raw[key] is None:  # explicit null == absent
         if required:
             col.add(E_SECTION, where, f"missing required field {key!r}")
@@ -140,6 +146,9 @@ def _expect(col, raw, where, key, types, default=None, required=False):
     val = raw[key]
     if not isinstance(val, types):
         col.add(E_TYPE, f"{where}.{key}", f"expected {types}, got {type(val).__name__}")
+        return default
+    if (types is int or types == _NUMBER) and not _finite_number(val):
+        col.add(E_TYPE, f"{where}.{key}", f"expected a finite number, got {val!r}")
         return default
     return val
 
@@ -220,8 +229,8 @@ def _parse_network(raw, col) -> Network | None:
             continue
         bid = _expect(col, b, where, "id", str, required=True)
         zone = _expect(col, b, where, "zone", str, required=True)
-        load = _expect(col, b, where, "load_mw", (int, float), default=0.0)
-        wtp = _expect(col, b, where, "wtp", (int, float), default=0.0)
+        load = _expect(col, b, where, "load_mw", _NUMBER, default=0.0)
+        wtp = _expect(col, b, where, "wtp", _NUMBER, default=0.0)
         if bid is None or zone is None:
             continue
         if bid in seen:
@@ -247,8 +256,8 @@ def _parse_network(raw, col) -> Network | None:
         lid = _expect(col, l, where, "id", str, required=True)
         fb = _expect(col, l, where, "from", str, required=True)
         tb = _expect(col, l, where, "to", str, required=True)
-        x = _expect(col, l, where, "reactance", (int, float), required=True)
-        lim = _expect(col, l, where, "limit_mw", (int, float), required=True)
+        x = _expect(col, l, where, "reactance", _NUMBER, required=True)
+        lim = _expect(col, l, where, "limit_mw", _NUMBER, required=True)
         prof = _expect(col, l, where, "monitored_in", list, default=[]) or []
         if None in (lid, fb, tb, x, lim):
             continue
@@ -274,7 +283,7 @@ def _parse_network(raw, col) -> Network | None:
             col.add(E_TYPE, where, "interface entry must be an object")
             continue
         iid = _expect(col, f, where, "id", str, required=True)
-        ttc = _expect(col, f, where, "ttc_mw", (int, float), required=True)
+        ttc = _expect(col, f, where, "ttc_mw", _NUMBER, required=True)
         members_raw = _expect(col, f, where, "members", list, default=[], required=True) or []
         if iid is None or ttc is None:
             continue
@@ -330,13 +339,13 @@ def _parse_generators(raw, net: Network | None, col) -> list[UcGenerator] | None
             continue
         gid = _expect(col, g, where, "id", str, required=True)
         bus = _expect(col, g, where, "bus", str, required=True)
-        p_min = _expect(col, g, where, "p_min", (int, float), default=0.0)
-        p_max = _expect(col, g, where, "p_max", (int, float), required=True)
-        ic = _expect(col, g, where, "ic", (int, float), required=True)
-        nlc = _expect(col, g, where, "nlc", (int, float), default=0.0)
-        suc = _expect(col, g, where, "suc", (int, float), default=0.0)
-        fmin = g.get("forced_min")
-        fmax = g.get("forced_max")
+        p_min = _expect(col, g, where, "p_min", _NUMBER, default=0.0)
+        p_max = _expect(col, g, where, "p_max", _NUMBER, required=True)
+        ic = _expect(col, g, where, "ic", _NUMBER, required=True)
+        nlc = _expect(col, g, where, "nlc", _NUMBER, default=0.0)
+        suc = _expect(col, g, where, "suc", _NUMBER, default=0.0)
+        fmin = _expect(col, g, where, "forced_min", _NUMBER)
+        fmax = _expect(col, g, where, "forced_max", _NUMBER)
         min_up = _expect(col, g, where, "min_up_h", int, default=1)
         min_down = _expect(col, g, where, "min_down_h", int, default=1)
         init_on = _expect(col, g, where, "initially_on", bool, default=False)
@@ -381,10 +390,10 @@ def _parse_regimes(raw, net: Network | None, col) -> dict[str, ConstraintRegime]
             col.add(E_TYPE, where, "regime must be an object")
             continue
         mode = _expect(col, r, where, "mode", str, required=True)
-        prof = r.get("monitored_profile")
+        prof = _expect(col, r, where, "monitored_profile", str)
         enforce = _expect(col, r, where, "enforce_interfaces", bool, default=True)
-        reserve = _expect(col, r, where, "reserve_req_mw", (int, float), default=0.0)
-        min_sync = _expect(col, r, where, "min_sync_mw", (int, float), default=0.0)
+        reserve = _expect(col, r, where, "reserve_req_mw", _NUMBER, default=0.0)
+        min_sync = _expect(col, r, where, "min_sync_mw", _NUMBER, default=0.0)
         if mode is None:
             continue
         if prof is not None and net is not None and prof not in all_tags:
@@ -442,7 +451,7 @@ def _parse_run(raw, gens, regimes, col) -> RunSection:
     deviation = None
     if dev_raw is not None:
         dgen = _expect(col, dev_raw, "run.bid_deviation", "generator", str, required=True)
-        dic = _expect(col, dev_raw, "run.bid_deviation", "offered_ic", (int, float), required=True)
+        dic = _expect(col, dev_raw, "run.bid_deviation", "offered_ic", _NUMBER, required=True)
         dscheme = _expect(col, dev_raw, "run.bid_deviation", "scheme", str, default="uniform")
         if dscheme not in BID_SCHEMES:
             col.add(E_RUN, "run.bid_deviation.scheme", f"unknown scheme {dscheme!r}; allowed: {BID_SCHEMES}")
@@ -475,15 +484,15 @@ def _parse_loads(raw, net: Network | None, run: RunSection, col):
         if net and bus not in bus_ids:
             col.add(E_REF, where, f"unknown bus {bus!r}")
             continue
-        if isinstance(val, (int, float)):
+        if _finite_number(val):
             series[bus] = [float(val)] * horizon
-        elif isinstance(val, list) and all(isinstance(v, (int, float)) for v in val):
+        elif isinstance(val, list) and all(_finite_number(v) for v in val):
             if len(val) != horizon:
                 col.add(E_LOADS, where, f"expected {horizon} hourly values, got {len(val)}")
                 continue
             series[bus] = [float(v) for v in val]
         else:
-            col.add(E_TYPE, where, "load must be a number or list of numbers")
+            col.add(E_TYPE, where, "load must be a finite number or list of finite numbers")
     if col.issues or net is None:
         return None
     hours = []
@@ -621,14 +630,16 @@ def _stamp_lines(fmt: str, timestamp: str | None) -> list[str]:
 
 def write_report(
     name: str,
+    net: Network,
     outcomes: Sequence[SchemeOutcome],
     out_dir: str | Path,
     fmt: str = "csv",
     timestamp: str | None = None,
 ) -> list[Path]:
-    """Serialize completed scheme runs.  ``fmt`` is ``csv`` (one file per
-    scheme and report kind) or ``markdown`` (one report file per scheme).
-    Output is deterministic: fixed column order, two-decimal numbers."""
+    """Serialize completed scheme runs of ``net``.  ``fmt`` is ``csv`` (one
+    file per scheme and report kind) or ``markdown`` (one report file per
+    scheme).  Output is deterministic: fixed column order, two-decimal
+    numbers."""
     if not outcomes:
         raise ValueError("empty report set")
     if fmt not in ("csv", "markdown", "md"):
@@ -638,7 +649,7 @@ def write_report(
     written: list[Path] = []
     for oc in outcomes:
         if fmt == "csv":
-            written.extend(_write_scheme_csv(name, oc, out_dir, timestamp))
+            written.extend(_write_scheme_csv(name, net, oc, out_dir, timestamp))
         else:
             written.append(_write_scheme_markdown(name, oc, out_dir, timestamp))
     return written
@@ -649,7 +660,7 @@ def _write(path: Path, lines: list[str]) -> Path:
     return path
 
 
-def _write_scheme_csv(name, oc: SchemeOutcome, out_dir: Path, timestamp) -> list[Path]:
+def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, timestamp) -> list[Path]:
     stamp = _stamp_lines("csv", timestamp)
     r = oc.dispatch
     paths = []
@@ -676,10 +687,9 @@ def _write_scheme_csv(name, oc: SchemeOutcome, out_dir: Path, timestamp) -> list
     paths.append(_write(out_dir / f"{name}_{oc.scheme}_prices.csv", lines))
 
     lines = stamp + ["hour,element,kind,flow_mw,limit_mw,violation"]
-    for lid, flow in r.line_flow_mw.items():
-        lim = r.line_limit_mw.get(lid, float("nan"))
-        flag = "yes" if lid in r.physical_violations else "no"
-        lines.append(f"0,{lid},line,{_fmt(flow)},{_fmt(lim)},{flag}")
+    for line in net.lines:
+        flag = "yes" if line.id in r.physical_violations else "no"
+        lines.append(f"0,{line.id},line,{_fmt(r.line_flow_mw[line.id])},{_fmt(line.limit_mw)},{flag}")
     for iid, flow in r.interface_flow_mw.items():
         lim = r.limits.get(f"iface+[{iid}]", float("nan"))
         lines.append(f"0,{iid},interface,{_fmt(flow)},{_fmt(lim)},no")

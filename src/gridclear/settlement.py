@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from gridclear.commitment import RedispatchRecord, UcGenerator, UcSchedule, as_specs
-from gridclear.dispatch import MW_TOL, DispatchResult, GeneratorSpec
-from gridclear.grid import Network
+from gridclear.dispatch import DispatchResult, GeneratorSpec
+from gridclear.grid import MW_TOL, Network
 from gridclear.pricing import PriceReport
 
 RENT_TOL = 1e-6
@@ -48,10 +48,6 @@ class GeneratorSettlement:
     coff_mwh: float = 0.0
     con_payment: float = 0.0
     coff_payment: float = 0.0
-
-    @property
-    def total_receipts(self) -> float:
-        return self.market_revenue + self.uplift + self.con_payment + self.coff_payment
 
 
 @dataclass(frozen=True)
@@ -86,34 +82,31 @@ def _dispatch_series(source: DispatchResult | UcSchedule, gid: str, hours: int) 
     return (source.gen_mw.get(gid, 0.0),)
 
 
-def _settlement_key(prices: PriceReport, result: DispatchResult, gid: str, hour: int) -> str:
+def _price_key(prices: PriceReport, net: Network, bus: str, hour: int) -> str:
+    """The price a generator or load at ``bus`` settles at: the hour's one
+    uniform price, its zone's price or its own bus price."""
     if prices.scheme == "uniform_smp":
         keys = list(prices.prices[hour])
         if len(keys) != 1:
             raise SettlementKeyError(f"uniform price for hour {hour} is not unique: {keys}")
         return keys[0]
     if prices.scheme == "zonal":
-        return result.gen_zone[gid]
-    return result.gen_bus[gid]
-
-
-def _load_key(prices: PriceReport, result: DispatchResult, bus: str, hour: int) -> str:
-    if prices.scheme == "uniform_smp":
-        keys = list(prices.prices[hour])
-        return keys[0]
-    if prices.scheme == "zonal":
-        return result.bus_zone[bus]
+        return net.zone_of(bus)
     return bus
 
 
 def settle_energy(
     prices: PriceReport,
     source: DispatchResult | UcSchedule,
+    net: Network,
+    gens: Sequence[GeneratorSpec] | Sequence[UcGenerator],
     q_rt: Mapping[str, Sequence[float]] | Mapping[str, float] | None = None,
 ) -> dict[str, float]:
     """Per-generator market revenue: scheme price at the generator's
-    settlement key times real-time output, summed over hours.  Real-time
-    quantities default to the scheduled dispatch."""
+    settlement key (its bus in ``gens``, or that bus's zone in ``net``) times
+    real-time output, summed over hours.  Real-time quantities default to
+    the scheduled dispatch."""
+    bus_of = {g.id: g.bus_id for g in as_specs(gens)}
     results = _hourly_results(source)
     hours = len(results)
     gen_ids = tuple(source.gen_ids) if isinstance(source, UcSchedule) else tuple(source.gen_mw)
@@ -128,7 +121,7 @@ def settle_energy(
     for gid in gen_ids:
         total = 0.0
         for t in range(hours):
-            key = _settlement_key(prices, results[t], gid, t)
+            key = _price_key(prices, net, bus_of[gid], t)
             if key not in prices.prices[t]:
                 raise SettlementKeyError(
                     f"no {prices.scheme} price for key {key!r} in hour {t}"
@@ -240,7 +233,7 @@ def summarize(
     """Full settlement report with every accounting identity enforced."""
     specs = as_specs(gens)
     results = _hourly_results(source)
-    revenue = settle_energy(prices, source, q_rt)
+    revenue = settle_energy(prices, source, net, gens, q_rt)
     cleared = as_cleared_costs(source, gens)
     uplift = compute_uplift(revenue, cleared)
 
@@ -251,7 +244,7 @@ def summarize(
         for bus, served in result.served_mw.items():
             if served <= 0:
                 continue
-            key = _load_key(prices, result, bus, t)
+            key = _price_key(prices, net, bus, t)
             if key not in prices.prices[t]:
                 raise SettlementKeyError(f"no {prices.scheme} price for load key {key!r}")
             consumer_market += prices.prices[t][key] * served

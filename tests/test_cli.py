@@ -1,6 +1,10 @@
 import pytest
 
+from gridclear import cli
 from gridclear.cli import main
+from gridclear.grid import GridNumericalError
+from gridclear.lp import LpNumericalError
+from gridclear.settlement import AccountingIdentityError, SettlementKeyError
 
 
 def run(argv, capsys=None):
@@ -192,6 +196,93 @@ def test_validate_rejects_bad_run_section(scenario_dir, tmp_path, capsys, key, v
     p = _edited_scenario(scenario_dir, tmp_path, "fourbus", lambda doc: doc["run"].update({key: value}))
     assert run(["validate", p]) == 1
     assert code in capsys.readouterr().err
+
+
+_NUMERIC_FIELDS = [
+    ("network", "buses", 0, "load_mw"),
+    ("network", "buses", 0, "wtp"),
+    ("network", "lines", 0, "reactance"),
+    ("network", "lines", 0, "limit_mw"),
+    ("network", "interfaces", 0, "ttc_mw"),
+    ("network", "interfaces", 0, "members", 0, "direction"),
+    ("generators", 0, "p_min"),
+    ("generators", 0, "p_max"),
+    ("generators", 0, "ic"),
+    ("generators", 0, "nlc"),
+    ("generators", 0, "suc"),
+    ("generators", 0, "forced_min"),
+    ("generators", 0, "forced_max"),
+    ("generators", 0, "min_up_h"),
+    ("generators", 0, "min_down_h"),
+    ("generators", 0, "initial_hours"),
+    ("regimes", "nodal", "reserve_req_mw"),
+    ("regimes", "nodal", "min_sync_mw"),
+    ("run", "horizon"),
+    ("run", "bid_deviation", "offered_ic"),
+    ("loads", "a"),
+]
+
+
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {}) if isinstance(key, str) else doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("value", [True, float("nan"), float("inf")], ids=["true", "NaN", "Infinity"])
+@pytest.mark.parametrize("path", _NUMERIC_FIELDS, ids=lambda path: ".".join(map(str, path)))
+def test_validate_rejects_non_numbers_where_a_number_is_expected(scenario_dir, tmp_path, capsys,
+                                                                path, value):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", lambda doc: _set_path(doc, path, value))
+    assert run(["validate", p]) == 1
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    assert f"E_TYPE at {where}" in capsys.readouterr().err
+
+
+def test_validate_rejects_non_string_monitored_profile(scenario_dir, tmp_path, capsys):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus",
+                         lambda doc: doc["regimes"]["nodal"].update(monitored_profile=["nodal"]))
+    assert run(["validate", p]) == 1
+    assert "E_TYPE at regimes.nodal.monitored_profile" in capsys.readouterr().err
+
+
+def test_clear_overflowing_scenario_is_one_error_line(scenario_dir, tmp_path, capsys):
+    def huge(doc):
+        doc["network"]["buses"][0].update(load_mw=1e300, wtp=1e300)
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", huge)
+    assert run(["clear", p, "--scheme", "nodal", "--out", tmp_path / "o", "--no-timestamp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [
+    LpNumericalError("simplex stalled"),
+    GridNumericalError("singular reduced susceptance matrix"),
+    AccountingIdentityError("consumer_total_payment == generator receipts + congestion_rent", "1 vs 2"),
+    SettlementKeyError("no nodal price for key 'x'"),
+], ids=lambda exc: type(exc).__name__)
+def test_engine_errors_exit_one_with_one_error_line(scenario_dir, tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "run_scheme", fail)
+    assert run(["clear", scenario_dir / "twobus.scn", "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", [["--format", "md"], ["--tolerance", "0.5"]], ids=lambda f: f[0])
+@pytest.mark.parametrize("argv", [
+    ["daucruc", "fivebus_ruc.scn"],
+    ["bidding", "twobus.scn"],
+    ["stats", "prices.csv"],
+], ids=lambda argv: argv[0])
+def test_report_flags_only_on_clear_and_compare(scenario_dir, tmp_path, capsys, argv, flag):
+    target = tmp_path / argv[1] if argv[0] == "stats" else scenario_dir / argv[1]
+    (tmp_path / "prices.csv").write_text("timestamp,price\n1,77\n")
+    assert run([argv[0], target, "--out", tmp_path / "o", *flag]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bidding_rejects_regime_of_wrong_mode(scenario_dir, tmp_path, capsys):

@@ -13,7 +13,6 @@ from gridclear.grid import (
     UnbalancedInjectionError,
     build_ptdf,
     evaluate_flows,
-    interface_flow,
 )
 from helpers import btheta_flows, random_network
 
@@ -80,14 +79,14 @@ def test_interface_flow_at_ttc(fourbus):
     net, _ = fourbus
     ptdf = build_ptdf(net)
     inj = {"b1": 175.0, "b2": 100.0, "b3": 225.0, "b4": -500.0}
-    assert interface_flow(net, ptdf, inj)["tie"] == pytest.approx(500.0, abs=1e-9)
+    assert evaluate_flows(net, ptdf, inj).interface_flows_mw["tie"] == pytest.approx(500.0, abs=1e-9)
 
 
 def test_interface_flow_tie270_case(fourbus):
     net, _ = fourbus
     ptdf = build_ptdf(net)
     inj = {"b1": 180.0, "b2": 90.0, "b3": 0.0, "b4": 530.0 - 800.0}
-    assert interface_flow(net, ptdf, inj)["tie"] == pytest.approx(270.0, abs=1e-9)
+    assert evaluate_flows(net, ptdf, inj).interface_flows_mw["tie"] == pytest.approx(270.0, abs=1e-9)
 
 
 def test_unbalanced_injection_rejected(triangle):
@@ -169,7 +168,7 @@ def test_interface_flow_is_signed_member_sum(seed):
     inj = {b: rng.uniform(-30, 30) for b in buses}
     inj[net.slack_bus] -= sum(inj.values())
     flows = evaluate_flows(net, ptdf, inj).flows_mw
-    iflows = interface_flow(net, ptdf, inj)
+    iflows = evaluate_flows(net, ptdf, inj).interface_flows_mw
     for itf in net.interfaces:
         expected = sum(sign * flows[lid] for lid, sign in itf.member_lines)
         assert iflows[itf.id] == expected  # exact: same summation

@@ -9,7 +9,7 @@ from gridclear.dispatch import (
     clear,
     with_forced_bounds,
 )
-from gridclear.grid import Bus, Interface, Line, Network, build_ptdf
+from gridclear.grid import Bus, Interface, Line, Network
 from gridclear.pricing import (
     PriceFormationError,
     PricingContractError,
@@ -68,7 +68,7 @@ def test_stack_price_rejects_idle_unit():
 def test_twobus_constrained_smp_set_by_import_side(twobus):
     net, gens = twobus
     result = clear(net, gens, ZONAL)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), gens)
+    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
     assert report.prices[0]["system"] == pytest.approx(100.0)
     mset = report.marginal_sets[0]
     assert mset.members == ("B2",)
@@ -80,7 +80,7 @@ def test_twobus_constrained_smp_set_by_import_side(twobus):
 def test_twobus_copper_smp_is_90(twobus):
     net, gens = twobus
     result = clear(net, gens, COPPER)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), gens)
+    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
     assert report.prices[0]["system"] == pytest.approx(90.0)
     assert "A3" in report.marginal_sets[0].members
 
@@ -88,7 +88,7 @@ def test_twobus_copper_smp_is_90(twobus):
 def test_fourbus_forced_bound_zone1_view(fourbus):
     net, gens = fourbus
     result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), gens, region="Z1")
+    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens, region="Z1")
     assert report.prices[0]["Z1"] == pytest.approx(10.0)
     mset = report.marginal_sets[0]
     assert mset.members == ("P1",)
@@ -100,7 +100,7 @@ def test_single_marginal_unit_sets_its_ic():
     net = Network((Bus("n", "Z", 60.0, 300.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("g", "n", 0.0, 100.0, 42.0)]
     result = clear(net, gens, COPPER)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), gens)
+    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
     assert report.prices[0]["system"] == pytest.approx(42.0)
 
 
@@ -109,7 +109,7 @@ def test_empty_marginal_set_is_hard_error():
     gens = [GeneratorSpec("g", "n", 0.0, 100.0, 42.0)]  # exactly at capacity
     result = clear(net, gens, COPPER)
     with pytest.raises(PriceFormationError, match="at_capacity"):
-        form_smp(single_interval_schedule(result, _wrap(gens)), gens)
+        form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
 
 
 def test_smp_is_max_over_marginal_set():
@@ -125,7 +125,7 @@ def test_smp_is_max_over_marginal_set():
     # both dispatched strictly inside bounds via equal-cost... instead use
     # a tie-free case: lo at cap (excluded), hi marginal
     result = clear(net, gens, COPPER)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), gens)
+    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
     mset = report.marginal_sets[0]
     sps = [stack_price(g, result.gen_mw[g.id], 1).sp for g in gens if g.id in mset.members]
     assert report.prices[0]["system"] == pytest.approx(max(sps))
@@ -168,7 +168,7 @@ def test_zonal_prices_require_zonal_result(fourbus):
 def test_fourbus_nodal_lmps_and_decomposition(fourbus):
     net, gens = fourbus
     result = clear(net, gens, NODAL)
-    report = form_nodal_prices(result, build_ptdf(net))
+    report = form_nodal_prices(result, net)
     prices = report.prices[0]
     assert [prices[b] for b in ("b1", "b2", "b3", "b4")] == pytest.approx(
         [10.0, 25.0, 40.0, 50.0], abs=1e-6
@@ -193,7 +193,7 @@ def test_no_congestion_all_lmps_equal_reference():
     )
     gens = [GeneratorSpec("g1", "x", 0.0, 200.0, 25.0), GeneratorSpec("g2", "y", 0.0, 200.0, 60.0)]
     result = clear(net, gens, ConstraintRegime(mode="nodal"))
-    report = form_nodal_prices(result, build_ptdf(net))
+    report = form_nodal_prices(result, net)
     assert report.prices[0]["x"] == pytest.approx(report.prices[0]["y"], abs=1e-9)
     assert all(c.congestion == pytest.approx(0.0, abs=1e-9)
                for c in report.decomposition[0].values())
@@ -203,7 +203,7 @@ def test_loss_factors_populate_loss_component(fourbus):
     net, gens = fourbus
     result = clear(net, gens, NODAL)
     lf = {"b1": 0.02, "b2": -0.01}
-    report = form_nodal_prices(result, build_ptdf(net), loss_factors=lf)
+    report = form_nodal_prices(result, net, loss_factors=lf)
     comps = report.decomposition[0]
     assert comps["b1"].loss == pytest.approx(50.0 * 0.02)
     assert comps["b2"].loss == pytest.approx(-0.5)
@@ -215,7 +215,7 @@ def test_loss_factors_populate_loss_component(fourbus):
 def test_nodal_prices_require_nodal_result(fourbus):
     net, gens = fourbus
     with pytest.raises(PricingContractError):
-        form_nodal_prices(clear(net, gens, ZONAL), build_ptdf(net))
+        form_nodal_prices(clear(net, gens, ZONAL), net)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +232,9 @@ def test_scheme_collapse_single_zone():
     nodal = clear(net, gens, ConstraintRegime(mode="nodal"))
     zonal = clear(net, gens, ZONAL)
     copper = clear(net, gens, COPPER)
-    lmp = form_nodal_prices(nodal, build_ptdf(net)).prices[0]
+    lmp = form_nodal_prices(nodal, net).prices[0]
     zp = form_zonal_prices(zonal).prices[0]["Z"]
-    smp = form_smp(single_interval_schedule(copper, _wrap(gens)), gens).prices[0]["system"]
+    smp = form_smp(single_interval_schedule(copper, _wrap(gens)), net, gens).prices[0]["system"]
     assert lmp["x"] == pytest.approx(zp, abs=1e-6)
     assert lmp["y"] == pytest.approx(zp, abs=1e-6)
     assert smp == pytest.approx(zp, abs=1e-6)
@@ -243,12 +243,13 @@ def test_scheme_collapse_single_zone():
 def test_screening_soundness(fourbus):
     net, gens = fourbus
     result = clear(net, gens, ZONAL)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), gens, region="Z1")
+    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens, region="Z1")
     mset = report.marginal_sets[0]
     for gid in result.gen_mw:
-        if result.gen_zone[gid] != "Z1" or result.gen_mw[gid] <= 1e-6:
+        spec = next(g for g in gens if g.id == gid)
+        if net.zone_of(spec.bus_id) != "Z1" or result.gen_mw[gid] <= 1e-6:
             continue
-        lo, hi = next(g for g in gens if g.id == gid).effective_bounds()
+        lo, hi = spec.effective_bounds()
         flagged = bool(result.gen_flags[gid])
         interior = lo + 1e-6 < result.gen_mw[gid] < hi - 1e-6
         if interior and not flagged:

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from gridclear.dispatch import ConstraintRegime, clear
-from gridclear.grid import build_ptdf
 from gridclear.pricing import form_nodal_prices, form_zonal_prices
 from gridclear.scenario import (
     E_DUP,
@@ -217,7 +216,7 @@ def _outcome(fourbus, scheme="nodal"):
     if scheme == "nodal":
         r = clear(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
                                               enforce_interfaces=False))
-        prices = form_nodal_prices(r, build_ptdf(net), currency="$/MWh")
+        prices = form_nodal_prices(r, net, currency="$/MWh")
     else:
         r = clear(net, gens, ConstraintRegime(mode="zonal"))
         prices = form_zonal_prices(r, currency="$/MWh")
@@ -228,7 +227,7 @@ def _outcome(fourbus, scheme="nodal"):
 
 def test_write_report_csv_round_trips(fourbus, tmp_path):
     oc = _outcome(fourbus)
-    paths = write_report("fourbus", [oc], tmp_path, "csv", timestamp=None)
+    paths = write_report("fourbus", fourbus[0], [oc], tmp_path, "csv", timestamp=None)
     assert len(paths) == 5
     prices = (tmp_path / "fourbus_nodal_prices.csv").read_text().splitlines()
     assert prices[0] == "hour,key,price,energy,congestion,loss"
@@ -240,15 +239,15 @@ def test_write_report_csv_round_trips(fourbus, tmp_path):
 
 def test_write_report_markdown(fourbus, tmp_path):
     oc = _outcome(fourbus)
-    paths = write_report("fourbus", [oc], tmp_path, "markdown", timestamp=None)
+    paths = write_report("fourbus", fourbus[0], [oc], tmp_path, "markdown", timestamp=None)
     text = paths[0].read_text()
     assert "| P1 | 175.00 |" in text
     assert "social surplus | 53250.00" in text
 
 
-def test_write_report_rejects_empty_set(tmp_path):
+def test_write_report_rejects_empty_set(fourbus, tmp_path):
     with pytest.raises(ValueError, match="empty"):
-        write_report("x", [], tmp_path, "csv")
+        write_report("x", fourbus[0], [], tmp_path, "csv")
 
 
 def test_compare_table_mirrors_scheme_columns(fourbus, tmp_path):
@@ -267,6 +266,6 @@ def test_deterministic_output_bytes(fourbus, tmp_path):
     oc = _outcome(fourbus)
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):
-        write_report("fourbus", [oc], d, "csv", timestamp=None)
+        write_report("fourbus", fourbus[0], [oc], d, "csv", timestamp=None)
     for f in sorted(a_dir.iterdir()):
         assert f.read_bytes() == (b_dir / f.name).read_bytes()

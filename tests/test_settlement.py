@@ -7,7 +7,6 @@ from gridclear.dispatch import (
     clear,
     with_forced_bounds,
 )
-from gridclear.grid import build_ptdf
 from gridclear.pricing import form_nodal_prices, form_smp, form_zonal_prices
 from gridclear.scenario import load_scenario
 from gridclear.settlement import (
@@ -28,7 +27,7 @@ ZONAL = ConstraintRegime(mode="zonal")
 def _nodal_bundle(fourbus):
     net, gens = fourbus
     result = clear(net, gens, NODAL)
-    prices = form_nodal_prices(result, build_ptdf(net))
+    prices = form_nodal_prices(result, net)
     return net, gens, result, prices
 
 
@@ -38,7 +37,7 @@ def _nodal_bundle(fourbus):
 
 def test_fourbus_nodal_revenue(fourbus):
     net, gens, result, prices = _nodal_bundle(fourbus)
-    revenue = settle_energy(prices, result)
+    revenue = settle_energy(prices, result, net, gens)
     assert sum(revenue.values()) == pytest.approx(28250.0, rel=1e-9)
     assert revenue["P1"] == pytest.approx(1750.0)
     assert revenue["P2"] == pytest.approx(2500.0)
@@ -48,20 +47,20 @@ def test_forced_bound_market_revenue(fourbus):
     net, gens = fourbus
     result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
     prices = form_zonal_prices(result)
-    revenue = settle_energy(prices, result)
+    revenue = settle_energy(prices, result, net, gens)
     assert sum(revenue.values()) == pytest.approx(20000.0, rel=1e-9)
     assert revenue["P3"] == pytest.approx(2250.0)
 
 
 def test_zero_output_zero_revenue(fourbus):
     net, gens, result, prices = _nodal_bundle(fourbus)
-    revenue = settle_energy(prices, result, q_rt={"P1": 0.0})
+    revenue = settle_energy(prices, result, net, gens, q_rt={"P1": 0.0})
     assert revenue["P1"] == 0.0
 
 
 def test_real_time_quantities_override_schedule(fourbus):
     net, gens, result, prices = _nodal_bundle(fourbus)
-    revenue = settle_energy(prices, result, q_rt={"P3": 200.0})
+    revenue = settle_energy(prices, result, net, gens, q_rt={"P3": 200.0})
     assert revenue["P3"] == pytest.approx(200.0 * 40.0)
 
 
@@ -74,7 +73,7 @@ def test_missing_price_key_raises(fourbus):
     )
     zres = clear(net, gens, ZONAL)
     with pytest.raises(SettlementKeyError):
-        settle_energy(broken, zres)
+        settle_energy(broken, zres, net, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +84,7 @@ def test_forced_bound_uplift_is_make_whole(fourbus):
     net, gens = fourbus
     result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
     prices = form_zonal_prices(result)
-    revenue = settle_energy(prices, result)
+    revenue = settle_energy(prices, result, net, gens)
     cleared = as_cleared_costs(result, gens)
     uplift = compute_uplift(revenue, cleared)
     assert cleared["P3"] == pytest.approx(9000.0)
@@ -99,7 +98,7 @@ def test_profitable_generator_gets_no_uplift():
 
 def test_nodal_dispatch_has_zero_uplift(fourbus):
     net, gens, result, prices = _nodal_bundle(fourbus)
-    uplift = compute_uplift(settle_energy(prices, result), as_cleared_costs(result, gens))
+    uplift = compute_uplift(settle_energy(prices, result, net, gens), as_cleared_costs(result, gens))
     assert all(v == 0.0 for v in uplift.values())
 
 
@@ -215,7 +214,7 @@ def test_uniform_scheme_has_zero_rent(twobus):
     net, gens = twobus
     result = clear(net, gens, ZONAL)
     wrapped = [UcGenerator(spec=g) for g in gens]
-    prices = form_smp(single_interval_schedule(result, wrapped), gens)
+    prices = form_smp(single_interval_schedule(result, wrapped), net, gens)
     report = summarize(prices, result, net, gens)
     assert report.congestion_rent == pytest.approx(0.0, abs=1e-6)
     assert report.consumer_market_payment == pytest.approx(100.0 * 1000.0, rel=1e-9)
@@ -235,7 +234,7 @@ def test_multi_hour_schedule_settlement(scenario_dir):
         sc.network, sc.generators, sc.hourly_loads(),
         sc.regime("DAUC"), sc.regime("RUC"),
     )
-    prices = form_smp(dauc, sc.specs(), currency=sc.currency)
+    prices = form_smp(dauc, sc.network, sc.specs(), currency=sc.currency)
     report = summarize(prices, dauc, sc.network, sc.generators)
     # as-cleared cost covers energy, no-load hours, and starts
     ge1 = report.per_generator["Ge1"]
@@ -253,7 +252,7 @@ def test_daucruc_settlement_is_consistent(scenario_dir):
         sc.network, sc.generators, sc.hourly_loads(),
         sc.regime("DAUC"), sc.regime("RUC"),
     )
-    smp = form_smp(dauc, sc.specs())
+    smp = form_smp(dauc, sc.network, sc.specs())
     series = [smp.prices[t]["system"] for t in range(dauc.hours)]
     out = settle_redispatch(record, sc.specs(), series)
     assert out.zone_con_mwh["ZI"] == pytest.approx(100.0)
