@@ -1,10 +1,19 @@
 """Multi-hour unit commitment with start-up and no-load costs.
 
-Commitment is solved by exhaustive enumeration of per-unit on/off sequences
-pruned by minimum up/down feasibility, with an LP dispatch per candidate hour
-(memoized across candidates).  The search is capped at ~2^20 candidates and
-reports an explicit error beyond that.  Identical inputs yield identical
-schedules across runs.
+Commitment is solved by exhaustive search over the product of per-unit on/off
+sequences pruned by minimum up/down feasibility, with one LP dispatch per
+distinct (hour, committed set) (memoized across candidates).  The sequences
+are counted before any is listed, and a search over more than ~2^20
+candidates reports an explicit error.
+
+Candidates are evaluated as arrays, in fixed-size blocks of
+``itertools.product`` order: commitment costs are summed per candidate in unit
+order, then hour costs in hour order, so every objective is the float the
+one-at-a-time scan computes; a candidate is dropped at its first infeasible
+hour, and only on-sets of candidates still alive are dispatched.  The choice
+is the scan's: the first feasible candidate, replaced by each later one whose
+objective is below the current best minus 1e-9.  Identical inputs yield
+identical schedules across runs.
 
 Two sequential passes with divergent constraint sets model the split between
 market scheduling (day-ahead commitment, narrower line set) and system
@@ -16,14 +25,17 @@ constrained-off energy.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from gridclear.dispatch import ConstraintRegime, DispatchResult, GeneratorSpec, clear
 from gridclear.grid import MW_TOL, Network
 
 ENUMERATION_CAP = 1 << 20
+_BLOCK = 1 << 12  # candidates evaluated together; bounds the search's working memory
 
 
 class UcEnumerationLimitError(RuntimeError):
@@ -31,8 +43,8 @@ class UcEnumerationLimitError(RuntimeError):
 
 
 class UcInfeasibleError(RuntimeError):
-    """Raised when no commitment serves the horizon; carries the first hour at
-    which every candidate fails."""
+    """Raised when no commitment serves the horizon; carries the earliest hour
+    at which any candidate fails."""
 
     def __init__(self, hour: int):
         self.hour = hour
@@ -90,30 +102,55 @@ class RedispatchRecord:
 # feasibility of per-unit on/off sequences
 # ---------------------------------------------------------------------------
 
+def _next_state(unit: UcGenerator, state: tuple[bool, int], s: int) -> tuple[bool, int] | None:
+    """The (on, hours in that state) after one more hour at ``s``, or None if
+    the unit's minimum up/down time forbids the change."""
+    on, dur = state
+    if bool(s) == on:
+        return on, dur + 1
+    if dur < (unit.min_up_h if on else unit.min_down_h):
+        return None
+    return bool(s), 1
+
+
+def _count_sequences(unit: UcGenerator, floor: Sequence[int]) -> int:
+    """Number of feasible sequences at or above ``floor`` (one entry per
+    hour), counted per (state, duration) without listing any."""
+    counts = {(unit.initially_on, unit.initial_hours): 1}
+    for f in floor:
+        nxt: dict[tuple[bool, int], int] = {}
+        for state, n in counts.items():
+            for s in (0, 1):
+                st = _next_state(unit, state, s)
+                if s >= f and st is not None:
+                    nxt[st] = nxt.get(st, 0) + n
+        counts = nxt
+    return sum(counts.values())
+
+
+def _sequences(unit: UcGenerator, floor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The feasible sequences at or above ``floor``, in ``itertools.product``
+    order: extending every prefix by 0, then 1, keeps that order."""
+    level = [((), (unit.initially_on, unit.initial_hours))]
+    for f in floor:
+        level = [(seq + (s,), st) for seq, state in level for s in (0, 1)
+                 if s >= f and (st := _next_state(unit, state, s)) is not None]
+    return tuple(seq for seq, _ in level)
+
+
 def feasible_sequences(unit: UcGenerator, horizon: int) -> tuple[tuple[int, ...], ...]:
     """All on/off sequences respecting the unit's initial state and minimum
-    up/down times.  Runs truncated by the end of the horizon are allowed."""
-    out = []
-    for seq in itertools.product((0, 1), repeat=horizon):
-        if sequence_is_feasible(unit, seq):
-            out.append(seq)
-    return tuple(out)
+    up/down times, in ``itertools.product`` order.  Runs truncated by the end
+    of the horizon are allowed."""
+    return _sequences(unit, (0,) * horizon)
 
 
 def sequence_is_feasible(unit: UcGenerator, seq: Sequence[int]) -> bool:
-    state_on = unit.initially_on
-    dur = unit.initial_hours
+    state = (unit.initially_on, unit.initial_hours)
     for s in seq:
-        on = bool(s)
-        if on != state_on:
-            if state_on and dur < unit.min_up_h:
-                return False
-            if not state_on and dur < unit.min_down_h:
-                return False
-            state_on = on
-            dur = 1
-        else:
-            dur += 1
+        state = _next_state(unit, state, s)
+        if state is None:
+            return False
     return True
 
 
@@ -159,6 +196,14 @@ def _normalize_hours(hours: int | Sequence[Mapping[str, float] | None]) -> list[
     return out
 
 
+def _floor(lower_bounds: Mapping[str, Sequence[int]] | None, unit: UcGenerator,
+           horizon: int) -> tuple[int, ...]:
+    """The unit's lower-bound sequence over the horizon; hours it leaves out
+    are unbounded."""
+    floor = tuple(lower_bounds.get(unit.spec.id, ())) if lower_bounds else ()
+    return floor[:horizon] + (0,) * (horizon - len(floor))
+
+
 def solve_uc(
     net: Network,
     ucgens: Sequence[UcGenerator],
@@ -177,23 +222,15 @@ def solve_uc(
     specs = [u.spec for u in ucgens]
     sync = {u.spec.id for u in ucgens if u.is_synchronous}
 
-    seq_options: list[tuple[tuple[int, ...], ...]] = []
-    for u in ucgens:
-        opts = feasible_sequences(u, horizon)
-        if lower_bounds and u.spec.id in lower_bounds:
-            floor = tuple(lower_bounds[u.spec.id])
-            opts = tuple(s for s in opts if all(a >= b for a, b in zip(s, floor)))
-        if not opts:
-            raise UcInfeasibleError(0)
-        seq_options.append(opts)
-
-    n_candidates = 1
-    for opts in seq_options:
-        n_candidates *= len(opts)
-        if n_candidates > ENUMERATION_CAP:
-            raise UcEnumerationLimitError(
-                f"commitment search space exceeds {ENUMERATION_CAP} candidates"
-            )
+    floors = [_floor(lower_bounds, u, horizon) for u in ucgens]
+    counts = [_count_sequences(u, f) for u, f in zip(ucgens, floors)]
+    if 0 in counts:
+        raise UcInfeasibleError(0)
+    if math.prod(counts) > ENUMERATION_CAP:
+        raise UcEnumerationLimitError(
+            f"commitment search space exceeds {ENUMERATION_CAP} candidates"
+        )
+    seq_options = [_sequences(u, f) for u, f in zip(ucgens, floors)]
 
     # per-hour dispatch cache keyed by the committed unit set
     cache: dict[tuple[int, frozenset[str]], DispatchResult] = {}
@@ -206,33 +243,82 @@ def solve_uc(
                                committed=committed, synchronous=sync)
         return cache[key]
 
-    best_obj = None
-    best_combo = None
-    first_bad_hour = horizon
-    for combo in itertools.product(*seq_options):
-        commit_cost = 0.0
-        for u, seq in zip(ucgens, combo):
-            commit_cost += u.spec.nlc * sum(seq) + u.spec.suc * _start_count(u, seq)
-        obj = commit_cost
-        ok = True
-        for t in range(horizon):
-            on_ids = frozenset(u.spec.id for u, seq in zip(ucgens, combo) if seq[t])
-            res = hour_result(t, on_ids)
-            if any(v.startswith("lp_") for v in res.violations):
-                ok = False
-                first_bad_hour = min(first_bad_hour, t)
-                break
-            obj += res.objective_value
-        if not ok:
-            continue
-        if best_obj is None or obj < best_obj - 1e-9:
-            best_obj = obj
-            best_combo = combo
-
-    if best_combo is None:
-        raise UcInfeasibleError(first_bad_hour if first_bad_hour < horizon else 0)
-
+    best_combo = _search(ucgens, seq_options, horizon, hour_result)
     return _assemble_schedule(net, ucgens, hourly_loads, regime, sync, best_combo, hour_result)
+
+
+def _search(ucgens, seq_options, horizon, hour_result) -> tuple[tuple[int, ...], ...]:
+    """The first cheapest candidate of ``itertools.product(*seq_options)``:
+    the first feasible one, then each later one that beats the current best
+    by more than 1e-9.  Candidates are evaluated as arrays, ``_BLOCK`` at a
+    time in product order; each hour's distinct on-sets are dispatched once
+    per block, in key order, and a candidate infeasible at an hour is dropped
+    there."""
+    ids = [u.spec.id for u in ucgens]
+    sizes = [len(opts) for opts in seq_options]
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    on = [np.array(opts, dtype=bool).reshape(len(opts), horizon) for opts in seq_options]
+    terms = [np.array([u.spec.nlc * sum(seq) + u.spec.suc * _start_count(u, seq) for seq in opts],
+                      dtype=float)
+             for u, opts in zip(ucgens, seq_options)]
+    # per hour: units on in every option, and a key bit for each unit whose
+    # options differ there (at most log2(ENUMERATION_CAP) of them)
+    always_on, varying = [], []
+    for t in range(horizon):
+        always_on.append([ids[k] for k in range(len(ids)) if on[k][:, t].all()])
+        mixed = [k for k in range(len(ids)) if on[k][:, t].any() and not on[k][:, t].all()]
+        varying.append([(k, 1 << b, on[k][:, t].astype(np.int64) << b) for b, k in enumerate(mixed)])
+
+    best_obj = best_pos = None
+    first_bad_hour = horizon
+    total = math.prod(sizes)
+    for start in range(0, total, _BLOCK):
+        pos = np.arange(start, min(start + _BLOCK, total))
+        idx = np.array([pos // st % n for st, n in zip(strides, sizes)],
+                       dtype=np.int64).reshape(len(sizes), len(pos))
+        obj = np.zeros(len(pos))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan silently, as Python floats
+            for k, term in enumerate(terms):
+                obj += term[idx[k]]
+        for t in range(horizon):
+            key = np.zeros(len(pos), dtype=np.int64)
+            for k, _, col in varying[t]:
+                key |= col[idx[k]]
+            # distinct keys from a presence table (at most ENUMERATION_CAP
+            # bytes), not a sort: np.unique's sort code alone added ~0.7 MB
+            # to peak RSS (numpy 2.4, x86-64)
+            present = np.zeros(1 << len(varying[t]), dtype=bool)
+            present[key] = True
+            uniq = np.flatnonzero(present)
+            inverse = np.searchsorted(uniq, key)
+            ok = np.empty(len(uniq), dtype=bool)
+            val = np.empty(len(uniq))
+            for j, bits in enumerate(uniq.tolist()):
+                res = hour_result(t, frozenset(always_on[t] + [
+                    ids[k] for k, mask, _ in varying[t] if mask & bits]))
+                ok[j] = not any(v.startswith("lp_") for v in res.violations)
+                val[j] = res.objective_value
+            keep = ok[inverse]
+            if not keep.all():
+                first_bad_hour = min(first_bad_hour, t)
+            pos, idx = pos[keep], idx[:, keep]
+            with np.errstate(over="ignore", invalid="ignore"):
+                obj = obj[keep] + val[inverse[keep]]
+            if not len(pos):
+                break
+        i = 0
+        if best_obj is None and len(pos):
+            best_obj, best_pos, i = float(obj[0]), int(pos[0]), 1
+        while i < len(pos):
+            beats = obj[i:] < best_obj - 1e-9
+            j = i + int(beats.argmax())
+            if not beats[j - i]:
+                break
+            best_obj, best_pos, i = float(obj[j]), int(pos[j]), j + 1
+
+    if best_pos is None:
+        raise UcInfeasibleError(first_bad_hour)
+    return tuple(opts[best_pos // st % n] for opts, st, n in zip(seq_options, strides, sizes))
 
 
 def _assemble_schedule(net, ucgens, hourly_loads, regime, sync, combo, hour_result) -> UcSchedule:

@@ -314,5 +314,6 @@ class _Simplex:
         primal = {name: float(self.x[j]) for j, name in enumerate(lp.var_names)}
         duals = {r.label: float(y[i]) for i, r in enumerate(lp.rows)}
         reduced = {name: float(rc_all[j]) for j, name in enumerate(lp.var_names)}
-        obj = float(self.cost_real[: self.n_struct] @ self.x[: self.n_struct])
+        with np.errstate(over="ignore"):  # huge finite costs overflow to inf without a stderr warning
+            obj = float(self.cost_real[: self.n_struct] @ self.x[: self.n_struct])
         return LpSolution(status, primal, duals, reduced, obj)

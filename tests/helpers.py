@@ -3,6 +3,8 @@
 The oracles here deliberately avoid the package's own machinery: DC flows are
 recomputed from a reduced susceptance solve, single-node dispatch by a direct
 merit-order fill, and commitment by naive enumeration of full on/off matrices.
+``reference_solve_uc`` is the commitment search as a one-candidate-at-a-time
+scan, the rule ``solve_uc`` must reproduce choice for choice.
 """
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ import random
 import numpy as np
 
 from gridclear.grid import Bus, Interface, Line, Network
-from gridclear.dispatch import GeneratorSpec
-from gridclear.commitment import UcGenerator
+from gridclear.dispatch import ConstraintRegime, GeneratorSpec, clear
+from gridclear.commitment import UcGenerator, UcInfeasibleError, _assemble_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +271,114 @@ def uc_net(units: list[UcGenerator], wtp: float = 500.0) -> Network:
     buses = (Bus("n0", "Z", load_mw=total, wtp=wtp),)  # load overridden per hour
     # single-bus network: no lines needed; a self-contained node
     return Network(buses, (), ("Z",), (), "n0")
+
+
+# ---------------------------------------------------------------------------
+# reference commitment scan: itertools.product, one candidate at a time
+# ---------------------------------------------------------------------------
+
+def _start_count(unit: UcGenerator, seq) -> int:
+    prev = 1 if unit.initially_on else 0
+    starts = 0
+    for s in seq:
+        if s and not prev:
+            starts += 1
+        prev = s
+    return starts
+
+
+def reference_solve_uc(net, ucgens, hours, regime, *, lower_bounds=None):
+    """``solve_uc`` as a scan over ``itertools.product`` of the per-unit
+    sequences: the first feasible candidate, then each later one whose
+    objective is below the current best minus 1e-9.  Dispatches through this
+    module's ``clear`` binding, once per distinct (hour, on-set), and builds
+    the schedule with the package's assembler, so the two differ only in the
+    search."""
+    hourly_loads = [dict(h) for h in hours]
+    horizon = len(hourly_loads)
+    specs = [u.spec for u in ucgens]
+    sync = {u.spec.id for u in ucgens if u.is_synchronous}
+
+    seq_options = []
+    for u in ucgens:
+        opts = [s for s in itertools.product((0, 1), repeat=horizon)
+                if _matrix_is_feasible([u], [s], horizon)]
+        if lower_bounds and u.spec.id in lower_bounds:
+            floor = tuple(lower_bounds[u.spec.id])
+            opts = [s for s in opts if all(a >= b for a, b in zip(s, floor))]
+        if not opts:
+            raise UcInfeasibleError(0)
+        seq_options.append(opts)
+
+    cache = {}
+
+    def hour_result(t, on_ids):
+        key = (t, on_ids)
+        if key not in cache:
+            committed = {s.id: (s.id in on_ids) for s in specs}
+            cache[key] = clear(net, specs, regime, loads=hourly_loads[t],
+                               committed=committed, synchronous=sync)
+        return cache[key]
+
+    best_obj = None
+    best_combo = None
+    first_bad_hour = horizon
+    for combo in itertools.product(*seq_options):
+        commit_cost = 0.0
+        for u, seq in zip(ucgens, combo):
+            commit_cost += u.spec.nlc * sum(seq) + u.spec.suc * _start_count(u, seq)
+        obj = commit_cost
+        ok = True
+        for t in range(horizon):
+            on_ids = frozenset(u.spec.id for u, seq in zip(ucgens, combo) if seq[t])
+            res = hour_result(t, on_ids)
+            if any(v.startswith("lp_") for v in res.violations):
+                ok = False
+                first_bad_hour = min(first_bad_hour, t)
+                break
+            obj += res.objective_value
+        if not ok:
+            continue
+        if best_obj is None or obj < best_obj - 1e-9:
+            best_obj = obj
+            best_combo = combo
+
+    if best_combo is None:
+        raise UcInfeasibleError(first_bad_hour if first_bad_hour < horizon else 0)
+    return _assemble_schedule(net, ucgens, hourly_loads, regime, sync, best_combo, hour_result)
+
+
+def random_tie_uc_instance(rng: random.Random):
+    """Single-bus commitment instance built for ties and infeasible hours:
+    shared incremental costs, twin units, units with no no-load or start-up
+    cost, floors that overshoot some hours' load, and sometimes a reserve
+    requirement or lower bounds.  Returns (units, loads, regime, lower_bounds)."""
+    horizon = rng.randint(1, 4)
+    n_units = rng.randint(1, min(4, 12 // horizon))
+    units = []
+    while len(units) < n_units:
+        if units and rng.random() < 0.3:  # twin of an earlier unit
+            twin = rng.choice(units)
+            units.append(UcGenerator(
+                GeneratorSpec(f"u{len(units)}", "n0", twin.spec.p_min, twin.spec.p_max,
+                              twin.spec.ic, twin.spec.nlc, twin.spec.suc),
+                twin.min_up_h, twin.min_down_h, twin.initially_on, twin.initial_hours))
+            continue
+        free = rng.random() < 0.4
+        units.append(UcGenerator(
+            GeneratorSpec(f"u{len(units)}", "n0", rng.choice([0.0, 20.0, 50.0]),
+                          rng.choice([60.0, 100.0, 140.0]), rng.choice([10.0, 20.0, 30.0]),
+                          nlc=0.0 if free else rng.choice([0.0, 25.0]),
+                          suc=0.0 if free else rng.choice([0.0, 100.0])),
+            min_up_h=rng.randint(1, 3), min_down_h=rng.randint(1, 3),
+            initially_on=rng.random() < 0.5, initial_hours=rng.randint(0, 3)))
+    total_cap = sum(u.spec.p_max for u in units)
+    loads = [rng.choice([0.0, 15.0, 0.3 * total_cap, 0.6 * total_cap, total_cap + 20.0])
+             for _ in range(horizon)]
+    regime = ConstraintRegime(mode="copper_plate",
+                              reserve_req_mw=rng.choice([0.0, 0.0, 30.0]))
+    lower_bounds = None
+    if rng.random() < 0.3:
+        lower_bounds = {u.spec.id: tuple(rng.choice([0, 0, 1]) for _ in range(horizon))
+                        for u in rng.sample(units, rng.randint(1, n_units))}
+    return units, loads, regime, lower_bounds

@@ -1,9 +1,13 @@
+import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from gridclear import commitment
 from gridclear.commitment import (
     UcEnumerationLimitError,
     UcGenerator,
@@ -13,9 +17,16 @@ from gridclear.commitment import (
     sequence_is_feasible,
     solve_uc,
 )
-from gridclear.dispatch import ConstraintRegime, GeneratorSpec
+from gridclear.dispatch import ConstraintRegime, GeneratorSpec, clear
 from gridclear.scenario import load_scenario
-from helpers import random_uc_instance, uc_enumeration_oracle, uc_net
+import helpers
+from helpers import (
+    random_tie_uc_instance,
+    random_uc_instance,
+    reference_solve_uc,
+    uc_enumeration_oracle,
+    uc_net,
+)
 
 COPPER = ConstraintRegime(mode="copper_plate")
 
@@ -55,6 +66,23 @@ def test_feasible_sequences_counts():
     sticky = _unit("u", 100, 10, min_up=2, min_down=2)
     assert all(sequence_is_feasible(sticky, s) for s in feasible_sequences(sticky, 3))
     assert (1, 0, 1) not in feasible_sequences(sticky, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(min_up=st.integers(1, 4), min_down=st.integers(1, 4), on=st.booleans(),
+       initial_hours=st.integers(0, 5), horizon=st.integers(1, 8),
+       floor_bits=st.integers(0, 255))
+def test_sequences_and_counts_match_the_filtered_product(min_up, min_down, on, initial_hours,
+                                                         horizon, floor_bits):
+    u = _unit("u", 100, 10, on=on, min_up=min_up, min_down=min_down,
+              initial_hours=initial_hours)
+    product = [s for s in itertools.product((0, 1), repeat=horizon)
+               if helpers._matrix_is_feasible([u], [s], horizon)]
+    assert feasible_sequences(u, horizon) == tuple(product)
+    floor = tuple(floor_bits >> t & 1 for t in range(horizon))
+    above = tuple(s for s in product if all(a >= b for a, b in zip(s, floor)))
+    assert commitment._sequences(u, floor) == above
+    assert commitment._count_sequences(u, floor) == len(above)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +139,45 @@ def test_infeasible_horizon_reports_first_bad_hour():
     assert err.value.hour == 1
 
 
+def test_infeasible_hour_is_the_earliest_any_candidate_fails():
+    # every candidate fails at hour 1 (unit a cannot stop and exceeds the
+    # load); those with b on already fail at hour 0
+    units = [_unit("a", 100, 10.0, p_min=50.0, on=True, min_up=3, initial_hours=1),
+             _unit("b", 100, 20.0, p_min=20.0)]
+    net = uc_net(units)
+    hours = [{"n0": 60.0}, {"n0": 10.0}]
+    for solve in (solve_uc, reference_solve_uc):
+        with pytest.raises(UcInfeasibleError) as err:
+            solve(net, units, hours, COPPER)
+        assert err.value.hour == 0
+
+
+def test_overflowing_commitment_costs_choose_like_the_scan():
+    # no-load costs whose sum overflows to inf: every objective is inf, so
+    # the first feasible candidate stands, with no numpy warning on the way
+    units = [_unit("a", 100, 10.0, nlc=1e308), _unit("b", 100, 10.0, nlc=1e308)]
+    net = uc_net(units)
+    hours = [{"n0": 150.0}] * 2
+    got, want = solve_uc(net, units, hours, COPPER), reference_solve_uc(net, units, hours, COPPER)
+    assert repr(got.committed) == repr(want.committed)
+
+
 def test_enumeration_cap():
     units = [_unit(f"u{i}", 50, 10.0 + i) for i in range(8)]
     net = uc_net(units)
     with pytest.raises(UcEnumerationLimitError):
         solve_uc(net, units, [{"n0": 100.0}] * 3, COPPER)
+
+
+def test_enumeration_cap_is_checked_before_listing_sequences():
+    # one free unit over 24 hours has 2^24 sequences; the cap must trip on
+    # their count, not after listing them
+    units = [_unit("u", 50, 10.0)]
+    net = uc_net(units)
+    t0 = time.perf_counter()
+    with pytest.raises(UcEnumerationLimitError):
+        solve_uc(net, units, [{"n0": 10.0}] * 24, COPPER)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_determinism():
@@ -235,3 +297,39 @@ def test_uc_matches_enumeration_oracle(seed):
         return
     assert oracle is not None
     assert sched.objective == pytest.approx(oracle, abs=1e-6)
+
+
+def _recording_clear(calls):
+    def recording(net, gens, regime, **kw):
+        on_set = frozenset(gid for gid, on in kw["committed"].items() if on)
+        calls[(tuple(sorted(kw["loads"].items())), on_set)] += 1
+        return clear(net, gens, regime, **kw)
+    return recording
+
+
+def _outcome(solve, *args, **kwargs):
+    try:
+        sched = solve(*args, **kwargs)
+    except UcInfeasibleError as err:
+        return ("infeasible", err.hour)
+    return (repr(sched.committed), repr(sched.dispatch_mw), repr(sched.objective))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), block=st.sampled_from([1, 2, 5, 64, 1 << 12]))
+def test_uc_choice_matches_reference_scan(seed, block):
+    """The array search picks exactly the candidate the one-at-a-time scan
+    picks (ties, twins and infeasible hours included, across block edges)
+    and dispatches exactly the same (hour, on-set) pairs."""
+    units, loads, regime, lower_bounds = random_tie_uc_instance(random.Random(seed))
+    net = uc_net(units)
+    hours = [{"n0": l} for l in loads]
+    ours, theirs = Counter(), Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commitment, "_BLOCK", block)
+        mp.setattr(commitment, "clear", _recording_clear(ours))
+        got = _outcome(solve_uc, net, units, hours, regime, lower_bounds=lower_bounds)
+        mp.setattr(helpers, "clear", _recording_clear(theirs))
+        want = _outcome(reference_solve_uc, net, units, hours, regime, lower_bounds=lower_bounds)
+    assert got == want
+    assert ours == theirs
