@@ -20,7 +20,7 @@ from gridclear.dispatch import (
     clear,
 )
 from gridclear.grid import Network
-from gridclear.pricing import form_smp
+from gridclear.pricing import SCHEMES, form_smp
 
 
 BID_SCHEMES = ("uniform", "zonal", "nodal")
@@ -92,7 +92,7 @@ def evaluate_bid_deviation(
         raise KeyError(f"unknown generator {gen_id!r}")
     if scheme not in BID_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    mode = "nodal" if scheme == "nodal" else "zonal"
+    mode = SCHEMES[scheme].mode
     regime = regime or ConstraintRegime(mode=mode)
     if regime.mode != mode:
         raise ValueError(f"scheme {scheme!r} clears under a {mode} regime, not {regime.mode!r}")

@@ -28,6 +28,7 @@ from gridclear.dispatch import ConstraintRegime, clear, with_forced_bounds
 from gridclear.grid import MW_TOL, GridNumericalError, overloaded_lines
 from gridclear.lp import LpNumericalError
 from gridclear.pricing import (
+    SCHEMES,
     PriceFormationError,
     PriceReport,
     form_nodal_prices,
@@ -35,13 +36,12 @@ from gridclear.pricing import (
     form_zonal_prices,
 )
 from gridclear.scenario import (
-    DELIVERABLE_SCHEMES,
-    SCHEME_LABELS,
     Scenario,
     ScenarioValidationError,
     SchemeOutcome,
     load_scenario,
     write_compare_markdown,
+    write_lines,
     write_report,
 )
 from gridclear.settlement import (
@@ -79,10 +79,9 @@ def _out_dir(args) -> Path:
 
 
 def _regime_for(scenario: Scenario, scheme: str) -> ConstraintRegime:
-    if scheme not in SCHEME_LABELS:
+    if scheme not in SCHEMES:
         raise CliUsageError(f"unknown scheme {scheme!r}")
-    name, mode = {"nodal": ("nodal", "nodal"),
-                  "copper": ("copper", "copper_plate")}.get(scheme, ("zonal", "zonal"))
+    name, mode = SCHEMES[scheme].regime, SCHEMES[scheme].mode
     regime = scenario.regimes.get(name, ConstraintRegime(mode=mode))
     if regime.mode != mode:
         raise ValueError(f"regime {name!r} has mode {regime.mode!r}; scheme {scheme!r} needs {mode!r}")
@@ -98,26 +97,21 @@ def run_scheme(scenario: Scenario, scheme: str, tol: float = MW_TOL) -> SchemeOu
     result = clear(net, gens, regime, loads=scenario.hourly_loads()[0],
                    synchronous=scenario.synchronous_ids())
 
+    kind = SCHEMES[scheme].price_kind
     lp_failed = any(v.startswith("lp_") for v in result.violations)
     if lp_failed:
         # no prices exist; emit an empty report so diagnostics still get written
-        scheme_kind = {"nodal": "nodal", "zonal": "zonal", "zonal_cm": "zonal"}.get(
-            scheme, "uniform_smp"
-        )
-        prices = PriceReport(scheme_kind, ({},), currency=scenario.currency)
-        settlement = None
-    elif scheme == "nodal":
+        prices = PriceReport(kind, ({},), currency=scenario.currency)
+    elif kind == "nodal":
         prices = form_nodal_prices(result, net, currency=scenario.currency)
-        settlement = summarize(prices, result, net, specs)
-    elif scheme in ("zonal", "zonal_cm"):
+    elif kind == "zonal":
         prices = form_zonal_prices(result, currency=scenario.currency)
-        settlement = summarize(prices, result, net, specs)
-    else:  # copper, uniform: screened stack price
+    else:  # screened stack price
         schedule = single_interval_schedule(result, scenario.generators)
         prices = form_smp(schedule, net, specs, currency=scenario.currency)
-        settlement = summarize(prices, result, net, specs)
+    settlement = None if lp_failed else summarize(prices, result, net, specs)
 
-    violated = scheme in DELIVERABLE_SCHEMES and (
+    violated = SCHEMES[scheme].deliverable and (
         bool(overloaded_lines(net, result.line_flow_mw, tol)) or not result.feasible
     )
     return SchemeOutcome(
@@ -171,11 +165,7 @@ def cmd_compare(args) -> int:
 def cmd_daucruc(args) -> int:
     sc = load_scenario(args.scenario)
     if not sc.run.dauc_regime or not sc.run.ruc_regime:
-        print(
-            "error: scenario run section must name both dauc_regime and ruc_regime",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise CliUsageError("scenario run section must name both dauc_regime and ruc_regime")
     net = sc.network
     dauc, ruc, record = run_dauc_ruc(
         net, sc.generators, sc.hourly_loads(),
@@ -185,22 +175,17 @@ def cmd_daucruc(args) -> int:
     smp_series = [smp.prices[t]["system"] for t in range(dauc.hours)]
     redis = settle_redispatch(record, sc.specs(), smp_series)
 
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp(args)
-    lines = [] if stamp is None else [f"# generated {stamp}"]
-    lines.append("hour,generator,dauc_mw,ruc_mw,delta_mw")
+    out, stamp = _out_dir(args), _timestamp(args)
+    lines = ["hour,generator,dauc_mw,ruc_mw,delta_mw"]
     for gid in record.gen_ids:
         for t in range(record.hours):
             lines.append(
                 f"{t},{gid},{dauc.dispatch_mw[gid][t]:.2f},"
                 f"{ruc.dispatch_mw[gid][t]:.2f},{record.delta_mwh[gid][t]:.2f}"
             )
-    redis_path = out / f"{sc.name}_redispatch.csv"
-    redis_path.write_text("\n".join(lines) + "\n")
+    redis_path = write_lines(out / f"{sc.name}_redispatch.csv", lines, stamp)
 
-    md = [] if stamp is None else [f"<!-- generated {stamp} -->"]
-    md += [
+    md = [
         f"# {sc.name}: day-ahead vs reliability commitment",
         "",
         f"* day-ahead total cost: {dauc.total_cost:.2f}",
@@ -217,8 +202,7 @@ def cmd_daucruc(args) -> int:
             f"{redis.zone_con_payment.get(zone, 0.0):.2f} | "
             f"{redis.zone_coff_payment.get(zone, 0.0):.2f} |"
         )
-    md_path = out / f"{sc.name}_daucruc.md"
-    md_path.write_text("\n".join(md) + "\n")
+    md_path = write_lines(out / f"{sc.name}_daucruc.md", md, stamp)
     print(redis_path)
     print(md_path)
     return EXIT_OK
@@ -231,17 +215,13 @@ def cmd_bidding(args) -> int:
     scheme = args.scheme
     if gen is None or offered is None:
         if sc.run.bid_deviation is None:
-            print(
-                "error: pass --generator/--offered-ic or add run.bid_deviation to the scenario",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise CliUsageError("pass --generator/--offered-ic or add run.bid_deviation to the scenario")
         d_gen, d_ic, d_scheme = sc.run.bid_deviation
         gen = gen or d_gen
         offered = offered if offered is not None else d_ic
         scheme = scheme or d_scheme
     scheme = scheme or "uniform"
-    regime = _regime_for(sc, "nodal" if scheme == "nodal" else "zonal")
+    regime = _regime_for(sc, scheme)
     try:
         dev = evaluate_bid_deviation(
             sc.network, sc.specs(), gen, offered,
@@ -251,11 +231,7 @@ def cmd_bidding(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp(args)
-    lines = [] if stamp is None else [f"# generated {stamp}"]
-    lines.append("metric,value")
+    lines = ["metric,value"]
     for metric, val in (
         ("generator", dev.generator_id),
         ("scheme", dev.scheme),
@@ -271,8 +247,7 @@ def cmd_bidding(args) -> int:
         ("welfare_delta", f"{dev.welfare_delta:.2f}"),
     ):
         lines.append(f"{metric},{val}")
-    path = out / f"{sc.name}_bidding_{gen}.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path = write_lines(_out_dir(args) / f"{sc.name}_bidding_{gen}.csv", lines, _timestamp(args))
     print(path)
     print(
         f"{gen}: offered {offered:.2f} vs true {dev.true_ic:.2f} under {scheme}: "
@@ -284,38 +259,23 @@ def cmd_bidding(args) -> int:
 
 def cmd_stats(args) -> int:
     path = Path(args.csv)
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if len(rows) < 2 or len(rows[0]) < 2:
-        print("error: need a header row plus timestamp,price rows", file=sys.stderr)
-        return EXIT_USAGE
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if len(rows) < 2 or any(len(r) < 2 for r in rows):
+        raise CliUsageError("need a header row plus timestamp,price rows")
     try:
         series = [float(r[1]) for r in rows[1:]]
     except ValueError as exc:
-        print(f"error: bad price value: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        stats = price_stats(series)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp(args)
-    lines = [] if stamp is None else [f"# generated {stamp}"]
-    lines += [
+        raise CliUsageError(f"bad price value: {exc}") from exc
+    stats = price_stats(series)
+    lines = [
         "metric,value",
         f"count,{len(series)}",
         f"median,{stats.median:.2f}",
         f"p10,{stats.p10:.2f}",
         f"p90,{stats.p90:.2f}",
     ]
-    out_path = out / f"{path.stem}_stats.csv"
-    out_path.write_text("\n".join(lines) + "\n")
+    out_path = write_lines(_out_dir(args) / f"{path.stem}_stats.csv", lines, _timestamp(args))
     print(out_path)
     print(f"median={stats.median:.2f} p10={stats.p10:.2f} p90={stats.p90:.2f}")
     return EXIT_OK
@@ -328,7 +288,7 @@ def cmd_stats(args) -> int:
 def _add_common(p):
     p.add_argument("--out", help="output directory (default: $GRIDCLEAR_OUT or ./out)")
     p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the generated-at header for byte-identical output")
+                   help="omit the timestamp header for byte-identical output")
 
 
 def _add_report_options(p):
@@ -349,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clear", help="clear one scheme and write price/settlement reports")
     p.add_argument("scenario")
-    p.add_argument("--scheme", choices=("nodal", "zonal", "zonal_cm", "copper", "uniform"),
-                   default="nodal")
+    p.add_argument("--scheme", choices=tuple(SCHEMES), default="nodal")
     _add_report_options(p)
     p.set_defaults(func=cmd_clear)
 

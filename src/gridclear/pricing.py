@@ -15,6 +15,9 @@ Three schemes are supported:
   component (zero under the lossless model unless marginal loss factors are
   supplied).
 
+``SCHEMES`` names each market scheme a scenario can run, with the regime it
+clears under and the kind of price above that it forms.
+
 All functions here are pure; hours may be evaluated in parallel.
 """
 from __future__ import annotations
@@ -80,6 +83,32 @@ class PriceReport:
     decomposition: tuple[dict[str, PriceComponents], ...] = ()
     marginal_sets: tuple[MarginalSet, ...] = ()
     currency: str = ""
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A pricing scheme: the regime it clears under (looked up by name in the
+    scenario, a default regime of ``mode`` when absent) and the kind of price
+    it forms."""
+    label: str
+    regime: str
+    mode: str
+    price_kind: str  # a PriceReport.scheme
+
+    @property
+    def deliverable(self) -> bool:
+        """Dual-priced schedules claim physical deliverability; a limit
+        violation makes their monetary outcome "Not Available"."""
+        return self.price_kind != "uniform_smp"
+
+
+SCHEMES = {
+    "nodal": Scheme("Nodal", "nodal", "nodal", "nodal"),
+    "zonal": Scheme("Zonal", "zonal", "zonal", "zonal"),
+    "zonal_cm": Scheme("Zonal (congestion management)", "zonal", "zonal", "zonal"),
+    "copper": Scheme("Copper plate", "copper", "copper_plate", "uniform_smp"),
+    "uniform": Scheme("Uniform (constrained schedule)", "zonal", "zonal", "uniform_smp"),
+}
 
 
 def stack_price(gen: GeneratorSpec, q: float, hours_on: int = 1, hour: int = 0) -> StackPrice:

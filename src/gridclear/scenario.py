@@ -41,7 +41,7 @@ from gridclear.analysis import BID_SCHEMES
 from gridclear.commitment import UcGenerator
 from gridclear.dispatch import ConstraintRegime, DispatchResult, GeneratorSpec, with_forced_bounds
 from gridclear.grid import Bus, GridStructureError, Interface, Line, Network
-from gridclear.pricing import PriceReport
+from gridclear.pricing import SCHEMES, PriceReport
 from gridclear.settlement import SettlementReport
 
 # stable validation error codes
@@ -56,6 +56,8 @@ E_TOPOLOGY = "E_TOPOLOGY"  # structural network problem
 E_REGIME = "E_REGIME"  # bad constraint-regime block
 E_RUN = "E_RUN"  # bad run section
 E_LOADS = "E_LOADS"  # bad loads section
+
+MAX_HORIZON_H = 8760  # one year of hours; per-hour loads are built for the whole horizon
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,6 @@ class Scenario:
 
     def regime(self, name: str) -> ConstraintRegime:
         return self.regimes[name]
-
-
-_ALLOWED_SCHEMES = ("nodal", "zonal", "zonal_cm", "copper", "uniform")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +258,10 @@ def _parse_network(raw, col) -> Network | None:
         x = _expect(col, l, where, "reactance", _NUMBER, required=True)
         lim = _expect(col, l, where, "limit_mw", _NUMBER, required=True)
         prof = _expect(col, l, where, "monitored_in", list, default=[]) or []
+        bad = [p for p in prof if not isinstance(p, str)]
+        if bad:
+            col.add(E_TYPE, f"{where}.monitored_in", f"expected profile names, got {bad[0]!r}")
+            prof = []
         if None in (lid, fb, tb, x, lim):
             continue
         if lid in seen_l:
@@ -270,7 +273,7 @@ def _parse_network(raw, col) -> Network | None:
             col.add(E_REF, where, f"line {lid!r} references unknown bus(es) {missing}")
             continue
         try:
-            lines.append(Line(lid, fb, tb, float(x), float(lim), frozenset(str(p) for p in prof)))
+            lines.append(Line(lid, fb, tb, float(x), float(lim), frozenset(prof)))
         except GridStructureError as exc:
             col.add(E_VALUE, where, str(exc))
 
@@ -417,11 +420,11 @@ def _parse_run(raw, gens, regimes, col) -> RunSection:
         return RunSection()
     schemes = _expect(col, raw, "run", "schemes", list, default=[]) or []
     for s in schemes:
-        if s not in _ALLOWED_SCHEMES:
-            col.add(E_RUN, "run.schemes", f"unknown scheme {s!r}; allowed: {_ALLOWED_SCHEMES}")
+        if not isinstance(s, str) or s not in SCHEMES:
+            col.add(E_RUN, "run.schemes", f"unknown scheme {s!r}; allowed: {tuple(SCHEMES)}")
     horizon = _expect(col, raw, "run", "horizon", int, default=1)
-    if horizon is not None and horizon < 1:
-        col.add(E_RUN, "run.horizon", "horizon must be >= 1")
+    if horizon is not None and not 1 <= horizon <= MAX_HORIZON_H:
+        col.add(E_RUN, "run.horizon", f"horizon must be between 1 and {MAX_HORIZON_H} hours")
         horizon = 1
     specs = {u.spec.id: u.spec for u in gens or ()}
     fb_raw = _expect(col, raw, "run", "forced_bounds", dict, default={}) or {}
@@ -594,19 +597,6 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
 # report writing
 # ---------------------------------------------------------------------------
 
-SCHEME_LABELS = {
-    "nodal": "Nodal",
-    "zonal": "Zonal",
-    "zonal_cm": "Zonal (congestion management)",
-    "copper": "Copper plate",
-    "uniform": "Uniform (constrained schedule)",
-}
-
-# schemes whose schedules claim physical deliverability; physical limit
-# violations make their monetary outcome "Not Available"
-DELIVERABLE_SCHEMES = ("nodal", "zonal", "zonal_cm")
-
-
 @dataclass(frozen=True)
 class SchemeOutcome:
     scheme: str
@@ -620,12 +610,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _stamp_lines(fmt: str, timestamp: str | None) -> list[str]:
-    if timestamp is None:
-        return []
-    if fmt == "md":
-        return [f"<!-- generated {timestamp} -->"]
-    return [f"# generated {timestamp}"]
+def write_lines(path: str | Path, lines: Sequence[str], timestamp: str | None) -> Path:
+    """Write one report file: its directory is created, and a ``timestamp``
+    goes first as a generated-at comment in the file's own form (HTML for
+    ``.md``, ``#`` otherwise)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if timestamp is not None:
+        stamp = f"<!-- generated {timestamp} -->" if path.suffix == ".md" else f"# generated {timestamp}"
+        lines = [stamp, *lines]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def write_report(
@@ -645,7 +640,6 @@ def write_report(
     if fmt not in ("csv", "markdown", "md"):
         raise ValueError(f"unknown format {fmt!r}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for oc in outcomes:
         if fmt == "csv":
@@ -655,23 +649,17 @@ def write_report(
     return written
 
 
-def _write(path: Path, lines: list[str]) -> Path:
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, timestamp) -> list[Path]:
-    stamp = _stamp_lines("csv", timestamp)
     r = oc.dispatch
     paths = []
 
-    lines = stamp + ["hour,generator,dispatch_mw,flag"]
+    lines = ["hour,generator,dispatch_mw,flag"]
     for gid in r.gen_mw:
         lines.append(f"0,{gid},{_fmt(r.gen_mw[gid])},{r.gen_flags.get(gid, '')}")
-    paths.append(_write(out_dir / f"{name}_{oc.scheme}_dispatch.csv", lines))
+    paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_dispatch.csv", lines, timestamp))
 
     if oc.prices.scheme == "nodal":
-        lines = stamp + ["hour,key,price,energy,congestion,loss"]
+        lines = ["hour,key,price,energy,congestion,loss"]
         for t, hour in enumerate(oc.prices.prices):
             comps = oc.prices.decomposition[t] if t < len(oc.prices.decomposition) else {}
             for key in hour:
@@ -680,24 +668,24 @@ def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, time
                     f"{t},{key},{_fmt(hour[key])},{_fmt(c.energy)},{_fmt(c.congestion)},{_fmt(c.loss)}"
                 )
     else:
-        lines = stamp + ["hour,key,price"]
+        lines = ["hour,key,price"]
         for t, hour in enumerate(oc.prices.prices):
             for key in sorted(hour):
                 lines.append(f"{t},{key},{_fmt(hour[key])}")
-    paths.append(_write(out_dir / f"{name}_{oc.scheme}_prices.csv", lines))
+    paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_prices.csv", lines, timestamp))
 
-    lines = stamp + ["hour,element,kind,flow_mw,limit_mw,violation"]
+    lines = ["hour,element,kind,flow_mw,limit_mw,violation"]
     for line in net.lines:
         flag = "yes" if line.id in r.physical_violations else "no"
         lines.append(f"0,{line.id},line,{_fmt(r.line_flow_mw[line.id])},{_fmt(line.limit_mw)},{flag}")
     for iid, flow in r.interface_flow_mw.items():
         lim = r.limits.get(f"iface+[{iid}]", float("nan"))
         lines.append(f"0,{iid},interface,{_fmt(flow)},{_fmt(lim)},no")
-    paths.append(_write(out_dir / f"{name}_{oc.scheme}_flows.csv", lines))
+    paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_flows.csv", lines, timestamp))
 
     if oc.settlement is not None:
         s = oc.settlement
-        lines = stamp + [
+        lines = [
             "generator,market_revenue,as_cleared_cost,uplift,con_mwh,coff_mwh,con_payment,coff_payment"
         ]
         for gid in s.per_generator:
@@ -706,9 +694,9 @@ def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, time
                 f"{gid},{_fmt(g.market_revenue)},{_fmt(g.as_cleared_cost)},{_fmt(g.uplift)},"
                 f"{_fmt(g.con_mwh)},{_fmt(g.coff_mwh)},{_fmt(g.con_payment)},{_fmt(g.coff_payment)}"
             )
-        paths.append(_write(out_dir / f"{name}_{oc.scheme}_settlement.csv", lines))
+        paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_settlement.csv", lines, timestamp))
 
-    lines = stamp + ["metric,value"]
+    lines = ["metric,value"]
     if oc.settlement is not None:
         s = oc.settlement
         for metric, val in (
@@ -721,14 +709,13 @@ def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, time
             lines.append(f"{metric},{_fmt(val)}")
     for v in r.violations:
         lines.append(f"violation,\"{v}\"")
-    paths.append(_write(out_dir / f"{name}_{oc.scheme}_summary.csv", lines))
+    paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_summary.csv", lines, timestamp))
     return paths
 
 
 def _write_scheme_markdown(name, oc: SchemeOutcome, out_dir: Path, timestamp) -> Path:
-    stamp = _stamp_lines("md", timestamp)
     r = oc.dispatch
-    lines = stamp + [f"# {name} - {SCHEME_LABELS.get(oc.scheme, oc.scheme)}", ""]
+    lines = [f"# {name} - {SCHEMES[oc.scheme].label}", ""]
     lines += ["| generator | dispatch (MW) | flag |", "|---|---|---|"]
     for gid in r.gen_mw:
         lines.append(f"| {gid} | {_fmt(r.gen_mw[gid])} | {r.gen_flags.get(gid, '')} |")
@@ -752,7 +739,7 @@ def _write_scheme_markdown(name, oc: SchemeOutcome, out_dir: Path, timestamp) ->
     if r.violations:
         lines += ["", "Violations:", ""]
         lines += [f"- {v}" for v in r.violations]
-    return _write(out_dir / f"{name}_{oc.scheme}_report.md", lines)
+    return write_lines(out_dir / f"{name}_{oc.scheme}_report.md", lines, timestamp)
 
 
 def write_compare_markdown(
@@ -766,11 +753,8 @@ def write_compare_markdown(
     whose schedules violate physical limits show 'Not Available' money rows."""
     if not outcomes:
         raise ValueError("empty report set")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = _stamp_lines("md", timestamp)
-    lines += [f"# {name}: market clearing comparison", ""]
-    headers = [SCHEME_LABELS.get(oc.scheme, oc.scheme) for oc in outcomes]
+    lines = [f"# {name}: market clearing comparison", ""]
+    headers = [SCHEMES[oc.scheme].label for oc in outcomes]
     lines.append("| | " + " | ".join(headers) + " |")
     lines.append("|---|" + "|".join("---" for _ in outcomes) + "|")
 
@@ -819,7 +803,7 @@ def write_compare_markdown(
     notes = []
     for oc in outcomes:
         for v in oc.dispatch.violations:
-            notes.append(f"- {SCHEME_LABELS.get(oc.scheme, oc.scheme)}: {v}")
+            notes.append(f"- {SCHEMES[oc.scheme].label}: {v}")
     if notes:
         lines += ["", "Notes:", ""] + notes
-    return _write(Path(out_dir) / f"{name}_compare.md", lines)
+    return write_lines(Path(out_dir) / f"{name}_compare.md", lines, timestamp)

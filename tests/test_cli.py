@@ -1,9 +1,19 @@
+import contextlib
+import io
+import json
+import re
+import tempfile
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from gridclear import cli
 from gridclear.cli import main
 from gridclear.grid import GridNumericalError
 from gridclear.lp import LpNumericalError
+from gridclear.pricing import SCHEMES
+from gridclear.scenario import load_scenario, save_scenario
 from gridclear.settlement import AccountingIdentityError, SettlementKeyError
 
 
@@ -191,6 +201,7 @@ def test_clear_honours_loads_section(scenario_dir, tmp_path):
     ("forced_bounds", {"P3": {"min": "abc"}}, "E_TYPE"),
     ("forced_bounds", {"P3": {"min": 9999}}, "E_VALUE"),
     ("bid_deviation", {"generator": "P3", "offered_ic": 30.0, "scheme": "banana"}, "E_RUN"),
+    ("schemes", [["nodal"]], "E_RUN"),
 ])
 def test_validate_rejects_bad_run_section(scenario_dir, tmp_path, capsys, key, value, code):
     p = _edited_scenario(scenario_dir, tmp_path, "fourbus", lambda doc: doc["run"].update({key: value}))
@@ -244,6 +255,22 @@ def test_validate_rejects_non_string_monitored_profile(scenario_dir, tmp_path, c
                          lambda doc: doc["regimes"]["nodal"].update(monitored_profile=["nodal"]))
     assert run(["validate", p]) == 1
     assert "E_TYPE at regimes.nodal.monitored_profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tags", [[1, None, {}], [True]], ids=str)
+def test_validate_rejects_non_string_monitored_in(scenario_dir, tmp_path, capsys, tags):
+    p = _edited_scenario(scenario_dir, tmp_path, "fourbus",
+                         lambda doc: doc["network"]["lines"][0].update(monitored_in=tags))
+    assert run(["validate", p]) == 1
+    assert "E_TYPE at network.lines[0].monitored_in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", [8761, 10**30])
+def test_horizon_beyond_a_year_is_rejected(scenario_dir, tmp_path, capsys, horizon):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", lambda doc: doc["run"].update(horizon=horizon))
+    assert run(["clear", p, "--out", tmp_path / "o"]) == 1
+    assert "E_RUN at run.horizon" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_clear_overflowing_scenario_is_one_error_line(scenario_dir, tmp_path, capsys):
@@ -307,6 +334,31 @@ def test_stats_requires_rows(tmp_path, capsys):
     assert run(["stats", src, "--out", tmp_path]) == 1
 
 
+_BAD_STATS_INPUTS = [
+    ("missing.csv", None, "No such file or directory"),
+    ("header.csv", "timestamp,price\n", "need a header row plus timestamp,price rows"),
+    ("one_column.csv", "price\n5\n6\n", "need a header row plus timestamp,price rows"),
+    ("short_row.csv", "timestamp,price\n1,5\n2\n", "need a header row plus timestamp,price rows"),
+    ("text.csv", "timestamp,price\n1,abc\n", "bad price value: could not convert string to float: 'abc'"),
+    ("zero.csv", "timestamp,price\n1,0\n2,0\n", "cannot normalize a zero-mean series"),
+    ("nan.csv", "timestamp,price\n1,nan\n2,5\n", "price series contains non-finite values"),
+    ("a_directory", "", "Is a directory"),
+]
+
+
+@pytest.mark.parametrize("name,text,message", _BAD_STATS_INPUTS, ids=[c[0] for c in _BAD_STATS_INPUTS])
+def test_stats_rejects_bad_input_with_one_error_line(tmp_path, capsys, name, text, message):
+    src = tmp_path / name
+    if name == "a_directory":
+        src.mkdir()
+    elif text is not None:
+        src.write_text(text)
+    assert run(["stats", src, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_gridclear_out_env_var(scenario_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("GRIDCLEAR_OUT", str(tmp_path / "envdir"))
     code = run(["clear", scenario_dir / "fourbus.scn", "--scheme", "nodal",
@@ -335,3 +387,92 @@ def test_markdown_format(scenario_dir, tmp_path):
     assert run(["clear", scenario_dir / "fourbus.scn", "--scheme", "nodal",
                 "--out", tmp_path, "--format", "md", "--no-timestamp"]) == 0
     assert (tmp_path / "fourbus_nodal_report.md").exists()
+
+
+_STAMPED_RUNS = {
+    "clear csv": ["clear", "fourbus.scn", "--scheme", "zonal"],
+    "clear md": ["clear", "fourbus.scn", "--scheme", "zonal", "--format", "md"],
+    "compare csv": ["compare", "fourbus.scn", "--format", "csv"],
+    "compare md": ["compare", "fourbus.scn", "--format", "md"],
+    "daucruc": ["daucruc", "fivebus_ruc.scn"],
+    "bidding": ["bidding", "twobus.scn"],
+    "stats": ["stats", "prices.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", _STAMPED_RUNS.values(), ids=_STAMPED_RUNS.keys())
+def test_every_report_is_its_unstamped_bytes_behind_a_stamp(scenario_dir, tmp_path, argv):
+    (tmp_path / "prices.csv").write_text("timestamp,price\n1,77\n2,80\n")
+    target = tmp_path / argv[1] if argv[0] == "stats" else scenario_dir / argv[1]
+    full = [argv[0], target, *argv[2:]]
+    stamped, plain = tmp_path / "stamped", tmp_path / "plain"
+    run([*full, "--out", stamped])
+    run([*full, "--out", plain, "--no-timestamp"])
+    names = sorted(p.name for p in plain.iterdir())
+    assert names and names == sorted(p.name for p in stamped.iterdir())
+    for name in names:
+        first, rest = (stamped / name).read_bytes().split(b"\n", 1)
+        form = rb"<!-- generated \S+ -->" if name.endswith(".md") else rb"# generated \S+"
+        assert re.fullmatch(form, first), (name, first)
+        assert rest == (plain / name).read_bytes(), name
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    for child in (node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()):
+        yield from _strings(child)
+
+
+_SCENARIOS = ("fivebus_ruc", "fourbus", "fourbus_tie270", "twobus")
+_HUGE = st.sampled_from([1e300, -1e300, 1.7976931348623157e308, 10**30, -(10**30), 2**63])
+_LEAVES = (st.none() | st.booleans() | st.integers() | _HUGE
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4))
+_SUBCOMMANDS = [["clear", "--scheme", s] for s in SCHEMES] + [["compare"], ["daucruc"], ["bidding"]]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), name=st.sampled_from(_SCENARIOS), command=st.sampled_from(_SUBCOMMANDS))
+def test_mutated_scenarios_exit_cleanly_with_coded_rejections(scenario_dir, tmp_path, data, name, command):
+    """Set or delete one field of a bundled scenario: no exception escapes
+    ``main``, exit codes stay 0/1/2, every validation issue carries an
+    ``E_*`` code, and a scenario that loads survives a dump and reload."""
+    doc = json.loads((scenario_dir / f"{name}.scn").read_text())
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans(), label="delete"):
+        del parent[path[-1]]
+    else:
+        known = st.sampled_from(sorted(set(_strings(doc))))
+        values = st.recursive(_LEAVES | known, lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(st.text(max_size=4) | known, inner, max_size=3), max_leaves=6)
+        parent[path[-1]] = data.draw(values, label="value")
+
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        scn = f"{work}/{name}.scn"
+        with open(scn, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            validated = main(["validate", scn])
+            code = main([command[0], scn, *command[1:], "--out", f"{work}/out", "--no-timestamp"])
+        assert validated in (0, 1) and code in (0, 1, 2)
+        if validated:
+            lines = err.getvalue().splitlines()
+            assert lines[0] == "scenario validation failed:"
+            issues = [l for l in lines if l.startswith("  - ")]
+            assert issues and all(re.match(r"  - E_[A-Z]+ at ", l) for l in issues), lines
+        else:
+            sc = load_scenario(scn)
+            save_scenario(sc, f"{work}/again.scn")
+            assert load_scenario(f"{work}/again.scn") == sc
