@@ -5,6 +5,8 @@ Larger, slower cousin of the acceptance suite for manual exploration:
   * cost(copper) <= cost(zonal) <= cost(nodal) on random connected networks
   * surplus(nodal) >= surplus(zonal + feasible forced bounds)
   * duality gap and complementary slackness on random LPs
+  * every random LP solved bit for bit as the reference simplex solves it
+    (exit status 1 on any mismatch)
 
 Usage: python scripts/randomized_checks.py [--scenarios N] [--lps N] [--seed S]
 """
@@ -24,7 +26,7 @@ from gridclear.dispatch import (
     with_forced_bounds,
 )
 from gridclear.lp import solve
-from helpers import random_gens, random_network
+from helpers import random_gens, random_network, reference_solve, solve_outcome
 from test_lp import build_random_lp, check_kkt
 
 
@@ -60,14 +62,16 @@ def sweep_scenarios(n, rng):
 
 
 def sweep_lps(n, rng):
-    optimal = 0
+    optimal = mismatched = 0
     for _ in range(n):
         lp = build_random_lp(rng, max_vars=30)
         sol = solve(lp)
         if sol.status == "optimal":
             check_kkt(lp, sol, tol=1e-6)
             optimal += 1
-    return optimal
+        if repr(sol) != solve_outcome(reference_solve, lp):
+            mismatched += 1
+    return optimal, mismatched
 
 
 def main():
@@ -84,11 +88,13 @@ def main():
     print(f"scenario sweep: {ordered} cost orderings held, {welfare} welfare "
           f"comparisons held, {skipped} skipped (curtailing) [{t1 - t0:.1f}s]")
 
-    optimal = sweep_lps(args.lps, rng)
+    optimal, mismatched = sweep_lps(args.lps, rng)
     t2 = time.perf_counter()
     print(f"lp sweep: {optimal}/{args.lps} optimal, all within 1e-6 duality gap "
-          f"and complementary slackness [{t2 - t1:.1f}s]")
+          f"and complementary slackness, {mismatched} differ from the reference "
+          f"simplex [{t2 - t1:.1f}s]")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -260,7 +260,10 @@ def cmd_bidding(args) -> int:
 def cmd_stats(args) -> int:
     path = Path(args.csv)
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        try:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        except csv.Error as exc:
+            raise CliUsageError(f"bad CSV: {exc}") from exc
     if len(rows) < 2 or any(len(r) < 2 for r in rows):
         raise CliUsageError("need a header row plus timestamp,price rows")
     try:

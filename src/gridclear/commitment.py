@@ -104,11 +104,13 @@ class RedispatchRecord:
 
 def _next_state(unit: UcGenerator, state: tuple[bool, int], s: int) -> tuple[bool, int] | None:
     """The (on, hours in that state) after one more hour at ``s``, or None if
-    the unit's minimum up/down time forbids the change."""
+    the unit's minimum up/down time forbids the change.  Hours beyond the
+    minimum change nothing, so the count stops there and the states stay few."""
     on, dur = state
+    least = unit.min_up_h if on else unit.min_down_h
     if bool(s) == on:
-        return on, dur + 1
-    if dur < (unit.min_up_h if on else unit.min_down_h):
+        return on, min(dur + 1, least)
+    if dur < least:
         return None
     return bool(s), 1
 

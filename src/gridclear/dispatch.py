@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
 
-from gridclear.grid import MW_TOL, Line, Network, build_ptdf, evaluate_flows
+from gridclear.grid import MW_TOL, Line, Network, evaluate_flows
 from gridclear import lp as lpmod
 
 INF = math.inf
@@ -222,7 +222,7 @@ def clear(
     curtail = {b: sol.primal[f"curt[{b}]"] for b in cvar}
     served = {b.id: load_of[b.id] - curtail.get(b.id, 0.0) for b in net.buses}
 
-    ptdf = build_ptdf(net)
+    ptdf = net.ptdf
     gen_mw = _resolve_ties(net, ptdf, active, gen_mw, regime, served)
     flows = evaluate_flows(net, ptdf, _injections(net, gens, gen_mw, served))
 

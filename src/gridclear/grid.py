@@ -4,11 +4,12 @@ The network is lossless. Line flows are linear in bus injections through the
 power transfer distribution factor (PTDF) matrix, computed from the reduced
 susceptance matrix relative to a slack bus. All types are immutable after
 construction and all operations are pure functions, so they are safe to share
-across threads.
+across threads.  A network computes its PTDF matrix once, on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -148,6 +149,12 @@ class Network:
 
     def zone_of(self, bus_id: str) -> str:
         return self.bus(bus_id).zone_id
+
+    @cached_property
+    def ptdf(self) -> PtdfMatrix:
+        """The network's PTDF matrix, built on first use and kept; not a
+        field, so equality, hashing and ``dataclasses.replace`` ignore it."""
+        return build_ptdf(self)
 
 
 def _connected(net: Network) -> bool:

@@ -4,6 +4,14 @@ Minimizes c'x subject to general rows (<=, =, >=) and variable bounds, using a
 bounded-variable two-phase primal simplex with Bland's rule for anti-cycling.
 Every run is deterministic: identical inputs produce bit-identical solutions.
 
+One pivot costs one gather of the basis matrix and three dense LAPACK solves
+with it (basic values, duals, entering direction); a bound flip keeps the
+basis and skips the dual solve, and the report reuses the last pivot's
+results.  Pricing and the ratio test are array scans that make Bland's choice.
+The cost is pinned by bit-identity: the pivots and every printed digit are
+those of the plain three-solve method, and a factorization reused across
+solves, or one two-column solve, rounds differently.
+
 Duals follow the right-hand-side derivative convention: the multiplier of a
 row is d(objective)/d(rhs).  For a minimum-cost dispatch problem the dual of
 the power-balance equality is therefore the marginal cost of demand.
@@ -154,9 +162,8 @@ class _Simplex:
         self._init_basis()
         phase1_cost = np.zeros(self.ncols)
         phase1_cost[self.art0:] = 1.0
-        status = self._iterate(phase1_cost, phase=1)
-        if status != "optimal":
-            raise LpNumericalError("phase 1 did not terminate at an optimum")
+        # the sum of artificials is bounded below, so phase 1 ends optimal or raises
+        self._iterate(phase1_cost, phase=1)
         art_sum = float(self.x[self.art0:].sum())
         if art_sum > FEAS_TOL * (1.0 + float(np.abs(self.b).sum())):
             return self._report("infeasible")
@@ -164,156 +171,117 @@ class _Simplex:
         # artificials are pinned at zero for phase 2
         self.lower[self.art0:] = 0.0
         self.upper[self.art0:] = 0.0
-        status = self._iterate(self.cost_real, phase=2)
-        return self._report(status)
+        return self._report(self._iterate(self.cost_real, phase=2))
 
     def _init_basis(self):
-        self.status = np.full(self.ncols, _AT_LOWER, dtype=int)
-        self.x = np.zeros(self.ncols)
-        for j in range(self.ncols):
-            lo, up = self.lower[j], self.upper[j]
-            if lo == -INF and up == INF:
-                self.status[j] = _FREE_NB
-                self.x[j] = 0.0
-            elif lo > -INF:
-                self.status[j] = _AT_LOWER
-                self.x[j] = lo
-            else:
-                self.status[j] = _AT_UPPER
-                self.x[j] = up
+        lo, up = self.lower, self.upper
+        free = (lo == -INF) & (up == INF)
+        has_lower = lo > -INF
+        self.status = np.where(free, _FREE_NB, np.where(has_lower, _AT_LOWER, _AT_UPPER))
+        self.x = np.where(free, 0.0, np.where(has_lower, lo, up))
         resid = self.b - self.A[:, : self.art0] @ self.x[: self.art0]
-        self.basis = []
-        for i in range(self.m):
-            j = self.art0 + i
-            self.A[i, j] = 1.0 if resid[i] >= 0 else -1.0
-            self.x[j] = abs(resid[i])
-            self.status[j] = _BASIC
-            self.basis.append(j)
+        rows = np.arange(self.m)
+        self.basis = self.art0 + rows
+        self.A[rows, self.basis] = np.where(resid >= 0, 1.0, -1.0)
+        self.x[self.basis] = np.abs(resid)
+        self.status[self.basis] = _BASIC
 
     # -- simplex core --------------------------------------------------------
-    def _basis_matrix(self) -> np.ndarray:
-        return self.A[:, self.basis]
-
-    def _recompute_basics(self):
-        nb_mask = np.ones(self.ncols, dtype=bool)
-        nb_mask[self.basis] = False
-        rhs = self.b - self.A[:, nb_mask] @ self.x[nb_mask]
+    def _recompute_basics(self, B: np.ndarray):
+        nonbasic = self.status != _BASIC
+        rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
         try:
-            xb = np.linalg.solve(self._basis_matrix(), rhs)
+            self.x[self.basis] = np.linalg.solve(B, rhs)
         except np.linalg.LinAlgError as exc:
             raise LpNumericalError(f"singular basis: {exc}") from exc
-        for pos, j in enumerate(self.basis):
-            self.x[j] = xb[pos]
-
-    def _duals(self, cost: np.ndarray) -> np.ndarray:
-        cb = cost[self.basis]
-        try:
-            return np.linalg.solve(self._basis_matrix().T, cb)
-        except np.linalg.LinAlgError as exc:
-            raise LpNumericalError(f"singular basis (dual solve): {exc}") from exc
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
-        tol = OPT_TOL
+        """Pivot to an optimum of ``cost``.  Each pivot gathers the basis
+        ``B`` once and makes three solves with it: the basic values, the duals
+        (skipped after a bound flip, which keeps the basis) and the entering
+        direction.  At the optimum ``self.y`` and ``self.rc`` hold the duals
+        and reduced costs."""
+        movable = ~(self.upper - self.lower <= 0)  # fixed variables never enter
+        rc = None
         for _ in range(MAX_ITERATIONS):
-            self._recompute_basics()
-            y = self._duals(cost)
-            rc = cost - y @ self.A
-            entering, direction = -1, 0
-            for j in range(self.ncols):
-                st = self.status[j]
-                if st == _BASIC:
-                    continue
-                if self.upper[j] - self.lower[j] <= 0:
-                    continue  # fixed variable
-                if (st in (_AT_LOWER, _FREE_NB)) and rc[j] < -tol:
-                    entering, direction = j, 1
-                    break
-                if (st in (_AT_UPPER, _FREE_NB)) and rc[j] > tol:
-                    entering, direction = j, -1
-                    break
-            if entering < 0:
+            B = self.A[:, self.basis]
+            self._recompute_basics(B)
+            if rc is None:
+                try:
+                    y = np.linalg.solve(B.T, cost[self.basis])
+                except np.linalg.LinAlgError as exc:
+                    raise LpNumericalError(f"singular basis (dual solve): {exc}") from exc
+                rc = cost - y @ self.A
+            # Bland's rule: the lowest-indexed improving nonbasic column
+            st = self.status
+            up = movable & ((st == _AT_LOWER) | (st == _FREE_NB)) & (rc < -OPT_TOL)
+            down = movable & ((st == _AT_UPPER) | (st == _FREE_NB)) & (rc > OPT_TOL)
+            improving = np.flatnonzero(up | down)
+            if not improving.size:
+                self.y, self.rc = y, rc
                 return "optimal"
+            entering = int(improving[0])
+            direction = 1 if up[entering] else -1
 
-            d = np.linalg.solve(self._basis_matrix(), self.A[:, entering])
-            # step limit from the entering variable's own opposite bound
+            # ratio test: the first blocking row, ties within 1e-12 to the
+            # lowest variable index; the entering column's own span blocks too
+            delta = -direction * np.linalg.solve(B, self.A[:, entering])
+            xb = self.x[self.basis]
+            room = np.where(delta > 0, self.upper[self.basis] - xb, xb - self.lower[self.basis])
+            rows = np.flatnonzero((np.abs(delta) > PIVOT_TOL) & (room < INF))
             span = self.upper[entering] - self.lower[entering]
             best_t = span if span < INF else INF
             best_idx = entering if best_t < INF else -1
-            for pos, k in enumerate(self.basis):
-                delta = -direction * d[pos]
-                if delta > PIVOT_TOL:
-                    room = self.upper[k] - self.x[k]
-                    t = room / delta if room < INF else INF
-                elif delta < -PIVOT_TOL:
-                    room = self.x[k] - self.lower[k]
-                    t = room / (-delta) if room < INF else INF
-                else:
-                    continue
+            best_row = -1
+            for row, t, k in zip(rows.tolist(), (room[rows] / np.abs(delta[rows])).tolist(),
+                                 self.basis[rows].tolist()):
                 if t < best_t - 1e-12 or (abs(t - best_t) <= 1e-12 and (best_idx < 0 or k < best_idx)):
-                    best_t, best_idx = t, k
+                    best_t, best_idx, best_row = t, k, row
             if best_t == INF:
                 if phase == 1:
                     raise LpNumericalError("unbounded phase-1 subproblem")
                 return "unbounded"
 
-            t = max(best_t, 0.0)
-            self.x[entering] += direction * t
-            for pos in range(self.m):
-                self.x[self.basis[pos]] -= direction * t * d[pos]
             if best_idx == entering:
                 # bound flip, basis unchanged
                 self.status[entering] = _AT_UPPER if direction > 0 else _AT_LOWER
                 self.x[entering] = self.upper[entering] if direction > 0 else self.lower[entering]
             else:
-                pos = self.basis.index(best_idx)
-                leaving = self.basis[pos]
-                delta = -direction * d[pos]
-                if delta > 0:
-                    self.status[leaving] = _AT_UPPER
-                    self.x[leaving] = self.upper[leaving]
-                else:
-                    self.status[leaving] = _AT_LOWER
-                    self.x[leaving] = self.lower[leaving]
-                self.basis[pos] = entering
+                to_upper = delta[best_row] > 0
+                self.status[best_idx] = _AT_UPPER if to_upper else _AT_LOWER
+                self.x[best_idx] = self.upper[best_idx] if to_upper else self.lower[best_idx]
+                self.basis[best_row] = entering
                 self.status[entering] = _BASIC
+                rc = None
         raise LpNumericalError("iteration limit exceeded")
 
     def _expel_artificials(self):
         """Pivot basic artificials out where possible; rows that cannot be
         re-based are redundant and keep a zero-valued artificial (dual 0)."""
-        for pos in range(self.m):
-            j = self.basis[pos]
-            if j < self.art0:
-                continue
-            binv = np.linalg.inv(self._basis_matrix())
-            row = binv[pos] @ self.A[:, : self.art0]
-            pivot = -1
-            for cand in range(self.art0):
-                if self.status[cand] == _BASIC:
-                    continue
-                if abs(row[cand]) > PIVOT_TOL:
-                    pivot = cand
-                    break
-            if pivot >= 0:
+        for pos in np.flatnonzero(self.basis >= self.art0):
+            row = np.linalg.inv(self.A[:, self.basis])[pos] @ self.A[:, : self.art0]
+            pivots = np.flatnonzero((self.status[: self.art0] != _BASIC) & (np.abs(row) > PIVOT_TOL))
+            if pivots.size:
+                j = self.basis[pos]
                 self.status[j] = _AT_LOWER
                 self.x[j] = 0.0
-                self.basis[pos] = pivot
-                self.status[pivot] = _BASIC
-                self._recompute_basics()
+                self.basis[pos] = pivots[0]
+                self.status[pivots[0]] = _BASIC
+                self._recompute_basics(self.A[:, self.basis])
 
     # -- reporting -----------------------------------------------------------
     def _report(self, status: str) -> LpSolution:
+        """The solution at the last iterate; an optimum reuses the final
+        pivot's basic values, duals and reduced costs, so nothing is solved."""
         lp = self.lp
         if status != "optimal":
             zeros = {name: 0.0 for name in lp.var_names}
             return LpSolution(status, zeros, {r.label: 0.0 for r in lp.rows},
                               dict(zeros), 0.0)
-        self._recompute_basics()
-        y = self._duals(self.cost_real)
-        rc_all = self.cost_real - y @ self.A
-        primal = {name: float(self.x[j]) for j, name in enumerate(lp.var_names)}
-        duals = {r.label: float(y[i]) for i, r in enumerate(lp.rows)}
-        reduced = {name: float(rc_all[j]) for j, name in enumerate(lp.var_names)}
+        n = self.n_struct
+        primal = dict(zip(lp.var_names, self.x[:n].tolist()))
+        duals = dict(zip((r.label for r in lp.rows), self.y.tolist()))
+        reduced = dict(zip(lp.var_names, self.rc[:n].tolist()))
         with np.errstate(over="ignore"):  # huge finite costs overflow to inf without a stderr warning
-            obj = float(self.cost_real[: self.n_struct] @ self.x[: self.n_struct])
+            obj = float(self.cost_real[:n] @ self.x[:n])
         return LpSolution(status, primal, duals, reduced, obj)

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -273,6 +274,15 @@ def test_horizon_beyond_a_year_is_rejected(scenario_dir, tmp_path, capsys, horiz
     assert not (tmp_path / "o").exists()
 
 
+def test_year_long_commitment_search_is_refused_within_a_second(scenario_dir, tmp_path, capsys):
+    # a year of hours: counting the sequences must stay linear in the horizon
+    p = _edited_scenario(scenario_dir, tmp_path, "fivebus_ruc", lambda doc: doc["run"].update(horizon=8760))
+    t0 = time.perf_counter()
+    assert run(["daucruc", p, "--out", tmp_path / "o", "--no-timestamp"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "commitment search space exceeds" in capsys.readouterr().err
+
+
 def test_clear_overflowing_scenario_is_one_error_line(scenario_dir, tmp_path, capsys):
     def huge(doc):
         doc["network"]["buses"][0].update(load_mw=1e300, wtp=1e300)
@@ -343,6 +353,8 @@ _BAD_STATS_INPUTS = [
     ("zero.csv", "timestamp,price\n1,0\n2,0\n", "cannot normalize a zero-mean series"),
     ("nan.csv", "timestamp,price\n1,nan\n2,5\n", "price series contains non-finite values"),
     ("a_directory", "", "Is a directory"),
+    ("huge_field.csv", "timestamp,price\n1," + "9" * 200_000 + "\n",
+     "bad CSV: field larger than field limit (131072)"),
 ]
 
 

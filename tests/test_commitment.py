@@ -85,6 +85,35 @@ def test_sequences_and_counts_match_the_filtered_product(min_up, min_down, on, i
     assert commitment._count_sequences(u, floor) == len(above)
 
 
+def _unclipped_count(unit, floor):
+    """The sequence count with each state's duration kept in full."""
+    counts = {(unit.initially_on, unit.initial_hours): 1}
+    for f in floor:
+        nxt = Counter()
+        for (on, dur), n in counts.items():
+            for s in (0, 1):
+                if s < f:
+                    continue
+                if bool(s) == on:
+                    nxt[on, dur + 1] += n
+                elif dur >= (unit.min_up_h if on else unit.min_down_h):
+                    nxt[bool(s), 1] += n
+        counts = nxt
+    return sum(counts.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(min_up=st.integers(1, 6), min_down=st.integers(1, 6), on=st.booleans(),
+       initial_hours=st.integers(0, 8), horizon=st.integers(1, 24),
+       floor_bits=st.integers(0, 2**24 - 1))
+def test_clipped_counts_equal_the_unclipped_ones(min_up, min_down, on, initial_hours,
+                                                horizon, floor_bits):
+    u = _unit("u", 100, 10, on=on, min_up=min_up, min_down=min_down,
+              initial_hours=initial_hours)
+    floor = tuple(floor_bits >> t & 1 for t in range(horizon))
+    assert commitment._count_sequences(u, floor) == _unclipped_count(u, floor)
+
+
 # ---------------------------------------------------------------------------
 # solve_uc basics
 # ---------------------------------------------------------------------------

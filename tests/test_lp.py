@@ -1,11 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from gridclear import lp as lpmod
 from gridclear.lp import LinearProgram, LpBuilder, LpRow, solve
+from helpers import reference_solve, solve_outcome
 
 INF = math.inf
 
@@ -28,6 +31,36 @@ def build_random_lp(rng: random.Random, max_vars: int = 30):
         rel = rng.choice(["<=", ">=", "="])
         margin = rng.uniform(0.0, 3.0)
         rhs = lhs + margin if rel == "<=" else lhs - margin if rel == ">=" else lhs
+        b.row(coeffs, rel, rhs, f"r{k}")
+    return b.build()
+
+
+def build_wild_lp(rng: random.Random, max_vars: int = 8, max_rows: int = 8):
+    """Small LP with every kind of variable (free, fixed, lower- or
+    upper-bounded only, boxed), rows of every relation, zero right-hand sides
+    and repeated or rescaled rows, or no rows at all; many are infeasible or
+    unbounded."""
+    n = rng.randint(1, max_vars)
+    b = LpBuilder()
+    for j in range(n):
+        at = rng.choice([0.0, 1.0, -2.0, rng.uniform(-10.0, 10.0)])
+        lower, upper = rng.choice([
+            (-INF, INF), (at, at), (at, INF), (-INF, at), (at, at + rng.choice([1.0, 4.0, 7.5]))])
+        b.var(f"x{j}", lower, upper, rng.choice([0.0, 1.0, -1.0, 3.0, rng.uniform(-5.0, 5.0)]))
+    rows = []
+    for k in range(rng.randint(0, max_rows)):
+        if rows and rng.random() < 0.3:
+            coeffs, rel, rhs = rng.choice(rows)
+            scale = rng.choice([1.0, 2.0, -1.0])
+            coeffs = {j: scale * v for j, v in coeffs.items()}
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel] if scale < 0 else rel
+            rhs *= scale
+        else:
+            support = rng.sample(range(n), rng.randint(1, n))
+            coeffs = {j: rng.choice([1.0, -1.0, 2.0, 0.5, rng.uniform(-4.0, 4.0)]) for j in support}
+            rel = rng.choice(["<=", ">=", "="])
+            rhs = rng.choice([0.0, 0.0, 1.0, rng.uniform(-10.0, 10.0)])
+        rows.append((coeffs, rel, rhs))
         b.row(coeffs, rel, rhs, f"r{k}")
     return b.build()
 
@@ -168,3 +201,36 @@ def test_random_lp_kkt(seed):
     sol = solve(lp)
     if sol.status == "optimal":
         check_kkt(lp, sol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_solve_matches_the_reference_bit_for_bit(seed):
+    lp = build_wild_lp(random.Random(seed))
+    assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
+
+
+def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
+    # min -x, x in [0, 5], x <= 10.  Phase 1: x enters and flips to its upper
+    # bound (recompute and direction only, the duals are kept), then the slack
+    # replaces the artificial; phase 2 prices once and stops.
+    b = LpBuilder()
+    x = b.var("x", 0.0, 5.0, -1.0)
+    b.row({x: 1.0}, "<=", 10.0, "cap")
+    events = []
+    real_solve = np.linalg.solve
+    real_report = lpmod._Simplex._report
+
+    def counted_solve(a, rhs):
+        events.append("solve")
+        return real_solve(a, rhs)
+
+    def watched_report(self, status):
+        events.append("report")
+        return real_report(self, status)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(lpmod._Simplex, "_report", watched_report)
+    sol = solve(b.build())
+    assert sol.primal["x"] == 5.0 and sol.objective_value == -5.0
+    assert events == ["solve"] * (3 + 2 + 2 + 2) + ["report"]
