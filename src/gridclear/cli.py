@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from datetime import datetime, timezone
@@ -308,23 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a scenario file")
     p.add_argument("scenario")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("clear", help="clear one scheme and write price/settlement reports")
     p.add_argument("scenario")
     p.add_argument("--scheme", choices=tuple(SCHEMES), default="nodal")
     _add_report_options(p)
-    p.set_defaults(func=cmd_clear)
 
     p = sub.add_parser("compare", help="run the scenario's schemes and write a comparison table")
     p.add_argument("scenario")
     _add_report_options(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("daucruc", help="run day-ahead and reliability passes and the redispatch settlement")
     p.add_argument("scenario")
     _add_common(p)
-    p.set_defaults(func=cmd_daucruc)
 
     p = sub.add_parser("bidding", help="evaluate a strategic bid deviation")
     p.add_argument("scenario")
@@ -332,27 +329,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offered-ic", type=float, dest="offered_ic")
     p.add_argument("--scheme", choices=BID_SCHEMES)
     _add_common(p)
-    p.set_defaults(func=cmd_bidding)
 
     p = sub.add_parser("stats", help="order statistics of an hourly price series CSV")
     p.add_argument("csv")
     _add_common(p)
-    p.set_defaults(func=cmd_stats)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one subcommand and return its exit code.  May be called any number
+    of times in one process: the parser is built on the first call, and the
+    ``cmd_<command>`` function is looked up by name on every call, so a binding
+    replaced after the first call is the one that runs."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ScenarioValidationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

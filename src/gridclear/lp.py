@@ -8,9 +8,14 @@ One pivot costs one gather of the basis matrix and three dense LAPACK solves
 with it (basic values, duals, entering direction); a bound flip keeps the
 basis and skips the dual solve, and the report reuses the last pivot's
 results.  Pricing and the ratio test are array scans that make Bland's choice.
-The cost is pinned by bit-identity: the pivots and every printed digit are
-those of the plain three-solve method, and a factorization reused across
-solves, or one two-column solve, rounds differently.
+The masks they read (which nonbasic columns may increase or decrease, which
+columns are nonbasic) and the bounds and values of the basic variables are
+kept across pivots, and a pivot or bound flip updates only the positions it
+touches.  The kept state is exactly what the variable statuses give afresh,
+so every solve has the same operands in the same order.  The cost is pinned
+by bit-identity: the pivots and every printed digit are those of the plain
+three-solve method, and a factorization reused across solves, or one
+two-column solve, rounds differently.
 
 Duals follow the right-hand-side derivative convention: the multiplier of a
 row is d(objective)/d(rhs).  For a minimum-cost dispatch problem the dual of
@@ -187,25 +192,37 @@ class _Simplex:
         self.status[self.basis] = _BASIC
 
     # -- simplex core --------------------------------------------------------
-    def _recompute_basics(self, B: np.ndarray):
-        nonbasic = self.status != _BASIC
+    def _solve_basics(self, B: np.ndarray, nonbasic: np.ndarray) -> np.ndarray:
+        """Solve ``B x_B = b - A_N x_N``, store ``x_B`` and return it."""
         rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
         try:
-            self.x[self.basis] = np.linalg.solve(B, rhs)
+            xb = np.linalg.solve(B, rhs)
         except np.linalg.LinAlgError as exc:
             raise LpNumericalError(f"singular basis: {exc}") from exc
+        self.x[self.basis] = xb
+        return xb
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
         """Pivot to an optimum of ``cost``.  Each pivot gathers the basis
         ``B`` once and makes three solves with it: the basic values, the duals
         (skipped after a bound flip, which keeps the basis) and the entering
-        direction.  At the optimum ``self.y`` and ``self.rc`` hold the duals
-        and reduced costs."""
+        direction.  The nonbasic mask, the pricing masks (columns that may
+        increase or decrease), the bounds of the basic variables and the
+        basic values just solved are kept across pivots; a pivot or bound flip
+        updates only the positions it touches.  They equal what ``status``
+        gives afresh, so every solve has the same operands and the result is
+        bit-identical.  At the optimum ``self.y`` and ``self.rc`` hold the
+        duals and reduced costs."""
         movable = ~(self.upper - self.lower <= 0)  # fixed variables never enter
+        st = self.status
+        nonbasic = st != _BASIC
+        can_up = movable & ((st == _AT_LOWER) | (st == _FREE_NB))
+        can_down = movable & ((st == _AT_UPPER) | (st == _FREE_NB))
+        lo_b, up_b = self.lower[self.basis], self.upper[self.basis]
         rc = None
         for _ in range(MAX_ITERATIONS):
             B = self.A[:, self.basis]
-            self._recompute_basics(B)
+            xb = self._solve_basics(B, nonbasic)
             if rc is None:
                 try:
                     y = np.linalg.solve(B.T, cost[self.basis])
@@ -213,27 +230,25 @@ class _Simplex:
                     raise LpNumericalError(f"singular basis (dual solve): {exc}") from exc
                 rc = cost - y @ self.A
             # Bland's rule: the lowest-indexed improving nonbasic column
-            st = self.status
-            up = movable & ((st == _AT_LOWER) | (st == _FREE_NB)) & (rc < -OPT_TOL)
-            down = movable & ((st == _AT_UPPER) | (st == _FREE_NB)) & (rc > OPT_TOL)
-            improving = np.flatnonzero(up | down)
-            if not improving.size:
+            up = can_up & (rc < -OPT_TOL)
+            improving = up | (can_down & (rc > OPT_TOL))
+            entering = int(improving.argmax())
+            if not improving[entering]:
                 self.y, self.rc = y, rc
                 return "optimal"
-            entering = int(improving[0])
             direction = 1 if up[entering] else -1
 
             # ratio test: the first blocking row, ties within 1e-12 to the
             # lowest variable index; the entering column's own span blocks too
             delta = -direction * np.linalg.solve(B, self.A[:, entering])
-            xb = self.x[self.basis]
-            room = np.where(delta > 0, self.upper[self.basis] - xb, xb - self.lower[self.basis])
-            rows = np.flatnonzero((np.abs(delta) > PIVOT_TOL) & (room < INF))
+            room = np.where(delta > 0, up_b - xb, xb - lo_b)
+            size = np.abs(delta)
+            rows = ((size > PIVOT_TOL) & (room < INF)).nonzero()[0]
             span = self.upper[entering] - self.lower[entering]
             best_t = span if span < INF else INF
             best_idx = entering if best_t < INF else -1
             best_row = -1
-            for row, t, k in zip(rows.tolist(), (room[rows] / np.abs(delta[rows])).tolist(),
+            for row, t, k in zip(rows.tolist(), (room[rows] / size[rows]).tolist(),
                                  self.basis[rows].tolist()):
                 if t < best_t - 1e-12 or (abs(t - best_t) <= 1e-12 and (best_idx < 0 or k < best_idx)):
                     best_t, best_idx, best_row = t, k, row
@@ -242,17 +257,20 @@ class _Simplex:
                     raise LpNumericalError("unbounded phase-1 subproblem")
                 return "unbounded"
 
-            if best_idx == entering:
-                # bound flip, basis unchanged
-                self.status[entering] = _AT_UPPER if direction > 0 else _AT_LOWER
-                self.x[entering] = self.upper[entering] if direction > 0 else self.lower[entering]
+            if best_idx == entering:  # bound flip, basis unchanged
+                leaving, to_upper = entering, direction > 0
             else:
-                to_upper = delta[best_row] > 0
-                self.status[best_idx] = _AT_UPPER if to_upper else _AT_LOWER
-                self.x[best_idx] = self.upper[best_idx] if to_upper else self.lower[best_idx]
+                leaving, to_upper = best_idx, delta[best_row] > 0
                 self.basis[best_row] = entering
                 self.status[entering] = _BASIC
+                nonbasic[entering], nonbasic[leaving] = False, True
+                can_up[entering] = can_down[entering] = False
+                lo_b[best_row], up_b[best_row] = self.lower[entering], self.upper[entering]
                 rc = None
+            self.status[leaving] = _AT_UPPER if to_upper else _AT_LOWER
+            self.x[leaving] = self.upper[leaving] if to_upper else self.lower[leaving]
+            can_up[leaving] = movable[leaving] and not to_upper
+            can_down[leaving] = movable[leaving] and to_upper
         raise LpNumericalError("iteration limit exceeded")
 
     def _expel_artificials(self):
@@ -267,7 +285,7 @@ class _Simplex:
                 self.x[j] = 0.0
                 self.basis[pos] = pivots[0]
                 self.status[pivots[0]] = _BASIC
-                self._recompute_basics(self.A[:, self.basis])
+                self._solve_basics(self.A[:, self.basis], self.status != _BASIC)
 
     # -- reporting -----------------------------------------------------------
     def _report(self, status: str) -> LpSolution:

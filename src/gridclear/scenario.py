@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -46,7 +47,7 @@ from gridclear.settlement import SettlementReport
 
 # stable validation error codes
 E_IO = "E_IO"  # file missing / unreadable
-E_PARSE = "E_PARSE"  # not valid JSON
+E_PARSE = "E_PARSE"  # not UTF-8, not valid JSON, or JSON too deep or long to read
 E_SECTION = "E_SECTION"  # missing or empty required section
 E_TYPE = "E_TYPE"  # wrong type for a field
 E_VALUE = "E_VALUE"  # value violates an invariant
@@ -166,14 +167,23 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     col = _Collector()
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         col.add(E_IO, str(path), f"cannot read file: {exc}")
+        col.raise_if_any()
+    except UnicodeDecodeError as exc:
+        col.add(E_PARSE, str(path), f"not UTF-8 text: {exc.reason} at byte {exc.start}")
         col.raise_if_any()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         col.add(E_PARSE, f"{path}:{exc.lineno}:{exc.colno}", exc.msg)
+        col.raise_if_any()
+    except RecursionError:
+        col.add(E_PARSE, str(path), "arrays or objects nested too deeply")
+        col.raise_if_any()
+    except ValueError:  # int() refuses a literal past the interpreter's digit limit
+        col.add(E_PARSE, str(path), f"integer literal longer than {sys.get_int_max_str_digits()} digits")
         col.raise_if_any()
     if not isinstance(raw, dict):
         col.add(E_PARSE, str(path), "top level must be an object")

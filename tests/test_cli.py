@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
 import tempfile
 import time
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -34,6 +36,64 @@ def test_validate_bad_file(tmp_path, capsys):
     bad.write_text('{"name": "x"}')
     assert run(["validate", bad]) == 1
     assert "E_SECTION" in capsys.readouterr().err
+
+
+def test_validate_non_utf8_file_is_one_parse_issue(tmp_path, capsys):
+    bad = tmp_path / "utf16.scn"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert run(["validate", bad]) == 1
+    err = capsys.readouterr().err
+    assert err == f"scenario validation failed:\n  - E_PARSE at {bad}: not UTF-8 text: invalid start byte at byte 0\n"
+
+
+_UNREADABLE_JSON = {
+    "nested arrays": ("[" * 100_000, "arrays or objects nested too deeply"),
+    "nested objects": ('{"a": ' * 3000 + "1" + "}" * 3000, "arrays or objects nested too deeply"),
+    "long integer": ('{"name": ' + "9" * 5000 + "}", "integer literal longer than 4300 digits"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "clear"])
+@pytest.mark.parametrize("text,message", _UNREADABLE_JSON.values(), ids=_UNREADABLE_JSON.keys())
+def test_unreadable_json_is_one_parse_issue(tmp_path, capsys, text, message, command):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    argv = [command, bad] + (["--out", tmp_path / "o"] if command == "clear" else [])
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"scenario validation failed:\n  - E_PARSE at {bad}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_many_calls_in_one_process(scenario_dir, tmp_path, capsys, monkeypatch):
+    golden = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+    fourbus = scenario_dir / "fourbus.scn"
+
+    def written(out_dir):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
+
+    assert run(["clear", fourbus, "--bogus"]) == 1
+    assert capsys.readouterr().err == "error: gridclear: unrecognized arguments: --bogus\n"
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()
+    assert run(["validate", fourbus]) == 0
+    assert capsys.readouterr().out.startswith("OK fourbus: 4 buses")
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    monkeypatch.setenv("GRIDCLEAR_OUT", str(first))
+    md = golden["clear fourbus nodal md"]
+    assert run(["clear", fourbus, "--format", "md", "--no-timestamp"]) == md["exit_code"]
+    assert written(first) == md["files"]
+    monkeypatch.setenv("GRIDCLEAR_OUT", str(second))
+    csv = golden["clear fourbus nodal csv"]
+    assert run(["clear", fourbus, "--no-timestamp"]) == csv["exit_code"]
+    assert written(second) == csv["files"]
+    assert written(first) == md["files"]
+
+    # the parser is built by now; a binding replaced after that is what runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.scenario) or 7)
+    assert run(["validate", fourbus]) == 7
+    assert seen == [str(fourbus)]
 
 
 def test_clear_nodal_succeeds(scenario_dir, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gridclear import lp as lpmod
+from gridclear.cli import main
 from gridclear.lp import LinearProgram, LpBuilder, LpRow, solve
 from helpers import reference_solve, solve_outcome
 
@@ -234,3 +235,46 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     sol = solve(b.build())
     assert sol.primal["x"] == 5.0 and sol.objective_value == -5.0
     assert events == ["solve"] * (3 + 2 + 2 + 2) + ["report"]
+
+
+
+def test_fixed_column_that_leaves_the_basis_stays_out():
+    # The start point satisfies every row, so phase 1 ends at once and
+    # expelling the artificials pivots the fixed x1, x2 and x3 into the
+    # basis; phase 2 pivots them out at a degenerate vertex.  A fixed column
+    # that priced back in would reach the same optimum with other duals.
+    b = LpBuilder()
+    x = [b.var("x0", 2.0, 3.0, 2.0), b.var("x1", 1.0, 1.0, -2.0), b.var("x2", 0.0, 0.0, 0.0),
+         b.var("x3", 1.0, 1.0, 5.0), b.var("x4", -INF, 1.0, 1.0)]
+    b.row({x[0]: -1.0, x[1]: 1.0, x[2]: 2.0, x[3]: 1.0}, ">=", 0.0, "r0")
+    b.row({x[0]: 1.0, x[1]: 1.0, x[2]: -1.0, x[3]: 2.0, x[4]: 1.0}, "=", 6.0, "r1")
+    b.row({x[1]: 1.0, x[3]: 2.0, x[4]: 1.0}, "=", 4.0, "r2")
+    b.row({x[0]: -1.0, x[1]: 2.0, x[4]: 2.0}, ">=", 2.0, "r3")
+    b.row({x[2]: -1.0, x[3]: -1.0}, ">=", -1.0, "r4")
+    lp = b.build()
+    sol = solve(lp)
+    assert sol.objective_value == 8.0
+    assert (sol.duals["r1"], sol.duals["r2"]) == (2.0, -1.0)
+    assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
+
+_CLI_RUNS = {"daucruc fivebus_ruc": ["daucruc", "fivebus_ruc.scn"], "bidding twobus": ["bidding", "twobus.scn"]}
+_CLI_RUNS.update({f"compare {s}": ["compare", f"{s}.scn"]
+                  for s in ("fourbus", "fourbus_tie270", "twobus", "fivebus_ruc")})
+
+
+@pytest.mark.parametrize("argv", _CLI_RUNS.values(), ids=_CLI_RUNS.keys())
+def test_cli_lps_match_the_reference_bit_for_bit(scenario_dir, tmp_path, capsys, monkeypatch, argv):
+    # the LPs of real clearings carry bound flips, ties and degenerate
+    # phase-1 pivots that random LPs rarely reach
+    lps = []
+    real_solve = lpmod.solve
+
+    def captured(lp):
+        lps.append(lp)
+        return real_solve(lp)
+
+    monkeypatch.setattr(lpmod, "solve", captured)
+    assert main([argv[0], str(scenario_dir / argv[1]), "--out", str(tmp_path), "--no-timestamp"]) == 0
+    assert lps
+    for lp in lps:
+        assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
