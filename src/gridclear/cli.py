@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -289,6 +290,17 @@ def cmd_stats(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """An argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number at all: the same one error line
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--out", help="output directory (default: $GRIDCLEAR_OUT or ./out)")
     p.add_argument("--no-timestamp", action="store_true",
@@ -298,7 +310,7 @@ def _add_common(p):
 def _add_report_options(p):
     _add_common(p)
     p.add_argument("--format", choices=("csv", "md"), default="csv", help="report format")
-    p.add_argument("--tolerance", type=float, default=MW_TOL,
+    p.add_argument("--tolerance", type=_finite_float, default=MW_TOL,
                    help="violation tolerance in MW")
 
 
@@ -326,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bidding", help="evaluate a strategic bid deviation")
     p.add_argument("scenario")
     p.add_argument("--generator")
-    p.add_argument("--offered-ic", type=float, dest="offered_ic")
+    p.add_argument("--offered-ic", type=_finite_float, dest="offered_ic")
     p.add_argument("--scheme", choices=BID_SCHEMES)
     _add_common(p)
 

@@ -1,27 +1,26 @@
 """Scenario file schema, validation, loading, and report serialization.
 
-A scenario is one JSON document (conventionally ``*.scn``) with named
-sections::
+A scenario is one JSON document (conventionally ``*.scn``).  The field tables
+below (``_TOP``, ``_NETWORK``, ``_BUS``, ...) are its schema: one table per
+fixed-schema object, mapping each key, in document order, to its types and
+default.  The parser reads every object through its table and rejects a key
+the table does not name (``E_KEY``); ``dump_scenario`` writes every object in
+its table's key order.  Four maps are free-form: ``metadata``, the regime names
+under ``regimes``, the bus-keyed ``loads`` and the generator-keyed
+``run.forced_bounds``::
 
-    {
-      "name": "...", "currency": "$/MWh",
-      "metadata": {"season": "...", "time_of_day": "..."},
-      "network": {
-        "slack_bus": "...", "zones": [...],
-        "buses":  [{"id", "zone", "load_mw", "wtp"}],
-        "lines":  [{"id", "from", "to", "reactance", "limit_mw", "monitored_in"}],
-        "interfaces": [{"id", "members": [{"line", "direction"}], "ttc_mw"}]
+    {                                           # _TOP
+      "network": {                              # _NETWORK
+        "buses": [{...}], "lines": [{...}],     # _BUS, _LINE
+        "interfaces": [{"members": [{...}]}]    # _INTERFACE, _MEMBER
       },
-      "generators": [{"id", "bus", "p_min", "p_max", "ic", "nlc", "suc",
-                      "forced_min", "forced_max", "min_up_h", "min_down_h",
-                      "initially_on", "initial_hours", "synchronous"}],
-      "loads":  {"<bus>": <MW> | [<MW per hour>]},        # optional overrides
-      "regimes": {"<name>": {"mode", "monitored_profile", "enforce_interfaces",
-                              "reserve_req_mw", "min_sync_mw"}},
-      "run": {"schemes": [...], "horizon": 1,
-              "forced_bounds": {"<gen>": {"min": ..., "max": ...}},
-              "bid_deviation": {"generator", "offered_ic", "scheme"},
-              "dauc_regime": "...", "ruc_regime": "..."}
+      "generators": [{...}],                    # _GENERATOR
+      "loads": {"<bus>": <MW> | [<MW per hour>]},   # optional overrides
+      "regimes": {"<name>": {...}},             # _REGIME
+      "run": {                                  # _RUN
+        "forced_bounds": {"<gen>": {...}},      # _BOUNDS
+        "bid_deviation": {...}                  # _BID_DEVIATION
+      }
     }
 
 Validation is total: every problem in the file is collected (each with a
@@ -49,6 +48,7 @@ from gridclear.settlement import SettlementReport
 E_IO = "E_IO"  # file missing / unreadable
 E_PARSE = "E_PARSE"  # not UTF-8, not valid JSON, or JSON too deep or long to read
 E_SECTION = "E_SECTION"  # missing or empty required section
+E_KEY = "E_KEY"  # a key its object's table does not name
 E_TYPE = "E_TYPE"  # wrong type for a field
 E_VALUE = "E_VALUE"  # value violates an invariant
 E_DUP = "E_DUP"  # duplicate identifier
@@ -59,6 +59,54 @@ E_RUN = "E_RUN"  # bad run section
 E_LOADS = "E_LOADS"  # bad loads section
 
 MAX_HORIZON_H = 8760  # one year of hours; per-hour loads are built for the whole horizon
+
+# ---------------------------------------------------------------------------
+# the schema: key -> (types, default), in document order
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a field the document must give
+_NUMBER = (int, float)  # read as float
+
+_TOP = {
+    "name": (str, None),  # None: the file's stem
+    "currency": (str, ""), "metadata": (dict, {}),
+    # each section checks its own type
+    "network": (object, None), "generators": (object, None), "loads": (object, None),
+    "regimes": (object, None), "run": (object, None),
+}
+_NETWORK = {
+    "slack_bus": (str, _REQUIRED), "zones": (list, _REQUIRED), "buses": (list, _REQUIRED),
+    "lines": (list, _REQUIRED), "interfaces": (list, ()),
+}
+_BUS = {
+    "id": (str, _REQUIRED), "zone": (str, _REQUIRED), "load_mw": (_NUMBER, 0.0), "wtp": (_NUMBER, 0.0),
+}
+_LINE = {
+    "id": (str, _REQUIRED), "from": (str, _REQUIRED), "to": (str, _REQUIRED),
+    "reactance": (_NUMBER, _REQUIRED), "limit_mw": (_NUMBER, _REQUIRED), "monitored_in": (list, ()),
+}
+_INTERFACE = {"id": (str, _REQUIRED), "members": (list, _REQUIRED), "ttc_mw": (_NUMBER, _REQUIRED)}
+_MEMBER = {"line": (str, _REQUIRED), "direction": (int, 1)}
+_GENERATOR = {
+    "id": (str, _REQUIRED), "bus": (str, _REQUIRED),
+    "p_min": (_NUMBER, 0.0), "p_max": (_NUMBER, _REQUIRED),
+    "ic": (_NUMBER, _REQUIRED), "nlc": (_NUMBER, 0.0), "suc": (_NUMBER, 0.0),
+    "forced_min": (_NUMBER, None), "forced_max": (_NUMBER, None),
+    "min_up_h": (int, 1), "min_down_h": (int, 1),
+    "initially_on": (bool, False), "initial_hours": (int, 24), "synchronous": (bool, True),
+}
+_REGIME = {
+    "mode": (str, _REQUIRED), "monitored_profile": (str, None), "enforce_interfaces": (bool, True),
+    "reserve_req_mw": (_NUMBER, 0.0), "min_sync_mw": (_NUMBER, 0.0),
+}
+_RUN = {
+    "schemes": (list, ()), "horizon": (int, 1), "forced_bounds": (dict, {}),
+    "bid_deviation": (dict, None), "dauc_regime": (str, None), "ruc_regime": (str, None),
+}
+_BOUNDS = {"min": (_NUMBER, None), "max": (_NUMBER, None)}
+_BID_DEVIATION = {
+    "generator": (str, _REQUIRED), "offered_ic": (_NUMBER, _REQUIRED), "scheme": (str, "uniform"),
+}
 
 
 @dataclass(frozen=True)
@@ -132,25 +180,54 @@ class _Collector:
             raise ScenarioValidationError(self.issues)
 
 
-_NUMBER = (int, float)
+def _fields(col, raw, where, table) -> dict[str, Any]:
+    """Each of ``table``'s fields read from the object ``raw``, numbers as float.
+
+    A key the table does not name is E_KEY.  An absent or null field reads as
+    its default; a required one reads as None and is E_SECTION.  A value of
+    another type, or a boolean, NaN or infinity where a number is expected, is
+    E_TYPE and reads as the default (None if required)."""
+    for key in raw:
+        if key not in table:
+            col.add(E_KEY, f"{where}.{key}", f"unknown field; allowed: {tuple(table)}")
+    out = {}
+    for key, (types, default) in table.items():
+        val = raw.get(key)  # explicit null == absent
+        if default is _REQUIRED:
+            default = None
+            if val is None:
+                col.add(E_SECTION, where, f"missing required field {key!r}")
+        if val is None:
+            out[key] = default
+        elif not isinstance(val, types):
+            col.add(E_TYPE, f"{where}.{key}", f"expected {types}, got {type(val).__name__}")
+            out[key] = default
+        elif (types is int or types is _NUMBER) and not _finite_number(val):
+            col.add(E_TYPE, f"{where}.{key}", f"expected a finite number, got {val!r}")
+            out[key] = default
+        else:
+            out[key] = float(val) if types is _NUMBER else val
+    return out
 
 
-def _expect(col, raw, where, key, types, default=None, required=False):
-    """The field's value if it has one of ``types``, else ``default``; a
-    number field (``int`` or ``_NUMBER``) also rejects booleans, NaN and
-    infinities."""
-    if key not in raw or raw[key] is None:  # explicit null == absent
-        if required:
-            col.add(E_SECTION, where, f"missing required field {key!r}")
-        return default
-    val = raw[key]
-    if not isinstance(val, types):
-        col.add(E_TYPE, f"{where}.{key}", f"expected {types}, got {type(val).__name__}")
-        return default
-    if (types is int or types == _NUMBER) and not _finite_number(val):
-        col.add(E_TYPE, f"{where}.{key}", f"expected a finite number, got {val!r}")
-        return default
-    return val
+def _entries(col, items, where, table, kind):
+    """``(where, fields)`` of each entry of an id-keyed list that is an object
+    with every required field read and an id not seen before."""
+    required = [key for key, (_, default) in table.items() if default is _REQUIRED]
+    seen = set()
+    for i, raw in enumerate(items):
+        at = f"{where}[{i}]"
+        if not isinstance(raw, dict):
+            col.add(E_TYPE, at, f"{kind} entry must be an object")
+            continue
+        f = _fields(col, raw, at, table)
+        if any(f[key] is None for key in required):
+            continue
+        if f["id"] in seen:
+            col.add(E_DUP, at, f"duplicate {kind} id {f['id']!r}")
+            continue
+        seen.add(f["id"])
+        yield at, f
 
 
 def _finite_number(v: Any) -> bool:
@@ -197,22 +274,23 @@ def parse_scenario(raw: Mapping[str, Any], col: _Collector | None = None,
                    default_name: str = "scenario") -> Scenario | None:
     own = col is None
     col = col or _Collector()
-    name = _expect(col, raw, "scenario", "name", str, default=default_name)
-    currency = _expect(col, raw, "scenario", "currency", str, default="")
-    metadata = dict(_expect(col, raw, "scenario", "metadata", dict, default={}) or {})
+    top = _fields(col, raw, "scenario", _TOP)
+    name = default_name if top["name"] is None else top["name"]
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):  # report files are named after it
+        col.add(E_VALUE, "scenario.name", f"{name!r} is not a single path component")
 
-    net = _parse_network(raw.get("network"), col)
-    gens = _parse_generators(raw.get("generators"), net, col)
-    regimes = _parse_regimes(raw.get("regimes"), net, col)
-    run = _parse_run(raw.get("run"), gens, regimes, col)
-    loads = _parse_loads(raw.get("loads"), net, run, col)
+    net = _parse_network(top["network"], col)
+    gens = _parse_generators(top["generators"], net, col)
+    regimes = _parse_regimes(top["regimes"], net, col)
+    run = _parse_run(top["run"], gens, regimes, col)
+    loads = _parse_loads(top["loads"], net, run, col)
 
     if own:
         col.raise_if_any()
     if col.issues or net is None:
         return None
     return Scenario(
-        name=name, currency=currency, metadata=metadata, network=net,
+        name=name, currency=top["currency"], metadata=dict(top["metadata"]), network=net,
         generators=tuple(gens or ()), loads=loads, regimes=regimes or {}, run=run,
     )
 
@@ -221,110 +299,57 @@ def _parse_network(raw, col) -> Network | None:
     if not isinstance(raw, dict) or not raw:
         col.add(E_SECTION, "network", "missing or empty network section")
         return None
-    buses_raw = _expect(col, raw, "network", "buses", list, default=[], required=True) or []
-    lines_raw = _expect(col, raw, "network", "lines", list, default=[], required=True) or []
-    zones = _expect(col, raw, "network", "zones", list, default=[], required=True) or []
-    ifaces_raw = _expect(col, raw, "network", "interfaces", list, default=[]) or []
-    slack = _expect(col, raw, "network", "slack_bus", str, required=True)
-    if not buses_raw:
+    f = _fields(col, raw, "network", _NETWORK)
+    zones = f["zones"] or ()
+    if not f["buses"]:
         col.add(E_SECTION, "network.buses", "at least one bus is required")
 
     buses: list[Bus] = []
-    seen = set()
-    for i, b in enumerate(buses_raw):
-        where = f"network.buses[{i}]"
-        if not isinstance(b, dict):
-            col.add(E_TYPE, where, "bus entry must be an object")
-            continue
-        bid = _expect(col, b, where, "id", str, required=True)
-        zone = _expect(col, b, where, "zone", str, required=True)
-        load = _expect(col, b, where, "load_mw", _NUMBER, default=0.0)
-        wtp = _expect(col, b, where, "wtp", _NUMBER, default=0.0)
-        if bid is None or zone is None:
-            continue
-        if bid in seen:
-            col.add(E_DUP, where, f"duplicate bus id {bid!r}")
-            continue
-        seen.add(bid)
-        if zones and zone not in zones:
-            col.add(E_REF, where, f"bus {bid!r} references unknown zone {zone!r}")
+    for where, b in _entries(col, f["buses"] or (), "network.buses", _BUS, "bus"):
+        if zones and b["zone"] not in zones:
+            col.add(E_REF, where, f"bus {b['id']!r} references unknown zone {b['zone']!r}")
             continue
         try:
-            buses.append(Bus(bid, zone, float(load), float(wtp)))
+            buses.append(Bus(b["id"], b["zone"], b["load_mw"], b["wtp"]))
         except GridStructureError as exc:
             col.add(E_VALUE, where, str(exc))
 
     lines: list[Line] = []
-    seen_l = set()
     bus_ids = {b.id for b in buses}
-    for i, l in enumerate(lines_raw):
-        where = f"network.lines[{i}]"
-        if not isinstance(l, dict):
-            col.add(E_TYPE, where, "line entry must be an object")
-            continue
-        lid = _expect(col, l, where, "id", str, required=True)
-        fb = _expect(col, l, where, "from", str, required=True)
-        tb = _expect(col, l, where, "to", str, required=True)
-        x = _expect(col, l, where, "reactance", _NUMBER, required=True)
-        lim = _expect(col, l, where, "limit_mw", _NUMBER, required=True)
-        prof = _expect(col, l, where, "monitored_in", list, default=[]) or []
+    for where, l in _entries(col, f["lines"] or (), "network.lines", _LINE, "line"):
+        prof = l["monitored_in"]
         bad = [p for p in prof if not isinstance(p, str)]
         if bad:
             col.add(E_TYPE, f"{where}.monitored_in", f"expected profile names, got {bad[0]!r}")
-            prof = []
-        if None in (lid, fb, tb, x, lim):
-            continue
-        if lid in seen_l:
-            col.add(E_DUP, where, f"duplicate line id {lid!r}")
-            continue
-        seen_l.add(lid)
-        missing = [b for b in (fb, tb) if b not in bus_ids]
+            prof = ()
+        missing = [b for b in (l["from"], l["to"]) if b not in bus_ids]
         if missing:
-            col.add(E_REF, where, f"line {lid!r} references unknown bus(es) {missing}")
+            col.add(E_REF, where, f"line {l['id']!r} references unknown bus(es) {missing}")
             continue
         try:
-            lines.append(Line(lid, fb, tb, float(x), float(lim), frozenset(prof)))
+            lines.append(Line(l["id"], l["from"], l["to"], l["reactance"], l["limit_mw"],
+                              frozenset(prof)))
         except GridStructureError as exc:
             col.add(E_VALUE, where, str(exc))
 
     interfaces: list[Interface] = []
-    seen_i = set()
     line_ids = {l.id for l in lines}
-    for i, f in enumerate(ifaces_raw):
-        where = f"network.interfaces[{i}]"
-        if not isinstance(f, dict):
-            col.add(E_TYPE, where, "interface entry must be an object")
-            continue
-        iid = _expect(col, f, where, "id", str, required=True)
-        ttc = _expect(col, f, where, "ttc_mw", _NUMBER, required=True)
-        members_raw = _expect(col, f, where, "members", list, default=[], required=True) or []
-        if iid is None or ttc is None:
-            continue
-        if iid in seen_i:
-            col.add(E_DUP, where, f"duplicate interface id {iid!r}")
-            continue
-        seen_i.add(iid)
+    for where, iface in _entries(col, f["interfaces"], "network.interfaces", _INTERFACE, "interface"):
         members = []
-        ok = True
-        for j, m in enumerate(members_raw):
+        for j, m in enumerate(iface["members"]):
+            at = f"{where}.members[{j}]"
             if not isinstance(m, dict):
-                col.add(E_TYPE, f"{where}.members[{j}]", "member must be an object")
-                ok = False
+                col.add(E_TYPE, at, "member must be an object")
                 continue
-            mlid = _expect(col, m, f"{where}.members[{j}]", "line", str, required=True)
-            mdir = _expect(col, m, f"{where}.members[{j}]", "direction", int, default=1)
-            if mlid is None:
-                ok = False
-                continue
-            if mlid not in line_ids:
-                col.add(E_REF, f"{where}.members[{j}]", f"unknown line {mlid!r}")
-                ok = False
-                continue
-            members.append((mlid, int(mdir)))
-        if not ok:
+            m = _fields(col, m, at, _MEMBER)
+            if m["line"] in line_ids:
+                members.append((m["line"], m["direction"]))
+            elif m["line"] is not None:
+                col.add(E_REF, at, f"unknown line {m['line']!r}")
+        if len(members) < len(iface["members"]):
             continue
         try:
-            interfaces.append(Interface(iid, tuple(members), float(ttc)))
+            interfaces.append(Interface(iface["id"], tuple(members), iface["ttc_mw"]))
         except GridStructureError as exc:
             col.add(E_VALUE, where, str(exc))
 
@@ -332,7 +357,7 @@ def _parse_network(raw, col) -> Network | None:
         return None
     try:
         return Network(tuple(buses), tuple(lines), tuple(str(z) for z in zones),
-                       tuple(interfaces), slack)
+                       tuple(interfaces), f["slack_bus"])
     except GridStructureError as exc:
         col.add(E_TOPOLOGY, "network", str(exc))
         return None
@@ -344,43 +369,15 @@ def _parse_generators(raw, net: Network | None, col) -> list[UcGenerator] | None
         return None
     bus_ids = {b.id for b in net.buses} if net else set()
     out: list[UcGenerator] = []
-    seen = set()
-    for i, g in enumerate(raw):
-        where = f"generators[{i}]"
-        if not isinstance(g, dict):
-            col.add(E_TYPE, where, "generator entry must be an object")
-            continue
-        gid = _expect(col, g, where, "id", str, required=True)
-        bus = _expect(col, g, where, "bus", str, required=True)
-        p_min = _expect(col, g, where, "p_min", _NUMBER, default=0.0)
-        p_max = _expect(col, g, where, "p_max", _NUMBER, required=True)
-        ic = _expect(col, g, where, "ic", _NUMBER, required=True)
-        nlc = _expect(col, g, where, "nlc", _NUMBER, default=0.0)
-        suc = _expect(col, g, where, "suc", _NUMBER, default=0.0)
-        fmin = _expect(col, g, where, "forced_min", _NUMBER)
-        fmax = _expect(col, g, where, "forced_max", _NUMBER)
-        min_up = _expect(col, g, where, "min_up_h", int, default=1)
-        min_down = _expect(col, g, where, "min_down_h", int, default=1)
-        init_on = _expect(col, g, where, "initially_on", bool, default=False)
-        init_h = _expect(col, g, where, "initial_hours", int, default=24)
-        sync = _expect(col, g, where, "synchronous", bool, default=True)
-        if None in (gid, bus, p_max, ic):
-            continue
-        if gid in seen:
-            col.add(E_DUP, where, f"duplicate generator id {gid!r}")
-            continue
-        seen.add(gid)
-        if net and bus not in bus_ids:
-            col.add(E_REF, where, f"generator {gid!r} references unknown bus {bus!r}")
+    for where, g in _entries(col, raw, "generators", _GENERATOR, "generator"):
+        if net and g["bus"] not in bus_ids:
+            col.add(E_REF, where, f"generator {g['id']!r} references unknown bus {g['bus']!r}")
             continue
         try:
-            spec = GeneratorSpec(
-                gid, bus, float(p_min), float(p_max), float(ic), float(nlc), float(suc),
-                forced_min=float(fmin) if fmin is not None else None,
-                forced_max=float(fmax) if fmax is not None else None,
-            )
-            out.append(UcGenerator(spec, int(min_up), int(min_down),
-                                   bool(init_on), int(init_h), bool(sync)))
+            spec = GeneratorSpec(g["id"], g["bus"], g["p_min"], g["p_max"], g["ic"], g["nlc"], g["suc"],
+                                 forced_min=g["forced_min"], forced_max=g["forced_max"])
+            out.append(UcGenerator(spec, g["min_up_h"], g["min_down_h"],
+                                   g["initially_on"], g["initial_hours"], g["synchronous"]))
         except ValueError as exc:
             col.add(E_VALUE, where, str(exc))
     return out
@@ -402,21 +399,15 @@ def _parse_regimes(raw, net: Network | None, col) -> dict[str, ConstraintRegime]
         if not isinstance(r, dict):
             col.add(E_TYPE, where, "regime must be an object")
             continue
-        mode = _expect(col, r, where, "mode", str, required=True)
-        prof = _expect(col, r, where, "monitored_profile", str)
-        enforce = _expect(col, r, where, "enforce_interfaces", bool, default=True)
-        reserve = _expect(col, r, where, "reserve_req_mw", _NUMBER, default=0.0)
-        min_sync = _expect(col, r, where, "min_sync_mw", _NUMBER, default=0.0)
-        if mode is None:
+        r = _fields(col, r, where, _REGIME)
+        prof = r["monitored_profile"]
+        if r["mode"] is None:
             continue
         if prof is not None and net is not None and prof not in all_tags:
             col.add(E_REGIME, where, f"monitored_profile {prof!r} matches no line")
             continue
         try:
-            out[str(name)] = ConstraintRegime(
-                mode=mode, monitored_profile=prof, enforce_interfaces=bool(enforce),
-                reserve_req_mw=float(reserve), min_sync_mw=float(min_sync),
-            )
+            out[str(name)] = ConstraintRegime(**r)
         except ValueError as exc:
             col.add(E_REGIME, where, str(exc))
     return out
@@ -428,18 +419,17 @@ def _parse_run(raw, gens, regimes, col) -> RunSection:
     if not isinstance(raw, dict):
         col.add(E_TYPE, "run", "run must be an object")
         return RunSection()
-    schemes = _expect(col, raw, "run", "schemes", list, default=[]) or []
-    for s in schemes:
+    f = _fields(col, raw, "run", _RUN)
+    for s in f["schemes"]:
         if not isinstance(s, str) or s not in SCHEMES:
             col.add(E_RUN, "run.schemes", f"unknown scheme {s!r}; allowed: {tuple(SCHEMES)}")
-    horizon = _expect(col, raw, "run", "horizon", int, default=1)
-    if horizon is not None and not 1 <= horizon <= MAX_HORIZON_H:
+    horizon = f["horizon"]
+    if not 1 <= horizon <= MAX_HORIZON_H:
         col.add(E_RUN, "run.horizon", f"horizon must be between 1 and {MAX_HORIZON_H} hours")
         horizon = 1
     specs = {u.spec.id: u.spec for u in gens or ()}
-    fb_raw = _expect(col, raw, "run", "forced_bounds", dict, default={}) or {}
     forced: dict[str, tuple[float | None, float | None]] = {}
-    for gid, bounds in fb_raw.items():
+    for gid, bounds in f["forced_bounds"].items():
         where = f"run.forced_bounds.{gid}"
         if gens is not None and gid not in specs:
             col.add(E_REF, where, f"unknown generator {gid!r}")
@@ -447,12 +437,8 @@ def _parse_run(raw, gens, regimes, col) -> RunSection:
         if not isinstance(bounds, dict):
             col.add(E_TYPE, where, "bounds must be an object with 'min'/'max'")
             continue
-        bad = [k for k in ("min", "max") if bounds.get(k) is not None and not _finite_number(bounds[k])]
-        for k in bad:
-            col.add(E_TYPE, f"{where}.{k}", f"expected a finite number, got {bounds[k]!r}")
-        if bad:
-            continue
-        pair = tuple(None if bounds.get(k) is None else float(bounds[k]) for k in ("min", "max"))
+        bounds = _fields(col, bounds, where, _BOUNDS)
+        pair = (bounds["min"], bounds["max"])
         if gid in specs:
             try:
                 with_forced_bounds([specs[gid]], {gid: pair})
@@ -460,26 +446,22 @@ def _parse_run(raw, gens, regimes, col) -> RunSection:
                 col.add(E_VALUE, where, str(exc))
                 continue
         forced[gid] = pair
-    dev_raw = _expect(col, raw, "run", "bid_deviation", dict, default=None)
     deviation = None
-    if dev_raw is not None:
-        dgen = _expect(col, dev_raw, "run.bid_deviation", "generator", str, required=True)
-        dic = _expect(col, dev_raw, "run.bid_deviation", "offered_ic", _NUMBER, required=True)
-        dscheme = _expect(col, dev_raw, "run.bid_deviation", "scheme", str, default="uniform")
-        if dscheme not in BID_SCHEMES:
-            col.add(E_RUN, "run.bid_deviation.scheme", f"unknown scheme {dscheme!r}; allowed: {BID_SCHEMES}")
-        if dgen is not None and gens is not None and dgen not in specs:
-            col.add(E_REF, "run.bid_deviation", f"unknown generator {dgen!r}")
-        elif dgen is not None and dic is not None:
-            deviation = (dgen, float(dic), dscheme)
-    dauc = _expect(col, raw, "run", "dauc_regime", str, default=None)
-    ruc = _expect(col, raw, "run", "ruc_regime", str, default=None)
-    for label, rname in (("dauc_regime", dauc), ("ruc_regime", ruc)):
-        if rname is not None and rname not in (regimes or {}):
-            col.add(E_REF, f"run.{label}", f"unknown regime {rname!r}")
+    if f["bid_deviation"] is not None:
+        d = _fields(col, f["bid_deviation"], "run.bid_deviation", _BID_DEVIATION)
+        if d["scheme"] not in BID_SCHEMES:
+            col.add(E_RUN, "run.bid_deviation.scheme",
+                    f"unknown scheme {d['scheme']!r}; allowed: {BID_SCHEMES}")
+        if d["generator"] is not None and gens is not None and d["generator"] not in specs:
+            col.add(E_REF, "run.bid_deviation", f"unknown generator {d['generator']!r}")
+        elif d["generator"] is not None and d["offered_ic"] is not None:
+            deviation = (d["generator"], d["offered_ic"], d["scheme"])
+    for label in ("dauc_regime", "ruc_regime"):
+        if f[label] is not None and f[label] not in (regimes or {}):
+            col.add(E_REF, f"run.{label}", f"unknown regime {f[label]!r}")
     return RunSection(
-        schemes=tuple(schemes), horizon=int(horizon or 1), forced_bounds=forced,
-        bid_deviation=deviation, dauc_regime=dauc, ruc_regime=ruc,
+        schemes=tuple(f["schemes"]), horizon=horizon, forced_bounds=forced,
+        bid_deviation=deviation, dauc_regime=f["dauc_regime"], ruc_regime=f["ruc_regime"],
     )
 
 
@@ -521,82 +503,44 @@ def _parse_loads(raw, net: Network | None, run: RunSection, col):
 # serialization
 # ---------------------------------------------------------------------------
 
+def _doc(table, *values) -> dict[str, Any]:
+    """An object with ``table``'s keys, in order, set to ``values``; a count
+    that does not match the table raises."""
+    return dict(zip(table, values, strict=True))
+
+
 def dump_scenario(sc: Scenario) -> dict[str, Any]:
     """Scenario back to its JSON-compatible document form; loading the dump
     reproduces the object graph exactly."""
-    net = sc.network
-    doc: dict[str, Any] = {
-        "name": sc.name,
-        "currency": sc.currency,
-        "metadata": dict(sc.metadata),
-        "network": {
-            "slack_bus": net.slack_bus,
-            "zones": list(net.zones),
-            "buses": [
-                {"id": b.id, "zone": b.zone_id, "load_mw": b.load_mw, "wtp": b.wtp}
-                for b in net.buses
-            ],
-            "lines": [
-                {
-                    "id": l.id, "from": l.from_bus, "to": l.to_bus,
-                    "reactance": l.reactance, "limit_mw": l.limit_mw,
-                    "monitored_in": sorted(l.monitored_in),
-                }
-                for l in net.lines
-            ],
-            "interfaces": [
-                {
-                    "id": i.id,
-                    "members": [{"line": lid, "direction": d} for lid, d in i.member_lines],
-                    "ttc_mw": i.ttc_mw,
-                }
-                for i in net.interfaces
-            ],
-        },
-        "generators": [
-            {
-                "id": u.spec.id, "bus": u.spec.bus_id,
-                "p_min": u.spec.p_min, "p_max": u.spec.p_max,
-                "ic": u.spec.ic, "nlc": u.spec.nlc, "suc": u.spec.suc,
-                "forced_min": u.spec.forced_min, "forced_max": u.spec.forced_max,
-                "min_up_h": u.min_up_h, "min_down_h": u.min_down_h,
-                "initially_on": u.initially_on, "initial_hours": u.initial_hours,
-                "synchronous": u.is_synchronous,
-            }
-            for u in sc.generators
-        ],
-        "regimes": {
-            name: {
-                "mode": r.mode, "monitored_profile": r.monitored_profile,
-                "enforce_interfaces": r.enforce_interfaces,
-                "reserve_req_mw": r.reserve_req_mw, "min_sync_mw": r.min_sync_mw,
-            }
-            for name, r in sc.regimes.items()
-        },
-        "run": {
-            "schemes": list(sc.run.schemes),
-            "horizon": sc.run.horizon,
-            "forced_bounds": {
-                gid: {"min": lo, "max": hi} for gid, (lo, hi) in sc.run.forced_bounds.items()
-            },
-            "bid_deviation": (
-                {
-                    "generator": sc.run.bid_deviation[0],
-                    "offered_ic": sc.run.bid_deviation[1],
-                    "scheme": sc.run.bid_deviation[2],
-                }
-                if sc.run.bid_deviation
-                else None
-            ),
-            "dauc_regime": sc.run.dauc_regime,
-            "ruc_regime": sc.run.ruc_regime,
-        },
+    net, run = sc.network, sc.run
+    network = _doc(
+        _NETWORK, net.slack_bus, list(net.zones),
+        [_doc(_BUS, b.id, b.zone_id, b.load_mw, b.wtp) for b in net.buses],
+        [_doc(_LINE, l.id, l.from_bus, l.to_bus, l.reactance, l.limit_mw, sorted(l.monitored_in))
+         for l in net.lines],
+        [_doc(_INTERFACE, i.id, [_doc(_MEMBER, *m) for m in i.member_lines], i.ttc_mw)
+         for i in net.interfaces],
+    )
+    generators = [
+        _doc(_GENERATOR, u.spec.id, u.spec.bus_id, u.spec.p_min, u.spec.p_max, u.spec.ic, u.spec.nlc,
+             u.spec.suc, u.spec.forced_min, u.spec.forced_max, u.min_up_h, u.min_down_h, u.initially_on,
+             u.initial_hours, u.is_synchronous)
+        for u in sc.generators
+    ]
+    loads = None if sc.loads is None else {b.id: [h[b.id] for h in sc.loads] for b in net.buses}
+    regimes = {
+        name: _doc(_REGIME, r.mode, r.monitored_profile, r.enforce_interfaces,
+                   r.reserve_req_mw, r.min_sync_mw)
+        for name, r in sc.regimes.items()
     }
-    if sc.loads is not None:
-        doc["loads"] = {
-            b.id: [h[b.id] for h in sc.loads] for b in net.buses
-        }
-    return doc
+    run_doc = _doc(
+        _RUN, list(run.schemes), run.horizon,
+        {gid: _doc(_BOUNDS, *pair) for gid, pair in run.forced_bounds.items()},
+        _doc(_BID_DEVIATION, *run.bid_deviation) if run.bid_deviation else None,
+        run.dauc_regime, run.ruc_regime,
+    )
+    return _doc(_TOP, sc.name, sc.currency, dict(sc.metadata), network, generators, loads, regimes,
+                run_doc)
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -301,14 +302,71 @@ def _set_path(doc, path, value):
     doc[path[-1]] = value
 
 
+def _where(path):
+    """The ``where`` of a validation issue about the field at ``path``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _key_where(path):
+    """The ``where`` of an ``E_KEY`` issue about the key at ``path``."""
+    return f"{_where(path[:-1]) or 'scenario'}.{path[-1]}"
+
+
 @pytest.mark.parametrize("value", [True, float("nan"), float("inf")], ids=["true", "NaN", "Infinity"])
 @pytest.mark.parametrize("path", _NUMERIC_FIELDS, ids=lambda path: ".".join(map(str, path)))
 def test_validate_rejects_non_numbers_where_a_number_is_expected(scenario_dir, tmp_path, capsys,
                                                                 path, value):
     p = _edited_scenario(scenario_dir, tmp_path, "twobus", lambda doc: _set_path(doc, path, value))
     assert run(["validate", p]) == 1
-    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
-    assert f"E_TYPE at {where}" in capsys.readouterr().err
+    assert f"E_TYPE at {_where(path)}" in capsys.readouterr().err
+
+
+# a misspelt or unknown key in each fixed-schema object of twobus.scn
+_UNKNOWN_KEYS = [
+    (("reserves",), {"up_mw": 50.0}),
+    (("network", "slack"), "a"),
+    (("network", "buses", 0, "load_MW"), 999.0),
+    (("network", "lines", 0, "limit"), 50.0),
+    (("network", "interfaces", 0, "ttc"), 50.0),
+    (("network", "interfaces", 0, "members", 0, "dir"), -1),
+    (("generators", 0, "min_upp_h"), 4),
+    (("regimes", "nodal", "reserve_mw"), 100.0),
+    (("run", "horizn"), 2),
+    (("run", "forced_bounds", "A1", "mx"), 3.0),
+    (("run", "bid_deviation", "ofered_ic"), 60.0),
+]
+
+
+@pytest.mark.parametrize("path,value", _UNKNOWN_KEYS, ids=[_key_where(p) for p, _ in _UNKNOWN_KEYS])
+def test_validate_rejects_an_unknown_key(scenario_dir, tmp_path, capsys, path, value):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", lambda doc: _set_path(doc, path, value))
+    assert run(["validate", p]) == 1
+    assert f"  - E_KEY at {_key_where(path)}: unknown field; allowed: (" in capsys.readouterr().err
+
+
+def test_validate_accepts_any_key_under_metadata(scenario_dir, tmp_path, capsys):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", lambda doc: doc["metadata"].update(reserves="n/a"))
+    assert run(["validate", p]) == 0
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir/x", "", ".", "..", "a\\b", "a\0b"])
+def test_name_that_is_not_one_path_component_is_rejected(scenario_dir, tmp_path, capsys, name):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", lambda doc: doc.update(name=name))
+    assert run(["clear", p, "--out", tmp_path / "nm" / "out"]) == 1
+    assert f"E_VALUE at scenario.name: {name!r} is not a single path component" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.rglob("*")] == ["twobus.scn"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [["clear", "fourbus.scn", "--scheme", "zonal", "--tolerance"],
+                                  ["bidding", "twobus.scn", "--offered-ic"]], ids=["tolerance", "offered-ic"])
+def test_non_finite_float_flag_is_one_error_line(scenario_dir, tmp_path, capsys, argv, value):
+    command, scenario, *flags = argv
+    flags[-1] += f"={value}"
+    assert run([command, scenario_dir / scenario, *flags, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == (f"error: gridclear {command}: argument {argv[-1]}: "
+                                       f"expected a finite number, got {value!r}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_rejects_non_string_monitored_profile(scenario_dir, tmp_path, capsys):
@@ -511,24 +569,47 @@ _LEAVES = (st.none() | st.booleans() | st.integers() | _HUGE
 _SUBCOMMANDS = [["clear", "--scheme", s] for s in SCHEMES] + [["compare"], ["daucruc"], ["bidding"]]
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+_FREE_FORM = ("metadata", "loads", "regimes", "forced_bounds")  # maps whose keys are names or ids
+# no field table names a key that starts with "x_"
+_UNKNOWN_KEY = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4).map("x_{}".format)
+
+
+def _objects(doc):
+    """The key path of every fixed-schema object in a scenario document."""
+    def at(path):
+        return functools.reduce(lambda node, key: node[key], path, doc)
+    return [()] + [p for p in _paths(doc) if isinstance(at(p), dict) and p[-1] not in _FREE_FORM]
+
+
+@settings(max_examples=90, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), name=st.sampled_from(_SCENARIOS), command=st.sampled_from(_SUBCOMMANDS))
 def test_mutated_scenarios_exit_cleanly_with_coded_rejections(scenario_dir, tmp_path, data, name, command):
-    """Set or delete one field of a bundled scenario: no exception escapes
+    """Set or delete one field of a bundled scenario, or add a key no field
+    table names to one of its fixed-schema objects: no exception escapes
     ``main``, exit codes stay 0/1/2, every validation issue carries an
-    ``E_*`` code, and a scenario that loads survives a dump and reload."""
+    ``E_*`` code, an unknown key is ``E_KEY`` at its path, and a scenario that
+    loads survives a dump and reload."""
     doc = json.loads((scenario_dir / f"{name}.scn").read_text())
-    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)), label="path")
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if data.draw(st.booleans(), label="delete"):
-        del parent[path[-1]]
+    kind = data.draw(st.sampled_from(["delete", "set", "unknown key"]), label="kind")
+    unknown = None
+    if kind == "unknown key":
+        obj = data.draw(st.sampled_from(_objects(doc)), label="object")
+        path = obj + (data.draw(_UNKNOWN_KEY, label="key"),)
+        _set_path(doc, path, data.draw(_LEAVES, label="value"))
+        unknown = _key_where(path)
     else:
-        known = st.sampled_from(sorted(set(_strings(doc))))
-        values = st.recursive(_LEAVES | known, lambda inner: st.lists(inner, max_size=3)
-                              | st.dictionaries(st.text(max_size=4) | known, inner, max_size=3), max_leaves=6)
-        parent[path[-1]] = data.draw(values, label="value")
+        path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)), label="path")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            known = st.sampled_from(sorted(set(_strings(doc))))
+            values = st.recursive(_LEAVES | known, lambda inner: st.lists(inner, max_size=3)
+                                  | st.dictionaries(st.text(max_size=4) | known, inner, max_size=3),
+                                  max_leaves=6)
+            parent[path[-1]] = data.draw(values, label="value")
 
     with tempfile.TemporaryDirectory(dir=tmp_path) as work:
         scn = f"{work}/{name}.scn"
@@ -539,11 +620,13 @@ def test_mutated_scenarios_exit_cleanly_with_coded_rejections(scenario_dir, tmp_
             validated = main(["validate", scn])
             code = main([command[0], scn, *command[1:], "--out", f"{work}/out", "--no-timestamp"])
         assert validated in (0, 1) and code in (0, 1, 2)
+        assert validated or unknown is None
         if validated:
             lines = err.getvalue().splitlines()
             assert lines[0] == "scenario validation failed:"
             issues = [l for l in lines if l.startswith("  - ")]
             assert issues and all(re.match(r"  - E_[A-Z]+ at ", l) for l in issues), lines
+            assert unknown is None or any(l.startswith(f"  - E_KEY at {unknown}: ") for l in issues), lines
         else:
             sc = load_scenario(scn)
             save_scenario(sc, f"{work}/again.scn")

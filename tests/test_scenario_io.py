@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,20 @@ def test_all_bundled_fixtures_load(scenario_dir):
     for name in ("twobus.scn", "fourbus.scn", "fourbus_tie270.scn", "fivebus_ruc.scn"):
         sc = load_scenario(scenario_dir / name)
         assert sc.network.buses
+
+
+def test_benchmark_generators_write_scenarios_that_load(monkeypatch):
+    """Every mesh size and commitment shape the benchmark generates loads
+    without an issue: a schema check must never fail a benchmark op."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+    import workloads
+
+    for seed in range(3):
+        docs = [gen.mesh_doc(seed, k, n) for k, n in enumerate(sorted(set(workloads.MESH_SIZES)))]
+        docs += [gen.uc_doc(seed, k, *shape) for k, shape in enumerate(sorted(set(workloads.UC_SHAPES)))]
+        for doc in docs:
+            assert parse_scenario(doc) is not None, doc["name"]
 
 
 def test_twobus_fixture_capacities(scenario_dir):
