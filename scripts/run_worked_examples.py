@@ -37,9 +37,9 @@ def show_daucruc(path: Path):
         sc.network, sc.generators, sc.hourly_loads(),
         sc.regime(sc.run.dauc_regime), sc.regime(sc.run.ruc_regime),
     )
-    smp = form_smp(dauc, sc.network, sc.specs(), currency=sc.currency)
+    smp = form_smp(dauc, sc.network, sc.generators, currency=sc.currency)
     series = [smp.prices[t]["system"] for t in range(dauc.hours)]
-    redis = settle_redispatch(record, sc.specs(), series)
+    redis = settle_redispatch(record, sc.generators, series)
     print(f"\n=== {sc.name}: day-ahead vs reliability commitment ===")
     print(f"day-ahead cost {dauc.total_cost:.2f}, reliability cost {ruc.total_cost:.2f}")
     print(f"uniform price by hour: {[round(p, 2) for p in series]}")
@@ -55,8 +55,9 @@ def show_bidding(path: Path):
     print(f"\n=== {sc.name}: bid deviation {gen} offering {offered:.0f} ===")
     for scheme in ("uniform", "nodal"):
         regime = sc.regime("zonal") if scheme == "uniform" else None
-        dev = evaluate_bid_deviation(sc.network, sc.specs(), gen, offered,
-                                     scheme=scheme, regime=regime, currency=sc.currency)
+        dev = evaluate_bid_deviation(sc.network, sc.generators, gen, offered,
+                                     scheme=scheme, regime=regime, currency=sc.currency,
+                                     loads=sc.hourly_loads()[0])
         print(f"{scheme:>8}: q {dev.q_truthful:.0f} -> {dev.q_deviated:.0f} MW, "
               f"price {dev.price_deviated:.2f}, profit {dev.profit_deviated:.2f}, "
               f"welfare delta {dev.welfare_delta:.2f}")

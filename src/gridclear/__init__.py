@@ -26,7 +26,6 @@ from gridclear.dispatch import (
 )
 from gridclear.commitment import (
     RedispatchRecord,
-    UcGenerator,
     UcSchedule,
     run_dauc_ruc,
     single_interval_schedule,
@@ -66,7 +65,7 @@ __all__ = [
     "LinearProgram", "LpBuilder", "LpSolution", "solve",
     "GeneratorSpec", "ConstraintRegime", "DispatchResult",
     "clear", "with_forced_bounds",
-    "UcGenerator", "UcSchedule", "RedispatchRecord",
+    "UcSchedule", "RedispatchRecord",
     "solve_uc", "run_dauc_ruc", "single_interval_schedule",
     "StackPrice", "MarginalSet", "PriceReport", "PriceComponents",
     "stack_price", "form_smp", "form_zonal_prices", "form_nodal_prices",

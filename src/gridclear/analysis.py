@@ -8,11 +8,11 @@ set, so a deviation that changes dispatch can never raise true welfare.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from gridclear.commitment import RedispatchRecord, UcGenerator, single_interval_schedule
+from gridclear.commitment import RedispatchRecord, single_interval_schedule
 from gridclear.dispatch import (
     ConstraintRegime,
     DispatchResult,
@@ -54,8 +54,7 @@ class PriceSeriesStats:
 
 def _unit_price(net, gens, result: DispatchResult, scheme: str, gen_id: str, currency: str) -> float:
     if scheme == "uniform":
-        ucwrap = [UcGenerator(spec=g) for g in gens]
-        report = form_smp(single_interval_schedule(result, ucwrap), net, gens, currency=currency)
+        report = form_smp(single_interval_schedule(result, gens), net, gens, currency=currency)
         return report.prices[0]["system"]
     return result.gen_local_dual[gen_id]
 
@@ -76,6 +75,7 @@ def evaluate_bid_deviation(
     scheme: str = "uniform",
     regime: ConstraintRegime | None = None,
     currency: str = "",
+    loads: Mapping[str, float] | None = None,
 ) -> BidDeviation:
     """Re-clear with ``offered_ic`` replacing the unit's true incremental cost
     (clearing only; settlement uses the cleared price, profit and welfare use
@@ -85,7 +85,8 @@ def evaluate_bid_deviation(
     marginal price over the network-constrained schedule), ``zonal`` (zone
     dual) or ``nodal`` (bus dual).  ``regime`` is the clearing regime: nodal
     for the ``nodal`` scheme, zonal otherwise; a default regime of that mode
-    when omitted.
+    when omitted.  ``loads`` overrides bus loads in both clearings, as in
+    ``clear``.
     """
     by_id = {g.id: g for g in gens}
     if gen_id not in by_id:
@@ -98,9 +99,9 @@ def evaluate_bid_deviation(
         raise ValueError(f"scheme {scheme!r} clears under a {mode} regime, not {regime.mode!r}")
     true_ic = by_id[gen_id].ic
 
-    truthful = clear(net, gens, regime)
+    truthful = clear(net, gens, regime, loads=loads)
     offered_gens = [replace(g, ic=offered_ic) if g.id == gen_id else g for g in gens]
-    deviated = clear(net, offered_gens, regime)
+    deviated = clear(net, offered_gens, regime, loads=loads)
 
     price_t = _unit_price(net, gens, truthful, scheme, gen_id, currency)
     price_d = _unit_price(net, offered_gens, deviated, scheme, gen_id, currency)

@@ -94,10 +94,9 @@ def run_scheme(scenario: Scenario, scheme: str, tol: float = MW_TOL) -> SchemeOu
     """Clear, price and settle one scheme of a scenario at its first hour's loads."""
     net = scenario.network
     regime = _regime_for(scenario, scheme)
-    specs = scenario.specs()
-    gens = with_forced_bounds(specs, scenario.run.forced_bounds) if scheme == "zonal_cm" else specs
-    result = clear(net, gens, regime, loads=scenario.hourly_loads()[0],
-                   synchronous=scenario.synchronous_ids())
+    gens = scenario.generators
+    cleared = with_forced_bounds(gens, scenario.run.forced_bounds) if scheme == "zonal_cm" else gens
+    result = clear(net, cleared, regime, loads=scenario.hourly_loads()[0])
 
     kind = SCHEMES[scheme].price_kind
     lp_failed = any(v.startswith("lp_") for v in result.violations)
@@ -109,9 +108,9 @@ def run_scheme(scenario: Scenario, scheme: str, tol: float = MW_TOL) -> SchemeOu
     elif kind == "zonal":
         prices = form_zonal_prices(result, currency=scenario.currency)
     else:  # screened stack price
-        schedule = single_interval_schedule(result, scenario.generators)
-        prices = form_smp(schedule, net, specs, currency=scenario.currency)
-    settlement = None if lp_failed else summarize(prices, result, net, specs)
+        schedule = single_interval_schedule(result, gens)
+        prices = form_smp(schedule, net, gens, currency=scenario.currency)
+    settlement = None if lp_failed else summarize(prices, result, net, gens)
 
     violated = SCHEMES[scheme].deliverable and (
         bool(overloaded_lines(net, result.line_flow_mw, tol)) or not result.feasible
@@ -173,9 +172,9 @@ def cmd_daucruc(args) -> int:
         net, sc.generators, sc.hourly_loads(),
         sc.regime(sc.run.dauc_regime), sc.regime(sc.run.ruc_regime),
     )
-    smp = form_smp(dauc, net, sc.specs(), currency=sc.currency)
+    smp = form_smp(dauc, net, sc.generators, currency=sc.currency)
     smp_series = [smp.prices[t]["system"] for t in range(dauc.hours)]
-    redis = settle_redispatch(record, sc.specs(), smp_series)
+    redis = settle_redispatch(record, sc.generators, smp_series)
 
     out, stamp = _out_dir(args), _timestamp(args)
     lines = ["hour,generator,dauc_mw,ruc_mw,delta_mw"]
@@ -223,15 +222,13 @@ def cmd_bidding(args) -> int:
         offered = offered if offered is not None else d_ic
         scheme = scheme or d_scheme
     scheme = scheme or "uniform"
+    if gen not in {g.id for g in sc.generators}:
+        raise CliUsageError(f"unknown generator {gen!r}")
     regime = _regime_for(sc, scheme)
-    try:
-        dev = evaluate_bid_deviation(
-            sc.network, sc.specs(), gen, offered,
-            scheme=scheme, regime=regime, currency=sc.currency,
-        )
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    dev = evaluate_bid_deviation(
+        sc.network, sc.generators, gen, offered,
+        scheme=scheme, regime=regime, currency=sc.currency, loads=sc.hourly_loads()[0],
+    )
 
     lines = ["metric,value"]
     for metric, val in (

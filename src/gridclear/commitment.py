@@ -52,27 +52,6 @@ class UcInfeasibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UcGenerator:
-    spec: GeneratorSpec
-    min_up_h: int = 1
-    min_down_h: int = 1
-    initially_on: bool = False
-    initial_hours: int = 24  # hours already spent in the initial on/off state
-    is_synchronous: bool = True
-
-    def __post_init__(self):
-        if self.min_up_h < 1 or self.min_down_h < 1:
-            raise ValueError(f"unit {self.spec.id}: min up/down must be >= 1 hour")
-        if self.initial_hours < 0:
-            raise ValueError(f"unit {self.spec.id}: initial_hours must be >= 0")
-
-
-def as_specs(gens: Sequence[GeneratorSpec] | Sequence[UcGenerator]) -> list[GeneratorSpec]:
-    """The dispatch specs of plain specs or commitment units alike."""
-    return [g.spec if isinstance(g, UcGenerator) else g for g in gens]
-
-
-@dataclass(frozen=True)
 class UcSchedule:
     gen_ids: tuple[str, ...]
     hours: int
@@ -102,7 +81,7 @@ class RedispatchRecord:
 # feasibility of per-unit on/off sequences
 # ---------------------------------------------------------------------------
 
-def _next_state(unit: UcGenerator, state: tuple[bool, int], s: int) -> tuple[bool, int] | None:
+def _next_state(unit: GeneratorSpec, state: tuple[bool, int], s: int) -> tuple[bool, int] | None:
     """The (on, hours in that state) after one more hour at ``s``, or None if
     the unit's minimum up/down time forbids the change.  Hours beyond the
     minimum change nothing, so the count stops there and the states stay few."""
@@ -115,7 +94,7 @@ def _next_state(unit: UcGenerator, state: tuple[bool, int], s: int) -> tuple[boo
     return bool(s), 1
 
 
-def _count_sequences(unit: UcGenerator, floor: Sequence[int]) -> int:
+def _count_sequences(unit: GeneratorSpec, floor: Sequence[int]) -> int:
     """Number of feasible sequences at or above ``floor`` (one entry per
     hour), counted per (state, duration) without listing any."""
     counts = {(unit.initially_on, unit.initial_hours): 1}
@@ -130,7 +109,7 @@ def _count_sequences(unit: UcGenerator, floor: Sequence[int]) -> int:
     return sum(counts.values())
 
 
-def _sequences(unit: UcGenerator, floor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+def _sequences(unit: GeneratorSpec, floor: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The feasible sequences at or above ``floor``, in ``itertools.product``
     order: extending every prefix by 0, then 1, keeps that order."""
     level = [((), (unit.initially_on, unit.initial_hours))]
@@ -140,14 +119,14 @@ def _sequences(unit: UcGenerator, floor: Sequence[int]) -> tuple[tuple[int, ...]
     return tuple(seq for seq, _ in level)
 
 
-def feasible_sequences(unit: UcGenerator, horizon: int) -> tuple[tuple[int, ...], ...]:
+def feasible_sequences(unit: GeneratorSpec, horizon: int) -> tuple[tuple[int, ...], ...]:
     """All on/off sequences respecting the unit's initial state and minimum
     up/down times, in ``itertools.product`` order.  Runs truncated by the end
     of the horizon are allowed."""
     return _sequences(unit, (0,) * horizon)
 
 
-def sequence_is_feasible(unit: UcGenerator, seq: Sequence[int]) -> bool:
+def sequence_is_feasible(unit: GeneratorSpec, seq: Sequence[int]) -> bool:
     state = (unit.initially_on, unit.initial_hours)
     for s in seq:
         state = _next_state(unit, state, s)
@@ -156,7 +135,7 @@ def sequence_is_feasible(unit: UcGenerator, seq: Sequence[int]) -> bool:
     return True
 
 
-def _hours_on_counts(unit: UcGenerator, seq: Sequence[int]) -> tuple[int, ...]:
+def _hours_on_counts(unit: GeneratorSpec, seq: Sequence[int]) -> tuple[int, ...]:
     run = unit.initial_hours if unit.initially_on else 0
     counts = []
     prev_on = unit.initially_on
@@ -171,7 +150,7 @@ def _hours_on_counts(unit: UcGenerator, seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _start_count(unit: UcGenerator, seq: Sequence[int]) -> int:
+def _start_count(unit: GeneratorSpec, seq: Sequence[int]) -> int:
     prev = 1 if unit.initially_on else 0
     starts = 0
     for s in seq:
@@ -198,41 +177,43 @@ def _normalize_hours(hours: int | Sequence[Mapping[str, float] | None]) -> list[
     return out
 
 
-def _floor(lower_bounds: Mapping[str, Sequence[int]] | None, unit: UcGenerator,
+def _floor(lower_bounds: Mapping[str, Sequence[int]] | None, unit: GeneratorSpec,
            horizon: int) -> tuple[int, ...]:
     """The unit's lower-bound sequence over the horizon; hours it leaves out
     are unbounded."""
-    floor = tuple(lower_bounds.get(unit.spec.id, ())) if lower_bounds else ()
+    floor = tuple(lower_bounds.get(unit.id, ())) if lower_bounds else ()
     return floor[:horizon] + (0,) * (horizon - len(floor))
 
 
 def solve_uc(
     net: Network,
-    ucgens: Sequence[UcGenerator],
+    gens: Sequence[GeneratorSpec],
     hours: int | Sequence[Mapping[str, float]],
     regime: ConstraintRegime,
     *,
     lower_bounds: Mapping[str, Sequence[int]] | None = None,
 ) -> UcSchedule:
-    """Minimum-cost commitment and dispatch over the horizon.
+    """Minimum-cost commitment and dispatch of ``gens`` over the horizon.
+
+    Each unit's ``min_up_h``, ``min_down_h``, ``initially_on`` and
+    ``initial_hours`` bound its on/off sequences; its costs and
+    ``synchronous`` flag enter each hour's ``clear``.
 
     ``lower_bounds`` restricts the search to sequences that keep each listed
     unit on wherever the bound sequence is on (used by the reliability pass).
     """
     hourly_loads = _normalize_hours(hours)
     horizon = len(hourly_loads)
-    specs = [u.spec for u in ucgens]
-    sync = {u.spec.id for u in ucgens if u.is_synchronous}
 
-    floors = [_floor(lower_bounds, u, horizon) for u in ucgens]
-    counts = [_count_sequences(u, f) for u, f in zip(ucgens, floors)]
+    floors = [_floor(lower_bounds, u, horizon) for u in gens]
+    counts = [_count_sequences(u, f) for u, f in zip(gens, floors)]
     if 0 in counts:
         raise UcInfeasibleError(0)
     if math.prod(counts) > ENUMERATION_CAP:
         raise UcEnumerationLimitError(
             f"commitment search space exceeds {ENUMERATION_CAP} candidates"
         )
-    seq_options = [_sequences(u, f) for u, f in zip(ucgens, floors)]
+    seq_options = [_sequences(u, f) for u, f in zip(gens, floors)]
 
     # per-hour dispatch cache keyed by the committed unit set
     cache: dict[tuple[int, frozenset[str]], DispatchResult] = {}
@@ -240,29 +221,28 @@ def solve_uc(
     def hour_result(t: int, on_ids: frozenset[str]) -> DispatchResult:
         key = (t, on_ids)
         if key not in cache:
-            committed = {s.id: (s.id in on_ids) for s in specs}
-            cache[key] = clear(net, specs, regime, loads=hourly_loads[t],
-                               committed=committed, synchronous=sync)
+            committed = {g.id: (g.id in on_ids) for g in gens}
+            cache[key] = clear(net, gens, regime, loads=hourly_loads[t], committed=committed)
         return cache[key]
 
-    best_combo = _search(ucgens, seq_options, horizon, hour_result)
-    return _assemble_schedule(net, ucgens, hourly_loads, regime, sync, best_combo, hour_result)
+    best_combo = _search(gens, seq_options, horizon, hour_result)
+    return _assemble_schedule(gens, horizon, best_combo, hour_result)
 
 
-def _search(ucgens, seq_options, horizon, hour_result) -> tuple[tuple[int, ...], ...]:
+def _search(gens, seq_options, horizon, hour_result) -> tuple[tuple[int, ...], ...]:
     """The first cheapest candidate of ``itertools.product(*seq_options)``:
     the first feasible one, then each later one that beats the current best
     by more than 1e-9.  Candidates are evaluated as arrays, ``_BLOCK`` at a
     time in product order; each hour's distinct on-sets are dispatched once
     per block, in key order, and a candidate infeasible at an hour is dropped
     there."""
-    ids = [u.spec.id for u in ucgens]
+    ids = [u.id for u in gens]
     sizes = [len(opts) for opts in seq_options]
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
     on = [np.array(opts, dtype=bool).reshape(len(opts), horizon) for opts in seq_options]
-    terms = [np.array([u.spec.nlc * sum(seq) + u.spec.suc * _start_count(u, seq) for seq in opts],
+    terms = [np.array([u.nlc * sum(seq) + u.suc * _start_count(u, seq) for seq in opts],
                       dtype=float)
-             for u, opts in zip(ucgens, seq_options)]
+             for u, opts in zip(gens, seq_options)]
     # per hour: units on in every option, and a key bit for each unit whose
     # options differ there (at most log2(ENUMERATION_CAP) of them)
     always_on, varying = [], []
@@ -323,19 +303,18 @@ def _search(ucgens, seq_options, horizon, hour_result) -> tuple[tuple[int, ...],
     return tuple(opts[best_pos // st % n] for opts, st, n in zip(seq_options, strides, sizes))
 
 
-def _assemble_schedule(net, ucgens, hourly_loads, regime, sync, combo, hour_result) -> UcSchedule:
-    horizon = len(hourly_loads)
+def _assemble_schedule(gens, horizon, combo, hour_result) -> UcSchedule:
     results = []
     for t in range(horizon):
-        on_ids = frozenset(u.spec.id for u, seq in zip(ucgens, combo) if seq[t])
+        on_ids = frozenset(u.id for u, seq in zip(gens, combo) if seq[t])
         results.append(hour_result(t, on_ids))
 
     committed = {}
     dispatch = {}
     hours_on = {}
     starts = {}
-    for u, seq in zip(ucgens, combo):
-        gid = u.spec.id
+    for u, seq in zip(gens, combo):
+        gid = u.id
         committed[gid] = tuple(bool(s) for s in seq)
         dispatch[gid] = tuple(results[t].gen_mw[gid] for t in range(horizon))
         hours_on[gid] = _hours_on_counts(u, seq)
@@ -343,16 +322,16 @@ def _assemble_schedule(net, ucgens, hourly_loads, regime, sync, combo, hour_resu
 
     hourly_cost = []
     for t in range(horizon):
-        c = sum(u.spec.ic * dispatch[u.spec.id][t] for u in ucgens)
-        c += sum(u.spec.nlc for u in ucgens if committed[u.spec.id][t])
+        c = sum(u.ic * dispatch[u.id][t] for u in gens)
+        c += sum(u.nlc for u in gens if committed[u.id][t])
         hourly_cost.append(c)
-    start_cost = sum(u.spec.suc * starts[u.spec.id] for u in ucgens)
+    start_cost = sum(u.suc * starts[u.id] for u in gens)
     total_cost = sum(hourly_cost) + start_cost
     curtail_penalty = sum(r.objective_value - r.total_cost for r in results)
     feasible = all(r.feasible for r in results)
 
     return UcSchedule(
-        gen_ids=tuple(u.spec.id for u in ucgens),
+        gen_ids=tuple(u.id for u in gens),
         hours=horizon,
         committed=committed,
         dispatch_mw=dispatch,
@@ -365,26 +344,26 @@ def _assemble_schedule(net, ucgens, hourly_loads, regime, sync, combo, hour_resu
     )
 
 
-def single_interval_schedule(result: DispatchResult, ucgens: Sequence[UcGenerator]) -> UcSchedule:
+def single_interval_schedule(result: DispatchResult, gens: Sequence[GeneratorSpec]) -> UcSchedule:
     """Wrap a one-shot dispatch result as a single-hour schedule so the
     pricing operations can consume it uniformly."""
     committed = {}
     dispatch = {}
     hours_on = {}
     starts = {}
-    for u in ucgens:
-        gid = u.spec.id
+    for u in gens:
+        gid = u.id
         q = result.gen_mw.get(gid, 0.0)
         on = q > MW_TOL
         committed[gid] = (on,)
         dispatch[gid] = (q,)
         hours_on[gid] = ((u.initial_hours + 1 if u.initially_on else 1) if on else 0,)
         starts[gid] = 0 if (u.initially_on or not on) else 1
-    cost = sum(u.spec.ic * dispatch[u.spec.id][0] for u in ucgens)
-    cost += sum(u.spec.nlc for u in ucgens if committed[u.spec.id][0])
-    start_cost = sum(u.spec.suc * starts[u.spec.id] for u in ucgens)
+    cost = sum(u.ic * dispatch[u.id][0] for u in gens)
+    cost += sum(u.nlc for u in gens if committed[u.id][0])
+    start_cost = sum(u.suc * starts[u.id] for u in gens)
     return UcSchedule(
-        gen_ids=tuple(u.spec.id for u in ucgens),
+        gen_ids=tuple(u.id for u in gens),
         hours=1,
         committed=committed,
         dispatch_mw=dispatch,
@@ -403,7 +382,7 @@ def single_interval_schedule(result: DispatchResult, ucgens: Sequence[UcGenerato
 
 def run_dauc_ruc(
     net: Network,
-    ucgens: Sequence[UcGenerator],
+    gens: Sequence[GeneratorSpec],
     hours: int | Sequence[Mapping[str, float]],
     regime_dauc: ConstraintRegime,
     regime_ruc: ConstraintRegime,
@@ -421,11 +400,11 @@ def run_dauc_ruc(
     if regime_ruc.reserve_req_mw < regime_dauc.reserve_req_mw:
         raise ValueError("reliability reserve requirement must be >= day-ahead requirement")
 
-    dauc = solve_uc(net, ucgens, hours, regime_dauc)
+    dauc = solve_uc(net, gens, hours, regime_dauc)
     floors = {gid: tuple(1 if on else 0 for on in dauc.committed[gid]) for gid in dauc.gen_ids}
-    ruc = solve_uc(net, ucgens, hours, regime_ruc, lower_bounds=floors)
+    ruc = solve_uc(net, gens, hours, regime_ruc, lower_bounds=floors)
 
-    gen_zone = {u.spec.id: net.zone_of(u.spec.bus_id) for u in ucgens}
+    gen_zone = {u.id: net.zone_of(u.bus_id) for u in gens}
     delta = {
         gid: tuple(
             ruc.dispatch_mw[gid][t] - dauc.dispatch_mw[gid][t] for t in range(dauc.hours)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from gridclear.grid import MW_TOL, Line, Network, evaluate_flows
 from gridclear import lp as lpmod
@@ -42,12 +42,16 @@ _DUAL_EPS = 1e-9
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Dispatchable unit with assessed cost components.
+    """Dispatchable unit with assessed cost components and commitment data.
 
     ``ic`` is the incremental cost (currency/MWh), ``nlc`` the no-load cost
     (currency/h), ``suc`` the start-up cost (currency/start).  ``forced_min``
     and ``forced_max`` are operator-imposed output bounds used for
-    generator-side congestion management.
+    generator-side congestion management.  ``min_up_h`` and ``min_down_h``
+    are the unit's minimum up and down times, ``initially_on`` and
+    ``initial_hours`` its state before the first hour (commitment reads
+    them), and ``synchronous`` counts its output towards a regime's
+    ``min_sync_mw``.
     """
 
     id: str
@@ -59,6 +63,11 @@ class GeneratorSpec:
     suc: float = 0.0
     forced_min: float | None = None
     forced_max: float | None = None
+    min_up_h: int = 1
+    min_down_h: int = 1
+    initially_on: bool = False
+    initial_hours: int = 24  # hours already spent in the initial on/off state
+    synchronous: bool = True
 
     def __post_init__(self):
         if not (0 <= self.p_min <= self.p_max):
@@ -68,6 +77,10 @@ class GeneratorSpec:
         for name, v in (("forced_min", self.forced_min), ("forced_max", self.forced_max)):
             if v is not None and not (0 <= v <= self.p_max):
                 raise ValueError(f"generator {self.id}: {name} outside [0, p_max]")
+        if self.min_up_h < 1 or self.min_down_h < 1:
+            raise ValueError(f"unit {self.id}: min up/down must be >= 1 hour")
+        if self.initial_hours < 0:
+            raise ValueError(f"unit {self.id}: initial_hours must be >= 0")
 
     def effective_bounds(self) -> tuple[float, float]:
         lo = self.p_min if self.forced_min is None else max(self.p_min, self.forced_min)
@@ -166,14 +179,13 @@ def clear(
     *,
     loads: Mapping[str, float] | None = None,
     committed: Mapping[str, bool] | None = None,
-    synchronous: Collection[str] | None = None,
 ) -> DispatchResult:
     """Cost-minimal dispatch of ``gens`` under ``regime``.
 
-    ``loads`` overrides bus loads, ``committed`` takes units offline (every
-    unit is on when omitted) and ``synchronous`` names the units counted
-    towards ``regime.min_sync_mw`` (every unit when omitted).  An LP that has
-    no optimum yields ``feasible=False`` with an ``lp_*`` violation.
+    ``loads`` overrides bus loads and ``committed`` takes units offline (every
+    unit is on when omitted).  The units flagged ``synchronous`` count towards
+    ``regime.min_sync_mw``.  An LP that has no optimum yields
+    ``feasible=False`` with an ``lp_*`` violation.
     """
     gen_ids = [g.id for g in gens]
     if len(set(gen_ids)) != len(gen_ids):
@@ -184,7 +196,6 @@ def clear(
             raise ValueError(f"generator {g.id}: unknown bus {g.bus_id!r}")
     load_of = {b.id: (loads[b.id] if loads and b.id in loads else b.load_mw) for b in net.buses}
     is_on = {g.id: (committed.get(g.id, False) if committed is not None else True) for g in gens}
-    sync = set(synchronous) if synchronous is not None else set(gen_ids)
     active = [g for g in gens if is_on[g.id]]
 
     builder = lpmod.LpBuilder()
@@ -201,7 +212,7 @@ def clear(
         labels = _build_zonal(builder, net, active, gvar, cvar, load_of, regime, rhs_map)
     else:
         labels = _build_copper(builder, net, active, gvar, cvar, load_of, rhs_map)
-    _add_aggregates(builder, active, gvar, regime, sync, rhs_map)
+    _add_aggregates(builder, active, gvar, regime, rhs_map)
 
     problem = builder.build()
     sol = lpmod.solve(problem)
@@ -397,14 +408,14 @@ def _build_copper(builder, net, gens, gvar, cvar, load_of, rhs_map):
     return {"system": "system"}
 
 
-def _add_aggregates(builder, gens, gvar, regime, sync, rhs_map):
+def _add_aggregates(builder, gens, gvar, regime, rhs_map):
     if regime.reserve_req_mw > 0 and gens:
         cap = sum(g.effective_bounds()[1] for g in gens)
         builder.row({gvar[g.id]: 1.0 for g in gens}, "<=",
                     cap - regime.reserve_req_mw, "reserve")
         rhs_map["reserve"] = cap - regime.reserve_req_mw
     if regime.min_sync_mw > 0:
-        coeffs = {gvar[g.id]: 1.0 for g in gens if g.id in sync}
+        coeffs = {gvar[g.id]: 1.0 for g in gens if g.synchronous}
         if coeffs:
             builder.row(coeffs, ">=", regime.min_sync_mw, "min_sync")
             rhs_map["min_sync"] = regime.min_sync_mw

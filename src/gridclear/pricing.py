@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from gridclear.commitment import UcGenerator, UcSchedule, as_specs
+from gridclear.commitment import UcSchedule
 from gridclear.dispatch import PRICE_TOL, DispatchResult, GeneratorSpec
 from gridclear.grid import MW_TOL, Network
 
@@ -162,7 +162,7 @@ def _reference_dual(result: DispatchResult, net: Network, region: str | None) ->
 def form_smp(
     schedule: UcSchedule,
     net: Network,
-    gens: Sequence[GeneratorSpec] | Sequence[UcGenerator],
+    gens: Sequence[GeneratorSpec],
     *,
     region: str | None = None,
     currency: str = "",
@@ -170,7 +170,7 @@ def form_smp(
     """Uniform price per hour: the maximum stack price over the screened
     marginal set, with recorded exclusion reasons for every screened-out
     dispatched unit.  ``net`` locates buses and units in zones."""
-    specs = {g.id: g for g in as_specs(gens)}
+    specs = {g.id: g for g in gens}
     prices: list[dict[str, float]] = []
     msets: list[MarginalSet] = []
     for t, result in enumerate(schedule.hourly_results):

@@ -33,12 +33,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from gridclear.analysis import BID_SCHEMES
-from gridclear.commitment import UcGenerator
 from gridclear.dispatch import ConstraintRegime, DispatchResult, GeneratorSpec, with_forced_bounds
 from gridclear.grid import Bus, GridStructureError, Interface, Line, Network
 from gridclear.pricing import SCHEMES, PriceReport
@@ -143,16 +142,10 @@ class Scenario:
     currency: str
     metadata: dict[str, str]
     network: Network
-    generators: tuple[UcGenerator, ...]
+    generators: tuple[GeneratorSpec, ...]
     loads: tuple[dict[str, float], ...] | None  # per-hour overrides, or None
     regimes: dict[str, ConstraintRegime]
     run: RunSection
-
-    def specs(self) -> list[GeneratorSpec]:
-        return [u.spec for u in self.generators]
-
-    def synchronous_ids(self) -> set[str]:
-        return {u.spec.id for u in self.generators if u.is_synchronous}
 
     def hourly_loads(self) -> list[dict[str, float] | None]:
         """Per-hour load mappings for the run horizon (None = network loads)."""
@@ -296,6 +289,11 @@ def parse_scenario(raw: Mapping[str, Any], col: _Collector | None = None,
 
 
 def _parse_network(raw, col) -> Network | None:
+    """The network, or None when its section holds an issue; issues found
+    elsewhere in the document do not stop it being built, so the references
+    into it (generator buses, ``loads`` keys, monitoring profiles) are
+    still checked."""
+    known = len(col.issues)
     if not isinstance(raw, dict) or not raw:
         col.add(E_SECTION, "network", "missing or empty network section")
         return None
@@ -353,7 +351,7 @@ def _parse_network(raw, col) -> Network | None:
         except GridStructureError as exc:
             col.add(E_VALUE, where, str(exc))
 
-    if col.issues:
+    if len(col.issues) > known:
         return None
     try:
         return Network(tuple(buses), tuple(lines), tuple(str(z) for z in zones),
@@ -363,21 +361,18 @@ def _parse_network(raw, col) -> Network | None:
         return None
 
 
-def _parse_generators(raw, net: Network | None, col) -> list[UcGenerator] | None:
+def _parse_generators(raw, net: Network | None, col) -> list[GeneratorSpec] | None:
     if not isinstance(raw, list) or not raw:
         col.add(E_SECTION, "generators", "missing or empty generators section")
         return None
     bus_ids = {b.id for b in net.buses} if net else set()
-    out: list[UcGenerator] = []
+    out: list[GeneratorSpec] = []
     for where, g in _entries(col, raw, "generators", _GENERATOR, "generator"):
         if net and g["bus"] not in bus_ids:
             col.add(E_REF, where, f"generator {g['id']!r} references unknown bus {g['bus']!r}")
             continue
         try:
-            spec = GeneratorSpec(g["id"], g["bus"], g["p_min"], g["p_max"], g["ic"], g["nlc"], g["suc"],
-                                 forced_min=g["forced_min"], forced_max=g["forced_max"])
-            out.append(UcGenerator(spec, g["min_up_h"], g["min_down_h"],
-                                   g["initially_on"], g["initial_hours"], g["synchronous"]))
+            out.append(GeneratorSpec(*g.values()))  # _GENERATOR lists GeneratorSpec's fields in order
         except ValueError as exc:
             col.add(E_VALUE, where, str(exc))
     return out
@@ -427,7 +422,7 @@ def _parse_run(raw, gens, regimes, col) -> RunSection:
     if not 1 <= horizon <= MAX_HORIZON_H:
         col.add(E_RUN, "run.horizon", f"horizon must be between 1 and {MAX_HORIZON_H} hours")
         horizon = 1
-    specs = {u.spec.id: u.spec for u in gens or ()}
+    specs = {g.id: g for g in gens or ()}
     forced: dict[str, tuple[float | None, float | None]] = {}
     for gid, bounds in f["forced_bounds"].items():
         where = f"run.forced_bounds.{gid}"
@@ -521,12 +516,7 @@ def dump_scenario(sc: Scenario) -> dict[str, Any]:
         [_doc(_INTERFACE, i.id, [_doc(_MEMBER, *m) for m in i.member_lines], i.ttc_mw)
          for i in net.interfaces],
     )
-    generators = [
-        _doc(_GENERATOR, u.spec.id, u.spec.bus_id, u.spec.p_min, u.spec.p_max, u.spec.ic, u.spec.nlc,
-             u.spec.suc, u.spec.forced_min, u.spec.forced_max, u.min_up_h, u.min_down_h, u.initially_on,
-             u.initial_hours, u.is_synchronous)
-        for u in sc.generators
-    ]
+    generators = [_doc(_GENERATOR, *astuple(g)) for g in sc.generators]
     loads = None if sc.loads is None else {b.id: [h[b.id] for h in sc.loads] for b in net.buses}
     regimes = {
         name: _doc(_REGIME, r.mode, r.monitored_profile, r.enforce_interfaces,

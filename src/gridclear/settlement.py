@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from gridclear.commitment import RedispatchRecord, UcGenerator, UcSchedule, as_specs
+from gridclear.commitment import RedispatchRecord, UcSchedule
 from gridclear.dispatch import DispatchResult, GeneratorSpec
 from gridclear.grid import MW_TOL, Network
 from gridclear.pricing import PriceReport
@@ -99,14 +99,14 @@ def settle_energy(
     prices: PriceReport,
     source: DispatchResult | UcSchedule,
     net: Network,
-    gens: Sequence[GeneratorSpec] | Sequence[UcGenerator],
+    gens: Sequence[GeneratorSpec],
     q_rt: Mapping[str, Sequence[float]] | Mapping[str, float] | None = None,
 ) -> dict[str, float]:
     """Per-generator market revenue: scheme price at the generator's
     settlement key (its bus in ``gens``, or that bus's zone in ``net``) times
     real-time output, summed over hours.  Real-time quantities default to
     the scheduled dispatch."""
-    bus_of = {g.id: g.bus_id for g in as_specs(gens)}
+    bus_of = {g.id: g.bus_id for g in gens}
     results = _hourly_results(source)
     hours = len(results)
     gen_ids = tuple(source.gen_ids) if isinstance(source, UcSchedule) else tuple(source.gen_mw)
@@ -133,16 +133,15 @@ def settle_energy(
 
 def as_cleared_costs(
     source: DispatchResult | UcSchedule,
-    gens: Sequence[GeneratorSpec] | Sequence[UcGenerator],
+    gens: Sequence[GeneratorSpec],
 ) -> dict[str, float]:
     """Assessed production cost of the schedule: incremental cost times
     energy, plus no-load cost per committed hour, plus start-up cost per
     start."""
-    specs = as_specs(gens)
     results = _hourly_results(source)
     hours = len(results)
     out: dict[str, float] = {}
-    for g in specs:
+    for g in gens:
         qs = _dispatch_series(source, g.id, hours)
         cost = sum(g.ic * q for q in qs)
         if isinstance(source, UcSchedule):
@@ -181,7 +180,7 @@ class RedispatchSettlement:
 
 def settle_redispatch(
     record: RedispatchRecord,
-    gens: Sequence[GeneratorSpec] | Sequence[UcGenerator],
+    gens: Sequence[GeneratorSpec],
     smp_per_hour: Sequence[float],
 ) -> RedispatchSettlement:
     """Out-of-market compensation for deviations from the price-setting
@@ -191,7 +190,7 @@ def settle_redispatch(
         raise ValueError(
             f"price series covers {len(smp_per_hour)} hours, record has {record.hours}"
         )
-    specs = {g.id: g for g in as_specs(gens)}
+    specs = {g.id: g for g in gens}
     con_mwh: dict[str, float] = {}
     coff_mwh: dict[str, float] = {}
     con_pay: dict[str, float] = {}
@@ -225,13 +224,12 @@ def summarize(
     prices: PriceReport,
     source: DispatchResult | UcSchedule,
     net: Network,
-    gens: Sequence[GeneratorSpec] | Sequence[UcGenerator],
+    gens: Sequence[GeneratorSpec],
     q_rt: Mapping[str, Sequence[float]] | None = None,
     *,
     redispatch: RedispatchSettlement | None = None,
 ) -> SettlementReport:
     """Full settlement report with every accounting identity enforced."""
-    specs = as_specs(gens)
     results = _hourly_results(source)
     revenue = settle_energy(prices, source, net, gens, q_rt)
     cleared = as_cleared_costs(source, gens)
@@ -251,7 +249,7 @@ def summarize(
             utility += wtp[bus] * served
 
     per_gen: dict[str, GeneratorSettlement] = {}
-    for g in specs:
+    for g in gens:
         extra = {}
         if redispatch is not None and g.id in redispatch.con_mwh:
             extra = dict(

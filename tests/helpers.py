@@ -18,7 +18,7 @@ import numpy as np
 
 from gridclear.grid import Bus, Interface, Line, Network
 from gridclear.dispatch import ConstraintRegime, GeneratorSpec, clear
-from gridclear.commitment import UcGenerator, UcInfeasibleError, _assemble_schedule
+from gridclear.commitment import UcInfeasibleError, _assemble_schedule
 from gridclear.lp import (
     FEAS_TOL, INF, MAX_ITERATIONS, OPT_TOL, PIVOT_TOL, LinearProgram, LpNumericalError,
     LpSolution,
@@ -178,7 +178,7 @@ def random_gens(rng: random.Random, net: Network, margin: float = 1.4) -> list[G
 # naive commitment oracle: full matrix enumeration + merit-order dispatch
 # ---------------------------------------------------------------------------
 
-def _matrix_is_feasible(units: list[UcGenerator], matrix, horizon: int) -> bool:
+def _matrix_is_feasible(units: list[GeneratorSpec], matrix, horizon: int) -> bool:
     for u, row in zip(units, matrix):
         state_on = u.initially_on
         dur = u.initial_hours
@@ -196,20 +196,20 @@ def _matrix_is_feasible(units: list[UcGenerator], matrix, horizon: int) -> bool:
     return True
 
 
-def merit_dispatch(units: list[UcGenerator], on_flags, load: float, wtp: float):
+def merit_dispatch(units: list[GeneratorSpec], on_flags, load: float, wtp: float):
     """Single-node dispatch: floors first, then merit-order fill; unserved
     load is priced at wtp.  Returns (cost, feasible)."""
     on = [u for u, f in zip(units, on_flags) if f]
-    floor = sum(u.spec.p_min for u in on)
-    cap = sum(u.spec.p_max for u in on)
+    floor = sum(u.p_min for u in on)
+    cap = sum(u.p_max for u in on)
     if floor > load + 1e-9:
         return None, False
     served = min(load, cap)
     remaining = served - floor
-    cost = sum(u.spec.ic * u.spec.p_min for u in on)
-    for u in sorted(on, key=lambda u: (u.spec.ic, u.spec.id)):
-        take = min(u.spec.p_max - u.spec.p_min, remaining)
-        cost += u.spec.ic * take
+    cost = sum(u.ic * u.p_min for u in on)
+    for u in sorted(on, key=lambda u: (u.ic, u.id)):
+        take = min(u.p_max - u.p_min, remaining)
+        cost += u.ic * take
         remaining -= take
         if remaining <= 1e-12:
             break
@@ -217,7 +217,7 @@ def merit_dispatch(units: list[UcGenerator], on_flags, load: float, wtp: float):
     return cost, True
 
 
-def uc_enumeration_oracle(units: list[UcGenerator], loads: list[float], wtp: float):
+def uc_enumeration_oracle(units: list[GeneratorSpec], loads: list[float], wtp: float):
     """Best objective over all 2^(units*hours) commitment matrices."""
     horizon = len(loads)
     best = None
@@ -228,11 +228,11 @@ def uc_enumeration_oracle(units: list[UcGenerator], loads: list[float], wtp: flo
         total = 0.0
         ok = True
         for u, row in zip(units, matrix):
-            total += u.spec.nlc * sum(row)
+            total += u.nlc * sum(row)
             prev = 1 if u.initially_on else 0
             for s in row:
                 if s and not prev:
-                    total += u.spec.suc
+                    total += u.suc
                 prev = s
         for t in range(horizon):
             cost, feasible = merit_dispatch(units, [m[t] for m in matrix], loads[t], wtp)
@@ -258,23 +258,23 @@ def random_uc_instance(rng: random.Random):
         p_max = rng.choice([40.0, 60.0, 80.0, 120.0, 160.0])
         p_min = rng.choice([0.0, 0.0, 10.0, 20.0])
         units.append(
-            UcGenerator(
-                GeneratorSpec(f"u{i}", "n0", p_min, p_max, ics[i],
-                              nlc=rng.choice([0.0, 25.0, 50.0]),
-                              suc=rng.choice([0.0, 100.0, 250.0])),
+            GeneratorSpec(
+                f"u{i}", "n0", p_min, p_max, ics[i],
+                nlc=rng.choice([0.0, 25.0, 50.0]),
+                suc=rng.choice([0.0, 100.0, 250.0]),
                 min_up_h=rng.randint(1, 2),
                 min_down_h=rng.randint(1, 2),
                 initially_on=rng.random() < 0.5,
                 initial_hours=rng.randint(1, 4),
             )
         )
-    total_cap = sum(u.spec.p_max for u in units)
+    total_cap = sum(u.p_max for u in units)
     loads = [round(rng.uniform(0.15, 0.8) * total_cap * 4) / 4 for _ in range(horizon)]
     return units, loads
 
 
-def uc_net(units: list[UcGenerator], wtp: float = 500.0) -> Network:
-    total = sum(u.spec.p_max for u in units)
+def uc_net(units: list[GeneratorSpec], wtp: float = 500.0) -> Network:
+    total = sum(u.p_max for u in units)
     buses = (Bus("n0", "Z", load_mw=total, wtp=wtp),)  # load overridden per hour
     # single-bus network: no lines needed; a self-contained node
     return Network(buses, (), ("Z",), (), "n0")
@@ -284,7 +284,7 @@ def uc_net(units: list[UcGenerator], wtp: float = 500.0) -> Network:
 # reference commitment scan: itertools.product, one candidate at a time
 # ---------------------------------------------------------------------------
 
-def _start_count(unit: UcGenerator, seq) -> int:
+def _start_count(unit: GeneratorSpec, seq) -> int:
     prev = 1 if unit.initially_on else 0
     starts = 0
     for s in seq:
@@ -294,7 +294,7 @@ def _start_count(unit: UcGenerator, seq) -> int:
     return starts
 
 
-def reference_solve_uc(net, ucgens, hours, regime, *, lower_bounds=None):
+def reference_solve_uc(net, gens, hours, regime, *, lower_bounds=None):
     """``solve_uc`` as a scan over ``itertools.product`` of the per-unit
     sequences: the first feasible candidate, then each later one whose
     objective is below the current best minus 1e-9.  Dispatches through this
@@ -303,15 +303,13 @@ def reference_solve_uc(net, ucgens, hours, regime, *, lower_bounds=None):
     search."""
     hourly_loads = [dict(h) for h in hours]
     horizon = len(hourly_loads)
-    specs = [u.spec for u in ucgens]
-    sync = {u.spec.id for u in ucgens if u.is_synchronous}
 
     seq_options = []
-    for u in ucgens:
+    for u in gens:
         opts = [s for s in itertools.product((0, 1), repeat=horizon)
                 if _matrix_is_feasible([u], [s], horizon)]
-        if lower_bounds and u.spec.id in lower_bounds:
-            floor = tuple(lower_bounds[u.spec.id])
+        if lower_bounds and u.id in lower_bounds:
+            floor = tuple(lower_bounds[u.id])
             opts = [s for s in opts if all(a >= b for a, b in zip(s, floor))]
         if not opts:
             raise UcInfeasibleError(0)
@@ -322,9 +320,8 @@ def reference_solve_uc(net, ucgens, hours, regime, *, lower_bounds=None):
     def hour_result(t, on_ids):
         key = (t, on_ids)
         if key not in cache:
-            committed = {s.id: (s.id in on_ids) for s in specs}
-            cache[key] = clear(net, specs, regime, loads=hourly_loads[t],
-                               committed=committed, synchronous=sync)
+            committed = {g.id: (g.id in on_ids) for g in gens}
+            cache[key] = clear(net, gens, regime, loads=hourly_loads[t], committed=committed)
         return cache[key]
 
     best_obj = None
@@ -332,12 +329,12 @@ def reference_solve_uc(net, ucgens, hours, regime, *, lower_bounds=None):
     first_bad_hour = horizon
     for combo in itertools.product(*seq_options):
         commit_cost = 0.0
-        for u, seq in zip(ucgens, combo):
-            commit_cost += u.spec.nlc * sum(seq) + u.spec.suc * _start_count(u, seq)
+        for u, seq in zip(gens, combo):
+            commit_cost += u.nlc * sum(seq) + u.suc * _start_count(u, seq)
         obj = commit_cost
         ok = True
         for t in range(horizon):
-            on_ids = frozenset(u.spec.id for u, seq in zip(ucgens, combo) if seq[t])
+            on_ids = frozenset(u.id for u, seq in zip(gens, combo) if seq[t])
             res = hour_result(t, on_ids)
             if any(v.startswith("lp_") for v in res.violations):
                 ok = False
@@ -352,7 +349,7 @@ def reference_solve_uc(net, ucgens, hours, regime, *, lower_bounds=None):
 
     if best_combo is None:
         raise UcInfeasibleError(first_bad_hour if first_bad_hour < horizon else 0)
-    return _assemble_schedule(net, ucgens, hourly_loads, regime, sync, best_combo, hour_result)
+    return _assemble_schedule(gens, horizon, best_combo, hour_result)
 
 
 def random_tie_uc_instance(rng: random.Random):
@@ -366,27 +363,27 @@ def random_tie_uc_instance(rng: random.Random):
     while len(units) < n_units:
         if units and rng.random() < 0.3:  # twin of an earlier unit
             twin = rng.choice(units)
-            units.append(UcGenerator(
-                GeneratorSpec(f"u{len(units)}", "n0", twin.spec.p_min, twin.spec.p_max,
-                              twin.spec.ic, twin.spec.nlc, twin.spec.suc),
-                twin.min_up_h, twin.min_down_h, twin.initially_on, twin.initial_hours))
+            units.append(GeneratorSpec(
+                f"u{len(units)}", "n0", twin.p_min, twin.p_max, twin.ic, twin.nlc, twin.suc,
+                min_up_h=twin.min_up_h, min_down_h=twin.min_down_h,
+                initially_on=twin.initially_on, initial_hours=twin.initial_hours))
             continue
         free = rng.random() < 0.4
-        units.append(UcGenerator(
-            GeneratorSpec(f"u{len(units)}", "n0", rng.choice([0.0, 20.0, 50.0]),
-                          rng.choice([60.0, 100.0, 140.0]), rng.choice([10.0, 20.0, 30.0]),
-                          nlc=0.0 if free else rng.choice([0.0, 25.0]),
-                          suc=0.0 if free else rng.choice([0.0, 100.0])),
+        units.append(GeneratorSpec(
+            f"u{len(units)}", "n0", rng.choice([0.0, 20.0, 50.0]),
+            rng.choice([60.0, 100.0, 140.0]), rng.choice([10.0, 20.0, 30.0]),
+            nlc=0.0 if free else rng.choice([0.0, 25.0]),
+            suc=0.0 if free else rng.choice([0.0, 100.0]),
             min_up_h=rng.randint(1, 3), min_down_h=rng.randint(1, 3),
             initially_on=rng.random() < 0.5, initial_hours=rng.randint(0, 3)))
-    total_cap = sum(u.spec.p_max for u in units)
+    total_cap = sum(u.p_max for u in units)
     loads = [rng.choice([0.0, 15.0, 0.3 * total_cap, 0.6 * total_cap, total_cap + 20.0])
              for _ in range(horizon)]
     regime = ConstraintRegime(mode="copper_plate",
                               reserve_req_mw=rng.choice([0.0, 0.0, 30.0]))
     lower_bounds = None
     if rng.random() < 0.3:
-        lower_bounds = {u.spec.id: tuple(rng.choice([0, 0, 1]) for _ in range(horizon))
+        lower_bounds = {u.id: tuple(rng.choice([0, 0, 1]) for _ in range(horizon))
                         for u in rng.sample(units, rng.randint(1, n_units))}
     return units, loads, regime, lower_bounds
 

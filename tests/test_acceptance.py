@@ -226,7 +226,7 @@ def test_criterion_08_dauc_ruc_asymmetry(scenario_dir):
 
 def test_criterion_09_strategic_bidding(scenario_dir):
     sc = load_scenario(scenario_dir / "twobus.scn")
-    net, gens = sc.network, sc.specs()
+    net, gens = sc.network, sc.generators
     zonal_regime = sc.regime("zonal")
     uniform = evaluate_bid_deviation(net, gens, "A3", 70.0, scheme="uniform",
                                      regime=zonal_regime)

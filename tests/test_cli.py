@@ -214,6 +214,7 @@ def test_bidding_unknown_generator(scenario_dir, tmp_path, capsys):
     code = run(["bidding", scenario_dir / "twobus.scn", "--generator", "zzz",
                 "--offered-ic", "10", "--out", tmp_path])
     assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: unknown generator 'zzz'"]
 
 
 def test_clear_lp_infeasible_still_writes_diagnostics(tmp_path, capsys):
@@ -247,6 +248,54 @@ def _edited_scenario(scenario_dir, tmp_path, name, edit):
     p = tmp_path / f"{name}.scn"
     p.write_text(json.dumps(doc))
     return p
+
+
+def _start_cost_and_initial_state(doc):
+    for g in doc["generators"]:
+        g.update(suc=300.0, initially_on=True, initial_hours=9)
+
+
+def _non_synchronous_export(doc):
+    for g in doc["generators"][:2]:
+        g["synchronous"] = False
+    doc["regimes"]["zonal"]["min_sync_mw"] = 400.0
+
+
+# twobus.scn edits under which a bid deviation once priced another market
+_BIDDING_EDITS = {
+    "start_cost_and_initial_state": _start_cost_and_initial_state,
+    "non_synchronous_units": _non_synchronous_export,
+    "loads_section": lambda doc: doc.update(loads={"a": 200.0, "b": 200.0}),
+}
+
+
+@pytest.mark.parametrize("edit", _BIDDING_EDITS.values(), ids=_BIDDING_EDITS)
+def test_bidding_clears_the_market_clear_clears(scenario_dir, tmp_path, capsys, edit):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", edit)
+    cleared = run(["clear", p, "--scheme", "uniform", "--out", tmp_path / "c", "--no-timestamp"])
+    clear_err = capsys.readouterr().err
+    bid = run(["bidding", p, "--generator", "A3", "--offered-ic", "70", "--scheme", "uniform",
+               "--out", tmp_path / "b", "--no-timestamp"])
+    assert (bid, capsys.readouterr().err) == (cleared, clear_err)
+    if cleared == 0:
+        price = (tmp_path / "c" / "twobus_uniform_prices.csv").read_text().splitlines()[1]
+        assert price.startswith("0,system,")
+        bidding = (tmp_path / "b" / "twobus_bidding_A3.csv").read_text()
+        assert f"price_truthful,{price.split(',')[2]}\n" in bidding
+
+
+def test_validate_checks_references_despite_issues_outside_the_network(scenario_dir, tmp_path,
+                                                                       capsys):
+    def edit(doc):
+        doc["currency"] = 5
+        doc["generators"][0]["bus"] = "ghost"
+        doc["loads"] = {"nowhere": 10.0}
+
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", edit)
+    assert run(["validate", p]) == 1
+    err = capsys.readouterr().err
+    for issue in ("E_TYPE at scenario.currency", "E_REF at generators[0]", "E_REF at loads.nowhere"):
+        assert f"  - {issue}: " in err
 
 
 def test_clear_honours_loads_section(scenario_dir, tmp_path):

@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 from gridclear import commitment
 from gridclear.commitment import (
     UcEnumerationLimitError,
-    UcGenerator,
     UcInfeasibleError,
     feasible_sequences,
     run_dauc_ruc,
@@ -33,8 +32,8 @@ COPPER = ConstraintRegime(mode="copper_plate")
 
 def _unit(gid, p_max, ic, nlc=0.0, suc=0.0, p_min=0.0, on=False, min_up=1, min_down=1,
           initial_hours=24):
-    return UcGenerator(
-        GeneratorSpec(gid, "n0", p_min, p_max, ic, nlc, suc),
+    return GeneratorSpec(
+        gid, "n0", p_min, p_max, ic, nlc, suc,
         min_up_h=min_up, min_down_h=min_down,
         initially_on=on, initial_hours=initial_hours,
     )
@@ -155,7 +154,7 @@ def test_dispatch_positive_implies_committed_and_within_bounds():
             if q > 1e-9:
                 assert sched.committed[gid][t]
             if sched.committed[gid][t]:
-                spec = next(u.spec for u in units if u.spec.id == gid)
+                spec = next(u for u in units if u.id == gid)
                 assert spec.p_min - 1e-9 <= q <= spec.p_max + 1e-9
 
 

@@ -224,11 +224,11 @@ def test_reserve_constraint_binds_and_flags():
 def test_min_sync_constraint_flags_units():
     net = Network((Bus("n", "Z", 50.0, 400.0),), (), ("Z",), (), "n")
     gens = [
-        GeneratorSpec("wind", "n", 0.0, 100.0, 1.0),
+        GeneratorSpec("wind", "n", 0.0, 100.0, 1.0, synchronous=False),
         GeneratorSpec("steam", "n", 0.0, 100.0, 40.0),
     ]
     regime = ConstraintRegime(mode="copper_plate", min_sync_mw=30.0)
-    r = clear(net, gens, regime, synchronous={"steam"})
+    r = clear(net, gens, regime)
     assert r.gen_mw["steam"] == pytest.approx(30.0)
     assert r.gen_mw["wind"] == pytest.approx(20.0)
     assert r.gen_flags["steam"] == "stability_bound"

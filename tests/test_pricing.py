@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from gridclear.commitment import UcGenerator, single_interval_schedule
+from gridclear.commitment import single_interval_schedule
 from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
@@ -23,10 +23,6 @@ from gridclear.pricing import (
 NODAL = ConstraintRegime(mode="nodal", monitored_profile="nodal", enforce_interfaces=False)
 ZONAL = ConstraintRegime(mode="zonal")
 COPPER = ConstraintRegime(mode="copper_plate")
-
-
-def _wrap(gens):
-    return [UcGenerator(spec=g) for g in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +64,7 @@ def test_stack_price_rejects_idle_unit():
 def test_twobus_constrained_smp_set_by_import_side(twobus):
     net, gens = twobus
     result = clear(net, gens, ZONAL)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
+    report = form_smp(single_interval_schedule(result, gens), net, gens)
     assert report.prices[0]["system"] == pytest.approx(100.0)
     mset = report.marginal_sets[0]
     assert mset.members == ("B2",)
@@ -80,7 +76,7 @@ def test_twobus_constrained_smp_set_by_import_side(twobus):
 def test_twobus_copper_smp_is_90(twobus):
     net, gens = twobus
     result = clear(net, gens, COPPER)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
+    report = form_smp(single_interval_schedule(result, gens), net, gens)
     assert report.prices[0]["system"] == pytest.approx(90.0)
     assert "A3" in report.marginal_sets[0].members
 
@@ -88,7 +84,7 @@ def test_twobus_copper_smp_is_90(twobus):
 def test_fourbus_forced_bound_zone1_view(fourbus):
     net, gens = fourbus
     result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens, region="Z1")
+    report = form_smp(single_interval_schedule(result, gens), net, gens, region="Z1")
     assert report.prices[0]["Z1"] == pytest.approx(10.0)
     mset = report.marginal_sets[0]
     assert mset.members == ("P1",)
@@ -100,7 +96,7 @@ def test_single_marginal_unit_sets_its_ic():
     net = Network((Bus("n", "Z", 60.0, 300.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("g", "n", 0.0, 100.0, 42.0)]
     result = clear(net, gens, COPPER)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
+    report = form_smp(single_interval_schedule(result, gens), net, gens)
     assert report.prices[0]["system"] == pytest.approx(42.0)
 
 
@@ -109,7 +105,7 @@ def test_empty_marginal_set_is_hard_error():
     gens = [GeneratorSpec("g", "n", 0.0, 100.0, 42.0)]  # exactly at capacity
     result = clear(net, gens, COPPER)
     with pytest.raises(PriceFormationError, match="at_capacity"):
-        form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
+        form_smp(single_interval_schedule(result, gens), net, gens)
 
 
 def test_smp_is_max_over_marginal_set():
@@ -125,7 +121,7 @@ def test_smp_is_max_over_marginal_set():
     # both dispatched strictly inside bounds via equal-cost... instead use
     # a tie-free case: lo at cap (excluded), hi marginal
     result = clear(net, gens, COPPER)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens)
+    report = form_smp(single_interval_schedule(result, gens), net, gens)
     mset = report.marginal_sets[0]
     sps = [stack_price(g, result.gen_mw[g.id], 1).sp for g in gens if g.id in mset.members]
     assert report.prices[0]["system"] == pytest.approx(max(sps))
@@ -234,7 +230,7 @@ def test_scheme_collapse_single_zone():
     copper = clear(net, gens, COPPER)
     lmp = form_nodal_prices(nodal, net).prices[0]
     zp = form_zonal_prices(zonal).prices[0]["Z"]
-    smp = form_smp(single_interval_schedule(copper, _wrap(gens)), net, gens).prices[0]["system"]
+    smp = form_smp(single_interval_schedule(copper, gens), net, gens).prices[0]["system"]
     assert lmp["x"] == pytest.approx(zp, abs=1e-6)
     assert lmp["y"] == pytest.approx(zp, abs=1e-6)
     assert smp == pytest.approx(zp, abs=1e-6)
@@ -243,7 +239,7 @@ def test_scheme_collapse_single_zone():
 def test_screening_soundness(fourbus):
     net, gens = fourbus
     result = clear(net, gens, ZONAL)
-    report = form_smp(single_interval_schedule(result, _wrap(gens)), net, gens, region="Z1")
+    report = form_smp(single_interval_schedule(result, gens), net, gens, region="Z1")
     mset = report.marginal_sets[0]
     for gid in result.gen_mw:
         spec = next(g for g in gens if g.id == gid)

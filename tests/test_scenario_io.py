@@ -45,7 +45,7 @@ def test_fourbus_fixture_loads_verbatim(scenario_dir):
     assert net.bus("b4").wtp == 100.0
     assert net.line("l13").limit_mw == 150.0
     assert net.interface("tie").ttc_mw == 500.0
-    specs = {g.id: g for g in sc.specs()}
+    specs = {g.id: g for g in sc.generators}
     assert [specs[p].p_max for p in ("P1", "P2", "P3")] == [200.0, 100.0, 800.0]
     assert [specs[p].ic for p in ("P1", "P2", "P3", "P4")] == [10.0, 10.0, 40.0, 50.0]
     assert sc.run.forced_bounds == {"P3": (225.0, None)}
@@ -74,8 +74,8 @@ def test_benchmark_generators_write_scenarios_that_load(monkeypatch):
 
 def test_twobus_fixture_capacities(scenario_dir):
     sc = load_scenario(scenario_dir / "twobus.scn")
-    area_a = sum(g.p_max for g in sc.specs() if g.bus_id == "a")
-    area_b = sum(g.p_max for g in sc.specs() if g.bus_id == "b")
+    area_a = sum(g.p_max for g in sc.generators if g.bus_id == "a")
+    area_b = sum(g.p_max for g in sc.generators if g.bus_id == "b")
     assert area_a == 880.0
     assert area_b == 420.0
     assert sc.network.interface("tie").ttc_mw == 100.0
@@ -116,7 +116,7 @@ def test_minimal_document_parses(tmp_path):
     p.write_text(json.dumps(_minimal_doc()))
     sc = load_scenario(p)
     assert sc.network.slack_bus == "x"
-    assert sc.generators[0].spec.p_max == 50.0
+    assert sc.generators[0].p_max == 50.0
 
 
 def test_missing_file_is_io_error(tmp_path):

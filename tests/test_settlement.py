@@ -1,6 +1,6 @@
 import pytest
 
-from gridclear.commitment import UcGenerator, run_dauc_ruc, single_interval_schedule
+from gridclear.commitment import run_dauc_ruc, single_interval_schedule
 from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
@@ -213,8 +213,7 @@ def test_surplus_identity_matches_component_sum(fourbus):
 def test_uniform_scheme_has_zero_rent(twobus):
     net, gens = twobus
     result = clear(net, gens, ZONAL)
-    wrapped = [UcGenerator(spec=g) for g in gens]
-    prices = form_smp(single_interval_schedule(result, wrapped), net, gens)
+    prices = form_smp(single_interval_schedule(result, gens), net, gens)
     report = summarize(prices, result, net, gens)
     assert report.congestion_rent == pytest.approx(0.0, abs=1e-6)
     assert report.consumer_market_payment == pytest.approx(100.0 * 1000.0, rel=1e-9)
@@ -234,7 +233,7 @@ def test_multi_hour_schedule_settlement(scenario_dir):
         sc.network, sc.generators, sc.hourly_loads(),
         sc.regime("DAUC"), sc.regime("RUC"),
     )
-    prices = form_smp(dauc, sc.network, sc.specs(), currency=sc.currency)
+    prices = form_smp(dauc, sc.network, sc.generators, currency=sc.currency)
     report = summarize(prices, dauc, sc.network, sc.generators)
     # as-cleared cost covers energy, no-load hours, and starts
     ge1 = report.per_generator["Ge1"]
@@ -252,9 +251,9 @@ def test_daucruc_settlement_is_consistent(scenario_dir):
         sc.network, sc.generators, sc.hourly_loads(),
         sc.regime("DAUC"), sc.regime("RUC"),
     )
-    smp = form_smp(dauc, sc.network, sc.specs())
+    smp = form_smp(dauc, sc.network, sc.generators)
     series = [smp.prices[t]["system"] for t in range(dauc.hours)]
-    out = settle_redispatch(record, sc.specs(), series)
+    out = settle_redispatch(record, sc.generators, series)
     assert out.zone_con_mwh["ZI"] == pytest.approx(100.0)
     assert out.zone_coff_mwh["ZE"] == pytest.approx(300.0)
     # constrained-on compensation at incremental cost
