@@ -5,8 +5,13 @@ Larger, slower cousin of the acceptance suite for manual exploration:
   * cost(copper) <= cost(zonal) <= cost(nodal) on random connected networks
   * surplus(nodal) >= surplus(zonal + feasible forced bounds)
   * duality gap and complementary slackness on random LPs
-  * every random LP solved bit for bit as the reference simplex solves it
-    (exit status 1 on any mismatch)
+  * every random LP, every wild LP (free, fixed and one-sided variables,
+    repeated rows, infeasible and unbounded cases) and every LP the scenario
+    sweep's clearings solved, solved bit for bit as the reference simplex
+    solves it
+
+Exits 1 if any LP differs from the reference simplex, 0 otherwise; a failed
+ordering, welfare or duality check raises ``AssertionError``.
 
 Usage: python scripts/randomized_checks.py [--scenarios N] [--lps N] [--seed S]
 """
@@ -25,9 +30,10 @@ from gridclear.dispatch import (
     clear,
     with_forced_bounds,
 )
+from gridclear import lp as lpmod
 from gridclear.lp import solve
 from helpers import random_gens, random_network, reference_solve, solve_outcome
-from test_lp import build_random_lp, check_kkt
+from test_lp import build_random_lp, build_wild_lp, check_kkt
 
 
 def surplus(net, result):
@@ -61,17 +67,20 @@ def sweep_scenarios(n, rng):
     return ordered, welfare, skipped
 
 
-def sweep_lps(n, rng):
-    optimal = mismatched = 0
+def sweep_lps(n, rng, cleared):
+    """KKT on ``n`` random LPs; then those, ``n`` wild LPs and the
+    ``cleared`` LPs against the reference simplex."""
+    optimal = 0
+    lps = list(cleared)
     for _ in range(n):
         lp = build_random_lp(rng, max_vars=30)
         sol = solve(lp)
         if sol.status == "optimal":
             check_kkt(lp, sol, tol=1e-6)
             optimal += 1
-        if repr(sol) != solve_outcome(reference_solve, lp):
-            mismatched += 1
-    return optimal, mismatched
+        lps += [lp, build_wild_lp(rng)]
+    mismatched = sum(solve_outcome(solve, lp) != solve_outcome(reference_solve, lp) for lp in lps)
+    return optimal, len(lps), mismatched
 
 
 def main():
@@ -83,16 +92,23 @@ def main():
     rng = random.Random(args.seed)
 
     t0 = time.perf_counter()
-    ordered, welfare, skipped = sweep_scenarios(args.scenarios, rng)
+    cleared = []  # every LP the scenario sweep's clearings solve
+    real_solve = lpmod.solve
+    lpmod.solve = lambda lp: cleared.append(lp) or real_solve(lp)
+    try:
+        ordered, welfare, skipped = sweep_scenarios(args.scenarios, rng)
+    finally:
+        lpmod.solve = real_solve
     t1 = time.perf_counter()
     print(f"scenario sweep: {ordered} cost orderings held, {welfare} welfare "
           f"comparisons held, {skipped} skipped (curtailing) [{t1 - t0:.1f}s]")
 
-    optimal, mismatched = sweep_lps(args.lps, rng)
+    optimal, compared, mismatched = sweep_lps(args.lps, rng, cleared)
     t2 = time.perf_counter()
-    print(f"lp sweep: {optimal}/{args.lps} optimal, all within 1e-6 duality gap "
-          f"and complementary slackness, {mismatched} differ from the reference "
-          f"simplex [{t2 - t1:.1f}s]")
+    print(f"lp sweep: {optimal}/{args.lps} random LPs optimal, all within 1e-6 "
+          f"duality gap and complementary slackness; {mismatched} of {compared} "
+          f"LPs (random, wild and {len(cleared)} from the scenario sweep) differ "
+          f"from the reference simplex [{t2 - t1:.1f}s]")
     return 1 if mismatched else 0
 
 

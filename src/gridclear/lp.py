@@ -4,18 +4,21 @@ Minimizes c'x subject to general rows (<=, =, >=) and variable bounds, using a
 bounded-variable two-phase primal simplex with Bland's rule for anti-cycling.
 Every run is deterministic: identical inputs produce bit-identical solutions.
 
-One pivot costs one gather of the basis matrix and three dense LAPACK solves
-with it (basic values, duals, entering direction); a bound flip keeps the
-basis and skips the dual solve, and the report reuses the last pivot's
-results.  Pricing and the ratio test are array scans that make Bland's choice.
-The masks they read (which nonbasic columns may increase or decrease, which
-columns are nonbasic) and the bounds and values of the basic variables are
-kept across pivots, and a pivot or bound flip updates only the positions it
-touches.  The kept state is exactly what the variable statuses give afresh,
-so every solve has the same operands in the same order.  The cost is pinned
-by bit-identity: the pivots and every printed digit are those of the plain
-three-solve method, and a factorization reused across solves, or one
-two-column solve, rounds differently.
+Each phase gathers the basis matrix and solves the basic values once, at its
+start.  A pivot then costs one dense LAPACK solve for the entering direction
+and, when the basis changes, one for the duals: the basis matrix gets the
+entering column in place, and the basic values move by the step just taken
+instead of being solved afresh.  At a phase's optimum the basic values are
+solved once more on the final basis (unless no step moved them), so the
+phase-1 feasibility test, the start of phase 2 and the report read exactly
+what a fresh solve of that basis gives.  Pricing and the ratio test are array
+scans that make Bland's choice.  The masks they read (which nonbasic columns
+may increase or decrease, which columns are nonbasic) and the bounds of the
+basic variables are kept across pivots, and a pivot or bound flip updates
+only the positions it touches.  Against the plain method, which solves the
+basic values, duals and direction at every pivot, the contract is the same
+pivot path, and reported numbers that come from the same solves on the
+final basis.
 
 Duals follow the right-hand-side derivative convention: the multiplier of a
 row is d(objective)/d(rhs).  For a minimum-cost dispatch problem the dual of
@@ -70,9 +73,16 @@ class LinearProgram:
         labels = [r.label for r in self.rows]
         if len(set(labels)) != len(labels):
             raise ValueError("row labels must be unique")
-        for lo, up, name in zip(self.var_lower, self.var_upper, self.var_names):
+        for c, lo, up, name in zip(self.objective, self.var_lower, self.var_upper, self.var_names):
+            if not math.isfinite(c):
+                raise ValueError(f"variable {name!r}: cost {c} is not finite")
+            if math.isnan(lo) or math.isnan(up) or lo == INF or up == -INF:
+                raise ValueError(f"variable {name!r}: bad bounds [{lo}, {up}]")
             if lo > up:
                 raise ValueError(f"variable {name!r}: lower bound exceeds upper bound")
+        for r in self.rows:
+            if not (math.isfinite(r.rhs) and all(math.isfinite(v) for _, v in r.coeffs)):
+                raise ValueError(f"row {r.label!r}: coefficients and right-hand side must be finite")
 
 
 class LpBuilder:
@@ -203,26 +213,28 @@ class _Simplex:
         return xb
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
-        """Pivot to an optimum of ``cost``.  Each pivot gathers the basis
-        ``B`` once and makes three solves with it: the basic values, the duals
-        (skipped after a bound flip, which keeps the basis) and the entering
-        direction.  The nonbasic mask, the pricing masks (columns that may
-        increase or decrease), the bounds of the basic variables and the
-        basic values just solved are kept across pivots; a pivot or bound flip
-        updates only the positions it touches.  They equal what ``status``
-        gives afresh, so every solve has the same operands and the result is
-        bit-identical.  At the optimum ``self.y`` and ``self.rc`` hold the
-        duals and reduced costs."""
+        """Pivot to an optimum of ``cost``.  The basis ``B`` is gathered and
+        the basic values ``x_B`` solved once, at the start; a pivot then
+        writes the entering column into ``B`` and a step of length ``t``
+        moves ``x_B`` by ``t`` times the direction the ratio test read, the
+        entering variable's new value taking the leaving row's slot.  Each
+        pivot or bound flip makes one direction solve, and each new basis one
+        dual solve.  The nonbasic mask, the pricing masks (columns that may
+        increase or decrease) and the bounds of the basic variables are kept
+        the same way.  At the optimum ``x_B`` is solved again on the final
+        basis if a step has moved it, so ``self.x``, ``self.y`` and
+        ``self.rc`` hold exactly what a fresh solve of that basis gives."""
         movable = ~(self.upper - self.lower <= 0)  # fixed variables never enter
         st = self.status
         nonbasic = st != _BASIC
         can_up = movable & ((st == _AT_LOWER) | (st == _FREE_NB))
         can_down = movable & ((st == _AT_UPPER) | (st == _FREE_NB))
         lo_b, up_b = self.lower[self.basis], self.upper[self.basis]
+        B = self.A[:, self.basis]
+        xb = self._solve_basics(B, nonbasic)
+        moved = False  # has a step changed x since xb was solved?
         rc = None
         for _ in range(MAX_ITERATIONS):
-            B = self.A[:, self.basis]
-            xb = self._solve_basics(B, nonbasic)
             if rc is None:
                 try:
                     y = np.linalg.solve(B.T, cost[self.basis])
@@ -234,6 +246,8 @@ class _Simplex:
             improving = up | (can_down & (rc > OPT_TOL))
             entering = int(improving.argmax())
             if not improving[entering]:
+                if moved:
+                    self._solve_basics(B, nonbasic)
                 self.y, self.rc = y, rc
                 return "optimal"
             direction = 1 if up[entering] else -1
@@ -257,11 +271,15 @@ class _Simplex:
                     raise LpNumericalError("unbounded phase-1 subproblem")
                 return "unbounded"
 
+            xb += best_t * delta
+            moved = True
             if best_idx == entering:  # bound flip, basis unchanged
                 leaving, to_upper = entering, direction > 0
             else:
                 leaving, to_upper = best_idx, delta[best_row] > 0
+                xb[best_row] = self.x[entering] + direction * best_t
                 self.basis[best_row] = entering
+                B[:, best_row] = self.A[:, entering]
                 self.status[entering] = _BASIC
                 nonbasic[entering], nonbasic[leaving] = False, True
                 can_up[entering] = can_down[entering] = False
@@ -289,8 +307,9 @@ class _Simplex:
 
     # -- reporting -----------------------------------------------------------
     def _report(self, status: str) -> LpSolution:
-        """The solution at the last iterate; an optimum reuses the final
-        pivot's basic values, duals and reduced costs, so nothing is solved."""
+        """The solution at the last iterate; an optimum reuses the basic
+        values, duals and reduced costs ``_iterate`` solved on the final
+        basis, so nothing is solved here."""
         lp = self.lp
         if status != "optimal":
             zeros = {name: 0.0 for name in lp.var_names}

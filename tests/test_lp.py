@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +163,33 @@ def test_duplicate_labels_rejected():
         )
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("cost, lower, upper, coeff, rhs, named", [
+    (_NAN, 0.0, 5.0, 1.0, 10.0, "variable 'x'"),
+    (INF, 0.0, 5.0, 1.0, 10.0, "variable 'x'"),
+    (-INF, 0.0, 5.0, 1.0, 10.0, "variable 'x'"),
+    (1.0, _NAN, 5.0, 1.0, 10.0, "variable 'x'"),
+    (1.0, 0.0, _NAN, 1.0, 10.0, "variable 'x'"),
+    (1.0, INF, INF, 1.0, 10.0, "variable 'x'"),
+    (1.0, -INF, -INF, 1.0, 10.0, "variable 'x'"),
+    (1.0, 0.0, 5.0, _NAN, 10.0, "row 'cap'"),
+    (1.0, 0.0, 5.0, INF, 10.0, "row 'cap'"),
+    (1.0, 0.0, 5.0, -INF, 10.0, "row 'cap'"),
+    (1.0, 0.0, 5.0, 1.0, _NAN, "row 'cap'"),
+    (1.0, 0.0, 5.0, 1.0, INF, "row 'cap'"),
+    (1.0, 0.0, 5.0, 1.0, -INF, "row 'cap'"),
+], ids=["nan-cost", "inf-cost", "-inf-cost", "nan-lower", "nan-upper", "inf-lower",
+        "-inf-upper", "nan-coeff", "inf-coeff", "-inf-coeff", "nan-rhs", "inf-rhs", "-inf-rhs"])
+def test_non_finite_inputs_are_rejected_by_name(cost, lower, upper, coeff, rhs, named):
+    b = LpBuilder()
+    x = b.var("x", lower, upper, cost)
+    b.row({x: coeff}, "<=", rhs, "cap")
+    with pytest.raises(ValueError, match=named):
+        b.build()
+
+
 def test_degenerate_cycling_guard():
     # Beale's classical cycling example; Bland's rule must terminate
     b = LpBuilder()
@@ -212,9 +241,11 @@ def test_solve_matches_the_reference_bit_for_bit(seed):
 
 
 def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
-    # min -x, x in [0, 5], x <= 10.  Phase 1: x enters and flips to its upper
-    # bound (recompute and direction only, the duals are kept), then the slack
-    # replaces the artificial; phase 2 prices once and stops.
+    # min -x, x in [0, 5], x <= 10.  Each phase solves the basic values at
+    # its start and, if a step moved them, again at its optimum; each pivot
+    # or bound flip solves one direction; each basis solves its duals once.
+    # Phase 1: x enters and flips to its upper bound (the duals are kept),
+    # then the slack replaces the artificial; phase 2 prices once and stops.
     b = LpBuilder()
     x = b.var("x", 0.0, 5.0, -1.0)
     b.row({x: 1.0}, "<=", 10.0, "cap")
@@ -222,20 +253,31 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     real_solve = np.linalg.solve
     real_report = lpmod._Simplex._report
 
-    def counted_solve(a, rhs):
-        events.append("solve")
+    def named_solve(a, rhs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_solve_basics":
+            events.append("basics")
+        elif np.shares_memory(rhs, caller.f_locals["self"].A):
+            events.append("direction")  # the entering column of A
+        else:
+            events.append("duals")
         return real_solve(a, rhs)
 
     def watched_report(self, status):
         events.append("report")
         return real_report(self, status)
 
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "solve", named_solve)
     monkeypatch.setattr(lpmod._Simplex, "_report", watched_report)
     sol = solve(b.build())
     assert sol.primal["x"] == 5.0 and sol.objective_value == -5.0
-    assert events == ["solve"] * (3 + 2 + 2 + 2) + ["report"]
-
+    assert events == [
+        "basics", "duals", "direction",  # phase 1: x flips to its upper bound
+        "direction",                     # the slack replaces the artificial
+        "duals", "basics",               # the new basis is optimal; x_B moved
+        "basics", "duals",               # phase 2 is optimal at once
+        "report",
+    ]
 
 
 def test_fixed_column_that_leaves_the_basis_stays_out():
@@ -257,6 +299,22 @@ def test_fixed_column_that_leaves_the_basis_stays_out():
     assert (sol.duals["r1"], sol.duals["r2"]) == (2.0, -1.0)
     assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
 
+
+def _lps_solved_by(monkeypatch, argv):
+    """Run the CLI on ``argv`` and return every LP it solved."""
+    lps = []
+    real_solve = lpmod.solve
+
+    def captured(lp):
+        lps.append(lp)
+        return real_solve(lp)
+
+    monkeypatch.setattr(lpmod, "solve", captured)
+    assert main(argv) == 0
+    assert lps
+    return lps
+
+
 _CLI_RUNS = {"daucruc fivebus_ruc": ["daucruc", "fivebus_ruc.scn"], "bidding twobus": ["bidding", "twobus.scn"]}
 _CLI_RUNS.update({f"compare {s}": ["compare", f"{s}.scn"]
                   for s in ("fourbus", "fourbus_tie270", "twobus", "fivebus_ruc")})
@@ -266,15 +324,25 @@ _CLI_RUNS.update({f"compare {s}": ["compare", f"{s}.scn"]
 def test_cli_lps_match_the_reference_bit_for_bit(scenario_dir, tmp_path, capsys, monkeypatch, argv):
     # the LPs of real clearings carry bound flips, ties and degenerate
     # phase-1 pivots that random LPs rarely reach
-    lps = []
-    real_solve = lpmod.solve
+    for lp in _lps_solved_by(monkeypatch, [argv[0], str(scenario_dir / argv[1]), "--out", str(tmp_path),
+                                           "--no-timestamp"]):
+        assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
 
-    def captured(lp):
-        lps.append(lp)
-        return real_solve(lp)
 
-    monkeypatch.setattr(lpmod, "solve", captured)
-    assert main([argv[0], str(scenario_dir / argv[1]), "--out", str(tmp_path), "--no-timestamp"]) == 0
-    assert lps
-    for lp in lps:
+_GENERATED_RUNS = {f"clear nodal {n} buses": ("mesh_doc", (0, k, n), ["clear", "--scheme", "nodal"])
+                   for k, n in ((0, 12), (4, 16), (8, 20))}
+_GENERATED_RUNS["daucruc 4 units x 4 hours"] = ("uc_doc", (0, 4, 4, 4), ["daucruc"])
+
+
+@pytest.mark.parametrize("make, args, argv", _GENERATED_RUNS.values(), ids=_GENERATED_RUNS.keys())
+def test_benchmark_generated_lps_match_the_reference_bit_for_bit(tmp_path, capsys, monkeypatch, make, args, argv):
+    # the benchmark's 12-20 bus meshes give LPs of 56-96 rows and hundreds
+    # of pivots, where basic values carried from pivot to pivot drift most
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+
+    doc = getattr(gen, make)(*args)
+    path = gen.write_doc(doc, tmp_path / f"{doc['name']}.scn")
+    for lp in _lps_solved_by(monkeypatch, [argv[0], str(path), *argv[1:], "--out", str(tmp_path),
+                                           "--no-timestamp"]):
         assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
