@@ -205,17 +205,21 @@ def clear(
         if load_of[b.id] > 0:
             cvar[b.id] = builder.var(f"curt[{b.id}]", 0.0, load_of[b.id], cost=b.wtp)
 
-    rhs_map: dict[str, float] = {}
     if regime.mode == "nodal":
-        labels = _build_nodal(builder, net, active, gvar, cvar, load_of, regime, rhs_map)
+        balance = _build_nodal(builder, net, active, gvar, cvar, load_of, regime)
     elif regime.mode == "zonal":
-        labels = _build_zonal(builder, net, active, gvar, cvar, load_of, regime, rhs_map)
+        balance = _build_zonal(builder, net, active, gvar, cvar, load_of, regime)
     else:
-        labels = _build_copper(builder, net, active, gvar, cvar, load_of, rhs_map)
-    _add_aggregates(builder, active, gvar, regime, rhs_map)
+        coeffs = {gvar[g.id]: 1.0 for g in active}
+        coeffs.update(dict.fromkeys(cvar.values(), 1.0))
+        balance = {"system": builder.row(coeffs, "=", sum(load_of.values()), "system")}
+    _add_aggregates(builder, active, gvar, regime)
 
     problem = builder.build()
     sol = lpmod.solve(problem)
+    balance_rows = set(balance.values())
+    limit_rows = [i for i in range(len(problem.row_labels)) if i not in balance_rows]
+    limits = {problem.row_labels[i]: float(problem.rhs[i]) for i in limit_rows}
 
     if sol.status != "optimal":
         return DispatchResult(
@@ -226,29 +230,26 @@ def clear(
             violations=(f"lp_{sol.status}: no dispatch satisfies the enforced constraints",),
             physical_violations=(), curtailment_mw={}, served_mw={},
             gen_flags={g.id: ("offline" if not is_on[g.id] else "") for g in gens},
-            gen_local_dual={}, objective_value=0.0, limits=rhs_map,
+            gen_local_dual={}, objective_value=0.0, limits=limits,
         )
 
-    gen_mw = {g.id: (sol.primal[f"g[{g.id}]"] if is_on[g.id] else 0.0) for g in gens}
-    curtail = {b: sol.primal[f"curt[{b}]"] for b in cvar}
+    gen_mw = {g.id: (sol.primal[gvar[g.id]] if is_on[g.id] else 0.0) for g in gens}
+    curtail = {b: sol.primal[j] for b, j in cvar.items()}
     served = {b.id: load_of[b.id] - curtail.get(b.id, 0.0) for b in net.buses}
 
     ptdf = net.ptdf
     gen_mw = _resolve_ties(net, ptdf, active, gen_mw, regime, served)
     flows = evaluate_flows(net, ptdf, _injections(net, gens, gen_mw, served))
 
-    balance_duals = {key: sol.duals[lab] for key, lab in labels.items()}
+    balance_duals = {key: sol.duals[i] for key, i in balance.items()}
     total_served = sum(served.values())
     if total_served <= MW_TOL:
         balance_duals = {k: 0.0 for k in balance_duals}  # prices undefined at zero demand
     if regime.mode == "copper_plate":
         _apply_exhaustion_convention(balance_duals, gens, gen_mw, curtail)
 
-    binding = tuple(
-        (r.label, sol.duals[r.label])
-        for r in problem.rows
-        if not r.label.startswith(("balance", "zone", "system")) and abs(sol.duals[r.label]) > _DUAL_EPS
-    )
+    binding = tuple((problem.row_labels[i], sol.duals[i]) for i in limit_rows
+                    if abs(sol.duals[i]) > _DUAL_EPS)
 
     local_dual = {g.id: balance_duals.get(_location(net, regime, g.bus_id), 0.0) for g in gens}
 
@@ -272,7 +273,7 @@ def clear(
         total_cost=total_cost, feasible=feasible, violations=tuple(violations),
         physical_violations=flows.violations, curtailment_mw=curtail, served_mw=served,
         gen_flags=flags, gen_local_dual=local_dual,
-        objective_value=sol.objective_value, limits=rhs_map,
+        objective_value=sol.objective_value, limits=limits,
     )
 
 
@@ -291,7 +292,7 @@ def _injections(net: Network, gens, gen_mw, served) -> dict[str, float]:
     return inj
 
 
-def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime, rhs_map):
+def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime):
     tvar = {
         b.id: builder.var(f"theta[{b.id}]", -INF, INF, 0.0)
         for b in net.buses
@@ -307,7 +308,7 @@ def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime, rhs_map):
             terms[tvar[line.to_bus]] = terms.get(tvar[line.to_bus], 0.0) - y
         return terms
 
-    labels: dict[str, str] = {}
+    balance: dict[str, int] = {}  # bus -> its balance row
     for b in net.buses:
         coeffs: dict[int, float] = {}
         for g in gens:
@@ -322,16 +323,11 @@ def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime, rhs_map):
             elif line.to_bus == b.id:
                 for j, v in flow_terms(line, +1.0).items():
                     coeffs[j] = coeffs.get(j, 0.0) + v
-        label = f"balance[{b.id}]"
-        builder.row(coeffs, "=", load_of[b.id], label)
-        labels[b.id] = label
+        balance[b.id] = builder.row(coeffs, "=", load_of[b.id], f"balance[{b.id}]")
 
     for line in regime.monitored_lines(net):
-        pos, neg = f"flow+[{line.id}]", f"flow-[{line.id}]"
-        builder.row(flow_terms(line, +1.0), "<=", line.limit_mw, pos)
-        builder.row(flow_terms(line, -1.0), "<=", line.limit_mw, neg)
-        rhs_map[pos] = line.limit_mw
-        rhs_map[neg] = line.limit_mw
+        builder.row(flow_terms(line, +1.0), "<=", line.limit_mw, f"flow+[{line.id}]")
+        builder.row(flow_terms(line, -1.0), "<=", line.limit_mw, f"flow-[{line.id}]")
 
     if regime.enforce_interfaces:
         for itf in net.interfaces:
@@ -339,12 +335,9 @@ def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime, rhs_map):
             for lid, sign in itf.member_lines:
                 for j, v in flow_terms(net.line(lid), float(sign)).items():
                     coeffs[j] = coeffs.get(j, 0.0) + v
-            pos, neg = f"iface+[{itf.id}]", f"iface-[{itf.id}]"
-            builder.row(coeffs, "<=", itf.ttc_mw, pos)
-            builder.row({j: -v for j, v in coeffs.items()}, "<=", itf.ttc_mw, neg)
-            rhs_map[pos] = itf.ttc_mw
-            rhs_map[neg] = itf.ttc_mw
-    return labels
+            builder.row(coeffs, "<=", itf.ttc_mw, f"iface+[{itf.id}]")
+            builder.row({j: -v for j, v in coeffs.items()}, "<=", itf.ttc_mw, f"iface-[{itf.id}]")
+    return balance
 
 
 def interface_zones(net: Network, itf) -> tuple[str, str]:
@@ -360,7 +353,7 @@ def interface_zones(net: Network, itf) -> tuple[str, str]:
     return pairs.pop()
 
 
-def _build_zonal(builder, net, gens, gvar, cvar, load_of, regime, rhs_map):
+def _build_zonal(builder, net, gens, gvar, cvar, load_of, regime):
     arcs = []  # (interface, var index, from_zone, to_zone)
     for itf in net.interfaces:
         fz, tz = interface_zones(net, itf)
@@ -369,7 +362,7 @@ def _build_zonal(builder, net, gens, gvar, cvar, load_of, regime, rhs_map):
         fv = builder.var(f"f[{itf.id}]", -INF, INF, 0.0)
         arcs.append((itf, fv, fz, tz))
 
-    labels: dict[str, str] = {}
+    balance: dict[str, int] = {}  # zone -> its balance row
     for zone in net.zones:
         coeffs: dict[int, float] = {}
         for g in gens:
@@ -385,40 +378,24 @@ def _build_zonal(builder, net, gens, gvar, cvar, load_of, regime, rhs_map):
                 coeffs[fv] = coeffs.get(fv, 0.0) - 1.0
             elif tz == zone:
                 coeffs[fv] = coeffs.get(fv, 0.0) + 1.0
-        label = f"zone[{zone}]"
-        builder.row(coeffs, "=", zone_load, label)
-        labels[zone] = label
+        balance[zone] = builder.row(coeffs, "=", zone_load, f"zone[{zone}]")
 
     if regime.enforce_interfaces:
         for itf, fv, _, _ in arcs:
-            pos, neg = f"iface+[{itf.id}]", f"iface-[{itf.id}]"
-            builder.row({fv: 1.0}, "<=", itf.ttc_mw, pos)
-            builder.row({fv: -1.0}, "<=", itf.ttc_mw, neg)
-            rhs_map[pos] = itf.ttc_mw
-            rhs_map[neg] = itf.ttc_mw
-    return labels
+            builder.row({fv: 1.0}, "<=", itf.ttc_mw, f"iface+[{itf.id}]")
+            builder.row({fv: -1.0}, "<=", itf.ttc_mw, f"iface-[{itf.id}]")
+    return balance
 
 
-def _build_copper(builder, net, gens, gvar, cvar, load_of, rhs_map):
-    coeffs = {gvar[g.id]: 1.0 for g in gens}
-    for b in cvar.values():
-        coeffs[b] = 1.0
-    total = sum(load_of.values())
-    builder.row(coeffs, "=", total, "system")
-    return {"system": "system"}
-
-
-def _add_aggregates(builder, gens, gvar, regime, rhs_map):
+def _add_aggregates(builder, gens, gvar, regime):
     if regime.reserve_req_mw > 0 and gens:
         cap = sum(g.effective_bounds()[1] for g in gens)
         builder.row({gvar[g.id]: 1.0 for g in gens}, "<=",
                     cap - regime.reserve_req_mw, "reserve")
-        rhs_map["reserve"] = cap - regime.reserve_req_mw
     if regime.min_sync_mw > 0:
         coeffs = {gvar[g.id]: 1.0 for g in gens if g.synchronous}
         if coeffs:
             builder.row(coeffs, ">=", regime.min_sync_mw, "min_sync")
-            rhs_map["min_sync"] = regime.min_sync_mw
 
 
 def _apply_exhaustion_convention(balance_duals, gens, gen_mw, curtail):
@@ -566,5 +543,5 @@ def _project_to_physical(net, ptdf, gens, gen_mw, multi, served):
         return gen_mw  # no equal-cost physically feasible split exists
     out = dict(gen_mw)
     for g in movers:
-        out[g.id] = sol.primal[f"q[{g.id}]"]
+        out[g.id] = sol.primal[qv[g.id]]
     return out

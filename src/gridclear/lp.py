@@ -4,21 +4,30 @@ Minimizes c'x subject to general rows (<=, =, >=) and variable bounds, using a
 bounded-variable two-phase primal simplex with Bland's rule for anti-cycling.
 Every run is deterministic: identical inputs produce bit-identical solutions.
 
-Each phase gathers the basis matrix and solves the basic values once, at its
-start.  A pivot then costs one dense LAPACK solve for the entering direction
-and, when the basis changes, one for the duals: the basis matrix gets the
-entering column in place, and the basic values move by the step just taken
-instead of being solved afresh.  At a phase's optimum the basic values are
-solved once more on the final basis (unless no step moved them), so the
-phase-1 feasibility test, the start of phase 2 and the report read exactly
-what a fresh solve of that basis gives.  Pricing and the ratio test are array
-scans that make Bland's choice.  The masks they read (which nonbasic columns
-may increase or decrease, which columns are nonbasic) and the bounds of the
-basic variables are kept across pivots, and a pivot or bound flip updates
-only the positions it touches.  Against the plain method, which solves the
-basic values, duals and direction at every pivot, the contract is the same
-pivot path, and reported numbers that come from the same solves on the
-final basis.
+A ``LinearProgram`` is read-only arrays: ``cost``, ``lower`` and ``upper``
+per variable, a dense ``A`` (rows x variables), and per row its ``rhs`` and
+``sense``, the coefficient of its slack (+1 for ``<=``, -1 for ``>=``, 0 for
+``=``): row ``i`` is ``A[i] x + sense[i] s_i = rhs[i]`` with ``s_i >= 0``.
+Its names only label rejection messages and reports.  ``LpBuilder.var`` and
+``LpBuilder.row`` return positions, which index the program's arrays and the
+tuples of floats an ``LpSolution`` holds.
+
+Phase 1 gathers the basis matrix and solves the basic values once, at its
+start; phase 2 starts from the basic values phase 1 (or the re-solve that
+expels an artificial) left on the same basis, and solves none.  A pivot then
+costs one dense LAPACK solve for the entering direction and, when the basis
+changes, one for the duals: the basis matrix gets the entering column in
+place, and the basic values move by the step just taken instead of being
+solved afresh.  At a phase's optimum the basic values are solved once more on
+the final basis (unless no step moved them), so the phase-1 feasibility test,
+the start of phase 2 and the report read exactly what a fresh solve of that
+basis gives.  Pricing and the ratio test are array scans that make Bland's
+choice.  The masks they read (which nonbasic columns may increase or
+decrease, which columns are nonbasic) and the bounds of the basic variables
+are kept across pivots, and a pivot or bound flip updates only the positions
+it touches.  Against the plain method, which solves the basic values, duals
+and direction at every pivot, the contract is the same pivot path, and
+reported numbers that come from the same solves on the final basis.
 
 Duals follow the right-hand-side derivative convention: the multiplier of a
 row is d(objective)/d(rhs).  For a minimum-cost dispatch problem the dual of
@@ -46,54 +55,63 @@ PIVOT_TOL = 1e-10
 MAX_ITERATIONS = 20000
 
 
-@dataclass(frozen=True)
-class LpRow:
-    coeffs: tuple[tuple[int, float], ...]  # (variable index, coefficient)
-    rel: str  # "<=", "=", ">="
-    rhs: float
-    label: str
-
-    def __post_init__(self):
-        if self.rel not in ("<=", "=", ">="):
-            raise ValueError(f"row {self.label!r}: bad relation {self.rel!r}")
+_SENSE = {"<=": 1.0, ">=": -1.0, "=": 0.0}  # relation -> slack coefficient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    objective: tuple[float, ...]  # minimize
-    var_lower: tuple[float, ...]
-    var_upper: tuple[float, ...]
-    rows: tuple[LpRow, ...]
+    cost: np.ndarray  # (n,) minimized
+    lower: np.ndarray  # (n,)
+    upper: np.ndarray  # (n,)
+    A: np.ndarray  # (m, n)
+    sense: np.ndarray  # (m,) slack coefficient: +1 for <=, -1 for >=, 0 for =
+    rhs: np.ndarray  # (m,)
     var_names: tuple[str, ...]
+    row_labels: tuple[str, ...]
 
     def __post_init__(self):
-        n = len(self.objective)
-        if not (len(self.var_lower) == len(self.var_upper) == len(self.var_names) == n):
+        m, n = self.A.shape
+        if not (self.cost.shape == self.lower.shape == self.upper.shape == (n,) == (len(self.var_names),)):
             raise ValueError("inconsistent variable array lengths")
-        labels = [r.label for r in self.rows]
-        if len(set(labels)) != len(labels):
+        if not (self.sense.shape == self.rhs.shape == (m,) == (len(self.row_labels),)):
+            raise ValueError("inconsistent row array lengths")
+        if len(set(self.row_labels)) != m:
             raise ValueError("row labels must be unique")
-        for c, lo, up, name in zip(self.objective, self.var_lower, self.var_upper, self.var_names):
+        lo, up = self.lower, self.upper
+        bad = ~np.isfinite(self.cost) | ~(lo <= up) | (lo == INF) | (up == -INF)
+        if bad.any():
+            j = int(bad.argmax())
+            name, c, lo, up = self.var_names[j], float(self.cost[j]), float(lo[j]), float(up[j])
             if not math.isfinite(c):
                 raise ValueError(f"variable {name!r}: cost {c} is not finite")
             if math.isnan(lo) or math.isnan(up) or lo == INF or up == -INF:
                 raise ValueError(f"variable {name!r}: bad bounds [{lo}, {up}]")
-            if lo > up:
-                raise ValueError(f"variable {name!r}: lower bound exceeds upper bound")
-        for r in self.rows:
-            if not (math.isfinite(r.rhs) and all(math.isfinite(v) for _, v in r.coeffs)):
-                raise ValueError(f"row {r.label!r}: coefficients and right-hand side must be finite")
+            raise ValueError(f"variable {name!r}: lower bound exceeds upper bound")
+        bad = (self.sense != 0.0) & (np.abs(self.sense) != 1.0)
+        bad |= ~(np.isfinite(self.rhs) & np.isfinite(self.A).all(axis=1))
+        if bad.any():
+            raise ValueError(f"row {self.row_labels[int(bad.argmax())]!r}: "
+                             "coefficients and right-hand side must be finite, sense -1, 0 or 1")
+        for a in (self.cost, self.lower, self.upper, self.A, self.sense, self.rhs):
+            a.setflags(write=False)
 
 
 class LpBuilder:
-    """Incremental construction of a LinearProgram with named variables."""
+    """Incremental construction of a LinearProgram.  ``var`` and ``row``
+    return the position of what they add, which indexes the program's arrays
+    and its solution."""
 
     def __init__(self):
         self._names: list[str] = []
         self._cost: list[float] = []
         self._lo: list[float] = []
         self._up: list[float] = []
-        self._rows: list[LpRow] = []
+        self._labels: list[str] = []
+        self._sense: list[float] = []
+        self._rhs: list[float] = []
+        self._nnz: list[int] = []  # terms per row
+        self._cols: list[int] = []  # the variable of each term, row by row
+        self._vals: list[float] = []
 
     def var(self, name: str, lower: float, upper: float, cost: float = 0.0) -> int:
         self._names.append(name)
@@ -102,23 +120,41 @@ class LpBuilder:
         self._up.append(float(upper))
         return len(self._names) - 1
 
-    def row(self, coeffs: Mapping[int, float], rel: str, rhs: float, label: str) -> None:
-        packed = tuple(sorted((int(i), float(v)) for i, v in coeffs.items() if v != 0.0))
-        self._rows.append(LpRow(packed, rel, float(rhs), label))
+    def row(self, coeffs: Mapping[int, float], rel: str, rhs: float, label: str) -> int:
+        if rel not in _SENSE:
+            raise ValueError(f"row {label!r}: bad relation {rel!r}")
+        self._labels.append(label)
+        self._sense.append(_SENSE[rel])
+        self._rhs.append(float(rhs))
+        self._nnz.append(len(coeffs))
+        self._cols.extend(coeffs)
+        self._vals.extend(coeffs.values())
+        return len(self._labels) - 1
 
     def build(self) -> LinearProgram:
+        n, m = len(self._names), len(self._labels)
+        cols = np.array(self._cols, dtype=np.intp)
+        rows = np.repeat(np.arange(m), self._nnz)
+        bad = (cols < 0) | (cols >= n)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"row {self._labels[rows[k]]!r}: bad variable index {self._cols[k]}")
+        vals = np.array(self._vals, dtype=float)
+        nonzero = vals != 0.0
+        A = np.zeros((m, n))
+        A[rows[nonzero], cols[nonzero]] = vals[nonzero]
         return LinearProgram(
-            tuple(self._cost), tuple(self._lo), tuple(self._up),
-            tuple(self._rows), tuple(self._names),
+            np.array(self._cost), np.array(self._lo), np.array(self._up), A,
+            np.array(self._sense), np.array(self._rhs), tuple(self._names), tuple(self._labels),
         )
 
 
 @dataclass(frozen=True)
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    primal: dict[str, float]
-    duals: dict[str, float]  # row label -> d(objective)/d(rhs)
-    reduced_costs: dict[str, float]
+    primal: tuple[float, ...]  # by variable position
+    duals: tuple[float, ...]  # by row position: d(objective)/d(rhs)
+    reduced_costs: tuple[float, ...]  # by variable position
     objective_value: float
 
 
@@ -135,42 +171,26 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 class _Simplex:
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        n = len(lp.objective)
-        m = len(lp.rows)
+        m, n = lp.A.shape
         self.n_struct = n
         self.m = m
 
-        # columns: structural | row slacks (<=: +1, >=: -1) | artificials
-        self.slack_of_row = [-1] * m
-        ncols = n
-        for i, r in enumerate(lp.rows):
-            if r.rel in ("<=", ">="):
-                self.slack_of_row[i] = ncols
-                ncols += 1
-        self.art0 = ncols
-        ncols += m
-        self.ncols = ncols
-
+        # columns: structural | row slacks (coefficient ``sense``) | artificials
+        slack_rows = np.flatnonzero(lp.sense)
+        self.art0 = n + slack_rows.size
+        self.ncols = ncols = self.art0 + m
         self.A = np.zeros((m, ncols))
-        self.b = np.array([r.rhs for r in lp.rows], dtype=float)
-        for i, r in enumerate(lp.rows):
-            for j, v in r.coeffs:
-                if not 0 <= j < n:
-                    raise ValueError(f"row {r.label!r}: bad variable index {j}")
-                self.A[i, j] += v
-            if r.rel == "<=":
-                self.A[i, self.slack_of_row[i]] = 1.0
-            elif r.rel == ">=":
-                self.A[i, self.slack_of_row[i]] = -1.0
+        self.A[:, :n] = lp.A
+        self.A[slack_rows, n + np.arange(slack_rows.size)] = lp.sense[slack_rows]
+        self.b = lp.rhs
 
         self.lower = np.full(ncols, 0.0)
         self.upper = np.full(ncols, INF)
-        self.lower[:n] = lp.var_lower
-        self.upper[:n] = lp.var_upper
+        self.lower[:n] = lp.lower
+        self.upper[:n] = lp.upper
 
         self.cost_real = np.zeros(ncols)
-        self.cost_real[:n] = lp.objective
+        self.cost_real[:n] = lp.cost
 
     # -- driver ------------------------------------------------------------
     def run(self) -> LpSolution:
@@ -213,11 +233,13 @@ class _Simplex:
         return xb
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
-        """Pivot to an optimum of ``cost``.  The basis ``B`` is gathered and
-        the basic values ``x_B`` solved once, at the start; a pivot then
-        writes the entering column into ``B`` and a step of length ``t``
-        moves ``x_B`` by ``t`` times the direction the ratio test read, the
-        entering variable's new value taking the leaving row's slot.  Each
+        """Pivot to an optimum of ``cost``.  The basis ``B`` is gathered once,
+        at the start, and phase 1 solves the basic values ``x_B`` there;
+        phase 2 starts from the ``x_B`` that phase 1's optimum (or
+        ``_expel_artificials``' last re-solve) left on the same basis.  A
+        pivot then writes the entering column into ``B`` and a step of length
+        ``t`` moves ``x_B`` by ``t`` times the direction the ratio test read,
+        the entering variable's new value taking the leaving row's slot.  Each
         pivot or bound flip makes one direction solve, and each new basis one
         dual solve.  The nonbasic mask, the pricing masks (columns that may
         increase or decrease) and the bounds of the basic variables are kept
@@ -231,7 +253,7 @@ class _Simplex:
         can_down = movable & ((st == _AT_UPPER) | (st == _FREE_NB))
         lo_b, up_b = self.lower[self.basis], self.upper[self.basis]
         B = self.A[:, self.basis]
-        xb = self._solve_basics(B, nonbasic)
+        xb = self._solve_basics(B, nonbasic) if phase == 1 else self.x[self.basis]
         moved = False  # has a step changed x since xb was solved?
         rc = None
         for _ in range(MAX_ITERATIONS):
@@ -310,15 +332,11 @@ class _Simplex:
         """The solution at the last iterate; an optimum reuses the basic
         values, duals and reduced costs ``_iterate`` solved on the final
         basis, so nothing is solved here."""
-        lp = self.lp
+        n, m = self.n_struct, self.m
         if status != "optimal":
-            zeros = {name: 0.0 for name in lp.var_names}
-            return LpSolution(status, zeros, {r.label: 0.0 for r in lp.rows},
-                              dict(zeros), 0.0)
-        n = self.n_struct
-        primal = dict(zip(lp.var_names, self.x[:n].tolist()))
-        duals = dict(zip((r.label for r in lp.rows), self.y.tolist()))
-        reduced = dict(zip(lp.var_names, self.rc[:n].tolist()))
+            zeros = (0.0,) * n
+            return LpSolution(status, zeros, (0.0,) * m, zeros, 0.0)
         with np.errstate(over="ignore"):  # huge finite costs overflow to inf without a stderr warning
             obj = float(self.cost_real[:n] @ self.x[:n])
-        return LpSolution(status, primal, duals, reduced, obj)
+        return LpSolution(status, tuple(self.x[:n].tolist()), tuple(self.y.tolist()),
+                          tuple(self.rc[:n].tolist()), obj)

@@ -412,17 +412,15 @@ def solve_outcome(solver, lp: LinearProgram) -> str:
 
 class _ReferenceSimplex:
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        n = len(lp.objective)
-        m = len(lp.rows)
+        m, n = lp.A.shape
         self.n_struct = n
         self.m = m
 
-        # columns: structural | row slacks (<=: +1, >=: -1) | artificials
+        # columns: structural | row slacks (coefficient lp.sense[i]) | artificials
         self.slack_of_row = [-1] * m
         ncols = n
-        for i, r in enumerate(lp.rows):
-            if r.rel in ("<=", ">="):
+        for i in range(m):
+            if lp.sense[i] != 0.0:
                 self.slack_of_row[i] = ncols
                 ncols += 1
         self.art0 = ncols
@@ -430,24 +428,20 @@ class _ReferenceSimplex:
         self.ncols = ncols
 
         self.A = np.zeros((m, ncols))
-        self.b = np.array([r.rhs for r in lp.rows], dtype=float)
-        for i, r in enumerate(lp.rows):
-            for j, v in r.coeffs:
-                if not 0 <= j < n:
-                    raise ValueError(f"row {r.label!r}: bad variable index {j}")
-                self.A[i, j] += v
-            if r.rel == "<=":
-                self.A[i, self.slack_of_row[i]] = 1.0
-            elif r.rel == ">=":
-                self.A[i, self.slack_of_row[i]] = -1.0
+        self.b = np.array(lp.rhs)
+        for i in range(m):
+            for j in range(n):
+                self.A[i, j] = lp.A[i, j]
+            if self.slack_of_row[i] >= 0:
+                self.A[i, self.slack_of_row[i]] = lp.sense[i]
 
         self.lower = np.full(ncols, 0.0)
         self.upper = np.full(ncols, INF)
-        self.lower[:n] = lp.var_lower
-        self.upper[:n] = lp.var_upper
+        self.lower[:n] = lp.lower
+        self.upper[:n] = lp.upper
 
         self.cost_real = np.zeros(ncols)
-        self.cost_real[:n] = lp.objective
+        self.cost_real[:n] = lp.cost
 
     # -- driver ------------------------------------------------------------
     def run(self) -> LpSolution:
@@ -603,17 +597,15 @@ class _ReferenceSimplex:
 
     # -- reporting -----------------------------------------------------------
     def _report(self, status: str) -> LpSolution:
-        lp = self.lp
+        n, m = self.n_struct, self.m
         if status != "optimal":
-            zeros = {name: 0.0 for name in lp.var_names}
-            return LpSolution(status, zeros, {r.label: 0.0 for r in lp.rows},
-                              dict(zeros), 0.0)
+            return LpSolution(status, (0.0,) * n, (0.0,) * m, (0.0,) * n, 0.0)
         self._recompute_basics()
         y = self._duals(self.cost_real)
         rc_all = self.cost_real - y @ self.A
-        primal = {name: float(self.x[j]) for j, name in enumerate(lp.var_names)}
-        duals = {r.label: float(y[i]) for i, r in enumerate(lp.rows)}
-        reduced = {name: float(rc_all[j]) for j, name in enumerate(lp.var_names)}
+        primal = tuple(float(self.x[j]) for j in range(n))
+        duals = tuple(float(y[i]) for i in range(m))
+        reduced = tuple(float(rc_all[j]) for j in range(n))
         with np.errstate(over="ignore"):  # huge finite costs overflow to inf without a stderr warning
             obj = float(self.cost_real[: self.n_struct] @ self.x[: self.n_struct])
         return LpSolution(status, primal, duals, reduced, obj)

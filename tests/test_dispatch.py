@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from gridclear.dispatch import (
     clear,
     with_forced_bounds,
 )
+from gridclear import lp as lpmod
 from gridclear.grid import Bus, Interface, Line, Network, build_ptdf
+from gridclear.scenario import load_scenario
 from helpers import make_fourbus, random_gens, random_network
 
 NODAL = ConstraintRegime(mode="nodal", monitored_profile="nodal", enforce_interfaces=False)
@@ -361,3 +365,26 @@ def test_determinism_bit_for_bit(fourbus):
     a = clear(net, gens, NODAL)
     b = clear(net, gens, NODAL)
     assert repr(a) == repr(b)
+
+
+_BUNDLED = sorted(p.name for p in (Path(__file__).parent.parent / "scenarios").glob("*.scn"))
+
+
+@pytest.mark.parametrize("aggregates", [False, True], ids=["plain", "reserve_and_min_sync"])
+@pytest.mark.parametrize("mode", ["nodal", "zonal", "copper_plate"])
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_limits_are_the_rhs_of_every_non_balance_row(scenario_dir, monkeypatch, name, mode, aggregates):
+    sc = load_scenario(scenario_dir / name)
+    regime = next((r for r in sc.regimes.values() if r.mode == mode), ConstraintRegime(mode=mode))
+    if aggregates:
+        regime = replace(regime, reserve_req_mw=10.0, min_sync_mw=10.0)
+    lps = []
+    real_solve = lpmod.solve
+    monkeypatch.setattr(lpmod, "solve", lambda lp: lps.append(lp) or real_solve(lp))
+    r = clear(sc.network, sc.generators, regime)
+    lp = lps[0]  # the clearing LP; a zonal tie projection may solve another
+    limits = {label: rhs for label, rhs in zip(lp.row_labels, lp.rhs.tolist())
+              if not label.startswith(("balance[", "zone[")) and label != "system"}
+    assert r.limits == limits
+    assert {label for label, _ in r.binding} <= r.limits.keys()
+    assert not aggregates or {"reserve", "min_sync"} <= r.limits.keys()

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from gridclear import lp as lpmod
 from gridclear.cli import main
-from gridclear.lp import LinearProgram, LpBuilder, LpRow, solve
+from gridclear.lp import LinearProgram, LpBuilder, solve
 from helpers import reference_solve, solve_outcome
 
 INF = math.inf
@@ -71,32 +71,29 @@ def build_wild_lp(rng: random.Random, max_vars: int = 8, max_rows: int = 8):
 def dual_objective(lp: LinearProgram, sol) -> float:
     """Dual objective under the rhs-derivative convention, with variable bound
     multipliers recovered from the reduced costs."""
-    val = sum(sol.duals[r.label] * r.rhs for r in lp.rows)
-    for j, name in enumerate(lp.var_names):
-        rc = sol.reduced_costs[name]
-        if rc > 0 and lp.var_lower[j] > -INF:
-            val += rc * lp.var_lower[j]
-        elif rc < 0 and lp.var_upper[j] < INF:
-            val += rc * lp.var_upper[j]
+    val = sum(y * b for y, b in zip(sol.duals, lp.rhs))
+    for j, rc in enumerate(sol.reduced_costs):
+        if rc > 0 and lp.lower[j] > -INF:
+            val += rc * lp.lower[j]
+        elif rc < 0 and lp.upper[j] < INF:
+            val += rc * lp.upper[j]
     return val
 
 
 def check_kkt(lp: LinearProgram, sol, tol=1e-6):
     assert sol.status == "optimal"
-    x = [sol.primal[n] for n in lp.var_names]
+    x = sol.primal
     for j in range(len(x)):
-        assert lp.var_lower[j] - tol <= x[j] <= lp.var_upper[j] + tol
-    for r in lp.rows:
-        lhs = sum(v * x[j] for j, v in r.coeffs)
-        slack = r.rhs - lhs
-        y = sol.duals[r.label]
-        if r.rel == "<=":
+        assert lp.lower[j] - tol <= x[j] <= lp.upper[j] + tol
+    for row, sense, rhs, y in zip(lp.A, lp.sense, lp.rhs, sol.duals):
+        slack = rhs - row @ x
+        if sense > 0:  # <=
             assert slack >= -tol
-            assert abs(y) * max(slack, 0.0) <= tol * (1 + abs(r.rhs))
+            assert abs(y) * max(slack, 0.0) <= tol * (1 + abs(rhs))
             assert y <= tol  # relaxing a <= row cannot raise a minimum
-        elif r.rel == ">=":
+        elif sense < 0:  # >=
             assert slack <= tol
-            assert abs(y) * max(-slack, 0.0) <= tol * (1 + abs(r.rhs))
+            assert abs(y) * max(-slack, 0.0) <= tol * (1 + abs(rhs))
             assert y >= -tol
         else:
             assert abs(slack) <= tol
@@ -107,11 +104,11 @@ def check_kkt(lp: LinearProgram, sol, tol=1e-6):
 def test_lower_bound_row_dual_is_one():
     b = LpBuilder()
     x = b.var("x", -INF, INF, 1.0)
-    b.row({x: 1.0}, ">=", 3.0, "lb")
+    lb = b.row({x: 1.0}, ">=", 3.0, "lb")
     sol = solve(b.build())
     assert sol.status == "optimal"
-    assert sol.primal["x"] == pytest.approx(3.0)
-    assert sol.duals["lb"] == pytest.approx(1.0)
+    assert sol.primal[x] == pytest.approx(3.0)
+    assert sol.duals[lb] == pytest.approx(1.0)
 
 
 def test_two_variable_balance_and_cap():
@@ -119,13 +116,13 @@ def test_two_variable_balance_and_cap():
     b = LpBuilder()
     a = b.var("a", 0.0, INF, 10.0)
     c = b.var("b", 0.0, INF, 40.0)
-    b.row({a: 1.0, c: 1.0}, "=", 100.0, "balance")
-    b.row({a: 1.0}, "<=", 60.0, "cap")
+    balance = b.row({a: 1.0, c: 1.0}, "=", 100.0, "balance")
+    cap = b.row({a: 1.0}, "<=", 60.0, "cap")
     sol = solve(b.build())
-    assert sol.primal["a"] == pytest.approx(60.0)
-    assert sol.primal["b"] == pytest.approx(40.0)
-    assert sol.duals["balance"] == pytest.approx(40.0)
-    assert sol.duals["cap"] == pytest.approx(-30.0)
+    assert sol.primal[a] == pytest.approx(60.0)
+    assert sol.primal[c] == pytest.approx(40.0)
+    assert sol.duals[balance] == pytest.approx(40.0)
+    assert sol.duals[cap] == pytest.approx(-30.0)
     assert sol.objective_value == pytest.approx(2200.0)
 
 
@@ -146,21 +143,21 @@ def test_unbounded_is_reported():
 def test_redundant_row_gets_zero_dual():
     b = LpBuilder()
     a = b.var("a", 0.0, 10.0, 2.0)
-    b.row({a: 1.0}, "=", 4.0, "r1")
-    b.row({a: 2.0}, "=", 8.0, "r2")
+    r1 = b.row({a: 1.0}, "=", 4.0, "r1")
+    r2 = b.row({a: 2.0}, "=", 8.0, "r2")
     sol = solve(b.build())
     assert sol.status == "optimal"
-    assert sol.primal["a"] == pytest.approx(4.0)
-    assert sol.duals["r1"] * 1 + sol.duals["r2"] * 2 == pytest.approx(2.0)
+    assert sol.primal[a] == pytest.approx(4.0)
+    assert sol.duals[r1] * 1 + sol.duals[r2] * 2 == pytest.approx(2.0)
 
 
 def test_duplicate_labels_rejected():
+    b = LpBuilder()
+    x = b.var("x", 0.0, 1.0, 1.0)
+    b.row({x: 1.0}, "<=", 1.0, "r")
+    b.row({x: 1.0}, "<=", 2.0, "r")
     with pytest.raises(ValueError, match="unique"):
-        LinearProgram(
-            (1.0,), (0.0,), (1.0,),
-            (LpRow(((0, 1.0),), "<=", 1.0, "r"), LpRow(((0, 1.0),), "<=", 2.0, "r")),
-            ("x",),
-        )
+        b.build()
 
 
 _NAN = float("nan")
@@ -190,6 +187,30 @@ def test_non_finite_inputs_are_rejected_by_name(cost, lower, upper, coeff, rhs, 
         b.build()
 
 
+@pytest.mark.parametrize("index, rel", [(-1, "<="), (1, "<="), (0, "=<")],
+                         ids=["index -1", "index n", "bad relation"])
+def test_bad_rows_are_rejected_by_name(index, rel):
+    # numpy would read index -1 as the last column; the builder must not
+    b = LpBuilder()
+    x = b.var("x", 0.0, 1.0, 1.0)
+    b.row({x: 1.0}, "<=", 1.0, "ok")
+    with pytest.raises(ValueError, match="row 'cap'"):
+        b.row({index: 1.0}, rel, 1.0, "cap")
+        b.build()
+
+
+def test_solve_leaves_the_program_unchanged_and_its_arrays_read_only():
+    # re-solving a captured LP is bit for bit only if no solve wrote to it
+    lp = build_random_lp(random.Random(42))
+    arrays = ("cost", "lower", "upper", "A", "sense", "rhs")
+    before = {f: getattr(lp, f).tobytes() for f in arrays}
+    assert solve(lp).status == "optimal"
+    for f in arrays:
+        assert getattr(lp, f).tobytes() == before[f]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lp, f)[0] = 1.0
+
+
 def test_degenerate_cycling_guard():
     # Beale's classical cycling example; Bland's rule must terminate
     b = LpBuilder()
@@ -211,8 +232,8 @@ def test_fixed_variable_handled():
     c = b.var("c", 0.0, 10.0, 1.0)
     b.row({a: 1.0, c: 1.0}, ">=", 8.0, "need")
     sol = solve(b.build())
-    assert sol.primal["a"] == 5.0
-    assert sol.primal["c"] == pytest.approx(3.0)
+    assert sol.primal[a] == 5.0
+    assert sol.primal[c] == pytest.approx(3.0)
 
 
 def test_determinism_identical_runs():
@@ -241,11 +262,12 @@ def test_solve_matches_the_reference_bit_for_bit(seed):
 
 
 def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
-    # min -x, x in [0, 5], x <= 10.  Each phase solves the basic values at
-    # its start and, if a step moved them, again at its optimum; each pivot
-    # or bound flip solves one direction; each basis solves its duals once.
-    # Phase 1: x enters and flips to its upper bound (the duals are kept),
-    # then the slack replaces the artificial; phase 2 prices once and stops.
+    # min -x, x in [0, 5], x <= 10.  Phase 1 solves the basic values at its
+    # start, phase 2 starts from phase 1's, and each phase solves them again
+    # at its optimum if a step moved them; each pivot or bound flip solves
+    # one direction; each basis solves its duals once.  Phase 1: x enters
+    # and flips to its upper bound (the duals are kept), then the slack
+    # replaces the artificial; phase 2 prices once and stops.
     b = LpBuilder()
     x = b.var("x", 0.0, 5.0, -1.0)
     b.row({x: 1.0}, "<=", 10.0, "cap")
@@ -270,12 +292,12 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", named_solve)
     monkeypatch.setattr(lpmod._Simplex, "_report", watched_report)
     sol = solve(b.build())
-    assert sol.primal["x"] == 5.0 and sol.objective_value == -5.0
+    assert sol.primal[x] == 5.0 and sol.objective_value == -5.0
     assert events == [
         "basics", "duals", "direction",  # phase 1: x flips to its upper bound
         "direction",                     # the slack replaces the artificial
         "duals", "basics",               # the new basis is optimal; x_B moved
-        "basics", "duals",               # phase 2 is optimal at once
+        "duals",                         # phase 2 is optimal at once
         "report",
     ]
 
@@ -296,7 +318,7 @@ def test_fixed_column_that_leaves_the_basis_stays_out():
     lp = b.build()
     sol = solve(lp)
     assert sol.objective_value == 8.0
-    assert (sol.duals["r1"], sol.duals["r2"]) == (2.0, -1.0)
+    assert sol.duals[1:3] == (2.0, -1.0)  # rows r1 and r2
     assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
 
 
