@@ -8,6 +8,7 @@ across threads.  A network computes its PTDF matrix once, on first use.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -23,7 +24,9 @@ class GridStructureError(ValueError):
 
 
 class GridNumericalError(ArithmeticError):
-    """Raised when the reduced susceptance matrix cannot be factorized."""
+    """Raised when the reduced susceptance matrix cannot be factorized, or a
+    line's or bus's susceptance, or a PTDF row, is not finite (reactances
+    near the smallest floats)."""
 
 
 class UnbalancedInjectionError(ValueError):
@@ -211,6 +214,7 @@ class FlowSet:
         return self.flows_mw[line_id]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite susceptance or PTDF row raises instead
 def build_ptdf(net: Network) -> PtdfMatrix:
     """Compute the PTDF matrix of a connected network via the reduced
     susceptance matrix (slack row/column removed)."""
@@ -222,11 +226,16 @@ def build_ptdf(net: Network) -> PtdfMatrix:
     b_mat = np.zeros((n, n))
     for l in net.lines:
         y = 1.0 / l.reactance
+        if not math.isfinite(y):
+            raise GridNumericalError(f"line {l.id!r}: 1/reactance {y} is not finite")
         f, t = idx[l.from_bus], idx[l.to_bus]
         b_mat[f, f] += y
         b_mat[t, t] += y
         b_mat[f, t] -= y
         b_mat[t, f] -= y
+    bad = ~np.isfinite(b_mat.diagonal())  # LAPACK would invert an inf to a finite, wrong PTDF
+    if bad.any():
+        raise GridNumericalError(f"bus {bus_ids[int(bad.argmax())]!r}: susceptance sum is not finite")
 
     keep = [i for i in range(n) if i != slack]
     b_red = b_mat[np.ix_(keep, keep)]
@@ -247,6 +256,9 @@ def build_ptdf(net: Network) -> PtdfMatrix:
         f, t = idx[l.from_bus], idx[l.to_bus]
         mat[li, :] = y * (x_full[f, :] - x_full[t, :])
     mat[:, slack] = 0.0
+    bad = ~np.isfinite(mat).all(axis=1)
+    if bad.any():
+        raise GridNumericalError(f"line {net.lines[int(bad.argmax())].id!r}: PTDF row is not finite")
     mat.setflags(write=False)
     return PtdfMatrix(tuple(l.id for l in net.lines), bus_ids, net.slack_bus, mat)
 

@@ -21,13 +21,32 @@ place, and the basic values move by the step just taken instead of being
 solved afresh.  At a phase's optimum the basic values are solved once more on
 the final basis (unless no step moved them), so the phase-1 feasibility test,
 the start of phase 2 and the report read exactly what a fresh solve of that
-basis gives.  Pricing and the ratio test are array scans that make Bland's
-choice.  The masks they read (which nonbasic columns may increase or
-decrease, which columns are nonbasic) and the bounds of the basic variables
-are kept across pivots, and a pivot or bound flip updates only the positions
-it touches.  Against the plain method, which solves the basic values, duals
-and direction at every pivot, the contract is the same pivot path, and
-reported numbers that come from the same solves on the final basis.
+basis gives.  Pricing makes Bland's choice with one comparison of each
+column's signed reduced cost (the sign says which way the column may move),
+plus a test of the nonbasic free columns while there are any; the ratio test
+visits in Python only the rows the step moves, reading the basis, its bounds
+and the basic values as Python lists.  The signs and lists are kept across
+pivots, and a pivot or bound flip updates only the positions it touches.
+Against the plain method, which solves the basic values, duals and direction
+at every pivot, the contract is the same pivot path, and reported numbers
+that come from the same solves on the final basis.
+
+Every solve calls ``_lapack_solve``, which calls the gufunc that
+``np.linalg.solve`` dispatches to (``numpy.linalg._umath_linalg.solve1``)
+on the same float64 operands, so it returns the same bits without the
+wrapper's per-call checks and ``errstate``, which cost more than the LAPACK
+work on the small bases of unit commitment.  A whole solve runs under one
+float-error policy instead: an invalid operation raises, overflow, division
+and underflow pass silently.  LAPACK flags a singular basis as an invalid
+operation, which becomes ``LpNumericalError`` with ``np.linalg.solve``'s
+text; any other invalid operation (``inf - inf``, ``0 * inf`` on huge
+inputs) becomes ``LpNumericalError`` too, never a nan in a report.
+``tests/test_lp.py::test_lapack_solve_is_np_linalg_solve_bit_for_bit`` pins
+both, so a numpy that changes what the private gufunc returns or how it
+flags a singular matrix fails there; one that renames it fails on import.
+
+Phase 1 ends infeasible when an artificial exceeds ``FEAS_TOL`` scaled by
+its own row's right-hand side, so a large unrelated row hides nothing.
 
 Duals follow the right-hand-side derivative convention: the multiplier of a
 row is d(objective)/d(rhs).  For a minimum-cost dispatch problem the dual of
@@ -160,13 +179,33 @@ class LpSolution:
 
 class LpNumericalError(ArithmeticError):
     """Raised when the simplex fails to make progress (iteration cap, singular
-    basis); indicates a pathological input rather than infeasibility."""
+    basis) or its arithmetic leaves the finite numbers; indicates a
+    pathological input rather than infeasibility."""
+
+
+# the gufunc np.linalg.solve calls for a 1-D right-hand side
+_solve1 = np.linalg._umath_linalg.solve1
+
+
+def _lapack_solve(a: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a square float64 ``a`` and a float64
+    vector ``b``, bit for bit, without its per-call checks.  Run it under
+    ``_Simplex.run``'s float-error policy: LAPACK flags a singular ``a`` as an
+    invalid operation, which becomes ``LpNumericalError(f"{singular}:
+    Singular matrix")``, numpy's ``LinAlgError`` text."""
+    try:
+        return _solve1(a, b, signature="dd->d")
+    except FloatingPointError:
+        raise LpNumericalError(f"{singular}: Singular matrix") from None
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP.  Infeasibility and unboundedness are reported through the
     solution status, never silently."""
-    return _Simplex(lp).run()
+    try:
+        return _Simplex(lp).run()
+    except FloatingPointError as exc:  # an invalid operation under the run's float-error policy
+        raise LpNumericalError(f"non-finite arithmetic: {exc}") from None
 
 
 class _Simplex:
@@ -193,14 +232,18 @@ class _Simplex:
         self.cost_real[:n] = lp.cost
 
     # -- driver ------------------------------------------------------------
+    # one float-error policy for the whole run, the one np.linalg.solve sets
+    # around its gufunc: LAPACK flags a singular basis as an invalid
+    # operation, and so does non-finite arithmetic (inf - inf, 0 * inf);
+    # overflow to inf, division and underflow pass silently
+    @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
     def run(self) -> LpSolution:
         self._init_basis()
         phase1_cost = np.zeros(self.ncols)
         phase1_cost[self.art0:] = 1.0
         # the sum of artificials is bounded below, so phase 1 ends optimal or raises
         self._iterate(phase1_cost, phase=1)
-        art_sum = float(self.x[self.art0:].sum())
-        if art_sum > FEAS_TOL * (1.0 + float(np.abs(self.b).sum())):
+        if (self.x[self.art0:] > FEAS_TOL * (1.0 + np.abs(self.b))).any():
             return self._report("infeasible")
         self._expel_artificials()
         # artificials are pinned at zero for phase 2
@@ -222,13 +265,10 @@ class _Simplex:
         self.status[self.basis] = _BASIC
 
     # -- simplex core --------------------------------------------------------
-    def _solve_basics(self, B: np.ndarray, nonbasic: np.ndarray) -> np.ndarray:
+    def _solve_basics(self, B: np.ndarray) -> np.ndarray:
         """Solve ``B x_B = b - A_N x_N``, store ``x_B`` and return it."""
-        rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
-        try:
-            xb = np.linalg.solve(B, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise LpNumericalError(f"singular basis: {exc}") from exc
+        nonbasic = self.status != _BASIC
+        xb = _lapack_solve(B, self.b - self.A[:, nonbasic] @ self.x[nonbasic], "singular basis")
         self.x[self.basis] = xb
         return xb
 
@@ -241,51 +281,54 @@ class _Simplex:
         ``t`` moves ``x_B`` by ``t`` times the direction the ratio test read,
         the entering variable's new value taking the leaving row's slot.  Each
         pivot or bound flip makes one direction solve, and each new basis one
-        dual solve.  The nonbasic mask, the pricing masks (columns that may
-        increase or decrease) and the bounds of the basic variables are kept
-        the same way.  At the optimum ``x_B`` is solved again on the final
-        basis if a step has moved it, so ``self.x``, ``self.y`` and
-        ``self.rc`` hold exactly what a fresh solve of that basis gives."""
+        dual solve.  Each column's improving sign (+1 may increase, -1 may
+        decrease, 0 neither or either way), the nonbasic free columns, and the
+        basis with its bounds as Python lists are kept the same way.  At the
+        optimum ``x_B`` is solved again on the final basis if a step has moved
+        it, so ``self.x``, ``self.y`` and ``self.rc`` hold exactly what a fresh
+        solve of that basis gives."""
+        A, st = self.A, self.status
         movable = ~(self.upper - self.lower <= 0)  # fixed variables never enter
-        st = self.status
-        nonbasic = st != _BASIC
-        can_up = movable & ((st == _AT_LOWER) | (st == _FREE_NB))
-        can_down = movable & ((st == _AT_UPPER) | (st == _FREE_NB))
-        lo_b, up_b = self.lower[self.basis], self.upper[self.basis]
-        B = self.A[:, self.basis]
-        xb = self._solve_basics(B, nonbasic) if phase == 1 else self.x[self.basis]
+        lower, upper, can_move = self.lower.tolist(), self.upper.tolist(), movable.tolist()
+        sign = (movable & (st == _AT_LOWER)).astype(float) - (movable & (st == _AT_UPPER))
+        free = np.flatnonzero(st == _FREE_NB)  # may move either way; once basic, never leaves
+        basis = self.basis.tolist()
+        lo_b, up_b = [lower[k] for k in basis], [upper[k] for k in basis]
+        B = A[:, self.basis]
+        xb = self._solve_basics(B) if phase == 1 else self.x[self.basis]
         moved = False  # has a step changed x since xb was solved?
         rc = None
         for _ in range(MAX_ITERATIONS):
             if rc is None:
-                try:
-                    y = np.linalg.solve(B.T, cost[self.basis])
-                except np.linalg.LinAlgError as exc:
-                    raise LpNumericalError(f"singular basis (dual solve): {exc}") from exc
-                rc = cost - y @ self.A
+                y = _lapack_solve(B.T, cost[self.basis], "singular basis (dual solve)")
+                rc = cost - y @ A
             # Bland's rule: the lowest-indexed improving nonbasic column
-            up = can_up & (rc < -OPT_TOL)
-            improving = up | (can_down & (rc > OPT_TOL))
+            improving = sign * rc < -OPT_TOL
+            if free.size:
+                improving[free[np.abs(rc[free]) > OPT_TOL]] = True
             entering = int(improving.argmax())
             if not improving[entering]:
                 if moved:
-                    self._solve_basics(B, nonbasic)
+                    self._solve_basics(B)
                 self.y, self.rc = y, rc
                 return "optimal"
-            direction = 1 if up[entering] else -1
+            direction = int(sign[entering]) or (1 if rc[entering] < 0 else -1)
 
             # ratio test: the first blocking row, ties within 1e-12 to the
-            # lowest variable index; the entering column's own span blocks too
-            delta = -direction * np.linalg.solve(B, self.A[:, entering])
-            room = np.where(delta > 0, up_b - xb, xb - lo_b)
-            size = np.abs(delta)
-            rows = ((size > PIVOT_TOL) & (room < INF)).nonzero()[0]
-            span = self.upper[entering] - self.lower[entering]
+            # lowest variable index; the entering column's own span blocks
+            # too.  Only rows the step moves are visited, and a row with
+            # infinite room (t = inf) never blocks.
+            d = _lapack_solve(B, A[:, entering], "singular basis")
+            span = upper[entering] - lower[entering]
             best_t = span if span < INF else INF
             best_idx = entering if best_t < INF else -1
             best_row = -1
-            for row, t, k in zip(rows.tolist(), (room[rows] / size[rows]).tolist(),
-                                 self.basis[rows].tolist()):
+            d_list, x_list = d.tolist(), xb.tolist()
+            for row in (np.abs(d) > PIVOT_TOL).nonzero()[0].tolist():
+                delta = -direction * d_list[row]
+                room = up_b[row] - x_list[row] if delta > 0 else x_list[row] - lo_b[row]
+                t = room / abs(delta)
+                k = basis[row]
                 if t < best_t - 1e-12 or (abs(t - best_t) <= 1e-12 and (best_idx < 0 or k < best_idx)):
                     best_t, best_idx, best_row = t, k, row
             if best_t == INF:
@@ -293,24 +336,24 @@ class _Simplex:
                     raise LpNumericalError("unbounded phase-1 subproblem")
                 return "unbounded"
 
-            xb += best_t * delta
+            xb -= (direction * best_t) * d  # x_B + t * delta, delta = -direction * d
             moved = True
             if best_idx == entering:  # bound flip, basis unchanged
                 leaving, to_upper = entering, direction > 0
             else:
-                leaving, to_upper = best_idx, delta[best_row] > 0
+                leaving, to_upper = best_idx, direction * d_list[best_row] < 0
                 xb[best_row] = self.x[entering] + direction * best_t
-                self.basis[best_row] = entering
-                B[:, best_row] = self.A[:, entering]
-                self.status[entering] = _BASIC
-                nonbasic[entering], nonbasic[leaving] = False, True
-                can_up[entering] = can_down[entering] = False
-                lo_b[best_row], up_b[best_row] = self.lower[entering], self.upper[entering]
+                self.basis[best_row] = basis[best_row] = entering
+                B[:, best_row] = A[:, entering]
+                st[entering] = _BASIC
+                sign[entering] = 0.0
+                if free.size:
+                    free = free[free != entering]
+                lo_b[best_row], up_b[best_row] = lower[entering], upper[entering]
                 rc = None
-            self.status[leaving] = _AT_UPPER if to_upper else _AT_LOWER
-            self.x[leaving] = self.upper[leaving] if to_upper else self.lower[leaving]
-            can_up[leaving] = movable[leaving] and not to_upper
-            can_down[leaving] = movable[leaving] and to_upper
+            st[leaving] = _AT_UPPER if to_upper else _AT_LOWER
+            self.x[leaving] = upper[leaving] if to_upper else lower[leaving]
+            sign[leaving] = (-1.0 if to_upper else 1.0) if can_move[leaving] else 0.0
         raise LpNumericalError("iteration limit exceeded")
 
     def _expel_artificials(self):
@@ -325,7 +368,7 @@ class _Simplex:
                 self.x[j] = 0.0
                 self.basis[pos] = pivots[0]
                 self.status[pivots[0]] = _BASIC
-                self._solve_basics(self.A[:, self.basis], self.status != _BASIC)
+                self._solve_basics(self.A[:, self.basis])
 
     # -- reporting -----------------------------------------------------------
     def _report(self, status: str) -> LpSolution:
@@ -336,7 +379,6 @@ class _Simplex:
         if status != "optimal":
             zeros = (0.0,) * n
             return LpSolution(status, zeros, (0.0,) * m, zeros, 0.0)
-        with np.errstate(over="ignore"):  # huge finite costs overflow to inf without a stderr warning
-            obj = float(self.cost_real[:n] @ self.x[:n])
+        obj = float(self.cost_real[:n] @ self.x[:n])  # huge finite costs overflow to inf silently
         return LpSolution(status, tuple(self.x[:n].tolist()), tuple(self.y.tolist()),
                           tuple(self.rc[:n].tolist()), obj)

@@ -451,8 +451,7 @@ class _ReferenceSimplex:
         status = self._iterate(phase1_cost, phase=1)
         if status != "optimal":
             raise LpNumericalError("phase 1 did not terminate at an optimum")
-        art_sum = float(self.x[self.art0:].sum())
-        if art_sum > FEAS_TOL * (1.0 + float(np.abs(self.b).sum())):
+        if any(self.x[self.art0 + i] > FEAS_TOL * (1.0 + abs(self.b[i])) for i in range(self.m)):
             return self._report("infeasible")
         self._expel_artificials()
         # artificials are pinned at zero for phase 2
@@ -528,7 +527,10 @@ class _ReferenceSimplex:
             if entering < 0:
                 return "optimal"
 
-            d = np.linalg.solve(self._basis_matrix(), self.A[:, entering])
+            try:
+                d = np.linalg.solve(self._basis_matrix(), self.A[:, entering])
+            except np.linalg.LinAlgError as exc:
+                raise LpNumericalError(f"singular basis: {exc}") from exc
             # step limit from the entering variable's own opposite bound
             span = self.upper[entering] - self.lower[entering]
             best_t = span if span < INF else INF

@@ -6,6 +6,7 @@ import json
 import re
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -450,14 +451,39 @@ def test_year_long_commitment_search_is_refused_within_a_second(scenario_dir, tm
     assert "commitment search space exceeds" in capsys.readouterr().err
 
 
-def test_clear_overflowing_scenario_is_one_error_line(scenario_dir, tmp_path, capsys):
-    def huge(doc):
-        doc["network"]["buses"][0].update(load_mw=1e300, wtp=1e300)
-    p = _edited_scenario(scenario_dir, tmp_path, "twobus", huge)
-    assert run(["clear", p, "--scheme", "nodal", "--out", tmp_path / "o", "--no-timestamp"]) == 1
+def _set(section, key, **fields):
+    """An edit that updates the entry ``key`` of a scenario's ``section``."""
+    def edit(doc):
+        entries = doc["network"][section] if section in ("buses", "lines") else doc[section]
+        next(e for e in entries if e["id"] == key).update(fields)
+    return edit
+
+
+_NON_FINITE = {
+    "bus a load and wtp 1e300": ("twobus", _set("buses", "a", load_mw=1e300, wtp=1e300), "nodal", 1),
+    "bus b wtp 1e308": ("twobus", _set("buses", "b", wtp=1e308), "nodal", 1),
+    "A1 ic 1e308": ("twobus", _set("generators", "A1", ic=1e308), "nodal", 1),
+    "lab reactance 5e-324": ("twobus", _set("lines", "lab", reactance=5e-324), "zonal", 1),
+    "l12 limit 1e308": ("fourbus", _set("lines", "l12", limit_mw=1e308), "nodal", 0),
+}
+
+
+@pytest.mark.parametrize("name, edit, scheme, code", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+def test_clear_overflowing_scenario_is_one_error_line(scenario_dir, tmp_path, capsys, name, edit, scheme, code):
+    # arithmetic that leaves the finite numbers is one error line, never a
+    # warning or a nan in a report; a huge bound that only overflows a
+    # ratio is cleared as usual
+    p = _edited_scenario(scenario_dir, tmp_path, name, edit)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["clear", p, "--scheme", scheme, "--out", tmp_path / "o", "--no-timestamp"]) == code
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("exc", [

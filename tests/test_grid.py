@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from gridclear.grid import (
     Bus,
+    GridNumericalError,
     GridStructureError,
     Interface,
     Line,
@@ -172,3 +173,19 @@ def test_interface_flow_is_signed_member_sum(seed):
     for itf in net.interfaces:
         expected = sum(sign * flows[lid] for lid, sign in itf.member_lines)
         assert iflows[itf.id] == expected  # exact: same summation
+
+
+@pytest.mark.parametrize("reactances, named", [
+    ((5e-324, 0.1, 0.1), "line 'lab': 1/reactance inf is not finite"),
+    ((1e-310, 0.1, 0.1), "line 'lab': 1/reactance inf is not finite"),
+    ((0.1, 1e-308, 1e-308), "bus 'c': susceptance sum is not finite"),
+], ids=["subnormal", "1e-310", "overflowing sum"])
+def test_reactances_near_the_smallest_floats_are_a_named_numerical_error(reactances, named):
+    # a susceptance of inf would give a nan PTDF, or a finite but wrong one
+    x_ab, x_bc, x_ac = reactances
+    net = Network((Bus("a", "Z"), Bus("b", "Z"), Bus("c", "Z")),
+                  (Line("lab", "a", "b", x_ab, 100.0), Line("lbc", "b", "c", x_bc, 100.0),
+                   Line("lac", "a", "c", x_ac, 100.0)),
+                  ("Z",), (), "a")
+    with pytest.raises(GridNumericalError, match=named):
+        build_ptdf(net)

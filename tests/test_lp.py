@@ -10,8 +10,8 @@ import hypothesis.strategies as st
 
 from gridclear import lp as lpmod
 from gridclear.cli import main
-from gridclear.lp import LinearProgram, LpBuilder, solve
-from helpers import reference_solve, solve_outcome
+from gridclear.lp import LinearProgram, LpBuilder, LpNumericalError, solve
+from helpers import _ReferenceSimplex, reference_solve, solve_outcome
 
 INF = math.inf
 
@@ -272,10 +272,10 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     x = b.var("x", 0.0, 5.0, -1.0)
     b.row({x: 1.0}, "<=", 10.0, "cap")
     events = []
-    real_solve = np.linalg.solve
+    real_solve = lpmod._lapack_solve
     real_report = lpmod._Simplex._report
 
-    def named_solve(a, rhs):
+    def named_solve(a, rhs, singular):
         caller = sys._getframe(1)
         if caller.f_code.co_name == "_solve_basics":
             events.append("basics")
@@ -283,13 +283,13 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
             events.append("direction")  # the entering column of A
         else:
             events.append("duals")
-        return real_solve(a, rhs)
+        return real_solve(a, rhs, singular)
 
     def watched_report(self, status):
         events.append("report")
         return real_report(self, status)
 
-    monkeypatch.setattr(np.linalg, "solve", named_solve)
+    monkeypatch.setattr(lpmod, "_lapack_solve", named_solve)
     monkeypatch.setattr(lpmod._Simplex, "_report", watched_report)
     sol = solve(b.build())
     assert sol.primal[x] == 5.0 and sol.objective_value == -5.0
@@ -300,6 +300,54 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
         "duals",                         # phase 2 is optimal at once
         "report",
     ]
+
+
+def test_lapack_solve_is_np_linalg_solve_bit_for_bit():
+    # lp._lapack_solve calls the private gufunc that np.linalg.solve
+    # dispatches to; a numpy that changes its results or the way it flags a
+    # singular matrix fails here (one that renames it fails on import)
+    rng = np.random.default_rng(12)
+    for n in range(1, 121):
+        a, rhs = rng.standard_normal((n, n)), rng.standard_normal(n)
+        for m in (a, a.T):
+            assert lpmod._lapack_solve(m, rhs, "unused").tobytes() == np.linalg.solve(m, rhs).tobytes()
+
+    # a singular basis raises the reference's text in every solve
+    b = LpBuilder()
+    x = [b.var("x0", 0.0, 10.0, 1.0), b.var("x1", 0.0, 10.0, -1.0)]
+    b.row({x[0]: 1.0, x[1]: 1.0}, "<=", 4.0, "r0")
+    b.row({x[0]: 1.0, x[1]: -1.0}, ">=", -2.0, "r1")
+    lp = b.build()
+    new, ref = lpmod._Simplex(lp), _ReferenceSimplex(lp)
+    for simplex in (new, ref):
+        simplex._init_basis()
+        simplex.basis[:] = [0, 0]  # two copies of one column
+    singular = np.linalg.LinAlgError
+
+    def message(call, *args):
+        with np.errstate(invalid="raise"), pytest.raises((LpNumericalError, singular)) as exc:
+            call(*args)
+        return f"{type(exc.value).__name__}({exc.value})"
+
+    basics = message(ref._recompute_basics)
+    assert basics == "LpNumericalError(singular basis: Singular matrix)"
+    assert message(new._iterate, new.cost_real, 1) == basics  # phase 1 solves x_B first
+    assert message(new._iterate, new.cost_real, 2) == message(ref._duals, ref.cost_real)  # phase 2 the duals
+    B = lp.A[:, [0, 0]]
+    assert message(lpmod._lapack_solve, B, lp.A[:, 1], "singular basis") == basics  # direction
+
+
+@pytest.mark.parametrize("big", [1e7, 1e8, 1e308])
+def test_a_large_right_hand_side_does_not_hide_an_infeasible_row(big):
+    # phase 1 tests each artificial against its own row's right-hand side
+    b = LpBuilder()
+    x = b.var("x", 0.0, 1.0, 1.0)
+    y = b.var("y", 0.0, 10.0, 1.0)
+    b.row({x: 1.0}, ">=", 5.0, "need")
+    b.row({y: 1.0}, "<=", big, "roomy")
+    lp = b.build()
+    assert solve(lp).status == "infeasible"
+    assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
 
 
 def test_fixed_column_that_leaves_the_basis_stays_out():
@@ -353,7 +401,8 @@ def test_cli_lps_match_the_reference_bit_for_bit(scenario_dir, tmp_path, capsys,
 
 _GENERATED_RUNS = {f"clear nodal {n} buses": ("mesh_doc", (0, k, n), ["clear", "--scheme", "nodal"])
                    for k, n in ((0, 12), (4, 16), (8, 20))}
-_GENERATED_RUNS["daucruc 4 units x 4 hours"] = ("uc_doc", (0, 4, 4, 4), ["daucruc"])
+_GENERATED_RUNS.update({f"daucruc {u} units x {h} hours": ("uc_doc", (0, k, u, h), ["daucruc"])
+                        for k, u, h in ((0, 3, 3), (4, 4, 4), (5, 4, 5), (7, 5, 4))})
 
 
 @pytest.mark.parametrize("make, args, argv", _GENERATED_RUNS.values(), ids=_GENERATED_RUNS.keys())
