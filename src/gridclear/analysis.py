@@ -21,6 +21,7 @@ from gridclear.dispatch import (
 )
 from gridclear.grid import Network
 from gridclear.pricing import SCHEMES, form_smp
+from gridclear.settlement import require_finite
 
 
 BID_SCHEMES = ("uniform", "zonal", "nodal")
@@ -111,6 +112,8 @@ def evaluate_bid_deviation(
     profit_d = (price_d - true_ic) * q_d
 
     welfare_delta = _true_welfare(net, gens, deviated) - _true_welfare(net, gens, truthful)
+    require_finite("bid deviation", price_truthful=price_t, price_deviated=price_d, profit_truthful=profit_t,
+                   profit_deviated=profit_d, profit_delta=profit_d - profit_t, welfare_delta=welfare_delta)
 
     return BidDeviation(
         generator_id=gen_id,

@@ -15,21 +15,32 @@ tuples of floats an ``LpSolution`` holds.
 Phase 1 gathers the basis matrix and solves the basic values once, at its
 start; phase 2 starts from the basic values phase 1 (or the re-solve that
 expels an artificial) left on the same basis, and solves none.  A pivot then
-costs one dense LAPACK solve for the entering direction and, when the basis
-changes, one for the duals: the basis matrix gets the entering column in
-place, and the basic values move by the step just taken instead of being
-solved afresh.  At a phase's optimum the basic values are solved once more on
-the final basis (unless no step moved them), so the phase-1 feasibility test,
-the start of phase 2 and the report read exactly what a fresh solve of that
-basis gives.  Pricing makes Bland's choice with one comparison of each
-column's signed reduced cost (the sign says which way the column may move),
-plus a test of the nonbasic free columns while there are any; the ratio test
-visits in Python only the rows the step moves, reading the basis, its bounds
-and the basic values as Python lists.  The signs and lists are kept across
-pivots, and a pivot or bound flip updates only the positions it touches.
-Against the plain method, which solves the basic values, duals and direction
-at every pivot, the contract is the same pivot path, and reported numbers
-that come from the same solves on the final basis.
+costs one dense LAPACK solve, for the entering direction: the basis matrix
+gets the entering column in place, and the basic values move by the step
+just taken instead of being solved afresh.  The duals of a new basis come
+from an explicit basis inverse instead of a solve: phase 1's all-artificial
+basis, ``diag(+-1)``, is its own inverse, phase 2 inherits phase 1's (or, if
+an artificial was expelled, inverts its basis at its first basis change),
+and each new basis updates it by one rank-1 (eta) step with the direction
+the pivot already solved, inverting the basis afresh after
+``REINVERT_EVERY`` updates.  Phase 2 prices its first basis with a dual
+solve, and when no column improves on duals from the inverse, one dual solve
+on that basis prices again; the run stops if still no column improves, and
+pivots on otherwise.  At a phase's optimum the basic values are solved once
+more on the final basis (unless no step moved them), so the phase-1
+feasibility test, the start of phase 2 and the report read exactly what a
+fresh solve of that basis gives.  Pricing makes Bland's choice with one
+comparison of each column's signed reduced cost (the sign says which way the
+column may move), plus a test of the nonbasic free columns while there are
+any; the ratio test visits in Python only the rows the step moves, reading
+the basis, its bounds and the basic values as Python lists.  The signs and lists are kept across pivots, and a pivot or bound
+flip updates only the positions it touches.  Against the plain method, which
+solves the basic values, duals and direction at every pivot, the contract is
+the same pivot path, and reported numbers that come from the same solves on
+the final basis.  Reduced costs priced from the inverse differ from solved
+ones by rounding, at most about 1e-9 on the benchmark's meshes against
+``OPT_TOL`` = 1e-7; only a column priced within that distance of the
+tolerance could enter on one and not on the other.
 
 Every solve calls ``_lapack_solve``, which calls the gufunc that
 ``np.linalg.solve`` dispatches to (``numpy.linalg._umath_linalg.solve1``)
@@ -41,9 +52,12 @@ and underflow pass silently.  LAPACK flags a singular basis as an invalid
 operation, which becomes ``LpNumericalError`` with ``np.linalg.solve``'s
 text; any other invalid operation (``inf - inf``, ``0 * inf`` on huge
 inputs) becomes ``LpNumericalError`` too, never a nan in a report.
-``tests/test_lp.py::test_lapack_solve_is_np_linalg_solve_bit_for_bit`` pins
-both, so a numpy that changes what the private gufunc returns or how it
-flags a singular matrix fails there; one that renames it fails on import.
+The basis inverse comes from ``_lapack_inv``, the gufunc ``np.linalg.inv``
+calls, under the same policy; a singular basis fails there as the dual solve
+does.  ``tests/test_lp.py::test_lapack_solve_is_np_linalg_solve_bit_for_bit``
+pins both gufuncs and texts, so a numpy that changes what they return or how
+they flag a singular matrix fails there; one that renames them fails on
+import.
 
 Phase 1 ends infeasible when an artificial exceeds ``FEAS_TOL`` scaled by
 its own row's right-hand side, so a large unrelated row hides nothing.
@@ -72,6 +86,10 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 PIVOT_TOL = 1e-10
 MAX_ITERATIONS = 20000
+# updates between fresh inversions of the basis inverse: on the benchmark's
+# 56-96 row meshes the eta updates move max|Binv B - I| from about 2e-14 (a
+# fresh inverse, median) to 1.4e-13 after 50-100 updates and 7e-13 after 400
+REINVERT_EVERY = 100
 
 
 _SENSE = {"<=": 1.0, ">=": -1.0, "=": 0.0}  # relation -> slack coefficient
@@ -183,8 +201,8 @@ class LpNumericalError(ArithmeticError):
     pathological input rather than infeasibility."""
 
 
-# the gufunc np.linalg.solve calls for a 1-D right-hand side
-_solve1 = np.linalg._umath_linalg.solve1
+# the gufuncs np.linalg.solve (for a 1-D right-hand side) and np.linalg.inv call
+_solve1, _inv = np.linalg._umath_linalg.solve1, np.linalg._umath_linalg.inv
 
 
 def _lapack_solve(a: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
@@ -197,6 +215,15 @@ def _lapack_solve(a: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
         return _solve1(a, b, signature="dd->d")
     except FloatingPointError:
         raise LpNumericalError(f"{singular}: Singular matrix") from None
+
+
+def _lapack_inv(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv(a)`` of a basis matrix the same way; the inverse only
+    prices, so a singular ``a`` fails as the dual solve does."""
+    try:
+        return _inv(a, signature="d->d")
+    except FloatingPointError:
+        raise LpNumericalError("singular basis (dual solve): Singular matrix") from None
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -263,6 +290,7 @@ class _Simplex:
         self.A[rows, self.basis] = np.where(resid >= 0, 1.0, -1.0)
         self.x[self.basis] = np.abs(resid)
         self.status[self.basis] = _BASIC
+        self.Binv, self.age = None, 0  # the basis inverse and its updates; phase 1 starts it
 
     # -- simplex core --------------------------------------------------------
     def _solve_basics(self, B: np.ndarray) -> np.ndarray:
@@ -280,13 +308,21 @@ class _Simplex:
         pivot then writes the entering column into ``B`` and a step of length
         ``t`` moves ``x_B`` by ``t`` times the direction the ratio test read,
         the entering variable's new value taking the leaving row's slot.  Each
-        pivot or bound flip makes one direction solve, and each new basis one
-        dual solve.  Each column's improving sign (+1 may increase, -1 may
-        decrease, 0 neither or either way), the nonbasic free columns, and the
-        basis with its bounds as Python lists are kept the same way.  At the
-        optimum ``x_B`` is solved again on the final basis if a step has moved
-        it, so ``self.x``, ``self.y`` and ``self.rc`` hold exactly what a fresh
-        solve of that basis gives."""
+        pivot or bound flip makes one direction solve.  Phase 2 prices its
+        first basis with a dual solve; every new basis is priced from the
+        basis inverse ``Binv``.  Phase 1's all-artificial basis is
+        ``diag(+-1)``, its own inverse; phase 2 takes phase 1's, or none if
+        ``_expel_artificials`` pivoted.  A new basis updates ``Binv`` by the
+        pivot's direction, or inverts ``B`` afresh when there is no ``Binv``
+        or it has had ``REINVERT_EVERY`` updates.  When no column improves in
+        phase 2 on duals from ``Binv``, one dual solve on the final basis
+        prices again, and pivoting goes on if a column improves on those
+        duals.  Each column's improving sign (+1 may increase, -1 may
+        decrease, 0 neither or either way), the nonbasic free columns, and
+        the basis with its bounds as Python lists are kept the same way.  At
+        the optimum ``x_B`` is solved again on the final basis if a step has
+        moved it, so ``self.x`` and, in phase 2, ``self.y`` and ``self.rc``
+        hold exactly what a fresh solve of that basis gives."""
         A, st = self.A, self.status
         movable = ~(self.upper - self.lower <= 0)  # fixed variables never enter
         lower, upper, can_move = self.lower.tolist(), self.upper.tolist(), movable.tolist()
@@ -294,13 +330,19 @@ class _Simplex:
         free = np.flatnonzero(st == _FREE_NB)  # may move either way; once basic, never leaves
         basis = self.basis.tolist()
         lo_b, up_b = [lower[k] for k in basis], [upper[k] for k in basis]
-        B = A[:, self.basis]
-        xb = self._solve_basics(B) if phase == 1 else self.x[self.basis]
+        B, cb = A[:, self.basis], cost[self.basis]
+        if phase == 1:
+            xb = self._solve_basics(B)
+            Binv, age = B.copy(), 0  # diag(+-1) is its own inverse
+        else:
+            xb = self.x[self.basis]
+            Binv, age = self.Binv, self.age  # None if _expel_artificials pivoted
         moved = False  # has a step changed x since xb was solved?
+        solved = phase == 2  # price by a dual solve, not from Binv
         rc = None
         for _ in range(MAX_ITERATIONS):
             if rc is None:
-                y = _lapack_solve(B.T, cost[self.basis], "singular basis (dual solve)")
+                y = _lapack_solve(B.T, cb, "singular basis (dual solve)") if solved else cb @ Binv
                 rc = cost - y @ A
             # Bland's rule: the lowest-indexed improving nonbasic column
             improving = sign * rc < -OPT_TOL
@@ -308,9 +350,12 @@ class _Simplex:
                 improving[free[np.abs(rc[free]) > OPT_TOL]] = True
             entering = int(improving.argmax())
             if not improving[entering]:
+                if phase == 2 and not solved:
+                    rc, solved = None, True
+                    continue
                 if moved:
                     self._solve_basics(B)
-                self.y, self.rc = y, rc
+                self.y, self.rc, self.Binv, self.age = y, rc, Binv, age
                 return "optimal"
             direction = int(sign[entering]) or (1 if rc[entering] < 0 else -1)
 
@@ -345,12 +390,21 @@ class _Simplex:
                 xb[best_row] = self.x[entering] + direction * best_t
                 self.basis[best_row] = basis[best_row] = entering
                 B[:, best_row] = A[:, entering]
+                cb[best_row] = cost[entering]
                 st[entering] = _BASIC
                 sign[entering] = 0.0
                 if free.size:
                     free = free[free != entering]
                 lo_b[best_row], up_b[best_row] = lower[entering], upper[entering]
-                rc = None
+                if Binv is None or age == REINVERT_EVERY:
+                    Binv, age = _lapack_inv(B), 0
+                else:  # eta update: row r /= d_r, then row i -= d_i * row r for i != r
+                    pivot_row = Binv[best_row]
+                    pivot_row /= d_list[best_row]
+                    d[best_row] = 0.0  # d is spent: keeps row r out of the subtraction
+                    Binv -= np.multiply.outer(d, pivot_row)
+                    age += 1
+                rc, solved = None, False
             st[leaving] = _AT_UPPER if to_upper else _AT_LOWER
             self.x[leaving] = upper[leaving] if to_upper else lower[leaving]
             sign[leaving] = (-1.0 if to_upper else 1.0) if can_move[leaving] else 0.0
@@ -369,6 +423,7 @@ class _Simplex:
                 self.basis[pos] = pivots[0]
                 self.status[pivots[0]] = _BASIC
                 self._solve_basics(self.A[:, self.basis])
+                self.Binv = None  # phase 2 inverts its basis at its first basis change
 
     # -- reporting -----------------------------------------------------------
     def _report(self, status: str) -> LpSolution:

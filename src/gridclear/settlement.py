@@ -15,6 +15,7 @@ raises an accounting error naming the violated identity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -36,6 +37,15 @@ class AccountingIdentityError(ArithmeticError):
 
 class SettlementKeyError(KeyError):
     """No price exists for a generator's settlement key."""
+
+
+def require_finite(what: str, **values: float) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is not
+    finite: inputs near the largest float overflow the sums and differences
+    of a report, which must never print an inf or a nan."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{what} {name} is {value}: the scenario's magnitudes overflow it")
 
 
 @dataclass(frozen=True)
@@ -266,6 +276,9 @@ def summarize(
     consumer_total = consumer_market + total_uplift
     total_revenue = sum(revenue.values())
     total_cost = sum(cleared.values())
+    surplus = utility - total_cost
+    require_finite("settlement", consumer_market_payment=consumer_market, consumer_total_payment=consumer_total,
+                   market_revenue=total_revenue, total_cost=total_cost, social_surplus=surplus)
 
     lossless = all(
         all(c.loss == 0.0 for c in hour.values()) for hour in prices.decomposition
@@ -282,8 +295,8 @@ def summarize(
                 )
     else:
         rent = consumer_market - total_revenue
+    require_finite("settlement", congestion_rent=rent)
 
-    surplus = utility - total_cost
     report = SettlementReport(
         scheme=prices.scheme,
         currency=prices.currency,

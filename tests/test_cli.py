@@ -465,6 +465,9 @@ _NON_FINITE = {
     "A1 ic 1e308": ("twobus", _set("generators", "A1", ic=1e308), "nodal", 1),
     "lab reactance 5e-324": ("twobus", _set("lines", "lab", reactance=5e-324), "zonal", 1),
     "l12 limit 1e308": ("fourbus", _set("lines", "l12", limit_mw=1e308), "nodal", 0),
+    # the LP and prices stay finite; the settlement's social surplus does not
+    **{f"bus b wtp 1e308 {scheme}": ("twobus", _set("buses", "b", wtp=1e308), scheme, 1)
+       for scheme in ("zonal", "uniform", "copper")},
 }
 
 
@@ -484,6 +487,16 @@ def test_clear_overflowing_scenario_is_one_error_line(scenario_dir, tmp_path, ca
         assert "Traceback" not in err
     else:
         assert err == ""
+
+
+def test_bidding_overflowing_welfare_is_one_error_line(scenario_dir, tmp_path, capsys):
+    # both clearings' true welfare overflows to inf, and their difference
+    # would be a nan in the report
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", _set("buses", "b", wtp=1e308))
+    assert run(["bidding", p, "--out", tmp_path / "o", "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == (
+        "error: bid deviation welfare_delta is nan: the scenario's magnitudes overflow it\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("exc", [

@@ -265,14 +265,16 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     # min -x, x in [0, 5], x <= 10.  Phase 1 solves the basic values at its
     # start, phase 2 starts from phase 1's, and each phase solves them again
     # at its optimum if a step moved them; each pivot or bound flip solves
-    # one direction; each basis solves its duals once.  Phase 1: x enters
-    # and flips to its upper bound (the duals are kept), then the slack
-    # replaces the artificial; phase 2 prices once and stops.
+    # one direction; phase 1 prices from the basis inverse, which starts as
+    # its all-artificial basis without a solve, and phase 2 prices its first
+    # basis with one dual solve.  Phase 1: x enters and flips to its upper
+    # bound, then the slack replaces the artificial; phase 2 prices once and
+    # stops.
     b = LpBuilder()
     x = b.var("x", 0.0, 5.0, -1.0)
     b.row({x: 1.0}, "<=", 10.0, "cap")
     events = []
-    real_solve = lpmod._lapack_solve
+    real_solve, real_inv = lpmod._lapack_solve, lpmod._lapack_inv
     real_report = lpmod._Simplex._report
 
     def named_solve(a, rhs, singular):
@@ -285,32 +287,55 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
             events.append("duals")
         return real_solve(a, rhs, singular)
 
+    def watched_inv(a):
+        events.append("inverse")
+        return real_inv(a)
+
     def watched_report(self, status):
         events.append("report")
         return real_report(self, status)
 
     monkeypatch.setattr(lpmod, "_lapack_solve", named_solve)
+    monkeypatch.setattr(lpmod, "_lapack_inv", watched_inv)
     monkeypatch.setattr(lpmod._Simplex, "_report", watched_report)
     sol = solve(b.build())
     assert sol.primal[x] == 5.0 and sol.objective_value == -5.0
     assert events == [
-        "basics", "duals", "direction",  # phase 1: x flips to its upper bound
-        "direction",                     # the slack replaces the artificial
-        "duals", "basics",               # the new basis is optimal; x_B moved
-        "duals",                         # phase 2 is optimal at once
+        "basics", "direction",  # phase 1: x flips to its upper bound
+        "direction",            # the slack replaces the artificial
+        "basics",               # the new basis is optimal; x_B moved
+        "duals",                # phase 2 is optimal at once
+        "report",
+    ]
+
+    # min -x - 2y, x and y in [0, 10], x + y <= 4: phase 2 pivots once, on
+    # duals from the inverse, and solves them once more at its optimum
+    b = LpBuilder()
+    x, y = b.var("x", 0.0, 10.0, -1.0), b.var("y", 0.0, 10.0, -2.0)
+    b.row({x: 1.0, y: 1.0}, "<=", 4.0, "cap")
+    events.clear()
+    sol = solve(b.build())
+    assert sol.primal == (0.0, 4.0) and sol.duals == (-2.0,)
+    assert events == [
+        "basics", "direction",  # phase 1: x replaces the artificial
+        "basics",               # the new basis is optimal; x_B moved
+        "duals", "direction",   # phase 2 prices its first basis; y replaces x
+        "duals", "basics",      # no column improves on the updated inverse's duals, nor on solved ones
         "report",
     ]
 
 
 def test_lapack_solve_is_np_linalg_solve_bit_for_bit():
-    # lp._lapack_solve calls the private gufunc that np.linalg.solve
-    # dispatches to; a numpy that changes its results or the way it flags a
-    # singular matrix fails here (one that renames it fails on import)
+    # lp._lapack_solve and lp._lapack_inv call the private gufuncs that
+    # np.linalg.solve and np.linalg.inv dispatch to; a numpy that changes
+    # their results or the way they flag a singular matrix fails here (one
+    # that renames them fails on import)
     rng = np.random.default_rng(12)
     for n in range(1, 121):
         a, rhs = rng.standard_normal((n, n)), rng.standard_normal(n)
         for m in (a, a.T):
             assert lpmod._lapack_solve(m, rhs, "unused").tobytes() == np.linalg.solve(m, rhs).tobytes()
+            assert lpmod._lapack_inv(m).tobytes() == np.linalg.inv(m).tobytes()
 
     # a singular basis raises the reference's text in every solve
     b = LpBuilder()
@@ -332,9 +357,13 @@ def test_lapack_solve_is_np_linalg_solve_bit_for_bit():
     basics = message(ref._recompute_basics)
     assert basics == "LpNumericalError(singular basis: Singular matrix)"
     assert message(new._iterate, new.cost_real, 1) == basics  # phase 1 solves x_B first
-    assert message(new._iterate, new.cost_real, 2) == message(ref._duals, ref.cost_real)  # phase 2 the duals
+    # phase 2 inverts the basis for its duals
+    duals = message(ref._duals, ref.cost_real)
+    assert duals == "LpNumericalError(singular basis (dual solve): Singular matrix)"
+    assert message(new._iterate, new.cost_real, 2) == duals
     B = lp.A[:, [0, 0]]
     assert message(lpmod._lapack_solve, B, lp.A[:, 1], "singular basis") == basics  # direction
+    assert message(lpmod._lapack_inv, B) == duals  # a re-inversion between pivots
 
 
 @pytest.mark.parametrize("big", [1e7, 1e8, 1e308])
