@@ -10,23 +10,11 @@ a zero price component.  Nothing under ``perfbench/`` is written.
 """
 from pathlib import Path
 
-import pytest
-
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 MESH_OPS, UC_OPS = 500, 300  # the ops perfbench/record.py records
 
 _SAMPLE = ([("nodal_mesh", k) for k in sorted({*range(0, MESH_OPS, 10), 194, 376})]
            + [("uc_horizon", k) for k in range(0, UC_OPS, 10)])
-
-
-@pytest.fixture(scope="module")
-def bench():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        import gen
-        import run
-        import workloads
-        yield gen, run, workloads, run.load_expected()
 
 
 def _argv(gen, workloads, workload, k, work):
@@ -38,9 +26,13 @@ def _argv(gen, workloads, workload, k, work):
     return ["daucruc", str(gen.write_doc(doc, work / f"{doc['name']}.scn")), "--no-timestamp"]
 
 
-def test_sampled_benchmark_ops_reproduce_their_recorded_digests(bench, tmp_path, monkeypatch):
-    gen, run, workloads, expected = bench
-    cli = run.import_cli()
+def test_sampled_benchmark_ops_reproduce_their_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    import run
+    import workloads
+
+    cli, expected = run.import_cli(), run.load_expected()
     monkeypatch.setenv("GRIDCLEAR_OUT", str(tmp_path / "out"))  # run.execute sets it; restored after
     differ = []
     for workload, k in _SAMPLE:
