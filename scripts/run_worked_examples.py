@@ -20,7 +20,7 @@ from gridclear.commitment import run_dauc_ruc
 from gridclear.pricing import form_smp
 from gridclear.scenario import load_scenario, write_compare_markdown
 from gridclear.settlement import settle_redispatch
-from gridclear.analysis import redispatch_summary, evaluate_bid_deviation
+from gridclear.analysis import evaluate_bid_deviation
 
 
 def show_compare(path: Path, out: Path):
@@ -39,13 +39,13 @@ def show_daucruc(path: Path):
     )
     smp = form_smp(dauc, sc.network, sc.generators, currency=sc.currency)
     series = [smp.prices[t]["system"] for t in range(dauc.hours)]
-    redis = settle_redispatch(record, sc.generators, series)
+    redis = settle_redispatch(record, sc.network, sc.generators, series)
     print(f"\n=== {sc.name}: day-ahead vs reliability commitment ===")
     print(f"day-ahead cost {dauc.total_cost:.2f}, reliability cost {ruc.total_cost:.2f}")
     print(f"uniform price by hour: {[round(p, 2) for p in series]}")
     print(f"{'zone':>6} {'con MWh':>10} {'coff MWh':>10} {'con pay':>10} {'coff pay':>10}")
-    for zone, con, coff in redispatch_summary(record, sc.network.zones):
-        print(f"{zone:>6} {con:>10.2f} {coff:>10.2f} "
+    for zone in sc.network.zones:
+        print(f"{zone:>6} {redis.zone_con_mwh[zone]:>10.2f} {redis.zone_coff_mwh[zone]:>10.2f} "
               f"{redis.zone_con_payment[zone]:>10.2f} {redis.zone_coff_payment[zone]:>10.2f}")
 
 

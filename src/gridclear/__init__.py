@@ -53,7 +53,6 @@ from gridclear.analysis import (
     PriceSeriesStats,
     evaluate_bid_deviation,
     price_stats,
-    redispatch_summary,
 )
 from gridclear.scenario import Scenario, ScenarioValidationError, dump_scenario, load_scenario
 
@@ -71,7 +70,7 @@ __all__ = [
     "stack_price", "form_smp", "form_zonal_prices", "form_nodal_prices",
     "SettlementReport", "settle_energy", "compute_uplift", "settle_redispatch", "summarize",
     "BidDeviation", "PriceSeriesStats",
-    "evaluate_bid_deviation", "redispatch_summary", "price_stats",
+    "evaluate_bid_deviation", "price_stats",
     "Scenario", "ScenarioValidationError", "load_scenario", "dump_scenario",
     "__version__",
 ]

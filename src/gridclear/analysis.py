@@ -1,5 +1,5 @@
-"""Diagnostics on top of the clearing engine: strategic bid deviations,
-redispatch asymmetry summaries, and price-series statistics.
+"""Diagnostics on top of the clearing engine: strategic bid deviations and
+price-series statistics.
 
 Bid deviations change the clearing inputs only; every welfare figure is
 evaluated at true costs.  Truthful clearing is cost-minimal over the feasible
@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from gridclear.commitment import RedispatchRecord, single_interval_schedule
+from gridclear.commitment import single_interval_schedule
 from gridclear.dispatch import (
     ConstraintRegime,
     DispatchResult,
@@ -20,7 +20,7 @@ from gridclear.dispatch import (
     clear,
 )
 from gridclear.grid import Network
-from gridclear.pricing import SCHEMES, form_smp
+from gridclear.pricing import SCHEMES, PriceFormationError, form_smp
 from gridclear.settlement import require_finite
 
 
@@ -54,6 +54,8 @@ class PriceSeriesStats:
 
 
 def _unit_price(net, gens, result: DispatchResult, scheme: str, gen_id: str, currency: str) -> float:
+    if not result.gen_local_dual:  # the clearing has no optimum, so no price under any scheme
+        raise PriceFormationError(0, {gen_id: result.violations[0]})
     if scheme == "uniform":
         report = form_smp(single_interval_schedule(result, gens), net, gens, currency=currency)
         return report.prices[0]["system"]
@@ -130,17 +132,6 @@ def evaluate_bid_deviation(
         welfare_delta=welfare_delta,
         dispatch_truthful=dict(truthful.gen_mw),
         dispatch_deviated=dict(deviated.gen_mw),
-    )
-
-
-def redispatch_summary(
-    record: RedispatchRecord, zones: Sequence[str] | None = None
-) -> tuple[tuple[str, float, float], ...]:
-    """Zone-by-zone constrained-on / constrained-off energy table."""
-    order = tuple(zones) if zones is not None else tuple(sorted(record.zone_constrained_on))
-    return tuple(
-        (z, record.zone_constrained_on.get(z, 0.0), record.zone_constrained_off.get(z, 0.0))
-        for z in order
     )
 
 

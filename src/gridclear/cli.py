@@ -19,7 +19,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from gridclear.analysis import BID_SCHEMES, evaluate_bid_deviation, price_stats, redispatch_summary
+from gridclear.analysis import BID_SCHEMES, evaluate_bid_deviation, price_stats
 from gridclear.commitment import (
     UcEnumerationLimitError,
     UcInfeasibleError,
@@ -174,7 +174,7 @@ def cmd_daucruc(args) -> int:
     )
     smp = form_smp(dauc, net, sc.generators, currency=sc.currency)
     smp_series = [smp.prices[t]["system"] for t in range(dauc.hours)]
-    redis = settle_redispatch(record, sc.generators, smp_series)
+    redis = settle_redispatch(record, net, sc.generators, smp_series)
 
     out, stamp = _out_dir(args), _timestamp(args)
     lines = ["hour,generator,dauc_mw,ruc_mw,delta_mw"]
@@ -197,11 +197,10 @@ def cmd_daucruc(args) -> int:
         "| zone | constrained-on (MWh) | constrained-off (MWh) | CON payment | COFF payment |",
         "|---|---|---|---|---|",
     ]
-    for zone, con, coff in redispatch_summary(record, net.zones):
+    for zone in net.zones:
         md.append(
-            f"| {zone} | {con:.2f} | {coff:.2f} | "
-            f"{redis.zone_con_payment.get(zone, 0.0):.2f} | "
-            f"{redis.zone_coff_payment.get(zone, 0.0):.2f} |"
+            f"| {zone} | {redis.zone_con_mwh[zone]:.2f} | {redis.zone_coff_mwh[zone]:.2f} | "
+            f"{redis.zone_con_payment[zone]:.2f} | {redis.zone_coff_payment[zone]:.2f} |"
         )
     md_path = write_lines(out / f"{sc.name}_daucruc.md", md, stamp)
     print(redis_path)

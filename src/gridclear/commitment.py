@@ -20,8 +20,8 @@ market scheduling (day-ahead commitment, narrower line set) and system
 operation (reliability commitment, broader line set, higher reserve): the
 reliability pass inherits the day-ahead commitments as lower bounds and may
 only add units.  The per-unit, per-hour dispatch difference between the two
-passes is the redispatch record, aggregated per zone into constrained-on and
-constrained-off energy.
+passes is the redispatch record; ``settlement.settle_redispatch`` sums it into
+constrained-on and constrained-off energy and payments, per unit and per zone.
 """
 from __future__ import annotations
 
@@ -70,11 +70,6 @@ class RedispatchRecord:
     gen_ids: tuple[str, ...]
     hours: int
     delta_mwh: dict[str, tuple[float, ...]]  # reliability minus day-ahead
-    gen_zone: dict[str, str]
-    gen_constrained_on: dict[str, float]
-    gen_constrained_off: dict[str, float]
-    zone_constrained_on: dict[str, float]
-    zone_constrained_off: dict[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -345,35 +340,11 @@ def _assemble_schedule(gens, horizon, combo, hour_result) -> UcSchedule:
 
 
 def single_interval_schedule(result: DispatchResult, gens: Sequence[GeneratorSpec]) -> UcSchedule:
-    """Wrap a one-shot dispatch result as a single-hour schedule so the
-    pricing operations can consume it uniformly."""
-    committed = {}
-    dispatch = {}
-    hours_on = {}
-    starts = {}
-    for u in gens:
-        gid = u.id
-        q = result.gen_mw.get(gid, 0.0)
-        on = q > MW_TOL
-        committed[gid] = (on,)
-        dispatch[gid] = (q,)
-        hours_on[gid] = ((u.initial_hours + 1 if u.initially_on else 1) if on else 0,)
-        starts[gid] = 0 if (u.initially_on or not on) else 1
-    cost = sum(u.ic * dispatch[u.id][0] for u in gens)
-    cost += sum(u.nlc for u in gens if committed[u.id][0])
-    start_cost = sum(u.suc * starts[u.id] for u in gens)
-    return UcSchedule(
-        gen_ids=tuple(u.id for u in gens),
-        hours=1,
-        committed=committed,
-        dispatch_mw=dispatch,
-        hours_on=hours_on,
-        starts=starts,
-        hourly_results=(result,),
-        total_cost=cost + start_cost,
-        objective=cost + start_cost,
-        feasible=result.feasible,
-    )
+    """Wrap a one-shot dispatch result as a single-hour schedule, committing
+    each unit that produces, so the pricing operations can consume it
+    uniformly."""
+    combo = tuple((int(result.gen_mw[u.id] > MW_TOL),) for u in gens)
+    return _assemble_schedule(gens, 1, combo, lambda t, on_ids: result)
 
 
 # ---------------------------------------------------------------------------
@@ -404,29 +375,11 @@ def run_dauc_ruc(
     floors = {gid: tuple(1 if on else 0 for on in dauc.committed[gid]) for gid in dauc.gen_ids}
     ruc = solve_uc(net, gens, hours, regime_ruc, lower_bounds=floors)
 
-    gen_zone = {u.id: net.zone_of(u.bus_id) for u in gens}
     delta = {
         gid: tuple(
             ruc.dispatch_mw[gid][t] - dauc.dispatch_mw[gid][t] for t in range(dauc.hours)
         )
         for gid in dauc.gen_ids
     }
-    gen_con = {gid: sum(d for d in delta[gid] if d > 0) for gid in dauc.gen_ids}
-    gen_coff = {gid: sum(-d for d in delta[gid] if d < 0) for gid in dauc.gen_ids}
-    zone_con = {z: 0.0 for z in net.zones}
-    zone_coff = {z: 0.0 for z in net.zones}
-    for gid in dauc.gen_ids:
-        zone_con[gen_zone[gid]] += gen_con[gid]
-        zone_coff[gen_zone[gid]] += gen_coff[gid]
-
-    record = RedispatchRecord(
-        gen_ids=dauc.gen_ids,
-        hours=dauc.hours,
-        delta_mwh=delta,
-        gen_zone=gen_zone,
-        gen_constrained_on=gen_con,
-        gen_constrained_off=gen_coff,
-        zone_constrained_on=zone_con,
-        zone_constrained_off=zone_coff,
-    )
+    record = RedispatchRecord(gen_ids=dauc.gen_ids, hours=dauc.hours, delta_mwh=delta)
     return dauc, ruc, record

@@ -190,12 +190,15 @@ class RedispatchSettlement:
 
 def settle_redispatch(
     record: RedispatchRecord,
+    net: Network,
     gens: Sequence[GeneratorSpec],
     smp_per_hour: Sequence[float],
 ) -> RedispatchSettlement:
     """Out-of-market compensation for deviations from the price-setting
     schedule: constrained-on energy paid at incremental cost, constrained-off
-    energy paid the lost margin against the hourly uniform price."""
+    energy paid the lost margin against the hourly uniform price.  Energy and
+    payments are summed per unit, then per zone of the unit's bus, in
+    ``net.zones`` order."""
     if len(smp_per_hour) != record.hours:
         raise ValueError(
             f"price series covers {len(smp_per_hour)} hours, record has {record.hours}"
@@ -205,6 +208,10 @@ def settle_redispatch(
     coff_mwh: dict[str, float] = {}
     con_pay: dict[str, float] = {}
     coff_pay: dict[str, float] = {}
+    zc = {z: 0.0 for z in net.zones}
+    zf = dict(zc)
+    zcp = dict(zc)
+    zfp = dict(zc)
     for gid in record.gen_ids:
         g = specs[gid]
         up = dn = pay_up = pay_dn = 0.0
@@ -217,16 +224,11 @@ def settle_redispatch(
                 pay_dn += -d * max(0.0, smp_per_hour[t] - g.ic)
         con_mwh[gid], coff_mwh[gid] = up, dn
         con_pay[gid], coff_pay[gid] = pay_up, pay_dn
-    zc = {z: 0.0 for z in record.zone_constrained_on}
-    zf = {z: 0.0 for z in record.zone_constrained_off}
-    zcp = dict(zc)
-    zfp = dict(zf)
-    for gid in record.gen_ids:
-        z = record.gen_zone[gid]
-        zc[z] += con_mwh[gid]
-        zf[z] += coff_mwh[gid]
-        zcp[z] += con_pay[gid]
-        zfp[z] += coff_pay[gid]
+        z = net.zone_of(g.bus_id)
+        zc[z] += up
+        zf[z] += dn
+        zcp[z] += pay_up
+        zfp[z] += pay_dn
     return RedispatchSettlement(con_mwh, coff_mwh, con_pay, coff_pay, zc, zf, zcp, zfp)
 
 

@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from gridclear.analysis import evaluate_bid_deviation, price_stats, redispatch_summary
-from gridclear.commitment import RedispatchRecord, run_dauc_ruc
+from gridclear.analysis import evaluate_bid_deviation, price_stats
 from gridclear.dispatch import ConstraintRegime
-from gridclear.scenario import load_scenario
 
 ZONAL = ConstraintRegime(mode="zonal")
 
@@ -64,36 +62,6 @@ def test_unknown_generator_rejected(twobus):
     net, gens = twobus
     with pytest.raises(KeyError):
         evaluate_bid_deviation(net, gens, "nope", 50.0)
-
-
-# ---------------------------------------------------------------------------
-# redispatch summary
-# ---------------------------------------------------------------------------
-
-def test_summary_matches_record(scenario_dir):
-    sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
-    _, _, record = run_dauc_ruc(
-        sc.network, sc.generators, sc.hourly_loads(),
-        sc.regime("DAUC"), sc.regime("RUC"),
-    )
-    rows = redispatch_summary(record, sc.network.zones)
-    assert rows == (
-        ("ZE", pytest.approx(200.0), pytest.approx(300.0)),
-        ("ZI", pytest.approx(100.0), pytest.approx(0.0)),
-    )
-    total_con = sum(r[1] for r in rows)
-    total_coff = sum(r[2] for r in rows)
-    assert total_con - total_coff == pytest.approx(0.0, abs=1e-6)
-
-
-def test_zero_record_gives_zero_table():
-    record = RedispatchRecord(
-        gen_ids=("g",), hours=2, delta_mwh={"g": (0.0, 0.0)},
-        gen_zone={"g": "Z"}, gen_constrained_on={"g": 0.0},
-        gen_constrained_off={"g": 0.0},
-        zone_constrained_on={"Z": 0.0}, zone_constrained_off={"Z": 0.0},
-    )
-    assert redispatch_summary(record) == (("Z", 0.0, 0.0),)
 
 
 # ---------------------------------------------------------------------------

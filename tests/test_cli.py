@@ -499,6 +499,21 @@ def test_bidding_overflowing_welfare_is_one_error_line(scenario_dir, tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("scheme", ["uniform", "zonal", "nodal"])
+def test_bidding_without_an_optimum_is_one_error_line(scenario_dir, tmp_path, capsys, scheme):
+    # no dispatch meets 5000 MW of synchronous output, so no price exists
+    def edit(doc):
+        for regime in doc["regimes"].values():
+            regime["min_sync_mw"] = 5000.0
+
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", edit)
+    assert run(["bidding", p, "--scheme", scheme, "--out", tmp_path / "o", "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: empty marginal set in hour 0 "
+                   "(A3: lp_infeasible: no dispatch satisfies the enforced constraints)\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("exc", [
     LpNumericalError("simplex stalled"),
     GridNumericalError("singular reduced susceptance matrix"),

@@ -14,10 +14,12 @@ from gridclear.commitment import (
     feasible_sequences,
     run_dauc_ruc,
     sequence_is_feasible,
+    single_interval_schedule,
     solve_uc,
 )
 from gridclear.dispatch import ConstraintRegime, GeneratorSpec, clear
 from gridclear.scenario import load_scenario
+from gridclear.settlement import settle_redispatch
 import helpers
 from helpers import (
     random_tie_uc_instance,
@@ -128,6 +130,28 @@ def test_always_on_unit_flat_load():
     assert sched.hours_on["u"] == (25, 26, 27, 28)  # continues the initial run
 
 
+def test_single_interval_schedule_commits_units_that_produce():
+    units = [
+        _unit("base", 100, 10.0, on=True, initial_hours=5),
+        _unit("peaker", 50, 30.0, nlc=20.0, suc=50.0),
+        _unit("idle", 50, 90.0, nlc=5.0, suc=40.0),
+    ]
+    net = uc_net(units)
+    result = clear(net, units, COPPER, loads={"n0": 120.0})
+    sched = single_interval_schedule(result, units)
+    assert sched.gen_ids == ("base", "peaker", "idle")
+    assert sched.hours == 1
+    assert sched.hourly_results == (result,)
+    assert sched.committed == {"base": (True,), "peaker": (True,), "idle": (False,)}
+    assert sched.dispatch_mw == {"base": (100.0,), "peaker": (20.0,), "idle": (0.0,)}
+    assert sched.hours_on == {"base": (6,), "peaker": (1,), "idle": (0,)}
+    assert sched.starts == {"base": 0, "peaker": 1, "idle": 0}
+    # incremental 100*10 + 20*30, the peaker's no-load and its one start
+    assert sched.total_cost == pytest.approx(1000.0 + 600.0 + 20.0 + 50.0)
+    assert sched.objective == sched.total_cost  # nothing curtailed
+    assert sched.feasible
+
+
 def test_spike_commitment_matches_oracle():
     units = [
         _unit("base", 80, 10.0, nlc=20.0, suc=50.0, on=True),
@@ -228,6 +252,12 @@ def _fivebus():
     return load_scenario("scenarios/fivebus_ruc.scn")
 
 
+def _redispatch_energy(net, gens, record):
+    """Constrained-on/off energy per unit and per zone; energy does not depend
+    on the price series, so the series is zero."""
+    return settle_redispatch(record, net, gens, [0.0] * record.hours)
+
+
 def test_dauc_ruc_line_superset_enforced(scenario_dir):
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
     with pytest.raises(ValueError, match="superset"):
@@ -256,9 +286,10 @@ def test_dauc_ruc_asymmetry_pattern(scenario_dir):
     for t in range(record.hours):
         assert sum(record.delta_mwh[g][t] for g in record.gen_ids) == pytest.approx(0.0, abs=1e-6)
     # export zone sheds cheap output, import zone is constrained on
-    assert record.zone_constrained_off["ZE"] > record.zone_constrained_on["ZE"]
-    assert record.zone_constrained_on["ZI"] > 0.0
-    assert record.zone_constrained_off["ZI"] == 0.0
+    redis = _redispatch_energy(sc.network, sc.generators, record)
+    assert redis.zone_coff_mwh["ZE"] > redis.zone_con_mwh["ZE"]
+    assert redis.zone_con_mwh["ZI"] > 0.0
+    assert redis.zone_coff_mwh["ZI"] == 0.0
     # RUC may add commitments but never drop day-ahead ones
     for gid in dauc.gen_ids:
         for t in range(dauc.hours):
@@ -273,7 +304,8 @@ def test_identical_regimes_zero_redispatch(scenario_dir):
     )
     for gid in record.gen_ids:
         assert record.delta_mwh[gid] == pytest.approx((0.0,) * record.hours, abs=1e-9)
-    assert sum(record.zone_constrained_on.values()) == pytest.approx(0.0, abs=1e-9)
+    redis = _redispatch_energy(sc.network, sc.generators, record)
+    assert sum(redis.zone_con_mwh.values()) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_higher_ruc_reserve_commits_extra_unit_at_pmin():
@@ -288,7 +320,7 @@ def test_higher_ruc_reserve_commits_extra_unit_at_pmin():
     assert dauc.committed["standby"] == (False,)
     assert ruc.committed["standby"] == (True,)
     assert record.delta_mwh["standby"][0] == pytest.approx(10.0)  # its p_min
-    assert record.gen_constrained_on["standby"] == pytest.approx(10.0)
+    assert _redispatch_energy(net, units, record).con_mwh["standby"] == pytest.approx(10.0)
 
 
 def test_zone_aggregates_sum_exactly(scenario_dir):
@@ -297,14 +329,11 @@ def test_zone_aggregates_sum_exactly(scenario_dir):
         sc.network, sc.generators, sc.hourly_loads(),
         sc.regime("DAUC"), sc.regime("RUC"),
     )
+    redis = _redispatch_energy(sc.network, sc.generators, record)
     for zone in sc.network.zones:
-        gens_in_zone = [g for g in record.gen_ids if record.gen_zone[g] == zone]
-        assert record.zone_constrained_on[zone] == sum(
-            record.gen_constrained_on[g] for g in gens_in_zone
-        )
-        assert record.zone_constrained_off[zone] == sum(
-            record.gen_constrained_off[g] for g in gens_in_zone
-        )
+        gens_in_zone = [g.id for g in sc.generators if sc.network.zone_of(g.bus_id) == zone]
+        assert redis.zone_con_mwh[zone] == sum(redis.con_mwh[g] for g in gens_in_zone)
+        assert redis.zone_coff_mwh[zone] == sum(redis.coff_mwh[g] for g in gens_in_zone)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import pytest
 
-from gridclear.commitment import run_dauc_ruc, single_interval_schedule
+from gridclear.commitment import RedispatchRecord, run_dauc_ruc, single_interval_schedule
 from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
     clear,
     with_forced_bounds,
 )
+from gridclear.grid import Bus, Network
 from gridclear.pricing import form_nodal_prices, form_smp, form_zonal_prices
 from gridclear.scenario import load_scenario
 from gridclear.settlement import (
@@ -106,25 +107,17 @@ def test_nodal_dispatch_has_zero_uplift(fourbus):
 # redispatch compensation
 # ---------------------------------------------------------------------------
 
-def _record(delta_by_gen, gens, hours=1, zones=("Z",)):
-    from gridclear.commitment import RedispatchRecord
+ONE_BUS = Network((Bus("n", "Z"),), (), ("Z",), (), "n")  # where the units below sit
 
-    gen_zone = {g.id: zones[0] for g in gens}
-    con = {g.id: sum(d for d in delta_by_gen[g.id] if d > 0) for g in gens}
-    coff = {g.id: sum(-d for d in delta_by_gen[g.id] if d < 0) for g in gens}
-    return RedispatchRecord(
-        gen_ids=tuple(g.id for g in gens), hours=hours, delta_mwh=delta_by_gen,
-        gen_zone=gen_zone,
-        gen_constrained_on=con, gen_constrained_off=coff,
-        zone_constrained_on={zones[0]: sum(con.values())},
-        zone_constrained_off={zones[0]: sum(coff.values())},
-    )
+
+def _record(delta_by_gen, gens, hours=1):
+    return RedispatchRecord(gen_ids=tuple(g.id for g in gens), hours=hours, delta_mwh=delta_by_gen)
 
 
 def test_constrained_on_paid_at_cost():
     g = GeneratorSpec("g", "n", 0.0, 100.0, 80.0)
     record = _record({"g": (10.0,)}, [g])
-    out = settle_redispatch(record, [g], [100.0])
+    out = settle_redispatch(record, ONE_BUS, [g], [100.0])
     assert out.con_mwh["g"] == pytest.approx(10.0)
     assert out.con_payment["g"] == pytest.approx(800.0)
     assert out.coff_payment["g"] == 0.0
@@ -133,7 +126,7 @@ def test_constrained_on_paid_at_cost():
 def test_constrained_off_paid_lost_margin():
     g = GeneratorSpec("g", "n", 0.0, 100.0, 75.0)
     record = _record({"g": (-10.0,)}, [g])
-    out = settle_redispatch(record, [g], [100.0])
+    out = settle_redispatch(record, ONE_BUS, [g], [100.0])
     assert out.coff_mwh["g"] == pytest.approx(10.0)
     assert out.coff_payment["g"] == pytest.approx(250.0)
     assert out.con_payment["g"] == 0.0
@@ -142,15 +135,36 @@ def test_constrained_off_paid_lost_margin():
 def test_out_of_margin_constrained_off_pays_zero():
     g = GeneratorSpec("g", "n", 0.0, 100.0, 120.0)  # ic above price
     record = _record({"g": (-10.0,)}, [g])
-    out = settle_redispatch(record, [g], [100.0])
+    out = settle_redispatch(record, ONE_BUS, [g], [100.0])
     assert out.coff_payment["g"] == 0.0
 
 
 def test_zero_redispatch_zero_payments():
     g = GeneratorSpec("g", "n", 0.0, 100.0, 75.0)
     record = _record({"g": (0.0,)}, [g])
-    out = settle_redispatch(record, [g], [100.0])
+    out = settle_redispatch(record, ONE_BUS, [g], [100.0])
     assert out.con_payment["g"] == 0.0 and out.coff_payment["g"] == 0.0
+
+
+def test_zone_sums_match_record(scenario_dir):
+    sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
+    _, _, record = run_dauc_ruc(
+        sc.network, sc.generators, sc.hourly_loads(),
+        sc.regime("DAUC"), sc.regime("RUC"),
+    )
+    out = settle_redispatch(record, sc.network, sc.generators, [0.0] * record.hours)
+    assert out.zone_con_mwh == pytest.approx({"ZE": 200.0, "ZI": 100.0})
+    assert out.zone_coff_mwh == pytest.approx({"ZE": 300.0, "ZI": 0.0})
+    assert list(out.zone_con_mwh) == list(sc.network.zones)
+    total_con = sum(out.zone_con_mwh.values())
+    total_coff = sum(out.zone_coff_mwh.values())
+    assert total_con - total_coff == pytest.approx(0.0, abs=1e-6)
+
+
+def test_zero_record_gives_zero_zone_sums():
+    g = GeneratorSpec("g", "n", 0.0, 100.0, 75.0)
+    out = settle_redispatch(_record({"g": (0.0, 0.0)}, [g], hours=2), ONE_BUS, [g], [100.0, 100.0])
+    assert (out.zone_con_mwh, out.zone_coff_mwh) == ({"Z": 0.0}, {"Z": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +267,7 @@ def test_daucruc_settlement_is_consistent(scenario_dir):
     )
     smp = form_smp(dauc, sc.network, sc.generators)
     series = [smp.prices[t]["system"] for t in range(dauc.hours)]
-    out = settle_redispatch(record, sc.generators, series)
+    out = settle_redispatch(record, sc.network, sc.generators, series)
     assert out.zone_con_mwh["ZI"] == pytest.approx(100.0)
     assert out.zone_coff_mwh["ZE"] == pytest.approx(300.0)
     # constrained-on compensation at incremental cost
