@@ -7,6 +7,7 @@ set, so a deviation that changes dispatch can never raise true welfare.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -143,9 +144,17 @@ def price_stats(series: Sequence[float]) -> PriceSeriesStats:
     arr = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("price series contains non-finite values")
-    mean = float(arr.mean())
+    # huge finite prices overflow the sum, an interpolation span or a ratio to a tiny mean
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = float(arr.mean())
+        p10, median, p90 = (float(np.percentile(arr, p)) for p in (10, 50, 90))
+        ratios = arr / mean
+    for name, value in (("mean", mean), ("p10", p10), ("median", median), ("p90", p90)):
+        if not math.isfinite(value):
+            raise ValueError(f"price series {name} is {value}: the prices overflow it")
     if mean == 0.0:
         raise ValueError("cannot normalize a zero-mean series")
-    p10, median, p90 = (float(np.percentile(arr, p)) for p in (10, 50, 90))
-    normalized = tuple(float(v) for v in arr / mean)
+    if not np.isfinite(ratios).all():
+        raise ValueError("price series normalized by its mean overflows: the prices are too large for it")
+    normalized = tuple(ratios.tolist())
     return PriceSeriesStats(median=median, p10=p10, p90=p90, normalized=normalized)

@@ -592,6 +592,26 @@ def test_stats_rejects_bad_input_with_one_error_line(tmp_path, capsys, name, tex
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("prices, message", [
+    ((1e308, 1e308), "price series mean is inf"),
+    ((1e308, -1e308, 1e308), "price series p10 is inf"),
+    ((1e308, -1e308, 1e-300), "price series normalized by its mean overflows"),
+], ids=["mean", "percentile", "normalized"])
+def test_stats_overflowing_series_is_one_error_line(tmp_path, capsys, prices, message):
+    # finite prices whose sum, interpolation span or ratio to the mean
+    # overflows: one error line, never a numpy warning or an all-zero or
+    # infinite normalized series
+    src = tmp_path / "huge.csv"
+    src.write_text("timestamp,price\n" + "".join(f"{i},{p!r}\n" for i, p in enumerate(prices)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["stats", src, "--out", tmp_path / "o"]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_gridclear_out_env_var(scenario_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("GRIDCLEAR_OUT", str(tmp_path / "envdir"))
     code = run(["clear", scenario_dir / "fourbus.scn", "--scheme", "nodal",

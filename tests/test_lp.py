@@ -264,12 +264,12 @@ def test_solve_matches_the_reference_bit_for_bit(seed):
 def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     # min -x, x in [0, 5], x <= 10.  Phase 1 solves the basic values at its
     # start, phase 2 starts from phase 1's, and each phase solves them again
-    # at its optimum if a step moved them; each pivot or bound flip solves
-    # one direction; phase 1 prices from the basis inverse, which starts as
-    # its all-artificial basis without a solve, and phase 2 prices its first
-    # basis with one dual solve.  Phase 1: x enters and flips to its upper
-    # bound, then the slack replaces the artificial; phase 2 prices once and
-    # stops.
+    # at its optimum if a step moved them.  A pivot or bound flip takes its
+    # direction from the basis inverse, which phase 1 starts as its
+    # all-artificial basis without a solve and phase 2 inherits, so it
+    # solves nothing; phase 2 prices its first basis with one dual solve.
+    # Phase 1: x enters and flips to its upper bound, then the slack
+    # replaces the artificial; phase 2 prices once and stops.
     b = LpBuilder()
     x = b.var("x", 0.0, 5.0, -1.0)
     b.row({x: 1.0}, "<=", 10.0, "cap")
@@ -287,9 +287,9 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
             events.append("duals")
         return real_solve(a, rhs, singular)
 
-    def watched_inv(a):
+    def watched_inv(*args):
         events.append("inverse")
-        return real_inv(a)
+        return real_inv(*args)
 
     def watched_report(self, status):
         events.append("report")
@@ -301,10 +301,9 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     sol = solve(b.build())
     assert sol.primal[x] == 5.0 and sol.objective_value == -5.0
     assert events == [
-        "basics", "direction",  # phase 1: x flips to its upper bound
-        "direction",            # the slack replaces the artificial
-        "basics",               # the new basis is optimal; x_B moved
-        "duals",                # phase 2 is optimal at once
+        "basics",   # phase 1: x flips to its upper bound, then the slack replaces the artificial
+        "basics",   # the new basis is optimal; x_B moved
+        "duals",    # phase 2 is optimal at once
         "report",
     ]
 
@@ -317,10 +316,29 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     sol = solve(b.build())
     assert sol.primal == (0.0, 4.0) and sol.duals == (-2.0,)
     assert events == [
-        "basics", "direction",  # phase 1: x replaces the artificial
-        "basics",               # the new basis is optimal; x_B moved
-        "duals", "direction",   # phase 2 prices its first basis; y replaces x
-        "duals", "basics",      # no column improves on the updated inverse's duals, nor on solved ones
+        "basics",           # phase 1: x replaces the artificial
+        "basics",           # the new basis is optimal; x_B moved
+        "duals",            # phase 2 prices its first basis; y replaces x
+        "duals", "basics",  # no column improves on the updated inverse's duals, nor on solved ones
+        "report",
+    ]
+
+    # min -x, x in [0, 10], x <= 4 and 2x <= 8: both rows block x at 4, a
+    # tie inside any drift, so that pivot is decided again from a fresh
+    # solve of the basic values and of the direction; the slack of the
+    # second row then replaces its artificial at a step of 0
+    b = LpBuilder()
+    x = b.var("x", 0.0, 10.0, -1.0)
+    b.row({x: 1.0}, "<=", 4.0, "r0")
+    b.row({x: 2.0}, "<=", 8.0, "r1")
+    events.clear()
+    sol = solve(b.build())
+    assert sol.primal == (4.0,) and sol.objective_value == -4.0
+    assert events == [
+        "basics",
+        "basics", "direction",  # phase 1: x enters, and the tie is decided again
+        "basics",               # the slack replaces the last artificial; x_B moved
+        "duals",                # phase 2 is optimal at once
         "report",
     ]
 
@@ -366,6 +384,21 @@ def test_lapack_solve_is_np_linalg_solve_bit_for_bit():
     assert message(lpmod._lapack_inv, B) == duals  # a re-inversion between pivots
 
 
+def test_expelling_an_artificial_from_a_singular_basis_says_so():
+    # _expel_artificials inverts the basis through _lapack_inv under the
+    # run's float-error policy, and names its own step when that fails
+    b = LpBuilder()
+    x = b.var("x", 0.0, 10.0, 1.0)
+    b.row({x: 1.0}, "<=", 4.0, "r0")
+    b.row({x: 2.0}, "<=", 8.0, "r1")
+    simplex = lpmod._Simplex(b.build())
+    simplex._init_basis()
+    simplex.basis[:] = simplex.art0  # two copies of one artificial column
+    with np.errstate(invalid="raise"), pytest.raises(LpNumericalError) as exc:
+        simplex._expel_artificials()
+    assert str(exc.value) == "singular basis (expelling an artificial): Singular matrix"
+
+
 @pytest.mark.parametrize("big", [1e7, 1e8, 1e308])
 def test_a_large_right_hand_side_does_not_hide_an_infeasible_row(big):
     # phase 1 tests each artificial against its own row's right-hand side
@@ -408,8 +441,9 @@ def _lps_solved_by(monkeypatch, argv):
         lps.append(lp)
         return real_solve(lp)
 
-    monkeypatch.setattr(lpmod, "solve", captured)
-    assert main(argv) == 0
+    with monkeypatch.context() as patched:
+        patched.setattr(lpmod, "solve", captured)
+        assert main(argv) == 0
     assert lps
     return lps
 
@@ -419,30 +453,65 @@ _CLI_RUNS.update({f"compare {s}": ["compare", f"{s}.scn"]
                   for s in ("fourbus", "fourbus_tie270", "twobus", "fivebus_ruc")})
 
 
+def _cli_argv(scenario_dir, tmp_path, argv):
+    return [argv[0], str(scenario_dir / argv[1]), "--out", str(tmp_path), "--no-timestamp"]
+
+
 @pytest.mark.parametrize("argv", _CLI_RUNS.values(), ids=_CLI_RUNS.keys())
 def test_cli_lps_match_the_reference_bit_for_bit(scenario_dir, tmp_path, capsys, monkeypatch, argv):
     # the LPs of real clearings carry bound flips, ties and degenerate
     # phase-1 pivots that random LPs rarely reach
-    for lp in _lps_solved_by(monkeypatch, [argv[0], str(scenario_dir / argv[1]), "--out", str(tmp_path),
-                                           "--no-timestamp"]):
+    for lp in _lps_solved_by(monkeypatch, _cli_argv(scenario_dir, tmp_path, argv)):
         assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
 
 
 _GENERATED_RUNS = {f"clear nodal {n} buses": ("mesh_doc", (0, k, n), ["clear", "--scheme", "nodal"])
-                   for k, n in ((0, 12), (4, 16), (8, 20))}
+                   for k, n in ((0, 12), (4, 16), (8, 20), (0, 32))}
 _GENERATED_RUNS.update({f"daucruc {u} units x {h} hours": ("uc_doc", (0, k, u, h), ["daucruc"])
                         for k, u, h in ((0, 3, 3), (4, 4, 4), (5, 4, 5), (7, 5, 4))})
 
 
-@pytest.mark.parametrize("make, args, argv", _GENERATED_RUNS.values(), ids=_GENERATED_RUNS.keys())
-def test_benchmark_generated_lps_match_the_reference_bit_for_bit(tmp_path, capsys, monkeypatch, make, args, argv):
-    # the benchmark's 12-20 bus meshes give LPs of 56-96 rows and hundreds
-    # of pivots, where basic values carried from pivot to pivot drift most
+def _generated_argv(tmp_path, monkeypatch, make, args, argv):
+    """The CLI arguments that run ``argv`` on the benchmark's generated scenario."""
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
     import gen
 
     doc = getattr(gen, make)(*args)
     path = gen.write_doc(doc, tmp_path / f"{doc['name']}.scn")
-    for lp in _lps_solved_by(monkeypatch, [argv[0], str(path), *argv[1:], "--out", str(tmp_path),
-                                           "--no-timestamp"]):
+    return [argv[0], str(path), *argv[1:], "--out", str(tmp_path), "--no-timestamp"]
+
+
+@pytest.mark.parametrize("make, args, argv", _GENERATED_RUNS.values(), ids=_GENERATED_RUNS.keys())
+def test_benchmark_generated_lps_match_the_reference_bit_for_bit(tmp_path, capsys, monkeypatch, make, args, argv):
+    # the benchmark's 12-20 bus meshes give LPs of 56-96 rows and hundreds
+    # of pivots, where basic values carried from pivot to pivot drift most;
+    # the 32-bus mesh's longer pivot paths let the basis inverse drift more
+    for lp in _lps_solved_by(monkeypatch, _generated_argv(tmp_path, monkeypatch, make, args, argv)):
         assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
+
+
+def test_a_drifting_inverse_direction_keeps_the_reference_path(scenario_dir, tmp_path, capsys, monkeypatch):
+    # Scale each entry of every direction taken from the basis inverse by
+    # 1 + 1e-13 N(0, 1), the largest drift measured against LAPACK's.  The
+    # ratio test's margins cover it: every LP of the CLI and generated runs
+    # still takes the reference's pivot path, bit for bit.  With the
+    # margins at 0 the same drift moves some LPs off it, so the margins,
+    # not luck, keep the path.
+    lps = []
+    for argv in _CLI_RUNS.values():
+        lps += _lps_solved_by(monkeypatch, _cli_argv(scenario_dir, tmp_path, argv))
+    for make, args, argv in _GENERATED_RUNS.values():
+        lps += _lps_solved_by(monkeypatch, _generated_argv(tmp_path, monkeypatch, make, args, argv))
+    expected = [solve_outcome(reference_solve, lp) for lp in lps]
+    rng = np.random.default_rng(0)
+    exact = lpmod._inverse_direction
+    monkeypatch.setattr(lpmod, "_inverse_direction",
+                        lambda Binv, column: exact(Binv, column) * (1.0 + 1e-13 * rng.standard_normal(column.size)))
+
+    def differ():
+        return sum(solve_outcome(solve, lp) != outcome for lp, outcome in zip(lps, expected))
+
+    assert differ() == 0
+    for margin in ("DIRECTION_DRIFT", "DIRECTION_FLOOR", "BASICS_DRIFT"):
+        monkeypatch.setattr(lpmod, margin, 0.0)
+    assert differ() > 0

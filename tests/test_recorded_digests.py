@@ -3,17 +3,22 @@ digests with ``perfbench/expected.json``, so that a change to the solver
 that moves a printed digit fails here, not only in a benchmark run.
 
 The sample is every tenth recorded ``nodal_mesh`` and ``uc_horizon`` op,
-plus ``nodal_mesh`` ops 194 and 376, whose reports have moved when the
-entering direction came from an updated basis inverse instead of a solve:
-op 376 through a phase-1 ratio-test tie within 1e-12, op 194 in the sign of
-a zero price component.  Nothing under ``perfbench/`` is written.
+plus ``nodal_mesh`` ops in which the ratio test decides pivots again from a
+fresh solve: the simplex takes each entering direction from its updated
+basis inverse, and a decision within the drift margins of a threshold is
+taken again as a fresh solve takes it.  Ops 194 and 376 are the ones whose
+reports moved when an unguarded solver took the direction from the inverse
+(op 376 through a phase-1 ratio-test tie within 1e-12, op 194 in the sign of
+a zero price component); they now decide 11 and 12 pivots again.  Ops 82,
+137, 197, 325 and 448 decide 14 to 32 pivots again each, the most among the
+recorded ops.  Nothing under ``perfbench/`` is written.
 """
 from pathlib import Path
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 MESH_OPS, UC_OPS = 500, 300  # the ops perfbench/record.py records
 
-_SAMPLE = ([("nodal_mesh", k) for k in sorted({*range(0, MESH_OPS, 10), 194, 376})]
+_SAMPLE = ([("nodal_mesh", k) for k in sorted({*range(0, MESH_OPS, 10), 82, 137, 194, 197, 325, 376, 448})]
            + [("uc_horizon", k) for k in range(0, UC_OPS, 10)])
 
 
