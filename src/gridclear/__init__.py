@@ -37,6 +37,7 @@ from gridclear.pricing import (
     PriceReport,
     StackPrice,
     form_nodal_prices,
+    form_prices,
     form_smp,
     form_zonal_prices,
     stack_price,
@@ -44,6 +45,7 @@ from gridclear.pricing import (
 from gridclear.settlement import (
     SettlementReport,
     compute_uplift,
+    price_at,
     settle_energy,
     settle_redispatch,
     summarize,
@@ -67,8 +69,8 @@ __all__ = [
     "UcSchedule", "RedispatchRecord",
     "solve_uc", "run_dauc_ruc", "single_interval_schedule",
     "StackPrice", "MarginalSet", "PriceReport", "PriceComponents",
-    "stack_price", "form_smp", "form_zonal_prices", "form_nodal_prices",
-    "SettlementReport", "settle_energy", "compute_uplift", "settle_redispatch", "summarize",
+    "stack_price", "form_prices", "form_smp", "form_zonal_prices", "form_nodal_prices",
+    "SettlementReport", "price_at", "settle_energy", "compute_uplift", "settle_redispatch", "summarize",
     "BidDeviation", "PriceSeriesStats",
     "evaluate_bid_deviation", "price_stats",
     "Scenario", "ScenarioValidationError", "load_scenario", "dump_scenario",

@@ -13,7 +13,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from gridclear.commitment import single_interval_schedule
 from gridclear.dispatch import (
     ConstraintRegime,
     DispatchResult,
@@ -21,8 +20,8 @@ from gridclear.dispatch import (
     clear,
 )
 from gridclear.grid import Network
-from gridclear.pricing import SCHEMES, PriceFormationError, form_smp
-from gridclear.settlement import require_finite
+from gridclear.pricing import SCHEMES, PriceFormationError, form_prices
+from gridclear.settlement import price_at, require_finite
 
 
 BID_SCHEMES = ("uniform", "zonal", "nodal")
@@ -55,12 +54,11 @@ class PriceSeriesStats:
 
 
 def _unit_price(net, gens, result: DispatchResult, scheme: str, gen_id: str, currency: str) -> float:
-    if not result.gen_local_dual:  # the clearing has no optimum, so no price under any scheme
+    """The price ``scheme`` settles the unit at: the one ``clear`` reports."""
+    if not result.has_optimum:
         raise PriceFormationError(0, {gen_id: result.violations[0]})
-    if scheme == "uniform":
-        report = form_smp(single_interval_schedule(result, gens), net, gens, currency=currency)
-        return report.prices[0]["system"]
-    return result.gen_local_dual[gen_id]
+    bus = next(g.bus_id for g in gens if g.id == gen_id)
+    return price_at(form_prices(scheme, result, net, gens, currency=currency), net, bus, 0)
 
 
 def _true_welfare(net: Network, gens: Sequence[GeneratorSpec], result: DispatchResult) -> float:

@@ -20,27 +20,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from gridclear.analysis import BID_SCHEMES, evaluate_bid_deviation, price_stats
-from gridclear.commitment import (
-    UcEnumerationLimitError,
-    UcInfeasibleError,
-    run_dauc_ruc,
-    single_interval_schedule,
-)
+from gridclear.commitment import UcEnumerationLimitError, UcInfeasibleError, run_dauc_ruc
 from gridclear.dispatch import ConstraintRegime, clear, with_forced_bounds
 from gridclear.grid import MW_TOL, GridNumericalError, overloaded_lines
 from gridclear.lp import LpNumericalError
-from gridclear.pricing import (
-    SCHEMES,
-    PriceFormationError,
-    PriceReport,
-    form_nodal_prices,
-    form_smp,
-    form_zonal_prices,
-)
+from gridclear.pricing import SCHEMES, PriceFormationError, form_prices, form_smp
 from gridclear.scenario import (
     Scenario,
     ScenarioValidationError,
     SchemeOutcome,
+    format_number,
     load_scenario,
     write_compare_markdown,
     write_lines,
@@ -98,19 +87,8 @@ def run_scheme(scenario: Scenario, scheme: str, tol: float = MW_TOL) -> SchemeOu
     cleared = with_forced_bounds(gens, scenario.run.forced_bounds) if scheme == "zonal_cm" else gens
     result = clear(net, cleared, regime, loads=scenario.hourly_loads()[0])
 
-    kind = SCHEMES[scheme].price_kind
-    lp_failed = any(v.startswith("lp_") for v in result.violations)
-    if lp_failed:
-        # no prices exist; emit an empty report so diagnostics still get written
-        prices = PriceReport(kind, ({},), currency=scenario.currency)
-    elif kind == "nodal":
-        prices = form_nodal_prices(result, net, currency=scenario.currency)
-    elif kind == "zonal":
-        prices = form_zonal_prices(result, currency=scenario.currency)
-    else:  # screened stack price
-        schedule = single_interval_schedule(result, gens)
-        prices = form_smp(schedule, net, gens, currency=scenario.currency)
-    settlement = None if lp_failed else summarize(prices, result, net, gens)
+    prices = form_prices(scheme, result, net, gens, currency=scenario.currency)
+    settlement = summarize(prices, result, net, gens) if result.has_optimum else None
 
     violated = SCHEMES[scheme].deliverable and (
         bool(overloaded_lines(net, result.line_flow_mw, tol)) or not result.feasible
@@ -180,28 +158,25 @@ def cmd_daucruc(args) -> int:
     lines = ["hour,generator,dauc_mw,ruc_mw,delta_mw"]
     for gid in record.gen_ids:
         for t in range(record.hours):
-            lines.append(
-                f"{t},{gid},{dauc.dispatch_mw[gid][t]:.2f},"
-                f"{ruc.dispatch_mw[gid][t]:.2f},{record.delta_mwh[gid][t]:.2f}"
-            )
+            figures = (dauc.dispatch_mw[gid][t], ruc.dispatch_mw[gid][t], record.delta_mwh[gid][t])
+            lines.append(f"{t},{gid}," + ",".join(map(format_number, figures)))
     redis_path = write_lines(out / f"{sc.name}_redispatch.csv", lines, stamp)
 
     md = [
         f"# {sc.name}: day-ahead vs reliability commitment",
         "",
-        f"* day-ahead total cost: {dauc.total_cost:.2f}",
-        f"* reliability total cost: {ruc.total_cost:.2f}",
+        f"* day-ahead total cost: {format_number(dauc.total_cost)}",
+        f"* reliability total cost: {format_number(ruc.total_cost)}",
         f"* uniform price by hour: "
-        + ", ".join(f"h{t}={p:.2f}" for t, p in enumerate(smp_series)),
+        + ", ".join(f"h{t}={format_number(p)}" for t, p in enumerate(smp_series)),
         "",
         "| zone | constrained-on (MWh) | constrained-off (MWh) | CON payment | COFF payment |",
         "|---|---|---|---|---|",
     ]
     for zone in net.zones:
-        md.append(
-            f"| {zone} | {redis.zone_con_mwh[zone]:.2f} | {redis.zone_coff_mwh[zone]:.2f} | "
-            f"{redis.zone_con_payment[zone]:.2f} | {redis.zone_coff_payment[zone]:.2f} |"
-        )
+        figures = (redis.zone_con_mwh[zone], redis.zone_coff_mwh[zone],
+                   redis.zone_con_payment[zone], redis.zone_coff_payment[zone])
+        md.append(f"| {zone} | " + " | ".join(map(format_number, figures)) + " |")
     md_path = write_lines(out / f"{sc.name}_daucruc.md", md, stamp)
     print(redis_path)
     print(md_path)
@@ -229,29 +204,25 @@ def cmd_bidding(args) -> int:
         scheme=scheme, regime=regime, currency=sc.currency, loads=sc.hourly_loads()[0],
     )
 
-    lines = ["metric,value"]
+    lines = ["metric,value", f"generator,{dev.generator_id}", f"scheme,{dev.scheme}"]
     for metric, val in (
-        ("generator", dev.generator_id),
-        ("scheme", dev.scheme),
-        ("true_ic", f"{dev.true_ic:.2f}"),
-        ("offered_ic", f"{dev.offered_ic:.2f}"),
-        ("q_truthful_mw", f"{dev.q_truthful:.2f}"),
-        ("q_deviated_mw", f"{dev.q_deviated:.2f}"),
-        ("price_truthful", f"{dev.price_truthful:.2f}"),
-        ("price_deviated", f"{dev.price_deviated:.2f}"),
-        ("profit_truthful", f"{dev.profit_truthful:.2f}"),
-        ("profit_deviated", f"{dev.profit_deviated:.2f}"),
-        ("profit_delta", f"{dev.profit_delta:.2f}"),
-        ("welfare_delta", f"{dev.welfare_delta:.2f}"),
+        ("true_ic", dev.true_ic),
+        ("offered_ic", dev.offered_ic),
+        ("q_truthful_mw", dev.q_truthful),
+        ("q_deviated_mw", dev.q_deviated),
+        ("price_truthful", dev.price_truthful),
+        ("price_deviated", dev.price_deviated),
+        ("profit_truthful", dev.profit_truthful),
+        ("profit_deviated", dev.profit_deviated),
+        ("profit_delta", dev.profit_delta),
+        ("welfare_delta", dev.welfare_delta),
     ):
-        lines.append(f"{metric},{val}")
+        lines.append(f"{metric},{format_number(val)}")
     path = write_lines(_out_dir(args) / f"{sc.name}_bidding_{gen}.csv", lines, _timestamp(args))
     print(path)
-    print(
-        f"{gen}: offered {offered:.2f} vs true {dev.true_ic:.2f} under {scheme}: "
-        f"profit {dev.profit_deviated:.2f} (truthful {dev.profit_truthful:.2f}), "
-        f"welfare delta {dev.welfare_delta:.2f}"
-    )
+    print(f"{gen}: offered {format_number(offered)} vs true {format_number(dev.true_ic)} under {scheme}: "
+          f"profit {format_number(dev.profit_deviated)} (truthful {format_number(dev.profit_truthful)}), "
+          f"welfare delta {format_number(dev.welfare_delta)}")
     return EXIT_OK
 
 
@@ -269,16 +240,11 @@ def cmd_stats(args) -> int:
     except ValueError as exc:
         raise CliUsageError(f"bad price value: {exc}") from exc
     stats = price_stats(series)
-    lines = [
-        "metric,value",
-        f"count,{len(series)}",
-        f"median,{stats.median:.2f}",
-        f"p10,{stats.p10:.2f}",
-        f"p90,{stats.p90:.2f}",
-    ]
+    figures = (("median", stats.median), ("p10", stats.p10), ("p90", stats.p90))
+    lines = ["metric,value", f"count,{len(series)}", *(f"{m},{format_number(v)}" for m, v in figures)]
     out_path = write_lines(_out_dir(args) / f"{path.stem}_stats.csv", lines, _timestamp(args))
     print(out_path)
-    print(f"median={stats.median:.2f} p10={stats.p10:.2f} p90={stats.p90:.2f}")
+    print(" ".join(f"{m}={format_number(v)}" for m, v in figures))
     return EXIT_OK
 
 

@@ -159,14 +159,8 @@ def _start_count(unit: GeneratorSpec, seq: Sequence[int]) -> int:
 # commitment search
 # ---------------------------------------------------------------------------
 
-def _normalize_hours(hours: int | Sequence[Mapping[str, float] | None]) -> list[dict[str, float] | None]:
-    if isinstance(hours, int):
-        if hours < 1:
-            raise ValueError("horizon must be >= 1 hour")
-        return [None] * hours
-    out: list[dict[str, float] | None] = []
-    for h in hours:
-        out.append(None if h is None else dict(h))
+def _normalize_hours(hours: Sequence[Mapping[str, float] | None]) -> list[dict[str, float] | None]:
+    out = [None if h is None else dict(h) for h in hours]
     if not out:
         raise ValueError("horizon must be >= 1 hour")
     return out
@@ -183,12 +177,14 @@ def _floor(lower_bounds: Mapping[str, Sequence[int]] | None, unit: GeneratorSpec
 def solve_uc(
     net: Network,
     gens: Sequence[GeneratorSpec],
-    hours: int | Sequence[Mapping[str, float]],
+    hours: Sequence[Mapping[str, float] | None],
     regime: ConstraintRegime,
     *,
     lower_bounds: Mapping[str, Sequence[int]] | None = None,
 ) -> UcSchedule:
-    """Minimum-cost commitment and dispatch of ``gens`` over the horizon.
+    """Minimum-cost commitment and dispatch of ``gens`` over the horizon:
+    one hour per entry of ``hours``, each its bus loads (``None`` keeps the
+    network's own), as ``clear`` takes them.
 
     Each unit's ``min_up_h``, ``min_down_h``, ``initially_on`` and
     ``initial_hours`` bound its on/off sequences; its costs and
@@ -273,7 +269,7 @@ def _search(gens, seq_options, horizon, hour_result) -> tuple[tuple[int, ...], .
             for j, bits in enumerate(uniq.tolist()):
                 res = hour_result(t, frozenset(always_on[t] + [
                     ids[k] for k, mask, _ in varying[t] if mask & bits]))
-                ok[j] = not any(v.startswith("lp_") for v in res.violations)
+                ok[j] = res.has_optimum
                 val[j] = res.objective_value
             keep = ok[inverse]
             if not keep.all():
@@ -354,7 +350,7 @@ def single_interval_schedule(result: DispatchResult, gens: Sequence[GeneratorSpe
 def run_dauc_ruc(
     net: Network,
     gens: Sequence[GeneratorSpec],
-    hours: int | Sequence[Mapping[str, float]],
+    hours: Sequence[Mapping[str, float] | None],
     regime_dauc: ConstraintRegime,
     regime_ruc: ConstraintRegime,
 ) -> tuple[UcSchedule, UcSchedule, RedispatchRecord]:

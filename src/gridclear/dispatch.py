@@ -158,6 +158,12 @@ class DispatchResult:
     objective_value: float
     limits: dict[str, float]  # constraint row label -> right-hand side
 
+    @property
+    def has_optimum(self) -> bool:
+        """Whether the clearing LP reached an optimum.  Without one there is
+        no dispatch and no price, and the only violation is ``lp_<status>``."""
+        return not any(v.startswith("lp_") for v in self.violations)
+
     def transmission_rent(self) -> float:
         """Congestion rent from duals: sum over transmission rows of
         |multiplier| * limit."""

@@ -273,16 +273,15 @@ def evaluate_flows(
     net: Network,
     ptdf: PtdfMatrix,
     injections: Mapping[str, float],
-    tol: float = MW_TOL,
 ) -> FlowSet:
     """Superpose per-bus net injections (MW, must balance to zero) into signed
     line and interface flows, flagging lines loaded beyond their thermal
     limit.  Interface flow is the signed sum of its member line flows."""
     vec = ptdf.injection_vector(injections)
     imbalance = float(vec.sum())
-    if abs(imbalance) > tol:
+    if abs(imbalance) > MW_TOL:
         raise UnbalancedInjectionError(
-            f"injections sum to {imbalance:.6g} MW, expected 0 within {tol:g}"
+            f"injections sum to {imbalance:.6g} MW, expected 0 within {MW_TOL:g}"
         )
     raw = ptdf.matrix @ vec
     flows = {lid: float(raw[i]) for i, lid in enumerate(ptdf.line_ids)}
@@ -290,4 +289,4 @@ def evaluate_flows(
         itf.id: sum(sign * flows[lid] for lid, sign in itf.member_lines)
         for itf in net.interfaces
     }
-    return FlowSet(flows, iface, overloaded_lines(net, flows, tol))
+    return FlowSet(flows, iface, overloaded_lines(net, flows, MW_TOL))

@@ -1,14 +1,16 @@
 """Price formation: uniform stack-price screening, zonal duals, nodal LMPs.
 
-Three schemes are supported:
+``form_prices`` is the one mapping from a scheme of ``SCHEMES`` and its
+clearing to the prices the scheme reports and settles at.  Each scheme forms
+one of three kinds of price:
 
-* ``uniform_smp`` -- the system marginal price is the highest stack price
-  (incremental cost plus amortized no-load and start-up cost) among the
-  screened marginal generators of the hour.  Units pinned at bounds, at
-  forced bounds, held by stability or reserve constraints, or separated from
-  the pricing region by a binding transmission constraint are excluded and
-  their exclusion reasons recorded.  An empty marginal set is a hard pricing
-  failure, never a silent zero.
+* ``uniform_smp`` -- the system marginal price, keyed ``system``, is the
+  highest stack price (incremental cost plus amortized no-load and start-up
+  cost) among the screened marginal generators of the hour.  Units pinned at
+  bounds, at forced bounds, held by stability or reserve constraints, or
+  priced apart from the reference dual by a binding transmission constraint
+  are excluded and their exclusion reasons recorded.  An empty marginal set
+  is a hard pricing failure, never a silent zero.
 * ``zonal``       -- zone prices are the zone balance duals of the clearing.
 * ``nodal``       -- bus prices are the bus balance duals, decomposed into an
   energy component (reference-bus dual), a congestion component, and a loss
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from gridclear.commitment import UcSchedule
+from gridclear.commitment import UcSchedule, single_interval_schedule
 from gridclear.dispatch import PRICE_TOL, DispatchResult, GeneratorSpec
 from gridclear.grid import MW_TOL, Network
 
@@ -136,22 +138,11 @@ def _served_by_location(result: DispatchResult, net: Network) -> dict[str, float
     return by_zone
 
 
-def _reference_dual(result: DispatchResult, net: Network, region: str | None) -> float:
-    """Dual of the pricing region: the zone's own dual when restricted, else
-    the highest balance dual among locations actually serving load."""
+def _reference_dual(result: DispatchResult, net: Network) -> float:
+    """The highest balance dual among locations actually serving load."""
     duals = result.balance_duals
     if result.mode == "copper_plate":
         return duals.get("system", 0.0)
-    if region is not None:
-        if result.mode == "zonal":
-            if region not in duals:
-                raise PricingContractError(f"no balance dual for zone {region!r}")
-            return duals[region]
-        in_region = [b.id for b in net.buses_in_zone(region) if b.id in duals]
-        if not in_region:
-            raise PricingContractError(f"no buses in region {region!r}")
-        serving = [b for b in in_region if result.served_mw.get(b, 0.0) > MW_TOL]
-        return max(duals[b] for b in (serving or in_region))
     served = _served_by_location(result, net)
     keys_serving = [k for k, v in served.items() if v > MW_TOL]
     if keys_serving:
@@ -164,17 +155,16 @@ def form_smp(
     net: Network,
     gens: Sequence[GeneratorSpec],
     *,
-    region: str | None = None,
     currency: str = "",
 ) -> PriceReport:
-    """Uniform price per hour: the maximum stack price over the screened
-    marginal set, with recorded exclusion reasons for every screened-out
-    dispatched unit.  ``net`` locates buses and units in zones."""
+    """Uniform price per hour, keyed ``system``: the maximum stack price over
+    the screened marginal set, with recorded exclusion reasons for every
+    screened-out dispatched unit.  ``net`` locates buses and units in zones."""
     specs = {g.id: g for g in gens}
     prices: list[dict[str, float]] = []
     msets: list[MarginalSet] = []
     for t, result in enumerate(schedule.hourly_results):
-        ref = _reference_dual(result, net, region)
+        ref = _reference_dual(result, net)
         members: list[str] = []
         exclusions: dict[str, str] = {}
         for gid in schedule.gen_ids:
@@ -182,8 +172,6 @@ def form_smp(
                 continue
             q = schedule.dispatch_mw[gid][t]
             if q <= MW_TOL:
-                continue
-            if region is not None and net.zone_of(specs[gid].bus_id) != region:
                 continue
             flag = result.gen_flags.get(gid, "")
             if flag in ("at_capacity",):
@@ -216,8 +204,7 @@ def form_smp(
                         max(schedule.hours_on[gid][t], 1), hour=t).sp
             for gid in members
         )
-        key = region if region is not None else "system"
-        prices.append({key: smp})
+        prices.append({"system": smp})
         msets.append(MarginalSet(t, tuple(members), exclusions))
     return PriceReport("uniform_smp", tuple(prices), (), tuple(msets), currency)
 
@@ -261,3 +248,25 @@ def form_nodal_prices(
         prices[bus] = lam + loss
         comps[bus] = PriceComponents(energy=lam_ref, congestion=congestion, loss=loss)
     return PriceReport("nodal", (prices,), (comps,), (), currency)
+
+
+def form_prices(
+    scheme: str,
+    result: DispatchResult,
+    net: Network,
+    gens: Sequence[GeneratorSpec],
+    *,
+    currency: str = "",
+) -> PriceReport:
+    """The prices ``scheme`` (a key of ``SCHEMES``) forms from one clearing
+    of ``gens``: its nodal or zonal duals, or the screened uniform price of
+    the single-interval schedule.  A clearing with no optimum forms no price:
+    the report's one hour is empty."""
+    kind = SCHEMES[scheme].price_kind
+    if not result.has_optimum:
+        return PriceReport(kind, ({},), currency=currency)
+    if kind == "nodal":
+        return form_nodal_prices(result, net, currency=currency)
+    if kind == "zonal":
+        return form_zonal_prices(result, currency=currency)
+    return form_smp(single_interval_schedule(result, gens), net, gens, currency=currency)

@@ -550,7 +550,8 @@ class SchemeOutcome:
     deliverable_violated: bool  # physically undeliverable claim
 
 
-def _fmt(v: float) -> str:
+def format_number(v: float) -> str:
+    """A number as every report prints it: two decimals."""
     return f"{v:.2f}"
 
 
@@ -576,12 +577,12 @@ def write_report(
     timestamp: str | None = None,
 ) -> list[Path]:
     """Serialize completed scheme runs of ``net``.  ``fmt`` is ``csv`` (one
-    file per scheme and report kind) or ``markdown`` (one report file per
+    file per scheme and report kind) or ``md`` (one markdown report file per
     scheme).  Output is deterministic: fixed column order, two-decimal
     numbers."""
     if not outcomes:
         raise ValueError("empty report set")
-    if fmt not in ("csv", "markdown", "md"):
+    if fmt not in ("csv", "md"):
         raise ValueError(f"unknown format {fmt!r}")
     out_dir = Path(out_dir)
     written: list[Path] = []
@@ -599,7 +600,7 @@ def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, time
 
     lines = ["hour,generator,dispatch_mw,flag"]
     for gid in r.gen_mw:
-        lines.append(f"0,{gid},{_fmt(r.gen_mw[gid])},{r.gen_flags.get(gid, '')}")
+        lines.append(f"0,{gid},{format_number(r.gen_mw[gid])},{r.gen_flags.get(gid, '')}")
     paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_dispatch.csv", lines, timestamp))
 
     if oc.prices.scheme == "nodal":
@@ -608,23 +609,23 @@ def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, time
             comps = oc.prices.decomposition[t] if t < len(oc.prices.decomposition) else {}
             for key in hour:
                 c = comps[key]
-                lines.append(
-                    f"{t},{key},{_fmt(hour[key])},{_fmt(c.energy)},{_fmt(c.congestion)},{_fmt(c.loss)}"
-                )
+                figures = (hour[key], c.energy, c.congestion, c.loss)
+                lines.append(f"{t},{key}," + ",".join(map(format_number, figures)))
     else:
         lines = ["hour,key,price"]
         for t, hour in enumerate(oc.prices.prices):
             for key in sorted(hour):
-                lines.append(f"{t},{key},{_fmt(hour[key])}")
+                lines.append(f"{t},{key},{format_number(hour[key])}")
     paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_prices.csv", lines, timestamp))
 
     lines = ["hour,element,kind,flow_mw,limit_mw,violation"]
     for line in net.lines:
         flag = "yes" if line.id in r.physical_violations else "no"
-        lines.append(f"0,{line.id},line,{_fmt(r.line_flow_mw[line.id])},{_fmt(line.limit_mw)},{flag}")
+        flow, limit = format_number(r.line_flow_mw[line.id]), format_number(line.limit_mw)
+        lines.append(f"0,{line.id},line,{flow},{limit},{flag}")
     for iid, flow in r.interface_flow_mw.items():
         lim = r.limits.get(f"iface+[{iid}]", float("nan"))
-        lines.append(f"0,{iid},interface,{_fmt(flow)},{_fmt(lim)},no")
+        lines.append(f"0,{iid},interface,{format_number(flow)},{format_number(lim)},no")
     paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_flows.csv", lines, timestamp))
 
     if oc.settlement is not None:
@@ -634,10 +635,9 @@ def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, time
         ]
         for gid in s.per_generator:
             g = s.per_generator[gid]
-            lines.append(
-                f"{gid},{_fmt(g.market_revenue)},{_fmt(g.as_cleared_cost)},{_fmt(g.uplift)},"
-                f"{_fmt(g.con_mwh)},{_fmt(g.coff_mwh)},{_fmt(g.con_payment)},{_fmt(g.coff_payment)}"
-            )
+            figures = (g.market_revenue, g.as_cleared_cost, g.uplift,
+                       g.con_mwh, g.coff_mwh, g.con_payment, g.coff_payment)
+            lines.append(f"{gid}," + ",".join(map(format_number, figures)))
         paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_settlement.csv", lines, timestamp))
 
     lines = ["metric,value"]
@@ -650,7 +650,7 @@ def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, time
             ("total_cost", s.total_cost),
             ("social_surplus", s.social_surplus),
         ):
-            lines.append(f"{metric},{_fmt(val)}")
+            lines.append(f"{metric},{format_number(val)}")
     for v in r.violations:
         lines.append(f"violation,\"{v}\"")
     paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_summary.csv", lines, timestamp))
@@ -662,11 +662,11 @@ def _write_scheme_markdown(name, oc: SchemeOutcome, out_dir: Path, timestamp) ->
     lines = [f"# {name} - {SCHEMES[oc.scheme].label}", ""]
     lines += ["| generator | dispatch (MW) | flag |", "|---|---|---|"]
     for gid in r.gen_mw:
-        lines.append(f"| {gid} | {_fmt(r.gen_mw[gid])} | {r.gen_flags.get(gid, '')} |")
+        lines.append(f"| {gid} | {format_number(r.gen_mw[gid])} | {r.gen_flags.get(gid, '')} |")
     lines += ["", "| key | price |", "|---|---|"]
     for t, hour in enumerate(oc.prices.prices):
         for key in sorted(hour):
-            lines.append(f"| {key} (h{t}) | {_fmt(hour[key])} |")
+            lines.append(f"| {key} (h{t}) | {format_number(hour[key])} |")
     if oc.settlement is not None:
         s = oc.settlement
         lines += ["", "| metric | value |", "|---|---|"]
@@ -679,7 +679,7 @@ def _write_scheme_markdown(name, oc: SchemeOutcome, out_dir: Path, timestamp) ->
             ("total cost", s.total_cost),
             ("social surplus", s.social_surplus),
         ):
-            lines.append(f"| {metric} | {_fmt(val)} |")
+            lines.append(f"| {metric} | {format_number(val)} |")
     if r.violations:
         lines += ["", "Violations:", ""]
         lines += [f"- {v}" for v in r.violations]
@@ -703,7 +703,7 @@ def write_compare_markdown(
     lines.append("|---|" + "|".join("---" for _ in outcomes) + "|")
 
     def dispatch_cell(oc: SchemeOutcome) -> str:
-        vals = [f"{_fmt(v)}" for v in oc.dispatch.gen_mw.values()]
+        vals = [f"{format_number(v)}" for v in oc.dispatch.gen_mw.values()]
         return "(" + ", ".join(vals) + ")"
 
     def price_cell(oc: SchemeOutcome) -> str:
@@ -711,8 +711,8 @@ def write_compare_markdown(
         if not hour:
             return "-"
         if len(hour) == 1:
-            return _fmt(next(iter(hour.values())))
-        return "(" + ", ".join(_fmt(hour[k]) for k in hour) + ")"
+            return format_number(next(iter(hour.values())))
+        return "(" + ", ".join(format_number(hour[k]) for k in hour) + ")"
 
     def money_cell(oc: SchemeOutcome, metric: str) -> str:
         if oc.deliverable_violated:
@@ -723,15 +723,16 @@ def write_compare_markdown(
         if metric == "revenue":
             total = s.total_market_revenue + s.total_uplift
             if s.total_uplift > 0.005:
-                return f"{_fmt(total)} (incl. uplift {_fmt(s.total_uplift)})"
-            return _fmt(total)
+                return f"{format_number(total)} (incl. uplift {format_number(s.total_uplift)})"
+            return format_number(total)
         if metric == "payment":
             if s.total_uplift > 0.005:
-                return f"{_fmt(s.consumer_total_payment)} (incl. uplift {_fmt(s.total_uplift)})"
-            return _fmt(s.consumer_total_payment)
+                uplift = format_number(s.total_uplift)
+                return f"{format_number(s.consumer_total_payment)} (incl. uplift {uplift})"
+            return format_number(s.consumer_total_payment)
         if metric == "rent":
-            return _fmt(s.congestion_rent)
-        return _fmt(s.social_surplus)
+            return format_number(s.congestion_rent)
+        return format_number(s.social_surplus)
 
     rows = [
         ("Generator dispatch (MW)", dispatch_cell),

@@ -1,9 +1,10 @@
 """Monetary accounting: energy revenue, uplift, redispatch compensation,
 consumer payments, congestion rent and social surplus.
 
-Settlement is pure bookkeeping over immutable inputs.  Revenue applies the
-scheme price at each generator's settlement key (system, zone, or bus) to its
-real-time output.  Uplift is the classic make-whole payment: the shortfall of
+Settlement is pure bookkeeping over immutable inputs.  ``price_at`` is the
+one reader of a price report: the scheme price at a bus's settlement key
+(system, zone, or bus).  Revenue applies it to each generator's scheduled
+output.  Uplift is the classic make-whole payment: the shortfall of
 market revenue below as-cleared cost, floored at zero.  Constrained-on energy
 is compensated at incremental cost; constrained-off energy at the lost margin
 (price minus incremental cost, floored at zero).
@@ -92,17 +93,18 @@ def _dispatch_series(source: DispatchResult | UcSchedule, gid: str, hours: int) 
     return (source.gen_mw.get(gid, 0.0),)
 
 
-def _price_key(prices: PriceReport, net: Network, bus: str, hour: int) -> str:
-    """The price a generator or load at ``bus`` settles at: the hour's one
-    uniform price, its zone's price or its own bus price."""
+def price_at(prices: PriceReport, net: Network, bus: str, hour: int) -> float:
+    """The price a generator or load at ``bus`` settles at in ``hour``: the
+    hour's uniform price, its zone's price or its own bus price."""
     if prices.scheme == "uniform_smp":
-        keys = list(prices.prices[hour])
-        if len(keys) != 1:
-            raise SettlementKeyError(f"uniform price for hour {hour} is not unique: {keys}")
-        return keys[0]
-    if prices.scheme == "zonal":
-        return net.zone_of(bus)
-    return bus
+        key = "system"
+    elif prices.scheme == "zonal":
+        key = net.zone_of(bus)
+    else:
+        key = bus
+    if key not in prices.prices[hour]:
+        raise SettlementKeyError(f"no {prices.scheme} price for key {key!r} in hour {hour}")
+    return prices.prices[hour][key]
 
 
 def settle_energy(
@@ -110,33 +112,17 @@ def settle_energy(
     source: DispatchResult | UcSchedule,
     net: Network,
     gens: Sequence[GeneratorSpec],
-    q_rt: Mapping[str, Sequence[float]] | Mapping[str, float] | None = None,
 ) -> dict[str, float]:
-    """Per-generator market revenue: scheme price at the generator's
-    settlement key (its bus in ``gens``, or that bus's zone in ``net``) times
-    real-time output, summed over hours.  Real-time quantities default to
-    the scheduled dispatch."""
+    """Per-generator market revenue: ``price_at`` the generator's bus in
+    ``gens`` times its scheduled output, summed over hours."""
     bus_of = {g.id: g.bus_id for g in gens}
-    results = _hourly_results(source)
-    hours = len(results)
+    hours = len(_hourly_results(source))
     gen_ids = tuple(source.gen_ids) if isinstance(source, UcSchedule) else tuple(source.gen_mw)
-    series: dict[str, Sequence[float]] = {}
-    for gid in gen_ids:
-        if q_rt is not None and gid in q_rt:
-            val = q_rt[gid]
-            series[gid] = tuple(val) if isinstance(val, (tuple, list)) else (float(val),) * hours
-        else:
-            series[gid] = _dispatch_series(source, gid, hours)
     revenue: dict[str, float] = {}
     for gid in gen_ids:
         total = 0.0
-        for t in range(hours):
-            key = _price_key(prices, net, bus_of[gid], t)
-            if key not in prices.prices[t]:
-                raise SettlementKeyError(
-                    f"no {prices.scheme} price for key {key!r} in hour {t}"
-                )
-            total += prices.prices[t][key] * series[gid][t]
+        for t, q in enumerate(_dispatch_series(source, gid, hours)):
+            total += price_at(prices, net, bus_of[gid], t) * q
         revenue[gid] = total
     return revenue
 
@@ -237,13 +223,10 @@ def summarize(
     source: DispatchResult | UcSchedule,
     net: Network,
     gens: Sequence[GeneratorSpec],
-    q_rt: Mapping[str, Sequence[float]] | None = None,
-    *,
-    redispatch: RedispatchSettlement | None = None,
 ) -> SettlementReport:
     """Full settlement report with every accounting identity enforced."""
     results = _hourly_results(source)
-    revenue = settle_energy(prices, source, net, gens, q_rt)
+    revenue = settle_energy(prices, source, net, gens)
     cleared = as_cleared_costs(source, gens)
     uplift = compute_uplift(revenue, cleared)
 
@@ -254,25 +237,10 @@ def summarize(
         for bus, served in result.served_mw.items():
             if served <= 0:
                 continue
-            key = _price_key(prices, net, bus, t)
-            if key not in prices.prices[t]:
-                raise SettlementKeyError(f"no {prices.scheme} price for load key {key!r}")
-            consumer_market += prices.prices[t][key] * served
+            consumer_market += price_at(prices, net, bus, t) * served
             utility += wtp[bus] * served
 
-    per_gen: dict[str, GeneratorSettlement] = {}
-    for g in gens:
-        extra = {}
-        if redispatch is not None and g.id in redispatch.con_mwh:
-            extra = dict(
-                con_mwh=redispatch.con_mwh[g.id],
-                coff_mwh=redispatch.coff_mwh[g.id],
-                con_payment=redispatch.con_payment[g.id],
-                coff_payment=redispatch.coff_payment[g.id],
-            )
-        per_gen[g.id] = GeneratorSettlement(
-            g.id, revenue[g.id], cleared[g.id], uplift[g.id], **extra
-        )
+    per_gen = {g.id: GeneratorSettlement(g.id, revenue[g.id], cleared[g.id], uplift[g.id]) for g in gens}
 
     total_uplift = sum(uplift.values())
     consumer_total = consumer_market + total_uplift

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from gridclear.analysis import evaluate_bid_deviation, price_stats
+from gridclear.analysis import BID_SCHEMES, evaluate_bid_deviation, price_stats
+from gridclear.cli import run_scheme
 from gridclear.dispatch import ConstraintRegime
+from gridclear.pricing import SCHEMES
+from gridclear.scenario import load_scenario
+from gridclear.settlement import price_at
 
 ZONAL = ConstraintRegime(mode="zonal")
 
@@ -56,6 +60,19 @@ def test_displacing_cheaper_unit_destroys_welfare(twobus):
     # A3's 150 MW (true cost 90) displaces A2's 150 MW (true cost 75)
     assert dev.dispatch_deviated["A2"] == pytest.approx(0.0, abs=1e-6)
     assert dev.welfare_delta == pytest.approx(-150.0 * 15.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", BID_SCHEMES)
+@pytest.mark.parametrize("name", ["twobus", "fourbus"])
+def test_truthful_price_is_the_cleared_price(scenario_dir, name, scheme):
+    sc = load_scenario(scenario_dir / f"{name}.scn")
+    prices = run_scheme(sc, scheme).prices
+    spec = SCHEMES[scheme]
+    regime = sc.regimes.get(spec.regime, ConstraintRegime(mode=spec.mode))
+    for g in sc.generators:
+        dev = evaluate_bid_deviation(sc.network, sc.generators, g.id, g.ic, scheme=scheme,
+                                     regime=regime, loads=sc.hourly_loads()[0])
+        assert dev.price_truthful == price_at(prices, sc.network, g.bus_id, 0)
 
 
 def test_unknown_generator_rejected(twobus):

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 
 from gridclear.commitment import single_interval_schedule
 from gridclear.dispatch import (
+    PRICE_TOL,
     ConstraintRegime,
     GeneratorSpec,
     clear,
@@ -81,13 +82,13 @@ def test_twobus_copper_smp_is_90(twobus):
     assert "A3" in report.marginal_sets[0].members
 
 
-def test_fourbus_forced_bound_zone1_view(fourbus):
+def test_fourbus_forced_bound_system_view(fourbus):
     net, gens = fourbus
     result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
-    report = form_smp(single_interval_schedule(result, gens), net, gens, region="Z1")
-    assert report.prices[0]["Z1"] == pytest.approx(10.0)
+    report = form_smp(single_interval_schedule(result, gens), net, gens)
+    assert report.prices[0]["system"] == pytest.approx(50.0)
     mset = report.marginal_sets[0]
-    assert mset.members == ("P1",)
+    assert mset.members == ("P4",)
     assert mset.exclusions["P3"] == "forced_bound"
     assert mset.exclusions["P2"] == "at_capacity"
 
@@ -237,21 +238,26 @@ def test_scheme_collapse_single_zone():
 
 
 def test_screening_soundness(fourbus):
+    """Across zones, a dispatched unit is a member exactly when it is interior,
+    unflagged and at the reference dual (the highest dual of a zone serving
+    load); every other dispatched unit is excluded with a reason."""
     net, gens = fourbus
     result = clear(net, gens, ZONAL)
-    report = form_smp(single_interval_schedule(result, gens), net, gens, region="Z1")
-    mset = report.marginal_sets[0]
-    for gid in result.gen_mw:
-        spec = next(g for g in gens if g.id == gid)
-        if net.zone_of(spec.bus_id) != "Z1" or result.gen_mw[gid] <= 1e-6:
+    mset = form_smp(single_interval_schedule(result, gens), net, gens).marginal_sets[0]
+    served = {z: sum(mw for b, mw in result.served_mw.items() if net.zone_of(b) == z) for z in net.zones}
+    ref = max(result.balance_duals[z] for z, mw in served.items() if mw > 1e-6)
+    assert len({net.zone_of(g.bus_id) for g in gens if result.gen_mw[g.id] > 1e-6}) == 2
+    for g in gens:
+        q = result.gen_mw[g.id]
+        if q <= 1e-6:
+            assert g.id not in mset.members and g.id not in mset.exclusions
             continue
-        lo, hi = spec.effective_bounds()
-        flagged = bool(result.gen_flags[gid])
-        interior = lo + 1e-6 < result.gen_mw[gid] < hi - 1e-6
-        if interior and not flagged:
-            assert gid in mset.members
-        else:
-            assert gid in mset.exclusions
+        lo, hi = g.effective_bounds()
+        interior = lo + 1e-6 < q < hi - 1e-6
+        at_ref = abs(result.gen_local_dual[g.id] - ref) <= PRICE_TOL
+        member = interior and not result.gen_flags[g.id] and at_ref
+        assert (g.id in mset.members) == member
+        assert (g.id in mset.exclusions) != member
 
 
 @settings(max_examples=30, deadline=None)

@@ -254,7 +254,7 @@ def test_write_report_csv_round_trips(fourbus, tmp_path):
 
 def test_write_report_markdown(fourbus, tmp_path):
     oc = _outcome(fourbus)
-    paths = write_report("fourbus", fourbus[0], [oc], tmp_path, "markdown", timestamp=None)
+    paths = write_report("fourbus", fourbus[0], [oc], tmp_path, "md", timestamp=None)
     text = paths[0].read_text()
     assert "| P1 | 175.00 |" in text
     assert "social surplus | 53250.00" in text

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from gridclear.commitment import RedispatchRecord, run_dauc_ruc, single_interval_schedule
@@ -51,18 +53,6 @@ def test_forced_bound_market_revenue(fourbus):
     revenue = settle_energy(prices, result, net, gens)
     assert sum(revenue.values()) == pytest.approx(20000.0, rel=1e-9)
     assert revenue["P3"] == pytest.approx(2250.0)
-
-
-def test_zero_output_zero_revenue(fourbus):
-    net, gens, result, prices = _nodal_bundle(fourbus)
-    revenue = settle_energy(prices, result, net, gens, q_rt={"P1": 0.0})
-    assert revenue["P1"] == 0.0
-
-
-def test_real_time_quantities_override_schedule(fourbus):
-    net, gens, result, prices = _nodal_bundle(fourbus)
-    revenue = settle_energy(prices, result, net, gens, q_rt={"P3": 200.0})
-    assert revenue["P3"] == pytest.approx(200.0 * 40.0)
 
 
 def test_missing_price_key_raises(fourbus):
@@ -235,10 +225,11 @@ def test_uniform_scheme_has_zero_rent(twobus):
 
 def test_inconsistent_inputs_raise_identity_error(fourbus):
     net, gens, result, prices = _nodal_bundle(fourbus)
-    # nodal prices paired with mismatched real-time quantities break the
-    # payment-minus-revenue cross-check
+    # a bus price that is not the clearing's dual (b1 injects 175 MW and
+    # serves no load) breaks the payment-minus-revenue cross-check
+    perturbed = replace(prices, prices=({**prices.prices[0], "b1": prices.prices[0]["b1"] + 1.0},))
     with pytest.raises(AccountingIdentityError, match="congestion_rent"):
-        summarize(prices, result, net, gens, q_rt={"P3": 100.0})
+        summarize(perturbed, result, net, gens)
 
 
 def test_multi_hour_schedule_settlement(scenario_dir):
