@@ -9,30 +9,40 @@ Larger, slower cousin of the acceptance suite for manual exploration:
     repeated rows, infeasible and unbounded cases) and every LP the scenario
     sweep's clearings solved, solved bit for bit as the reference simplex
     solves it
+  * on random commitment instances (and ones built for ties), under each
+    regime mode: every LP cut from a clearing template equal to the LP built
+    directly, and ``solve_uc``'s schedule equal to the reference scan's
 
-Exits 1 if any LP differs from the reference simplex, 0 otherwise; a failed
-ordering, welfare or duality check raises ``AssertionError``.
+Exits 1 if any LP differs from the reference simplex, any cut LP from the
+direct build or any commitment outcome from the reference scan, 0 otherwise;
+a failed ordering, welfare or duality check raises ``AssertionError``.
 
-Usage: python scripts/randomized_checks.py [--scenarios N] [--lps N] [--seed S]
+Usage: python scripts/randomized_checks.py [--scenarios N] [--lps N] [--uc N] [--seed S]
 """
 import argparse
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
+from gridclear.commitment import UcInfeasibleError, solve_uc
 from gridclear.dispatch import (
+    ClearingTemplate,
     ConstraintRegime,
     clear,
     with_forced_bounds,
 )
 from gridclear import lp as lpmod
 from gridclear.lp import solve
-from helpers import random_gens, random_network, reference_solve, solve_outcome
+from helpers import (
+    lp_differences, random_gens, random_network, random_tie_uc_instance, random_uc_instance,
+    reference_clearing_lp, reference_solve, reference_solve_uc, solve_outcome, uc_net,
+)
 from test_lp import build_random_lp, build_wild_lp, check_kkt
 
 
@@ -83,10 +93,59 @@ def sweep_lps(n, rng, cleared):
     return optimal, len(lps), mismatched
 
 
+def uc_outcome(solve_fn, *args, **kwargs):
+    try:
+        sched = solve_fn(*args, **kwargs)
+    except UcInfeasibleError as err:
+        return ("infeasible", err.hour)
+    return (repr(sched.committed), repr(sched.dispatch_mw), repr(sched.objective))
+
+
+def sweep_commitment(n, rng):
+    """``n`` random commitment instances and ``n`` built for ties, each under
+    its own regime and that regime in the other two modes: every LP cut from
+    a template against the direct build, ``solve_uc`` against the reference
+    scan.  Returns (runs, cut LPs, differing LPs, differing outcomes)."""
+    cuts = []
+    real_cut = ClearingTemplate.cut
+
+    def recording_cut(template, loads=None, committed=None):
+        case = real_cut(template, loads, committed)
+        cuts.append((template, loads, committed, case.lp))
+        return case
+
+    cases = []
+    for _ in range(n):
+        units, loads = random_uc_instance(rng)
+        cases.append((units, loads, ConstraintRegime(mode="copper_plate"), None))
+        cases.append(random_tie_uc_instance(rng))
+    runs = lps = bad_lps = bad_runs = 0
+    ClearingTemplate.cut = recording_cut
+    try:
+        for units, loads, regime, lower_bounds in cases:
+            net, hours = uc_net(units), [{"n0": l} for l in loads]
+            for mode in ("copper_plate", "nodal", "zonal"):
+                args = (net, units, hours, replace(regime, mode=mode))
+                got = uc_outcome(solve_uc, *args, lower_bounds=lower_bounds)
+                want = uc_outcome(reference_solve_uc, *args, lower_bounds=lower_bounds)
+                bad_runs += got != want
+                runs += 1
+            for template, loads_t, committed, lp in cuts:
+                want_lp = reference_clearing_lp(template.net, template.gens, template.regime,
+                                                loads=loads_t, committed=committed)
+                bad_lps += bool(lp_differences(lp, want_lp))
+            lps += len(cuts)
+            cuts.clear()
+    finally:
+        ClearingTemplate.cut = real_cut
+    return runs, lps, bad_lps, bad_runs
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scenarios", type=int, default=200)
     ap.add_argument("--lps", type=int, default=500)
+    ap.add_argument("--uc", type=int, default=50)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
     rng = random.Random(args.seed)
@@ -109,7 +168,12 @@ def main():
           f"duality gap and complementary slackness; {mismatched} of {compared} "
           f"LPs (random, wild and {len(cleared)} from the scenario sweep) differ "
           f"from the reference simplex [{t2 - t1:.1f}s]")
-    return 1 if mismatched else 0
+
+    runs, cut, bad_lps, bad_runs = sweep_commitment(args.uc, rng)
+    t3 = time.perf_counter()
+    print(f"commitment sweep: {bad_lps} of {cut} cut LPs differ from the direct build; "
+          f"{bad_runs} of {runs} solve_uc runs differ from the reference scan [{t3 - t2:.1f}s]")
+    return 1 if mismatched or bad_lps or bad_runs else 0
 
 
 if __name__ == "__main__":

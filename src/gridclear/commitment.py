@@ -1,16 +1,21 @@
 """Multi-hour unit commitment with start-up and no-load costs.
 
 Commitment is solved by exhaustive search over the product of per-unit on/off
-sequences pruned by minimum up/down feasibility, with one LP dispatch per
-distinct (hour, committed set) (memoized across candidates).  The sequences
-are counted before any is listed, and a search over more than ~2^20
-candidates reports an explicit error.
+sequences pruned by minimum up/down feasibility.  The sequences are counted
+before any is listed, and a search over more than ~2^20 candidates reports an
+explicit error.  Each pass then builds one clearing template
+(``dispatch.build_template``) and solves one LP per distinct (hour, committed
+set), cut from that template and memoized across candidates; the search reads
+only each LP's status and objective.  Only the hours of the chosen schedule
+are finished into ``DispatchResult``s, so an error that finishing raises (a
+flow evaluation at huge loads, a tie projection's LP) surfaces only for those
+hours.
 
 Candidates are evaluated as arrays, in fixed-size blocks of
 ``itertools.product`` order: commitment costs are summed per candidate in unit
 order, then hour costs in hour order, so every objective is the float the
 one-at-a-time scan computes; a candidate is dropped at its first infeasible
-hour, and only on-sets of candidates still alive are dispatched.  The choice
+hour, and only on-sets of candidates still alive are solved.  The choice
 is the scan's: the first feasible candidate, replaced by each later one whose
 objective is below the current best minus 1e-9.  Identical inputs yield
 identical schedules across runs.
@@ -31,7 +36,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from gridclear.dispatch import ConstraintRegime, DispatchResult, GeneratorSpec, clear
+from gridclear.dispatch import (
+    ClearingCase, ClearingTemplate, ConstraintRegime, DispatchResult, GeneratorSpec,
+    build_template, finish,
+)
+from gridclear import lp as lpmod
 from gridclear.grid import MW_TOL, Network
 
 ENUMERATION_CAP = 1 << 20
@@ -188,7 +197,7 @@ def solve_uc(
 
     Each unit's ``min_up_h``, ``min_down_h``, ``initially_on`` and
     ``initial_hours`` bound its on/off sequences; its costs and
-    ``synchronous`` flag enter each hour's ``clear``.
+    ``synchronous`` flag enter each hour's LP as they enter ``clear``'s.
 
     ``lower_bounds`` restricts the search to sequences that keep each listed
     unit on wherever the bound sequence is on (used by the reliability pass).
@@ -205,28 +214,36 @@ def solve_uc(
             f"commitment search space exceeds {ENUMERATION_CAP} candidates"
         )
     seq_options = [_sequences(u, f) for u, f in zip(gens, floors)]
+    template = build_template(net, gens, regime)
 
-    # per-hour dispatch cache keyed by the committed unit set
-    cache: dict[tuple[int, frozenset[str]], DispatchResult] = {}
+    # each (hour, committed set) solved once; finished only if chosen
+    cache: dict[tuple[int, frozenset[str]], tuple[ClearingCase, lpmod.LpSolution]] = {}
 
-    def hour_result(t: int, on_ids: frozenset[str]) -> DispatchResult:
+    def hour_lp(t: int, on_ids: frozenset[str]) -> lpmod.LpSolution:
         key = (t, on_ids)
         if key not in cache:
-            committed = {g.id: (g.id in on_ids) for g in gens}
-            cache[key] = clear(net, gens, regime, loads=hourly_loads[t], committed=committed)
-        return cache[key]
+            cache[key] = _solve_hour(template, hourly_loads[t], on_ids)
+        return cache[key][1]
 
-    best_combo = _search(gens, seq_options, horizon, hour_result)
-    return _assemble_schedule(gens, horizon, best_combo, hour_result)
+    best_combo = _search(gens, seq_options, horizon, hour_lp)
+    return _assemble_schedule(gens, horizon, best_combo,
+                              lambda t, on_ids: finish(*cache[t, on_ids]))
 
 
-def _search(gens, seq_options, horizon, hour_result) -> tuple[tuple[int, ...], ...]:
+def _solve_hour(template: ClearingTemplate, loads: Mapping[str, float] | None,
+                on_ids: frozenset[str]) -> tuple[ClearingCase, lpmod.LpSolution]:
+    """One candidate hour: the LP cut for the units in ``on_ids``, solved."""
+    case = template.cut(loads, {g.id: g.id in on_ids for g in template.gens})
+    return case, lpmod.solve(case.lp)
+
+
+def _search(gens, seq_options, horizon, hour_lp) -> tuple[tuple[int, ...], ...]:
     """The first cheapest candidate of ``itertools.product(*seq_options)``:
     the first feasible one, then each later one that beats the current best
     by more than 1e-9.  Candidates are evaluated as arrays, ``_BLOCK`` at a
-    time in product order; each hour's distinct on-sets are dispatched once
-    per block, in key order, and a candidate infeasible at an hour is dropped
-    there."""
+    time in product order; each hour's distinct on-sets are solved once
+    per block, in key order, and a candidate whose LP at an hour has no
+    optimum is dropped there."""
     ids = [u.id for u in gens]
     sizes = [len(opts) for opts in seq_options]
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
@@ -267,10 +284,10 @@ def _search(gens, seq_options, horizon, hour_result) -> tuple[tuple[int, ...], .
             ok = np.empty(len(uniq), dtype=bool)
             val = np.empty(len(uniq))
             for j, bits in enumerate(uniq.tolist()):
-                res = hour_result(t, frozenset(always_on[t] + [
+                sol = hour_lp(t, frozenset(always_on[t] + [
                     ids[k] for k, mask, _ in varying[t] if mask & bits]))
-                ok[j] = res.has_optimum
-                val[j] = res.objective_value
+                ok[j] = sol.status == "optimal"
+                val[j] = sol.objective_value
             keep = ok[inverse]
             if not keep.all():
                 first_bad_hour = min(first_bad_hour, t)

@@ -23,6 +23,12 @@ adjusted (at equal cost) to respect physical line limits when such an
 adjustment exists.  This mirrors an operator choosing the security-preferred
 split among cost-equivalent schedules.
 
+``clear`` runs three stages, which unit commitment runs separately:
+``build_template`` writes the LP of every unit and a curtailment column per
+bus as raw arrays, ``ClearingTemplate.cut`` takes the LP of one (loads,
+committed set) from it, array for array the one a direct build gives, and
+``finish`` turns the solved LP into a ``DispatchResult``.
+
 All functions are pure; parallel evaluation over scenarios is safe.
 """
 from __future__ import annotations
@@ -30,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from gridclear.grid import MW_TOL, Line, Network, evaluate_flows
 from gridclear import lp as lpmod
@@ -193,6 +201,119 @@ def clear(
     ``regime.min_sync_mw``.  An LP that has no optimum yields
     ``feasible=False`` with an ``lp_*`` violation.
     """
+    case = build_template(net, gens, regime).cut(loads, committed)
+    return finish(case, lpmod.solve(case.lp))
+
+
+class _RawBuilder(lpmod.LpBuilder):
+    """An ``LpBuilder`` whose program stays raw arrays: a template holds every
+    unit, and only the LP cut from it must be a valid ``LinearProgram``."""
+
+    def arrays(self) -> tuple:
+        """cost, lower, upper, A, sense and rhs as ``build`` writes them, then
+        the variable names and row labels."""
+        vals = np.array(self._vals, dtype=float)
+        nonzero = vals != 0.0
+        rows = np.repeat(np.arange(len(self._labels)), self._nnz)
+        A = np.zeros((len(self._labels), len(self._names)))
+        A[rows[nonzero], np.array(self._cols, dtype=np.intp)[nonzero]] = vals[nonzero]
+        out = (np.array(self._cost), np.array(self._lo), np.array(self._up), A,
+               np.array(self._sense), np.array(self._rhs))
+        for a in out:
+            a.setflags(write=False)
+        return out + (tuple(self._names), tuple(self._labels))
+
+
+@dataclass(frozen=True, eq=False)
+class ClearingTemplate:
+    """The clearing LP of every unit of ``gens``, with no load entered.  Its
+    columns are the units, one curtailment column per bus in ``net.buses``
+    order, then the network's own; the reserve and ``min_sync`` rows come
+    last."""
+
+    net: Network
+    gens: tuple[GeneratorSpec, ...]
+    regime: ConstraintRegime
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    A: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    var_names: tuple[str, ...]
+    row_labels: tuple[str, ...]
+    balance: dict[str, int]  # bus, zone or "system" -> its balance row
+    reserve_row: int | None
+    sync_row: int | None
+
+    def cut(self, loads: Mapping[str, float] | None = None,
+            committed: Mapping[str, bool] | None = None) -> ClearingCase:
+        """The LP of one (loads, committed set), as ``clear`` takes them: the
+        columns of online units and of buses with load above 0, the reserve
+        row if a unit is on, the ``min_sync`` row if a synchronous one is, and
+        curtailment bounds and right-hand sides set from the loads and units."""
+        net, gens, regime = self.net, self.gens, self.regime
+        load_of = {b.id: (loads[b.id] if loads and b.id in loads else b.load_mw)
+                   for b in net.buses}
+        is_on = {g.id: (committed.get(g.id, False) if committed is not None else True)
+                 for g in gens}
+        on = [k for k, g in enumerate(gens) if is_on[g.id]]
+        loaded = [k for k, b in enumerate(net.buses) if load_of[b.id] > 0]
+        cols = on + [len(gens) + k for k in loaded] + list(
+            range(len(gens) + len(net.buses), len(self.cost)))
+        gvar = {gens[k].id: j for j, k in enumerate(on)}
+        cvar = {net.buses[k].id: j for j, k in enumerate(loaded, len(on))}
+
+        rhs = self.rhs.copy()
+        if regime.mode == "nodal":
+            for b in net.buses:
+                rhs[self.balance[b.id]] = load_of[b.id]
+        elif regime.mode == "zonal":
+            for zone in net.zones:
+                zone_load = 0.0
+                for b in net.buses_in_zone(zone):
+                    zone_load += load_of[b.id]
+                rhs[self.balance[zone]] = zone_load
+        else:
+            rhs[self.balance["system"]] = sum(load_of.values())
+        keep = len(rhs)  # rows kept: the aggregate rows come last, reserve first
+        if self.sync_row is not None and not any(gens[k].synchronous for k in on):
+            keep = self.sync_row
+        if self.reserve_row is not None:
+            if on:
+                cap = sum(gens[k].effective_bounds()[1] for k in on)
+                rhs[self.reserve_row] = cap - regime.reserve_req_mw
+            else:
+                keep = self.reserve_row
+
+        at = np.array(cols, dtype=np.intp)
+        upper = self.upper.take(at)
+        upper[len(on):len(on) + len(loaded)] = [load_of[net.buses[k].id] for k in loaded]
+        lp = lpmod.LinearProgram(
+            self.cost.take(at), self.lower.take(at), upper, self.A[:keep].take(at, axis=1),
+            self.sense[:keep], rhs[:keep], tuple([self.var_names[j] for j in cols]),
+            self.row_labels[:keep])
+        return ClearingCase(self, lp, load_of, is_on, gvar, cvar)
+
+
+@dataclass(frozen=True, eq=False)
+class ClearingCase:
+    """One (loads, committed set) cut from a template: its LP and the columns
+    of its units and curtailments.  Its balance rows keep the template's
+    positions, as only rows after them are dropped."""
+
+    template: ClearingTemplate
+    lp: lpmod.LinearProgram
+    load_of: dict[str, float]
+    is_on: dict[str, bool]
+    gvar: dict[str, int]  # online unit -> its column
+    cvar: dict[str, int]  # loaded bus -> its curtailment column
+
+
+def build_template(net: Network, gens: Sequence[GeneratorSpec],
+                   regime: ConstraintRegime) -> ClearingTemplate:
+    """The clearing template of ``gens`` on ``net`` under ``regime``; raises
+    ``ValueError`` for duplicate unit ids or a unit at an unknown bus."""
     gen_ids = [g.id for g in gens]
     if len(set(gen_ids)) != len(gen_ids):
         raise ValueError("duplicate generator ids")
@@ -200,29 +321,30 @@ def clear(
     for g in gens:
         if g.bus_id not in bus_ids:
             raise ValueError(f"generator {g.id}: unknown bus {g.bus_id!r}")
-    load_of = {b.id: (loads[b.id] if loads and b.id in loads else b.load_mw) for b in net.buses}
-    is_on = {g.id: (committed.get(g.id, False) if committed is not None else True) for g in gens}
-    active = [g for g in gens if is_on[g.id]]
 
-    builder = lpmod.LpBuilder()
-    gvar = {g.id: builder.var(f"g[{g.id}]", *g.effective_bounds(), cost=g.ic) for g in active}
-    cvar: dict[str, int] = {}
-    for b in net.buses:
-        if load_of[b.id] > 0:
-            cvar[b.id] = builder.var(f"curt[{b.id}]", 0.0, load_of[b.id], cost=b.wtp)
-
+    builder = _RawBuilder()
+    gvar = {g.id: builder.var(f"g[{g.id}]", *g.effective_bounds(), cost=g.ic) for g in gens}
+    cvar = {b.id: builder.var(f"curt[{b.id}]", 0.0, 0.0, cost=b.wtp) for b in net.buses}
     if regime.mode == "nodal":
-        balance = _build_nodal(builder, net, active, gvar, cvar, load_of, regime)
+        balance = _build_nodal(builder, net, gens, gvar, cvar, regime)
     elif regime.mode == "zonal":
-        balance = _build_zonal(builder, net, active, gvar, cvar, load_of, regime)
+        balance = _build_zonal(builder, net, gens, gvar, cvar, regime)
     else:
-        coeffs = {gvar[g.id]: 1.0 for g in active}
+        coeffs = {gvar[g.id]: 1.0 for g in gens}
         coeffs.update(dict.fromkeys(cvar.values(), 1.0))
-        balance = {"system": builder.row(coeffs, "=", sum(load_of.values()), "system")}
-    _add_aggregates(builder, active, gvar, regime)
+        balance = {"system": builder.row(coeffs, "=", 0.0, "system")}
+    reserve_row, sync_row = _add_aggregates(builder, gens, gvar, regime)
+    return ClearingTemplate(net, tuple(gens), regime, *builder.arrays(), balance,
+                            reserve_row, sync_row)
 
-    problem = builder.build()
-    sol = lpmod.solve(problem)
+
+def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
+    """The ``DispatchResult`` of a case whose LP was solved as ``sol``: tie
+    resolution, physical flows, prices, flags and binding rows."""
+    net, gens, regime = case.template.net, case.template.gens, case.template.regime
+    problem, balance = case.lp, case.template.balance
+    load_of, is_on, gvar, cvar = case.load_of, case.is_on, case.gvar, case.cvar
+    active = [g for g in gens if is_on[g.id]]
     balance_rows = set(balance.values())
     limit_rows = [i for i in range(len(problem.row_labels)) if i not in balance_rows]
     limits = {problem.row_labels[i]: float(problem.rhs[i]) for i in limit_rows}
@@ -298,7 +420,7 @@ def _injections(net: Network, gens, gen_mw, served) -> dict[str, float]:
     return inj
 
 
-def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime):
+def _build_nodal(builder, net, gens, gvar, cvar, regime):
     tvar = {
         b.id: builder.var(f"theta[{b.id}]", -INF, INF, 0.0)
         for b in net.buses
@@ -320,8 +442,7 @@ def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime):
         for g in gens:
             if g.bus_id == b.id:
                 coeffs[gvar[g.id]] = 1.0
-        if b.id in cvar:
-            coeffs[cvar[b.id]] = 1.0
+        coeffs[cvar[b.id]] = 1.0
         for line in net.lines:
             if line.from_bus == b.id:
                 for j, v in flow_terms(line, -1.0).items():
@@ -329,7 +450,7 @@ def _build_nodal(builder, net, gens, gvar, cvar, load_of, regime):
             elif line.to_bus == b.id:
                 for j, v in flow_terms(line, +1.0).items():
                     coeffs[j] = coeffs.get(j, 0.0) + v
-        balance[b.id] = builder.row(coeffs, "=", load_of[b.id], f"balance[{b.id}]")
+        balance[b.id] = builder.row(coeffs, "=", 0.0, f"balance[{b.id}]")
 
     for line in regime.monitored_lines(net):
         builder.row(flow_terms(line, +1.0), "<=", line.limit_mw, f"flow+[{line.id}]")
@@ -359,7 +480,7 @@ def interface_zones(net: Network, itf) -> tuple[str, str]:
     return pairs.pop()
 
 
-def _build_zonal(builder, net, gens, gvar, cvar, load_of, regime):
+def _build_zonal(builder, net, gens, gvar, cvar, regime):
     arcs = []  # (interface, var index, from_zone, to_zone)
     for itf in net.interfaces:
         fz, tz = interface_zones(net, itf)
@@ -374,17 +495,14 @@ def _build_zonal(builder, net, gens, gvar, cvar, load_of, regime):
         for g in gens:
             if net.zone_of(g.bus_id) == zone:
                 coeffs[gvar[g.id]] = 1.0
-        zone_load = 0.0
         for b in net.buses_in_zone(zone):
-            zone_load += load_of[b.id]
-            if b.id in cvar:
-                coeffs[cvar[b.id]] = 1.0
+            coeffs[cvar[b.id]] = 1.0
         for itf, fv, fz, tz in arcs:
             if fz == zone:
                 coeffs[fv] = coeffs.get(fv, 0.0) - 1.0
             elif tz == zone:
                 coeffs[fv] = coeffs.get(fv, 0.0) + 1.0
-        balance[zone] = builder.row(coeffs, "=", zone_load, f"zone[{zone}]")
+        balance[zone] = builder.row(coeffs, "=", 0.0, f"zone[{zone}]")
 
     if regime.enforce_interfaces:
         for itf, fv, _, _ in arcs:
@@ -394,14 +512,16 @@ def _build_zonal(builder, net, gens, gvar, cvar, load_of, regime):
 
 
 def _add_aggregates(builder, gens, gvar, regime):
+    """The reserve and ``min_sync`` rows, returned as their positions (None
+    when absent).  ``cut`` sets the reserve row's right-hand side."""
+    reserve = sync = None
     if regime.reserve_req_mw > 0 and gens:
-        cap = sum(g.effective_bounds()[1] for g in gens)
-        builder.row({gvar[g.id]: 1.0 for g in gens}, "<=",
-                    cap - regime.reserve_req_mw, "reserve")
+        reserve = builder.row({gvar[g.id]: 1.0 for g in gens}, "<=", 0.0, "reserve")
     if regime.min_sync_mw > 0:
         coeffs = {gvar[g.id]: 1.0 for g in gens if g.synchronous}
         if coeffs:
-            builder.row(coeffs, ">=", regime.min_sync_mw, "min_sync")
+            sync = builder.row(coeffs, ">=", regime.min_sync_mw, "min_sync")
+    return reserve, sync
 
 
 def _apply_exhaustion_convention(balance_duals, gens, gen_mw, curtail):

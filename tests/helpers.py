@@ -5,6 +5,9 @@ recomputed from a reduced susceptance solve, single-node dispatch by a direct
 merit-order fill, and commitment by naive enumeration of full on/off matrices.
 ``reference_solve_uc`` is the commitment search as a one-candidate-at-a-time
 scan, the rule ``solve_uc`` must reproduce choice for choice.
+``reference_clearing_lp`` builds the clearing LP of one (loads, committed set)
+directly with ``LpBuilder``; the LP ``clear`` cuts from its template must equal
+it array for array and name for name.
 ``reference_solve`` is the simplex as a column-by-column, row-by-row loop that
 re-solves the basis for every quantity it reads; ``lp.solve`` must reproduce
 its pivots and its solution bit for bit.
@@ -17,11 +20,11 @@ import random
 import numpy as np
 
 from gridclear.grid import Bus, Interface, Line, Network
-from gridclear.dispatch import ConstraintRegime, GeneratorSpec, clear
+from gridclear.dispatch import ConstraintRegime, GeneratorSpec, clear, interface_zones
 from gridclear.commitment import UcInfeasibleError, _assemble_schedule
 from gridclear.lp import (
-    FEAS_TOL, INF, MAX_ITERATIONS, OPT_TOL, PIVOT_TOL, LinearProgram, LpNumericalError,
-    LpSolution,
+    FEAS_TOL, INF, MAX_ITERATIONS, OPT_TOL, PIVOT_TOL, LinearProgram, LpBuilder,
+    LpNumericalError, LpSolution,
 )
 
 
@@ -278,6 +281,133 @@ def uc_net(units: list[GeneratorSpec], wtp: float = 500.0) -> Network:
     buses = (Bus("n0", "Z", load_mw=total, wtp=wtp),)  # load overridden per hour
     # single-bus network: no lines needed; a self-contained node
     return Network(buses, (), ("Z",), (), "n0")
+
+
+# ---------------------------------------------------------------------------
+# clearing LP oracle: the direct build of only the online units and loaded buses
+# ---------------------------------------------------------------------------
+
+def reference_clearing_lp(net, gens, regime, *, loads=None, committed=None) -> LinearProgram:
+    """The LP ``clear`` solves for one (loads, committed set), built variable
+    by variable and row by row with ``LpBuilder``: a column per online unit
+    and per bus with load above 0, the reserve row only with a unit on and
+    the ``min_sync`` row only with a synchronous unit on."""
+    load_of = {b.id: (loads[b.id] if loads and b.id in loads else b.load_mw) for b in net.buses}
+    is_on = {g.id: (committed.get(g.id, False) if committed is not None else True) for g in gens}
+    active = [g for g in gens if is_on[g.id]]
+
+    builder = LpBuilder()
+    gvar = {g.id: builder.var(f"g[{g.id}]", *g.effective_bounds(), cost=g.ic) for g in active}
+    cvar = {}
+    for b in net.buses:
+        if load_of[b.id] > 0:
+            cvar[b.id] = builder.var(f"curt[{b.id}]", 0.0, load_of[b.id], cost=b.wtp)
+
+    if regime.mode == "nodal":
+        _reference_nodal_rows(builder, net, active, gvar, cvar, load_of, regime)
+    elif regime.mode == "zonal":
+        _reference_zonal_rows(builder, net, active, gvar, cvar, load_of, regime)
+    else:
+        coeffs = {gvar[g.id]: 1.0 for g in active}
+        coeffs.update(dict.fromkeys(cvar.values(), 1.0))
+        builder.row(coeffs, "=", sum(load_of.values()), "system")
+    if regime.reserve_req_mw > 0 and active:
+        cap = sum(g.effective_bounds()[1] for g in active)
+        builder.row({gvar[g.id]: 1.0 for g in active}, "<=",
+                    cap - regime.reserve_req_mw, "reserve")
+    if regime.min_sync_mw > 0:
+        coeffs = {gvar[g.id]: 1.0 for g in active if g.synchronous}
+        if coeffs:
+            builder.row(coeffs, ">=", regime.min_sync_mw, "min_sync")
+    return builder.build()
+
+
+def _reference_nodal_rows(builder, net, gens, gvar, cvar, load_of, regime):
+    tvar = {b.id: builder.var(f"theta[{b.id}]", -INF, INF, 0.0)
+            for b in net.buses if b.id != net.slack_bus}
+
+    def flow_terms(line, sign=1.0):
+        y = sign / line.reactance
+        terms = {}
+        if line.from_bus in tvar:
+            terms[tvar[line.from_bus]] = terms.get(tvar[line.from_bus], 0.0) + y
+        if line.to_bus in tvar:
+            terms[tvar[line.to_bus]] = terms.get(tvar[line.to_bus], 0.0) - y
+        return terms
+
+    for b in net.buses:
+        coeffs = {}
+        for g in gens:
+            if g.bus_id == b.id:
+                coeffs[gvar[g.id]] = 1.0
+        if b.id in cvar:
+            coeffs[cvar[b.id]] = 1.0
+        for line in net.lines:
+            if line.from_bus == b.id:
+                for j, v in flow_terms(line, -1.0).items():
+                    coeffs[j] = coeffs.get(j, 0.0) + v
+            elif line.to_bus == b.id:
+                for j, v in flow_terms(line, +1.0).items():
+                    coeffs[j] = coeffs.get(j, 0.0) + v
+        builder.row(coeffs, "=", load_of[b.id], f"balance[{b.id}]")
+
+    for line in regime.monitored_lines(net):
+        builder.row(flow_terms(line, +1.0), "<=", line.limit_mw, f"flow+[{line.id}]")
+        builder.row(flow_terms(line, -1.0), "<=", line.limit_mw, f"flow-[{line.id}]")
+
+    if regime.enforce_interfaces:
+        for itf in net.interfaces:
+            coeffs = {}
+            for lid, sign in itf.member_lines:
+                for j, v in flow_terms(net.line(lid), float(sign)).items():
+                    coeffs[j] = coeffs.get(j, 0.0) + v
+            builder.row(coeffs, "<=", itf.ttc_mw, f"iface+[{itf.id}]")
+            builder.row({j: -v for j, v in coeffs.items()}, "<=", itf.ttc_mw, f"iface-[{itf.id}]")
+
+
+def _reference_zonal_rows(builder, net, gens, gvar, cvar, load_of, regime):
+    arcs = []
+    for itf in net.interfaces:
+        fz, tz = interface_zones(net, itf)
+        if fz == tz:
+            continue
+        arcs.append((itf, builder.var(f"f[{itf.id}]", -INF, INF, 0.0), fz, tz))
+
+    for zone in net.zones:
+        coeffs = {}
+        for g in gens:
+            if net.zone_of(g.bus_id) == zone:
+                coeffs[gvar[g.id]] = 1.0
+        zone_load = 0.0
+        for b in net.buses_in_zone(zone):
+            zone_load += load_of[b.id]
+            if b.id in cvar:
+                coeffs[cvar[b.id]] = 1.0
+        for itf, fv, fz, tz in arcs:
+            if fz == zone:
+                coeffs[fv] = coeffs.get(fv, 0.0) - 1.0
+            elif tz == zone:
+                coeffs[fv] = coeffs.get(fv, 0.0) + 1.0
+        builder.row(coeffs, "=", zone_load, f"zone[{zone}]")
+
+    if regime.enforce_interfaces:
+        for itf, fv, _, _ in arcs:
+            builder.row({fv: 1.0}, "<=", itf.ttc_mw, f"iface+[{itf.id}]")
+            builder.row({fv: -1.0}, "<=", itf.ttc_mw, f"iface-[{itf.id}]")
+
+
+def lp_differences(got: LinearProgram, want: LinearProgram) -> list[str]:
+    """The fields in which two LPs differ: arrays by dtype, shape and bytes,
+    names and labels by value.  Empty when they are the same LP."""
+    out = []
+    for name in ("cost", "lower", "upper", "A", "sense", "rhs"):
+        a, b = getattr(got, name), getattr(want, name)
+        if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+            out.append(name)
+    for name in ("var_names", "row_labels"):
+        if getattr(got, name) != getattr(want, name):
+            out.append(name)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from gridclear import commitment
+from gridclear import commitment, dispatch
 from gridclear.commitment import (
     UcEnumerationLimitError,
     UcInfeasibleError,
@@ -232,6 +232,23 @@ def test_enumeration_cap_is_checked_before_listing_sequences():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_duplicate_ids_raise_after_the_count_and_cap_checks():
+    """The search's own errors come first: past the cap, or with a unit that
+    has no feasible sequence, duplicate ids still report those; otherwise
+    they are the clearing's ValueError."""
+    past_cap = [_unit("u", 50, 10.0 + i) for i in range(8)]
+    with pytest.raises(UcEnumerationLimitError):
+        solve_uc(uc_net(past_cap), past_cap, [{"n0": 100.0}] * 3, COPPER)
+    stuck = [_unit("u", 50, 10.0), _unit("u", 50, 20.0, min_down=3, initial_hours=0)]
+    with pytest.raises(UcInfeasibleError) as err:
+        solve_uc(uc_net(stuck), stuck, [{"n0": 40.0}] * 2, COPPER,
+                 lower_bounds={"u": (1, 1)})
+    assert err.value.hour == 0
+    twins = [_unit("u", 50, 10.0), _unit("u", 50, 20.0)]
+    with pytest.raises(ValueError, match="duplicate generator ids"):
+        solve_uc(uc_net(twins), twins, [{"n0": 40.0}] * 2, COPPER)
+
+
 def test_determinism():
     units = [
         _unit("a", 100, 10.0, nlc=5.0, suc=100.0),
@@ -364,6 +381,22 @@ def _recording_clear(calls):
     return recording
 
 
+def _recording_solve_hour(calls):
+    solve_hour = commitment._solve_hour
+
+    def recording(template, loads, on_ids):
+        calls[(tuple(sorted(loads.items())), on_ids)] += 1
+        return solve_hour(template, loads, on_ids)
+    return recording
+
+
+def _counting_finish(finished):
+    def counting(case, sol):
+        finished.append(case)
+        return dispatch.finish(case, sol)
+    return counting
+
+
 def _outcome(solve, *args, **kwargs):
     try:
         sched = solve(*args, **kwargs)
@@ -376,17 +409,20 @@ def _outcome(solve, *args, **kwargs):
 @given(seed=st.integers(0, 100_000), block=st.sampled_from([1, 2, 5, 64, 1 << 12]))
 def test_uc_choice_matches_reference_scan(seed, block):
     """The array search picks exactly the candidate the one-at-a-time scan
-    picks (ties, twins and infeasible hours included, across block edges)
-    and dispatches exactly the same (hour, on-set) pairs."""
+    picks (ties, twins and infeasible hours included, across block edges),
+    solves exactly the same (hour, on-set) pairs, each once, and finishes a
+    dispatch result only for each hour of the chosen schedule."""
     units, loads, regime, lower_bounds = random_tie_uc_instance(random.Random(seed))
     net = uc_net(units)
     hours = [{"n0": l} for l in loads]
-    ours, theirs = Counter(), Counter()
+    ours, theirs, finished = Counter(), Counter(), []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(commitment, "_BLOCK", block)
-        mp.setattr(commitment, "clear", _recording_clear(ours))
+        mp.setattr(commitment, "_solve_hour", _recording_solve_hour(ours))
+        mp.setattr(commitment, "finish", _counting_finish(finished))
         got = _outcome(solve_uc, net, units, hours, regime, lower_bounds=lower_bounds)
         mp.setattr(helpers, "clear", _recording_clear(theirs))
         want = _outcome(reference_solve_uc, net, units, hours, regime, lower_bounds=lower_bounds)
     assert got == want
     assert ours == theirs
+    assert len(finished) == (0 if got[0] == "infeasible" else len(hours))

@@ -9,13 +9,16 @@ import hypothesis.strategies as st
 from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
+    build_template,
     clear,
     with_forced_bounds,
 )
 from gridclear import lp as lpmod
 from gridclear.grid import Bus, Interface, Line, Network, build_ptdf
 from gridclear.scenario import load_scenario
-from helpers import make_fourbus, random_gens, random_network
+from helpers import (
+    lp_differences, make_fourbus, random_gens, random_network, reference_clearing_lp,
+)
 
 NODAL = ConstraintRegime(mode="nodal", monitored_profile="nodal", enforce_interfaces=False)
 ZONAL = ConstraintRegime(mode="zonal")
@@ -388,3 +391,105 @@ def test_limits_are_the_rhs_of_every_non_balance_row(scenario_dir, monkeypatch, 
     assert r.limits == limits
     assert {label for label, _ in r.binding} <= r.limits.keys()
     assert not aggregates or {"reserve", "min_sync"} <= r.limits.keys()
+
+
+# ---------------------------------------------------------------------------
+# the LP clear solves is the LP a direct build gives
+# ---------------------------------------------------------------------------
+
+def _cleared_lp(monkeypatch, net, gens, regime, **kw):
+    """The LP ``clear`` solves (a zonal tie projection may solve another after it)."""
+    lps = []
+    real_solve = lpmod.solve
+    monkeypatch.setattr(lpmod, "solve", lambda lp: lps.append(lp) or real_solve(lp))
+    clear(net, gens, regime, **kw)
+    monkeypatch.setattr(lpmod, "solve", real_solve)
+    return lps[0]
+
+
+def _assert_cut_is_direct_build(template, loads=None, committed=None):
+    want = reference_clearing_lp(template.net, template.gens, template.regime,
+                                 loads=loads, committed=committed)
+    assert lp_differences(template.cut(loads, committed).lp, want) == []
+
+
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_cleared_lp_is_direct_build_on_bundled_scenarios(scenario_dir, monkeypatch, name):
+    """Every regime the scenario names and every mode, aggregates on and off,
+    every hour of the horizon."""
+    sc = load_scenario(scenario_dir / name)
+    regimes = list(sc.regimes.values()) + [ConstraintRegime(mode=m) for m in
+                                           ("nodal", "zonal", "copper_plate")]
+    regimes += [replace(r, reserve_req_mw=10.0, min_sync_mw=10.0) for r in regimes]
+    for regime in regimes:
+        for loads in sc.hourly_loads():
+            got = _cleared_lp(monkeypatch, sc.network, sc.generators, regime, loads=loads)
+            want = reference_clearing_lp(sc.network, sc.generators, regime, loads=loads)
+            assert lp_differences(got, want) == [], (regime, loads)
+
+
+@pytest.mark.parametrize("n_units", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["nodal", "zonal", "copper_plate"])
+def test_every_on_set_cut_from_one_template_is_direct_build(mode, n_units):
+    """One template, every on-set of its units (the third not synchronous),
+    with reserve and min_sync rows that drop out as units go."""
+    net, gens = make_fourbus()
+    gens[2] = replace(gens[2], synchronous=False)
+    gens = gens[:n_units]
+    regime = ConstraintRegime(mode=mode, reserve_req_mw=50.0, min_sync_mw=40.0)
+    template = build_template(net, gens, regime)
+    for bits in range(1 << len(gens)):
+        committed = {g.id: bool(bits >> k & 1) for k, g in enumerate(gens)}
+        _assert_cut_is_direct_build(template, committed=committed)
+
+
+@pytest.mark.parametrize("mode", ["nodal", "zonal", "copper_plate"])
+def test_bus_at_zero_load_in_one_hour_only(monkeypatch, mode):
+    """The curtailment column of a bus is cut in the hour its load is 0 and
+    kept in the hours around it, from the same template."""
+    net, gens = make_fourbus()
+    regime = ConstraintRegime(mode=mode)
+    template = build_template(net, gens, regime)
+    hours = [{"b1": 40.0, "b4": 500.0}, {"b1": 0.0, "b4": 520.0}, {"b1": 25.0, "b4": 480.0}]
+    for loads in hours:
+        _assert_cut_is_direct_build(template, loads=loads)
+        got = _cleared_lp(monkeypatch, net, gens, regime, loads=loads)
+        assert ("curt[b1]" in got.var_names) == (loads["b1"] > 0)
+        assert lp_differences(got, reference_clearing_lp(net, gens, regime, loads=loads)) == []
+
+
+@pytest.mark.parametrize("mode", ["nodal", "zonal", "copper_plate"])
+def test_reserve_row_with_no_unit_on(monkeypatch, mode):
+    net, gens = make_fourbus()
+    regime = ConstraintRegime(mode=mode, reserve_req_mw=30.0)
+    committed = {g.id: False for g in gens}
+    got = _cleared_lp(monkeypatch, net, gens, regime, committed=committed)
+    assert "reserve" not in got.row_labels
+    assert lp_differences(got, reference_clearing_lp(net, gens, regime, committed=committed)) == []
+
+
+@pytest.mark.parametrize("mode", ["nodal", "zonal", "copper_plate"])
+def test_min_sync_row_with_no_synchronous_unit_on(monkeypatch, mode):
+    net, gens = make_fourbus()
+    gens = [replace(g, synchronous=g.id != "P1") for g in gens]
+    regime = ConstraintRegime(mode=mode, min_sync_mw=20.0)
+    for committed in ({"P1": True}, {"P1": True, "P3": True}):
+        got = _cleared_lp(monkeypatch, net, gens, regime, committed=committed)
+        assert ("min_sync" in got.row_labels) == ("P3" in committed)
+        want = reference_clearing_lp(net, gens, regime, committed=committed)
+        assert lp_differences(got, want) == []
+
+
+def test_zonal_arcs_skip_same_zone_interfaces(monkeypatch):
+    net = Network(
+        (Bus("x", "ZA", 50.0, 200.0), Bus("y", "ZA", 0.0, 0.0), Bus("z", "ZB", 30.0, 200.0)),
+        (Line("l", "x", "y", 0.1, 999.0), Line("m", "y", "z", 0.1, 999.0)),
+        ("ZA", "ZB"),
+        (Interface("inner", (("l", 1),), 5.0), Interface("tie", (("m", 1),), 40.0)),
+        "x",
+    )
+    gens = [GeneratorSpec("gx", "x", 0.0, 30.0, 10.0), GeneratorSpec("gy", "y", 0.0, 60.0, 20.0),
+            GeneratorSpec("gz", "z", 0.0, 60.0, 30.0)]
+    got = _cleared_lp(monkeypatch, net, gens, ZONAL)
+    assert "f[inner]" not in got.var_names and "f[tie]" in got.var_names
+    assert lp_differences(got, reference_clearing_lp(net, gens, ZONAL)) == []

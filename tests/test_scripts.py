@@ -10,7 +10,7 @@ SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 @pytest.mark.parametrize("script,args", [
     ("run_worked_examples.py", ["--out", "{tmp}"]),
-    ("randomized_checks.py", ["--scenarios", "10", "--lps", "10"]),
+    ("randomized_checks.py", ["--scenarios", "10", "--lps", "10", "--uc", "5"]),
 ])
 def test_script_exits_zero(script, args, tmp_path):
     argv = [sys.executable, str(SCRIPTS / script)] + [a.format(tmp=tmp_path) for a in args]
