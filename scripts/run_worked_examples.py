@@ -37,7 +37,7 @@ def show_daucruc(path: Path):
         sc.network, sc.generators, sc.hourly_loads(),
         sc.regime(sc.run.dauc_regime), sc.regime(sc.run.ruc_regime),
     )
-    smp = form_smp(dauc, sc.network, sc.generators, currency=sc.currency)
+    smp = form_smp(dauc, sc.network, sc.generators)
     series = [smp.prices[t]["system"] for t in range(dauc.hours)]
     redis = settle_redispatch(record, sc.network, sc.generators, series)
     print(f"\n=== {sc.name}: day-ahead vs reliability commitment ===")
@@ -56,7 +56,7 @@ def show_bidding(path: Path):
     for scheme in ("uniform", "nodal"):
         regime = sc.regime("zonal") if scheme == "uniform" else None
         dev = evaluate_bid_deviation(sc.network, sc.generators, gen, offered,
-                                     scheme=scheme, regime=regime, currency=sc.currency,
+                                     scheme=scheme, regime=regime,
                                      loads=sc.hourly_loads()[0])
         print(f"{scheme:>8}: q {dev.q_truthful:.0f} -> {dev.q_deviated:.0f} MW, "
               f"price {dev.price_deviated:.2f}, profit {dev.profit_deviated:.2f}, "

@@ -53,12 +53,12 @@ class PriceSeriesStats:
     normalized: tuple[float, ...]  # series divided by its arithmetic mean
 
 
-def _unit_price(net, gens, result: DispatchResult, scheme: str, gen_id: str, currency: str) -> float:
+def _unit_price(net, gens, result: DispatchResult, scheme: str, gen_id: str) -> float:
     """The price ``scheme`` settles the unit at: the one ``clear`` reports."""
     if not result.has_optimum:
         raise PriceFormationError(0, {gen_id: result.violations[0]})
     bus = next(g.bus_id for g in gens if g.id == gen_id)
-    return price_at(form_prices(scheme, result, net, gens, currency=currency), net, bus, 0)
+    return price_at(form_prices(scheme, result, net, gens), net, bus, 0)
 
 
 def _true_welfare(net: Network, gens: Sequence[GeneratorSpec], result: DispatchResult) -> float:
@@ -76,7 +76,6 @@ def evaluate_bid_deviation(
     *,
     scheme: str = "uniform",
     regime: ConstraintRegime | None = None,
-    currency: str = "",
     loads: Mapping[str, float] | None = None,
 ) -> BidDeviation:
     """Re-clear with ``offered_ic`` replacing the unit's true incremental cost
@@ -105,8 +104,8 @@ def evaluate_bid_deviation(
     offered_gens = [replace(g, ic=offered_ic) if g.id == gen_id else g for g in gens]
     deviated = clear(net, offered_gens, regime, loads=loads)
 
-    price_t = _unit_price(net, gens, truthful, scheme, gen_id, currency)
-    price_d = _unit_price(net, offered_gens, deviated, scheme, gen_id, currency)
+    price_t = _unit_price(net, gens, truthful, scheme, gen_id)
+    price_d = _unit_price(net, offered_gens, deviated, scheme, gen_id)
     q_t = truthful.gen_mw[gen_id]
     q_d = deviated.gen_mw[gen_id]
     profit_t = (price_t - true_ic) * q_t

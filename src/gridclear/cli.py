@@ -87,7 +87,7 @@ def run_scheme(scenario: Scenario, scheme: str, tol: float = MW_TOL) -> SchemeOu
     cleared = with_forced_bounds(gens, scenario.run.forced_bounds) if scheme == "zonal_cm" else gens
     result = clear(net, cleared, regime, loads=scenario.hourly_loads()[0])
 
-    prices = form_prices(scheme, result, net, gens, currency=scenario.currency)
+    prices = form_prices(scheme, result, net, gens)
     settlement = summarize(prices, result, net, gens) if result.has_optimum else None
 
     violated = SCHEMES[scheme].deliverable and (
@@ -150,7 +150,7 @@ def cmd_daucruc(args) -> int:
         net, sc.generators, sc.hourly_loads(),
         sc.regime(sc.run.dauc_regime), sc.regime(sc.run.ruc_regime),
     )
-    smp = form_smp(dauc, net, sc.generators, currency=sc.currency)
+    smp = form_smp(dauc, net, sc.generators)
     smp_series = [smp.prices[t]["system"] for t in range(dauc.hours)]
     redis = settle_redispatch(record, net, sc.generators, smp_series)
 
@@ -201,7 +201,7 @@ def cmd_bidding(args) -> int:
     regime = _regime_for(sc, scheme)
     dev = evaluate_bid_deviation(
         sc.network, sc.generators, gen, offered,
-        scheme=scheme, regime=regime, currency=sc.currency, loads=sc.hourly_loads()[0],
+        scheme=scheme, regime=regime, loads=sc.hourly_loads()[0],
     )
 
     lines = ["metric,value", f"generator,{dev.generator_id}", f"scheme,{dev.scheme}"]

@@ -13,6 +13,9 @@
                         line flows and any limit violations.
 * ``copper_plate``   -- single-node merit order; one system balance dual.
 
+``location(net, mode, bus_id)`` is the one rule for where a bus clears and
+settles: the key of its balance row, dual and price (bus, zone or ``system``).
+
 Demand is fixed; curtailment is allowed only as a last-resort slack priced at
 the bus willingness to pay.  Infeasibility is a result state (``feasible``
 flag plus a violation report), not an exception.
@@ -159,10 +162,8 @@ class DispatchResult:
     feasible: bool
     violations: tuple[str, ...]
     physical_violations: tuple[str, ...]  # line ids with |implied flow| > limit
-    curtailment_mw: dict[str, float]  # by bus
     served_mw: dict[str, float]  # by bus
     gen_flags: dict[str, str]
-    gen_local_dual: dict[str, float]
     objective_value: float
     limits: dict[str, float]  # constraint row label -> right-hand side
 
@@ -203,25 +204,6 @@ def clear(
     """
     case = build_template(net, gens, regime).cut(loads, committed)
     return finish(case, lpmod.solve(case.lp))
-
-
-class _RawBuilder(lpmod.LpBuilder):
-    """An ``LpBuilder`` whose program stays raw arrays: a template holds every
-    unit, and only the LP cut from it must be a valid ``LinearProgram``."""
-
-    def arrays(self) -> tuple:
-        """cost, lower, upper, A, sense and rhs as ``build`` writes them, then
-        the variable names and row labels."""
-        vals = np.array(self._vals, dtype=float)
-        nonzero = vals != 0.0
-        rows = np.repeat(np.arange(len(self._labels)), self._nnz)
-        A = np.zeros((len(self._labels), len(self._names)))
-        A[rows[nonzero], np.array(self._cols, dtype=np.intp)[nonzero]] = vals[nonzero]
-        out = (np.array(self._cost), np.array(self._lo), np.array(self._up), A,
-               np.array(self._sense), np.array(self._rhs))
-        for a in out:
-            a.setflags(write=False)
-        return out + (tuple(self._names), tuple(self._labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,17 +247,8 @@ class ClearingTemplate:
         cvar = {net.buses[k].id: j for j, k in enumerate(loaded, len(on))}
 
         rhs = self.rhs.copy()
-        if regime.mode == "nodal":
-            for b in net.buses:
-                rhs[self.balance[b.id]] = load_of[b.id]
-        elif regime.mode == "zonal":
-            for zone in net.zones:
-                zone_load = 0.0
-                for b in net.buses_in_zone(zone):
-                    zone_load += load_of[b.id]
-                rhs[self.balance[zone]] = zone_load
-        else:
-            rhs[self.balance["system"]] = sum(load_of.values())
+        for b in net.buses:
+            rhs[self.balance[location(net, regime.mode, b.id)]] += load_of[b.id]
         keep = len(rhs)  # rows kept: the aggregate rows come last, reserve first
         if self.sync_row is not None and not any(gens[k].synchronous for k in on):
             keep = self.sync_row
@@ -322,7 +295,7 @@ def build_template(net: Network, gens: Sequence[GeneratorSpec],
         if g.bus_id not in bus_ids:
             raise ValueError(f"generator {g.id}: unknown bus {g.bus_id!r}")
 
-    builder = _RawBuilder()
+    builder = lpmod.LpBuilder()
     gvar = {g.id: builder.var(f"g[{g.id}]", *g.effective_bounds(), cost=g.ic) for g in gens}
     cvar = {b.id: builder.var(f"curt[{b.id}]", 0.0, 0.0, cost=b.wtp) for b in net.buses}
     if regime.mode == "nodal":
@@ -356,9 +329,9 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
             interface_flow_mw={i.id: 0.0 for i in net.interfaces},
             binding=(), balance_duals={}, total_cost=0.0, feasible=False,
             violations=(f"lp_{sol.status}: no dispatch satisfies the enforced constraints",),
-            physical_violations=(), curtailment_mw={}, served_mw={},
+            physical_violations=(), served_mw={},
             gen_flags={g.id: ("offline" if not is_on[g.id] else "") for g in gens},
-            gen_local_dual={}, objective_value=0.0, limits=limits,
+            objective_value=0.0, limits=limits,
         )
 
     gen_mw = {g.id: (sol.primal[gvar[g.id]] if is_on[g.id] else 0.0) for g in gens}
@@ -379,8 +352,7 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
     binding = tuple((problem.row_labels[i], sol.duals[i]) for i in limit_rows
                     if abs(sol.duals[i]) > _DUAL_EPS)
 
-    local_dual = {g.id: balance_duals.get(_location(net, regime, g.bus_id), 0.0) for g in gens}
-
+    local_dual = {g.id: balance_duals.get(location(net, regime.mode, g.bus_id), 0.0) for g in gens}
     flags = _gen_flags(gens, gen_mw, local_dual, is_on)
     total_cost = sum(g.ic * gen_mw[g.id] for g in gens)
     total_curtail = sum(curtail.values())
@@ -399,17 +371,19 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
         mode=regime.mode, gen_mw=gen_mw, line_flow_mw=flows.flows_mw,
         interface_flow_mw=flows.interface_flows_mw, binding=binding, balance_duals=balance_duals,
         total_cost=total_cost, feasible=feasible, violations=tuple(violations),
-        physical_violations=flows.violations, curtailment_mw=curtail, served_mw=served,
-        gen_flags=flags, gen_local_dual=local_dual,
+        physical_violations=flows.violations, served_mw=served, gen_flags=flags,
         objective_value=sol.objective_value, limits=limits,
     )
 
 
-def _location(net: Network, regime: ConstraintRegime, bus_id: str) -> str:
-    """Key of the balance row that serves a bus: the bus, its zone or "system"."""
-    if regime.mode == "nodal":
+def location(net: Network, mode: str, bus_id: str) -> str:
+    """Where a bus clears and settles: the key of its balance row and of its
+    price.  The bus itself under ``nodal``, its zone under ``zonal``, and
+    ``system`` under any other mode or price kind, as a uniform price is one
+    system price whatever regime cleared it."""
+    if mode == "nodal":
         return bus_id
-    return net.zone_of(bus_id) if regime.mode == "zonal" else "system"
+    return net.zone_of(bus_id) if mode == "zonal" else "system"
 
 
 def _injections(net: Network, gens, gen_mw, served) -> dict[str, float]:
@@ -574,7 +548,7 @@ def _resolve_ties(net, ptdf, gens, gen_mw, regime, served) -> dict[str, float]:
     an equal-cost feasible split exists."""
     groups: dict[tuple[str, float], list[GeneratorSpec]] = {}
     for g in gens:
-        groups.setdefault((_location(net, regime, g.bus_id), g.ic), []).append(g)
+        groups.setdefault((location(net, regime.mode, g.bus_id), g.ic), []).append(g)
 
     multi = {key: members for key, members in groups.items() if len(members) > 1}
     if not multi:

@@ -196,22 +196,30 @@ class LpBuilder:
         self._vals.extend(coeffs.values())
         return len(self._labels) - 1
 
-    def build(self) -> LinearProgram:
-        n, m = len(self._names), len(self._labels)
-        cols = np.array(self._cols, dtype=np.intp)
-        rows = np.repeat(np.arange(m), self._nnz)
-        bad = (cols < 0) | (cols >= n)
-        if bad.any():
-            k = int(bad.argmax())
-            raise ValueError(f"row {self._labels[rows[k]]!r}: bad variable index {self._cols[k]}")
+    def arrays(self) -> tuple:
+        """The program's fields in ``LinearProgram`` order, unchecked: cost,
+        lower, upper, A, sense and rhs as read-only arrays, then the variable
+        names and row labels.  A clearing template keeps these and checks
+        only the programs it cuts from them."""
         vals = np.array(self._vals, dtype=float)
         nonzero = vals != 0.0
-        A = np.zeros((m, n))
-        A[rows[nonzero], cols[nonzero]] = vals[nonzero]
-        return LinearProgram(
-            np.array(self._cost), np.array(self._lo), np.array(self._up), A,
-            np.array(self._sense), np.array(self._rhs), tuple(self._names), tuple(self._labels),
-        )
+        rows = np.repeat(np.arange(len(self._labels)), self._nnz)
+        A = np.zeros((len(self._labels), len(self._names)))
+        A[rows[nonzero], np.array(self._cols, dtype=np.intp)[nonzero]] = vals[nonzero]
+        out = (np.array(self._cost), np.array(self._lo), np.array(self._up), A,
+               np.array(self._sense), np.array(self._rhs))
+        for a in out:
+            a.setflags(write=False)
+        return out + (tuple(self._names), tuple(self._labels))
+
+    def build(self) -> LinearProgram:
+        cols = np.array(self._cols, dtype=np.intp)
+        bad = (cols < 0) | (cols >= len(self._names))
+        if bad.any():
+            k = int(bad.argmax())
+            row = np.repeat(np.arange(len(self._labels)), self._nnz)[k]
+            raise ValueError(f"row {self._labels[row]!r}: bad variable index {self._cols[k]}")
+        return LinearProgram(*self.arrays())
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ one of three kinds of price:
   supplied).
 
 ``SCHEMES`` names each market scheme a scenario can run, with the regime it
-clears under and the kind of price above that it forms.
+clears under and the kind of price above that it forms.  A unit's or a
+load's balance dual is the one at its ``dispatch.location``.
 
 All functions here are pure; hours may be evaluated in parallel.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from gridclear.commitment import UcSchedule, single_interval_schedule
-from gridclear.dispatch import PRICE_TOL, DispatchResult, GeneratorSpec
+from gridclear.dispatch import PRICE_TOL, DispatchResult, GeneratorSpec, location
 from gridclear.grid import MW_TOL, Network
 
 
@@ -84,7 +85,6 @@ class PriceReport:
     prices: tuple[dict[str, float], ...]  # one mapping per hour
     decomposition: tuple[dict[str, PriceComponents], ...] = ()
     marginal_sets: tuple[MarginalSet, ...] = ()
-    currency: str = ""
 
 
 @dataclass(frozen=True)
@@ -125,38 +125,19 @@ def stack_price(gen: GeneratorSpec, q: float, hours_on: int = 1, hour: int = 0) 
     return StackPrice(gen.id, hour, gen.ic + nlc_share + suc_share, gen.ic, nlc_share, suc_share)
 
 
-def _served_by_location(result: DispatchResult, net: Network) -> dict[str, float]:
-    """Served load keyed the same way as the result's balance duals."""
-    if result.mode == "nodal":
-        return dict(result.served_mw)
-    if result.mode == "copper_plate":
-        return {"system": sum(result.served_mw.values())}
-    by_zone = {key: 0.0 for key in result.balance_duals}
-    for bus, served in result.served_mw.items():
-        zone = net.zone_of(bus)
-        by_zone[zone] = by_zone.get(zone, 0.0) + served
-    return by_zone
-
-
 def _reference_dual(result: DispatchResult, net: Network) -> float:
     """The highest balance dual among locations actually serving load."""
     duals = result.balance_duals
-    if result.mode == "copper_plate":
-        return duals.get("system", 0.0)
-    served = _served_by_location(result, net)
+    served = dict.fromkeys(duals, 0.0)
+    for bus, mw in result.served_mw.items():
+        served[location(net, result.mode, bus)] += mw
     keys_serving = [k for k, v in served.items() if v > MW_TOL]
     if keys_serving:
         return max(duals[k] for k in keys_serving)
     return max(duals.values(), default=0.0)
 
 
-def form_smp(
-    schedule: UcSchedule,
-    net: Network,
-    gens: Sequence[GeneratorSpec],
-    *,
-    currency: str = "",
-) -> PriceReport:
+def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) -> PriceReport:
     """Uniform price per hour, keyed ``system``: the maximum stack price over
     the screened marginal set, with recorded exclusion reasons for every
     screened-out dispatched unit.  ``net`` locates buses and units in zones."""
@@ -189,7 +170,7 @@ def form_smp(
             if flag == "reserve_bound":
                 exclusions[gid] = "reserve_bound"
                 continue
-            lam = result.gen_local_dual.get(gid, ref)
+            lam = result.balance_duals[location(net, result.mode, specs[gid].bus_id)]
             if lam < ref - PRICE_TOL:
                 exclusions[gid] = "constrained_off"
                 continue
@@ -206,24 +187,22 @@ def form_smp(
         )
         prices.append({"system": smp})
         msets.append(MarginalSet(t, tuple(members), exclusions))
-    return PriceReport("uniform_smp", tuple(prices), (), tuple(msets), currency)
+    return PriceReport("uniform_smp", tuple(prices), (), tuple(msets))
 
 
-def form_zonal_prices(result: DispatchResult, *, currency: str = "") -> PriceReport:
+def form_zonal_prices(result: DispatchResult) -> PriceReport:
     """Zone prices are the zone balance duals of a zonal clearing."""
     if result.mode != "zonal":
         raise PricingContractError("form_zonal_prices requires a zonal dispatch result")
     if not result.balance_duals:
         raise PricingContractError("zonal result carries no zone balance duals")
-    return PriceReport("zonal", (dict(result.balance_duals),), (), (), currency)
+    return PriceReport("zonal", (dict(result.balance_duals),))
 
 
 def form_nodal_prices(
     result: DispatchResult,
     net: Network,
     loss_factors: Mapping[str, float] | None = None,
-    *,
-    currency: str = "",
 ) -> PriceReport:
     """Locational prices with an energy / congestion / loss decomposition.
 
@@ -247,7 +226,7 @@ def form_nodal_prices(
         congestion = lam - lam_ref
         prices[bus] = lam + loss
         comps[bus] = PriceComponents(energy=lam_ref, congestion=congestion, loss=loss)
-    return PriceReport("nodal", (prices,), (comps,), (), currency)
+    return PriceReport("nodal", (prices,), (comps,))
 
 
 def form_prices(
@@ -255,8 +234,6 @@ def form_prices(
     result: DispatchResult,
     net: Network,
     gens: Sequence[GeneratorSpec],
-    *,
-    currency: str = "",
 ) -> PriceReport:
     """The prices ``scheme`` (a key of ``SCHEMES``) forms from one clearing
     of ``gens``: its nodal or zonal duals, or the screened uniform price of
@@ -264,9 +241,9 @@ def form_prices(
     the report's one hour is empty."""
     kind = SCHEMES[scheme].price_kind
     if not result.has_optimum:
-        return PriceReport(kind, ({},), currency=currency)
+        return PriceReport(kind, ({},))
     if kind == "nodal":
-        return form_nodal_prices(result, net, currency=currency)
+        return form_nodal_prices(result, net)
     if kind == "zonal":
-        return form_zonal_prices(result, currency=currency)
-    return form_smp(single_interval_schedule(result, gens), net, gens, currency=currency)
+        return form_zonal_prices(result)
+    return form_smp(single_interval_schedule(result, gens), net, gens)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -475,14 +475,23 @@ def _parse_loads(raw, net: Network | None, run: RunSection, col):
             col.add(E_REF, where, f"unknown bus {bus!r}")
             continue
         if _finite_number(val):
-            series[bus] = [float(val)] * horizon
+            vals = [float(val)] * horizon
         elif isinstance(val, list) and all(_finite_number(v) for v in val):
             if len(val) != horizon:
                 col.add(E_LOADS, where, f"expected {horizon} hourly values, got {len(val)}")
                 continue
-            series[bus] = [float(v) for v in val]
+            vals = [float(v) for v in val]
         else:
             col.add(E_TYPE, where, "load must be a finite number or list of finite numbers")
+            continue
+        if net:  # each hour's load must make a valid bus, as its load_mw must
+            try:
+                for v in dict.fromkeys(vals):
+                    replace(net.bus(bus), load_mw=v)
+            except GridStructureError as exc:
+                col.add(E_VALUE, where, f"hour {vals.index(v)}: {exc}")
+                continue
+        series[bus] = vals
     if col.issues or net is None:
         return None
     hours = []
@@ -635,8 +644,10 @@ def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, time
         ]
         for gid in s.per_generator:
             g = s.per_generator[gid]
-            figures = (g.market_revenue, g.as_cleared_cost, g.uplift,
-                       g.con_mwh, g.coff_mwh, g.con_payment, g.coff_payment)
+            # a settlement holds no redispatch; its four columns (con_mwh to
+            # coff_payment) stay, at 0.00, as dropping them moves every
+            # recorded settlement report
+            figures = (g.market_revenue, g.as_cleared_cost, g.uplift, 0.0, 0.0, 0.0, 0.0)
             lines.append(f"{gid}," + ",".join(map(format_number, figures)))
         paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_settlement.csv", lines, timestamp))
 

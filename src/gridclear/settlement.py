@@ -2,9 +2,9 @@
 consumer payments, congestion rent and social surplus.
 
 Settlement is pure bookkeeping over immutable inputs.  ``price_at`` is the
-one reader of a price report: the scheme price at a bus's settlement key
-(system, zone, or bus).  Revenue applies it to each generator's scheduled
-output.  Uplift is the classic make-whole payment: the shortfall of
+one reader of a price report: the price at a bus's ``dispatch.location``
+under the report's price kind.  Revenue applies it to each generator's
+scheduled output.  Uplift is the classic make-whole payment: the shortfall of
 market revenue below as-cleared cost, floored at zero.  Constrained-on energy
 is compensated at incremental cost; constrained-off energy at the lost margin
 (price minus incremental cost, floored at zero).
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from gridclear.commitment import RedispatchRecord, UcSchedule
-from gridclear.dispatch import DispatchResult, GeneratorSpec
+from gridclear.dispatch import DispatchResult, GeneratorSpec, location
 from gridclear.grid import MW_TOL, Network
 from gridclear.pricing import PriceReport
 
@@ -55,16 +55,11 @@ class GeneratorSettlement:
     market_revenue: float
     as_cleared_cost: float
     uplift: float
-    con_mwh: float = 0.0
-    coff_mwh: float = 0.0
-    con_payment: float = 0.0
-    coff_payment: float = 0.0
 
 
 @dataclass(frozen=True)
 class SettlementReport:
     scheme: str
-    currency: str
     per_generator: dict[str, GeneratorSettlement]
     consumer_market_payment: float
     consumer_total_payment: float
@@ -95,13 +90,9 @@ def _dispatch_series(source: DispatchResult | UcSchedule, gid: str, hours: int) 
 
 def price_at(prices: PriceReport, net: Network, bus: str, hour: int) -> float:
     """The price a generator or load at ``bus`` settles at in ``hour``: the
-    hour's uniform price, its zone's price or its own bus price."""
-    if prices.scheme == "uniform_smp":
-        key = "system"
-    elif prices.scheme == "zonal":
-        key = net.zone_of(bus)
-    else:
-        key = bus
+    price at its ``location`` under the report's price kind, so the hour's
+    uniform price, its zone's price or its own bus price."""
+    key = location(net, prices.scheme, bus)
     if key not in prices.prices[hour]:
         raise SettlementKeyError(f"no {prices.scheme} price for key {key!r} in hour {hour}")
     return prices.prices[hour][key]
@@ -269,7 +260,6 @@ def summarize(
 
     report = SettlementReport(
         scheme=prices.scheme,
-        currency=prices.currency,
         per_generator=per_gen,
         consumer_market_payment=consumer_market,
         consumer_total_payment=consumer_total,

@@ -11,6 +11,7 @@ from gridclear.dispatch import (
     GeneratorSpec,
     build_template,
     clear,
+    location,
     with_forced_bounds,
 )
 from gridclear import lp as lpmod
@@ -201,7 +202,7 @@ def test_capacity_shortfall_is_infeasible_result_not_exception():
     gens = [GeneratorSpec("g", "n", 0.0, 60.0, 20.0)]
     r = clear(net, gens, COPPER)
     assert not r.feasible
-    assert r.curtailment_mw["n"] == pytest.approx(40.0)
+    assert 100.0 - r.served_mw["n"] == pytest.approx(40.0)
     assert any(v.startswith("curtailment") for v in r.violations)
     assert r.balance_duals["system"] == pytest.approx(400.0)  # scarcity at wtp
 
@@ -441,6 +442,37 @@ def test_every_on_set_cut_from_one_template_is_direct_build(mode, n_units):
     for bits in range(1 << len(gens)):
         committed = {g.id: bool(bits >> k & 1) for k, g in enumerate(gens)}
         _assert_cut_is_direct_build(template, committed=committed)
+
+
+@pytest.mark.parametrize("mode", ["nodal", "zonal", "copper_plate"])
+def test_zones_declared_out_of_bus_order(mode):
+    """Balance right-hand sides sum each zone's loads in bus order, whatever
+    order the zones are declared in; zone ZB holds three buses, the first of
+    them the network's first bus."""
+    buses = (
+        Bus("b1", "ZB", 10.1, 300.0), Bus("b2", "ZA", 20.2, 300.0), Bus("b3", "ZB", 30.3, 300.0),
+        Bus("b4", "ZB", 0.7, 300.0), Bus("b5", "ZA", 0.0),
+    )
+    lines = (
+        Line("l12", "b1", "b2", 0.1, 50.0), Line("l23", "b2", "b3", 0.1, 50.0),
+        Line("l34", "b3", "b4", 0.2, 50.0), Line("l45", "b4", "b5", 0.1, 50.0),
+        Line("l15", "b1", "b5", 0.2, 50.0),
+    )
+    net = Network(buses, lines, ("ZA", "ZB"), (Interface("tie", (("l12", 1),), 40.0),), "b3")
+    gens = [GeneratorSpec("G2", "b2", 0.0, 80.0, 20.0), GeneratorSpec("G4", "b4", 0.0, 80.0, 30.0),
+            GeneratorSpec("G5", "b5", 0.0, 80.0, 25.0)]
+    template = build_template(net, gens, ConstraintRegime(mode=mode, reserve_req_mw=5.0))
+    for loads in (None, {"b1": 0.3, "b3": 0.1, "b4": 0.2}, {"b2": 0.0, "b4": 12.345}):
+        _assert_cut_is_direct_build(template, loads=loads)
+
+
+def test_location_is_bus_zone_or_system():
+    """A bus clears and settles at itself under nodal, at its zone under
+    zonal, and at the system under copper plate and a uniform price."""
+    net, _ = make_fourbus()
+    modes = ("nodal", "zonal", "copper_plate", "uniform_smp")
+    assert [location(net, m, "b3") for m in modes] == ["b3", "Z1", "system", "system"]
+    assert [location(net, m, "b4") for m in modes] == ["b4", "Z2", "system", "system"]
 
 
 @pytest.mark.parametrize("mode", ["nodal", "zonal", "copper_plate"])

@@ -1,6 +1,8 @@
 """No module of gridclear reads another gridclear module's private names:
-neither ``from gridclear.x import _y`` nor ``<gridclear module>._y``.  Names
-of other packages (numpy's own privates among them) are not checked."""
+neither ``from gridclear.x import _y`` nor ``<gridclear module>._y``, nor
+``self._y`` where the module neither assigns ``self._y`` nor defines ``_y``
+(a subclass reading its base class's private state).  Names of other
+packages (numpy's own privates among them) are not checked."""
 import ast
 from pathlib import Path
 
@@ -53,9 +55,30 @@ def private_reads(source: str) -> list[str]:
     return sorted(found)
 
 
+def unowned_self_reads(source: str) -> list[str]:
+    """Each read of a private ``self._x`` whose name the source neither
+    assigns through ``self`` nor defines (a function, class or assigned
+    name), as ``line: self._x``."""
+    tree = ast.parse(source)
+    owned, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "self" and _private(node.attr):
+            if isinstance(node.ctx, ast.Load):
+                reads.append(node)
+            else:
+                owned.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owned.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            owned.add(node.id)
+    return sorted(f"{node.lineno}: self.{node.attr}" for node in reads if node.attr not in owned)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_names_read_across_modules(path):
     assert private_reads(path.read_text()) == []
+    assert unowned_self_reads(path.read_text()) == []
 
 
 @pytest.mark.parametrize("source,expected", [
@@ -81,3 +104,25 @@ def test_private_reads_are_found(source, expected):
 ])
 def test_public_and_foreign_reads_pass(source):
     assert private_reads(source) == []
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("from gridclear.lp import LpBuilder\nclass Raw(LpBuilder):\n"
+     "    def arrays(self):\n        return self._vals", ["4: self._vals"]),
+    ("class A:\n    def f(self):\n        return self._cache", ["3: self._cache"]),
+    ("class A:\n    def f(self):\n        self._n += 1\n        return self._m", ["4: self._m"]),
+], ids=["base-private-list", "never-assigned", "augmented-is-not-the-read"])
+def test_unowned_self_reads_are_found(source, expected):
+    assert unowned_self_reads(source) == expected
+
+
+@pytest.mark.parametrize("source", [
+    "class A:\n    def __init__(self):\n        self._n = []\n    def f(self):\n        return self._n",
+    "class A:\n    def __init__(self):\n        self._a, (self._b, _) = 1, (2, 3)\n"
+    "    def f(self):\n        return self._a + self._b",
+    "class A:\n    def _g(self):\n        return 1\n    def f(self):\n        return self._g()",
+    "class A:\n    _TABLE = {}\n    def f(self):\n        return self._TABLE",
+    "class A:\n    def f(self):\n        return self.__class__, self.public",
+], ids=["assigned", "assigned-in-tuple", "method", "class-attribute", "dunder-and-public"])
+def test_owned_self_reads_pass(source):
+    assert unowned_self_reads(source) == []

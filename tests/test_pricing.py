@@ -8,6 +8,7 @@ from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
     clear,
+    location,
     with_forced_bounds,
 )
 from gridclear.grid import Bus, Interface, Line, Network
@@ -254,7 +255,7 @@ def test_screening_soundness(fourbus):
             continue
         lo, hi = g.effective_bounds()
         interior = lo + 1e-6 < q < hi - 1e-6
-        at_ref = abs(result.gen_local_dual[g.id] - ref) <= PRICE_TOL
+        at_ref = abs(result.balance_duals[location(net, result.mode, g.bus_id)] - ref) <= PRICE_TOL
         member = interior and not result.gen_flags[g.id] and at_ref
         assert (g.id in mset.members) == member
         assert (g.id in mset.exclusions) != member

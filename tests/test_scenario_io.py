@@ -198,6 +198,25 @@ def test_loads_must_match_horizon(tmp_path):
     assert any(i.code == "E_LOADS" for i in err.value.issues)
 
 
+@pytest.mark.parametrize("loads,expected", [
+    ({"x": -5.0}, "loads.x: hour 0: bus x: load_mw must be >= 0"),
+    ({"x": [10.0, -5.0]}, "loads.x: hour 1: bus x: load_mw must be >= 0"),
+    ({"y": 5.0}, "loads.y: hour 0: bus y: wtp must be > 0 when load_mw > 0"),
+    ({"y": [0.0, 5.0]}, "loads.y: hour 1: bus y: wtp must be > 0 when load_mw > 0"),
+], ids=["negative-scalar", "negative-list", "no-wtp-scalar", "no-wtp-list"])
+def test_loads_obey_the_bus_rules(tmp_path, loads, expected):
+    """An hourly load is held to the rule a bus's own ``load_mw`` is: never
+    negative, and above 0 only at a bus with a willingness to pay."""
+    doc = _minimal_doc()
+    doc["run"]["horizon"] = 2
+    doc["loads"] = loads
+    p = tmp_path / "t.scn"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(p)
+    assert [str(i) for i in err.value.issues] == [f"E_VALUE at {expected}"]
+
+
 # ---------------------------------------------------------------------------
 # round trip
 # ---------------------------------------------------------------------------
@@ -231,10 +250,10 @@ def _outcome(fourbus, scheme="nodal"):
     if scheme == "nodal":
         r = clear(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
                                               enforce_interfaces=False))
-        prices = form_nodal_prices(r, net, currency="$/MWh")
+        prices = form_nodal_prices(r, net)
     else:
         r = clear(net, gens, ConstraintRegime(mode="zonal"))
-        prices = form_zonal_prices(r, currency="$/MWh")
+        prices = form_zonal_prices(r)
     settlement = summarize(prices, r, net, gens)
     violated = scheme != "nodal" and bool(r.physical_violations)
     return SchemeOutcome(scheme, r, prices, settlement, violated)

@@ -60,7 +60,6 @@ def test_missing_price_key_raises(fourbus):
     zonal_prices = form_zonal_prices(clear(net, gens, ZONAL))
     broken = zonal_prices.__class__(
         scheme="zonal", prices=({"Z1": 40.0},), decomposition=(), marginal_sets=(),
-        currency="",
     )
     zres = clear(net, gens, ZONAL)
     with pytest.raises(SettlementKeyError):
@@ -238,7 +237,7 @@ def test_multi_hour_schedule_settlement(scenario_dir):
         sc.network, sc.generators, sc.hourly_loads(),
         sc.regime("DAUC"), sc.regime("RUC"),
     )
-    prices = form_smp(dauc, sc.network, sc.generators, currency=sc.currency)
+    prices = form_smp(dauc, sc.network, sc.generators)
     report = summarize(prices, dauc, sc.network, sc.generators)
     # as-cleared cost covers energy, no-load hours, and starts
     ge1 = report.per_generator["Ge1"]
