@@ -267,9 +267,8 @@ def _search(gens, seq_options, horizon, hour_lp) -> tuple[tuple[int, ...], ...]:
         idx = np.array([pos // st % n for st, n in zip(strides, sizes)],
                        dtype=np.int64).reshape(len(sizes), len(pos))
         obj = np.zeros(len(pos))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan silently, as Python floats
-            for k, term in enumerate(terms):
-                obj += term[idx[k]]
+        for k, term in enumerate(terms):
+            obj += term[idx[k]]
         for t in range(horizon):
             key = np.zeros(len(pos), dtype=np.int64)
             for k, _, col in varying[t]:
@@ -292,8 +291,7 @@ def _search(gens, seq_options, horizon, hour_lp) -> tuple[tuple[int, ...], ...]:
             if not keep.all():
                 first_bad_hour = min(first_bad_hour, t)
             pos, idx = pos[keep], idx[:, keep]
-            with np.errstate(over="ignore", invalid="ignore"):
-                obj = obj[keep] + val[inverse[keep]]
+            obj = obj[keep] + val[inverse[keep]]
             if not len(pos):
                 break
         i = 0

@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from gridclear.grid import MW_TOL, Line, Network, evaluate_flows
+from gridclear.grid import MW_TOL, Line, Network, evaluate_flows, out_of_range
 from gridclear import lp as lpmod
 
 INF = math.inf
@@ -81,6 +81,10 @@ class GeneratorSpec:
     synchronous: bool = True
 
     def __post_init__(self):
+        if bad := out_of_range({"p_min": self.p_min, "p_max": self.p_max, "ic": self.ic, "nlc": self.nlc,
+                                "suc": self.suc, "forced_min": self.forced_min,
+                                "forced_max": self.forced_max}):
+            raise ValueError(f"generator {self.id}: {bad}")
         if not (0 <= self.p_min <= self.p_max):
             raise ValueError(f"generator {self.id}: need 0 <= p_min <= p_max")
         if min(self.ic, self.nlc, self.suc) < 0:
@@ -137,6 +141,8 @@ class ConstraintRegime:
     def __post_init__(self):
         if self.mode not in ("nodal", "zonal", "copper_plate"):
             raise ValueError(f"unknown regime mode {self.mode!r}")
+        if bad := out_of_range({"reserve_req_mw": self.reserve_req_mw, "min_sync_mw": self.min_sync_mw}):
+            raise ValueError(bad)
         if self.reserve_req_mw < 0 or self.min_sync_mw < 0:
             raise ValueError("reserve_req_mw and min_sync_mw must be >= 0")
 

@@ -4,11 +4,16 @@ The network is lossless. Line flows are linear in bus injections through the
 power transfer distribution factor (PTDF) matrix, computed from the reduced
 susceptance matrix relative to a slack bus. All types are immutable after
 construction and all operations are pure functions, so they are safe to share
-across threads.  A network computes its PTDF matrix once, on first use.
+across threads.  A network computes its PTDF matrix and its id lookups once,
+on first use.
+
+Every figure an engine object holds lies in one numeric domain, checked where
+the object is built: each MW, price and cost within ``MAGNITUDE`` (1e9) of
+zero and each reactance in ``REACTANCE`` (1e-6 to 1e6 p.u.).  Sums, products
+and PTDFs of such figures stay finite, so nothing downstream checks them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -16,17 +21,27 @@ from typing import Mapping
 import numpy as np
 
 MW_TOL = 1e-6
+MAGNITUDE = 1e9  # bound on |MW|, |price| and |cost| (currency/MWh, /h or /start)
+REACTANCE = (1e-6, 1e6)  # per unit
+
+
+def out_of_range(figures: Mapping[str, float | None], lo: float = -MAGNITUDE,
+                 hi: float = MAGNITUDE) -> str:
+    """The first of ``figures`` (name -> value; None is absent) outside
+    ``[lo, hi]``, NaN included, as a message, or "" when all lie within."""
+    for name, v in figures.items():
+        if v is not None and not lo <= v <= hi:
+            return f"{name} {v!r} outside [{lo:g}, {hi:g}]"
+    return ""
 
 
 class GridStructureError(ValueError):
     """Raised when a network violates a structural invariant (bad reference,
-    disconnected graph, non-positive reactance, ...)."""
+    disconnected graph, a figure out of range, ...)."""
 
 
 class GridNumericalError(ArithmeticError):
-    """Raised when the reduced susceptance matrix cannot be factorized, or a
-    line's or bus's susceptance, or a PTDF row, is not finite (reactances
-    near the smallest floats)."""
+    """Raised when the reduced susceptance matrix cannot be factorized."""
 
 
 class UnbalancedInjectionError(ValueError):
@@ -41,6 +56,8 @@ class Bus:
     wtp: float = 0.0  # willingness to pay, currency/MWh; must be > 0 when load > 0
 
     def __post_init__(self):
+        if bad := out_of_range({"load_mw": self.load_mw, "wtp": self.wtp}):
+            raise GridStructureError(f"bus {self.id}: {bad}")
         if self.load_mw < 0:
             raise GridStructureError(f"bus {self.id}: load_mw must be >= 0")
         if self.load_mw > 0 and self.wtp <= 0:
@@ -59,8 +76,9 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise GridStructureError(f"line {self.id}: from_bus and to_bus coincide")
-        if self.reactance <= 0:
-            raise GridStructureError(f"line {self.id}: reactance must be > 0")
+        if bad := (out_of_range({"reactance": self.reactance}, *REACTANCE)
+                   or out_of_range({"limit_mw": self.limit_mw})):
+            raise GridStructureError(f"line {self.id}: {bad}")
         if self.limit_mw <= 0:
             raise GridStructureError(f"line {self.id}: limit_mw must be > 0")
 
@@ -81,6 +99,8 @@ class Interface:
     def __post_init__(self):
         if not self.member_lines:
             raise GridStructureError(f"interface {self.id}: member_lines empty")
+        if bad := out_of_range({"ttc_mw": self.ttc_mw}):
+            raise GridStructureError(f"interface {self.id}: {bad}")
         if self.ttc_mw <= 0:
             raise GridStructureError(f"interface {self.id}: ttc_mw must be > 0")
         for _, sign in self.member_lines:
@@ -130,16 +150,10 @@ class Network:
 
     # -- lookups -----------------------------------------------------------
     def bus(self, bus_id: str) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(bus_id)
+        return self._buses_by_id[bus_id]
 
     def line(self, line_id: str) -> Line:
-        for l in self.lines:
-            if l.id == line_id:
-                return l
-        raise KeyError(line_id)
+        return self._lines_by_id[line_id]
 
     def interface(self, interface_id: str) -> Interface:
         for i in self.interfaces:
@@ -158,6 +172,14 @@ class Network:
         """The network's PTDF matrix, built on first use and kept; not a
         field, so equality, hashing and ``dataclasses.replace`` ignore it."""
         return build_ptdf(self)
+
+    @cached_property
+    def _buses_by_id(self) -> dict[str, Bus]:
+        return {b.id: b for b in self.buses}
+
+    @cached_property
+    def _lines_by_id(self) -> dict[str, Line]:
+        return {l.id: l for l in self.lines}
 
 
 def _connected(net: Network) -> bool:
@@ -214,7 +236,6 @@ class FlowSet:
         return self.flows_mw[line_id]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite susceptance or PTDF row raises instead
 def build_ptdf(net: Network) -> PtdfMatrix:
     """Compute the PTDF matrix of a connected network via the reduced
     susceptance matrix (slack row/column removed)."""
@@ -226,16 +247,11 @@ def build_ptdf(net: Network) -> PtdfMatrix:
     b_mat = np.zeros((n, n))
     for l in net.lines:
         y = 1.0 / l.reactance
-        if not math.isfinite(y):
-            raise GridNumericalError(f"line {l.id!r}: 1/reactance {y} is not finite")
         f, t = idx[l.from_bus], idx[l.to_bus]
         b_mat[f, f] += y
         b_mat[t, t] += y
         b_mat[f, t] -= y
         b_mat[t, f] -= y
-    bad = ~np.isfinite(b_mat.diagonal())  # LAPACK would invert an inf to a finite, wrong PTDF
-    if bad.any():
-        raise GridNumericalError(f"bus {bus_ids[int(bad.argmax())]!r}: susceptance sum is not finite")
 
     keep = [i for i in range(n) if i != slack]
     b_red = b_mat[np.ix_(keep, keep)]
@@ -256,9 +272,6 @@ def build_ptdf(net: Network) -> PtdfMatrix:
         f, t = idx[l.from_bus], idx[l.to_bus]
         mat[li, :] = y * (x_full[f, :] - x_full[t, :])
     mat[:, slack] = 0.0
-    bad = ~np.isfinite(mat).all(axis=1)
-    if bad.any():
-        raise GridNumericalError(f"line {net.lines[int(bad.argmax())].id!r}: PTDF row is not finite")
     mat.setflags(write=False)
     return PtdfMatrix(tuple(l.id for l in net.lines), bus_ids, net.slack_bus, mat)
 

@@ -14,8 +14,7 @@ one of three kinds of price:
 * ``zonal``       -- zone prices are the zone balance duals of the clearing.
 * ``nodal``       -- bus prices are the bus balance duals, decomposed into an
   energy component (reference-bus dual), a congestion component, and a loss
-  component (zero under the lossless model unless marginal loss factors are
-  supplied).
+  component, zero under the lossless model.
 
 ``SCHEMES`` names each market scheme a scenario can run, with the regime it
 clears under and the kind of price above that it forms.  A unit's or a
@@ -199,30 +198,24 @@ def form_zonal_prices(result: DispatchResult) -> PriceReport:
     return PriceReport("zonal", (dict(result.balance_duals),))
 
 
-def form_nodal_prices(
-    result: DispatchResult,
-    net: Network,
-    loss_factors: Mapping[str, float] | None = None,
-) -> PriceReport:
+def form_nodal_prices(result: DispatchResult, net: Network) -> PriceReport:
     """Locational prices with an energy / congestion / loss decomposition.
 
     The energy component is the reference (slack) bus dual; the congestion
     component is the dual spread against the reference; the loss component is
-    reference price times the supplied marginal loss factor (zero by default,
-    matching the lossless network model)."""
+    zero, signed as the reference price is, as the network is lossless."""
     if result.mode != "nodal":
         raise PricingContractError("form_nodal_prices requires a nodal dispatch result")
     if net.slack_bus not in result.balance_duals:
         raise PricingContractError(f"reference bus {net.slack_bus!r} dual missing")
     lam_ref = result.balance_duals[net.slack_bus]
-    lf = dict(loss_factors or {})
+    loss = lam_ref * 0.0
     prices: dict[str, float] = {}
     comps: dict[str, PriceComponents] = {}
     for bus in (b.id for b in net.buses):
         if bus not in result.balance_duals:
             raise PricingContractError(f"balance dual missing for bus {bus!r}")
         lam = result.balance_duals[bus]
-        loss = lam_ref * lf.get(bus, 0.0)
         congestion = lam - lam_ref
         prices[bus] = lam + loss
         comps[bus] = PriceComponents(energy=lam_ref, congestion=congestion, loss=loss)

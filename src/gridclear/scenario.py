@@ -450,7 +450,12 @@ def _parse_run(raw, gens, regimes, col) -> RunSection:
         if d["generator"] is not None and gens is not None and d["generator"] not in specs:
             col.add(E_REF, "run.bid_deviation", f"unknown generator {d['generator']!r}")
         elif d["generator"] is not None and d["offered_ic"] is not None:
-            deviation = (d["generator"], d["offered_ic"], d["scheme"])
+            try:  # the offer must make a valid unit, as its ``ic`` must
+                if d["generator"] in specs:
+                    replace(specs[d["generator"]], ic=d["offered_ic"])
+                deviation = (d["generator"], d["offered_ic"], d["scheme"])
+            except ValueError as exc:
+                col.add(E_VALUE, "run.bid_deviation.offered_ic", str(exc))
     for label in ("dauc_regime", "ruc_regime"):
         if f[label] is not None and f[label] not in (regimes or {}):
             col.add(E_REF, f"run.{label}", f"unknown regime {f[label]!r}")

@@ -459,43 +459,53 @@ def _set(section, key, **fields):
     return edit
 
 
-_NON_FINITE = {
-    "bus a load and wtp 1e300": ("twobus", _set("buses", "a", load_mw=1e300, wtp=1e300), "nodal", 1),
-    "bus b wtp 1e308": ("twobus", _set("buses", "b", wtp=1e308), "nodal", 1),
-    "A1 ic 1e308": ("twobus", _set("generators", "A1", ic=1e308), "nodal", 1),
-    "lab reactance 5e-324": ("twobus", _set("lines", "lab", reactance=5e-324), "zonal", 1),
-    "l12 limit 1e308": ("fourbus", _set("lines", "l12", limit_mw=1e308), "nodal", 0),
-    # the LP and prices stay finite; the settlement's social surplus does not
-    **{f"bus b wtp 1e308 {scheme}": ("twobus", _set("buses", "b", wtp=1e308), scheme, 1)
+_OUT_OF_RANGE = {
+    "bus a load and wtp 1e300": ("twobus", _set("buses", "a", load_mw=1e300, wtp=1e300), "nodal",
+                                 "network.buses[0]: bus a: load_mw 1e+300"),
+    "bus b wtp 1e308": ("twobus", _set("buses", "b", wtp=1e308), "nodal", "network.buses[1]: bus b: wtp 1e+308"),
+    "A1 ic 1e308": ("twobus", _set("generators", "A1", ic=1e308), "nodal", "generators[0]: generator A1: ic 1e+308"),
+    "lab reactance 5e-324": ("twobus", _set("lines", "lab", reactance=5e-324), "zonal",
+                             "network.lines[0]: line lab: reactance 5e-324"),
+    "l12 limit 1e308": ("fourbus", _set("lines", "l12", limit_mw=1e308), "nodal",
+                        "network.lines[0]: line l12: limit_mw 1e+308"),
+    **{f"bus b wtp 1e308 {scheme}": ("twobus", _set("buses", "b", wtp=1e308), scheme,
+                                     "network.buses[1]: bus b: wtp 1e+308")
        for scheme in ("zonal", "uniform", "copper")},
 }
 
 
-@pytest.mark.parametrize("name, edit, scheme, code", _NON_FINITE.values(), ids=_NON_FINITE.keys())
-def test_clear_overflowing_scenario_is_one_error_line(scenario_dir, tmp_path, capsys, name, edit, scheme, code):
-    # arithmetic that leaves the finite numbers is one error line, never a
-    # warning or a nan in a report; a huge bound that only overflows a
-    # ratio is cleared as usual
+@pytest.mark.parametrize("name, edit, scheme, issue", _OUT_OF_RANGE.values(), ids=_OUT_OF_RANGE.keys())
+def test_clear_out_of_range_scenario_is_a_validation_error(scenario_dir, tmp_path, capsys, name, edit, scheme,
+                                                           issue):
+    # a figure beyond the engine's range is rejected where the scenario is
+    # read, so no arithmetic downstream meets it: no warning, no report
     p = _edited_scenario(scenario_dir, tmp_path, name, edit)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run(["clear", p, "--scheme", scheme, "--out", tmp_path / "o", "--no-timestamp"]) == code
+        assert run(["clear", p, "--scheme", scheme, "--out", tmp_path / "o", "--no-timestamp"]) == 1
     assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
-    if code:
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-    else:
-        assert err == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "scenario validation failed:"
+    assert err[1].startswith(f"  - E_VALUE at {issue} outside [")
+    assert not (tmp_path / "o").exists()
 
 
-def test_bidding_overflowing_welfare_is_one_error_line(scenario_dir, tmp_path, capsys):
-    # both clearings' true welfare overflows to inf, and their difference
-    # would be a nan in the report
+def test_bidding_on_an_out_of_range_scenario_is_a_validation_error(scenario_dir, tmp_path, capsys):
+    # a wtp of 1e308 would overflow both clearings' true welfare; it is
+    # rejected before either clearing
     p = _edited_scenario(scenario_dir, tmp_path, "twobus", _set("buses", "b", wtp=1e308))
     assert run(["bidding", p, "--out", tmp_path / "o", "--no-timestamp"]) == 1
-    assert capsys.readouterr().err == (
-        "error: bid deviation welfare_delta is nan: the scenario's magnitudes overflow it\n")
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["scenario validation failed:",
+                       "  - E_VALUE at network.buses[1]: bus b: wtp 1e+308 outside [-1e+09, 1e+09]"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_bidding_offer_beyond_the_range_is_one_error_line(scenario_dir, tmp_path, capsys):
+    # the offer makes a unit the engine refuses to build
+    assert run(["bidding", scenario_dir / "twobus.scn", "--offered-ic", "1e10",
+                "--out", tmp_path / "o", "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == "error: generator A3: ic 10000000000.0 outside [-1e+09, 1e+09]\n"
     assert not (tmp_path / "o").exists()
 
 

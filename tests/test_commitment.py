@@ -204,14 +204,16 @@ def test_infeasible_hour_is_the_earliest_any_candidate_fails():
         assert err.value.hour == 0
 
 
-def test_overflowing_commitment_costs_choose_like_the_scan():
-    # no-load costs whose sum overflows to inf: every objective is inf, so
-    # the first feasible candidate stands, with no numpy warning on the way
-    units = [_unit("a", 100, 10.0, nlc=1e308), _unit("b", 100, 10.0, nlc=1e308)]
+def test_commitment_costs_at_the_range_bound_choose_like_the_scan():
+    # no-load costs at the bound of the range keep every sum finite, so the
+    # search chooses as the scan does; a cost past the bound is no unit
+    units = [_unit("a", 100, 10.0, nlc=1e9), _unit("b", 100, 10.0, nlc=1e9)]
     net = uc_net(units)
     hours = [{"n0": 150.0}] * 2
     got, want = solve_uc(net, units, hours, COPPER), reference_solve_uc(net, units, hours, COPPER)
     assert repr(got.committed) == repr(want.committed)
+    with pytest.raises(ValueError, match=r"generator a: nlc 1e\+308 outside"):
+        _unit("a", 100, 10.0, nlc=1e308)
 
 
 def test_enumeration_cap():

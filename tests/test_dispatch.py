@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ from gridclear.dispatch import (
     with_forced_bounds,
 )
 from gridclear import lp as lpmod
-from gridclear.grid import Bus, Interface, Line, Network, build_ptdf
+from gridclear.grid import MAGNITUDE, Bus, Interface, Line, Network, build_ptdf
 from gridclear.scenario import load_scenario
 from helpers import (
     lp_differences, make_fourbus, random_gens, random_network, reference_clearing_lp,
@@ -300,6 +301,27 @@ def test_interface_spanning_inconsistent_zones_rejected():
     itf = Interface("mixed", (("l1", 1), ("l2", 1)), 50.0)
     with pytest.raises(ValueError, match="inconsistent"):
         interface_zones(net, itf)
+
+
+_PAST = math.nextafter(MAGNITUDE, math.inf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: GeneratorSpec("g", "x", 0.0, v, 10.0),
+    lambda v: GeneratorSpec("g", "x", 0.0, 100.0, v),
+    lambda v: GeneratorSpec("g", "x", 0.0, 100.0, 10.0, nlc=v),
+    lambda v: GeneratorSpec("g", "x", 0.0, 100.0, 10.0, suc=v),
+    lambda v: GeneratorSpec("g", "x", 0.0, MAGNITUDE, 10.0, forced_max=v),
+    lambda v: ConstraintRegime(mode="nodal", reserve_req_mw=v),
+    lambda v: ConstraintRegime(mode="zonal", min_sync_mw=v),
+], ids=["p_max", "ic", "nlc", "suc", "forced_max", "reserve_req_mw", "min_sync_mw"])
+def test_units_and_regimes_hold_their_figures_to_the_range(make):
+    # library callers meet the rule a scenario file does: the bound itself
+    # builds, one float past it, NaN and infinity do not
+    make(MAGNITUDE)
+    for v in (_PAST, math.nan, math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            make(v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gridclear.grid import (
+    MAGNITUDE,
+    REACTANCE,
     Bus,
-    GridNumericalError,
     GridStructureError,
     Interface,
     Line,
@@ -176,16 +178,34 @@ def test_interface_flow_is_signed_member_sum(seed):
 
 
 @pytest.mark.parametrize("reactances, named", [
-    ((5e-324, 0.1, 0.1), "line 'lab': 1/reactance inf is not finite"),
-    ((1e-310, 0.1, 0.1), "line 'lab': 1/reactance inf is not finite"),
-    ((0.1, 1e-308, 1e-308), "bus 'c': susceptance sum is not finite"),
+    ((5e-324, 0.1, 0.1), "line lab: reactance 5e-324 outside"),
+    ((1e-310, 0.1, 0.1), "line lab: reactance 1e-310 outside"),
+    ((0.1, 1e-308, 1e-308), "line lbc: reactance 1e-308 outside"),
 ], ids=["subnormal", "1e-310", "overflowing sum"])
-def test_reactances_near_the_smallest_floats_are_a_named_numerical_error(reactances, named):
-    # a susceptance of inf would give a nan PTDF, or a finite but wrong one
+def test_reactances_near_the_smallest_floats_are_rejected_at_construction(reactances, named):
+    # a susceptance of inf would give a nan PTDF, or a finite but wrong one;
+    # such a line is never built
     x_ab, x_bc, x_ac = reactances
-    net = Network((Bus("a", "Z"), Bus("b", "Z"), Bus("c", "Z")),
-                  (Line("lab", "a", "b", x_ab, 100.0), Line("lbc", "b", "c", x_bc, 100.0),
-                   Line("lac", "a", "c", x_ac, 100.0)),
-                  ("Z",), (), "a")
-    with pytest.raises(GridNumericalError, match=named):
-        build_ptdf(net)
+    with pytest.raises(GridStructureError, match=named):
+        Line("lab", "a", "b", x_ab, 100.0), Line("lbc", "b", "c", x_bc, 100.0), Line("lac", "a", "c", x_ac, 100.0)
+
+
+_PAST = math.nextafter(MAGNITUDE, math.inf)
+
+
+@pytest.mark.parametrize("make, bound, past", [
+    (lambda v: Bus("x", "Z", load_mw=v, wtp=1.0), MAGNITUDE, _PAST),
+    (lambda v: Bus("x", "Z", wtp=v), MAGNITUDE, _PAST),
+    (lambda v: Bus("x", "Z", wtp=v), -MAGNITUDE, -_PAST),
+    (lambda v: Line("l", "x", "y", 0.1, v), MAGNITUDE, _PAST),
+    (lambda v: Line("l", "x", "y", v, 100.0), REACTANCE[1], math.nextafter(REACTANCE[1], math.inf)),
+    (lambda v: Line("l", "x", "y", v, 100.0), REACTANCE[0], math.nextafter(REACTANCE[0], 0.0)),
+    (lambda v: Interface("i", (("l", 1),), v), MAGNITUDE, _PAST),
+], ids=["load_mw", "wtp", "negative wtp", "limit_mw", "reactance high", "reactance low", "ttc_mw"])
+def test_network_objects_hold_their_figures_to_the_range(make, bound, past):
+    # library callers meet the rule a scenario file does: a bound itself
+    # builds, one float past it, NaN and infinity do not
+    make(bound)
+    for v in (past, math.nan, math.inf):
+        with pytest.raises(GridStructureError, match="outside"):
+            make(v)

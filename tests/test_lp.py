@@ -412,6 +412,31 @@ def test_a_large_right_hand_side_does_not_hide_an_infeasible_row(big):
     assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
 
 
+def test_a_finite_room_whose_step_overflows_never_blocks(monkeypatch):
+    # 1e308 of room over a direction entry of 0.5 is a step of inf.  The
+    # drift allowance cannot tell it from a finite step, so the pick is made
+    # again on a fresh solve, which passes over the row as the plain method
+    # does; the cap row blocks
+    picks = []
+    real = lpmod._ratio_test
+
+    def recording(*args):
+        picks.append(real(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(lpmod, "_ratio_test", recording)
+    b = LpBuilder()
+    x = b.var("x", 0.0, INF, -1.0)
+    b.row({x: 0.5}, "<=", 1e308, "huge")
+    b.row({x: 1.0}, "<=", 10.0, "cap")
+    lp = b.build()
+    sol = solve(lp)
+    assert picks[0] is None and picks[1][0] == 10.0
+    assert (sol.status, sol.primal) == ("optimal", (10.0,))
+    with np.errstate(over="ignore", invalid="ignore"):  # the plain method's numpy step overflows too
+        assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
+
+
 def test_fixed_column_that_leaves_the_basis_stays_out():
     # The start point satisfies every row, so phase 1 ends at once and
     # expelling the artificials pivots the fixed x1, x2 and x3 into the

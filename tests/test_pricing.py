@@ -197,19 +197,6 @@ def test_no_congestion_all_lmps_equal_reference():
                for c in report.decomposition[0].values())
 
 
-def test_loss_factors_populate_loss_component(fourbus):
-    net, gens = fourbus
-    result = clear(net, gens, NODAL)
-    lf = {"b1": 0.02, "b2": -0.01}
-    report = form_nodal_prices(result, net, loss_factors=lf)
-    comps = report.decomposition[0]
-    assert comps["b1"].loss == pytest.approx(50.0 * 0.02)
-    assert comps["b2"].loss == pytest.approx(-0.5)
-    assert report.prices[0]["b1"] == pytest.approx(10.0 + 1.0, abs=1e-6)
-    for bus, c in comps.items():
-        assert c.energy + c.congestion + c.loss == pytest.approx(report.prices[0][bus], abs=1e-9)
-
-
 def test_nodal_prices_require_nodal_result(fourbus):
     net, gens = fourbus
     with pytest.raises(PricingContractError):

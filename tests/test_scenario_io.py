@@ -1,9 +1,12 @@
+import functools
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from gridclear.dispatch import ConstraintRegime, clear
+from gridclear.grid import MAGNITUDE, REACTANCE
 from gridclear.pricing import form_nodal_prices, form_zonal_prices
 from gridclear.scenario import (
     E_DUP,
@@ -14,6 +17,7 @@ from gridclear.scenario import (
     E_RUN,
     E_SECTION,
     E_TOPOLOGY,
+    E_VALUE,
     Scenario,
     ScenarioValidationError,
     SchemeOutcome,
@@ -215,6 +219,66 @@ def test_loads_obey_the_bus_rules(tmp_path, loads, expected):
     with pytest.raises(ScenarioValidationError) as err:
         load_scenario(p)
     assert [str(i) for i in err.value.issues] == [f"E_VALUE at {expected}"]
+
+
+def _at(*path):
+    """An edit that sets the field at ``path`` of a document."""
+    def edit(doc, v):
+        functools.reduce(lambda node, key: node[key], path[:-1], doc)[path[-1]] = v
+    return edit
+
+
+def _with_hourly_load(doc, v):
+    doc["run"]["horizon"] = 2
+    doc["loads"] = {"x": [10.0, v]}
+
+
+def _with_interface(doc, v):
+    doc["network"]["interfaces"] = [{"id": "i", "members": [{"line": "l"}], "ttc_mw": v}]
+
+
+def _with_forced_max(doc, v):
+    doc["generators"][0]["p_max"] = MAGNITUDE
+    doc["run"]["forced_bounds"] = {"g": {"max": v}}
+
+
+def _with_offer(doc, v):
+    doc["run"]["bid_deviation"] = {"generator": "g", "offered_ic": v}
+
+
+_RANGE_FIELDS = {
+    "bus load_mw": (_at("network", "buses", 0, "load_mw"), MAGNITUDE, E_VALUE, "network.buses[0]"),
+    "bus wtp": (_at("network", "buses", 0, "wtp"), MAGNITUDE, E_VALUE, "network.buses[0]"),
+    "unit p_max": (_at("generators", 0, "p_max"), MAGNITUDE, E_VALUE, "generators[0]"),
+    "unit ic": (_at("generators", 0, "ic"), MAGNITUDE, E_VALUE, "generators[0]"),
+    "unit nlc": (_at("generators", 0, "nlc"), MAGNITUDE, E_VALUE, "generators[0]"),
+    "unit suc": (_at("generators", 0, "suc"), MAGNITUDE, E_VALUE, "generators[0]"),
+    "line limit_mw": (_at("network", "lines", 0, "limit_mw"), MAGNITUDE, E_VALUE, "network.lines[0]"),
+    "line reactance high": (_at("network", "lines", 0, "reactance"), REACTANCE[1], E_VALUE, "network.lines[0]"),
+    "line reactance low": (_at("network", "lines", 0, "reactance"), REACTANCE[0], E_VALUE, "network.lines[0]"),
+    "ttc_mw": (_with_interface, MAGNITUDE, E_VALUE, "network.interfaces[0]"),
+    "loads hour": (_with_hourly_load, MAGNITUDE, E_VALUE, "loads.x"),
+    "forced bound": (_with_forced_max, MAGNITUDE, E_VALUE, "run.forced_bounds.g"),
+    "offered_ic": (_with_offer, MAGNITUDE, E_VALUE, "run.bid_deviation.offered_ic"),
+    "regime reserve_req_mw": (_at("regimes", "nodal", "reserve_req_mw"), MAGNITUDE, E_REGIME, "regimes.nodal"),
+}
+
+
+@pytest.mark.parametrize("edit, bound, code, where", _RANGE_FIELDS.values(), ids=_RANGE_FIELDS.keys())
+def test_a_figure_one_float_past_its_bound_is_rejected_at_its_path(edit, bound, code, where):
+    """Each kind of figure loads at its bound and is rejected one float past
+    it, with its code at its path; the reactance on both sides of its range."""
+    doc = _minimal_doc()
+    edit(doc, bound)
+    assert parse_scenario(doc) is not None
+    past = math.nextafter(bound, 0.0 if bound == REACTANCE[0] else math.inf)
+    doc = _minimal_doc()
+    edit(doc, past)
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    first = err.value.issues[0]
+    assert (first.code, first.where) == (code, where)
+    assert f"{past!r} outside [" in first.message
 
 
 # ---------------------------------------------------------------------------
