@@ -2,7 +2,8 @@
 """Randomized stress sweep: ordering properties and LP duality at scale.
 
 Larger, slower cousin of the acceptance suite for manual exploration:
-  * cost(copper) <= cost(zonal) <= cost(nodal) on random connected networks
+  * cost(copper) <= cost(zonal) <= cost(nodal) on random connected networks,
+    whose PTDF matrices equal the reference per-line loop's bit for bit
   * surplus(nodal) >= surplus(zonal + feasible forced bounds)
   * duality gap and complementary slackness on random LPs
   * every random LP, every wild LP (free, fixed and one-sided variables,
@@ -13,8 +14,9 @@ Larger, slower cousin of the acceptance suite for manual exploration:
     regime mode: every LP cut from a clearing template equal to the LP built
     directly, and ``solve_uc``'s schedule equal to the reference scan's
 
-Exits 1 if any LP differs from the reference simplex, any cut LP from the
-direct build or any commitment outcome from the reference scan, 0 otherwise;
+Exits 1 if any PTDF matrix differs from the reference loop, any LP from the
+reference simplex, any cut LP from the direct build or any commitment outcome
+from the reference scan, 0 otherwise;
 a failed ordering, welfare or duality check raises ``AssertionError``.
 
 Usage: python scripts/randomized_checks.py [--scenarios N] [--lps N] [--uc N] [--seed S]
@@ -41,7 +43,8 @@ from gridclear import lp as lpmod
 from gridclear.lp import solve
 from helpers import (
     lp_differences, random_gens, random_network, random_tie_uc_instance, random_uc_instance,
-    reference_clearing_lp, reference_solve, reference_solve_uc, solve_outcome, uc_net,
+    reference_clearing_lp, reference_ptdf, reference_solve, reference_solve_uc, solve_outcome,
+    uc_net,
 )
 from test_lp import build_random_lp, build_wild_lp, check_kkt
 
@@ -55,10 +58,12 @@ def sweep_scenarios(n, rng):
     copper = ConstraintRegime(mode="copper_plate")
     zonal = ConstraintRegime(mode="zonal")
     nodal = ConstraintRegime(mode="nodal", monitored_profile="all")
-    ordered = welfare = skipped = 0
+    ordered = welfare = skipped = bad_ptdfs = 0
     for _ in range(n):
         net = random_network(rng)
         gens = random_gens(rng, net)
+        want = reference_ptdf(net)
+        bad_ptdfs += (net.ptdf.shape, net.ptdf.tobytes()) != (want.shape, want.tobytes())
         rn = clear(net, gens, nodal)
         if not rn.feasible:
             skipped += 1
@@ -74,7 +79,7 @@ def sweep_scenarios(n, rng):
         if rf.feasible and not rf.physical_violations:
             assert surplus(net, rf) <= surplus(net, rn) + 1e-6, "forced beats nodal"
             welfare += 1
-    return ordered, welfare, skipped
+    return ordered, welfare, skipped, bad_ptdfs
 
 
 def sweep_lps(n, rng, cleared):
@@ -155,12 +160,13 @@ def main():
     real_solve = lpmod.solve
     lpmod.solve = lambda lp: cleared.append(lp) or real_solve(lp)
     try:
-        ordered, welfare, skipped = sweep_scenarios(args.scenarios, rng)
+        ordered, welfare, skipped, bad_ptdfs = sweep_scenarios(args.scenarios, rng)
     finally:
         lpmod.solve = real_solve
     t1 = time.perf_counter()
     print(f"scenario sweep: {ordered} cost orderings held, {welfare} welfare "
-          f"comparisons held, {skipped} skipped (curtailing) [{t1 - t0:.1f}s]")
+          f"comparisons held, {skipped} skipped (curtailing); {bad_ptdfs} of "
+          f"{args.scenarios} PTDF matrices differ from the reference loop [{t1 - t0:.1f}s]")
 
     optimal, compared, mismatched = sweep_lps(args.lps, rng, cleared)
     t2 = time.perf_counter()
@@ -173,7 +179,7 @@ def main():
     t3 = time.perf_counter()
     print(f"commitment sweep: {bad_lps} of {cut} cut LPs differ from the direct build; "
           f"{bad_runs} of {runs} solve_uc runs differ from the reference scan [{t3 - t2:.1f}s]")
-    return 1 if mismatched or bad_lps or bad_runs else 0
+    return 1 if bad_ptdfs or mismatched or bad_lps or bad_runs else 0
 
 
 if __name__ == "__main__":

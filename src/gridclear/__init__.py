@@ -11,7 +11,6 @@ from gridclear.grid import (
     Interface,
     Line,
     Network,
-    PtdfMatrix,
     build_ptdf,
     evaluate_flows,
     overloaded_lines,
@@ -61,7 +60,7 @@ from gridclear.scenario import Scenario, ScenarioValidationError, dump_scenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bus", "Line", "Interface", "Network", "PtdfMatrix", "FlowSet",
+    "Bus", "Line", "Interface", "Network", "FlowSet",
     "build_ptdf", "evaluate_flows", "overloaded_lines",
     "LinearProgram", "LpBuilder", "LpSolution", "solve",
     "GeneratorSpec", "ConstraintRegime", "DispatchResult",

@@ -38,7 +38,7 @@ import numpy as np
 
 from gridclear.dispatch import (
     ClearingCase, ClearingTemplate, ConstraintRegime, DispatchResult, GeneratorSpec,
-    build_template, finish,
+    build_template, check_keys, finish,
 )
 from gridclear import lp as lpmod
 from gridclear.grid import MW_TOL, Network
@@ -201,9 +201,14 @@ def solve_uc(
 
     ``lower_bounds`` restricts the search to sequences that keep each listed
     unit on wherever the bound sequence is on (used by the reliability pass).
+    A key of an hour's loads or of ``lower_bounds`` that names no bus or unit
+    raises ``ValueError``.
     """
     hourly_loads = _normalize_hours(hours)
     horizon = len(hourly_loads)
+    for t, loads in enumerate(hourly_loads):
+        check_keys(f"hours[{t}]", loads or (), net.bus_index, "bus")
+    check_keys("lower_bounds", lower_bounds or (), {u.id for u in gens}, "unit")
 
     floors = [_floor(lower_bounds, u, horizon) for u in gens]
     counts = [_count_sequences(u, f) for u, f in zip(gens, floors)]

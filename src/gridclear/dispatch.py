@@ -30,7 +30,11 @@ split among cost-equivalent schedules.
 ``build_template`` writes the LP of every unit and a curtailment column per
 bus as raw arrays, ``ClearingTemplate.cut`` takes the LP of one (loads,
 committed set) from it, array for array the one a direct build gives, and
-``finish`` turns the solved LP into a ``DispatchResult``.
+``finish`` turns the solved LP into a ``DispatchResult``.  The template is
+built in one pass by ``location``: each unit and curtailment column enters
+its location's balance row, then each line's angle terms enter the rows of
+both its ends (nodal), or each inter-zonal flow the rows of both its zones
+(zonal).  The balance rows come first; every row after them is a limit.
 
 All functions are pure; parallel evaluation over scenarios is safe.
 """
@@ -38,11 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from gridclear.grid import MW_TOL, Line, Network, evaluate_flows, out_of_range
+from gridclear.grid import MW_TOL, Line, Network, evaluate_flows, injection_vector, out_of_range
 from gridclear import lp as lpmod
 
 INF = math.inf
@@ -204,10 +208,13 @@ def clear(
     """Cost-minimal dispatch of ``gens`` under ``regime``.
 
     ``loads`` overrides bus loads and ``committed`` takes units offline (every
-    unit is on when omitted).  The units flagged ``synchronous`` count towards
+    unit is on when omitted); a key of either that names no bus or unit
+    raises ``ValueError``.  The units flagged ``synchronous`` count towards
     ``regime.min_sync_mw``.  An LP that has no optimum yields
     ``feasible=False`` with an ``lp_*`` violation.
     """
+    check_keys("loads", loads or (), net.bus_index, "bus")
+    check_keys("committed", committed or (), {g.id for g in gens}, "unit")
     case = build_template(net, gens, regime).cut(loads, committed)
     return finish(case, lpmod.solve(case.lp))
 
@@ -216,8 +223,9 @@ def clear(
 class ClearingTemplate:
     """The clearing LP of every unit of ``gens``, with no load entered.  Its
     columns are the units, one curtailment column per bus in ``net.buses``
-    order, then the network's own; the reserve and ``min_sync`` rows come
-    last."""
+    order, then the network's own; its rows are one balance row per location
+    (bus, zone or ``system``), then the limit rows, with the reserve and
+    ``min_sync`` rows last."""
 
     net: Network
     gens: tuple[GeneratorSpec, ...]
@@ -296,22 +304,55 @@ def build_template(net: Network, gens: Sequence[GeneratorSpec],
     gen_ids = [g.id for g in gens]
     if len(set(gen_ids)) != len(gen_ids):
         raise ValueError("duplicate generator ids")
-    bus_ids = {b.id for b in net.buses}
     for g in gens:
-        if g.bus_id not in bus_ids:
+        if g.bus_id not in net.bus_index:
             raise ValueError(f"generator {g.id}: unknown bus {g.bus_id!r}")
 
+    mode = regime.mode
     builder = lpmod.LpBuilder()
+    keys = {"nodal": [b.id for b in net.buses], "zonal": net.zones}.get(mode, ["system"])
+    rows: dict[str, dict[int, float]] = {key: {} for key in keys}  # location -> balance terms
     gvar = {g.id: builder.var(f"g[{g.id}]", *g.effective_bounds(), cost=g.ic) for g in gens}
-    cvar = {b.id: builder.var(f"curt[{b.id}]", 0.0, 0.0, cost=b.wtp) for b in net.buses}
-    if regime.mode == "nodal":
-        balance = _build_nodal(builder, net, gens, gvar, cvar, regime)
-    elif regime.mode == "zonal":
-        balance = _build_zonal(builder, net, gens, gvar, cvar, regime)
-    else:
-        coeffs = {gvar[g.id]: 1.0 for g in gens}
-        coeffs.update(dict.fromkeys(cvar.values(), 1.0))
-        balance = {"system": builder.row(coeffs, "=", 0.0, "system")}
+    for g in gens:
+        rows[location(net, mode, g.bus_id)][gvar[g.id]] = 1.0
+    for b in net.buses:
+        rows[location(net, mode, b.id)][builder.var(f"curt[{b.id}]", 0.0, 0.0, cost=b.wtp)] = 1.0
+
+    limits = []  # (terms, right-hand side, label) of each row after the balance rows
+    if mode == "nodal":
+        tvar = {b.id: builder.var(f"theta[{b.id}]", -INF, INF, 0.0)
+                for b in net.buses if b.id != net.slack_bus}
+        for line in net.lines:  # the from -> to flow leaves its from bus and enters its to bus
+            for j, v in _flow_terms(line, tvar).items():
+                rows[line.from_bus][j] = rows[line.from_bus].get(j, 0.0) - v
+                rows[line.to_bus][j] = rows[line.to_bus].get(j, 0.0) + v
+        for line in regime.monitored_lines(net):
+            limits.append((_flow_terms(line, tvar), line.limit_mw, f"flow+[{line.id}]"))
+            limits.append((_flow_terms(line, tvar, -1.0), line.limit_mw, f"flow-[{line.id}]"))
+        if regime.enforce_interfaces:
+            for itf in net.interfaces:
+                terms: dict[int, float] = {}
+                for lid, sign in itf.member_lines:
+                    for j, v in _flow_terms(net.line(lid), tvar, float(sign)).items():
+                        terms[j] = terms.get(j, 0.0) + v
+                limits.append((terms, itf.ttc_mw, f"iface+[{itf.id}]"))
+                limits.append(({j: -v for j, v in terms.items()}, itf.ttc_mw, f"iface-[{itf.id}]"))
+    elif mode == "zonal":
+        for itf in net.interfaces:
+            fz, tz = interface_zones(net, itf)
+            if fz == tz:
+                continue  # intra-zonal flowgate: no meaning in the transport model
+            fv = builder.var(f"f[{itf.id}]", -INF, INF, 0.0)
+            rows[fz][fv] = -1.0
+            rows[tz][fv] = 1.0
+            if regime.enforce_interfaces:
+                limits.append(({fv: 1.0}, itf.ttc_mw, f"iface+[{itf.id}]"))
+                limits.append(({fv: -1.0}, itf.ttc_mw, f"iface-[{itf.id}]"))
+
+    label = {"nodal": "balance[{}]", "zonal": "zone[{}]"}.get(mode, "{}")
+    balance = {key: builder.row(terms, "=", 0.0, label.format(key)) for key, terms in rows.items()}
+    for terms, rhs, row_label in limits:
+        builder.row(terms, "<=", rhs, row_label)
     reserve_row, sync_row = _add_aggregates(builder, gens, gvar, regime)
     return ClearingTemplate(net, tuple(gens), regime, *builder.arrays(), balance,
                             reserve_row, sync_row)
@@ -324,8 +365,7 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
     problem, balance = case.lp, case.template.balance
     load_of, is_on, gvar, cvar = case.load_of, case.is_on, case.gvar, case.cvar
     active = [g for g in gens if is_on[g.id]]
-    balance_rows = set(balance.values())
-    limit_rows = [i for i in range(len(problem.row_labels)) if i not in balance_rows]
+    limit_rows = range(len(balance), len(problem.row_labels))  # the balance rows come first
     limits = {problem.row_labels[i]: float(problem.rhs[i]) for i in limit_rows}
 
     if sol.status != "optimal":
@@ -344,9 +384,8 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
     curtail = {b: sol.primal[j] for b, j in cvar.items()}
     served = {b.id: load_of[b.id] - curtail.get(b.id, 0.0) for b in net.buses}
 
-    ptdf = net.ptdf
-    gen_mw = _resolve_ties(net, ptdf, active, gen_mw, regime, served)
-    flows = evaluate_flows(net, ptdf, _injections(net, gens, gen_mw, served))
+    gen_mw = _resolve_ties(net, active, gen_mw, regime, served)
+    flows = evaluate_flows(net, _injections(net, gens, gen_mw, served))
 
     balance_duals = {key: sol.duals[i] for key, i in balance.items()}
     total_served = sum(served.values())
@@ -392,6 +431,14 @@ def location(net: Network, mode: str, bus_id: str) -> str:
     return net.zone_of(bus_id) if mode == "zonal" else "system"
 
 
+def check_keys(name: str, keys: Iterable[str], known: Container[str], kind: str) -> None:
+    """Raise ``ValueError`` naming each key of the id-keyed map ``name`` that
+    names no known ``kind``: such a key would otherwise be ignored."""
+    unknown = [k for k in keys if k not in known]
+    if unknown:
+        raise ValueError(f"{name}: unknown {kind} id(s) {unknown}")
+
+
 def _injections(net: Network, gens, gen_mw, served) -> dict[str, float]:
     """Net injection per bus: output of ``gens`` minus served load."""
     inj = {b.id: -served[b.id] for b in net.buses}
@@ -400,51 +447,16 @@ def _injections(net: Network, gens, gen_mw, served) -> dict[str, float]:
     return inj
 
 
-def _build_nodal(builder, net, gens, gvar, cvar, regime):
-    tvar = {
-        b.id: builder.var(f"theta[{b.id}]", -INF, INF, 0.0)
-        for b in net.buses
-        if b.id != net.slack_bus
-    }
-
-    def flow_terms(line, sign=1.0) -> dict[int, float]:
-        y = sign / line.reactance
-        terms: dict[int, float] = {}
-        if line.from_bus in tvar:
-            terms[tvar[line.from_bus]] = terms.get(tvar[line.from_bus], 0.0) + y
-        if line.to_bus in tvar:
-            terms[tvar[line.to_bus]] = terms.get(tvar[line.to_bus], 0.0) - y
-        return terms
-
-    balance: dict[str, int] = {}  # bus -> its balance row
-    for b in net.buses:
-        coeffs: dict[int, float] = {}
-        for g in gens:
-            if g.bus_id == b.id:
-                coeffs[gvar[g.id]] = 1.0
-        coeffs[cvar[b.id]] = 1.0
-        for line in net.lines:
-            if line.from_bus == b.id:
-                for j, v in flow_terms(line, -1.0).items():
-                    coeffs[j] = coeffs.get(j, 0.0) + v
-            elif line.to_bus == b.id:
-                for j, v in flow_terms(line, +1.0).items():
-                    coeffs[j] = coeffs.get(j, 0.0) + v
-        balance[b.id] = builder.row(coeffs, "=", 0.0, f"balance[{b.id}]")
-
-    for line in regime.monitored_lines(net):
-        builder.row(flow_terms(line, +1.0), "<=", line.limit_mw, f"flow+[{line.id}]")
-        builder.row(flow_terms(line, -1.0), "<=", line.limit_mw, f"flow-[{line.id}]")
-
-    if regime.enforce_interfaces:
-        for itf in net.interfaces:
-            coeffs: dict[int, float] = {}
-            for lid, sign in itf.member_lines:
-                for j, v in flow_terms(net.line(lid), float(sign)).items():
-                    coeffs[j] = coeffs.get(j, 0.0) + v
-            builder.row(coeffs, "<=", itf.ttc_mw, f"iface+[{itf.id}]")
-            builder.row({j: -v for j, v in coeffs.items()}, "<=", itf.ttc_mw, f"iface-[{itf.id}]")
-    return balance
+def _flow_terms(line: Line, tvar: Mapping[str, int], sign: float = 1.0) -> dict[int, float]:
+    """``sign`` times the line's from -> to flow, as terms in the angle
+    columns ``tvar`` of its end buses (the slack bus has none)."""
+    y = sign / line.reactance
+    terms: dict[int, float] = {}
+    if line.from_bus in tvar:
+        terms[tvar[line.from_bus]] = y
+    if line.to_bus in tvar:
+        terms[tvar[line.to_bus]] = -y
+    return terms
 
 
 def interface_zones(net: Network, itf) -> tuple[str, str]:
@@ -458,37 +470,6 @@ def interface_zones(net: Network, itf) -> tuple[str, str]:
     if len(pairs) != 1:
         raise ValueError(f"interface {itf.id}: member lines span inconsistent zone pairs {sorted(pairs)}")
     return pairs.pop()
-
-
-def _build_zonal(builder, net, gens, gvar, cvar, regime):
-    arcs = []  # (interface, var index, from_zone, to_zone)
-    for itf in net.interfaces:
-        fz, tz = interface_zones(net, itf)
-        if fz == tz:
-            continue  # intra-zonal flowgate: no meaning in the transport model
-        fv = builder.var(f"f[{itf.id}]", -INF, INF, 0.0)
-        arcs.append((itf, fv, fz, tz))
-
-    balance: dict[str, int] = {}  # zone -> its balance row
-    for zone in net.zones:
-        coeffs: dict[int, float] = {}
-        for g in gens:
-            if net.zone_of(g.bus_id) == zone:
-                coeffs[gvar[g.id]] = 1.0
-        for b in net.buses_in_zone(zone):
-            coeffs[cvar[b.id]] = 1.0
-        for itf, fv, fz, tz in arcs:
-            if fz == zone:
-                coeffs[fv] = coeffs.get(fv, 0.0) - 1.0
-            elif tz == zone:
-                coeffs[fv] = coeffs.get(fv, 0.0) + 1.0
-        balance[zone] = builder.row(coeffs, "=", 0.0, f"zone[{zone}]")
-
-    if regime.enforce_interfaces:
-        for itf, fv, _, _ in arcs:
-            builder.row({fv: 1.0}, "<=", itf.ttc_mw, f"iface+[{itf.id}]")
-            builder.row({fv: -1.0}, "<=", itf.ttc_mw, f"iface-[{itf.id}]")
-    return balance
 
 
 def _add_aggregates(builder, gens, gvar, regime):
@@ -548,7 +529,7 @@ def _gen_flags(gens, gen_mw, local_dual, is_on) -> dict[str, str]:
 # deterministic tie resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_ties(net, ptdf, gens, gen_mw, regime, served) -> dict[str, float]:
+def _resolve_ties(net, gens, gen_mw, regime, served) -> dict[str, float]:
     """Redistribute equal-cost groups pro rata to capacity; in zonal modes,
     project the redistribution back onto physical line-limit feasibility when
     an equal-cost feasible split exists."""
@@ -571,7 +552,7 @@ def _resolve_ties(net, ptdf, gens, gen_mw, regime, served) -> dict[str, float]:
             out[g.id] = t
 
     if regime.mode == "zonal":
-        out = _project_to_physical(net, ptdf, gens, out, multi, served)
+        out = _project_to_physical(net, gens, out, multi, served)
     return out
 
 
@@ -605,12 +586,12 @@ def _water_fill(total, lows, highs, weights):
     return t
 
 
-def _project_to_physical(net, ptdf, gens, gen_mw, multi, served):
+def _project_to_physical(net, gens, gen_mw, multi, served):
     """L1-minimal equal-cost adjustment of tied groups onto physical line
     limits.  Keeps the pro-rata split when it is already feasible or when no
     equal-cost split is feasible."""
     inj = _injections(net, gens, gen_mw, served)
-    if not evaluate_flows(net, ptdf, inj).violations:
+    if not evaluate_flows(net, inj).violations:
         return gen_mw
 
     movers = [g for members in multi.values() for g in members]
@@ -630,19 +611,15 @@ def _project_to_physical(net, ptdf, gens, gen_mw, multi, served):
     for (loc, ic), members in multi.items():
         builder.row({qv[g.id]: 1.0 for g in members}, "=",
                     sum(gen_mw[g.id] for g in members), f"group[{loc}|{ic:g}]")
-    base = ptdf.matrix @ ptdf.injection_vector(fixed_inj)  # unbalanced: movers removed
-    for i, lid in enumerate(ptdf.line_ids):
-        limit = net.line(lid).limit_mw
-        coeffs_pos: dict[int, float] = {}
-        for g in movers:
-            sens = ptdf.sensitivity(lid, g.bus_id)
-            if sens != 0.0:
-                coeffs_pos[qv[g.id]] = sens
+    base = net.ptdf @ injection_vector(net, fixed_inj)  # unbalanced: movers removed
+    columns = net.ptdf[:, [net.bus_index[g.bus_id] for g in movers]]
+    for line, sens, flow in zip(net.lines, columns.tolist(), base.tolist()):
+        coeffs_pos = {qv[g.id]: v for g, v in zip(movers, sens) if v != 0.0}
         if not coeffs_pos:
             continue
-        builder.row(coeffs_pos, "<=", limit - float(base[i]), f"lim+[{lid}]")
+        builder.row(coeffs_pos, "<=", line.limit_mw - flow, f"lim+[{line.id}]")
         builder.row({j: -v for j, v in coeffs_pos.items()}, "<=",
-                    limit + float(base[i]), f"lim-[{lid}]")
+                    line.limit_mw + flow, f"lim-[{line.id}]")
 
     sol = lpmod.solve(builder.build())
     if sol.status != "optimal":

@@ -4,8 +4,12 @@ The network is lossless. Line flows are linear in bus injections through the
 power transfer distribution factor (PTDF) matrix, computed from the reduced
 susceptance matrix relative to a slack bus. All types are immutable after
 construction and all operations are pure functions, so they are safe to share
-across threads.  A network computes its PTDF matrix and its id lookups once,
-on first use.
+across threads.
+
+A ``Network`` is the one index of its buses and lines: ``Network.ptdf`` is a
+plain read-only array with a row per line and a column per bus, both in the
+network's own order, and ``Network.bus_index`` gives each bus id's position
+(its PTDF column).  Both are built once per network, on first use.
 
 Every figure an engine object holds lies in one numeric domain, checked where
 the object is built: each MW, price and cost within ``MAGNITUDE`` (1e9) of
@@ -117,14 +121,13 @@ class Network:
     slack_bus: str
 
     def __post_init__(self):
-        bus_ids = [b.id for b in self.buses]
-        if len(set(bus_ids)) != len(bus_ids):
+        if len(self.bus_index) != len(self.buses):
             raise GridStructureError("duplicate bus ids")
         if len(set(l.id for l in self.lines)) != len(self.lines):
             raise GridStructureError("duplicate line ids")
         if len(set(i.id for i in self.interfaces)) != len(self.interfaces):
             raise GridStructureError("duplicate interface ids")
-        known = set(bus_ids)
+        known = self.bus_index
         if self.slack_bus not in known:
             raise GridStructureError(f"slack bus {self.slack_bus!r} not in network")
         zone_set = set(self.zones)
@@ -150,7 +153,7 @@ class Network:
 
     # -- lookups -----------------------------------------------------------
     def bus(self, bus_id: str) -> Bus:
-        return self._buses_by_id[bus_id]
+        return self.buses[self.bus_index[bus_id]]
 
     def line(self, line_id: str) -> Line:
         return self._lines_by_id[line_id]
@@ -161,21 +164,20 @@ class Network:
                 return i
         raise KeyError(interface_id)
 
-    def buses_in_zone(self, zone_id: str) -> tuple[Bus, ...]:
-        return tuple(b for b in self.buses if b.zone_id == zone_id)
-
     def zone_of(self, bus_id: str) -> str:
         return self.bus(bus_id).zone_id
 
     @cached_property
-    def ptdf(self) -> PtdfMatrix:
-        """The network's PTDF matrix, built on first use and kept; not a
-        field, so equality, hashing and ``dataclasses.replace`` ignore it."""
+    def ptdf(self) -> np.ndarray:
+        """The network's PTDF matrix (``build_ptdf``), built on first use and
+        kept; not a field, so equality, hashing and ``dataclasses.replace``
+        ignore it."""
         return build_ptdf(self)
 
     @cached_property
-    def _buses_by_id(self) -> dict[str, Bus]:
-        return {b.id: b for b in self.buses}
+    def bus_index(self) -> dict[str, int]:
+        """Each bus id's position in ``buses``, which is its PTDF column."""
+        return {b.id: i for i, b in enumerate(self.buses)}
 
     @cached_property
     def _lines_by_id(self) -> dict[str, Line]:
@@ -201,30 +203,6 @@ def _connected(net: Network) -> bool:
 
 
 @dataclass(frozen=True)
-class PtdfMatrix:
-    """Sensitivity of each line flow to a 1 MW injection at each bus,
-    withdrawn at the slack bus.  The slack column is identically zero."""
-
-    line_ids: tuple[str, ...]
-    bus_ids: tuple[str, ...]
-    slack_bus: str
-    matrix: np.ndarray  # shape (n_lines, n_buses), read-only
-
-    def sensitivity(self, line_id: str, bus_id: str) -> float:
-        return float(self.matrix[self.line_ids.index(line_id), self.bus_ids.index(bus_id)])
-
-    def injection_vector(self, injections: Mapping[str, float]) -> np.ndarray:
-        """Per-bus injections (MW) in ``bus_ids`` order; absent buses are 0."""
-        index = {b: i for i, b in enumerate(self.bus_ids)}
-        vec = np.zeros(len(self.bus_ids))
-        for bus_id, mw in injections.items():
-            if bus_id not in index:
-                raise KeyError(f"unknown bus in injection vector: {bus_id!r}")
-            vec[index[bus_id]] = mw
-        return vec
-
-
-@dataclass(frozen=True)
 class FlowSet:
     """Signed per-line and per-interface flows with line-limit violation flags."""
 
@@ -236,44 +214,46 @@ class FlowSet:
         return self.flows_mw[line_id]
 
 
-def build_ptdf(net: Network) -> PtdfMatrix:
-    """Compute the PTDF matrix of a connected network via the reduced
-    susceptance matrix (slack row/column removed)."""
-    bus_ids = tuple(b.id for b in net.buses)
-    idx = {b: i for i, b in enumerate(bus_ids)}
-    n = len(bus_ids)
-    slack = idx[net.slack_bus]
+def build_ptdf(net: Network) -> np.ndarray:
+    """The PTDF matrix of a connected network: the flow on each line (rows, in
+    ``net.lines`` order) per MW injected at each bus (columns, in ``net.buses``
+    order) and withdrawn at the slack bus, whose column is zero.  Computed via
+    the inverse of the reduced susceptance matrix (slack row and column
+    removed); read-only."""
+    n = len(net.buses)
+    slack = net.bus_index[net.slack_bus]
+    f = np.array([net.bus_index[l.from_bus] for l in net.lines], dtype=np.intp)
+    t = np.array([net.bus_index[l.to_bus] for l in net.lines], dtype=np.intp)
+    y = 1.0 / np.array([l.reactance for l in net.lines], dtype=float)
 
+    # each entry sums its lines' terms in line order: add.at applies them in
+    # sequence, and the four terms of a line are adjacent
     b_mat = np.zeros((n, n))
-    for l in net.lines:
-        y = 1.0 / l.reactance
-        f, t = idx[l.from_bus], idx[l.to_bus]
-        b_mat[f, f] += y
-        b_mat[t, t] += y
-        b_mat[f, t] -= y
-        b_mat[t, f] -= y
+    rows, cols = np.stack([f, t, f, t], axis=1).ravel(), np.stack([f, t, t, f], axis=1).ravel()
+    np.add.at(b_mat, (rows, cols), np.stack([y, y, -y, -y], axis=1).ravel())
 
-    keep = [i for i in range(n) if i != slack]
-    b_red = b_mat[np.ix_(keep, keep)]
+    keep = np.flatnonzero(np.arange(n) != slack)
     try:
-        x_red = np.linalg.solve(b_red, np.eye(n - 1)) if n > 1 else np.zeros((0, 0))
+        x_red = np.linalg.solve(b_mat[np.ix_(keep, keep)], np.eye(n - 1)) if n > 1 else np.zeros((0, 0))
     except np.linalg.LinAlgError as exc:
         raise GridNumericalError(f"singular reduced susceptance matrix: {exc}") from exc
+    x_full = np.zeros((n, n))  # the slack row and column of the inverse are zero
+    x_full[np.ix_(keep, keep)] = x_red
 
-    # pad back to full bus dimension; slack row/col of the inverse are zero
-    x_full = np.zeros((n, n))
-    for a, ia in enumerate(keep):
-        for b, ib in enumerate(keep):
-            x_full[ia, ib] = x_red[a, b]
-
-    mat = np.zeros((len(net.lines), n))
-    for li, l in enumerate(net.lines):
-        y = 1.0 / l.reactance
-        f, t = idx[l.from_bus], idx[l.to_bus]
-        mat[li, :] = y * (x_full[f, :] - x_full[t, :])
+    mat = y[:, None] * (x_full[f] - x_full[t])
     mat[:, slack] = 0.0
     mat.setflags(write=False)
-    return PtdfMatrix(tuple(l.id for l in net.lines), bus_ids, net.slack_bus, mat)
+    return mat
+
+
+def injection_vector(net: Network, injections: Mapping[str, float]) -> np.ndarray:
+    """Per-bus injections (MW) in ``net.buses`` order; absent buses are 0."""
+    vec = np.zeros(len(net.buses))
+    for bus_id, mw in injections.items():
+        if bus_id not in net.bus_index:
+            raise KeyError(f"unknown bus in injection vector: {bus_id!r}")
+        vec[net.bus_index[bus_id]] = mw
+    return vec
 
 
 def overloaded_lines(net: Network, flows_mw: Mapping[str, float], tol: float) -> tuple[str, ...]:
@@ -282,22 +262,19 @@ def overloaded_lines(net: Network, flows_mw: Mapping[str, float], tol: float) ->
     return tuple(l.id for l in net.lines if abs(flows_mw[l.id]) > l.limit_mw + tol)
 
 
-def evaluate_flows(
-    net: Network,
-    ptdf: PtdfMatrix,
-    injections: Mapping[str, float],
-) -> FlowSet:
-    """Superpose per-bus net injections (MW, must balance to zero) into signed
-    line and interface flows, flagging lines loaded beyond their thermal
-    limit.  Interface flow is the signed sum of its member line flows."""
-    vec = ptdf.injection_vector(injections)
+def evaluate_flows(net: Network, injections: Mapping[str, float]) -> FlowSet:
+    """Superpose per-bus net injections (MW, must balance to zero) through
+    ``net.ptdf`` into signed line and interface flows, flagging lines loaded
+    beyond their thermal limit.  Interface flow is the signed sum of its
+    member line flows."""
+    vec = injection_vector(net, injections)
     imbalance = float(vec.sum())
     if abs(imbalance) > MW_TOL:
         raise UnbalancedInjectionError(
             f"injections sum to {imbalance:.6g} MW, expected 0 within {MW_TOL:g}"
         )
-    raw = ptdf.matrix @ vec
-    flows = {lid: float(raw[i]) for i, lid in enumerate(ptdf.line_ids)}
+    raw = net.ptdf @ vec
+    flows = {l.id: float(raw[i]) for i, l in enumerate(net.lines)}
     iface = {
         itf.id: sum(sign * flows[lid] for lid, sign in itf.member_lines)
         for itf in net.interfaces

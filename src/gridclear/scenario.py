@@ -292,7 +292,9 @@ def _parse_network(raw, col) -> Network | None:
     """The network, or None when its section holds an issue; issues found
     elsewhere in the document do not stop it being built, so the references
     into it (generator buses, ``loads`` keys, monitoring profiles) are
-    still checked."""
+    still checked.  Lines are checked against the declared bus ids and
+    interface members against the declared line ids, so an entry rejected
+    for its own figures is one issue, not one more per reference to it."""
     known = len(col.issues)
     if not isinstance(raw, dict) or not raw:
         col.add(E_SECTION, "network", "missing or empty network section")
@@ -303,7 +305,9 @@ def _parse_network(raw, col) -> Network | None:
         col.add(E_SECTION, "network.buses", "at least one bus is required")
 
     buses: list[Bus] = []
+    bus_ids = set()
     for where, b in _entries(col, f["buses"] or (), "network.buses", _BUS, "bus"):
+        bus_ids.add(b["id"])
         if zones and b["zone"] not in zones:
             col.add(E_REF, where, f"bus {b['id']!r} references unknown zone {b['zone']!r}")
             continue
@@ -313,8 +317,9 @@ def _parse_network(raw, col) -> Network | None:
             col.add(E_VALUE, where, str(exc))
 
     lines: list[Line] = []
-    bus_ids = {b.id for b in buses}
+    line_ids = set()
     for where, l in _entries(col, f["lines"] or (), "network.lines", _LINE, "line"):
+        line_ids.add(l["id"])
         prof = l["monitored_in"]
         bad = [p for p in prof if not isinstance(p, str)]
         if bad:
@@ -331,7 +336,6 @@ def _parse_network(raw, col) -> Network | None:
             col.add(E_VALUE, where, str(exc))
 
     interfaces: list[Interface] = []
-    line_ids = {l.id for l in lines}
     for where, iface in _entries(col, f["interfaces"], "network.interfaces", _INTERFACE, "interface"):
         members = []
         for j, m in enumerate(iface["members"]):

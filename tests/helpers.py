@@ -91,6 +91,40 @@ def make_triangle():
 # independent DC flow oracle (reduced susceptance solve)
 # ---------------------------------------------------------------------------
 
+def reference_ptdf(net: Network) -> np.ndarray:
+    """The PTDF matrix as a per-line loop over the padded inverse of the
+    reduced susceptance matrix; ``build_ptdf`` must reproduce it bit for bit."""
+    bus_ids = tuple(b.id for b in net.buses)
+    idx = {b: i for i, b in enumerate(bus_ids)}
+    n = len(bus_ids)
+    slack = idx[net.slack_bus]
+
+    b_mat = np.zeros((n, n))
+    for l in net.lines:
+        y = 1.0 / l.reactance
+        f, t = idx[l.from_bus], idx[l.to_bus]
+        b_mat[f, f] += y
+        b_mat[t, t] += y
+        b_mat[f, t] -= y
+        b_mat[t, f] -= y
+
+    keep = [i for i in range(n) if i != slack]
+    b_red = b_mat[np.ix_(keep, keep)]
+    x_red = np.linalg.solve(b_red, np.eye(n - 1)) if n > 1 else np.zeros((0, 0))
+    x_full = np.zeros((n, n))
+    for a, ia in enumerate(keep):
+        for b, ib in enumerate(keep):
+            x_full[ia, ib] = x_red[a, b]
+
+    mat = np.zeros((len(net.lines), n))
+    for li, l in enumerate(net.lines):
+        y = 1.0 / l.reactance
+        f, t = idx[l.from_bus], idx[l.to_bus]
+        mat[li, :] = y * (x_full[f, :] - x_full[t, :])
+    mat[:, slack] = 0.0
+    return mat
+
+
 def btheta_flows(net: Network, injections: dict[str, float]) -> dict[str, float]:
     bus_ids = [b.id for b in net.buses]
     idx = {b: i for i, b in enumerate(bus_ids)}
@@ -164,7 +198,7 @@ def random_gens(rng: random.Random, net: Network, margin: float = 1.4) -> list[G
     gens = []
     k = 0
     for zone in net.zones:
-        zbuses = net.buses_in_zone(zone)
+        zbuses = [b for b in net.buses if b.zone_id == zone]
         zload = sum(b.load_mw for b in zbuses)
         cap_needed = max(zload * margin, 50.0)
         built = 0.0
@@ -379,7 +413,7 @@ def _reference_zonal_rows(builder, net, gens, gvar, cvar, load_of, regime):
             if net.zone_of(g.bus_id) == zone:
                 coeffs[gvar[g.id]] = 1.0
         zone_load = 0.0
-        for b in net.buses_in_zone(zone):
+        for b in [b for b in net.buses if b.zone_id == zone]:
             zone_load += load_of[b.id]
             if b.id in cvar:
                 coeffs[cvar[b.id]] = 1.0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from collections import Counter
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gridclear import commitment, dispatch
+from gridclear import lp as lpmod
 from gridclear.commitment import (
     UcEnumerationLimitError,
     UcInfeasibleError,
@@ -249,6 +251,22 @@ def test_duplicate_ids_raise_after_the_count_and_cap_checks():
     twins = [_unit("u", 50, 10.0), _unit("u", 50, 20.0)]
     with pytest.raises(ValueError, match="duplicate generator ids"):
         solve_uc(uc_net(twins), twins, [{"n0": 40.0}] * 2, COPPER)
+
+
+@pytest.mark.parametrize("hours, lower_bounds, named", [
+    ([{"n0": 40.0}, {"N0": 40.0}], None, "hours[1]: unknown bus id(s) ['N0']"),
+    ([{"n0": 40.0}] * 2, {"u9": (1, 1)}, "lower_bounds: unknown unit id(s) ['u9']"),
+], ids=["hour loads", "lower_bounds"])
+def test_unknown_keys_are_rejected_before_any_lp(monkeypatch, hours, lower_bounds, named):
+    """A key that names no bus or unit raises once, before the search solves
+    an LP; ignored, a mistyped bus id would clear at the network's own load."""
+    units = [_unit("u", 50, 10.0)]
+    solved = []
+    real_solve = lpmod.solve
+    monkeypatch.setattr(lpmod, "solve", lambda lp: solved.append(lp) or real_solve(lp))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        solve_uc(uc_net(units), units, hours, COPPER, lower_bounds=lower_bounds)
+    assert solved == []
 
 
 def test_determinism():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from gridclear.grid import MAGNITUDE, Bus, Interface, Line, Network, build_ptdf
 from gridclear.scenario import load_scenario
 from helpers import (
     lp_differences, make_fourbus, random_gens, random_network, reference_clearing_lp,
+    reference_ptdf,
 )
 
 NODAL = ConstraintRegime(mode="nodal", monitored_profile="nodal", enforce_interfaces=False)
@@ -217,6 +219,18 @@ def test_committed_subset_excludes_offline_units():
     assert r.gen_mw["on"] == pytest.approx(50.0)
 
 
+@pytest.mark.parametrize("kw, named", [
+    ({"loads": {"b4": 700.0, "B4": 100.0}}, "loads: unknown bus id(s) ['B4']"),
+    ({"committed": {"P1": True, "p9": False}}, "committed: unknown unit id(s) ['p9']"),
+], ids=["loads", "committed"])
+def test_unknown_keys_are_rejected(kw, named):
+    """A key that names no bus or unit raises; ignored, a mistyped bus id
+    would clear at the network's own load."""
+    net, gens = make_fourbus()
+    with pytest.raises(ValueError, match=re.escape(named)):
+        clear(net, gens, NODAL, **kw)
+
+
 def test_reserve_constraint_binds_and_flags():
     net = Network((Bus("n", "Z", 90.0, 400.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("a", "n", 0.0, 100.0, 10.0), GeneratorSpec("b", "n", 0.0, 100.0, 50.0)]
@@ -339,9 +353,10 @@ def test_nodal_duals_satisfy_ptdf_identity(fourbus):
             mu[label[6:-1]] = mu.get(label[6:-1], 0.0) - dual
         elif label.startswith("flow-["):
             mu[label[6:-1]] = mu.get(label[6:-1], 0.0) + dual
-    for bus in ptdf.bus_ids:
+    line_pos = {l.id: i for i, l in enumerate(net.lines)}
+    for bus in net.bus_index:
         expect = lam_ref - sum(
-            ptdf.sensitivity(lid, bus) * m for lid, m in mu.items()
+            ptdf[line_pos[lid], net.bus_index[bus]] * m for lid, m in mu.items()
         )
         assert r.balance_duals[bus] == pytest.approx(expect, abs=1e-6)
 
@@ -449,6 +464,23 @@ def test_cleared_lp_is_direct_build_on_bundled_scenarios(scenario_dir, monkeypat
             got = _cleared_lp(monkeypatch, sc.network, sc.generators, regime, loads=loads)
             want = reference_clearing_lp(sc.network, sc.generators, regime, loads=loads)
             assert lp_differences(got, want) == [], (regime, loads)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 50_000))
+def test_random_meshed_networks_clear_the_direct_build(seed):
+    """Random meshed networks, with parallel lines from the extra meshing and
+    interfaces between zones: the PTDF matrix is the reference loop's bit for
+    bit, and the LP clear solves is the direct build in every mode."""
+    rng = random.Random(seed)
+    net = random_network(rng, max_buses=20)
+    gens = random_gens(rng, net)
+    want = reference_ptdf(net)
+    assert (net.ptdf.shape, net.ptdf.tobytes()) == (want.shape, want.tobytes())
+    for regime in (ConstraintRegime(mode="nodal", monitored_profile="all"), ZONAL, COPPER):
+        with pytest.MonkeyPatch.context() as mp:
+            got = _cleared_lp(mp, net, gens, regime)
+        assert lp_differences(got, reference_clearing_lp(net, gens, regime)) == [], regime.mode
 
 
 @pytest.mark.parametrize("n_units", [1, 2, 3, 4])

@@ -221,6 +221,22 @@ def test_loads_obey_the_bus_rules(tmp_path, loads, expected):
     assert [str(i) for i in err.value.issues] == [f"E_VALUE at {expected}"]
 
 
+@pytest.mark.parametrize("section, index, field, value, expected", [
+    ("buses", 1, "wtp", 1e308, (E_VALUE, "network.buses[1]")),
+    ("buses", 1, "zone", "nowhere", (E_REF, "network.buses[1]")),
+    ("lines", 0, "reactance", 0.0, (E_VALUE, "network.lines[0]")),
+], ids=["bus out of range", "bus in unknown zone", "line out of range"])
+def test_one_issue_per_fault_in_the_network_section(scenario_dir, section, index, field, value,
+                                                     expected):
+    """A bus or line rejected for its own fields is one issue: the lines at
+    that bus and the interface members on that line refer to declared ids."""
+    doc = json.loads((scenario_dir / "twobus.scn").read_text())
+    doc["network"][section][index][field] = value
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    assert [(i.code, i.where) for i in err.value.issues] == [expected]
+
+
 def _at(*path):
     """An edit that sets the field at ``path`` of a document."""
     def edit(doc, v):
