@@ -10,9 +10,11 @@ Larger, slower cousin of the acceptance suite for manual exploration:
     repeated rows, infeasible and unbounded cases) and every LP the scenario
     sweep's clearings solved, solved bit for bit as the reference simplex
     solves it
-  * on random commitment instances (and ones built for ties), under each
-    regime mode: every LP cut from a clearing template equal to the LP built
-    directly, and ``solve_uc``'s schedule equal to the reference scan's
+  * on random commitment instances (single-bus ones, ones built for ties and
+    networked ones where the search's merit-order bound lies below the LP),
+    under each regime mode: every LP cut from a clearing template equal to
+    the LP built directly, and ``solve_uc``'s schedule equal to the reference
+    scan's, with the LPs each solved
 
 Exits 1 if any PTDF matrix differs from the reference loop, any LP from the
 reference simplex, any cut LP from the direct build or any commitment outcome
@@ -42,7 +44,8 @@ from gridclear.dispatch import (
 from gridclear import lp as lpmod
 from gridclear.lp import solve
 from helpers import (
-    lp_differences, random_gens, random_network, random_tie_uc_instance, random_uc_instance,
+    lp_differences, random_gens, random_network, random_networked_uc_instance,
+    random_tie_uc_instance, random_uc_instance,
     reference_clearing_lp, reference_ptdf, reference_solve, reference_solve_uc, solve_outcome,
     uc_net,
 )
@@ -107,10 +110,12 @@ def uc_outcome(solve_fn, *args, **kwargs):
 
 
 def sweep_commitment(n, rng):
-    """``n`` random commitment instances and ``n`` built for ties, each under
-    its own regime and that regime in the other two modes: every LP cut from
-    a template against the direct build, ``solve_uc`` against the reference
-    scan.  Returns (runs, cut LPs, differing LPs, differing outcomes)."""
+    """``n`` random commitment instances, ``n`` built for ties and ``n`` on a
+    network, each under its own regime and that regime in the other two
+    modes: every LP cut from a template against the direct build,
+    ``solve_uc`` against the reference scan.  Returns (runs, cut LPs,
+    differing LPs, differing outcomes, LPs solve_uc solved, LPs the
+    reference scan solved)."""
     cuts = []
     real_cut = ClearingTemplate.cut
 
@@ -121,18 +126,22 @@ def sweep_commitment(n, rng):
 
     cases = []
     for _ in range(n):
-        units, loads = random_uc_instance(rng)
-        cases.append((units, loads, ConstraintRegime(mode="copper_plate"), None))
-        cases.append(random_tie_uc_instance(rng))
-    runs = lps = bad_lps = bad_runs = 0
+        for units, loads, regime, lower_bounds in [
+                (*random_uc_instance(rng), ConstraintRegime(mode="copper_plate"), None),
+                random_tie_uc_instance(rng)]:
+            cases.append((uc_net(units), units, [{"n0": l} for l in loads], regime, lower_bounds))
+        cases.append(random_networked_uc_instance(rng))
+    runs = lps = bad_lps = bad_runs = ours = theirs = 0
     ClearingTemplate.cut = recording_cut
     try:
-        for units, loads, regime, lower_bounds in cases:
-            net, hours = uc_net(units), [{"n0": l} for l in loads]
+        for net, units, hours, regime, lower_bounds in cases:
             for mode in ("copper_plate", "nodal", "zonal"):
                 args = (net, units, hours, replace(regime, mode=mode))
+                start = len(cuts)
                 got = uc_outcome(solve_uc, *args, lower_bounds=lower_bounds)
+                middle = len(cuts)  # a cut per LP solved: solve_uc's, then the scan's
                 want = uc_outcome(reference_solve_uc, *args, lower_bounds=lower_bounds)
+                ours, theirs = ours + middle - start, theirs + len(cuts) - middle
                 bad_runs += got != want
                 runs += 1
             for template, loads_t, committed, lp in cuts:
@@ -143,7 +152,7 @@ def sweep_commitment(n, rng):
             cuts.clear()
     finally:
         ClearingTemplate.cut = real_cut
-    return runs, lps, bad_lps, bad_runs
+    return runs, lps, bad_lps, bad_runs, ours, theirs
 
 
 def main():
@@ -175,10 +184,11 @@ def main():
           f"LPs (random, wild and {len(cleared)} from the scenario sweep) differ "
           f"from the reference simplex [{t2 - t1:.1f}s]")
 
-    runs, cut, bad_lps, bad_runs = sweep_commitment(args.uc, rng)
+    runs, cut, bad_lps, bad_runs, ours, theirs = sweep_commitment(args.uc, rng)
     t3 = time.perf_counter()
     print(f"commitment sweep: {bad_lps} of {cut} cut LPs differ from the direct build; "
-          f"{bad_runs} of {runs} solve_uc runs differ from the reference scan [{t3 - t2:.1f}s]")
+          f"{bad_runs} of {runs} solve_uc runs differ from the reference scan; solve_uc "
+          f"solved {ours} LPs, the reference scan {theirs} [{t3 - t2:.1f}s]")
     return 1 if bad_ptdfs or mismatched or bad_lps or bad_runs else 0
 
 

@@ -20,6 +20,12 @@ is the scan's: the first feasible candidate, replaced by each later one whose
 objective is below the current best minus 1e-9.  Identical inputs yield
 identical schedules across runs.
 
+A block's candidates are first bounded below: commitment costs plus, per
+hour, a merit-order fill (the LP without network, reserve and ``min_sync``
+rows).  Those whose bound exceeds a known feasible objective by more than
+``_PRUNE_MARGIN`` could never be chosen (``_search``) and are not solved, so
+an ``LpNumericalError`` only their LPs would raise no longer surfaces.
+
 Two sequential passes with divergent constraint sets model the split between
 market scheduling (day-ahead commitment, narrower line set) and system
 operation (reliability commitment, broader line set, higher reserve): the
@@ -30,6 +36,7 @@ constrained-on and constrained-off energy and payments, per unit and per zone.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -38,13 +45,14 @@ import numpy as np
 
 from gridclear.dispatch import (
     ClearingCase, ClearingTemplate, ConstraintRegime, DispatchResult, GeneratorSpec,
-    build_template, check_keys, finish,
+    build_template, check_keys, check_loads, finish,
 )
 from gridclear import lp as lpmod
 from gridclear.grid import MW_TOL, Network
 
 ENUMERATION_CAP = 1 << 20
 _BLOCK = 1 << 12  # candidates evaluated together; bounds the search's working memory
+_PRUNE_MARGIN = 1e-5  # relative and absolute; exceeds (_BLOCK + 2) * 1e-9, see _search
 
 
 class UcEnumerationLimitError(RuntimeError):
@@ -201,13 +209,14 @@ def solve_uc(
 
     ``lower_bounds`` restricts the search to sequences that keep each listed
     unit on wherever the bound sequence is on (used by the reliability pass).
-    A key of an hour's loads or of ``lower_bounds`` that names no bus or unit
-    raises ``ValueError``.
+    A key of an hour's loads or of ``lower_bounds`` that names no bus or unit,
+    and a load that is NaN, negative or beyond ``grid.MAGNITUDE``, raises
+    ``ValueError`` before any LP is solved.
     """
     hourly_loads = _normalize_hours(hours)
     horizon = len(hourly_loads)
     for t, loads in enumerate(hourly_loads):
-        check_keys(f"hours[{t}]", loads or (), net.bus_index, "bus")
+        check_loads(f"hours[{t}]", loads or {}, net)
     check_keys("lower_bounds", lower_bounds or (), {u.id for u in gens}, "unit")
 
     floors = [_floor(lower_bounds, u, horizon) for u in gens]
@@ -223,6 +232,8 @@ def solve_uc(
 
     # each (hour, committed set) solved once; finished only if chosen
     cache: dict[tuple[int, frozenset[str]], tuple[ClearingCase, lpmod.LpSolution]] = {}
+    demand = [[(b.wtp, loads[b.id] if loads and b.id in loads else b.load_mw) for b in net.buses]
+              for loads in hourly_loads]
 
     def hour_lp(t: int, on_ids: frozenset[str]) -> lpmod.LpSolution:
         key = (t, on_ids)
@@ -230,7 +241,11 @@ def solve_uc(
             cache[key] = _solve_hour(template, hourly_loads[t], on_ids)
         return cache[key][1]
 
-    best_combo = _search(gens, seq_options, horizon, hour_lp)
+    @functools.cache  # each (hour, committed set) bounded once
+    def hour_bound(t: int, on_ids: frozenset[str]) -> float:
+        return _merit_bound([u for u in gens if u.id in on_ids], demand[t])
+
+    best_combo = _search(gens, seq_options, horizon, hour_lp, hour_bound)
     return _assemble_schedule(gens, horizon, best_combo,
                               lambda t, on_ids: finish(*cache[t, on_ids]))
 
@@ -242,13 +257,42 @@ def _solve_hour(template: ClearingTemplate, loads: Mapping[str, float] | None,
     return case, lpmod.solve(case.lp)
 
 
-def _search(gens, seq_options, horizon, hour_lp) -> tuple[tuple[int, ...], ...]:
+def _merit_bound(units: Sequence[GeneratorSpec], demand: Sequence[tuple[float, float]]) -> float:
+    """The least cost of an hour's LP with ``units`` on and its buses' (wtp,
+    load) ``demand`` when only one system balance is kept: the units at their
+    floors, then their ranges and the loaded buses' curtailment in merit
+    order.  -inf when the floors exceed the load: the LP decides that."""
+    bounds = [u.effective_bounds() for u in units]
+    rest = sum(mw for _, mw in demand) - sum(lo for lo, _ in bounds)
+    if rest < 0:
+        return -math.inf
+    cost = sum(u.ic * lo for u, (lo, _) in zip(units, bounds))
+    for price, mw in sorted([(wtp, mw) for wtp, mw in demand if mw > 0]
+                            + [(u.ic, hi - lo) for u, (lo, hi) in zip(units, bounds)]):
+        take = min(mw, rest)
+        cost, rest = cost + price * take, rest - take
+    return cost
+
+
+def _search(gens, seq_options, horizon, hour_lp, hour_bound) -> tuple[tuple[int, ...], ...]:
     """The first cheapest candidate of ``itertools.product(*seq_options)``:
     the first feasible one, then each later one that beats the current best
     by more than 1e-9.  Candidates are evaluated as arrays, ``_BLOCK`` at a
-    time in product order; each hour's distinct on-sets are solved once
-    per block, in key order, and a candidate whose LP at an hour has no
-    optimum is dropped there."""
+    time in product order; each hour's distinct on-sets are keyed once per
+    block, then solved once, in key order, and a candidate whose LP at an
+    hour has no optimum is dropped there.
+
+    First, each candidate is bounded below by its commitment terms plus each
+    hour's ``hour_bound``.  Once a feasible objective ``least`` is known (the
+    best so far, else the block's least-bound candidate's, solved hour by
+    hour), each candidate whose bound exceeds it by more than
+    ``_PRUNE_MARGIN * (1 + |least|)`` is dropped unsolved.  The relative part
+    covers float error between bound and LP.  Once the scan has seen a
+    near-minimal candidate a dropped one can never beat the best by 1e-9;
+    taken as best before that, it could change which later ones do only
+    along a chain of candidates each within 1e-9 of the last, and the
+    absolute part, over ``(_BLOCK + 2) * 1e-9``, outlasts any chain in a
+    block.  So the choice is the scan's, from a subset of its LPs."""
     ids = [u.id for u in gens]
     sizes = [len(opts) for opts in seq_options]
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
@@ -274,6 +318,8 @@ def _search(gens, seq_options, horizon, hour_lp) -> tuple[tuple[int, ...], ...]:
         obj = np.zeros(len(pos))
         for k, term in enumerate(terms):
             obj += term[idx[k]]
+        bound = obj.copy()
+        on_sets, inverses = [], []  # per hour: distinct on-sets, and each candidate's
         for t in range(horizon):
             key = np.zeros(len(pos), dtype=np.int64)
             for k, _, col in varying[t]:
@@ -284,21 +330,20 @@ def _search(gens, seq_options, horizon, hour_lp) -> tuple[tuple[int, ...], ...]:
             present = np.zeros(1 << len(varying[t]), dtype=bool)
             present[key] = True
             uniq = np.flatnonzero(present)
-            inverse = np.searchsorted(uniq, key)
-            ok = np.empty(len(uniq), dtype=bool)
-            val = np.empty(len(uniq))
-            for j, bits in enumerate(uniq.tolist()):
-                sol = hour_lp(t, frozenset(always_on[t] + [
-                    ids[k] for k, mask, _ in varying[t] if mask & bits]))
-                ok[j] = sol.status == "optimal"
-                val[j] = sol.objective_value
-            keep = ok[inverse]
-            if not keep.all():
-                first_bad_hour = min(first_bad_hour, t)
-            pos, idx = pos[keep], idx[:, keep]
-            obj = obj[keep] + val[inverse[keep]]
-            if not len(pos):
-                break
+            inverses.append(np.searchsorted(uniq, key))
+            on_sets.append([frozenset(always_on[t] + [ids[k] for k, mask, _ in varying[t] if mask & bits])
+                            for bits in uniq.tolist()])
+            bound += np.array([hour_bound(t, s) for s in on_sets[t]])[inverses[t]]
+
+        least = best_obj
+        if least is None:  # the block's candidate of least finite bound, solved hour by hour
+            z = int(np.where(bound > -math.inf, bound, math.inf).argmin())
+            least = float(min(_survivors(hour_lp, on_sets, inverses, np.array([z]), obj[[z]])[1],
+                              default=math.inf))
+        alive = np.flatnonzero(bound <= least + _PRUNE_MARGIN * (1 + abs(least)))
+        alive, obj, bad = _survivors(hour_lp, on_sets, inverses, alive, obj[alive])
+        first_bad_hour = min(first_bad_hour, bad)
+        pos = pos[alive]
         i = 0
         if best_obj is None and len(pos):
             best_obj, best_pos, i = float(obj[0]), int(pos[0]), 1
@@ -312,6 +357,28 @@ def _search(gens, seq_options, horizon, hour_lp) -> tuple[tuple[int, ...], ...]:
     if best_pos is None:
         raise UcInfeasibleError(first_bad_hour)
     return tuple(opts[best_pos // st % n] for opts, st, n in zip(seq_options, strides, sizes))
+
+
+def _survivors(hour_lp, on_sets, inverses, alive, obj):
+    """The candidates ``alive`` whose LP has an optimum every hour, their
+    objectives ``obj`` plus each hour's, and the first hour one is dropped
+    at; hour ``t``'s on-sets ``on_sets[t]`` are solved once, in key order."""
+    bad = len(on_sets)
+    for t, (sets, inverse) in enumerate(zip(on_sets, inverses)):
+        inverse = inverse[alive]
+        need = np.zeros(len(sets), dtype=bool)
+        need[inverse] = True
+        ok, val = np.zeros(len(sets), dtype=bool), np.zeros(len(sets))
+        for j in np.flatnonzero(need).tolist():
+            sol = hour_lp(t, sets[j])
+            ok[j], val[j] = sol.status == "optimal", sol.objective_value
+        keep = ok[inverse]
+        if not keep.all():
+            bad = min(bad, t)
+        alive, obj = alive[keep], obj[keep] + val[inverse[keep]]
+        if not len(alive):
+            break
+    return alive, obj, bad
 
 
 def _assemble_schedule(gens, horizon, combo, hour_result) -> UcSchedule:

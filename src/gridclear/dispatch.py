@@ -208,12 +208,13 @@ def clear(
     """Cost-minimal dispatch of ``gens`` under ``regime``.
 
     ``loads`` overrides bus loads and ``committed`` takes units offline (every
-    unit is on when omitted); a key of either that names no bus or unit
-    raises ``ValueError``.  The units flagged ``synchronous`` count towards
+    unit is on when omitted); a key of either that names no bus or unit,
+    and a load that is NaN, negative or beyond ``grid.MAGNITUDE``, raises
+    ``ValueError``.  The units flagged ``synchronous`` count towards
     ``regime.min_sync_mw``.  An LP that has no optimum yields
     ``feasible=False`` with an ``lp_*`` violation.
     """
-    check_keys("loads", loads or (), net.bus_index, "bus")
+    check_loads("loads", loads or {}, net)
     check_keys("committed", committed or (), {g.id for g in gens}, "unit")
     case = build_template(net, gens, regime).cut(loads, committed)
     return finish(case, lpmod.solve(case.lp))
@@ -437,6 +438,15 @@ def check_keys(name: str, keys: Iterable[str], known: Container[str], kind: str)
     unknown = [k for k in keys if k not in known]
     if unknown:
         raise ValueError(f"{name}: unknown {kind} id(s) {unknown}")
+
+
+def check_loads(name: str, loads: Mapping[str, float], net: Network) -> None:
+    """``check_keys`` for bus loads, then a ``ValueError`` naming the first
+    bus whose load is NaN, negative or beyond ``MAGNITUDE``: the ``Bus`` rule
+    without its ``wtp`` clause."""
+    check_keys(name, loads, net.bus_index, "bus")
+    if bad := out_of_range({f"bus {b} load": mw for b, mw in loads.items()}, 0.0):
+        raise ValueError(f"{name}: {bad}")
 
 
 def _injections(net: Network, gens, gen_mw, served) -> dict[str, float]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 
@@ -550,6 +551,53 @@ def random_tie_uc_instance(rng: random.Random):
         lower_bounds = {u.id: tuple(rng.choice([0, 0, 1]) for _ in range(horizon))
                         for u in rng.sample(units, rng.randint(1, n_units))}
     return units, loads, regime, lower_bounds
+
+
+def random_networked_uc_instance(rng: random.Random):
+    """Commitment instance on the five-bus, two-zone network of
+    ``perfbench/gen.py``'s ``uc_doc`` (e1 and e2 feed e3 in zone ZE, the tie
+    e3-i1 crosses to zone ZI, li joins i1 and i2; an interface on the tie),
+    built where the merit-order bound lies below the LP: line and interface
+    limits low enough to bind, floors that overshoot some hours' load,
+    curtailment cheaper than some units, reserve and ``min_sync`` rows, and
+    twins and shared costs for ties.  Returns (net, units, hours, regime,
+    lower_bounds)."""
+    horizon = rng.randint(1, 3)
+    n_units = rng.randint(2, min(4, 9 // horizon))
+    buses = ("e1", "e2", "e3", "i1", "i2")
+    units = []
+    while len(units) < n_units:
+        if units and rng.random() < 0.3:  # twin of an earlier unit, at its bus
+            units.append(replace(rng.choice(units), id=f"u{len(units)}"))
+            continue
+        units.append(GeneratorSpec(
+            f"u{len(units)}", rng.choice(buses), rng.choice([0.0, 0.0, 30.0, 60.0]),
+            rng.choice([60.0, 100.0, 150.0]), rng.choice([10.0, 20.0, 40.0, 80.0]),
+            nlc=rng.choice([0.0, 20.0]), suc=rng.choice([0.0, 50.0]),
+            min_up_h=rng.randint(1, 2), min_down_h=rng.randint(1, 2),
+            initially_on=rng.random() < 0.5, initial_hours=rng.randint(0, 3),
+            synchronous=rng.random() < 0.7))
+    cap = sum(u.p_max for u in units)
+    loaded = ["i1", "i2"] + (["e2"] if rng.random() < 0.3 else [])
+    hours = [{b: rng.choice([0.0, 10.0, 0.2 * cap, 0.4 * cap, 0.7 * cap]) for b in loaded}
+             for _ in range(horizon)]
+    zone = {"e1": "ZE", "e2": "ZE", "e3": "ZE", "i1": "ZI", "i2": "ZI"}
+    net = Network(
+        tuple(Bus(b, zone[b], hours[0].get(b, 0.0), rng.choice([60.0, 500.0])) for b in buses),
+        (Line("le1", "e1", "e3", 0.1, rng.choice([30.0, 60.0, 120.0]), frozenset({"DAUC", "RUC"})),
+         Line("le2", "e2", "e3", 0.1, rng.choice([30.0, 60.0, 120.0]), frozenset({"RUC"})),
+         Line("tie", "e3", "i1", 0.05, rng.choice([40.0, 80.0, 150.0]), frozenset({"DAUC", "RUC"})),
+         Line("li", "i1", "i2", 0.1, rng.choice([50.0, 100.0, 300.0]), frozenset({"DAUC", "RUC"}))),
+        ("ZE", "ZI"), (Interface("export", (("tie", 1),), rng.choice([30.0, 60.0, 150.0])),), "i1")
+    regime = ConstraintRegime(
+        mode=rng.choice(["nodal", "nodal", "zonal", "copper_plate"]),
+        monitored_profile=rng.choice([None, "DAUC", "RUC"]), enforce_interfaces=rng.random() < 0.8,
+        reserve_req_mw=rng.choice([0.0, 0.0, 40.0]), min_sync_mw=rng.choice([0.0, 0.0, 50.0]))
+    lower_bounds = None
+    if rng.random() < 0.3:
+        lower_bounds = {u.id: tuple(rng.choice([0, 0, 1]) for _ in range(horizon))
+                        for u in rng.sample(units, rng.randint(1, n_units))}
+    return net, units, hours, regime, lower_bounds
 
 
 # ---------------------------------------------------------------------------

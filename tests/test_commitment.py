@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -20,10 +21,12 @@ from gridclear.commitment import (
     solve_uc,
 )
 from gridclear.dispatch import ConstraintRegime, GeneratorSpec, clear
+from gridclear.grid import Bus, Network
 from gridclear.scenario import load_scenario
 from gridclear.settlement import settle_redispatch
 import helpers
 from helpers import (
+    random_networked_uc_instance,
     random_tie_uc_instance,
     random_uc_instance,
     reference_solve_uc,
@@ -269,6 +272,31 @@ def test_unknown_keys_are_rejected_before_any_lp(monkeypatch, hours, lower_bound
     assert solved == []
 
 
+@pytest.mark.parametrize("load, shown", [
+    (float("nan"), "nan"), (-5.0, "-5.0"), (2e9, "2000000000.0"),
+], ids=["nan", "negative", "beyond-magnitude"])
+def test_out_of_range_loads_are_rejected_before_any_lp(monkeypatch, load, shown):
+    """A load the ``Bus`` rule would reject raises, naming its hour and bus,
+    before the search solves an LP or bounds a candidate: a NaN bound would
+    compare false with every objective."""
+    units = [_unit("u", 50, 10.0)]
+    solved = []
+    real_solve = lpmod.solve
+    monkeypatch.setattr(lpmod, "solve", lambda lp: solved.append(lp) or real_solve(lp))
+    with pytest.raises(ValueError, match=re.escape(f"hours[1]: bus n0 load {shown} outside")):
+        solve_uc(uc_net(units), units, [{"n0": 40.0}, {"n0": load}], COPPER)
+    assert solved == []
+
+
+def test_load_at_a_zero_wtp_bus_is_accepted():
+    """The load rule leaves out the ``Bus`` rule's wtp clause: a positive
+    load at a bus with ``wtp`` 0 clears, curtailed at no cost."""
+    units = [_unit("u", 50, 10.0)]
+    net = Network((Bus("n0", "Z"),), (), ("Z",), (), "n0")
+    sched = solve_uc(net, units, [{"n0": 30.0}], COPPER)
+    assert (sched.dispatch_mw["u"], sched.objective) == ((0.0,), 0.0)
+
+
 def test_determinism():
     units = [
         _unit("a", 100, 10.0, nlc=5.0, suc=100.0),
@@ -405,7 +433,7 @@ def _recording_solve_hour(calls):
     solve_hour = commitment._solve_hour
 
     def recording(template, loads, on_ids):
-        calls[(tuple(sorted(loads.items())), on_ids)] += 1
+        calls[(tuple(sorted((loads or {}).items())), on_ids)] += 1
         return solve_hour(template, loads, on_ids)
     return recording
 
@@ -430,8 +458,10 @@ def _outcome(solve, *args, **kwargs):
 def test_uc_choice_matches_reference_scan(seed, block):
     """The array search picks exactly the candidate the one-at-a-time scan
     picks (ties, twins and infeasible hours included, across block edges),
-    solves exactly the same (hour, on-set) pairs, each once, and finishes a
-    dispatch result only for each hour of the chosen schedule."""
+    solves only (hour, on-set) pairs the scan solves, each at most as often
+    (a key holds the hour's loads, not the hour, so two hours of equal load
+    count twice on both sides), and finishes a dispatch result only for each
+    hour of the chosen schedule."""
     units, loads, regime, lower_bounds = random_tie_uc_instance(random.Random(seed))
     net = uc_net(units)
     hours = [{"n0": l} for l in loads]
@@ -444,5 +474,42 @@ def test_uc_choice_matches_reference_scan(seed, block):
         mp.setattr(helpers, "clear", _recording_clear(theirs))
         want = _outcome(reference_solve_uc, net, units, hours, regime, lower_bounds=lower_bounds)
     assert got == want
-    assert ours == theirs
+    assert all(ours[k] <= theirs[k] for k in ours), ours - theirs
     assert len(finished) == (0 if got[0] == "infeasible" else len(hours))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_networked_uc_choice_matches_reference_scan(seed):
+    """Where the merit-order bound lies below the LP (binding line and
+    interface limits, floors above the load, reserve and ``min_sync`` rows),
+    the pruned search still makes the scan's choice, or fails at the scan's
+    hour, and solves only (hour, on-set) pairs the scan solves."""
+    net, units, hours, regime, lower_bounds = random_networked_uc_instance(random.Random(seed))
+    ours, theirs = Counter(), Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commitment, "_solve_hour", _recording_solve_hour(ours))
+        got = _outcome(solve_uc, net, units, hours, regime, lower_bounds=lower_bounds)
+        mp.setattr(helpers, "clear", _recording_clear(theirs))
+        want = _outcome(reference_solve_uc, net, units, hours, regime, lower_bounds=lower_bounds)
+    assert got == want
+    assert all(ours[k] <= theirs[k] for k in ours), ours - theirs
+
+
+def test_bound_prunes_the_fivebus_commitment(scenario_dir):
+    """``daucruc`` on ``fivebus_ruc.scn`` solves 10 hour LPs over both
+    passes, against the 40 the search solves with every bound at -inf (no
+    candidate pruned), and commits the same units."""
+    sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
+    args = (sc.network, sc.generators, sc.hourly_loads(), sc.regime("DAUC"), sc.regime("RUC"))
+    pruned, unpruned = Counter(), Counter()
+    recorders = _recording_solve_hour(pruned), _recording_solve_hour(unpruned)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commitment, "_solve_hour", recorders[0])
+        got = run_dauc_ruc(*args)
+        mp.setattr(commitment, "_solve_hour", recorders[1])
+        mp.setattr(commitment, "_merit_bound", lambda units, demand: -math.inf)
+        want = run_dauc_ruc(*args)
+    assert (sum(pruned.values()), sum(unpruned.values())) == (10, 40)
+    assert all(pruned[k] <= unpruned[k] for k in pruned)
+    assert [(s.committed, s.objective) for s in got[:2]] == [(s.committed, s.objective) for s in want[:2]]

@@ -231,6 +231,17 @@ def test_unknown_keys_are_rejected(kw, named):
         clear(net, gens, NODAL, **kw)
 
 
+@pytest.mark.parametrize("load, shown", [
+    (float("nan"), "nan"), (-5.0, "-5.0"), (2e9, "2000000000.0"), (float("inf"), "inf"),
+], ids=["nan", "negative", "beyond-magnitude", "inf"])
+def test_out_of_range_loads_are_rejected(load, shown):
+    """A load the ``Bus`` rule would reject raises, naming its bus; a NaN
+    would otherwise pass every ``<=`` comparison unseen."""
+    net, gens = make_fourbus()
+    with pytest.raises(ValueError, match=re.escape(f"loads: bus b4 load {shown} outside [0, 1e+09]")):
+        clear(net, gens, NODAL, loads={"b1": 40.0, "b4": load})
+
+
 def test_reserve_constraint_binds_and_flags():
     net = Network((Bus("n", "Z", 90.0, 400.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("a", "n", 0.0, 100.0, 10.0), GeneratorSpec("b", "n", 0.0, 100.0, 50.0)]
