@@ -14,11 +14,15 @@ Larger, slower cousin of the acceptance suite for manual exploration:
     networked ones where the search's merit-order bound lies below the LP),
     under each regime mode: every LP cut from a clearing template equal to
     the LP built directly, and ``solve_uc``'s schedule equal to the reference
-    scan's, with the LPs each solved
+    scan's, with the LPs each solved and the candidates its merit-order and
+    price bounds pruned
+  * on the networked instances, under each mode: every on-set of every hour
+    solved, and each optimal LP's price bound at most every such LP's
+    objective (and its own where the bound is exact)
 
 Exits 1 if any PTDF matrix differs from the reference loop, any LP from the
-reference simplex, any cut LP from the direct build or any commitment outcome
-from the reference scan, 0 otherwise;
+reference simplex, any cut LP from the direct build, any commitment outcome
+from the reference scan or any price bound from its check, 0 otherwise;
 a failed ordering, welfare or duality check raises ``AssertionError``.
 
 Usage: python scripts/randomized_checks.py [--scenarios N] [--lps N] [--uc N] [--seed S]
@@ -44,7 +48,7 @@ from gridclear.dispatch import (
 from gridclear import lp as lpmod
 from gridclear.lp import solve
 from helpers import (
-    lp_differences, random_gens, random_network, random_networked_uc_instance,
+    lp_differences, price_bound_failures, random_gens, random_network, random_networked_uc_instance,
     random_tie_uc_instance, random_uc_instance,
     reference_clearing_lp, reference_ptdf, reference_solve, reference_solve_uc, solve_outcome,
     uc_net,
@@ -102,20 +106,24 @@ def sweep_lps(n, rng, cleared):
 
 
 def uc_outcome(solve_fn, *args, **kwargs):
+    """The outcome of a commitment search, and the candidates its merit-order
+    and price bounds pruned."""
     try:
         sched = solve_fn(*args, **kwargs)
     except UcInfeasibleError as err:
-        return ("infeasible", err.hour)
-    return (repr(sched.committed), repr(sched.dispatch_mw), repr(sched.objective))
+        return ("infeasible", err.hour), (0, 0)
+    return (repr(sched.committed), repr(sched.dispatch_mw), repr(sched.objective)), sched.pruned
 
 
 def sweep_commitment(n, rng):
     """``n`` random commitment instances, ``n`` built for ties and ``n`` on a
     network, each under its own regime and that regime in the other two
     modes: every LP cut from a template against the direct build,
-    ``solve_uc`` against the reference scan.  Returns (runs, cut LPs,
-    differing LPs, differing outcomes, LPs solve_uc solved, LPs the
-    reference scan solved)."""
+    ``solve_uc`` against the reference scan; then each networked instance's
+    price bounds in each mode (``price_bound_failures``).  Returns (runs, cut
+    LPs, differing LPs, differing outcomes, LPs solve_uc solved, LPs the
+    reference scan solved, candidates pruned by the merit-order bound and by
+    the price bound, (bound, LP) pairs checked, price bound failures)."""
     cuts = []
     real_cut = ClearingTemplate.cut
 
@@ -131,17 +139,18 @@ def sweep_commitment(n, rng):
                 random_tie_uc_instance(rng)]:
             cases.append((uc_net(units), units, [{"n0": l} for l in loads], regime, lower_bounds))
         cases.append(random_networked_uc_instance(rng))
-    runs = lps = bad_lps = bad_runs = ours = theirs = 0
+    runs = lps = bad_lps = bad_runs = ours = theirs = by_merit = by_price = 0
     ClearingTemplate.cut = recording_cut
     try:
         for net, units, hours, regime, lower_bounds in cases:
             for mode in ("copper_plate", "nodal", "zonal"):
                 args = (net, units, hours, replace(regime, mode=mode))
                 start = len(cuts)
-                got = uc_outcome(solve_uc, *args, lower_bounds=lower_bounds)
+                got, (merit, price) = uc_outcome(solve_uc, *args, lower_bounds=lower_bounds)
                 middle = len(cuts)  # a cut per LP solved: solve_uc's, then the scan's
-                want = uc_outcome(reference_solve_uc, *args, lower_bounds=lower_bounds)
+                want, _ = uc_outcome(reference_solve_uc, *args, lower_bounds=lower_bounds)
                 ours, theirs = ours + middle - start, theirs + len(cuts) - middle
+                by_merit, by_price = by_merit + merit, by_price + price
                 bad_runs += got != want
                 runs += 1
             for template, loads_t, committed, lp in cuts:
@@ -152,7 +161,14 @@ def sweep_commitment(n, rng):
             cuts.clear()
     finally:
         ClearingTemplate.cut = real_cut
-    return runs, lps, bad_lps, bad_runs, ours, theirs
+    pairs, failures = 0, []
+    for net, units, hours, regime, _ in cases[2::3]:  # the networked instances
+        for mode in ("copper_plate", "nodal", "zonal"):
+            checked, failed = price_bound_failures(net, units, hours, replace(regime, mode=mode))
+            pairs, failures = pairs + checked, failures + failed
+    for line in failures[:10]:
+        print(f"price bound: {line}")
+    return runs, lps, bad_lps, bad_runs, ours, theirs, by_merit, by_price, pairs, len(failures)
 
 
 def main():
@@ -184,12 +200,15 @@ def main():
           f"LPs (random, wild and {len(cleared)} from the scenario sweep) differ "
           f"from the reference simplex [{t2 - t1:.1f}s]")
 
-    runs, cut, bad_lps, bad_runs, ours, theirs = sweep_commitment(args.uc, rng)
+    runs, cut, bad_lps, bad_runs, ours, theirs, by_merit, by_price, pairs, bad_bounds = \
+        sweep_commitment(args.uc, rng)
     t3 = time.perf_counter()
     print(f"commitment sweep: {bad_lps} of {cut} cut LPs differ from the direct build; "
           f"{bad_runs} of {runs} solve_uc runs differ from the reference scan; solve_uc "
-          f"solved {ours} LPs, the reference scan {theirs} [{t3 - t2:.1f}s]")
-    return 1 if bad_ptdfs or mismatched or bad_lps or bad_runs else 0
+          f"solved {ours} LPs, the reference scan {theirs}; solve_uc's merit-order bound "
+          f"pruned {by_merit} candidates and its price bound {by_price} more; {bad_bounds} "
+          f"price bound failures in {pairs} (bound, LP) pairs over every on-set [{t3 - t2:.1f}s]")
+    return 1 if bad_ptdfs or mismatched or bad_lps or bad_runs or bad_bounds else 0
 
 
 if __name__ == "__main__":

@@ -22,9 +22,12 @@ identical schedules across runs.
 
 A block's candidates are first bounded below: commitment costs plus, per
 hour, a merit-order fill (the LP without network, reserve and ``min_sync``
-rows).  Those whose bound exceeds a known feasible objective by more than
-``_PRUNE_MARGIN`` could never be chosen (``_search``) and are not solved, so
-an ``LpNumericalError`` only their LPs would raise no longer surfaces.
+rows), raised once a feasible objective is known to the on-set's price
+bound at the multipliers of the LPs already solved that hour, which sees the
+network (``_price_terms``).  Those whose bound exceeds a known feasible
+objective by more than ``_PRUNE_MARGIN`` could never be chosen (``_search``)
+and are not solved, so an ``LpNumericalError`` only their LPs would raise no
+longer surfaces.
 
 Two sequential passes with divergent constraint sets model the split between
 market scheduling (day-ahead commitment, narrower line set) and system
@@ -45,7 +48,7 @@ import numpy as np
 
 from gridclear.dispatch import (
     ClearingCase, ClearingTemplate, ConstraintRegime, DispatchResult, GeneratorSpec,
-    build_template, check_keys, check_loads, finish,
+    build_template, check_keys, check_loads, finish, interface_zones, location,
 )
 from gridclear import lp as lpmod
 from gridclear.grid import MW_TOL, Network
@@ -80,6 +83,7 @@ class UcSchedule:
     total_cost: float  # incremental, no-load and start-up costs
     objective: float  # total_cost plus curtailment penalties
     feasible: bool
+    pruned: tuple[int, int] = (0, 0)  # candidates left unsolved by the merit bound, then the price bound
 
 
 @dataclass(frozen=True)
@@ -245,9 +249,17 @@ def solve_uc(
     def hour_bound(t: int, on_ids: frozenset[str]) -> float:
         return _merit_bound([u for u in gens if u.id in on_ids], demand[t])
 
-    best_combo = _search(gens, seq_options, horizon, hour_lp, hour_bound)
+    pricer = _price_terms(template)
+    lp_prices = functools.cache(lambda key: pricer(*cache[key]))  # each solved LP priced once
+
+    def hour_prices(t: int) -> np.ndarray:
+        """The (K, h) row of each LP solved so far at hour ``t`` that has one."""
+        rows = [r for key in cache if key[0] == t and (r := lp_prices(key)) is not None]
+        return np.array(rows).reshape(len(rows), len(gens) + 1)
+
+    best_combo, pruned = _search(gens, seq_options, horizon, hour_lp, hour_bound, hour_prices)
     return _assemble_schedule(gens, horizon, best_combo,
-                              lambda t, on_ids: finish(*cache[t, on_ids]))
+                              lambda t, on_ids: finish(*cache[t, on_ids]), pruned)
 
 
 def _solve_hour(template: ClearingTemplate, loads: Mapping[str, float] | None,
@@ -274,7 +286,67 @@ def _merit_bound(units: Sequence[GeneratorSpec], demand: Sequence[tuple[float, f
     return cost
 
 
-def _search(gens, seq_options, horizon, hour_lp, hour_bound) -> tuple[tuple[int, ...], ...]:
+def _price_terms(template: ClearingTemplate):
+    """The pricer of LPs cut from ``template``: for a solved case, the row
+    (K, h_1, ..., h_n) over ``template.gens`` such that K + sum(h_u, u in S)
+    is at most the objective of the LP of the same loads with the units S on;
+    None if the LP has no optimum or the bound is -inf.
+
+    It is the Lagrangian bound with the angles eliminated through
+    ``net.ptdf``: the injections meeting every balance are those summing to
+    zero, and each flowgate row (``flow+-``, ``iface+-``) is its PTDF row
+    times them.  The multipliers are lambda, the slack bus's balance dual,
+    mu = min(dual, 0) for each flowgate row, and 0 for the reserve and
+    ``min_sync`` rows.  Each column is then alone in its box at its bus's
+    price pi_b = lambda + sum_l PTDF[l, b] (mu+_l - mu-_l): K = sum_b pi_b
+    load_b + sum_l (mu+_l + mu-_l) limit_l + sum_b min(0, (wtp_b - pi_b)
+    load_b) and h_u = min((ic_u - pi) lo_u, (ic_u - pi) hi_u).  By weak
+    duality that holds for any lambda and mu <= 0, so for every on-set; at
+    the solved LP's optimum, with no reserve or ``min_sync`` row, it is that
+    LP's objective.  ``zonal`` prices by zone, each inter-zonal flow boxed
+    by +-``ttc_mw`` (unboxed if interfaces are not enforced, so the bound is
+    -inf unless the two zones' prices agree), and ``copper_plate`` at the
+    system price.  Every figure is within ``grid.MAGNITUDE`` and every dual
+    finite, so the row is."""
+    net, regime, balance, n = template.net, template.regime, template.balance, len(template.gens)
+    ic, lo, hi = template.cost[:n], template.lower[:n], template.upper[:n]
+    wtp = template.cost[n:n + len(net.buses)]  # each bus's curtailment cost
+    at = [net.bus_index[g.bus_id] for g in template.gens]
+    gates = []  # the PTDF row of each flowgate row pair, in row order
+    if regime.mode == "nodal":
+        line_row = dict(zip((l.id for l in net.lines), net.ptdf))
+        gates = [line_row[l.id] for l in regime.monitored_lines(net)]
+        if regime.enforce_interfaces:
+            gates += [sum(sign * line_row[lid] for lid, sign in itf.member_lines) for itf in net.interfaces]
+    gates = np.array(gates).reshape(len(gates), len(net.buses))
+    limits = slice(len(balance), len(balance) + 2 * len(gates))
+
+    def terms(case: ClearingCase, sol: lpmod.LpSolution) -> np.ndarray | None:
+        if sol.status != "optimal":
+            return None
+        y, load = np.asarray(sol.duals), np.array([case.load_of[b.id] for b in net.buses])
+        if regime.mode == "nodal":
+            mu = np.minimum(y[limits], 0.0)  # (mu+, mu-) of each pair in turn
+            pi = y[balance[net.slack_bus]] + (mu[0::2] - mu[1::2]) @ gates
+            k = mu @ case.lp.rhs[limits]
+        else:
+            pi = np.array([y[balance[location(net, regime.mode, b.id)]] for b in net.buses])
+            k = 0.0
+            for itf in net.interfaces if regime.mode == "zonal" else ():
+                fz, tz = interface_zones(net, itf)
+                if fz != tz and (gap := abs(y[balance[fz]] - y[balance[tz]])):
+                    if not regime.enforce_interfaces:
+                        return None  # a free flow between two prices: K would be -inf
+                    k -= gap * itf.ttc_mw
+        margin = ic - pi[at]
+        k += pi @ load + np.minimum((wtp - pi) * load, 0.0).sum()
+        return np.concatenate(([k], np.minimum(margin * lo, margin * hi)))
+
+    return terms
+
+
+def _search(gens, seq_options, horizon, hour_lp, hour_bound,
+            hour_prices) -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
     """The first cheapest candidate of ``itertools.product(*seq_options)``:
     the first feasible one, then each later one that beats the current best
     by more than 1e-9.  Candidates are evaluated as arrays, ``_BLOCK`` at a
@@ -285,14 +357,21 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound) -> tuple[tuple[int,
     First, each candidate is bounded below by its commitment terms plus each
     hour's ``hour_bound``.  Once a feasible objective ``least`` is known (the
     best so far, else the block's least-bound candidate's, solved hour by
-    hour), each candidate whose bound exceeds it by more than
-    ``_PRUNE_MARGIN * (1 + |least|)`` is dropped unsolved.  The relative part
-    covers float error between bound and LP.  Once the scan has seen a
-    near-minimal candidate a dropped one can never beat the best by 1e-9;
-    taken as best before that, it could change which later ones do only
-    along a chain of candidates each within 1e-9 of the last, and the
-    absolute part, over ``(_BLOCK + 2) * 1e-9``, outlasts any chain in a
-    block.  So the choice is the scan's, from a subset of its LPs."""
+    hour), each hour's term is raised to the on-set's greatest price bound
+    over the rows ``hour_prices`` gives, one per optimal LP solved that hour
+    (``_price_terms``), and each candidate whose bound exceeds ``least`` by
+    more than ``_PRUNE_MARGIN * (1 + |least|)`` is dropped unsolved; how many
+    the merit bound dropped, and how many more the price bound did, are
+    returned with the choice.  A price bound holds for any balance dual and
+    flowgate multipliers <= 0, so whichever LPs were solved: the angles are
+    eliminated through ``net.ptdf`` and the reserve and ``min_sync``
+    multipliers set to 0.  The relative part of the margin covers float
+    error between bound and LP.  Once the scan has seen a near-minimal
+    candidate a dropped one can never beat the best by 1e-9; taken as best
+    before that, it could change which later ones do only along a chain of
+    candidates each within 1e-9 of the last, and the absolute part, over
+    ``(_BLOCK + 2) * 1e-9``, outlasts any chain in a block.  So the choice
+    is the scan's, from a subset of its LPs."""
     ids = [u.id for u in gens]
     sizes = [len(opts) for opts in seq_options]
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
@@ -310,6 +389,7 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound) -> tuple[tuple[int,
 
     best_obj = best_pos = None
     first_bad_hour = horizon
+    pruned = (0, 0)
     total = math.prod(sizes)
     for start in range(0, total, _BLOCK):
         pos = np.arange(start, min(start + _BLOCK, total))
@@ -319,7 +399,8 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound) -> tuple[tuple[int,
         for k, term in enumerate(terms):
             obj += term[idx[k]]
         bound = obj.copy()
-        on_sets, inverses = [], []  # per hour: distinct on-sets, and each candidate's
+        # per hour: its distinct on-sets, each candidate's, and each on-set's units and merit bound
+        on_sets, inverses, members, merit = [], [], [], []
         for t in range(horizon):
             key = np.zeros(len(pos), dtype=np.int64)
             for k, _, col in varying[t]:
@@ -333,14 +414,25 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound) -> tuple[tuple[int,
             inverses.append(np.searchsorted(uniq, key))
             on_sets.append([frozenset(always_on[t] + [ids[k] for k, mask, _ in varying[t] if mask & bits])
                             for bits in uniq.tolist()])
-            bound += np.array([hour_bound(t, s) for s in on_sets[t]])[inverses[t]]
+            members.append(np.array([[u in s for u in ids] for s in on_sets[t]], dtype=float))
+            merit.append(np.array([hour_bound(t, s) for s in on_sets[t]]))
+            bound += merit[t][inverses[t]]
 
         least = best_obj
         if least is None:  # the block's candidate of least finite bound, solved hour by hour
             z = int(np.where(bound > -math.inf, bound, math.inf).argmin())
             least = float(min(_survivors(hour_lp, on_sets, inverses, np.array([z]), obj[[z]])[1],
                               default=math.inf))
-        alive = np.flatnonzero(bound <= least + _PRUNE_MARGIN * (1 + abs(least)))
+        cutoff = least + _PRUNE_MARGIN * (1 + abs(least))
+        dropped = int((bound > cutoff).sum())
+        if least < math.inf:  # each hour's term, raised by the prices of its solved LPs
+            bound = obj.copy()
+            for t in range(horizon):
+                rows = hour_prices(t)
+                price = (rows[:, :1] + rows[:, 1:] @ members[t].T).max(axis=0, initial=-math.inf)
+                bound += np.fmax(merit[t], price)[inverses[t]]
+        alive = np.flatnonzero(bound <= cutoff)
+        pruned = (pruned[0] + dropped, pruned[1] + len(pos) - len(alive) - dropped)
         alive, obj, bad = _survivors(hour_lp, on_sets, inverses, alive, obj[alive])
         first_bad_hour = min(first_bad_hour, bad)
         pos = pos[alive]
@@ -356,7 +448,7 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound) -> tuple[tuple[int,
 
     if best_pos is None:
         raise UcInfeasibleError(first_bad_hour)
-    return tuple(opts[best_pos // st % n] for opts, st, n in zip(seq_options, strides, sizes))
+    return tuple(opts[best_pos // st % n] for opts, st, n in zip(seq_options, strides, sizes)), pruned
 
 
 def _survivors(hour_lp, on_sets, inverses, alive, obj):
@@ -381,7 +473,7 @@ def _survivors(hour_lp, on_sets, inverses, alive, obj):
     return alive, obj, bad
 
 
-def _assemble_schedule(gens, horizon, combo, hour_result) -> UcSchedule:
+def _assemble_schedule(gens, horizon, combo, hour_result, pruned=(0, 0)) -> UcSchedule:
     results = []
     for t in range(horizon):
         on_ids = frozenset(u.id for u, seq in zip(gens, combo) if seq[t])
@@ -419,6 +511,7 @@ def _assemble_schedule(gens, horizon, combo, hour_result) -> UcSchedule:
         total_cost=total_cost,
         objective=total_cost + curtail_penalty,
         feasible=feasible,
+        pruned=pruned,
     )
 
 

@@ -96,6 +96,10 @@ class GeneratorSpec:
         for name, v in (("forced_min", self.forced_min), ("forced_max", self.forced_max)):
             if v is not None and not (0 <= v <= self.p_max):
                 raise ValueError(f"generator {self.id}: {name} outside [0, p_max]")
+        lo, hi = self.effective_bounds()
+        if lo > hi:
+            raise ValueError(f"generator {self.id}: forced bounds leave no output range "
+                             f"(lower {lo:g} > upper {hi:g})")
         if self.min_up_h < 1 or self.min_down_h < 1:
             raise ValueError(f"unit {self.id}: min up/down must be >= 1 hour")
         if self.initial_hours < 0:

@@ -21,11 +21,11 @@ from dataclasses import replace
 import numpy as np
 
 from gridclear.grid import Bus, Interface, Line, Network
-from gridclear.dispatch import ConstraintRegime, GeneratorSpec, clear, interface_zones
-from gridclear.commitment import UcInfeasibleError, _assemble_schedule
+from gridclear.dispatch import ConstraintRegime, GeneratorSpec, build_template, clear, interface_zones
+from gridclear.commitment import UcInfeasibleError, _assemble_schedule, _price_terms
 from gridclear.lp import (
     FEAS_TOL, INF, MAX_ITERATIONS, OPT_TOL, PIVOT_TOL, LinearProgram, LpBuilder,
-    LpNumericalError, LpSolution,
+    LpNumericalError, LpSolution, solve,
 )
 
 
@@ -598,6 +598,38 @@ def random_networked_uc_instance(rng: random.Random):
         lower_bounds = {u.id: tuple(rng.choice([0, 0, 1]) for _ in range(horizon))
                         for u in rng.sample(units, rng.randint(1, n_units))}
     return net, units, hours, regime, lower_bounds
+
+
+def price_bound_failures(net, gens, hours, regime) -> tuple[int, list[str]]:
+    """Solve every on-set of every hour of a commitment instance and check
+    the price bound (``commitment._price_terms``) of each optimal LP: at most
+    the objective of every optimal LP of the same hour, plus 1e-9 * (1 +
+    |objective|), and in nodal and copper-plate hours with no reserve or
+    ``min_sync`` row, the LP's own objective to 1e-6 * (1 + |objective|).
+    Returns (the (bound, LP) pairs compared, a line per failure)."""
+    template = build_template(net, gens, regime)
+    pricer = _price_terms(template)
+    pairs, failures = 0, []
+    for t, loads in enumerate(hours):
+        solved = []
+        for flags in itertools.product((0, 1), repeat=len(gens)):
+            case = template.cut(loads, {g.id: bool(on) for g, on in zip(gens, flags)})
+            solved.append((np.array(flags), case, solve(case.lp)))
+        optima = [(flags, sol.objective_value) for flags, _, sol in solved if sol.status == "optimal"]
+        for own, case, sol in solved:
+            if (row := pricer(case, sol)) is None:
+                continue
+            for flags, obj in optima:
+                pairs += 1
+                if row[0] + row[1:] @ flags > obj + 1e-9 * (1 + abs(obj)):
+                    failures.append(f"{regime.mode} hour {t}: the bound of on-set {own} "
+                                    f"exceeds the objective {obj!r} of on-set {flags}")
+            obj = sol.objective_value
+            if (regime.mode != "zonal" and not {"reserve", "min_sync"} & set(case.lp.row_labels)
+                    and abs(row[0] + row[1:] @ own - obj) > 1e-6 * (1 + abs(obj))):
+                failures.append(f"{regime.mode} hour {t}: the bound of on-set {own} "
+                                f"is not its objective {obj!r}")
+    return pairs, failures
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,16 @@ def test_validate_rejects_bad_run_section(scenario_dir, tmp_path, capsys, key, v
     assert code in capsys.readouterr().err
 
 
+def test_validate_rejects_forced_bounds_that_leave_no_output_range(scenario_dir, tmp_path, capsys):
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus",
+                         lambda doc: doc["generators"][0].update(p_min=100.0, forced_max=50.0))
+    assert run(["validate", p]) == 1
+    assert ("E_VALUE at generators[0]: generator A1: forced bounds leave no output range "
+            "(lower 100 > upper 50)") in capsys.readouterr().err
+    assert run(["clear", p, "--scheme", "nodal", "--out", tmp_path / "o", "--no-timestamp"]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 _NUMERIC_FIELDS = [
     ("network", "buses", 0, "load_mw"),
     ("network", "buses", 0, "wtp"),

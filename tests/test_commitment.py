@@ -4,6 +4,7 @@ import random
 import re
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,12 @@ from gridclear.commitment import (
     solve_uc,
 )
 from gridclear.dispatch import ConstraintRegime, GeneratorSpec, clear
-from gridclear.grid import Bus, Network
+from gridclear.grid import Bus, Interface, Line, Network
 from gridclear.scenario import load_scenario
 from gridclear.settlement import settle_redispatch
 import helpers
 from helpers import (
+    price_bound_failures,
     random_networked_uc_instance,
     random_tie_uc_instance,
     random_uc_instance,
@@ -513,3 +515,51 @@ def test_bound_prunes_the_fivebus_commitment(scenario_dir):
     assert (sum(pruned.values()), sum(unpruned.values())) == (10, 40)
     assert all(pruned[k] <= unpruned[k] for k in pruned)
     assert [(s.committed, s.objective) for s in got[:2]] == [(s.committed, s.objective) for s in want[:2]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_price_bound_holds_for_every_on_set(seed):
+    """The price bound of each optimal hour LP is at most the objective of
+    every LP of the same hour, whatever units it commits, in every mode and
+    with floors, reserve and ``min_sync`` rows (every on-set is solved, so a
+    lower bound's floors change nothing here); in nodal and copper-plate
+    hours without reserve or ``min_sync`` rows it is the LP's own objective,
+    which a wrong sign anywhere would break."""
+    net, units, hours, regime, _ = random_networked_uc_instance(random.Random(seed))
+    for mode in ("nodal", "zonal", "copper_plate"):
+        assert price_bound_failures(net, units, hours, replace(regime, mode=mode))[1] == []
+
+
+def test_price_bound_prunes_where_the_tie_binds():
+    """Behind a day-ahead tie that binds every hour, the merit-order bound
+    lets cheap export units look able to serve the load; the price bound of
+    the first solved schedule sees the tie, so the search solves 3 hour LPs
+    instead of 12, and commits the same units at the same objective."""
+    zone = {"e1": "ZE", "e2": "ZE", "e3": "ZE", "i1": "ZI", "i2": "ZI"}
+    net = Network(
+        tuple(Bus(b, z, {"i1": 255.2, "i2": 119.7}.get(b, 0.0), 1000.0 if z == "ZI" else 0.0)
+              for b, z in zone.items()),
+        (Line("le1", "e1", "e3", 0.1, 62.8, frozenset({"RUC"})),
+         Line("le2", "e2", "e3", 0.1, 99.9, frozenset({"RUC"})),
+         Line("tie", "e3", "i1", 0.05, 145.9, frozenset({"DAUC", "RUC"})),
+         Line("li", "i1", "i2", 0.1, 562.3, frozenset({"DAUC", "RUC"}))),
+        ("ZE", "ZI"), (Interface("export", (("tie", 1),), 145.9),), "i1")
+    units = [GeneratorSpec("G0", "e2", 0.0, 123.0, 35.9, 121.8, 233.5),
+             GeneratorSpec("G1", "e1", 0.0, 137.6, 12.25, 109.4, 594.9),
+             GeneratorSpec("P", "i1", 0.0, 413.4, 94.88, 20.3, 293.5, initially_on=True)]
+    hours = [{"i1": 255.2, "i2": 119.7}, {"i1": 238.1, "i2": 132.4}, {"i1": 208.1, "i2": 90.2}]
+    regime = ConstraintRegime(mode="nodal", monitored_profile="DAUC")
+    priced, merit_only = Counter(), Counter()
+    recorders = _recording_solve_hour(priced), _recording_solve_hour(merit_only)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commitment, "_solve_hour", recorders[0])
+        got = solve_uc(net, units, hours, regime)
+        mp.setattr(commitment, "_solve_hour", recorders[1])
+        mp.setattr(commitment, "_price_terms", lambda template: lambda case, sol: None)
+        want = solve_uc(net, units, hours, regime)
+    assert (sum(priced.values()), sum(merit_only.values())) == (3, 12)
+    assert all(priced[k] <= merit_only[k] for k in priced)
+    assert (got.committed, got.objective) == (want.committed, want.objective)
+    assert all(("flow+[tie]" in dict(r.binding)) for r in got.hourly_results)
+    assert got.pruned[1] > 0 and want.pruned[1] == 0

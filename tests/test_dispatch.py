@@ -349,6 +349,17 @@ def test_units_and_regimes_hold_their_figures_to_the_range(make):
             make(v)
 
 
+@pytest.mark.parametrize("bounds, shown", [
+    ({"p_min": 100.0, "forced_max": 50.0}, "lower 100 > upper 50"),
+    ({"forced_min": 80.0, "forced_max": 60.0}, "lower 80 > upper 60"),
+], ids=["forced_max_below_p_min", "forced_min_above_forced_max"])
+def test_forced_bounds_that_leave_no_output_range_are_rejected(bounds, shown):
+    # an empty range would otherwise build and fail only inside the LP
+    with pytest.raises(ValueError, match=re.escape(f"generator g: forced bounds leave no output range ({shown})")):
+        GeneratorSpec(**{"id": "g", "bus_id": "x", "p_min": 0.0, "p_max": 100.0, "ic": 10.0, **bounds})
+    assert GeneratorSpec("g", "x", 50.0, 100.0, 10.0, forced_max=50.0).effective_bounds() == (50.0, 50.0)
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 # ---------------------------------------------------------------------------
