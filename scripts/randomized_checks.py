@@ -11,14 +11,14 @@ Larger, slower cousin of the acceptance suite for manual exploration:
     sweep's clearings solved, solved bit for bit as the reference simplex
     solves it
   * on random commitment instances (single-bus ones, ones built for ties and
-    networked ones where the search's merit-order bound lies below the LP),
+    networked ones where the search's uniform-price rows lie below the LP),
     under each regime mode: every LP cut from a clearing template equal to
     the LP built directly, and ``solve_uc``'s schedule equal to the reference
-    scan's, with the LPs each solved and the candidates its merit-order and
-    price bounds pruned
+    scan's, with the LPs each solved and the candidates its lower bound
+    pruned
   * on the networked instances, under each mode: every on-set of every hour
-    solved, and each optimal LP's price bound at most every such LP's
-    objective (and its own where the bound is exact)
+    solved, and each of the hour's uniform-price rows and optimal LPs' rows
+    at most every such LP's objective (and an LP's own where it is exact)
 
 Exits 1 if any PTDF matrix differs from the reference loop, any LP from the
 reference simplex, any cut LP from the direct build, any commitment outcome
@@ -106,12 +106,12 @@ def sweep_lps(n, rng, cleared):
 
 
 def uc_outcome(solve_fn, *args, **kwargs):
-    """The outcome of a commitment search, and the candidates its merit-order
-    and price bounds pruned."""
+    """The outcome of a commitment search, and the candidates its lower
+    bound pruned."""
     try:
         sched = solve_fn(*args, **kwargs)
     except UcInfeasibleError as err:
-        return ("infeasible", err.hour), (0, 0)
+        return ("infeasible", err.hour), 0
     return (repr(sched.committed), repr(sched.dispatch_mw), repr(sched.objective)), sched.pruned
 
 
@@ -122,8 +122,8 @@ def sweep_commitment(n, rng):
     ``solve_uc`` against the reference scan; then each networked instance's
     price bounds in each mode (``price_bound_failures``).  Returns (runs, cut
     LPs, differing LPs, differing outcomes, LPs solve_uc solved, LPs the
-    reference scan solved, candidates pruned by the merit-order bound and by
-    the price bound, (bound, LP) pairs checked, price bound failures)."""
+    reference scan solved, candidates pruned, (row, LP) pairs checked, price
+    bound failures)."""
     cuts = []
     real_cut = ClearingTemplate.cut
 
@@ -139,18 +139,18 @@ def sweep_commitment(n, rng):
                 random_tie_uc_instance(rng)]:
             cases.append((uc_net(units), units, [{"n0": l} for l in loads], regime, lower_bounds))
         cases.append(random_networked_uc_instance(rng))
-    runs = lps = bad_lps = bad_runs = ours = theirs = by_merit = by_price = 0
+    runs = lps = bad_lps = bad_runs = ours = theirs = pruned = 0
     ClearingTemplate.cut = recording_cut
     try:
         for net, units, hours, regime, lower_bounds in cases:
             for mode in ("copper_plate", "nodal", "zonal"):
                 args = (net, units, hours, replace(regime, mode=mode))
                 start = len(cuts)
-                got, (merit, price) = uc_outcome(solve_uc, *args, lower_bounds=lower_bounds)
+                got, dropped = uc_outcome(solve_uc, *args, lower_bounds=lower_bounds)
                 middle = len(cuts)  # a cut per LP solved: solve_uc's, then the scan's
                 want, _ = uc_outcome(reference_solve_uc, *args, lower_bounds=lower_bounds)
                 ours, theirs = ours + middle - start, theirs + len(cuts) - middle
-                by_merit, by_price = by_merit + merit, by_price + price
+                pruned += dropped
                 bad_runs += got != want
                 runs += 1
             for template, loads_t, committed, lp in cuts:
@@ -168,7 +168,7 @@ def sweep_commitment(n, rng):
             pairs, failures = pairs + checked, failures + failed
     for line in failures[:10]:
         print(f"price bound: {line}")
-    return runs, lps, bad_lps, bad_runs, ours, theirs, by_merit, by_price, pairs, len(failures)
+    return runs, lps, bad_lps, bad_runs, ours, theirs, pruned, pairs, len(failures)
 
 
 def main():
@@ -200,14 +200,14 @@ def main():
           f"LPs (random, wild and {len(cleared)} from the scenario sweep) differ "
           f"from the reference simplex [{t2 - t1:.1f}s]")
 
-    runs, cut, bad_lps, bad_runs, ours, theirs, by_merit, by_price, pairs, bad_bounds = \
+    runs, cut, bad_lps, bad_runs, ours, theirs, pruned, pairs, bad_bounds = \
         sweep_commitment(args.uc, rng)
     t3 = time.perf_counter()
     print(f"commitment sweep: {bad_lps} of {cut} cut LPs differ from the direct build; "
           f"{bad_runs} of {runs} solve_uc runs differ from the reference scan; solve_uc "
-          f"solved {ours} LPs, the reference scan {theirs}; solve_uc's merit-order bound "
-          f"pruned {by_merit} candidates and its price bound {by_price} more; {bad_bounds} "
-          f"price bound failures in {pairs} (bound, LP) pairs over every on-set [{t3 - t2:.1f}s]")
+          f"solved {ours} LPs, the reference scan {theirs}; solve_uc's lower bound "
+          f"pruned {pruned} candidates; {bad_bounds} price bound failures in {pairs} "
+          f"(row, LP) pairs over every on-set [{t3 - t2:.1f}s]")
     return 1 if bad_ptdfs or mismatched or bad_lps or bad_runs or bad_bounds else 0
 
 

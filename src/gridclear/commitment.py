@@ -20,14 +20,15 @@ is the scan's: the first feasible candidate, replaced by each later one whose
 objective is below the current best minus 1e-9.  Identical inputs yield
 identical schedules across runs.
 
-A block's candidates are first bounded below: commitment costs plus, per
-hour, a merit-order fill (the LP without network, reserve and ``min_sync``
-rows), raised once a feasible objective is known to the on-set's price
-bound at the multipliers of the LPs already solved that hour, which sees the
-network (``_price_terms``).  Those whose bound exceeds a known feasible
-objective by more than ``_PRUNE_MARGIN`` could never be chosen (``_search``)
-and are not solved, so an ``LpNumericalError`` only their LPs would raise no
-longer surfaces.
+A block's candidates are bounded below by one Lagrangian bound: commitment
+costs plus, per hour, the on-set's greatest value over the hour's price rows
+(``_price_terms``).  Each hour starts with a row per uniform system price at
+its cost breakpoints, whose greatest is the merit-order fill of the LP
+without network, reserve and ``min_sync`` rows; each LP solved adds the row
+at its own multipliers, which sees the network.  Candidates whose bound
+exceeds a known feasible objective by more than ``_PRUNE_MARGIN`` could
+never be chosen (``_search``) and are not solved, so an ``LpNumericalError``
+only their LPs would raise no longer surfaces.
 
 Two sequential passes with divergent constraint sets model the split between
 market scheduling (day-ahead commitment, narrower line set) and system
@@ -39,7 +40,6 @@ constrained-on and constrained-off energy and payments, per unit and per zone.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -83,7 +83,7 @@ class UcSchedule:
     total_cost: float  # incremental, no-load and start-up costs
     objective: float  # total_cost plus curtailment penalties
     feasible: bool
-    pruned: tuple[int, int] = (0, 0)  # candidates left unsolved by the merit bound, then the price bound
+    pruned: int = 0  # candidates the search's lower bound left unsolved
 
 
 @dataclass(frozen=True)
@@ -140,15 +140,6 @@ def feasible_sequences(unit: GeneratorSpec, horizon: int) -> tuple[tuple[int, ..
     up/down times, in ``itertools.product`` order.  Runs truncated by the end
     of the horizon are allowed."""
     return _sequences(unit, (0,) * horizon)
-
-
-def sequence_is_feasible(unit: GeneratorSpec, seq: Sequence[int]) -> bool:
-    state = (unit.initially_on, unit.initial_hours)
-    for s in seq:
-        state = _next_state(unit, state, s)
-        if state is None:
-            return False
-    return True
 
 
 def _hours_on_counts(unit: GeneratorSpec, seq: Sequence[int]) -> tuple[int, ...]:
@@ -236,28 +227,20 @@ def solve_uc(
 
     # each (hour, committed set) solved once; finished only if chosen
     cache: dict[tuple[int, frozenset[str]], tuple[ClearingCase, lpmod.LpSolution]] = {}
-    demand = [[(b.wtp, loads[b.id] if loads and b.id in loads else b.load_mw) for b in net.buses]
-              for loads in hourly_loads]
+    load = [np.array([h[b.id] if h and b.id in h else b.load_mw for b in net.buses])
+            for h in hourly_loads]
+    uniform_rows, lp_rows = _price_terms(template)
+    rows = [uniform_rows(bus_load) for bus_load in load]  # per hour: the rows bounding its LPs
 
     def hour_lp(t: int, on_ids: frozenset[str]) -> lpmod.LpSolution:
         key = (t, on_ids)
         if key not in cache:
-            cache[key] = _solve_hour(template, hourly_loads[t], on_ids)
+            case, sol = cache[key] = _solve_hour(template, hourly_loads[t], on_ids)
+            rows[t] = np.vstack((rows[t], lp_rows(case, sol)))
         return cache[key][1]
 
-    @functools.cache  # each (hour, committed set) bounded once
-    def hour_bound(t: int, on_ids: frozenset[str]) -> float:
-        return _merit_bound([u for u in gens if u.id in on_ids], demand[t])
-
-    pricer = _price_terms(template)
-    lp_prices = functools.cache(lambda key: pricer(*cache[key]))  # each solved LP priced once
-
-    def hour_prices(t: int) -> np.ndarray:
-        """The (K, h) row of each LP solved so far at hour ``t`` that has one."""
-        rows = [r for key in cache if key[0] == t and (r := lp_prices(key)) is not None]
-        return np.array(rows).reshape(len(rows), len(gens) + 1)
-
-    best_combo, pruned = _search(gens, seq_options, horizon, hour_lp, hour_bound, hour_prices)
+    best_combo, pruned = _search(gens, seq_options, horizon, hour_lp, rows,
+                                 [bus_load.sum() for bus_load in load])
     return _assemble_schedule(gens, horizon, best_combo,
                               lambda t, on_ids: finish(*cache[t, on_ids]), pruned)
 
@@ -269,30 +252,13 @@ def _solve_hour(template: ClearingTemplate, loads: Mapping[str, float] | None,
     return case, lpmod.solve(case.lp)
 
 
-def _merit_bound(units: Sequence[GeneratorSpec], demand: Sequence[tuple[float, float]]) -> float:
-    """The least cost of an hour's LP with ``units`` on and its buses' (wtp,
-    load) ``demand`` when only one system balance is kept: the units at their
-    floors, then their ranges and the loaded buses' curtailment in merit
-    order.  -inf when the floors exceed the load: the LP decides that."""
-    bounds = [u.effective_bounds() for u in units]
-    rest = sum(mw for _, mw in demand) - sum(lo for lo, _ in bounds)
-    if rest < 0:
-        return -math.inf
-    cost = sum(u.ic * lo for u, (lo, _) in zip(units, bounds))
-    for price, mw in sorted([(wtp, mw) for wtp, mw in demand if mw > 0]
-                            + [(u.ic, hi - lo) for u, (lo, hi) in zip(units, bounds)]):
-        take = min(mw, rest)
-        cost, rest = cost + price * take, rest - take
-    return cost
-
-
 def _price_terms(template: ClearingTemplate):
-    """The pricer of LPs cut from ``template``: for a solved case, the row
-    (K, h_1, ..., h_n) over ``template.gens`` such that K + sum(h_u, u in S)
-    is at most the objective of the LP of the same loads with the units S on;
-    None if the LP has no optimum or the bound is -inf.
+    """The pricers ``uniform_rows(load)`` (bus loads in ``net.buses`` order)
+    and ``lp_rows(case, sol)`` of LPs cut from ``template``: rows (K, h_1,
+    ..., h_n) over ``template.gens`` such that K + sum(h_u, u in S) is at
+    most the objective of the LP of the same loads with the units S on.
 
-    It is the Lagrangian bound with the angles eliminated through
+    Each row is the Lagrangian bound with the angles eliminated through
     ``net.ptdf``: the injections meeting every balance are those summing to
     zero, and each flowgate row (``flow+-``, ``iface+-``) is its PTDF row
     times them.  The multipliers are lambda, the slack bus's balance dual,
@@ -306,8 +272,14 @@ def _price_terms(template: ClearingTemplate):
     LP's objective.  ``zonal`` prices by zone, each inter-zonal flow boxed
     by +-``ttc_mw`` (unboxed if interfaces are not enforced, so the bound is
     -inf unless the two zones' prices agree), and ``copper_plate`` at the
-    system price.  Every figure is within ``grid.MAGNITUDE`` and every dual
-    finite, so the row is."""
+    system price.  ``lp_rows`` gives the row at a solved LP's multipliers,
+    none if it has no optimum or K is -inf; ``uniform_rows`` a row at each
+    system price lambda in the sorted distinct set of the units' ``ic`` and
+    the loaded buses' ``wtp``, with mu = 0, where the flow columns cancel in
+    every mode.  These are the breakpoints of a concave function of lambda,
+    so the greatest is the merit-order fill of the LP with one balance, if
+    the units' floors fit the load.  Every figure is within
+    ``grid.MAGNITUDE`` and every dual finite, so each row is."""
     net, regime, balance, n = template.net, template.regime, template.balance, len(template.gens)
     ic, lo, hi = template.cost[:n], template.lower[:n], template.upper[:n]
     wtp = template.cost[n:n + len(net.buses)]  # each bus's curtailment cost
@@ -321,9 +293,20 @@ def _price_terms(template: ClearingTemplate):
     gates = np.array(gates).reshape(len(gates), len(net.buses))
     limits = slice(len(balance), len(balance) + 2 * len(gates))
 
-    def terms(case: ClearingCase, sol: lpmod.LpSolution) -> np.ndarray | None:
+    def rows(pi: np.ndarray, load: np.ndarray, k: float = 0.0) -> np.ndarray:
+        """The row at each row of bus prices ``pi``, K raised by ``k``."""
+        margin = ic - pi[:, at]
+        k = k + (pi @ load + np.minimum((wtp - pi) * load, 0.0).sum(axis=1))
+        return np.column_stack((k, np.minimum(margin * lo, margin * hi)))
+
+    def uniform_rows(load: np.ndarray) -> np.ndarray:
+        lam = np.array(sorted({*ic.tolist(), *wtp[load > 0].tolist()}))
+        return rows(np.repeat(lam[:, None], len(load), axis=1), load)
+
+    def lp_rows(case: ClearingCase, sol: lpmod.LpSolution) -> np.ndarray:
+        none = np.empty((0, n + 1))
         if sol.status != "optimal":
-            return None
+            return none
         y, load = np.asarray(sol.duals), np.array([case.load_of[b.id] for b in net.buses])
         if regime.mode == "nodal":
             mu = np.minimum(y[limits], 0.0)  # (mu+, mu-) of each pair in turn
@@ -336,17 +319,15 @@ def _price_terms(template: ClearingTemplate):
                 fz, tz = interface_zones(net, itf)
                 if fz != tz and (gap := abs(y[balance[fz]] - y[balance[tz]])):
                     if not regime.enforce_interfaces:
-                        return None  # a free flow between two prices: K would be -inf
+                        return none  # a free flow between two prices: K would be -inf
                     k -= gap * itf.ttc_mw
-        margin = ic - pi[at]
-        k += pi @ load + np.minimum((wtp - pi) * load, 0.0).sum()
-        return np.concatenate(([k], np.minimum(margin * lo, margin * hi)))
+        return rows(pi[None], load, k)
 
-    return terms
+    return uniform_rows, lp_rows
 
 
-def _search(gens, seq_options, horizon, hour_lp, hour_bound,
-            hour_prices) -> tuple[tuple[tuple[int, ...], ...], tuple[int, int]]:
+def _search(gens, seq_options, horizon, hour_lp, rows,
+            demand) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The first cheapest candidate of ``itertools.product(*seq_options)``:
     the first feasible one, then each later one that beats the current best
     by more than 1e-9.  Candidates are evaluated as arrays, ``_BLOCK`` at a
@@ -354,25 +335,26 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound,
     block, then solved once, in key order, and a candidate whose LP at an
     hour has no optimum is dropped there.
 
-    First, each candidate is bounded below by its commitment terms plus each
-    hour's ``hour_bound``.  Once a feasible objective ``least`` is known (the
-    best so far, else the block's least-bound candidate's, solved hour by
-    hour), each hour's term is raised to the on-set's greatest price bound
-    over the rows ``hour_prices`` gives, one per optimal LP solved that hour
-    (``_price_terms``), and each candidate whose bound exceeds ``least`` by
-    more than ``_PRUNE_MARGIN * (1 + |least|)`` is dropped unsolved; how many
-    the merit bound dropped, and how many more the price bound did, are
-    returned with the choice.  A price bound holds for any balance dual and
-    flowgate multipliers <= 0, so whichever LPs were solved: the angles are
-    eliminated through ``net.ptdf`` and the reserve and ``min_sync``
-    multipliers set to 0.  The relative part of the margin covers float
-    error between bound and LP.  Once the scan has seen a near-minimal
-    candidate a dropped one can never beat the best by 1e-9; taken as best
-    before that, it could change which later ones do only along a chain of
-    candidates each within 1e-9 of the last, and the absolute part, over
-    ``(_BLOCK + 2) * 1e-9``, outlasts any chain in a block.  So the choice
-    is the scan's, from a subset of its LPs."""
+    Each candidate is bounded below by its commitment terms plus, per hour,
+    the on-set's greatest value over the hour's rows ``rows[t]`` (K, h): the
+    uniform-price rows, then a row per optimal LP solved that hour, which
+    ``hour_lp`` appends (``_price_terms``).  A feasible objective ``least``
+    is the best so far, else that of the block's least-bound candidate whose
+    units' floors fit each hour's total load ``demand[t]``, solved hour by
+    hour; with the rows it added, each candidate whose bound exceeds
+    ``least`` by more than ``_PRUNE_MARGIN * (1 + |least|)`` is dropped
+    unsolved, and how many were is returned with the choice.  A row holds
+    for any balance dual and flowgate multipliers <= 0, so whichever LPs
+    were solved: the angles are eliminated through ``net.ptdf`` and the
+    reserve and ``min_sync`` multipliers set to 0.  The relative part of the
+    margin covers float error between bound and LP.  Once the scan has seen
+    a near-minimal candidate a dropped one can never beat the best by 1e-9;
+    taken as best before that, it could change which later ones do only
+    along a chain of candidates each within 1e-9 of the last, and the
+    absolute part, over ``(_BLOCK + 2) * 1e-9``, outlasts any chain in a
+    block.  So the choice is the scan's, from a subset of its LPs."""
     ids = [u.id for u in gens]
+    floors = np.array([u.effective_bounds()[0] for u in gens])
     sizes = [len(opts) for opts in seq_options]
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
     on = [np.array(opts, dtype=bool).reshape(len(opts), horizon) for opts in seq_options]
@@ -389,7 +371,7 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound,
 
     best_obj = best_pos = None
     first_bad_hour = horizon
-    pruned = (0, 0)
+    pruned = 0
     total = math.prod(sizes)
     for start in range(0, total, _BLOCK):
         pos = np.arange(start, min(start + _BLOCK, total))
@@ -398,9 +380,8 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound,
         obj = np.zeros(len(pos))
         for k, term in enumerate(terms):
             obj += term[idx[k]]
-        bound = obj.copy()
-        # per hour: its distinct on-sets, each candidate's, and each on-set's units and merit bound
-        on_sets, inverses, members, merit = [], [], [], []
+        # per hour: its distinct on-sets, each candidate's, and each on-set's units
+        on_sets, inverses, members = [], [], []
         for t in range(horizon):
             key = np.zeros(len(pos), dtype=np.int64)
             for k, _, col in varying[t]:
@@ -415,24 +396,18 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound,
             on_sets.append([frozenset(always_on[t] + [ids[k] for k, mask, _ in varying[t] if mask & bits])
                             for bits in uniq.tolist()])
             members.append(np.array([[u in s for u in ids] for s in on_sets[t]], dtype=float))
-            merit.append(np.array([hour_bound(t, s) for s in on_sets[t]]))
-            bound += merit[t][inverses[t]]
 
         least = best_obj
-        if least is None:  # the block's candidate of least finite bound, solved hour by hour
-            z = int(np.where(bound > -math.inf, bound, math.inf).argmin())
+        if least is None:  # the block's fitting candidate of least bound, solved hour by hour
+            fits = np.ones(len(pos), dtype=bool)
+            for m, inverse, d in zip(members, inverses, demand):
+                fits &= (m @ floors <= d)[inverse]
+            z = int(np.where(fits, _bound(obj, rows, members, inverses), math.inf).argmin())
             least = float(min(_survivors(hour_lp, on_sets, inverses, np.array([z]), obj[[z]])[1],
                               default=math.inf))
         cutoff = least + _PRUNE_MARGIN * (1 + abs(least))
-        dropped = int((bound > cutoff).sum())
-        if least < math.inf:  # each hour's term, raised by the prices of its solved LPs
-            bound = obj.copy()
-            for t in range(horizon):
-                rows = hour_prices(t)
-                price = (rows[:, :1] + rows[:, 1:] @ members[t].T).max(axis=0, initial=-math.inf)
-                bound += np.fmax(merit[t], price)[inverses[t]]
-        alive = np.flatnonzero(bound <= cutoff)
-        pruned = (pruned[0] + dropped, pruned[1] + len(pos) - len(alive) - dropped)
+        alive = np.flatnonzero(_bound(obj, rows, members, inverses) <= cutoff)
+        pruned += len(pos) - len(alive)
         alive, obj, bad = _survivors(hour_lp, on_sets, inverses, alive, obj[alive])
         first_bad_hour = min(first_bad_hour, bad)
         pos = pos[alive]
@@ -449,6 +424,15 @@ def _search(gens, seq_options, horizon, hour_lp, hour_bound,
     if best_pos is None:
         raise UcInfeasibleError(first_bad_hour)
     return tuple(opts[best_pos // st % n] for opts, st, n in zip(seq_options, strides, sizes)), pruned
+
+
+def _bound(obj, rows, members, inverses):
+    """Each candidate's commitment terms ``obj`` plus, per hour, its
+    on-set's greatest value over that hour's rows (K, h)."""
+    bound = obj.copy()
+    for r, m, inverse in zip(rows, members, inverses):
+        bound += (r[:, :1] + r[:, 1:] @ m.T).max(axis=0, initial=-math.inf)[inverse]
+    return bound
 
 
 def _survivors(hour_lp, on_sets, inverses, alive, obj):
@@ -473,7 +457,7 @@ def _survivors(hour_lp, on_sets, inverses, alive, obj):
     return alive, obj, bad
 
 
-def _assemble_schedule(gens, horizon, combo, hour_result, pruned=(0, 0)) -> UcSchedule:
+def _assemble_schedule(gens, horizon, combo, hour_result, pruned=0) -> UcSchedule:
     results = []
     for t in range(horizon):
         on_ids = frozenset(u.id for u, seq in zip(gens, combo) if seq[t])

@@ -557,7 +557,7 @@ def random_networked_uc_instance(rng: random.Random):
     """Commitment instance on the five-bus, two-zone network of
     ``perfbench/gen.py``'s ``uc_doc`` (e1 and e2 feed e3 in zone ZE, the tie
     e3-i1 crosses to zone ZI, li joins i1 and i2; an interface on the tie),
-    built where the merit-order bound lies below the LP: line and interface
+    built where the uniform-price bound lies below the LP: line and interface
     limits low enough to bind, floors that overshoot some hours' load,
     curtailment cheaper than some units, reserve and ``min_sync`` rows, and
     twins and shared costs for ties.  Returns (net, units, hours, regime,
@@ -602,13 +602,14 @@ def random_networked_uc_instance(rng: random.Random):
 
 def price_bound_failures(net, gens, hours, regime) -> tuple[int, list[str]]:
     """Solve every on-set of every hour of a commitment instance and check
-    the price bound (``commitment._price_terms``) of each optimal LP: at most
-    the objective of every optimal LP of the same hour, plus 1e-9 * (1 +
-    |objective|), and in nodal and copper-plate hours with no reserve or
-    ``min_sync`` row, the LP's own objective to 1e-6 * (1 + |objective|).
-    Returns (the (bound, LP) pairs compared, a line per failure)."""
+    the hour's rows (``commitment._price_terms``), its uniform-price rows
+    and the row of each optimal LP: each at most the objective of every
+    optimal LP of the same hour, plus 1e-9 * (1 + |objective|), and in nodal
+    and copper-plate hours with no reserve or ``min_sync`` row, an LP's own
+    row its objective to 1e-6 * (1 + |objective|).  Returns (the (row, LP)
+    pairs compared, a line per failure)."""
     template = build_template(net, gens, regime)
-    pricer = _price_terms(template)
+    uniform_rows, lp_rows = _price_terms(template)
     pairs, failures = 0, []
     for t, loads in enumerate(hours):
         solved = []
@@ -616,19 +617,23 @@ def price_bound_failures(net, gens, hours, regime) -> tuple[int, list[str]]:
             case = template.cut(loads, {g.id: bool(on) for g, on in zip(gens, flags)})
             solved.append((np.array(flags), case, solve(case.lp)))
         optima = [(flags, sol.objective_value) for flags, _, sol in solved if sol.status == "optimal"]
+        load = np.array([solved[0][1].load_of[b.id] for b in net.buses])
+        bounds = [(f"uniform-price row {i}", row) for i, row in enumerate(uniform_rows(load))]
         for own, case, sol in solved:
-            if (row := pricer(case, sol)) is None:
-                continue
+            rows = lp_rows(case, sol)
+            bounds += [(f"on-set {own}", row) for row in rows]
+            obj = sol.objective_value
+            if (len(rows) and regime.mode != "zonal"
+                    and not {"reserve", "min_sync"} & set(case.lp.row_labels)
+                    and abs(rows[0, 0] + rows[0, 1:] @ own - obj) > 1e-6 * (1 + abs(obj))):
+                failures.append(f"{regime.mode} hour {t}: the bound of on-set {own} "
+                                f"is not its objective {obj!r}")
+        for name, row in bounds:
             for flags, obj in optima:
                 pairs += 1
                 if row[0] + row[1:] @ flags > obj + 1e-9 * (1 + abs(obj)):
-                    failures.append(f"{regime.mode} hour {t}: the bound of on-set {own} "
+                    failures.append(f"{regime.mode} hour {t}: the bound of {name} "
                                     f"exceeds the objective {obj!r} of on-set {flags}")
-            obj = sol.objective_value
-            if (regime.mode != "zonal" and not {"reserve", "min_sync"} & set(case.lp.row_labels)
-                    and abs(row[0] + row[1:] @ own - obj) > 1e-6 * (1 + abs(obj))):
-                failures.append(f"{regime.mode} hour {t}: the bound of on-set {own} "
-                                f"is not its objective {obj!r}")
     return pairs, failures
 
 

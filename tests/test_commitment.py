@@ -6,6 +6,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -17,7 +18,6 @@ from gridclear.commitment import (
     UcInfeasibleError,
     feasible_sequences,
     run_dauc_ruc,
-    sequence_is_feasible,
     single_interval_schedule,
     solve_uc,
 )
@@ -52,27 +52,32 @@ def _unit(gid, p_max, ic, nlc=0.0, suc=0.0, p_min=0.0, on=False, min_up=1, min_d
 # sequence feasibility
 # ---------------------------------------------------------------------------
 
+def _is_feasible(unit, seq):
+    """Whether ``seq`` is among the unit's sequences at no floor."""
+    return seq in commitment._sequences(unit, (0,) * len(seq))
+
+
 def test_min_up_blocks_early_shutdown():
     u = _unit("u", 100, 10, min_up=3, on=True, initial_hours=1)
-    assert not sequence_is_feasible(u, (1, 0, 0))  # off after 2 total on-hours
-    assert sequence_is_feasible(u, (1, 1, 0))  # 3 on-hours completed
-    assert sequence_is_feasible(u, (1, 1, 1))
+    assert not _is_feasible(u, (1, 0, 0))  # off after 2 total on-hours
+    assert _is_feasible(u, (1, 1, 0))  # 3 on-hours completed
+    assert _is_feasible(u, (1, 1, 1))
 
 
 def test_min_down_blocks_early_restart():
     u = _unit("u", 100, 10, min_down=2, on=False, initial_hours=1)
-    assert not sequence_is_feasible(u, (1, 0, 1))  # initial off-run incomplete
-    assert sequence_is_feasible(u, (0, 1, 1))  # down time completed first
+    assert not _is_feasible(u, (1, 0, 1))  # initial off-run incomplete
+    assert _is_feasible(u, (0, 1, 1))  # down time completed first
     rested = _unit("u", 100, 10, min_down=2, on=False, initial_hours=2)
-    assert not sequence_is_feasible(rested, (1, 0, 1))  # mid-run off too short
-    assert sequence_is_feasible(rested, (1, 1, 0))  # truncated trailing off-run allowed
+    assert not _is_feasible(rested, (1, 0, 1))  # mid-run off too short
+    assert _is_feasible(rested, (1, 1, 0))  # truncated trailing off-run allowed
 
 
 def test_feasible_sequences_counts():
     free = _unit("u", 100, 10)
     assert len(feasible_sequences(free, 3)) == 8
     sticky = _unit("u", 100, 10, min_up=2, min_down=2)
-    assert all(sequence_is_feasible(sticky, s) for s in feasible_sequences(sticky, 3))
+    assert commitment._count_sequences(sticky, (0, 0, 0)) == len(feasible_sequences(sticky, 3))
     assert (1, 0, 1) not in feasible_sequences(sticky, 3)
 
 
@@ -431,12 +436,13 @@ def _recording_clear(calls):
     return recording
 
 
-def _recording_solve_hour(calls):
-    solve_hour = commitment._solve_hour
+_SOLVE_HOUR = commitment._solve_hour  # unpatched, so a recorder never calls another
 
+
+def _recording_solve_hour(calls):
     def recording(template, loads, on_ids):
         calls[(tuple(sorted((loads or {}).items())), on_ids)] += 1
-        return solve_hour(template, loads, on_ids)
+        return _SOLVE_HOUR(template, loads, on_ids)
     return recording
 
 
@@ -483,7 +489,7 @@ def test_uc_choice_matches_reference_scan(seed, block):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_networked_uc_choice_matches_reference_scan(seed):
-    """Where the merit-order bound lies below the LP (binding line and
+    """Where the uniform-price bound lies below the LP (binding line and
     interface limits, floors above the load, reserve and ``min_sync`` rows),
     the pruned search still makes the scan's choice, or fails at the scan's
     hour, and solves only (hour, on-set) pairs the scan solves."""
@@ -500,17 +506,16 @@ def test_networked_uc_choice_matches_reference_scan(seed):
 
 def test_bound_prunes_the_fivebus_commitment(scenario_dir):
     """``daucruc`` on ``fivebus_ruc.scn`` solves 10 hour LPs over both
-    passes, against the 40 the search solves with every bound at -inf (no
-    candidate pruned), and commits the same units."""
+    passes, against the 40 the search solves with an infinite prune margin
+    (no candidate pruned), and commits the same units."""
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
     args = (sc.network, sc.generators, sc.hourly_loads(), sc.regime("DAUC"), sc.regime("RUC"))
     pruned, unpruned = Counter(), Counter()
-    recorders = _recording_solve_hour(pruned), _recording_solve_hour(unpruned)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(commitment, "_solve_hour", recorders[0])
+        mp.setattr(commitment, "_solve_hour", _recording_solve_hour(pruned))
         got = run_dauc_ruc(*args)
-        mp.setattr(commitment, "_solve_hour", recorders[1])
-        mp.setattr(commitment, "_merit_bound", lambda units, demand: -math.inf)
+        mp.setattr(commitment, "_solve_hour", _recording_solve_hour(unpruned))
+        mp.setattr(commitment, "_PRUNE_MARGIN", math.inf)
         want = run_dauc_ruc(*args)
     assert (sum(pruned.values()), sum(unpruned.values())) == (10, 40)
     assert all(pruned[k] <= unpruned[k] for k in pruned)
@@ -531,11 +536,29 @@ def test_price_bound_holds_for_every_on_set(seed):
         assert price_bound_failures(net, units, hours, replace(regime, mode=mode))[1] == []
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_uniform_price_rows_are_the_merit_order_fill(seed):
+    """On one bus, each on-set's greatest uniform-price row is the cost of
+    the merit-order fill (``helpers.merit_dispatch``) wherever the on units'
+    floors fit the load."""
+    units, loads = random_uc_instance(random.Random(seed))
+    uniform_rows, _ = commitment._price_terms(dispatch.build_template(uc_net(units), units, COPPER))
+    for load in loads:
+        rows = uniform_rows(np.array([load]))
+        for flags in itertools.product((0, 1), repeat=len(units)):
+            want, fits = helpers.merit_dispatch(units, flags, load, 500.0)
+            if fits:
+                got = (rows[:, 0] + rows[:, 1:] @ flags).max()
+                assert abs(got - want) <= 1e-9 * (1 + abs(want)), (flags, load)
+
+
 def test_price_bound_prunes_where_the_tie_binds():
-    """Behind a day-ahead tie that binds every hour, the merit-order bound
-    lets cheap export units look able to serve the load; the price bound of
-    the first solved schedule sees the tie, so the search solves 3 hour LPs
-    instead of 12, and commits the same units at the same objective."""
+    """Behind a day-ahead tie that binds every hour, the uniform-price rows
+    let cheap export units look able to serve the load; the row of each LP
+    of the first solved schedule sees the tie, so the search solves 3 hour
+    LPs instead of the 12 it solves with the uniform-price rows alone, and
+    commits the same units at the same objective."""
     zone = {"e1": "ZE", "e2": "ZE", "e3": "ZE", "i1": "ZI", "i2": "ZI"}
     net = Network(
         tuple(Bus(b, z, {"i1": 255.2, "i2": 119.7}.get(b, 0.0), 1000.0 if z == "ZI" else 0.0)
@@ -550,16 +573,17 @@ def test_price_bound_prunes_where_the_tie_binds():
              GeneratorSpec("P", "i1", 0.0, 413.4, 94.88, 20.3, 293.5, initially_on=True)]
     hours = [{"i1": 255.2, "i2": 119.7}, {"i1": 238.1, "i2": 132.4}, {"i1": 208.1, "i2": 90.2}]
     regime = ConstraintRegime(mode="nodal", monitored_profile="DAUC")
-    priced, merit_only = Counter(), Counter()
-    recorders = _recording_solve_hour(priced), _recording_solve_hour(merit_only)
+    priced, uniform_only = Counter(), Counter()
+    price_terms = commitment._price_terms
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(commitment, "_solve_hour", recorders[0])
+        mp.setattr(commitment, "_solve_hour", _recording_solve_hour(priced))
         got = solve_uc(net, units, hours, regime)
-        mp.setattr(commitment, "_solve_hour", recorders[1])
-        mp.setattr(commitment, "_price_terms", lambda template: lambda case, sol: None)
+        mp.setattr(commitment, "_solve_hour", _recording_solve_hour(uniform_only))
+        mp.setattr(commitment, "_price_terms", lambda template: (
+            price_terms(template)[0], lambda case, sol: np.empty((0, len(units) + 1))))
         want = solve_uc(net, units, hours, regime)
-    assert (sum(priced.values()), sum(merit_only.values())) == (3, 12)
-    assert all(priced[k] <= merit_only[k] for k in priced)
+    assert (sum(priced.values()), sum(uniform_only.values())) == (3, 12)
+    assert all(priced[k] <= uniform_only[k] for k in priced)
     assert (got.committed, got.objective) == (want.committed, want.objective)
     assert all(("flow+[tie]" in dict(r.binding)) for r in got.hourly_results)
-    assert got.pruned[1] > 0 and want.pruned[1] == 0
+    assert got.pruned > want.pruned
