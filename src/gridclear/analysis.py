@@ -41,8 +41,6 @@ class BidDeviation:
     profit_deviated: float
     profit_delta: float
     welfare_delta: float  # deviated true welfare minus truthful; <= 0
-    dispatch_truthful: dict[str, float]
-    dispatch_deviated: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,6 @@ def evaluate_bid_deviation(
         profit_deviated=profit_d,
         profit_delta=profit_d - profit_t,
         welfare_delta=welfare_delta,
-        dispatch_truthful=dict(truthful.gen_mw),
-        dispatch_deviated=dict(deviated.gen_mw),
     )
 
 

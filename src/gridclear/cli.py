@@ -22,16 +22,17 @@ from pathlib import Path
 from gridclear.analysis import BID_SCHEMES, evaluate_bid_deviation, price_stats
 from gridclear.commitment import UcEnumerationLimitError, UcInfeasibleError, run_dauc_ruc
 from gridclear.dispatch import ConstraintRegime, clear, with_forced_bounds
-from gridclear.grid import MW_TOL, GridNumericalError, overloaded_lines
+from gridclear.grid import MW_TOL, GridNumericalError, format_number, overloaded_lines
 from gridclear.lp import LpNumericalError
 from gridclear.pricing import SCHEMES, PriceFormationError, form_prices, form_smp
 from gridclear.scenario import (
     Scenario,
     ScenarioValidationError,
     SchemeOutcome,
-    format_number,
     load_scenario,
+    md_table,
     write_compare_markdown,
+    write_csv,
     write_lines,
     write_report,
 )
@@ -155,12 +156,10 @@ def cmd_daucruc(args) -> int:
     redis = settle_redispatch(record, net, sc.generators, smp_series)
 
     out, stamp = _out_dir(args), _timestamp(args)
-    lines = ["hour,generator,dauc_mw,ruc_mw,delta_mw"]
-    for gid in record.gen_ids:
-        for t in range(record.hours):
-            figures = (dauc.dispatch_mw[gid][t], ruc.dispatch_mw[gid][t], record.delta_mwh[gid][t])
-            lines.append(f"{t},{gid}," + ",".join(map(format_number, figures)))
-    redis_path = write_lines(out / f"{sc.name}_redispatch.csv", lines, stamp)
+    rows = [(str(t), gid, dauc.dispatch_mw[gid][t], ruc.dispatch_mw[gid][t], record.delta_mwh[gid][t])
+            for gid in record.gen_ids for t in range(record.hours)]
+    redis_path = write_csv(out / f"{sc.name}_redispatch.csv",
+                           ("hour", "generator", "dauc_mw", "ruc_mw", "delta_mw"), rows, stamp)
 
     md = [
         f"# {sc.name}: day-ahead vs reliability commitment",
@@ -170,13 +169,10 @@ def cmd_daucruc(args) -> int:
         f"* uniform price by hour: "
         + ", ".join(f"h{t}={format_number(p)}" for t, p in enumerate(smp_series)),
         "",
-        "| zone | constrained-on (MWh) | constrained-off (MWh) | CON payment | COFF payment |",
-        "|---|---|---|---|---|",
+        *md_table(("zone", "constrained-on (MWh)", "constrained-off (MWh)", "CON payment", "COFF payment"),
+                  [(zone, redis.zone_con_mwh[zone], redis.zone_coff_mwh[zone],
+                    redis.zone_con_payment[zone], redis.zone_coff_payment[zone]) for zone in net.zones]),
     ]
-    for zone in net.zones:
-        figures = (redis.zone_con_mwh[zone], redis.zone_coff_mwh[zone],
-                   redis.zone_con_payment[zone], redis.zone_coff_payment[zone])
-        md.append(f"| {zone} | " + " | ".join(map(format_number, figures)) + " |")
     md_path = write_lines(out / f"{sc.name}_daucruc.md", md, stamp)
     print(redis_path)
     print(md_path)
@@ -193,7 +189,11 @@ def cmd_bidding(args) -> int:
             raise CliUsageError("pass --generator/--offered-ic or add run.bid_deviation to the scenario")
         d_gen, d_ic, d_scheme = sc.run.bid_deviation
         gen = gen or d_gen
-        offered = offered if offered is not None else d_ic
+        if offered is None:
+            if gen != d_gen:  # the scenario's offer is made for its own unit only
+                raise CliUsageError(f"run.bid_deviation offers for {d_gen!r}, not {gen!r}: "
+                                    "pass --offered-ic")
+            offered = d_ic
         scheme = scheme or d_scheme
     scheme = scheme or "uniform"
     if gen not in {g.id for g in sc.generators}:
@@ -204,8 +204,9 @@ def cmd_bidding(args) -> int:
         scheme=scheme, regime=regime, loads=sc.hourly_loads()[0],
     )
 
-    lines = ["metric,value", f"generator,{dev.generator_id}", f"scheme,{dev.scheme}"]
-    for metric, val in (
+    rows = [
+        ("generator", dev.generator_id),
+        ("scheme", dev.scheme),
         ("true_ic", dev.true_ic),
         ("offered_ic", dev.offered_ic),
         ("q_truthful_mw", dev.q_truthful),
@@ -216,9 +217,9 @@ def cmd_bidding(args) -> int:
         ("profit_deviated", dev.profit_deviated),
         ("profit_delta", dev.profit_delta),
         ("welfare_delta", dev.welfare_delta),
-    ):
-        lines.append(f"{metric},{format_number(val)}")
-    path = write_lines(_out_dir(args) / f"{sc.name}_bidding_{gen}.csv", lines, _timestamp(args))
+    ]
+    path = write_csv(_out_dir(args) / f"{sc.name}_bidding_{gen}.csv", ("metric", "value"), rows,
+                     _timestamp(args))
     print(path)
     print(f"{gen}: offered {format_number(offered)} vs true {format_number(dev.true_ic)} under {scheme}: "
           f"profit {format_number(dev.profit_deviated)} (truthful {format_number(dev.profit_truthful)}), "
@@ -241,8 +242,8 @@ def cmd_stats(args) -> int:
         raise CliUsageError(f"bad price value: {exc}") from exc
     stats = price_stats(series)
     figures = (("median", stats.median), ("p10", stats.p10), ("p90", stats.p90))
-    lines = ["metric,value", f"count,{len(series)}", *(f"{m},{format_number(v)}" for m, v in figures)]
-    out_path = write_lines(_out_dir(args) / f"{path.stem}_stats.csv", lines, _timestamp(args))
+    out_path = write_csv(_out_dir(args) / f"{path.stem}_stats.csv", ("metric", "value"),
+                         [("count", str(len(series))), *figures], _timestamp(args))
     print(out_path)
     print(" ".join(f"{m}={format_number(v)}" for m, v in figures))
     return EXIT_OK

@@ -46,7 +46,9 @@ from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from gridclear.grid import MW_TOL, Line, Network, evaluate_flows, injection_vector, out_of_range
+from gridclear.grid import (
+    MW_TOL, Line, Network, evaluate_flows, format_number, injection_vector, out_of_range,
+)
 from gridclear import lp as lpmod
 
 INF = math.inf
@@ -409,11 +411,11 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
     violations = []
     for b, mw in sorted(curtail.items()):
         if mw > MW_TOL:
-            violations.append(f"curtailment[{b}]: {mw:.2f} MW unserved")
+            violations.append(f"curtailment[{b}]: {format_number(mw)} MW unserved")
     for lid in flows.violations:
         violations.append(
-            f"line_overload[{lid}]: flow {abs(flows.flows_mw[lid]):.2f} MW "
-            f"exceeds limit {net.line(lid).limit_mw:.2f} MW"
+            f"line_overload[{lid}]: flow {format_number(abs(flows.flows_mw[lid]))} MW "
+            f"exceeds limit {format_number(net.line(lid).limit_mw)} MW"
         )
     feasible = total_curtail <= MW_TOL
 

@@ -15,6 +15,7 @@ Every figure an engine object holds lies in one numeric domain, checked where
 the object is built: each MW, price and cost within ``MAGNITUDE`` (1e9) of
 zero and each reactance in ``REACTANCE`` (1e-6 to 1e6 p.u.).  Sums, products
 and PTDFs of such figures stay finite, so nothing downstream checks them.
+``format_number`` prints every such figure that a report or message shows.
 """
 from __future__ import annotations
 
@@ -27,6 +28,11 @@ import numpy as np
 MW_TOL = 1e-6
 MAGNITUDE = 1e9  # bound on |MW|, |price| and |cost| (currency/MWh, /h or /start)
 REACTANCE = (1e-6, 1e6)  # per unit
+
+
+def format_number(v: float) -> str:
+    """A number as every report and message prints it: two decimals."""
+    return f"{v:.2f}"
 
 
 def out_of_range(figures: Mapping[str, float | None], lo: float = -MAGNITUDE,

@@ -141,6 +141,9 @@ def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) 
     the screened marginal set, with recorded exclusion reasons for every
     screened-out dispatched unit.  ``net`` locates buses and units in zones."""
     specs = {g.id: g for g in gens}
+    for gid in schedule.gen_ids:
+        if gid not in specs:
+            raise PricingContractError(f"schedule unit {gid!r} is not among the priced generators")
     prices: list[dict[str, float]] = []
     msets: list[MarginalSet] = []
     for t, result in enumerate(schedule.hourly_results):
@@ -148,8 +151,6 @@ def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) 
         members: list[str] = []
         exclusions: dict[str, str] = {}
         for gid in schedule.gen_ids:
-            if gid not in specs:
-                continue
             q = schedule.dispatch_mw[gid][t]
             if q <= MW_TOL:
                 continue

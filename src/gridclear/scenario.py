@@ -35,11 +35,11 @@ import math
 import sys
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from gridclear.analysis import BID_SCHEMES
 from gridclear.dispatch import ConstraintRegime, DispatchResult, GeneratorSpec, with_forced_bounds
-from gridclear.grid import Bus, GridStructureError, Interface, Line, Network
+from gridclear.grid import Bus, GridStructureError, Interface, Line, Network, format_number
 from gridclear.pricing import SCHEMES, PriceReport
 from gridclear.settlement import SettlementReport
 
@@ -568,11 +568,6 @@ class SchemeOutcome:
     deliverable_violated: bool  # physically undeliverable claim
 
 
-def format_number(v: float) -> str:
-    """A number as every report prints it: two decimals."""
-    return f"{v:.2f}"
-
-
 def write_lines(path: str | Path, lines: Sequence[str], timestamp: str | None) -> Path:
     """Write one report file: its directory is created, and a ``timestamp``
     goes first as a generated-at comment in the file's own form (HTML for
@@ -612,85 +607,86 @@ def write_report(
     return written
 
 
+def _cell(v: str | float) -> str:
+    return v if isinstance(v, str) else format_number(v)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str | float]],
+              timestamp: str | None) -> Path:
+    """Write one CSV report through ``write_lines``: the header, then one
+    comma-joined line per row.  A ``str`` cell prints as it is and any other
+    through ``format_number``, so a key such as the hour is passed as text."""
+    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
+    return write_lines(path, lines, timestamp)
+
+
+def md_table(header: Sequence[str], rows: Iterable[Sequence[str | float]]) -> list[str]:
+    """The lines of one markdown table: the header, the ``|---|`` rule and one
+    line per row, each cell printed as in ``write_csv``.  An empty header cell
+    (a column of row labels) prints as ``| |``."""
+    return [
+        "|" + "".join(f" {h} |" if h else " |" for h in header),
+        "|" + "---|" * len(header),
+        *("| " + " | ".join(map(_cell, row)) + " |" for row in rows),
+    ]
+
+
 def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, timestamp) -> list[Path]:
-    r = oc.dispatch
-    paths = []
+    r, prices = oc.dispatch, oc.prices
+    stem = out_dir / f"{name}_{oc.scheme}"
+    header = ("hour", "generator", "dispatch_mw", "flag")
+    rows = [("0", gid, mw, r.gen_flags.get(gid, "")) for gid, mw in r.gen_mw.items()]
+    paths = [write_csv(f"{stem}_dispatch.csv", header, rows, timestamp)]
 
-    lines = ["hour,generator,dispatch_mw,flag"]
-    for gid in r.gen_mw:
-        lines.append(f"0,{gid},{format_number(r.gen_mw[gid])},{r.gen_flags.get(gid, '')}")
-    paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_dispatch.csv", lines, timestamp))
-
-    if oc.prices.scheme == "nodal":
-        lines = ["hour,key,price,energy,congestion,loss"]
-        for t, hour in enumerate(oc.prices.prices):
-            comps = oc.prices.decomposition[t] if t < len(oc.prices.decomposition) else {}
-            for key in hour:
-                c = comps[key]
-                figures = (hour[key], c.energy, c.congestion, c.loss)
-                lines.append(f"{t},{key}," + ",".join(map(format_number, figures)))
+    if prices.scheme == "nodal":
+        header = ("hour", "key", "price", "energy", "congestion", "loss")
+        rows = [(str(t), key, hour[key], c.energy, c.congestion, c.loss)
+                for t, hour in enumerate(prices.prices)
+                for key in hour for c in [prices.decomposition[t][key]]]
     else:
-        lines = ["hour,key,price"]
-        for t, hour in enumerate(oc.prices.prices):
-            for key in sorted(hour):
-                lines.append(f"{t},{key},{format_number(hour[key])}")
-    paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_prices.csv", lines, timestamp))
+        header = ("hour", "key", "price")
+        rows = [(str(t), key, hour[key]) for t, hour in enumerate(prices.prices) for key in sorted(hour)]
+    paths.append(write_csv(f"{stem}_prices.csv", header, rows, timestamp))
 
-    lines = ["hour,element,kind,flow_mw,limit_mw,violation"]
-    for line in net.lines:
-        flag = "yes" if line.id in r.physical_violations else "no"
-        flow, limit = format_number(r.line_flow_mw[line.id]), format_number(line.limit_mw)
-        lines.append(f"0,{line.id},line,{flow},{limit},{flag}")
-    for iid, flow in r.interface_flow_mw.items():
-        lim = r.limits.get(f"iface+[{iid}]", float("nan"))
-        lines.append(f"0,{iid},interface,{format_number(flow)},{format_number(lim)},no")
-    paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_flows.csv", lines, timestamp))
+    header = ("hour", "element", "kind", "flow_mw", "limit_mw", "violation")
+    rows = [("0", line.id, "line", r.line_flow_mw[line.id], line.limit_mw,
+             "yes" if line.id in r.physical_violations else "no") for line in net.lines]
+    rows += [("0", iid, "interface", flow, r.limits.get(f"iface+[{iid}]", math.nan), "no")
+             for iid, flow in r.interface_flow_mw.items()]
+    paths.append(write_csv(f"{stem}_flows.csv", header, rows, timestamp))
 
-    if oc.settlement is not None:
-        s = oc.settlement
-        lines = [
-            "generator,market_revenue,as_cleared_cost,uplift,con_mwh,coff_mwh,con_payment,coff_payment"
-        ]
-        for gid in s.per_generator:
-            g = s.per_generator[gid]
-            # a settlement holds no redispatch; its four columns (con_mwh to
-            # coff_payment) stay, at 0.00, as dropping them moves every
-            # recorded settlement report
-            figures = (g.market_revenue, g.as_cleared_cost, g.uplift, 0.0, 0.0, 0.0, 0.0)
-            lines.append(f"{gid}," + ",".join(map(format_number, figures)))
-        paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_settlement.csv", lines, timestamp))
+    s = oc.settlement
+    if s is not None:
+        # a settlement holds no redispatch; its four columns (con_mwh to
+        # coff_payment) stay, at 0.00, as dropping them moves every
+        # recorded settlement report
+        header = ("generator", "market_revenue", "as_cleared_cost", "uplift",
+                  "con_mwh", "coff_mwh", "con_payment", "coff_payment")
+        rows = [(gid, g.market_revenue, g.as_cleared_cost, g.uplift, 0.0, 0.0, 0.0, 0.0)
+                for gid, g in s.per_generator.items()]
+        paths.append(write_csv(f"{stem}_settlement.csv", header, rows, timestamp))
 
-    lines = ["metric,value"]
-    if oc.settlement is not None:
-        s = oc.settlement
-        for metric, val in (
-            ("consumer_market_payment", s.consumer_market_payment),
-            ("consumer_total_payment", s.consumer_total_payment),
-            ("congestion_rent", s.congestion_rent),
-            ("total_cost", s.total_cost),
-            ("social_surplus", s.social_surplus),
-        ):
-            lines.append(f"{metric},{format_number(val)}")
-    for v in r.violations:
-        lines.append(f"violation,\"{v}\"")
-    paths.append(write_lines(out_dir / f"{name}_{oc.scheme}_summary.csv", lines, timestamp))
+    rows = [] if s is None else [
+        ("consumer_market_payment", s.consumer_market_payment),
+        ("consumer_total_payment", s.consumer_total_payment),
+        ("congestion_rent", s.congestion_rent),
+        ("total_cost", s.total_cost),
+        ("social_surplus", s.social_surplus),
+    ]
+    rows += [("violation", f'"{v}"') for v in r.violations]
+    paths.append(write_csv(f"{stem}_summary.csv", ("metric", "value"), rows, timestamp))
     return paths
 
 
 def _write_scheme_markdown(name, oc: SchemeOutcome, out_dir: Path, timestamp) -> Path:
-    r = oc.dispatch
+    r, s = oc.dispatch, oc.settlement
     lines = [f"# {name} - {SCHEMES[oc.scheme].label}", ""]
-    lines += ["| generator | dispatch (MW) | flag |", "|---|---|---|"]
-    for gid in r.gen_mw:
-        lines.append(f"| {gid} | {format_number(r.gen_mw[gid])} | {r.gen_flags.get(gid, '')} |")
-    lines += ["", "| key | price |", "|---|---|"]
-    for t, hour in enumerate(oc.prices.prices):
-        for key in sorted(hour):
-            lines.append(f"| {key} (h{t}) | {format_number(hour[key])} |")
-    if oc.settlement is not None:
-        s = oc.settlement
-        lines += ["", "| metric | value |", "|---|---|"]
-        for metric, val in (
+    lines += md_table(("generator", "dispatch (MW)", "flag"),
+                      [(gid, mw, r.gen_flags.get(gid, "")) for gid, mw in r.gen_mw.items()])
+    rows = [(f"{key} (h{t})", hour[key]) for t, hour in enumerate(oc.prices.prices) for key in sorted(hour)]
+    lines += ["", *md_table(("key", "price"), rows)]
+    if s is not None:
+        lines += ["", *md_table(("metric", "value"), [
             ("generator market revenue", s.total_market_revenue),
             ("uplift", s.total_uplift),
             ("consumer market payment", s.consumer_market_payment),
@@ -698,12 +694,18 @@ def _write_scheme_markdown(name, oc: SchemeOutcome, out_dir: Path, timestamp) ->
             ("congestion rent", s.congestion_rent),
             ("total cost", s.total_cost),
             ("social surplus", s.social_surplus),
-        ):
-            lines.append(f"| {metric} | {format_number(val)} |")
+        ])]
     if r.violations:
         lines += ["", "Violations:", ""]
         lines += [f"- {v}" for v in r.violations]
     return write_lines(out_dir / f"{name}_{oc.scheme}_report.md", lines, timestamp)
+
+
+def _with_uplift(total: float, s: SettlementReport) -> str | float:
+    """A money total, naming the uplift it includes when there is any."""
+    if s.total_uplift > 0.005:
+        return f"{format_number(total)} (incl. uplift {format_number(s.total_uplift)})"
+    return total
 
 
 def write_compare_markdown(
@@ -717,53 +719,37 @@ def write_compare_markdown(
     whose schedules violate physical limits show 'Not Available' money rows."""
     if not outcomes:
         raise ValueError("empty report set")
-    lines = [f"# {name}: market clearing comparison", ""]
-    headers = [SCHEMES[oc.scheme].label for oc in outcomes]
-    lines.append("| | " + " | ".join(headers) + " |")
-    lines.append("|---|" + "|".join("---" for _ in outcomes) + "|")
 
     def dispatch_cell(oc: SchemeOutcome) -> str:
-        vals = [f"{format_number(v)}" for v in oc.dispatch.gen_mw.values()]
-        return "(" + ", ".join(vals) + ")"
+        return "(" + ", ".join(map(format_number, oc.dispatch.gen_mw.values())) + ")"
 
-    def price_cell(oc: SchemeOutcome) -> str:
+    def price_cell(oc: SchemeOutcome) -> str | float:
         hour = oc.prices.prices[0]
         if not hour:
             return "-"
         if len(hour) == 1:
-            return format_number(next(iter(hour.values())))
-        return "(" + ", ".join(format_number(hour[k]) for k in hour) + ")"
+            return next(iter(hour.values()))
+        return "(" + ", ".join(map(format_number, hour.values())) + ")"
 
-    def money_cell(oc: SchemeOutcome, metric: str) -> str:
-        if oc.deliverable_violated:
-            return "Not Available"
-        s = oc.settlement
-        if s is None:
-            return "-"
-        if metric == "revenue":
-            total = s.total_market_revenue + s.total_uplift
-            if s.total_uplift > 0.005:
-                return f"{format_number(total)} (incl. uplift {format_number(s.total_uplift)})"
-            return format_number(total)
-        if metric == "payment":
-            if s.total_uplift > 0.005:
-                uplift = format_number(s.total_uplift)
-                return f"{format_number(s.consumer_total_payment)} (incl. uplift {uplift})"
-            return format_number(s.consumer_total_payment)
-        if metric == "rent":
-            return format_number(s.congestion_rent)
-        return format_number(s.social_surplus)
+    def money(cell: Callable[[SettlementReport], str | float]) -> Callable[[SchemeOutcome], str | float]:
+        """A money row's cell function: ``cell`` of the scheme's settlement."""
+        def money_cell(oc: SchemeOutcome) -> str | float:
+            if oc.deliverable_violated:
+                return "Not Available"
+            return "-" if oc.settlement is None else cell(oc.settlement)
+        return money_cell
 
     rows = [
         ("Generator dispatch (MW)", dispatch_cell),
         ("Market price", price_cell),
-        ("Generator revenue", lambda oc: money_cell(oc, "revenue")),
-        ("Consumer payment", lambda oc: money_cell(oc, "payment")),
-        ("Congestion rent", lambda oc: money_cell(oc, "rent")),
-        ("Social surplus", lambda oc: money_cell(oc, "surplus")),
+        ("Generator revenue", money(lambda s: _with_uplift(s.total_market_revenue + s.total_uplift, s))),
+        ("Consumer payment", money(lambda s: _with_uplift(s.consumer_total_payment, s))),
+        ("Congestion rent", money(lambda s: s.congestion_rent)),
+        ("Social surplus", money(lambda s: s.social_surplus)),
     ]
-    for label, cell in rows:
-        lines.append(f"| {label} | " + " | ".join(cell(oc) for oc in outcomes) + " |")
+    lines = [f"# {name}: market clearing comparison", ""]
+    lines += md_table(["", *(SCHEMES[oc.scheme].label for oc in outcomes)],
+                      [(label, *map(cell, outcomes)) for label, cell in rows])
 
     notes = []
     for oc in outcomes:

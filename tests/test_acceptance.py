@@ -9,6 +9,7 @@ and exact worked-example values for the small systems.
 """
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -239,10 +240,9 @@ def test_criterion_09_strategic_bidding(scenario_dir):
     assert nodal.welfare_delta <= 1e-9
     # verify the welfare figure against an explicit truthful re-solve
     truthful = clear(net, gens, zonal_regime)
+    deviated = clear(net, [replace(g, ic=70.0) if g.id == "A3" else g for g in gens], zonal_regime)
     truthful_cost = sum(g.ic * truthful.gen_mw[g.id] for g in gens)
-    deviated_cost = sum(
-        g.ic * uniform.dispatch_deviated[g.id] for g in gens
-    )
+    deviated_cost = sum(g.ic * deviated.gen_mw[g.id] for g in gens)
     assert uniform.welfare_delta == pytest.approx(truthful_cost - deviated_cost, abs=1e-6)
     print(f"\nACCEPTANCE 9 PASS: under-bidding profit {uniform.profit_deviated:.0f} > 0 "
           f"under uniform pricing, {nodal.profit_deviated:.0f} <= 0 under nodal; "

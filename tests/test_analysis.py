@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ import hypothesis.strategies as st
 
 from gridclear.analysis import BID_SCHEMES, evaluate_bid_deviation, price_stats
 from gridclear.cli import run_scheme
-from gridclear.dispatch import ConstraintRegime
+from gridclear.dispatch import ConstraintRegime, clear
 from gridclear.pricing import SCHEMES
 from gridclear.scenario import load_scenario
 from gridclear.settlement import price_at
@@ -58,7 +59,11 @@ def test_displacing_cheaper_unit_destroys_welfare(twobus):
     net, gens = twobus
     dev = evaluate_bid_deviation(net, gens, "A3", 70.0, scheme="uniform", regime=ZONAL)
     # A3's 150 MW (true cost 90) displaces A2's 150 MW (true cost 75)
-    assert dev.dispatch_deviated["A2"] == pytest.approx(0.0, abs=1e-6)
+    offered = [replace(g, ic=70.0) if g.id == "A3" else g for g in gens]
+    deviated = clear(net, offered, ZONAL)
+    assert clear(net, gens, ZONAL).gen_mw["A2"] == pytest.approx(150.0, abs=1e-6)
+    assert deviated.gen_mw["A2"] == pytest.approx(0.0, abs=1e-6)
+    assert deviated.gen_mw["A3"] == pytest.approx(dev.q_deviated, abs=1e-9)
     assert dev.welfare_delta == pytest.approx(-150.0 * 15.0, rel=1e-9)
 
 

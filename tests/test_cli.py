@@ -211,6 +211,18 @@ def test_bidding_truthful_offer_zero_deltas(scenario_dir, tmp_path):
     assert "welfare_delta,-0.00" in text or "welfare_delta,0.00" in text
 
 
+def test_bidding_takes_the_scenario_offer_only_for_its_own_unit(scenario_dir, tmp_path, capsys):
+    # twobus's run.bid_deviation offers 70 for A3; B1's true cost is 80
+    code = run(["bidding", scenario_dir / "twobus.scn", "--generator", "B1", "--out", tmp_path])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: run.bid_deviation offers for 'A3', not 'B1': pass --offered-ic"
+    ]
+    assert captured.out == ""
+    assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+
+
 def test_bidding_unknown_generator(scenario_dir, tmp_path, capsys):
     code = run(["bidding", scenario_dir / "twobus.scn", "--generator", "zzz",
                 "--offered-ic", "10", "--out", tmp_path])

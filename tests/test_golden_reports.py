@@ -23,26 +23,28 @@ from gridclear.cli import main
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 GOLDEN = Path(__file__).parent / "golden_reports.json"
+PRICES = Path(__file__).parent / "golden_prices.csv"
 SCHEMES = ("nodal", "zonal", "zonal_cm", "copper", "uniform")
 SCENARIOS = ("fourbus", "fourbus_tie270", "twobus", "fivebus_ruc")
 
 
-def cases() -> dict[str, list[str]]:
-    """Case key -> argv without the scenario directory and output flags."""
+def cases() -> dict[str, list]:
+    """Case key -> argv without the output flags."""
     out = {}
     for sc in SCENARIOS:
         for scheme in SCHEMES:
             for fmt in ("csv", "md"):
-                out[f"clear {sc} {scheme} {fmt}"] = ["clear", f"{sc}.scn", "--scheme", scheme, "--format", fmt]
-        out[f"compare {sc}"] = ["compare", f"{sc}.scn"]
-        out[f"compare {sc} csv"] = ["compare", f"{sc}.scn", "--format", "csv"]
-    out["daucruc fivebus_ruc"] = ["daucruc", "fivebus_ruc.scn"]
-    out["bidding twobus"] = ["bidding", "twobus.scn"]
+                out[f"clear {sc} {scheme} {fmt}"] = ["clear", SCENARIO_DIR / f"{sc}.scn", "--scheme", scheme, "--format", fmt]
+        out[f"compare {sc}"] = ["compare", SCENARIO_DIR / f"{sc}.scn"]
+        out[f"compare {sc} csv"] = ["compare", SCENARIO_DIR / f"{sc}.scn", "--format", "csv"]
+    out["daucruc fivebus_ruc"] = ["daucruc", SCENARIO_DIR / "fivebus_ruc.scn"]
+    out["bidding twobus"] = ["bidding", SCENARIO_DIR / "twobus.scn"]
+    out["stats golden_prices"] = ["stats", PRICES]
     return out
 
 
-def run_case(argv: list[str], out_dir: Path) -> dict:
-    full = [argv[0], str(SCENARIO_DIR / argv[1]), *argv[2:], "--out", str(out_dir), "--no-timestamp"]
+def run_case(argv: list, out_dir: Path) -> dict:
+    full = [*map(str, argv), "--out", str(out_dir), "--no-timestamp"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(full)
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

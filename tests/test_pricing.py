@@ -110,6 +110,13 @@ def test_empty_marginal_set_is_hard_error():
         form_smp(single_interval_schedule(result, gens), net, gens)
 
 
+def test_schedule_unit_missing_from_the_generators_is_a_contract_error(twobus):
+    net, gens = twobus
+    schedule = single_interval_schedule(clear(net, gens, ZONAL), gens)
+    with pytest.raises(PricingContractError, match="'B2'"):
+        form_smp(schedule, net, [g for g in gens if g.id != "B2"])
+
+
 def test_smp_is_max_over_marginal_set():
     net = Network(
         (Bus("x", "Z", 120.0, 300.0), Bus("y", "Z", 0.0, 0.0)),
