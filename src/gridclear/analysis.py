@@ -20,11 +20,8 @@ from gridclear.dispatch import (
     clear,
 )
 from gridclear.grid import Network
-from gridclear.pricing import SCHEMES, PriceFormationError, form_prices
+from gridclear.pricing import BID_SCHEMES, SCHEMES, PriceFormationError, form_prices
 from gridclear.settlement import price_at
-
-
-BID_SCHEMES = ("uniform", "zonal", "nodal")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from gridclear.analysis import BID_SCHEMES, evaluate_bid_deviation, price_stats
+from gridclear.analysis import evaluate_bid_deviation, price_stats
 from gridclear.commitment import UcEnumerationLimitError, UcInfeasibleError, run_dauc_ruc
 from gridclear.dispatch import ConstraintRegime, clear, with_forced_bounds
 from gridclear.grid import MW_TOL, GridNumericalError, format_number, overloaded_lines
 from gridclear.lp import LpNumericalError
-from gridclear.pricing import SCHEMES, PriceFormationError, form_prices, form_smp
+from gridclear.pricing import BID_SCHEMES, SCHEMES, PriceFormationError, form_prices, form_smp
 from gridclear.scenario import (
     Scenario,
     ScenarioValidationError,

@@ -258,9 +258,7 @@ class ClearingTemplate:
         net, gens, regime = self.net, self.gens, self.regime
         load_of = {b.id: (loads[b.id] if loads and b.id in loads else b.load_mw)
                    for b in net.buses}
-        is_on = {g.id: (committed.get(g.id, False) if committed is not None else True)
-                 for g in gens}
-        on = [k for k, g in enumerate(gens) if is_on[g.id]]
+        on = [k for k, g in enumerate(gens) if committed is None or committed.get(g.id, False)]
         loaded = [k for k, b in enumerate(net.buses) if load_of[b.id] > 0]
         cols = on + [len(gens) + k for k in loaded] + list(
             range(len(gens) + len(net.buses), len(self.cost)))
@@ -287,7 +285,7 @@ class ClearingTemplate:
             self.cost.take(at), self.lower.take(at), upper, self.A[:keep].take(at, axis=1),
             self.sense[:keep], rhs[:keep], tuple([self.var_names[j] for j in cols]),
             self.row_labels[:keep])
-        return ClearingCase(self, lp, load_of, is_on, gvar, cvar)
+        return ClearingCase(self, lp, load_of, gvar, cvar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +297,6 @@ class ClearingCase:
     template: ClearingTemplate
     lp: lpmod.LinearProgram
     load_of: dict[str, float]
-    is_on: dict[str, bool]
     gvar: dict[str, int]  # online unit -> its column
     cvar: dict[str, int]  # loaded bus -> its curtailment column
 
@@ -370,8 +367,8 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
     resolution, physical flows, prices, flags and binding rows."""
     net, gens, regime = case.template.net, case.template.gens, case.template.regime
     problem, balance = case.lp, case.template.balance
-    load_of, is_on, gvar, cvar = case.load_of, case.is_on, case.gvar, case.cvar
-    active = [g for g in gens if is_on[g.id]]
+    load_of, gvar, cvar = case.load_of, case.gvar, case.cvar
+    active = [g for g in gens if g.id in gvar]
     limit_rows = range(len(balance), len(problem.row_labels))  # the balance rows come first
     limits = {problem.row_labels[i]: float(problem.rhs[i]) for i in limit_rows}
 
@@ -383,11 +380,11 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
             binding=(), balance_duals={}, total_cost=0.0, feasible=False,
             violations=(f"lp_{sol.status}: no dispatch satisfies the enforced constraints",),
             physical_violations=(), served_mw={},
-            gen_flags={g.id: ("offline" if not is_on[g.id] else "") for g in gens},
+            gen_flags={g.id: ("" if g.id in gvar else "offline") for g in gens},
             objective_value=0.0, limits=limits,
         )
 
-    gen_mw = {g.id: (sol.primal[gvar[g.id]] if is_on[g.id] else 0.0) for g in gens}
+    gen_mw = {g.id: (sol.primal[gvar[g.id]] if g.id in gvar else 0.0) for g in gens}
     curtail = {b: sol.primal[j] for b, j in cvar.items()}
     served = {b.id: load_of[b.id] - curtail.get(b.id, 0.0) for b in net.buses}
 
@@ -405,7 +402,7 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
                     if abs(sol.duals[i]) > _DUAL_EPS)
 
     local_dual = {g.id: balance_duals.get(location(net, regime.mode, g.bus_id), 0.0) for g in gens}
-    flags = _gen_flags(gens, gen_mw, local_dual, is_on)
+    flags = _gen_flags(gens, gen_mw, local_dual, gvar)
     total_cost = sum(g.ic * gen_mw[g.id] for g in gens)
     total_curtail = sum(curtail.values())
     violations = []
@@ -517,10 +514,10 @@ def _apply_exhaustion_convention(balance_duals, gens, gen_mw, curtail):
                 balance_duals[key] = cap_price
 
 
-def _gen_flags(gens, gen_mw, local_dual, is_on) -> dict[str, str]:
+def _gen_flags(gens, gen_mw, local_dual, gvar) -> dict[str, str]:
     flags: dict[str, str] = {}
     for g in gens:
-        if not is_on[g.id]:
+        if g.id not in gvar:
             flags[g.id] = "offline"
             continue
         q = gen_mw[g.id]

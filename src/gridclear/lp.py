@@ -12,19 +12,18 @@ Its names only label rejection messages and reports.  ``LpBuilder.var`` and
 ``LpBuilder.row`` return positions, which index the program's arrays and the
 tuples of floats an ``LpSolution`` holds.
 
-Phase 1 gathers the basis matrix and solves the basic values once, at its
-start; phase 2 starts from the basic values phase 1 (or the re-solve that
-expels an artificial) left on the same basis, and solves none.  The simplex
-keeps an explicit basis inverse: phase 1's all-artificial basis,
-``diag(+-1)``, is its own inverse, phase 2 inherits phase 1's (or, if an
-artificial was expelled, inverts its basis at its first basis change), and
-each new basis updates it by one rank-1 (eta) step with the pivot's
-direction, inverting the basis afresh, and solving the basic values afresh
-with it, after ``REINVERT_EVERY`` updates.  A pivot or bound flip takes its
-entering direction from the inverse, ``Binv @ A[:, q]``, and makes no LAPACK
-solve; the basis matrix gets the entering column in place, and the basic
-values move by the step just taken.  Only phase 2 before its first basis
-change after an expelled artificial, having no inverse, solves the direction.
+The simplex holds one explicit basis inverse from its first basis to its
+last.  Phase 1's all-artificial basis, ``diag(+-1)``, is its own inverse, and
+its basic values are ``b - A_N x_N`` divided by those signs, so phase 1
+solves nothing at its start.  Phase 2 inherits phase 1's inverse and basic
+values on the same basis, or, if an artificial was expelled, the inverse and
+basic values of the basis expelling ended on.  Each new basis updates the
+inverse by one rank-1 (eta) step with the pivot's direction, inverting the
+basis afresh, and solving the basic values afresh with it, after
+``REINVERT_EVERY`` updates.  A pivot or bound flip takes its entering
+direction from the inverse, ``Binv @ A[:, q]``, and makes no LAPACK solve;
+the basis matrix gets the entering column in place, and the basic values
+move by the step just taken.
 
 A direction from the inverse and basic values carried from step to step
 drift from a fresh solve's by rounding, so the ratio test allows for drift:
@@ -42,18 +41,17 @@ max|x_B|)``.  On the meshes about 0.3% of pivots are decided again, on the
 commitment LPs about 9%, where step lengths tie exactly (both rows block at
 the same 100 MW) and any relative margin covers the tie.
 
-The duals of a new basis come from the inverse too, ``cb @ Binv``.  Phase 2
-prices its first basis with a dual solve, and when no column improves on
-duals from the inverse, one dual solve on that basis prices again; the run
-stops if still no column improves, and pivots on otherwise.  At a phase's
-optimum the basic values are solved once more on the final basis (unless no
-step moved them since they were last solved), so the phase-1 feasibility
-test, the start of phase 2 and the report read exactly what a fresh solve of
-that basis gives.  Pricing makes Bland's choice with one comparison of each
-column's signed reduced cost (the sign says which way the column may move),
-plus a test of the nonbasic free columns while there are any; the ratio test
-visits in Python only the rows the step may move, reading the basis, its
-bounds and the basic values as Python lists.  The signs and lists are kept
+Every basis is priced from the inverse, ``cb @ Binv``.  When no column
+improves on those duals in phase 2, one dual solve on that basis prices
+again; the run stops if still no column improves, and pivots on otherwise.
+At a phase's optimum the basic values are solved once more on the final
+basis (unless no step moved them since they were set up or solved), so the
+phase-1 feasibility test, the start of phase 2 and the report read what a
+fresh solve of that basis gives.  Pricing makes Bland's choice with one
+comparison of each column's signed reduced cost (the sign says which way the
+column may move), plus a test of the nonbasic free columns while there are
+any; the ratio test visits in Python only the rows the step may move,
+reading the basis, its bounds and the basic values as Python lists.  The signs and lists are kept
 across pivots, and a pivot or bound flip updates only the positions it
 touches.  Against the plain method, which solves the basic values, duals and
 direction at every pivot, the contract is the same pivot path, and reported
@@ -75,8 +73,9 @@ text; any other invalid operation (``inf - inf``, ``0 * inf`` on huge
 inputs) becomes ``LpNumericalError`` too, never a nan in a report.
 The basis inverse comes from ``_lapack_inv``, the gufunc ``np.linalg.inv``
 calls, under the same policy; a singular basis fails there as the dual solve
-does, and in ``_expel_artificials``, which inverts the basis once and again
-only after a pivot, with a message of its own.
+does, and in ``_expel_artificials``, which inverts the basis once if phase 1's
+inverse has taken updates and again after each pivot, with a message of its
+own.
 ``tests/test_lp.py::test_lapack_solve_is_np_linalg_solve_bit_for_bit`` pins
 both gufuncs and texts, so a numpy that changes what they return or how they
 flag a singular matrix fails there; one that renames them fails on import.
@@ -359,9 +358,7 @@ class _Simplex:
         if (self.x[self.art0:] > FEAS_TOL * (1.0 + np.abs(self.b))).any():
             return self._report("infeasible")
         self._expel_artificials()
-        # artificials are pinned at zero for phase 2
-        self.lower[self.art0:] = 0.0
-        self.upper[self.art0:] = 0.0
+        self.upper[self.art0:] = 0.0  # artificials are pinned at zero, their lower bound, for phase 2
         return self._report(self._iterate(self.cost_real, phase=2))
 
     def _init_basis(self):
@@ -370,13 +367,15 @@ class _Simplex:
         has_lower = lo > -INF
         self.status = np.where(free, _FREE_NB, np.where(has_lower, _AT_LOWER, _AT_UPPER))
         self.x = np.where(free, 0.0, np.where(has_lower, lo, up))
-        resid = self.b - self.A[:, : self.art0] @ self.x[: self.art0]
         rows = np.arange(self.m)
         self.basis = self.art0 + rows
-        self.A[rows, self.basis] = np.where(resid >= 0, 1.0, -1.0)
-        self.x[self.basis] = np.abs(resid)
         self.status[self.basis] = _BASIC
-        self.Binv, self.age = None, 0  # the basis inverse and its updates; phase 1 starts it
+        nonbasic = self.status != _BASIC  # gathered as _solve_basics does: x_B is a solve's bits
+        resid = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
+        signs = np.where(resid >= 0, 1.0, -1.0)
+        self.A[rows, self.basis] = signs
+        self.x[self.basis] = resid / signs  # B x_B = resid with B = diag(signs)
+        self.Binv, self.age = np.diag(signs), 0  # the basis inverse and its updates; diag(+-1) is its own
 
     # -- simplex core --------------------------------------------------------
     def _solve_basics(self, B: np.ndarray) -> np.ndarray:
@@ -388,32 +387,29 @@ class _Simplex:
 
     def _iterate(self, cost: np.ndarray, phase: int) -> str:
         """Pivot to an optimum of ``cost``.  The basis ``B`` is gathered once,
-        at the start, and phase 1 solves the basic values ``x_B`` there;
-        phase 2 starts from the ``x_B`` that phase 1's optimum (or
-        ``_expel_artificials``' last re-solve) left on the same basis.  Phase
-        1's all-artificial basis is ``diag(+-1)``, its own inverse ``Binv``;
-        phase 2 takes phase 1's, or none if ``_expel_artificials`` pivoted.
-        A pivot or bound flip takes its direction ``Binv @ A[:, q]`` from the
-        inverse, or solves it while there is none, and ``_ratio_test`` picks
-        the blocking variable allowing for the drift of that direction and of
-        ``x_B``; a pick it cannot make within that drift is made again on a
-        fresh solve of ``x_B`` and of the direction, without the allowance.
-        A pivot then writes the entering column into ``B`` and a step of
-        length ``t`` moves ``x_B`` by ``t`` times the direction the ratio
-        test read, the entering variable's new value taking the leaving row's
-        slot.  A new basis updates ``Binv`` by that direction, or inverts
-        ``B`` afresh, and solves ``x_B`` afresh, when there is no ``Binv`` or
-        it has had ``REINVERT_EVERY`` updates.  Phase 2 prices its first
-        basis with a dual solve; every new basis is priced from ``Binv``.
-        When no column improves in phase 2 on duals from ``Binv``, one dual
-        solve on the final basis prices again, and pivoting goes on if a
-        column improves on those duals.  Each column's improving sign (+1 may
-        increase, -1 may decrease, 0 neither or either way), the nonbasic
-        free columns, and the basis with its bounds as Python lists are kept
-        across pivots.  At the optimum ``x_B`` is solved again on the final
-        basis if a step has moved it since it was last solved, so ``self.x``
-        and, in phase 2, ``self.y`` and ``self.rc`` hold exactly what a fresh
-        solve of that basis gives."""
+        at the start; ``x_B`` and the basis inverse ``Binv`` are the ones the
+        run holds (``_init_basis``' for phase 1, phase 1's or
+        ``_expel_artificials``' for phase 2), so neither phase solves at its
+        start.  A pivot or bound flip takes its direction ``Binv @ A[:, q]``
+        from the inverse, and ``_ratio_test`` picks the blocking variable
+        allowing for the drift of that direction and of ``x_B``; a pick it
+        cannot make within that drift is made again on a fresh solve of
+        ``x_B`` and of the direction, without the allowance.  A pivot then
+        writes the entering column into ``B`` and a step of length ``t``
+        moves ``x_B`` by ``t`` times the direction the ratio test read, the
+        entering variable's new value taking the leaving row's slot.  A new
+        basis updates ``Binv`` by that direction, or inverts ``B`` afresh,
+        and solves ``x_B`` afresh, when ``Binv`` has had ``REINVERT_EVERY``
+        updates.  Every basis is priced from ``Binv``.  When no column
+        improves in phase 2 on those duals, one dual solve on the final basis
+        prices again, and pivoting goes on if a column improves on those
+        duals.  Each column's improving sign (+1 may increase, -1 may
+        decrease, 0 neither or either way), the nonbasic free columns, and
+        the basis with its bounds as Python lists are kept across pivots.  At
+        the optimum ``x_B`` is solved again on the final basis if a step has
+        moved it since it was last set, so ``self.x`` and, in phase 2,
+        ``self.y`` and ``self.rc`` hold what a fresh solve of that basis
+        gives."""
         A, st = self.A, self.status
         movable = ~(self.upper - self.lower <= 0)  # fixed variables never enter
         lower, upper, can_move = self.lower.tolist(), self.upper.tolist(), movable.tolist()
@@ -422,14 +418,9 @@ class _Simplex:
         basis = self.basis.tolist()
         lo_b, up_b = [lower[k] for k in basis], [upper[k] for k in basis]
         B, cb = A[:, self.basis], cost[self.basis]
-        if phase == 1:
-            xb = self._solve_basics(B)
-            Binv, age = B.copy(), 0  # diag(+-1) is its own inverse
-        else:
-            xb = self.x[self.basis]
-            Binv, age = self.Binv, self.age  # None if _expel_artificials pivoted
+        xb, Binv, age = self.x[self.basis], self.Binv, self.age
         moved = False  # has a step changed x since xb was solved?
-        solved = phase == 2  # price by a dual solve, not from Binv
+        solved = False  # priced by a dual solve, not from Binv
         rc = None
         for _ in range(MAX_ITERATIONS):
             if rc is None:
@@ -451,10 +442,7 @@ class _Simplex:
             direction = int(sign[entering]) or (1 if rc[entering] < 0 else -1)
             span = upper[entering] - lower[entering]
             column = A[:, entering]
-            if Binv is None:
-                d = _lapack_solve(B, column, "singular basis")
-            else:
-                d = _inverse_direction(Binv, column)
+            d = _inverse_direction(Binv, column)
             drift = DIRECTION_DRIFT, DIRECTION_FLOOR, BASICS_DRIFT * (1.0 + math.sqrt(xb.dot(xb)))
             pick = _ratio_test(d, xb, basis, lo_b, up_b, entering, direction, span, drift)
             if pick is None:  # within the drift of a threshold: decide as a fresh solve does
@@ -489,7 +477,7 @@ class _Simplex:
             sign[leaving] = (-1.0 if to_upper else 1.0) if can_move[leaving] else 0.0
             if best_idx == entering:
                 continue
-            if Binv is None or age == REINVERT_EVERY:  # invert afresh, and solve x_B afresh with it
+            if age == REINVERT_EVERY:  # invert afresh, and solve x_B afresh with it
                 Binv, age = _lapack_inv(B), 0
                 xb, moved = self._solve_basics(B), False
             else:  # eta update: row r /= d_r, then row i -= d_i * row r for i != r
@@ -502,12 +490,15 @@ class _Simplex:
 
     def _expel_artificials(self):
         """Pivot basic artificials out where possible; rows that cannot be
-        re-based are redundant and keep a zero-valued artificial (dual 0)."""
-        binv = None  # the inverse of the current basis, inverted again after each pivot
+        re-based are redundant and keep a zero-valued artificial (dual 0).
+        Rows are read from a fresh inverse of the basis: phase 1's if it has
+        taken no updates, else one inverted here; each pivot inverts its new
+        basis, so phase 2 starts from the inverse of the basis this ends on."""
+        singular = "singular basis (expelling an artificial)"
         for pos in np.flatnonzero(self.basis >= self.art0):
-            if binv is None:
-                binv = _lapack_inv(self.A[:, self.basis], "singular basis (expelling an artificial)")
-            row = binv[pos] @ self.A[:, : self.art0]
+            if self.age:  # rows are read from a fresh inverse
+                self.Binv, self.age = _lapack_inv(self.A[:, self.basis], singular), 0
+            row = self.Binv[pos] @ self.A[:, : self.art0]
             pivots = np.flatnonzero((self.status[: self.art0] != _BASIC) & (np.abs(row) > PIVOT_TOL))
             if pivots.size:
                 j = self.basis[pos]
@@ -516,7 +507,7 @@ class _Simplex:
                 self.basis[pos] = pivots[0]
                 self.status[pivots[0]] = _BASIC
                 self._solve_basics(self.A[:, self.basis])
-                self.Binv = binv = None  # phase 2 inverts its basis at its first basis change
+                self.Binv = _lapack_inv(self.A[:, self.basis], singular)
 
     # -- reporting -----------------------------------------------------------
     def _report(self, status: str) -> LpSolution:

@@ -110,6 +110,7 @@ SCHEMES = {
     "copper": Scheme("Copper plate", "copper", "copper_plate", "uniform_smp"),
     "uniform": Scheme("Uniform (constrained schedule)", "zonal", "zonal", "uniform_smp"),
 }
+BID_SCHEMES = ("uniform", "zonal", "nodal")  # the schemes a bid deviation is evaluated under
 
 
 def stack_price(gen: GeneratorSpec, q: float, hours_on: int = 1, hour: int = 0) -> StackPrice:

@@ -32,15 +32,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from gridclear.analysis import BID_SCHEMES
 from gridclear.dispatch import ConstraintRegime, DispatchResult, GeneratorSpec, with_forced_bounds
 from gridclear.grid import Bus, GridStructureError, Interface, Line, Network, format_number
-from gridclear.pricing import SCHEMES, PriceReport
+from gridclear.pricing import BID_SCHEMES, SCHEMES, PriceReport
 from gridclear.settlement import SettlementReport
 
 # stable validation error codes
@@ -203,9 +203,18 @@ def _fields(col, raw, where, table) -> dict[str, Any]:
     return out
 
 
+_CELL_BREAKING = re.compile(r'[,|"\x00-\x1f\x7f-\x9f]')  # CSV and markdown separators, quotes, controls
+
+
+def _check_name(col, where, kind, name):  # an id or zone name that would break a report cell
+    if _CELL_BREAKING.search(name):
+        col.add(E_VALUE, where, f"{kind} {name!r} may not hold ',', '|', '\"' or a control character")
+
+
 def _entries(col, items, where, table, kind):
     """``(where, fields)`` of each entry of an id-keyed list that is an object
-    with every required field read and an id not seen before."""
+    with every required field read and an id not seen before; one whose id
+    breaks a report cell is yielded too, so the fault is one issue."""
     required = [key for key, (_, default) in table.items() if default is _REQUIRED]
     seen = set()
     for i, raw in enumerate(items):
@@ -220,6 +229,7 @@ def _entries(col, items, where, table, kind):
             col.add(E_DUP, at, f"duplicate {kind} id {f['id']!r}")
             continue
         seen.add(f["id"])
+        _check_name(col, f"{at}.id", f"{kind} id", f["id"])
         yield at, f
 
 
@@ -301,6 +311,8 @@ def _parse_network(raw, col) -> Network | None:
         return None
     f = _fields(col, raw, "network", _NETWORK)
     zones = f["zones"] or ()
+    for i, z in enumerate(zones):
+        _check_name(col, f"network.zones[{i}]", "zone", str(z))
     if not f["buses"]:
         col.add(E_SECTION, "network.buses", "at least one bus is required")
 

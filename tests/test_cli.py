@@ -311,6 +311,25 @@ def test_validate_checks_references_despite_issues_outside_the_network(scenario_
         assert f"  - {issue}: " in err
 
 
+def test_validate_rejects_ids_and_zones_that_break_report_cells(scenario_dir, tmp_path, capsys):
+    # such a file would write "0,A1,x|y,450.00,at_capacity" under a four-column header
+    def edit(doc):
+        doc["generators"][0]["id"] = "A1,x|y"
+        doc["network"]["zones"][0] = "Z,A"
+        for bus in doc["network"]["buses"]:
+            bus["zone"] = "Z,A" if bus["zone"] == "ZA" else bus["zone"]
+
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", edit)
+    assert run(["validate", p]) == 1
+    rule = "may not hold ',', '|', '\"' or a control character"
+    assert capsys.readouterr().err == (
+        "scenario validation failed:\n"
+        f"  - E_VALUE at network.zones[0]: zone 'Z,A' {rule}\n"
+        f"  - E_VALUE at generators[0].id: generator id 'A1,x|y' {rule}\n")
+    assert run(["clear", p, "--out", tmp_path / "o"]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_clear_honours_loads_section(scenario_dir, tmp_path):
     p = _edited_scenario(scenario_dir, tmp_path, "twobus",
                          lambda doc: doc.update(loads={"a": 100, "b": 100}))

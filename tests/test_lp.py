@@ -262,14 +262,16 @@ def test_solve_matches_the_reference_bit_for_bit(seed):
 
 
 def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
-    # min -x, x in [0, 5], x <= 10.  Phase 1 solves the basic values at its
-    # start, phase 2 starts from phase 1's, and each phase solves them again
-    # at its optimum if a step moved them.  A pivot or bound flip takes its
-    # direction from the basis inverse, which phase 1 starts as its
-    # all-artificial basis without a solve and phase 2 inherits, so it
-    # solves nothing; phase 2 prices its first basis with one dual solve.
+    # min -x, x in [0, 5], x <= 10.  The simplex keeps one basis inverse
+    # from its first basis to its last: phase 1 starts from its
+    # all-artificial basis, diag(+-1), which is its own inverse, with the
+    # basic values it sets up without a solve; phase 2 starts from phase 1's
+    # basic values and inverse.  A pivot or bound flip takes its direction
+    # from the inverse and every basis is priced from it, so they solve
+    # nothing; each phase solves the basic values again at its optimum if a
+    # step moved them, and phase 2 confirms its optimum with one dual solve.
     # Phase 1: x enters and flips to its upper bound, then the slack
-    # replaces the artificial; phase 2 prices once and stops.
+    # replaces the artificial; phase 2 is optimal at once.
     b = LpBuilder()
     x = b.var("x", 0.0, 5.0, -1.0)
     b.row({x: 1.0}, "<=", 10.0, "cap")
@@ -301,14 +303,13 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     sol = solve(b.build())
     assert sol.primal[x] == 5.0 and sol.objective_value == -5.0
     assert events == [
-        "basics",   # phase 1: x flips to its upper bound, then the slack replaces the artificial
-        "basics",   # the new basis is optimal; x_B moved
-        "duals",    # phase 2 is optimal at once
+        "basics",   # phase 1's new basis is optimal; x_B moved
+        "duals",    # phase 2 is optimal at once on duals from the inverse, and on solved ones
         "report",
     ]
 
     # min -x - 2y, x and y in [0, 10], x + y <= 4: phase 2 pivots once, on
-    # duals from the inverse, and solves them once more at its optimum
+    # duals from the inverse, and solves them once at its optimum
     b = LpBuilder()
     x, y = b.var("x", 0.0, 10.0, -1.0), b.var("y", 0.0, 10.0, -2.0)
     b.row({x: 1.0, y: 1.0}, "<=", 4.0, "cap")
@@ -316,10 +317,8 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     sol = solve(b.build())
     assert sol.primal == (0.0, 4.0) and sol.duals == (-2.0,)
     assert events == [
-        "basics",           # phase 1: x replaces the artificial
-        "basics",           # the new basis is optimal; x_B moved
-        "duals",            # phase 2 prices its first basis; y replaces x
-        "duals", "basics",  # no column improves on the updated inverse's duals, nor on solved ones
+        "basics",           # phase 1: x replaces the artificial; x_B moved
+        "duals", "basics",  # phase 2: y replaces x, and the optimum is confirmed
         "report",
     ]
 
@@ -335,10 +334,26 @@ def test_report_and_bound_flips_solve_nothing_more(monkeypatch):
     sol = solve(b.build())
     assert sol.primal == (4.0,) and sol.objective_value == -4.0
     assert events == [
-        "basics",
         "basics", "direction",  # phase 1: x enters, and the tie is decided again
         "basics",               # the slack replaces the last artificial; x_B moved
         "duals",                # phase 2 is optimal at once
+        "report",
+    ]
+
+    # The start point satisfies every row, so phase 1 ends at once, and
+    # _expel_artificials pivots a structural column in for each of the five
+    # artificials, inverting each new basis.  Phase 2 starts from the last
+    # of those inverses: its first pivot takes its direction from it, and
+    # its next two, exact ties, are decided again.
+    lp = _fixed_column_lp()
+    events.clear()
+    sol = solve(lp)
+    assert sol.objective_value == 8.0
+    assert events == [
+        *["basics", "inverse"] * 5,  # _expel_artificials: one inversion per pivot
+        "basics", "direction",       # phase 2: the second pivot is decided again
+        "basics", "direction",       # and the third
+        "duals", "basics",           # the optimum
         "report",
     ]
 
@@ -374,19 +389,21 @@ def test_lapack_solve_is_np_linalg_solve_bit_for_bit():
 
     basics = message(ref._recompute_basics)
     assert basics == "LpNumericalError(singular basis: Singular matrix)"
-    assert message(new._iterate, new.cost_real, 1) == basics  # phase 1 solves x_B first
-    # phase 2 inverts the basis for its duals
+    # the basic values at an optimum, after a re-inversion or for a pivot decided again
+    assert message(new._solve_basics, lp.A[:, [0, 0]]) == basics
     duals = message(ref._duals, ref.cost_real)
     assert duals == "LpNumericalError(singular basis (dual solve): Singular matrix)"
-    assert message(new._iterate, new.cost_real, 2) == duals
+    # phase 2 confirms an optimum priced from the inverse with a dual solve
+    assert message(new._iterate, np.zeros(new.ncols), 2) == duals
     B = lp.A[:, [0, 0]]
     assert message(lpmod._lapack_solve, B, lp.A[:, 1], "singular basis") == basics  # direction
     assert message(lpmod._lapack_inv, B) == duals  # a re-inversion between pivots
 
 
 def test_expelling_an_artificial_from_a_singular_basis_says_so():
-    # _expel_artificials inverts the basis through _lapack_inv under the
-    # run's float-error policy, and names its own step when that fails
+    # _expel_artificials reads rows from a fresh inverse: phase 1's if it
+    # has taken no updates, else one it inverts through _lapack_inv under
+    # the run's float-error policy, naming its own step when that fails
     b = LpBuilder()
     x = b.var("x", 0.0, 10.0, 1.0)
     b.row({x: 1.0}, "<=", 4.0, "r0")
@@ -394,6 +411,7 @@ def test_expelling_an_artificial_from_a_singular_basis_says_so():
     simplex = lpmod._Simplex(b.build())
     simplex._init_basis()
     simplex.basis[:] = simplex.art0  # two copies of one artificial column
+    simplex.age = 1  # an inverse that has taken an update is inverted afresh
     with np.errstate(invalid="raise"), pytest.raises(LpNumericalError) as exc:
         simplex._expel_artificials()
     assert str(exc.value) == "singular basis (expelling an artificial): Singular matrix"
@@ -437,11 +455,7 @@ def test_a_finite_room_whose_step_overflows_never_blocks(monkeypatch):
         assert solve_outcome(solve, lp) == solve_outcome(reference_solve, lp)
 
 
-def test_fixed_column_that_leaves_the_basis_stays_out():
-    # The start point satisfies every row, so phase 1 ends at once and
-    # expelling the artificials pivots the fixed x1, x2 and x3 into the
-    # basis; phase 2 pivots them out at a degenerate vertex.  A fixed column
-    # that priced back in would reach the same optimum with other duals.
+def _fixed_column_lp():
     b = LpBuilder()
     x = [b.var("x0", 2.0, 3.0, 2.0), b.var("x1", 1.0, 1.0, -2.0), b.var("x2", 0.0, 0.0, 0.0),
          b.var("x3", 1.0, 1.0, 5.0), b.var("x4", -INF, 1.0, 1.0)]
@@ -450,7 +464,15 @@ def test_fixed_column_that_leaves_the_basis_stays_out():
     b.row({x[1]: 1.0, x[3]: 2.0, x[4]: 1.0}, "=", 4.0, "r2")
     b.row({x[0]: -1.0, x[1]: 2.0, x[4]: 2.0}, ">=", 2.0, "r3")
     b.row({x[2]: -1.0, x[3]: -1.0}, ">=", -1.0, "r4")
-    lp = b.build()
+    return b.build()
+
+
+def test_fixed_column_that_leaves_the_basis_stays_out():
+    # The start point satisfies every row, so phase 1 ends at once and
+    # expelling the artificials pivots the fixed x1, x2 and x3 into the
+    # basis; phase 2 pivots them out at a degenerate vertex.  A fixed column
+    # that priced back in would reach the same optimum with other duals.
+    lp = _fixed_column_lp()
     sol = solve(lp)
     assert sol.objective_value == 8.0
     assert sol.duals[1:3] == (2.0, -1.0)  # rows r1 and r2

@@ -244,6 +244,50 @@ def _at(*path):
     return edit
 
 
+def _rename_bus(doc, name):
+    doc["network"]["buses"][1]["id"] = doc["network"]["lines"][0]["to"] = name
+    doc["generators"][0]["bus"] = name
+
+
+def _rename_zone(doc, name):
+    doc["network"]["zones"][0] = name
+    for bus in doc["network"]["buses"]:
+        bus["zone"] = name
+
+
+_CELL_BREAKING = {
+    "bus id comma": (_rename_bus, "y,z", "network.buses[1].id"),
+    "line id bar": (_at("network", "lines", 0, "id"), "l|m", "network.lines[0].id"),
+    "unit id quote": (_at("generators", 0, "id"), 'g"h', "generators[0].id"),
+    "unit id newline": (_at("generators", 0, "id"), "g\nh", "generators[0].id"),
+    "unit id delete": (_at("generators", 0, "id"), "g\x7f", "generators[0].id"),
+    "zone tab": (_rename_zone, "Z\t", "network.zones[0]"),
+}
+
+
+@pytest.mark.parametrize("edit, name, where", _CELL_BREAKING.values(), ids=_CELL_BREAKING.keys())
+def test_a_name_that_breaks_a_report_cell_is_one_issue_at_its_path(edit, name, where):
+    """An id or zone name holding a CSV or markdown separator, a quote or a
+    control character is E_VALUE at its path, printed with ``repr`` so no
+    raw control character reaches the message; the references to it still
+    resolve, so it is the only issue."""
+    doc = _minimal_doc()
+    edit(doc, name)
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    [issue] = err.value.issues
+    assert (issue.code, issue.where) == (E_VALUE, where)
+    assert repr(name) in issue.message and "\n" not in issue.message and "\t" not in issue.message
+
+
+def test_a_name_with_spaces_and_letters_of_any_script_loads():
+    doc = _minimal_doc()
+    _at("generators", 0, "id")(doc, "Yeongheung #1 (영흥)")
+    _rename_zone(doc, "수도권 zone")
+    sc = parse_scenario(doc)
+    assert (sc.generators[0].id, sc.network.zones) == ("Yeongheung #1 (영흥)", ("수도권 zone",))
+
+
 def _with_hourly_load(doc, v):
     doc["run"]["horizon"] = 2
     doc["loads"] = {"x": [10.0, v]}
