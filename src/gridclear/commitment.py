@@ -48,7 +48,7 @@ import numpy as np
 
 from gridclear.dispatch import (
     ClearingCase, ClearingTemplate, ConstraintRegime, DispatchResult, GeneratorSpec,
-    build_template, check_keys, check_loads, finish, interface_zones, location,
+    build_template, check_flags, check_loads, finish, location,
 )
 from gridclear import lp as lpmod
 from gridclear.grid import MW_TOL, Network
@@ -142,29 +142,17 @@ def feasible_sequences(unit: GeneratorSpec, horizon: int) -> tuple[tuple[int, ..
     return _sequences(unit, (0,) * horizon)
 
 
-def _hours_on_counts(unit: GeneratorSpec, seq: Sequence[int]) -> tuple[int, ...]:
-    run = unit.initial_hours if unit.initially_on else 0
-    counts = []
-    prev_on = unit.initially_on
+def _runs(unit: GeneratorSpec, seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The unit's consecutive online hours at each hour of ``seq`` (0 when
+    off) and its number of starts, walked from its initial state."""
+    on, run = unit.initially_on, unit.initial_hours if unit.initially_on else 0
+    hours_on, starts = [], 0
     for s in seq:
-        if s:
-            run = run + 1 if prev_on else 1
-            counts.append(run)
-        else:
-            run = 0
-            counts.append(0)
-        prev_on = bool(s)
-    return tuple(counts)
-
-
-def _start_count(unit: GeneratorSpec, seq: Sequence[int]) -> int:
-    prev = 1 if unit.initially_on else 0
-    starts = 0
-    for s in seq:
-        if s and not prev:
-            starts += 1
-        prev = s
-    return starts
+        starts += bool(s) and not on
+        on = bool(s)
+        run = run + 1 if on else 0
+        hours_on.append(run)
+    return tuple(hours_on), starts
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +171,7 @@ def _floor(lower_bounds: Mapping[str, Sequence[int]] | None, unit: GeneratorSpec
     """The unit's lower-bound sequence over the horizon; hours it leaves out
     are unbounded."""
     floor = tuple(lower_bounds.get(unit.id, ())) if lower_bounds else ()
-    return floor[:horizon] + (0,) * (horizon - len(floor))
+    return floor + (0,) * (horizon - len(floor))
 
 
 def solve_uc(
@@ -203,16 +191,18 @@ def solve_uc(
     ``synchronous`` flag enter each hour's LP as they enter ``clear``'s.
 
     ``lower_bounds`` restricts the search to sequences that keep each listed
-    unit on wherever the bound sequence is on (used by the reliability pass).
+    unit on wherever the bound sequence is on (used by the reliability pass);
+    a sequence shorter than the horizon leaves the hours after it unbounded.
     A key of an hour's loads or of ``lower_bounds`` that names no bus or unit,
-    and a load that is NaN, negative or beyond ``grid.MAGNITUDE``, raises
-    ``ValueError`` before any LP is solved.
+    a load that is NaN, negative or beyond ``grid.MAGNITUDE``, and a bound
+    sequence longer than the horizon or with a flag other than 0, 1,
+    ``False`` or ``True`` raise ``ValueError`` before any LP is solved.
     """
     hourly_loads = _normalize_hours(hours)
     horizon = len(hourly_loads)
     for t, loads in enumerate(hourly_loads):
         check_loads(f"hours[{t}]", loads or {}, net)
-    check_keys("lower_bounds", lower_bounds or (), {u.id for u in gens}, "unit")
+    check_flags("lower_bounds", lower_bounds or {}, {u.id for u in gens}, horizon)
 
     floors = [_floor(lower_bounds, u, horizon) for u in gens]
     counts = [_count_sequences(u, f) for u, f in zip(gens, floors)]
@@ -261,36 +251,35 @@ def _price_terms(template: ClearingTemplate):
     Each row is the Lagrangian bound with the angles eliminated through
     ``net.ptdf``: the injections meeting every balance are those summing to
     zero, and each flowgate row (``flow+-``, ``iface+-``) is its PTDF row
-    times them.  The multipliers are lambda, the slack bus's balance dual,
-    mu = min(dual, 0) for each flowgate row, and 0 for the reserve and
-    ``min_sync`` rows.  Each column is then alone in its box at its bus's
-    price pi_b = lambda + sum_l PTDF[l, b] (mu+_l - mu-_l): K = sum_b pi_b
-    load_b + sum_l (mu+_l + mu-_l) limit_l + sum_b min(0, (wtp_b - pi_b)
-    load_b) and h_u = min((ic_u - pi) lo_u, (ic_u - pi) hi_u).  By weak
-    duality that holds for any lambda and mu <= 0, so for every on-set; at
-    the solved LP's optimum, with no reserve or ``min_sync`` row, it is that
-    LP's objective.  ``zonal`` prices by zone, each inter-zonal flow boxed
-    by +-``ttc_mw`` (unboxed if interfaces are not enforced, so the bound is
-    -inf unless the two zones' prices agree), and ``copper_plate`` at the
-    system price.  ``lp_rows`` gives the row at a solved LP's multipliers,
-    none if it has no optimum or K is -inf; ``uniform_rows`` a row at each
-    system price lambda in the sorted distinct set of the units' ``ic`` and
-    the loaded buses' ``wtp``, with mu = 0, where the flow columns cancel in
-    every mode.  These are the breakpoints of a concave function of lambda,
-    so the greatest is the merit-order fill of the LP with one balance, if
-    the units' floors fit the load.  Every figure is within
-    ``grid.MAGNITUDE`` and every dual finite, so each row is."""
-    net, regime, balance, n = template.net, template.regime, template.balance, len(template.gens)
-    ic, lo, hi = template.cost[:n], template.lower[:n], template.upper[:n]
-    wtp = template.cost[n:n + len(net.buses)]  # each bus's curtailment cost
+    times them: the signed sum of its members' rows, as ``template.gates``
+    lists them in row order.  The multipliers are lambda, the slack bus's
+    balance dual, mu = min(dual, 0) for each flowgate row, and 0 for the
+    reserve and ``min_sync`` rows.  Each column is then alone in its box at
+    its bus's price pi_b = lambda + sum_l PTDF[l, b] (mu+_l - mu-_l):
+    K = sum_b pi_b load_b + sum_l (mu+_l + mu-_l) limit_l
+    + sum_b min(0, (wtp_b - pi_b) load_b) and h_u = min((ic_u - pi) lo_u,
+    (ic_u - pi) hi_u).  By weak duality that holds for any lambda and mu <= 0, so for every on-set;
+    at the solved LP's optimum, with no reserve or ``min_sync`` row, it is
+    that LP's objective.  ``zonal`` prices by zone, each inter-zonal flow of
+    ``template.arcs`` boxed by +-``ttc_mw`` (unboxed if its limit is
+    ``None``, so the bound is -inf unless the two zones' prices agree), and
+    ``copper_plate`` at the system price; the rows are read from the
+    template's record, never from the regime.  ``lp_rows`` gives the row at
+    a solved LP's multipliers, none if it has no optimum or K is -inf;
+    ``uniform_rows`` a row at each system price lambda in the sorted
+    distinct set of the units' ``ic`` and the loaded buses' ``wtp``, with
+    mu = 0, where the flow columns cancel in every mode.  These are the
+    breakpoints of a concave function of lambda, so the greatest is the
+    merit-order fill of the LP with one balance, if the units' floors fit
+    the load.  Every figure is within ``grid.MAGNITUDE`` and every dual
+    finite, so each row is."""
+    net, mode, balance, n = template.net, template.regime.mode, template.balance, len(template.gens)
+    ic, lo, hi = template.lp.cost[:n], template.lp.lower[:n], template.lp.upper[:n]
+    wtp = template.lp.cost[n:n + len(net.buses)]  # each bus's curtailment cost
     at = [net.bus_index[g.bus_id] for g in template.gens]
-    gates = []  # the PTDF row of each flowgate row pair, in row order
-    if regime.mode == "nodal":
-        line_row = dict(zip((l.id for l in net.lines), net.ptdf))
-        gates = [line_row[l.id] for l in regime.monitored_lines(net)]
-        if regime.enforce_interfaces:
-            gates += [sum(sign * line_row[lid] for lid, sign in itf.member_lines) for itf in net.interfaces]
-    gates = np.array(gates).reshape(len(gates), len(net.buses))
+    line_row = dict(zip((l.id for l in net.lines), net.ptdf)) if template.gates else {}
+    gates = np.array([sum(sign * line_row[lid] for lid, sign in members)  # in row order
+                      for members in template.gates]).reshape(len(template.gates), len(net.buses))
     limits = slice(len(balance), len(balance) + 2 * len(gates))
 
     def rows(pi: np.ndarray, load: np.ndarray, k: float = 0.0) -> np.ndarray:
@@ -308,19 +297,18 @@ def _price_terms(template: ClearingTemplate):
         if sol.status != "optimal":
             return none
         y, load = np.asarray(sol.duals), np.array([case.load_of[b.id] for b in net.buses])
-        if regime.mode == "nodal":
+        if mode == "nodal":
             mu = np.minimum(y[limits], 0.0)  # (mu+, mu-) of each pair in turn
             pi = y[balance[net.slack_bus]] + (mu[0::2] - mu[1::2]) @ gates
             k = mu @ case.lp.rhs[limits]
         else:
-            pi = np.array([y[balance[location(net, regime.mode, b.id)]] for b in net.buses])
+            pi = np.array([y[balance[location(net, mode, b.id)]] for b in net.buses])
             k = 0.0
-            for itf in net.interfaces if regime.mode == "zonal" else ():
-                fz, tz = interface_zones(net, itf)
-                if fz != tz and (gap := abs(y[balance[fz]] - y[balance[tz]])):
-                    if not regime.enforce_interfaces:
+            for fz, tz, ttc in template.arcs:
+                if gap := abs(y[balance[fz]] - y[balance[tz]]):
+                    if ttc is None:
                         return none  # a free flow between two prices: K would be -inf
-                    k -= gap * itf.ttc_mw
+                    k -= gap * ttc
         return rows(pi[None], load, k)
 
     return uniform_rows, lp_rows
@@ -358,8 +346,7 @@ def _search(gens, seq_options, horizon, hour_lp, rows,
     sizes = [len(opts) for opts in seq_options]
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
     on = [np.array(opts, dtype=bool).reshape(len(opts), horizon) for opts in seq_options]
-    terms = [np.array([u.nlc * sum(seq) + u.suc * _start_count(u, seq) for seq in opts],
-                      dtype=float)
+    terms = [np.array([u.nlc * sum(seq) + u.suc * _runs(u, seq)[1] for seq in opts], dtype=float)
              for u, opts in zip(gens, seq_options)]
     # per hour: units on in every option, and a key bit for each unit whose
     # options differ there (at most log2(ENUMERATION_CAP) of them)
@@ -471,8 +458,7 @@ def _assemble_schedule(gens, horizon, combo, hour_result, pruned=0) -> UcSchedul
         gid = u.id
         committed[gid] = tuple(bool(s) for s in seq)
         dispatch[gid] = tuple(results[t].gen_mw[gid] for t in range(horizon))
-        hours_on[gid] = _hours_on_counts(u, seq)
-        starts[gid] = _start_count(u, seq)
+        hours_on[gid], starts[gid] = _runs(u, seq)
 
     hourly_cost = []
     for t in range(horizon):

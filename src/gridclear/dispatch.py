@@ -27,14 +27,16 @@ adjustment exists.  This mirrors an operator choosing the security-preferred
 split among cost-equivalent schedules.
 
 ``clear`` runs three stages, which unit commitment runs separately:
-``build_template`` writes the LP of every unit and a curtailment column per
-bus as raw arrays, ``ClearingTemplate.cut`` takes the LP of one (loads,
+``build_template`` builds the checked LP of every unit and a curtailment
+column per bus, ``ClearingTemplate.cut`` takes the LP of one (loads,
 committed set) from it, array for array the one a direct build gives, and
 ``finish`` turns the solved LP into a ``DispatchResult``.  The template is
 built in one pass by ``location``: each unit and curtailment column enters
 its location's balance row, then each line's angle terms enter the rows of
 both its ends (nodal), or each inter-zonal flow the rows of both its zones
 (zonal).  The balance rows come first; every row after them is a limit.
+The template records its limit rows (``gates``, ``arcs``) for the
+commitment bound, which reads that record rather than the regime.
 
 All functions are pure; parallel evaluation over scenarios is safe.
 """
@@ -214,37 +216,37 @@ def clear(
     """Cost-minimal dispatch of ``gens`` under ``regime``.
 
     ``loads`` overrides bus loads and ``committed`` takes units offline (every
-    unit is on when omitted); a key of either that names no bus or unit,
-    and a load that is NaN, negative or beyond ``grid.MAGNITUDE``, raises
-    ``ValueError``.  The units flagged ``synchronous`` count towards
-    ``regime.min_sync_mw``.  An LP that has no optimum yields
+    unit is on when omitted); a key of either that names no bus or unit, a
+    load that is NaN, negative or beyond ``grid.MAGNITUDE``, and an on/off
+    flag other than 0, 1, ``False`` or ``True`` raise ``ValueError``.  The
+    units flagged ``synchronous`` count towards ``regime.min_sync_mw``.  An LP that has no optimum yields
     ``feasible=False`` with an ``lp_*`` violation.
     """
     check_loads("loads", loads or {}, net)
-    check_keys("committed", committed or (), {g.id for g in gens}, "unit")
+    check_flags("committed", committed or {}, {g.id for g in gens})
     case = build_template(net, gens, regime).cut(loads, committed)
     return finish(case, lpmod.solve(case.lp))
 
 
 @dataclass(frozen=True, eq=False)
 class ClearingTemplate:
-    """The clearing LP of every unit of ``gens``, with no load entered.  Its
-    columns are the units, one curtailment column per bus in ``net.buses``
-    order, then the network's own; its rows are one balance row per location
-    (bus, zone or ``system``), then the limit rows, with the reserve and
-    ``min_sync`` rows last."""
+    """The clearing LP ``lp`` of every unit of ``gens``, with no load entered,
+    checked as every built program is.  Its columns are the units, one
+    curtailment column per bus in ``net.buses`` order, then the network's
+    own; its rows are one balance row per location (bus, zone or
+    ``system``), then the limit rows, with the reserve and ``min_sync`` rows
+    last.  ``gates`` holds the ``(line_id, sign)`` members of each nodal
+    flowgate's ``+``/``-`` row pair, in row order: each monitored line, one
+    member ``(line_id, 1)``, then each enforced interface.  ``arcs`` holds
+    the ``(from_zone, to_zone, ttc_mw)`` of each zonal flow column, in
+    column order, with ``ttc_mw`` None when the flow has no limit rows."""
 
     net: Network
     gens: tuple[GeneratorSpec, ...]
     regime: ConstraintRegime
-    cost: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    A: np.ndarray
-    sense: np.ndarray
-    rhs: np.ndarray
-    var_names: tuple[str, ...]
-    row_labels: tuple[str, ...]
+    lp: lpmod.LinearProgram
+    gates: tuple[tuple[tuple[str, int], ...], ...]
+    arcs: tuple[tuple[str, str, float | None], ...]
     balance: dict[str, int]  # bus, zone or "system" -> its balance row
     reserve_row: int | None
     sync_row: int | None
@@ -255,17 +257,17 @@ class ClearingTemplate:
         columns of online units and of buses with load above 0, the reserve
         row if a unit is on, the ``min_sync`` row if a synchronous one is, and
         curtailment bounds and right-hand sides set from the loads and units."""
-        net, gens, regime = self.net, self.gens, self.regime
+        net, gens, regime, full = self.net, self.gens, self.regime, self.lp
         load_of = {b.id: (loads[b.id] if loads and b.id in loads else b.load_mw)
                    for b in net.buses}
         on = [k for k, g in enumerate(gens) if committed is None or committed.get(g.id, False)]
         loaded = [k for k, b in enumerate(net.buses) if load_of[b.id] > 0]
         cols = on + [len(gens) + k for k in loaded] + list(
-            range(len(gens) + len(net.buses), len(self.cost)))
+            range(len(gens) + len(net.buses), len(full.cost)))
         gvar = {gens[k].id: j for j, k in enumerate(on)}
         cvar = {net.buses[k].id: j for j, k in enumerate(loaded, len(on))}
 
-        rhs = self.rhs.copy()
+        rhs = full.rhs.copy()
         for b in net.buses:
             rhs[self.balance[location(net, regime.mode, b.id)]] += load_of[b.id]
         keep = len(rhs)  # rows kept: the aggregate rows come last, reserve first
@@ -279,12 +281,12 @@ class ClearingTemplate:
                 keep = self.reserve_row
 
         at = np.array(cols, dtype=np.intp)
-        upper = self.upper.take(at)
+        upper = full.upper.take(at)
         upper[len(on):len(on) + len(loaded)] = [load_of[net.buses[k].id] for k in loaded]
         lp = lpmod.LinearProgram(
-            self.cost.take(at), self.lower.take(at), upper, self.A[:keep].take(at, axis=1),
-            self.sense[:keep], rhs[:keep], tuple([self.var_names[j] for j in cols]),
-            self.row_labels[:keep])
+            full.cost.take(at), full.lower.take(at), upper, full.A[:keep].take(at, axis=1),
+            full.sense[:keep], rhs[:keep], tuple([full.var_names[j] for j in cols]),
+            full.row_labels[:keep])
         return ClearingCase(self, lp, load_of, gvar, cvar)
 
 
@@ -323,6 +325,7 @@ def build_template(net: Network, gens: Sequence[GeneratorSpec],
         rows[location(net, mode, b.id)][builder.var(f"curt[{b.id}]", 0.0, 0.0, cost=b.wtp)] = 1.0
 
     limits = []  # (terms, right-hand side, label) of each row after the balance rows
+    gates, arcs = [], []
     if mode == "nodal":
         tvar = {b.id: builder.var(f"theta[{b.id}]", -INF, INF, 0.0)
                 for b in net.buses if b.id != net.slack_bus}
@@ -330,17 +333,17 @@ def build_template(net: Network, gens: Sequence[GeneratorSpec],
             for j, v in _flow_terms(line, tvar).items():
                 rows[line.from_bus][j] = rows[line.from_bus].get(j, 0.0) - v
                 rows[line.to_bus][j] = rows[line.to_bus].get(j, 0.0) + v
-        for line in regime.monitored_lines(net):
-            limits.append((_flow_terms(line, tvar), line.limit_mw, f"flow+[{line.id}]"))
-            limits.append((_flow_terms(line, tvar, -1.0), line.limit_mw, f"flow-[{line.id}]"))
+        flowgates = [("flow", l.id, ((l.id, 1),), l.limit_mw) for l in regime.monitored_lines(net)]
         if regime.enforce_interfaces:
-            for itf in net.interfaces:
-                terms: dict[int, float] = {}
-                for lid, sign in itf.member_lines:
-                    for j, v in _flow_terms(net.line(lid), tvar, float(sign)).items():
-                        terms[j] = terms.get(j, 0.0) + v
-                limits.append((terms, itf.ttc_mw, f"iface+[{itf.id}]"))
-                limits.append(({j: -v for j, v in terms.items()}, itf.ttc_mw, f"iface-[{itf.id}]"))
+            flowgates += [("iface", i.id, i.member_lines, i.ttc_mw) for i in net.interfaces]
+        for kind, gid, members, limit in flowgates:
+            terms: dict[int, float] = {}
+            for lid, sign in members:
+                for j, v in _flow_terms(net.line(lid), tvar, float(sign)).items():
+                    terms[j] = terms.get(j, 0.0) + v
+            limits.append((terms, limit, f"{kind}+[{gid}]"))
+            limits.append(({j: -v for j, v in terms.items()}, limit, f"{kind}-[{gid}]"))
+            gates.append(members)
     elif mode == "zonal":
         for itf in net.interfaces:
             fz, tz = interface_zones(net, itf)
@@ -349,6 +352,7 @@ def build_template(net: Network, gens: Sequence[GeneratorSpec],
             fv = builder.var(f"f[{itf.id}]", -INF, INF, 0.0)
             rows[fz][fv] = -1.0
             rows[tz][fv] = 1.0
+            arcs.append((fz, tz, itf.ttc_mw if regime.enforce_interfaces else None))
             if regime.enforce_interfaces:
                 limits.append(({fv: 1.0}, itf.ttc_mw, f"iface+[{itf.id}]"))
                 limits.append(({fv: -1.0}, itf.ttc_mw, f"iface-[{itf.id}]"))
@@ -358,8 +362,8 @@ def build_template(net: Network, gens: Sequence[GeneratorSpec],
     for terms, rhs, row_label in limits:
         builder.row(terms, "<=", rhs, row_label)
     reserve_row, sync_row = _add_aggregates(builder, gens, gvar, regime)
-    return ClearingTemplate(net, tuple(gens), regime, *builder.arrays(), balance,
-                            reserve_row, sync_row)
+    return ClearingTemplate(net, tuple(gens), regime, builder.build(), tuple(gates),
+                            tuple(arcs), balance, reserve_row, sync_row)
 
 
 def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
@@ -441,6 +445,19 @@ def check_keys(name: str, keys: Iterable[str], known: Container[str], kind: str)
     unknown = [k for k in keys if k not in known]
     if unknown:
         raise ValueError(f"{name}: unknown {kind} id(s) {unknown}")
+
+
+def check_flags(name: str, flags: Mapping[str, object], units: Container[str],
+                horizon: int | None = None) -> None:
+    """``check_keys`` for units, then a ``ValueError`` naming the first unit
+    whose on/off flags are not 0, 1, ``False`` or ``True``: one flag per
+    unit, or with ``horizon`` a sequence of at most that many per unit."""
+    check_keys(name, flags, units, "unit")
+    for unit, value in flags.items():
+        seq, most = ((value,), 1) if horizon is None else (value, horizon)
+        if not (isinstance(seq, Sequence) and len(seq) <= most and all(s in (0, 1) for s in seq)):
+            raise ValueError(f"{name}: unit {unit}: {value!r} is not "
+                             + ("0 or 1" if horizon is None else f"at most {horizon} flags of 0 or 1"))
 
 
 def check_loads(name: str, loads: Mapping[str, float], net: Network) -> None:

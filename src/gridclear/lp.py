@@ -163,7 +163,8 @@ class LinearProgram:
 class LpBuilder:
     """Incremental construction of a LinearProgram.  ``var`` and ``row``
     return the position of what they add, which indexes the program's arrays
-    and its solution."""
+    and its solution; ``build`` is the one way to make the program, checked,
+    a clearing template's as any other's."""
 
     def __init__(self):
         self._names: list[str] = []
@@ -195,30 +196,22 @@ class LpBuilder:
         self._vals.extend(coeffs.values())
         return len(self._labels) - 1
 
-    def arrays(self) -> tuple:
-        """The program's fields in ``LinearProgram`` order, unchecked: cost,
-        lower, upper, A, sense and rhs as read-only arrays, then the variable
-        names and row labels.  A clearing template keeps these and checks
-        only the programs it cuts from them."""
-        vals = np.array(self._vals, dtype=float)
-        nonzero = vals != 0.0
-        rows = np.repeat(np.arange(len(self._labels)), self._nnz)
-        A = np.zeros((len(self._labels), len(self._names)))
-        A[rows[nonzero], np.array(self._cols, dtype=np.intp)[nonzero]] = vals[nonzero]
-        out = (np.array(self._cost), np.array(self._lo), np.array(self._up), A,
-               np.array(self._sense), np.array(self._rhs))
-        for a in out:
-            a.setflags(write=False)
-        return out + (tuple(self._names), tuple(self._labels))
-
     def build(self) -> LinearProgram:
+        """The checked program: ``A`` written once from the rows' terms, and
+        a variable index outside the program rejected by its row's label."""
         cols = np.array(self._cols, dtype=np.intp)
         bad = (cols < 0) | (cols >= len(self._names))
+        rows = np.repeat(np.arange(len(self._labels)), self._nnz)
         if bad.any():
             k = int(bad.argmax())
-            row = np.repeat(np.arange(len(self._labels)), self._nnz)[k]
-            raise ValueError(f"row {self._labels[row]!r}: bad variable index {self._cols[k]}")
-        return LinearProgram(*self.arrays())
+            raise ValueError(f"row {self._labels[rows[k]]!r}: bad variable index {self._cols[k]}")
+        vals = np.array(self._vals, dtype=float)
+        nonzero = vals != 0.0
+        A = np.zeros((len(self._labels), len(self._names)))
+        A[rows[nonzero], cols[nonzero]] = vals[nonzero]
+        return LinearProgram(np.array(self._cost), np.array(self._lo), np.array(self._up), A,
+                             np.array(self._sense), np.array(self._rhs),
+                             tuple(self._names), tuple(self._labels))
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,6 @@ class PriceComponents:
     congestion: float
     loss: float
 
-    @property
-    def total(self) -> float:
-        return self.energy + self.congestion + self.loss
-
 
 @dataclass(frozen=True)
 class PriceReport:
@@ -137,6 +133,17 @@ def _reference_dual(result: DispatchResult, net: Network) -> float:
     return max(duals.values(), default=0.0)
 
 
+# the exclusion reason of each clearing flag that screens a dispatched unit out
+_SCREENED_FLAGS = {
+    "at_capacity": "at_capacity",
+    "at_forced_min": "forced_bound",
+    "at_forced_max": "forced_bound",
+    "at_pmin": "constrained_on",
+    "stability_bound": "stability_bound",
+    "reserve_bound": "reserve_bound",
+}
+
+
 def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) -> PriceReport:
     """Uniform price per hour, keyed ``system``: the maximum stack price over
     the screened marginal set, with recorded exclusion reasons for every
@@ -155,21 +162,8 @@ def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) 
             q = schedule.dispatch_mw[gid][t]
             if q <= MW_TOL:
                 continue
-            flag = result.gen_flags.get(gid, "")
-            if flag in ("at_capacity",):
-                exclusions[gid] = "at_capacity"
-                continue
-            if flag in ("at_forced_min", "at_forced_max"):
-                exclusions[gid] = "forced_bound"
-                continue
-            if flag == "at_pmin":
-                exclusions[gid] = "constrained_on"
-                continue
-            if flag == "stability_bound":
-                exclusions[gid] = "stability_bound"
-                continue
-            if flag == "reserve_bound":
-                exclusions[gid] = "reserve_bound"
+            if reason := _SCREENED_FLAGS.get(result.gen_flags.get(gid, "")):
+                exclusions[gid] = reason
                 continue
             lam = result.balance_duals[location(net, result.mode, specs[gid].bus_id)]
             if lam < ref - PRICE_TOL:

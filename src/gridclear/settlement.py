@@ -171,14 +171,8 @@ def settle_redispatch(
             f"price series covers {len(smp_per_hour)} hours, record has {record.hours}"
         )
     specs = {g.id: g for g in gens}
-    con_mwh: dict[str, float] = {}
-    coff_mwh: dict[str, float] = {}
-    con_pay: dict[str, float] = {}
-    coff_pay: dict[str, float] = {}
-    zc = {z: 0.0 for z in net.zones}
-    zf = dict(zc)
-    zcp = dict(zc)
-    zfp = dict(zc)
+    units: dict[str, tuple[float, ...]] = {}  # (on MWh, off MWh, on payment, off payment)
+    zones = {z: (0.0,) * 4 for z in net.zones}
     for gid in record.gen_ids:
         g = specs[gid]
         up = dn = pay_up = pay_dn = 0.0
@@ -189,14 +183,11 @@ def settle_redispatch(
             elif d < 0:
                 dn += -d
                 pay_dn += -d * max(0.0, smp_per_hour[t] - g.ic)
-        con_mwh[gid], coff_mwh[gid] = up, dn
-        con_pay[gid], coff_pay[gid] = pay_up, pay_dn
+        units[gid] = (up, dn, pay_up, pay_dn)
         z = net.zone_of(g.bus_id)
-        zc[z] += up
-        zf[z] += dn
-        zcp[z] += pay_up
-        zfp[z] += pay_dn
-    return RedispatchSettlement(con_mwh, coff_mwh, con_pay, coff_pay, zc, zf, zcp, zfp)
+        zones[z] = tuple(a + b for a, b in zip(zones[z], units[gid]))
+    return RedispatchSettlement(*({gid: v[k] for gid, v in units.items()} for k in range(4)),
+                                *({z: v[k] for z, v in zones.items()} for k in range(4)))
 
 
 def summarize(

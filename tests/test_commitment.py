@@ -127,6 +127,21 @@ def test_clipped_counts_equal_the_unclipped_ones(min_up, min_down, on, initial_h
     assert commitment._count_sequences(u, floor) == _unclipped_count(u, floor)
 
 
+@pytest.mark.parametrize("on, initial_hours", [(False, 24), (True, 0), (True, 3)])
+def test_one_walk_gives_hours_on_and_starts(on, initial_hours):
+    """Each hour's run counts on from the initial run when the unit was on
+    (from 0 if it was on for 0 hours, which is still no start), and a start
+    is each off-to-on change, the first hour's against the initial state."""
+    u = _unit("u", 50, 10.0, on=on, initial_hours=initial_hours)
+    for seq in itertools.product((0, 1), repeat=4):
+        run, want = (initial_hours if on else 0), []
+        for s in seq:
+            run = run + 1 if s else 0
+            want.append(run)
+        starts = sum(b and not a for a, b in zip((on,) + seq, seq))
+        assert commitment._runs(u, seq) == (tuple(want), starts), seq
+
+
 # ---------------------------------------------------------------------------
 # solve_uc basics
 # ---------------------------------------------------------------------------
@@ -277,6 +292,39 @@ def test_unknown_keys_are_rejected_before_any_lp(monkeypatch, hours, lower_bound
     with pytest.raises(ValueError, match=re.escape(named)):
         solve_uc(uc_net(units), units, hours, COPPER, lower_bounds=lower_bounds)
     assert solved == []
+
+
+@pytest.mark.parametrize("bound", [(1, 1, 1, 1, 1), (0.5,), (2,), "x", 1, (None, 1)],
+                         ids=["longer-than-horizon", "half", "two", "string", "not-a-sequence", "none"])
+def test_bad_lower_bounds_are_rejected_before_any_lp(monkeypatch, bound):
+    """A bound sequence longer than the horizon, or with a flag other than 0,
+    1, ``False`` or ``True``, raises naming its unit, before the search
+    solves an LP: unchecked, the first was cut to the horizon, ``0.5``
+    forced the unit on, ``2`` left no sequence and ``"x"`` raised a
+    ``TypeError``."""
+    units = [_unit("A1", 50, 10.0)]
+    solved = []
+    real_solve = lpmod.solve
+    monkeypatch.setattr(lpmod, "solve", lambda lp: solved.append(lp) or real_solve(lp))
+    named = f"lower_bounds: unit A1: {bound!r} is not at most 2 flags of 0 or 1"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        solve_uc(uc_net(units), units, [{"n0": 40.0}] * 2, COPPER, lower_bounds={"A1": bound})
+    assert solved == []
+
+
+def test_short_and_boolean_lower_bounds_are_accepted():
+    """A bound sequence shorter than the horizon leaves the hours after it
+    unbounded, and ``False``/``True`` bound as 0 and 1 do."""
+    units = [_unit("u", 50, 30.0, nlc=100.0), _unit("v", 50, 20.0)]
+    hours = [{"n0": 40.0}] * 3
+    free = solve_uc(uc_net(units), units, hours, COPPER)
+    assert free.committed["u"] == (False,) * 3
+    short = solve_uc(uc_net(units), units, hours, COPPER, lower_bounds={"u": (1,)})
+    assert short.committed["u"] == (True, False, False)
+    flags = solve_uc(uc_net(units), units, hours, COPPER, lower_bounds={"u": (True, False, True)})
+    ints = solve_uc(uc_net(units), units, hours, COPPER, lower_bounds={"u": (1, 0, 1)})
+    assert flags.committed == ints.committed and flags.committed["u"] == (True, False, True)
+    assert flags.objective == ints.objective
 
 
 @pytest.mark.parametrize("load, shown", [

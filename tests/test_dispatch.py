@@ -4,6 +4,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -20,7 +21,7 @@ from gridclear import lp as lpmod
 from gridclear.grid import MAGNITUDE, Bus, Interface, Line, Network, build_ptdf
 from gridclear.scenario import load_scenario
 from helpers import (
-    lp_differences, make_fourbus, random_gens, random_network, reference_clearing_lp,
+    lp_differences, make_fourbus, make_twobus, random_gens, random_network, reference_clearing_lp,
     reference_ptdf,
 )
 
@@ -229,6 +230,23 @@ def test_unknown_keys_are_rejected(kw, named):
     net, gens = make_fourbus()
     with pytest.raises(ValueError, match=re.escape(named)):
         clear(net, gens, NODAL, **kw)
+
+
+@pytest.mark.parametrize("flag", ["no", 0.5, 2, None], ids=["string", "half", "two", "none"])
+def test_on_off_flags_other_than_0_or_1_are_rejected(flag):
+    """A ``committed`` flag that is not 0, 1, ``False`` or ``True`` raises,
+    naming its unit; unchecked, the string ``"no"`` put A1 on at 450 MW."""
+    net, gens = make_twobus()
+    with pytest.raises(ValueError, match=re.escape(f"committed: unit A1: {flag!r} is not 0 or 1")):
+        clear(net, gens, COPPER, committed={"A1": flag})
+
+
+def test_on_off_flags_as_integers_are_the_booleans():
+    net, gens = make_twobus()
+    flags = {"A1": 0, "A2": 1, "B1": True, "B2": False}
+    got = clear(net, gens, COPPER, committed=flags)
+    assert repr(got) == repr(clear(net, gens, COPPER, committed={k: bool(v) for k, v in flags.items()}))
+    assert got.gen_flags["A1"] == "offline" and got.gen_mw["A2"] > 0.0
 
 
 @pytest.mark.parametrize("load, shown", [
@@ -601,3 +619,75 @@ def test_zonal_arcs_skip_same_zone_interfaces(monkeypatch):
     got = _cleared_lp(monkeypatch, net, gens, ZONAL)
     assert "f[inner]" not in got.var_names and "f[tie]" in got.var_names
     assert lp_differences(got, reference_clearing_lp(net, gens, ZONAL)) == []
+
+
+# ---------------------------------------------------------------------------
+# the template's record of its limit rows
+# ---------------------------------------------------------------------------
+
+def _assert_record_is_the_limit_rows(template):
+    """Every ``flow+-``/``iface+-`` row is listed by ``gates`` (nodal) or
+    ``arcs`` (zonal), in row order, and nothing else is.  Under nodal each
+    gate is a ``+`` row then its ``-`` row, the lines' before the
+    interfaces', and each ``+`` row's activity at a solved case is its
+    gate's PTDF row times the case's bus injections."""
+    net, lp, first = template.net, template.lp, len(template.balance)
+    labels = [label for label in lp.row_labels if label.startswith(("flow", "iface"))]
+    assert list(lp.row_labels[first:first + len(labels)]) == labels
+    if template.regime.mode != "nodal":
+        assert template.gates == ()
+        flows = [j for j, name in enumerate(lp.var_names) if name.startswith("f[")]
+        assert len(template.arcs) == len(flows)
+        want = []
+        for j, (fz, tz, ttc) in zip(flows, template.arcs):
+            column = lp.A[:, j]
+            assert (column[template.balance[fz]], column[template.balance[tz]]) == (-1.0, 1.0)
+            assert np.count_nonzero(column) == (2 if ttc is None else 4)
+            if ttc is not None:
+                rows = [first + len(want), first + len(want) + 1]
+                assert (column[rows].tolist(), lp.rhs[rows].tolist()) == ([1.0, -1.0], [ttc, ttc])
+                want += [f"iface+{lp.var_names[j][1:]}", f"iface-{lp.var_names[j][1:]}"]
+        assert labels == want
+        return
+    assert template.arcs == ()
+    members = {f"flow+[{l.id}]": ((l.id, 1),) for l in net.lines}
+    members.update({f"iface+[{i.id}]": i.member_lines for i in net.interfaces})
+    assert labels[1::2] == [label.replace("+", "-", 1) for label in labels[0::2]]
+    assert list(template.gates) == [members[label] for label in labels[0::2]]
+    is_line = [label.startswith("flow") for label in labels]
+    assert is_line == sorted(is_line, reverse=True)
+
+    case = template.cut()
+    sol = lpmod.solve(case.lp)
+    assert sol.status == "optimal"
+    x = np.array(sol.primal)
+    injection = np.array([-case.load_of[b.id] + (x[case.cvar[b.id]] if b.id in case.cvar else 0.0)
+                          for b in net.buses])
+    for g in template.gens:
+        injection[net.bus_index[g.bus_id]] += x[case.gvar[g.id]]
+    line_row = dict(zip((l.id for l in net.lines), net.ptdf))
+    for k, gate in enumerate(template.gates):
+        ptdf_row = sum(sign * line_row[lid] for lid, sign in gate)
+        assert case.lp.A[first + 2 * k] @ x == pytest.approx(ptdf_row @ injection, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["nodal", "zonal"])
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_template_record_is_its_limit_rows_on_bundled_scenarios(scenario_dir, name, mode):
+    sc = load_scenario(scenario_dir / name)
+    regimes = [r for r in sc.regimes.values() if r.mode == mode] + [ConstraintRegime(mode=mode)]
+    regimes += [replace(r, enforce_interfaces=not r.enforce_interfaces) for r in regimes]
+    for regime in regimes:
+        _assert_record_is_the_limit_rows(build_template(sc.network, sc.generators, regime))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 50_000))
+def test_template_record_is_its_limit_rows_on_random_networks(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_buses=12)
+    gens = random_gens(rng, net)
+    for regime in (ConstraintRegime(mode="nodal", monitored_profile="all"),
+                   ConstraintRegime(mode="nodal", monitored_profile="all", enforce_interfaces=False),
+                   ZONAL, ConstraintRegime(mode="zonal", enforce_interfaces=False)):
+        _assert_record_is_the_limit_rows(build_template(net, gens, regime))
