@@ -112,7 +112,8 @@ def uc_outcome(solve_fn, *args, **kwargs):
         sched = solve_fn(*args, **kwargs)
     except UcInfeasibleError as err:
         return ("infeasible", err.hour), 0
-    return (repr(sched.committed), repr(sched.dispatch_mw), repr(sched.objective)), sched.pruned
+    dispatch = [r.gen_mw for r in sched.hourly_results]
+    return (repr(sched.committed), repr(dispatch), repr(sched.objective)), sched.pruned
 
 
 def sweep_commitment(n, rng):

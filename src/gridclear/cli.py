@@ -156,8 +156,9 @@ def cmd_daucruc(args) -> int:
     redis = settle_redispatch(record, net, sc.generators, smp_series)
 
     out, stamp = _out_dir(args), _timestamp(args)
-    rows = [(str(t), gid, dauc.dispatch_mw[gid][t], ruc.dispatch_mw[gid][t], record.delta_mwh[gid][t])
-            for gid in record.gen_ids for t in range(record.hours)]
+    rows = [(str(t), gid, d.gen_mw[gid], r.gen_mw[gid], record.delta_mwh[gid][t])
+            for gid in record.gen_ids
+            for t, (d, r) in enumerate(zip(dauc.hourly_results, ruc.hourly_results))]
     redis_path = write_csv(out / f"{sc.name}_redispatch.csv",
                            ("hour", "generator", "dauc_mw", "ruc_mw", "delta_mw"), rows, stamp)
 

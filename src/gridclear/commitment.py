@@ -73,10 +73,14 @@ class UcInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class UcSchedule:
+    """A commitment and its dispatch over ``hours``: each hour's
+    ``DispatchResult`` in ``hourly_results`` (hour t's output of unit u is
+    ``hourly_results[t].gen_mw[u]``), with the on/off flags, run lengths and
+    starts of each unit in ``gen_ids``."""
+
     gen_ids: tuple[str, ...]
     hours: int
     committed: dict[str, tuple[bool, ...]]
-    dispatch_mw: dict[str, tuple[float, ...]]
     hours_on: dict[str, tuple[int, ...]]  # consecutive online hours, 0 when off
     starts: dict[str, int]
     hourly_results: tuple[DispatchResult, ...]
@@ -451,18 +455,16 @@ def _assemble_schedule(gens, horizon, combo, hour_result, pruned=0) -> UcSchedul
         results.append(hour_result(t, on_ids))
 
     committed = {}
-    dispatch = {}
     hours_on = {}
     starts = {}
     for u, seq in zip(gens, combo):
         gid = u.id
         committed[gid] = tuple(bool(s) for s in seq)
-        dispatch[gid] = tuple(results[t].gen_mw[gid] for t in range(horizon))
         hours_on[gid], starts[gid] = _runs(u, seq)
 
     hourly_cost = []
-    for t in range(horizon):
-        c = sum(u.ic * dispatch[u.id][t] for u in gens)
+    for t, result in enumerate(results):
+        c = sum(u.ic * result.gen_mw[u.id] for u in gens)
         c += sum(u.nlc for u in gens if committed[u.id][t])
         hourly_cost.append(c)
     start_cost = sum(u.suc * starts[u.id] for u in gens)
@@ -474,7 +476,6 @@ def _assemble_schedule(gens, horizon, combo, hour_result, pruned=0) -> UcSchedul
         gen_ids=tuple(u.id for u in gens),
         hours=horizon,
         committed=committed,
-        dispatch_mw=dispatch,
         hours_on=hours_on,
         starts=starts,
         hourly_results=tuple(results),
@@ -522,9 +523,7 @@ def run_dauc_ruc(
     ruc = solve_uc(net, gens, hours, regime_ruc, lower_bounds=floors)
 
     delta = {
-        gid: tuple(
-            ruc.dispatch_mw[gid][t] - dauc.dispatch_mw[gid][t] for t in range(dauc.hours)
-        )
+        gid: tuple(r.gen_mw[gid] - d.gen_mw[gid] for r, d in zip(ruc.hourly_results, dauc.hourly_results))
         for gid in dauc.gen_ids
     }
     record = RedispatchRecord(gen_ids=dauc.gen_ids, hours=dauc.hours, delta_mwh=delta)

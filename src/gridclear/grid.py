@@ -164,12 +164,6 @@ class Network:
     def line(self, line_id: str) -> Line:
         return self._lines_by_id[line_id]
 
-    def interface(self, interface_id: str) -> Interface:
-        for i in self.interfaces:
-            if i.id == interface_id:
-                return i
-        raise KeyError(interface_id)
-
     def zone_of(self, bus_id: str) -> str:
         return self.bus(bus_id).zone_id
 
@@ -215,9 +209,6 @@ class FlowSet:
     flows_mw: dict[str, float]
     interface_flows_mw: dict[str, float]
     violations: tuple[str, ...]  # line ids with |flow| > limit + tolerance
-
-    def flow(self, line_id: str) -> float:
-        return self.flows_mw[line_id]
 
 
 def build_ptdf(net: Network) -> np.ndarray:

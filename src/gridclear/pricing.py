@@ -159,7 +159,7 @@ def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) 
         members: list[str] = []
         exclusions: dict[str, str] = {}
         for gid in schedule.gen_ids:
-            q = schedule.dispatch_mw[gid][t]
+            q = result.gen_mw[gid]
             if q <= MW_TOL:
                 continue
             if reason := _SCREENED_FLAGS.get(result.gen_flags.get(gid, "")):
@@ -176,7 +176,7 @@ def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) 
         if not members:
             raise PriceFormationError(t, exclusions)
         smp = max(
-            stack_price(specs[gid], schedule.dispatch_mw[gid][t],
+            stack_price(specs[gid], result.gen_mw[gid],
                         max(schedule.hours_on[gid][t], 1), hour=t).sp
             for gid in members
         )

@@ -57,7 +57,7 @@ E_REGIME = "E_REGIME"  # bad constraint-regime block
 E_RUN = "E_RUN"  # bad run section
 E_LOADS = "E_LOADS"  # bad loads section
 
-MAX_HORIZON_H = 8760  # one year of hours; per-hour loads are built for the whole horizon
+MAX_HORIZON_H = 8760  # one year of hours
 
 # ---------------------------------------------------------------------------
 # the schema: key -> (types, default), in document order
@@ -138,20 +138,27 @@ class RunSection:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario file.  Bus loads live once, in ``network``; ``loads``
+    holds only the file's ``loads`` section, one series of ``run.horizon``
+    MW per overridden bus, or None without that section."""
+
     name: str
     currency: str
     metadata: dict[str, str]
     network: Network
     generators: tuple[GeneratorSpec, ...]
-    loads: tuple[dict[str, float], ...] | None  # per-hour overrides, or None
+    loads: dict[str, tuple[float, ...]] | None
     regimes: dict[str, ConstraintRegime]
     run: RunSection
 
     def hourly_loads(self) -> list[dict[str, float] | None]:
-        """Per-hour load mappings for the run horizon (None = network loads)."""
+        """Per-hour load overrides for the run horizon, as ``clear`` and
+        ``solve_uc`` take them: each hour maps only the overridden buses to
+        their MW (every other bus keeps its ``load_mw``); None when the file
+        overrides no load."""
         if self.loads is None:
             return [None] * self.run.horizon
-        return [dict(h) for h in self.loads]
+        return [{bus: mw[t] for bus, mw in self.loads.items()} for t in range(self.run.horizon)]
 
     def regime(self, name: str) -> ConstraintRegime:
         return self.regimes[name]
@@ -489,19 +496,19 @@ def _parse_loads(raw, net: Network | None, run: RunSection, col):
         return None
     bus_ids = {b.id for b in net.buses} if net else set()
     horizon = run.horizon
-    series: dict[str, list[float]] = {}
+    series: dict[str, tuple[float, ...]] = {}
     for bus, val in raw.items():
         where = f"loads.{bus}"
         if net and bus not in bus_ids:
             col.add(E_REF, where, f"unknown bus {bus!r}")
             continue
         if _finite_number(val):
-            vals = [float(val)] * horizon
+            vals = (float(val),) * horizon
         elif isinstance(val, list) and all(_finite_number(v) for v in val):
             if len(val) != horizon:
                 col.add(E_LOADS, where, f"expected {horizon} hourly values, got {len(val)}")
                 continue
-            vals = [float(v) for v in val]
+            vals = tuple(float(v) for v in val)
         else:
             col.add(E_TYPE, where, "load must be a finite number or list of finite numbers")
             continue
@@ -513,15 +520,7 @@ def _parse_loads(raw, net: Network | None, run: RunSection, col):
                 col.add(E_VALUE, where, f"hour {vals.index(v)}: {exc}")
                 continue
         series[bus] = vals
-    if col.issues or net is None:
-        return None
-    hours = []
-    for t in range(horizon):
-        hour = {b.id: b.load_mw for b in net.buses}
-        for bus, vals in series.items():
-            hour[bus] = vals[t]
-        hours.append(hour)
-    return tuple(hours)
+    return None if col.issues or net is None else series
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +546,7 @@ def dump_scenario(sc: Scenario) -> dict[str, Any]:
          for i in net.interfaces],
     )
     generators = [_doc(_GENERATOR, *astuple(g)) for g in sc.generators]
-    loads = None if sc.loads is None else {b.id: [h[b.id] for h in sc.loads] for b in net.buses}
+    loads = None if sc.loads is None else {bus: list(mw) for bus, mw in sc.loads.items()}
     regimes = {
         name: _doc(_REGIME, r.mode, r.monitored_profile, r.enforce_interfaces,
                    r.reserve_req_mw, r.min_sync_mw)

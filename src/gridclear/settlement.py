@@ -72,10 +72,8 @@ def _hourly_results(source: DispatchResult | UcSchedule) -> tuple[DispatchResult
     return (source,)
 
 
-def _dispatch_series(source: DispatchResult | UcSchedule, gid: str, hours: int) -> tuple[float, ...]:
-    if isinstance(source, UcSchedule):
-        return source.dispatch_mw.get(gid, (0.0,) * hours)
-    return (source.gen_mw.get(gid, 0.0),)
+def _dispatch_series(results: Sequence[DispatchResult], gid: str) -> tuple[float, ...]:
+    return tuple(r.gen_mw.get(gid, 0.0) for r in results)
 
 
 def price_at(prices: PriceReport, net: Network, bus: str, hour: int) -> float:
@@ -94,17 +92,16 @@ def settle_energy(
     net: Network,
     gens: Sequence[GeneratorSpec],
 ) -> dict[str, float]:
-    """Per-generator market revenue: ``price_at`` the generator's bus in
-    ``gens`` times its scheduled output, summed over hours."""
-    bus_of = {g.id: g.bus_id for g in gens}
-    hours = len(_hourly_results(source))
-    gen_ids = tuple(source.gen_ids) if isinstance(source, UcSchedule) else tuple(source.gen_mw)
+    """Per-generator market revenue, for each unit of ``gens`` in order:
+    ``price_at`` its bus times its output in each hour's ``gen_mw``, summed
+    over hours."""
+    results = _hourly_results(source)
     revenue: dict[str, float] = {}
-    for gid in gen_ids:
+    for g in gens:
         total = 0.0
-        for t, q in enumerate(_dispatch_series(source, gid, hours)):
-            total += price_at(prices, net, bus_of[gid], t) * q
-        revenue[gid] = total
+        for t, q in enumerate(_dispatch_series(results, g.id)):
+            total += price_at(prices, net, g.bus_id, t) * q
+        revenue[g.id] = total
     return revenue
 
 
@@ -116,10 +113,9 @@ def as_cleared_costs(
     energy, plus no-load cost per committed hour, plus start-up cost per
     start."""
     results = _hourly_results(source)
-    hours = len(results)
     out: dict[str, float] = {}
     for g in gens:
-        qs = _dispatch_series(source, g.id, hours)
+        qs = _dispatch_series(results, g.id)
         cost = sum(g.ic * q for q in qs)
         if isinstance(source, UcSchedule):
             cost += g.nlc * sum(1 for on in source.committed.get(g.id, ()) if on)

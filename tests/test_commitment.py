@@ -151,7 +151,7 @@ def test_always_on_unit_flat_load():
     net = uc_net(units)
     sched = solve_uc(net, units, [{"n0": 80.0}] * 4, COPPER)
     assert sched.committed["u"] == (True,) * 4
-    assert sched.dispatch_mw["u"] == pytest.approx((80.0,) * 4)
+    assert [r.gen_mw["u"] for r in sched.hourly_results] == pytest.approx([80.0] * 4)
     assert sched.total_cost == pytest.approx(4 * (12.0 * 80.0 + 30.0))
     assert sched.starts["u"] == 0
     assert sched.hours_on["u"] == (25, 26, 27, 28)  # continues the initial run
@@ -170,7 +170,7 @@ def test_single_interval_schedule_commits_units_that_produce():
     assert sched.hours == 1
     assert sched.hourly_results == (result,)
     assert sched.committed == {"base": (True,), "peaker": (True,), "idle": (False,)}
-    assert sched.dispatch_mw == {"base": (100.0,), "peaker": (20.0,), "idle": (0.0,)}
+    assert result.gen_mw == {"base": 100.0, "peaker": 20.0, "idle": 0.0}
     assert sched.hours_on == {"base": (6,), "peaker": (1,), "idle": (0,)}
     assert sched.starts == {"base": 0, "peaker": 1, "idle": 0}
     # incremental 100*10 + 20*30, the peaker's no-load and its one start
@@ -201,7 +201,7 @@ def test_dispatch_positive_implies_committed_and_within_bounds():
     sched = solve_uc(net, units, [{"n0": 50.0}, {"n0": 130.0}], COPPER)
     for gid in sched.gen_ids:
         for t in range(sched.hours):
-            q = sched.dispatch_mw[gid][t]
+            q = sched.hourly_results[t].gen_mw[gid]
             if q > 1e-9:
                 assert sched.committed[gid][t]
             if sched.committed[gid][t]:
@@ -349,7 +349,7 @@ def test_load_at_a_zero_wtp_bus_is_accepted():
     units = [_unit("u", 50, 10.0)]
     net = Network((Bus("n0", "Z"),), (), ("Z",), (), "n0")
     sched = solve_uc(net, units, [{"n0": 30.0}], COPPER)
-    assert (sched.dispatch_mw["u"], sched.objective) == ((0.0,), 0.0)
+    assert (sched.hourly_results[0].gen_mw["u"], sched.objective) == (0.0, 0.0)
 
 
 def test_determinism():
@@ -361,7 +361,7 @@ def test_determinism():
     s1 = solve_uc(net, units, [{"n0": 120.0}] * 2, COPPER)
     s2 = solve_uc(net, units, [{"n0": 120.0}] * 2, COPPER)
     assert repr(s1.committed) == repr(s2.committed)
-    assert repr(s1.dispatch_mw) == repr(s2.dispatch_mw)
+    assert repr([r.gen_mw for r in s1.hourly_results]) == repr([r.gen_mw for r in s2.hourly_results])
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +506,7 @@ def _outcome(solve, *args, **kwargs):
         sched = solve(*args, **kwargs)
     except UcInfeasibleError as err:
         return ("infeasible", err.hour)
-    return (repr(sched.committed), repr(sched.dispatch_mw), repr(sched.objective))
+    return (repr(sched.committed), repr([r.gen_mw for r in sched.hourly_results]), repr(sched.objective))
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,9 +24,9 @@ def test_triangle_ptdf_is_two_thirds(triangle):
     # inject 1 MW at n1, withdraw at n3 (slack n1, so read the sensitivity of
     # the n3 column and negate: withdrawal at n3 equals -1 injection there)
     flows = evaluate_flows(triangle, {"n1": 1.0, "n3": -1.0})
-    assert flows.flow("a13") == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert flows.flow("a12") == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert flows.flow("a23") == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert flows.flows_mw["a13"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert flows.flows_mw["a12"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert flows.flows_mw["a23"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_slack_column_is_zero(triangle):
@@ -55,7 +55,7 @@ def test_fourbus_zonal_dispatch_overloads_line_13(fourbus):
     net, _ = fourbus
     inj = {"b1": 200.0, "b2": 100.0, "b3": 200.0, "b4": 300.0 - 800.0}
     flows = evaluate_flows(net, inj)
-    assert flows.flow("l13") == pytest.approx(500.0 / 3.0, abs=1e-6)
+    assert flows.flows_mw["l13"] == pytest.approx(500.0 / 3.0, abs=1e-6)
     assert "l13" in flows.violations
 
 
@@ -63,7 +63,7 @@ def test_fourbus_nodal_dispatch_is_exactly_at_limit(fourbus):
     net, _ = fourbus
     inj = {"b1": 175.0, "b2": 100.0, "b3": 225.0, "b4": 300.0 - 800.0}
     flows = evaluate_flows(net, inj)
-    assert flows.flow("l13") == pytest.approx(150.0, abs=1e-9)
+    assert flows.flows_mw["l13"] == pytest.approx(150.0, abs=1e-9)
     assert flows.violations == ()
 
 

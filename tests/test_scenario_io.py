@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,7 @@ def test_fourbus_fixture_loads_verbatim(scenario_dir):
     assert net.bus("b4").load_mw == 800.0
     assert net.bus("b4").wtp == 100.0
     assert net.line("l13").limit_mw == 150.0
-    assert net.interface("tie").ttc_mw == 500.0
+    assert [(i.id, i.ttc_mw) for i in net.interfaces] == [("tie", 500.0)]
     specs = {g.id: g for g in sc.generators}
     assert [specs[p].p_max for p in ("P1", "P2", "P3")] == [200.0, 100.0, 800.0]
     assert [specs[p].ic for p in ("P1", "P2", "P3", "P4")] == [10.0, 10.0, 40.0, 50.0]
@@ -82,7 +83,7 @@ def test_twobus_fixture_capacities(scenario_dir):
     area_b = sum(g.p_max for g in sc.generators if g.bus_id == "b")
     assert area_a == 880.0
     assert area_b == 420.0
-    assert sc.network.interface("tie").ttc_mw == 100.0
+    assert [(i.id, i.ttc_mw) for i in sc.network.interfaces] == [("tie", 100.0)]
     assert sc.run.bid_deviation == ("A3", 70.0, "uniform")
 
 
@@ -363,6 +364,43 @@ def test_round_trip_with_hourly_loads(tmp_path):
     sc = load_scenario(p)
     save_scenario(sc, tmp_path / "t2.scn")
     assert load_scenario(tmp_path / "t2.scn") == sc
+
+
+def _traced_mb(fn):
+    """``fn()`` and the most memory it held at once (tracemalloc), in MB,
+    over what was held before it ran."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_a_year_of_one_bus_loads_holds_only_that_series(monkeypatch, tmp_path):
+    """A scenario keeps the file's load overrides, not every bus's load in
+    every hour: a 300-bus network with one bus given 8,760 hourly loads
+    loads, and yields its hourly loads, in a few MB.  A copy per bus and
+    hour would take about 58 MB for each."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+
+    doc = gen.mesh_doc(0, 0, 300)
+    bus = next(b["id"] for b in doc["network"]["buses"] if b.get("load_mw", 0.0) > 0)
+    doc["run"]["horizon"] = 8760
+    doc["loads"] = {bus: [round(50.0 + t % 24, 1) for t in range(8760)]}
+    p = tmp_path / "year.scn"
+    p.write_text(json.dumps(doc))
+    sc, held = _traced_mb(lambda: load_scenario(p))
+    hours, made = _traced_mb(sc.hourly_loads)
+    assert held < 5.0 and made < 5.0, (held, made)
+    assert len(hours) == 8760 and hours[25] == {bus: 51.0}
+    assert sc.loads == {bus: tuple(doc["loads"][bus])}
 
 
 # ---------------------------------------------------------------------------
