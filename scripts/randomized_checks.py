@@ -83,7 +83,7 @@ def sweep_scenarios(n, rng):
         bounds = {g.id: (round(rng.uniform(0, g.p_max * 0.4), 2), None)
                   for g in rng.sample(gens, min(2, len(gens)))}
         rf = clear(net, with_forced_bounds(gens, bounds), zonal)
-        if rf.feasible and not rf.physical_violations:
+        if rf.feasible and not rf.flows.violations:
             assert surplus(net, rf) <= surplus(net, rn) + 1e-6, "forced beats nodal"
             welfare += 1
     return ordered, welfare, skipped, bad_ptdfs
@@ -128,9 +128,9 @@ def sweep_commitment(n, rng):
     cuts = []
     real_cut = ClearingTemplate.cut
 
-    def recording_cut(template, loads=None, committed=None):
-        case = real_cut(template, loads, committed)
-        cuts.append((template, loads, committed, case.lp))
+    def recording_cut(template, load, committed=None):
+        case = real_cut(template, load, committed)
+        cuts.append((template, load, committed, case.lp))
         return case
 
     cases = []
@@ -154,9 +154,10 @@ def sweep_commitment(n, rng):
                 pruned += dropped
                 bad_runs += got != want
                 runs += 1
-            for template, loads_t, committed, lp in cuts:
+            for template, load, committed, lp in cuts:
+                loads = dict(zip((b.id for b in template.net.buses), load.tolist()))
                 want_lp = reference_clearing_lp(template.net, template.gens, template.regime,
-                                                loads=loads_t, committed=committed)
+                                                loads=loads, committed=committed)
                 bad_lps += bool(lp_differences(lp, want_lp))
             lps += len(cuts)
             cuts.clear()

@@ -1,80 +1,54 @@
 #!/usr/bin/env python3
-"""Run the bundled scenarios end to end and print the headline tables.
+"""Run the bundled scenarios end to end and print the reports they write.
 
 Covers the meshed two-zone system under the three pricing schemes, the
 tightened-interface variant, the two-area system with its copper-plate /
-uniform / nodal price triple, and the day-ahead vs reliability commitment
-case with its redispatch settlement.
+uniform / nodal price triple, the day-ahead vs reliability commitment case
+with its redispatch settlement, and the two-area system's bid deviation
+under the uniform and nodal schemes.  Each case is one ``gridclear``
+subcommand, run through ``gridclear.cli.main``.
 
 Usage: python scripts/run_worked_examples.py [--out OUTDIR]
 """
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from gridclear.cli import run_scheme
-from gridclear.commitment import run_dauc_ruc
-from gridclear.pricing import form_smp
-from gridclear.scenario import load_scenario, write_compare_markdown
-from gridclear.settlement import settle_redispatch
-from gridclear.analysis import evaluate_bid_deviation
+from gridclear.cli import main as gridclear
 
 
-def show_compare(path: Path, out: Path):
-    sc = load_scenario(path)
-    outcomes = [run_scheme(sc, s) for s in sc.run.schemes]
-    md = write_compare_markdown(sc.name, outcomes, out, None)
-    print(f"\n=== {sc.name} ({sc.currency}) ===")
-    print(md.read_text())
+def run(*argv: str) -> int:
+    """Run one ``gridclear`` subcommand, then print each report it wrote (the
+    paths it prints) and any other line it prints."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = gridclear([*argv, "--no-timestamp"])
+    for line in printed.getvalue().splitlines():
+        path = Path(line)
+        print(f"\n=== {path.name} ===\n{path.read_text()}" if path.is_file() else line)
+    return code
 
 
-def show_daucruc(path: Path):
-    sc = load_scenario(path)
-    dauc, ruc, record = run_dauc_ruc(
-        sc.network, sc.generators, sc.hourly_loads(),
-        sc.regime(sc.run.dauc_regime), sc.regime(sc.run.ruc_regime),
-    )
-    smp = form_smp(dauc, sc.network, sc.generators)
-    series = [smp.prices[t]["system"] for t in range(dauc.hours)]
-    redis = settle_redispatch(record, sc.network, sc.generators, series)
-    print(f"\n=== {sc.name}: day-ahead vs reliability commitment ===")
-    print(f"day-ahead cost {dauc.total_cost:.2f}, reliability cost {ruc.total_cost:.2f}")
-    print(f"uniform price by hour: {[round(p, 2) for p in series]}")
-    print(f"{'zone':>6} {'con MWh':>10} {'coff MWh':>10} {'con pay':>10} {'coff pay':>10}")
-    for zone in sc.network.zones:
-        print(f"{zone:>6} {redis.zone_con_mwh[zone]:>10.2f} {redis.zone_coff_mwh[zone]:>10.2f} "
-              f"{redis.zone_con_payment[zone]:>10.2f} {redis.zone_coff_payment[zone]:>10.2f}")
-
-
-def show_bidding(path: Path):
-    sc = load_scenario(path)
-    gen, offered, _ = sc.run.bid_deviation
-    print(f"\n=== {sc.name}: bid deviation {gen} offering {offered:.0f} ===")
-    for scheme in ("uniform", "nodal"):
-        regime = sc.regime("zonal") if scheme == "uniform" else None
-        dev = evaluate_bid_deviation(sc.network, sc.generators, gen, offered,
-                                     scheme=scheme, regime=regime,
-                                     loads=sc.hourly_loads()[0])
-        print(f"{scheme:>8}: q {dev.q_truthful:.0f} -> {dev.q_deviated:.0f} MW, "
-              f"price {dev.price_deviated:.2f}, profit {dev.profit_deviated:.2f}, "
-              f"welfare delta {dev.welfare_delta:.2f}")
-
-
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="directory for report files")
     args = ap.parse_args()
-    out = Path(args.out)
     scenarios = REPO / "scenarios"
-    show_compare(scenarios / "fourbus.scn", out)
-    show_compare(scenarios / "fourbus_tie270.scn", out)
-    show_compare(scenarios / "twobus.scn", out)
-    show_daucruc(scenarios / "fivebus_ruc.scn")
-    show_bidding(scenarios / "twobus.scn")
+    runs = [("compare", scenarios / name, "--format", "md")
+            for name in ("fourbus.scn", "fourbus_tie270.scn", "twobus.scn")]
+    runs.append(("daucruc", scenarios / "fivebus_ruc.scn"))
+    runs += [("bidding", scenarios / "twobus.scn", "--scheme", scheme) for scheme in ("uniform", "nodal")]
+    for command, *rest in runs:
+        code = run(command, *map(str, rest), "--out", args.out)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

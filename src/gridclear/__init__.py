@@ -35,10 +35,8 @@ from gridclear.pricing import (
     PriceComponents,
     PriceReport,
     StackPrice,
-    form_nodal_prices,
     form_prices,
     form_smp,
-    form_zonal_prices,
     stack_price,
 )
 from gridclear.settlement import (
@@ -68,7 +66,7 @@ __all__ = [
     "UcSchedule", "RedispatchRecord",
     "solve_uc", "run_dauc_ruc", "single_interval_schedule",
     "StackPrice", "MarginalSet", "PriceReport", "PriceComponents",
-    "stack_price", "form_prices", "form_smp", "form_zonal_prices", "form_nodal_prices",
+    "stack_price", "form_prices", "form_smp",
     "SettlementReport", "price_at", "settle_energy", "compute_uplift", "settle_redispatch", "summarize",
     "BidDeviation", "PriceSeriesStats",
     "evaluate_bid_deviation", "price_stats",

@@ -86,13 +86,13 @@ def run_scheme(scenario: Scenario, scheme: str, tol: float = MW_TOL) -> SchemeOu
     regime = _regime_for(scenario, scheme)
     gens = scenario.generators
     cleared = with_forced_bounds(gens, scenario.run.forced_bounds) if scheme == "zonal_cm" else gens
-    result = clear(net, cleared, regime, loads=scenario.hourly_loads()[0])
+    result = clear(net, cleared, regime, loads=scenario.loads_at(0))
 
     prices = form_prices(scheme, result, net, gens)
     settlement = summarize(prices, result, net, gens) if result.has_optimum else None
 
     violated = SCHEMES[scheme].deliverable and (
-        bool(overloaded_lines(net, result.line_flow_mw, tol)) or not result.feasible
+        bool(overloaded_lines(net, result.flows.flows_mw, tol)) or not result.feasible
     )
     return SchemeOutcome(
         scheme=scheme, dispatch=result, prices=prices,
@@ -202,7 +202,7 @@ def cmd_bidding(args) -> int:
     regime = _regime_for(sc, scheme)
     dev = evaluate_bid_deviation(
         sc.network, sc.generators, gen, offered,
-        scheme=scheme, regime=regime, loads=sc.hourly_loads()[0],
+        scheme=scheme, regime=regime, loads=sc.loads_at(0),
     )
 
     rows = [

@@ -4,9 +4,10 @@ Commitment is solved by exhaustive search over the product of per-unit on/off
 sequences pruned by minimum up/down feasibility.  The sequences are counted
 before any is listed, and a search over more than ~2^20 candidates reports an
 explicit error.  Each pass then builds one clearing template
-(``dispatch.build_template``) and solves one LP per distinct (hour, committed
-set), cut from that template and memoized across candidates; the search reads
-only each LP's status and objective.  Only the hours of the chosen schedule
+(``dispatch.build_template``) and each hour's ``dispatch.bus_loads`` once,
+and solves one LP per distinct (hour, committed set), cut from that template
+and memoized across candidates; the search reads only each LP's status and
+objective.  Only the hours of the chosen schedule
 are finished into ``DispatchResult``s, so an error that finishing raises (a
 flow evaluation at huge loads, a tie projection's LP) surfaces only for those
 hours.
@@ -48,7 +49,7 @@ import numpy as np
 
 from gridclear.dispatch import (
     ClearingCase, ClearingTemplate, ConstraintRegime, DispatchResult, GeneratorSpec,
-    build_template, check_flags, check_loads, finish, location,
+    build_template, bus_loads, check_flags, finish, location,
 )
 from gridclear import lp as lpmod
 from gridclear.grid import MW_TOL, Network
@@ -163,13 +164,6 @@ def _runs(unit: GeneratorSpec, seq: Sequence[int]) -> tuple[tuple[int, ...], int
 # commitment search
 # ---------------------------------------------------------------------------
 
-def _normalize_hours(hours: Sequence[Mapping[str, float] | None]) -> list[dict[str, float] | None]:
-    out = [None if h is None else dict(h) for h in hours]
-    if not out:
-        raise ValueError("horizon must be >= 1 hour")
-    return out
-
-
 def _floor(lower_bounds: Mapping[str, Sequence[int]] | None, unit: GeneratorSpec,
            horizon: int) -> tuple[int, ...]:
     """The unit's lower-bound sequence over the horizon; hours it leaves out
@@ -202,10 +196,10 @@ def solve_uc(
     sequence longer than the horizon or with a flag other than 0, 1,
     ``False`` or ``True`` raise ``ValueError`` before any LP is solved.
     """
-    hourly_loads = _normalize_hours(hours)
-    horizon = len(hourly_loads)
-    for t, loads in enumerate(hourly_loads):
-        check_loads(f"hours[{t}]", loads or {}, net)
+    load = [bus_loads(net, loads, f"hours[{t}]") for t, loads in enumerate(hours)]
+    horizon = len(load)
+    if not horizon:
+        raise ValueError("horizon must be >= 1 hour")
     check_flags("lower_bounds", lower_bounds or {}, {u.id for u in gens}, horizon)
 
     floors = [_floor(lower_bounds, u, horizon) for u in gens]
@@ -221,15 +215,13 @@ def solve_uc(
 
     # each (hour, committed set) solved once; finished only if chosen
     cache: dict[tuple[int, frozenset[str]], tuple[ClearingCase, lpmod.LpSolution]] = {}
-    load = [np.array([h[b.id] if h and b.id in h else b.load_mw for b in net.buses])
-            for h in hourly_loads]
     uniform_rows, lp_rows = _price_terms(template)
     rows = [uniform_rows(bus_load) for bus_load in load]  # per hour: the rows bounding its LPs
 
     def hour_lp(t: int, on_ids: frozenset[str]) -> lpmod.LpSolution:
         key = (t, on_ids)
         if key not in cache:
-            case, sol = cache[key] = _solve_hour(template, hourly_loads[t], on_ids)
+            case, sol = cache[key] = _solve_hour(template, load[t], on_ids)
             rows[t] = np.vstack((rows[t], lp_rows(case, sol)))
         return cache[key][1]
 
@@ -239,16 +231,16 @@ def solve_uc(
                               lambda t, on_ids: finish(*cache[t, on_ids]), pruned)
 
 
-def _solve_hour(template: ClearingTemplate, loads: Mapping[str, float] | None,
+def _solve_hour(template: ClearingTemplate, load: np.ndarray,
                 on_ids: frozenset[str]) -> tuple[ClearingCase, lpmod.LpSolution]:
-    """One candidate hour: the LP cut for the units in ``on_ids``, solved."""
-    case = template.cut(loads, {g.id: g.id in on_ids for g in template.gens})
+    """One candidate hour: the LP cut at its loads for the units in ``on_ids``, solved."""
+    case = template.cut(load, {g.id: g.id in on_ids for g in template.gens})
     return case, lpmod.solve(case.lp)
 
 
 def _price_terms(template: ClearingTemplate):
-    """The pricers ``uniform_rows(load)`` (bus loads in ``net.buses`` order)
-    and ``lp_rows(case, sol)`` of LPs cut from ``template``: rows (K, h_1,
+    """The pricers ``uniform_rows(load)`` (an hour's ``bus_loads``) and
+    ``lp_rows(case, sol)`` of LPs cut from ``template``: rows (K, h_1,
     ..., h_n) over ``template.gens`` such that K + sum(h_u, u in S) is at
     most the objective of the LP of the same loads with the units S on.
 
@@ -300,7 +292,7 @@ def _price_terms(template: ClearingTemplate):
         none = np.empty((0, n + 1))
         if sol.status != "optimal":
             return none
-        y, load = np.asarray(sol.duals), np.array([case.load_of[b.id] for b in net.buses])
+        y = np.asarray(sol.duals)
         if mode == "nodal":
             mu = np.minimum(y[limits], 0.0)  # (mu+, mu-) of each pair in turn
             pi = y[balance[net.slack_bus]] + (mu[0::2] - mu[1::2]) @ gates
@@ -313,7 +305,7 @@ def _price_terms(template: ClearingTemplate):
                     if ttc is None:
                         return none  # a free flow between two prices: K would be -inf
                     k -= gap * ttc
-        return rows(pi[None], load, k)
+        return rows(pi[None], case.load, k)
 
     return uniform_rows, lp_rows
 

@@ -28,10 +28,10 @@ split among cost-equivalent schedules.
 
 ``clear`` runs three stages, which unit commitment runs separately:
 ``build_template`` builds the checked LP of every unit and a curtailment
-column per bus, ``ClearingTemplate.cut`` takes the LP of one (loads,
-committed set) from it, array for array the one a direct build gives, and
-``finish`` turns the solved LP into a ``DispatchResult``.  The template is
-built in one pass by ``location``: each unit and curtailment column enters
+column per bus, ``ClearingTemplate.cut`` takes the LP of one hour's loads
+(``bus_loads``) and committed set from it, array for array the one a direct
+build gives, and ``finish`` turns the solved LP into a ``DispatchResult``.
+The template is built in one pass by ``location``: each unit and curtailment column enters
 its location's balance row, then each line's angle terms enter the rows of
 both its ends (nodal), or each inter-zonal flow the rows of both its zones
 (zonal).  The balance rows come first; every row after them is a limit.
@@ -49,7 +49,7 @@ from typing import Container, Iterable, Mapping, Sequence
 import numpy as np
 
 from gridclear.grid import (
-    MW_TOL, Line, Network, evaluate_flows, format_number, injection_vector, out_of_range,
+    MW_TOL, FlowSet, Line, Network, evaluate_flows, format_number, injection_vector, out_of_range,
 )
 from gridclear import lp as lpmod
 
@@ -172,14 +172,12 @@ class ConstraintRegime:
 class DispatchResult:
     mode: str
     gen_mw: dict[str, float]
-    line_flow_mw: dict[str, float]
-    interface_flow_mw: dict[str, float]
+    flows: FlowSet  # physically implied flows of the dispatch, with overloaded lines
     binding: tuple[tuple[str, float], ...]  # (constraint label, dual)
     balance_duals: dict[str, float]  # keyed by bus, zone, or "system"
     total_cost: float  # generation cost at incremental cost (no curtailment penalty)
     feasible: bool
     violations: tuple[str, ...]
-    physical_violations: tuple[str, ...]  # line ids with |implied flow| > limit
     served_mw: dict[str, float]  # by bus
     gen_flags: dict[str, str]
     objective_value: float
@@ -222,9 +220,9 @@ def clear(
     units flagged ``synchronous`` count towards ``regime.min_sync_mw``.  An LP that has no optimum yields
     ``feasible=False`` with an ``lp_*`` violation.
     """
-    check_loads("loads", loads or {}, net)
+    load = bus_loads(net, loads)
     check_flags("committed", committed or {}, {g.id for g in gens})
-    case = build_template(net, gens, regime).cut(loads, committed)
+    case = build_template(net, gens, regime).cut(load, committed)
     return finish(case, lpmod.solve(case.lp))
 
 
@@ -251,25 +249,22 @@ class ClearingTemplate:
     reserve_row: int | None
     sync_row: int | None
 
-    def cut(self, loads: Mapping[str, float] | None = None,
-            committed: Mapping[str, bool] | None = None) -> ClearingCase:
-        """The LP of one (loads, committed set), as ``clear`` takes them: the
-        columns of online units and of buses with load above 0, the reserve
-        row if a unit is on, the ``min_sync`` row if a synchronous one is, and
+    def cut(self, load: np.ndarray, committed: Mapping[str, bool] | None = None) -> ClearingCase:
+        """The LP of one hour's ``bus_loads`` and committed set: the columns
+        of online units and of buses with load above 0, the reserve row if a
+        unit is on, the ``min_sync`` row if a synchronous one is, and
         curtailment bounds and right-hand sides set from the loads and units."""
         net, gens, regime, full = self.net, self.gens, self.regime, self.lp
-        load_of = {b.id: (loads[b.id] if loads and b.id in loads else b.load_mw)
-                   for b in net.buses}
         on = [k for k, g in enumerate(gens) if committed is None or committed.get(g.id, False)]
-        loaded = [k for k, b in enumerate(net.buses) if load_of[b.id] > 0]
+        loaded = np.flatnonzero(load > 0).tolist()
         cols = on + [len(gens) + k for k in loaded] + list(
             range(len(gens) + len(net.buses), len(full.cost)))
         gvar = {gens[k].id: j for j, k in enumerate(on)}
         cvar = {net.buses[k].id: j for j, k in enumerate(loaded, len(on))}
 
         rhs = full.rhs.copy()
-        for b in net.buses:
-            rhs[self.balance[location(net, regime.mode, b.id)]] += load_of[b.id]
+        for b, mw in zip(net.buses, load.tolist()):
+            rhs[self.balance[location(net, regime.mode, b.id)]] += mw
         keep = len(rhs)  # rows kept: the aggregate rows come last, reserve first
         if self.sync_row is not None and not any(gens[k].synchronous for k in on):
             keep = self.sync_row
@@ -282,23 +277,23 @@ class ClearingTemplate:
 
         at = np.array(cols, dtype=np.intp)
         upper = full.upper.take(at)
-        upper[len(on):len(on) + len(loaded)] = [load_of[net.buses[k].id] for k in loaded]
+        upper[len(on):len(on) + len(loaded)] = load[loaded]
         lp = lpmod.LinearProgram(
             full.cost.take(at), full.lower.take(at), upper, full.A[:keep].take(at, axis=1),
             full.sense[:keep], rhs[:keep], tuple([full.var_names[j] for j in cols]),
             full.row_labels[:keep])
-        return ClearingCase(self, lp, load_of, gvar, cvar)
+        return ClearingCase(self, lp, load, gvar, cvar)
 
 
 @dataclass(frozen=True, eq=False)
 class ClearingCase:
-    """One (loads, committed set) cut from a template: its LP and the columns
-    of its units and curtailments.  Its balance rows keep the template's
-    positions, as only rows after them are dropped."""
+    """One hour's (loads, committed set) cut from a template: its LP and the
+    columns of its units and curtailments.  Its balance rows keep the
+    template's positions, as only rows after them are dropped."""
 
     template: ClearingTemplate
     lp: lpmod.LinearProgram
-    load_of: dict[str, float]
+    load: np.ndarray  # each bus's load, in ``net.buses`` order (``bus_loads``)
     gvar: dict[str, int]  # online unit -> its column
     cvar: dict[str, int]  # loaded bus -> its curtailment column
 
@@ -371,7 +366,7 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
     resolution, physical flows, prices, flags and binding rows."""
     net, gens, regime = case.template.net, case.template.gens, case.template.regime
     problem, balance = case.lp, case.template.balance
-    load_of, gvar, cvar = case.load_of, case.gvar, case.cvar
+    gvar, cvar = case.gvar, case.cvar
     active = [g for g in gens if g.id in gvar]
     limit_rows = range(len(balance), len(problem.row_labels))  # the balance rows come first
     limits = {problem.row_labels[i]: float(problem.rhs[i]) for i in limit_rows}
@@ -379,18 +374,17 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
     if sol.status != "optimal":
         return DispatchResult(
             mode=regime.mode, gen_mw={g.id: 0.0 for g in gens},
-            line_flow_mw={l.id: 0.0 for l in net.lines},
-            interface_flow_mw={i.id: 0.0 for i in net.interfaces},
+            flows=FlowSet({l.id: 0.0 for l in net.lines}, {i.id: 0.0 for i in net.interfaces}, ()),
             binding=(), balance_duals={}, total_cost=0.0, feasible=False,
             violations=(f"lp_{sol.status}: no dispatch satisfies the enforced constraints",),
-            physical_violations=(), served_mw={},
+            served_mw={},
             gen_flags={g.id: ("" if g.id in gvar else "offline") for g in gens},
             objective_value=0.0, limits=limits,
         )
 
     gen_mw = {g.id: (sol.primal[gvar[g.id]] if g.id in gvar else 0.0) for g in gens}
     curtail = {b: sol.primal[j] for b, j in cvar.items()}
-    served = {b.id: load_of[b.id] - curtail.get(b.id, 0.0) for b in net.buses}
+    served = {b.id: mw - curtail.get(b.id, 0.0) for b, mw in zip(net.buses, case.load.tolist())}
 
     gen_mw = _resolve_ties(net, active, gen_mw, regime, served)
     flows = evaluate_flows(net, _injections(net, gens, gen_mw, served))
@@ -421,10 +415,9 @@ def finish(case: ClearingCase, sol: lpmod.LpSolution) -> DispatchResult:
     feasible = total_curtail <= MW_TOL
 
     return DispatchResult(
-        mode=regime.mode, gen_mw=gen_mw, line_flow_mw=flows.flows_mw,
-        interface_flow_mw=flows.interface_flows_mw, binding=binding, balance_duals=balance_duals,
+        mode=regime.mode, gen_mw=gen_mw, flows=flows, binding=binding, balance_duals=balance_duals,
         total_cost=total_cost, feasible=feasible, violations=tuple(violations),
-        physical_violations=flows.violations, served_mw=served, gen_flags=flags,
+        served_mw=served, gen_flags=flags,
         objective_value=sol.objective_value, limits=limits,
     )
 
@@ -460,13 +453,18 @@ def check_flags(name: str, flags: Mapping[str, object], units: Container[str],
                              + ("0 or 1" if horizon is None else f"at most {horizon} flags of 0 or 1"))
 
 
-def check_loads(name: str, loads: Mapping[str, float], net: Network) -> None:
-    """``check_keys`` for bus loads, then a ``ValueError`` naming the first
-    bus whose load is NaN, negative or beyond ``MAGNITUDE``: the ``Bus`` rule
-    without its ``wtp`` clause."""
+def bus_loads(net: Network, loads: Mapping[str, float] | None, name: str = "loads") -> np.ndarray:
+    """Each bus's load for one hour, in ``net.buses`` order, as a read-only
+    array: its override in ``loads``, else its ``load_mw``.  ``check_keys``
+    for the overrides, then a ``ValueError`` naming the first bus whose load is
+    NaN, negative or beyond ``MAGNITUDE``: the ``Bus`` rule without its ``wtp`` clause."""
+    loads = loads or {}
     check_keys(name, loads, net.bus_index, "bus")
     if bad := out_of_range({f"bus {b} load": mw for b, mw in loads.items()}, 0.0):
         raise ValueError(f"{name}: {bad}")
+    load = np.array([loads.get(b.id, b.load_mw) for b in net.buses], dtype=float)
+    load.flags.writeable = False
+    return load
 
 
 def _injections(net: Network, gens, gen_mw, served) -> dict[str, float]:

@@ -1,8 +1,9 @@
 """Price formation: uniform stack-price screening, zonal duals, nodal LMPs.
 
 ``form_prices`` is the one mapping from a scheme of ``SCHEMES`` and its
-clearing to the prices the scheme reports and settles at.  Each scheme forms
-one of three kinds of price:
+clearing, in the scheme's mode, to the prices the scheme reports and settles
+at: it forms zone and bus prices itself, and the uniform price through
+``form_smp``.  Each scheme forms one of three kinds of price:
 
 * ``uniform_smp`` -- the system marginal price, keyed ``system``, is the
   highest stack price (incremental cost plus amortized no-load and start-up
@@ -185,39 +186,6 @@ def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) 
     return PriceReport("uniform_smp", tuple(prices), (), tuple(msets))
 
 
-def form_zonal_prices(result: DispatchResult) -> PriceReport:
-    """Zone prices are the zone balance duals of a zonal clearing."""
-    if result.mode != "zonal":
-        raise PricingContractError("form_zonal_prices requires a zonal dispatch result")
-    if not result.balance_duals:
-        raise PricingContractError("zonal result carries no zone balance duals")
-    return PriceReport("zonal", (dict(result.balance_duals),))
-
-
-def form_nodal_prices(result: DispatchResult, net: Network) -> PriceReport:
-    """Locational prices with an energy / congestion / loss decomposition.
-
-    The energy component is the reference (slack) bus dual; the congestion
-    component is the dual spread against the reference; the loss component is
-    zero, signed as the reference price is, as the network is lossless."""
-    if result.mode != "nodal":
-        raise PricingContractError("form_nodal_prices requires a nodal dispatch result")
-    if net.slack_bus not in result.balance_duals:
-        raise PricingContractError(f"reference bus {net.slack_bus!r} dual missing")
-    lam_ref = result.balance_duals[net.slack_bus]
-    loss = lam_ref * 0.0
-    prices: dict[str, float] = {}
-    comps: dict[str, PriceComponents] = {}
-    for bus in (b.id for b in net.buses):
-        if bus not in result.balance_duals:
-            raise PricingContractError(f"balance dual missing for bus {bus!r}")
-        lam = result.balance_duals[bus]
-        congestion = lam - lam_ref
-        prices[bus] = lam + loss
-        comps[bus] = PriceComponents(energy=lam_ref, congestion=congestion, loss=loss)
-    return PriceReport("nodal", (prices,), (comps,))
-
-
 def form_prices(
     scheme: str,
     result: DispatchResult,
@@ -225,14 +193,23 @@ def form_prices(
     gens: Sequence[GeneratorSpec],
 ) -> PriceReport:
     """The prices ``scheme`` (a key of ``SCHEMES``) forms from one clearing
-    of ``gens``: its nodal or zonal duals, or the screened uniform price of
-    the single-interval schedule.  A clearing with no optimum forms no price:
+    of ``gens`` in the scheme's mode (else ``PricingContractError``): its
+    zone duals, its bus duals with their energy (reference bus dual),
+    congestion and loss components, or the screened uniform price of the
+    single-interval schedule.  A clearing with no optimum forms no price:
     the report's one hour is empty."""
-    kind = SCHEMES[scheme].price_kind
+    mode, kind = SCHEMES[scheme].mode, SCHEMES[scheme].price_kind
+    if result.mode != mode:
+        raise PricingContractError(f"scheme {scheme!r} prices a {mode} clearing, not a {result.mode} one")
     if not result.has_optimum:
         return PriceReport(kind, ({},))
-    if kind == "nodal":
-        return form_nodal_prices(result, net)
+    duals = result.balance_duals
     if kind == "zonal":
-        return form_zonal_prices(result)
-    return form_smp(single_interval_schedule(result, gens), net, gens)
+        return PriceReport("zonal", (dict(duals),))
+    if kind == "uniform_smp":
+        return form_smp(single_interval_schedule(result, gens), net, gens)
+    lam_ref = duals[net.slack_bus]
+    loss = lam_ref * 0.0  # lossless: zero, signed as the reference price
+    prices = {b.id: duals[b.id] + loss for b in net.buses}
+    comps = {b.id: PriceComponents(lam_ref, duals[b.id] - lam_ref, loss) for b in net.buses}
+    return PriceReport("nodal", (prices,), (comps,))

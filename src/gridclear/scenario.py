@@ -151,14 +151,15 @@ class Scenario:
     regimes: dict[str, ConstraintRegime]
     run: RunSection
 
+    def loads_at(self, hour: int) -> dict[str, float] | None:
+        """One hour's load overrides, as ``clear`` takes them: only the
+        overridden buses, each mapped to its MW (every other bus keeps its
+        ``load_mw``); None when the file overrides no load."""
+        return None if self.loads is None else {bus: mw[hour] for bus, mw in self.loads.items()}
+
     def hourly_loads(self) -> list[dict[str, float] | None]:
-        """Per-hour load overrides for the run horizon, as ``clear`` and
-        ``solve_uc`` take them: each hour maps only the overridden buses to
-        their MW (every other bus keeps its ``load_mw``); None when the file
-        overrides no load."""
-        if self.loads is None:
-            return [None] * self.run.horizon
-        return [{bus: mw[t] for bus, mw in self.loads.items()} for t in range(self.run.horizon)]
+        """``loads_at`` of each hour of the run horizon, as ``solve_uc`` takes them."""
+        return [self.loads_at(t) for t in range(self.run.horizon)]
 
     def regime(self, name: str) -> ConstraintRegime:
         return self.regimes[name]
@@ -660,10 +661,10 @@ def _write_scheme_csv(name, net: Network, oc: SchemeOutcome, out_dir: Path, time
     paths.append(write_csv(f"{stem}_prices.csv", header, rows, timestamp))
 
     header = ("hour", "element", "kind", "flow_mw", "limit_mw", "violation")
-    rows = [("0", line.id, "line", r.line_flow_mw[line.id], line.limit_mw,
-             "yes" if line.id in r.physical_violations else "no") for line in net.lines]
+    rows = [("0", line.id, "line", r.flows.flows_mw[line.id], line.limit_mw,
+             "yes" if line.id in r.flows.violations else "no") for line in net.lines]
     rows += [("0", iid, "interface", flow, r.limits.get(f"iface+[{iid}]", math.nan), "no")
-             for iid, flow in r.interface_flow_mw.items()]
+             for iid, flow in r.flows.interface_flows_mw.items()]
     paths.append(write_csv(f"{stem}_flows.csv", header, rows, timestamp))
 
     s = oc.settlement

@@ -21,7 +21,9 @@ from dataclasses import replace
 import numpy as np
 
 from gridclear.grid import Bus, Interface, Line, Network
-from gridclear.dispatch import ConstraintRegime, GeneratorSpec, build_template, clear, interface_zones
+from gridclear.dispatch import (
+    ConstraintRegime, GeneratorSpec, build_template, bus_loads, clear, interface_zones,
+)
 from gridclear.commitment import UcInfeasibleError, _assemble_schedule, _price_terms
 from gridclear.lp import (
     FEAS_TOL, INF, MAX_ITERATIONS, OPT_TOL, PIVOT_TOL, LinearProgram, LpBuilder,
@@ -612,12 +614,12 @@ def price_bound_failures(net, gens, hours, regime) -> tuple[int, list[str]]:
     uniform_rows, lp_rows = _price_terms(template)
     pairs, failures = 0, []
     for t, loads in enumerate(hours):
+        load = bus_loads(net, loads)
         solved = []
         for flags in itertools.product((0, 1), repeat=len(gens)):
-            case = template.cut(loads, {g.id: bool(on) for g, on in zip(gens, flags)})
+            case = template.cut(load, {g.id: bool(on) for g, on in zip(gens, flags)})
             solved.append((np.array(flags), case, solve(case.lp)))
         optima = [(flags, sol.objective_value) for flags, _, sol in solved if sol.status == "optimal"]
-        load = np.array([solved[0][1].load_of[b.id] for b in net.buses])
         bounds = [(f"uniform-price row {i}", row) for i, row in enumerate(uniform_rows(load))]
         for own, case, sol in solved:
             rows = lp_rows(case, sol)

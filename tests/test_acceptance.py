@@ -80,9 +80,9 @@ def test_criterion_02_fourbus_zonal_infeasibility(scenario_dir, tmp_path, capsys
     )
     prices = outcome.prices.prices[0]
     assert [prices[z] for z in ("Z1", "Z2")] == pytest.approx([40.0, 50.0], rel=REL)
-    assert r.line_flow_mw["l13"] == pytest.approx(500.0 / 3.0, rel=REL)
-    assert r.line_flow_mw["l13"] > 150.0
-    assert "l13" in r.physical_violations
+    assert r.flows.flows_mw["l13"] == pytest.approx(500.0 / 3.0, rel=REL)
+    assert r.flows.flows_mw["l13"] > 150.0
+    assert "l13" in r.flows.violations
 
     code = main(["clear", str(scenario_dir / "fourbus.scn"), "--scheme", "zonal",
                  "--out", str(tmp_path), "--no-timestamp"])
@@ -174,7 +174,7 @@ def test_criterion_06_surplus_and_cost_ordering():
         for g in rng.sample(gens, min(2, len(gens))):
             bounds[g.id] = (round(rng.uniform(0.0, g.p_max * 0.4), 2), None)
         rf = clear(net, with_forced_bounds(gens, bounds), zonal_regime)
-        if not _fully_served(rf) or rf.physical_violations:
+        if not _fully_served(rf) or rf.flows.violations:
             continue
         assert _surplus(net, gens, rf) <= _surplus(net, gens, rn) + 1e-6
         compared += 1

@@ -479,7 +479,7 @@ def test_uc_matches_enumeration_oracle(seed):
 def _recording_clear(calls):
     def recording(net, gens, regime, **kw):
         on_set = frozenset(gid for gid, on in kw["committed"].items() if on)
-        calls[(tuple(sorted(kw["loads"].items())), on_set)] += 1
+        calls[(tuple(dispatch.bus_loads(net, kw["loads"])), on_set)] += 1
         return clear(net, gens, regime, **kw)
     return recording
 
@@ -488,9 +488,9 @@ _SOLVE_HOUR = commitment._solve_hour  # unpatched, so a recorder never calls ano
 
 
 def _recording_solve_hour(calls):
-    def recording(template, loads, on_ids):
-        calls[(tuple(sorted((loads or {}).items())), on_ids)] += 1
-        return _SOLVE_HOUR(template, loads, on_ids)
+    def recording(template, load, on_ids):
+        calls[(tuple(load), on_ids)] += 1
+        return _SOLVE_HOUR(template, load, on_ids)
     return recording
 
 

@@ -13,6 +13,7 @@ from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
     build_template,
+    bus_loads,
     clear,
     location,
     with_forced_bounds,
@@ -45,9 +46,9 @@ def test_fourbus_nodal(fourbus):
         [10.0, 25.0, 40.0, 50.0], abs=1e-6
     )
     assert r.total_cost == pytest.approx(26750.0, rel=1e-9)
-    assert r.line_flow_mw["l13"] == pytest.approx(150.0, abs=1e-6)
-    assert r.line_flow_mw["l34"] == pytest.approx(500.0, abs=1e-6)
-    assert r.physical_violations == ()
+    assert r.flows.flows_mw["l13"] == pytest.approx(150.0, abs=1e-6)
+    assert r.flows.flows_mw["l34"] == pytest.approx(500.0, abs=1e-6)
+    assert r.flows.violations == ()
 
 
 def test_fourbus_nodal_binding_duals(fourbus):
@@ -67,8 +68,8 @@ def test_fourbus_zonal_physically_infeasible(fourbus):
     )
     assert [r.balance_duals[z] for z in ("Z1", "Z2")] == pytest.approx([40.0, 50.0], abs=1e-6)
     assert r.total_cost == pytest.approx(26000.0, rel=1e-9)
-    assert r.line_flow_mw["l13"] == pytest.approx(500.0 / 3.0, abs=1e-6)
-    assert r.physical_violations == ("l13",)
+    assert r.flows.flows_mw["l13"] == pytest.approx(500.0 / 3.0, abs=1e-6)
+    assert r.flows.violations == ("l13",)
     assert any("166.67" in v for v in r.violations)
 
 
@@ -80,7 +81,7 @@ def test_fourbus_tie270_pro_rata(fourbus):
     )
     assert [r.balance_duals[z] for z in ("Z1", "Z2")] == pytest.approx([10.0, 50.0], abs=1e-6)
     assert r.total_cost == pytest.approx(29200.0, rel=1e-9)
-    assert r.physical_violations == ()
+    assert r.flows.violations == ()
 
 
 def test_fourbus_forced_min_matches_nodal_dispatch(fourbus):
@@ -92,7 +93,7 @@ def test_fourbus_forced_min_matches_nodal_dispatch(fourbus):
     assert [r.balance_duals[z] for z in ("Z1", "Z2")] == pytest.approx([10.0, 50.0], abs=1e-6)
     assert r.total_cost == pytest.approx(26750.0, rel=1e-9)
     assert r.gen_flags["P3"] == "at_forced_min"
-    assert r.physical_violations == ()
+    assert r.flows.violations == ()
 
 
 def test_forced_bounds_noop_when_zero(fourbus):
@@ -134,7 +135,7 @@ def test_twobus_nodal_prices(twobus):
     net, gens = twobus
     r = clear(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
                                           enforce_interfaces=False))
-    assert r.interface_flow_mw["tie"] == pytest.approx(100.0, abs=1e-6)
+    assert r.flows.interface_flows_mw["tie"] == pytest.approx(100.0, abs=1e-6)
     assert r.balance_duals["a"] == pytest.approx(75.0, abs=1e-6)
     assert r.balance_duals["b"] == pytest.approx(100.0, abs=1e-6)
     assert r.gen_mw["A2"] == pytest.approx(150.0, abs=1e-6)
@@ -260,6 +261,20 @@ def test_out_of_range_loads_are_rejected(load, shown):
         clear(net, gens, NODAL, loads={"b1": 40.0, "b4": load})
 
 
+def test_bus_loads_is_each_override_else_the_bus_load():
+    """One hour's load vector: each bus's override, else its own
+    ``load_mw``, in ``net.buses`` order, read-only."""
+    net, _ = make_fourbus()
+    assert [b.load_mw for b in net.buses] == [0.0, 0.0, 0.0, 800.0]
+    assert bus_loads(net, None).tolist() == [0.0, 0.0, 0.0, 800.0]
+    load = bus_loads(net, {"b4": 700.0, "b1": 40})
+    assert load.tolist() == [40.0, 0.0, 0.0, 700.0] and load.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        load[0] = 1.0
+    with pytest.raises(ValueError, match=re.escape("hours[3]: unknown bus id(s) ['B4']")):
+        bus_loads(net, {"B4": 1.0}, "hours[3]")
+
+
 def test_reserve_constraint_binds_and_flags():
     net = Network((Bus("n", "Z", 90.0, 400.0),), (), ("Z",), (), "n")
     gens = [GeneratorSpec("a", "n", 0.0, 100.0, 10.0), GeneratorSpec("b", "n", 0.0, 100.0, 50.0)]
@@ -306,7 +321,7 @@ def test_multi_line_flowgate_binds_in_nodal_mode():
                                           enforce_interfaces=True))
     assert r.gen_mw["cheap"] == pytest.approx(120.0, abs=1e-6)
     assert r.gen_mw["dear"] == pytest.approx(80.0, abs=1e-6)
-    assert r.interface_flow_mw["gate"] == pytest.approx(120.0, abs=1e-6)
+    assert r.flows.interface_flows_mw["gate"] == pytest.approx(120.0, abs=1e-6)
     assert r.balance_duals["g"] == pytest.approx(10.0, abs=1e-6)
     assert r.balance_duals["d"] == pytest.approx(50.0, abs=1e-6)
     assert any(l == "iface+[gate]" for l, _ in r.binding)
@@ -488,7 +503,7 @@ def _cleared_lp(monkeypatch, net, gens, regime, **kw):
 def _assert_cut_is_direct_build(template, loads=None, committed=None):
     want = reference_clearing_lp(template.net, template.gens, template.regime,
                                  loads=loads, committed=committed)
-    assert lp_differences(template.cut(loads, committed).lp, want) == []
+    assert lp_differences(template.cut(bus_loads(template.net, loads), committed).lp, want) == []
 
 
 @pytest.mark.parametrize("name", _BUNDLED)
@@ -657,12 +672,12 @@ def _assert_record_is_the_limit_rows(template):
     is_line = [label.startswith("flow") for label in labels]
     assert is_line == sorted(is_line, reverse=True)
 
-    case = template.cut()
+    case = template.cut(bus_loads(net, None))
     sol = lpmod.solve(case.lp)
     assert sol.status == "optimal"
     x = np.array(sol.primal)
-    injection = np.array([-case.load_of[b.id] + (x[case.cvar[b.id]] if b.id in case.cvar else 0.0)
-                          for b in net.buses])
+    injection = np.array([-mw + (x[case.cvar[b.id]] if b.id in case.cvar else 0.0)
+                          for b, mw in zip(net.buses, case.load)])
     for g in template.gens:
         injection[net.bus_index[g.bus_id]] += x[case.gvar[g.id]]
     line_row = dict(zip((l.id for l in net.lines), net.ptdf))

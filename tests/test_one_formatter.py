@@ -1,14 +1,17 @@
 """One formatter prints every report figure: the two-decimal format spec
 (``.2f``) stands only in ``grid.format_number``, so a change of how figures
-print is a change of that one function.  Both f-string specs
-(``f"{x:.2f}"``) and ``format(x, ".2f")`` calls are found."""
+print is a change of that one function.  The package and the scripts
+under ``scripts/`` are scanned; both f-string specs (``f"{x:.2f}"``) and
+``format(x, ".2f")`` calls are found."""
 import ast
 import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gridclear"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "gridclear"
+SCANNED = sorted(SRC.glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
 TWO_DECIMALS = re.compile(r"\.2f")
 ALLOWED = {"grid": {"format_number"}}
 
@@ -47,9 +50,9 @@ def two_decimal_sites(source: str) -> list[str]:
     return sorted(found)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: p.name)
 def test_two_decimals_are_printed_only_by_format_number(path):
-    allowed = ALLOWED.get(path.stem, set())
+    allowed = ALLOWED.get(path.stem, set()) if path.parent == SRC else set()
     assert [s for s in two_decimal_sites(path.read_text()) if s.split(":")[0] not in allowed] == []
 
 

@@ -13,12 +13,12 @@ from gridclear.dispatch import (
 )
 from gridclear.grid import Bus, Interface, Line, Network
 from gridclear.pricing import (
+    SCHEMES,
     PriceFormationError,
     PricingContractError,
     UnitNotRunningError,
-    form_nodal_prices,
+    form_prices,
     form_smp,
-    form_zonal_prices,
     stack_price,
 )
 
@@ -142,7 +142,7 @@ def test_smp_is_max_over_marginal_set():
 
 def test_fourbus_zonal_prices(fourbus):
     net, gens = fourbus
-    report = form_zonal_prices(clear(net, gens, ZONAL))
+    report = form_prices("zonal", clear(net, gens, ZONAL), net, gens)
     assert report.prices[0]["Z1"] == pytest.approx(40.0)
     assert report.prices[0]["Z2"] == pytest.approx(50.0)
 
@@ -156,14 +156,8 @@ def test_uncongested_two_zone_prices_equal():
         "x",
     )
     gens = [GeneratorSpec("g1", "x", 0.0, 200.0, 25.0), GeneratorSpec("g2", "y", 0.0, 200.0, 60.0)]
-    report = form_zonal_prices(clear(net, gens, ZONAL))
+    report = form_prices("zonal", clear(net, gens, ZONAL), net, gens)
     assert report.prices[0]["ZA"] == pytest.approx(report.prices[0]["ZB"])
-
-
-def test_zonal_prices_require_zonal_result(fourbus):
-    net, gens = fourbus
-    with pytest.raises(PricingContractError):
-        form_zonal_prices(clear(net, gens, NODAL))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +167,7 @@ def test_zonal_prices_require_zonal_result(fourbus):
 def test_fourbus_nodal_lmps_and_decomposition(fourbus):
     net, gens = fourbus
     result = clear(net, gens, NODAL)
-    report = form_nodal_prices(result, net)
+    report = form_prices("nodal", result, net, gens)
     prices = report.prices[0]
     assert [prices[b] for b in ("b1", "b2", "b3", "b4")] == pytest.approx(
         [10.0, 25.0, 40.0, 50.0], abs=1e-6
@@ -198,16 +192,23 @@ def test_no_congestion_all_lmps_equal_reference():
     )
     gens = [GeneratorSpec("g1", "x", 0.0, 200.0, 25.0), GeneratorSpec("g2", "y", 0.0, 200.0, 60.0)]
     result = clear(net, gens, ConstraintRegime(mode="nodal"))
-    report = form_nodal_prices(result, net)
+    report = form_prices("nodal", result, net, gens)
     assert report.prices[0]["x"] == pytest.approx(report.prices[0]["y"], abs=1e-9)
     assert all(c.congestion == pytest.approx(0.0, abs=1e-9)
                for c in report.decomposition[0].values())
 
 
-def test_nodal_prices_require_nodal_result(fourbus):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_prices_of_a_clearing_of_another_mode_are_a_contract_error(fourbus, scheme):
+    """``form_prices`` prices only a clearing in its scheme's mode: under
+    each scheme, a clearing in either other mode raises."""
     net, gens = fourbus
-    with pytest.raises(PricingContractError):
-        form_nodal_prices(clear(net, gens, ZONAL), net)
+    mode = SCHEMES[scheme].mode
+    for other in sorted({"nodal", "zonal", "copper_plate"} - {mode}):
+        result = clear(net, gens, ConstraintRegime(mode=other))
+        with pytest.raises(PricingContractError,
+                           match=f"scheme '{scheme}' prices a {mode} clearing, not a {other} one"):
+            form_prices(scheme, result, net, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +225,8 @@ def test_scheme_collapse_single_zone():
     nodal = clear(net, gens, ConstraintRegime(mode="nodal"))
     zonal = clear(net, gens, ZONAL)
     copper = clear(net, gens, COPPER)
-    lmp = form_nodal_prices(nodal, net).prices[0]
-    zp = form_zonal_prices(zonal).prices[0]["Z"]
+    lmp = form_prices("nodal", nodal, net, gens).prices[0]
+    zp = form_prices("zonal", zonal, net, gens).prices[0]["Z"]
     smp = form_smp(single_interval_schedule(copper, gens), net, gens).prices[0]["system"]
     assert lmp["x"] == pytest.approx(zp, abs=1e-6)
     assert lmp["y"] == pytest.approx(zp, abs=1e-6)

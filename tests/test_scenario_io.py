@@ -8,7 +8,7 @@ import pytest
 
 from gridclear.dispatch import ConstraintRegime, clear
 from gridclear.grid import MAGNITUDE, REACTANCE
-from gridclear.pricing import form_nodal_prices, form_zonal_prices
+from gridclear.pricing import form_prices
 from gridclear.scenario import (
     E_DUP,
     E_IO,
@@ -382,11 +382,10 @@ def _traced_mb(fn):
             tracemalloc.stop()
 
 
-def test_a_year_of_one_bus_loads_holds_only_that_series(monkeypatch, tmp_path):
-    """A scenario keeps the file's load overrides, not every bus's load in
-    every hour: a 300-bus network with one bus given 8,760 hourly loads
-    loads, and yields its hourly loads, in a few MB.  A copy per bus and
-    hour would take about 58 MB for each."""
+@pytest.fixture
+def year(monkeypatch, tmp_path):
+    """A 300-bus network with one bus given 8,760 hourly loads: the file's
+    path, its document and the bus."""
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
     import gen
 
@@ -396,11 +395,30 @@ def test_a_year_of_one_bus_loads_holds_only_that_series(monkeypatch, tmp_path):
     doc["loads"] = {bus: [round(50.0 + t % 24, 1) for t in range(8760)]}
     p = tmp_path / "year.scn"
     p.write_text(json.dumps(doc))
+    return p, doc, bus
+
+
+def test_a_year_of_one_bus_loads_holds_only_that_series(year):
+    """A scenario keeps the file's load overrides, not every bus's load in
+    every hour: the year-long scenario loads, and yields its hourly loads,
+    in a few MB.  A copy per bus and hour would take about 58 MB for each."""
+    p, doc, bus = year
     sc, held = _traced_mb(lambda: load_scenario(p))
     hours, made = _traced_mb(sc.hourly_loads)
     assert held < 5.0 and made < 5.0, (held, made)
     assert len(hours) == 8760 and hours[25] == {bus: 51.0}
     assert sc.loads == {bus: tuple(doc["loads"][bus])}
+
+
+def test_reading_one_hour_of_a_year_allocates_little(year):
+    """``loads_at(0)``, which ``clear`` and ``bidding`` read, builds that
+    hour's overrides only: under 0.1 MB, where every hour's overrides
+    (``hourly_loads()``) take about 1.7 MB."""
+    p, doc, bus = year
+    sc = load_scenario(p)
+    hour, made = _traced_mb(lambda: sc.loads_at(0))
+    assert made < 0.1, made
+    assert hour == {bus: 50.0} == sc.hourly_loads()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +430,11 @@ def _outcome(fourbus, scheme="nodal"):
     if scheme == "nodal":
         r = clear(net, gens, ConstraintRegime(mode="nodal", monitored_profile="nodal",
                                               enforce_interfaces=False))
-        prices = form_nodal_prices(r, net)
     else:
         r = clear(net, gens, ConstraintRegime(mode="zonal"))
-        prices = form_zonal_prices(r)
+    prices = form_prices(scheme, r, net, gens)
     settlement = summarize(prices, r, net, gens)
-    violated = scheme != "nodal" and bool(r.physical_violations)
+    violated = scheme != "nodal" and bool(r.flows.violations)
     return SchemeOutcome(scheme, r, prices, settlement, violated)
 
 

@@ -10,7 +10,7 @@ from gridclear.dispatch import (
     with_forced_bounds,
 )
 from gridclear.grid import Bus, Network
-from gridclear.pricing import form_nodal_prices, form_smp, form_zonal_prices
+from gridclear.pricing import form_prices, form_smp
 from gridclear.scenario import load_scenario
 from gridclear.settlement import (
     AccountingIdentityError,
@@ -30,7 +30,7 @@ ZONAL = ConstraintRegime(mode="zonal")
 def _nodal_bundle(fourbus):
     net, gens = fourbus
     result = clear(net, gens, NODAL)
-    prices = form_nodal_prices(result, net)
+    prices = form_prices("nodal", result, net, gens)
     return net, gens, result, prices
 
 
@@ -49,7 +49,7 @@ def test_fourbus_nodal_revenue(fourbus):
 def test_forced_bound_market_revenue(fourbus):
     net, gens = fourbus
     result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
-    prices = form_zonal_prices(result)
+    prices = form_prices("zonal", result, net, gens)
     revenue = settle_energy(prices, result, net, gens)
     assert sum(revenue.values()) == pytest.approx(20000.0, rel=1e-9)
     assert revenue["P3"] == pytest.approx(2250.0)
@@ -57,7 +57,7 @@ def test_forced_bound_market_revenue(fourbus):
 
 def test_missing_price_key_raises(fourbus):
     net, gens, result, _ = _nodal_bundle(fourbus)
-    zonal_prices = form_zonal_prices(clear(net, gens, ZONAL))
+    zonal_prices = form_prices("zonal", clear(net, gens, ZONAL), net, gens)
     broken = zonal_prices.__class__(
         scheme="zonal", prices=({"Z1": 40.0},), decomposition=(), marginal_sets=(),
     )
@@ -73,7 +73,7 @@ def test_missing_price_key_raises(fourbus):
 def test_forced_bound_uplift_is_make_whole(fourbus):
     net, gens = fourbus
     result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
-    prices = form_zonal_prices(result)
+    prices = form_prices("zonal", result, net, gens)
     revenue = settle_energy(prices, result, net, gens)
     cleared = as_cleared_costs(result, gens)
     uplift = compute_uplift(revenue, cleared)
@@ -174,7 +174,7 @@ def test_fourbus_nodal_summary(fourbus):
 def test_fourbus_tie270_summary():
     net, gens = make_fourbus(ttc=270.0)
     result = clear(net, gens, ZONAL)
-    report = summarize(form_zonal_prices(result), result, net, gens)
+    report = summarize(form_prices("zonal", result, net, gens), result, net, gens)
     assert report.total_market_revenue == pytest.approx(29200.0, rel=1e-9)
     assert report.consumer_market_payment == pytest.approx(40000.0, rel=1e-9)
     assert report.congestion_rent == pytest.approx(10800.0, rel=1e-9)
@@ -184,7 +184,7 @@ def test_fourbus_tie270_summary():
 def test_fourbus_forced_bound_summary(fourbus):
     net, gens = fourbus
     result = clear(net, with_forced_bounds(gens, {"P3": (225.0, None)}), ZONAL)
-    report = summarize(form_zonal_prices(result), result, net, gens)
+    report = summarize(form_prices("zonal", result, net, gens), result, net, gens)
     assert report.total_market_revenue + report.total_uplift == pytest.approx(26750.0, rel=1e-9)
     assert report.total_uplift == pytest.approx(6750.0, rel=1e-9)
     assert report.consumer_total_payment == pytest.approx(46750.0, rel=1e-9)
