@@ -24,7 +24,6 @@ from gridclear.dispatch import (
     with_forced_bounds,
 )
 from gridclear.commitment import (
-    RedispatchRecord,
     UcSchedule,
     run_dauc_ruc,
     single_interval_schedule,
@@ -63,7 +62,7 @@ __all__ = [
     "LinearProgram", "LpBuilder", "LpSolution", "solve",
     "GeneratorSpec", "ConstraintRegime", "DispatchResult",
     "clear", "with_forced_bounds",
-    "UcSchedule", "RedispatchRecord",
+    "UcSchedule",
     "solve_uc", "run_dauc_ruc", "single_interval_schedule",
     "StackPrice", "MarginalSet", "PriceReport", "PriceComponents",
     "stack_price", "form_prices", "form_smp",

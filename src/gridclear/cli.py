@@ -147,18 +147,18 @@ def cmd_daucruc(args) -> int:
     if not sc.run.dauc_regime or not sc.run.ruc_regime:
         raise CliUsageError("scenario run section must name both dauc_regime and ruc_regime")
     net = sc.network
-    dauc, ruc, record = run_dauc_ruc(
+    dauc, ruc, delta = run_dauc_ruc(
         net, sc.generators, sc.hourly_loads(),
-        sc.regime(sc.run.dauc_regime), sc.regime(sc.run.ruc_regime),
+        sc.regimes[sc.run.dauc_regime], sc.regimes[sc.run.ruc_regime],
     )
     smp = form_smp(dauc, net, sc.generators)
-    smp_series = [smp.prices[t]["system"] for t in range(dauc.hours)]
-    redis = settle_redispatch(record, net, sc.generators, smp_series)
+    smp_series = [hour["system"] for hour in smp.prices]
+    redis = settle_redispatch(delta, net, sc.generators, smp_series)
 
     out, stamp = _out_dir(args), _timestamp(args)
-    rows = [(str(t), gid, d.gen_mw[gid], r.gen_mw[gid], record.delta_mwh[gid][t])
-            for gid in record.gen_ids
-            for t, (d, r) in enumerate(zip(dauc.hourly_results, ruc.hourly_results))]
+    rows = [(str(t), gid, d.gen_mw[gid], r.gen_mw[gid], mw)
+            for gid, series in delta.items()
+            for t, (d, r, mw) in enumerate(zip(dauc.hourly_results, ruc.hourly_results, series))]
     redis_path = write_csv(out / f"{sc.name}_redispatch.csv",
                            ("hour", "generator", "dauc_mw", "ruc_mw", "delta_mw"), rows, stamp)
 

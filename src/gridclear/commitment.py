@@ -35,8 +35,9 @@ Two sequential passes with divergent constraint sets model the split between
 market scheduling (day-ahead commitment, narrower line set) and system
 operation (reliability commitment, broader line set, higher reserve): the
 reliability pass inherits the day-ahead commitments as lower bounds and may
-only add units.  The per-unit, per-hour dispatch difference between the two
-passes is the redispatch record; ``settlement.settle_redispatch`` sums it into
+only add units.  ``run_dauc_ruc`` returns both schedules and the redispatch:
+a plain dict of each unit's per-hour dispatch difference between the two
+passes, in unit order, which ``settlement.settle_redispatch`` sums into
 constrained-on and constrained-off energy and payments, per unit and per zone.
 """
 from __future__ import annotations
@@ -74,28 +75,17 @@ class UcInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class UcSchedule:
-    """A commitment and its dispatch over ``hours``: each hour's
-    ``DispatchResult`` in ``hourly_results`` (hour t's output of unit u is
-    ``hourly_results[t].gen_mw[u]``), with the on/off flags, run lengths and
-    starts of each unit in ``gen_ids``."""
+    """What the commitment search decided: each unit's on/off flag per hour
+    in ``committed`` (in unit order), and each hour's ``DispatchResult`` in
+    ``hourly_results`` (hour t's output of unit u is
+    ``hourly_results[t].gen_mw[u]``).  A unit's run lengths and starts are
+    ``runs(unit, committed[unit.id])``."""
 
-    gen_ids: tuple[str, ...]
-    hours: int
     committed: dict[str, tuple[bool, ...]]
-    hours_on: dict[str, tuple[int, ...]]  # consecutive online hours, 0 when off
-    starts: dict[str, int]
     hourly_results: tuple[DispatchResult, ...]
     total_cost: float  # incremental, no-load and start-up costs
     objective: float  # total_cost plus curtailment penalties
-    feasible: bool
     pruned: int = 0  # candidates the search's lower bound left unsolved
-
-
-@dataclass(frozen=True)
-class RedispatchRecord:
-    gen_ids: tuple[str, ...]
-    hours: int
-    delta_mwh: dict[str, tuple[float, ...]]  # reliability minus day-ahead
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +137,13 @@ def feasible_sequences(unit: GeneratorSpec, horizon: int) -> tuple[tuple[int, ..
     return _sequences(unit, (0,) * horizon)
 
 
-def _runs(unit: GeneratorSpec, seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """The unit's consecutive online hours at each hour of ``seq`` (0 when
-    off) and its number of starts, walked from its initial state."""
+def runs(unit: GeneratorSpec, flags: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The unit's consecutive online hours at each hour of its on/off
+    ``flags`` (0 when off) and its number of starts, walked from its initial
+    state: the one walk of a unit's flags."""
     on, run = unit.initially_on, unit.initial_hours if unit.initially_on else 0
     hours_on, starts = [], 0
-    for s in seq:
+    for s in flags:
         starts += bool(s) and not on
         on = bool(s)
         run = run + 1 if on else 0
@@ -342,7 +333,7 @@ def _search(gens, seq_options, horizon, hour_lp, rows,
     sizes = [len(opts) for opts in seq_options]
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
     on = [np.array(opts, dtype=bool).reshape(len(opts), horizon) for opts in seq_options]
-    terms = [np.array([u.nlc * sum(seq) + u.suc * _runs(u, seq)[1] for seq in opts], dtype=float)
+    terms = [np.array([u.nlc * sum(seq) + u.suc * runs(u, seq)[1] for seq in opts], dtype=float)
              for u, opts in zip(gens, seq_options)]
     # per hour: units on in every option, and a key bit for each unit whose
     # options differ there (at most log2(ENUMERATION_CAP) of them)
@@ -446,36 +437,16 @@ def _assemble_schedule(gens, horizon, combo, hour_result, pruned=0) -> UcSchedul
         on_ids = frozenset(u.id for u, seq in zip(gens, combo) if seq[t])
         results.append(hour_result(t, on_ids))
 
-    committed = {}
-    hours_on = {}
-    starts = {}
-    for u, seq in zip(gens, combo):
-        gid = u.id
-        committed[gid] = tuple(bool(s) for s in seq)
-        hours_on[gid], starts[gid] = _runs(u, seq)
-
+    committed = {u.id: tuple(bool(s) for s in seq) for u, seq in zip(gens, combo)}
     hourly_cost = []
     for t, result in enumerate(results):
         c = sum(u.ic * result.gen_mw[u.id] for u in gens)
         c += sum(u.nlc for u in gens if committed[u.id][t])
         hourly_cost.append(c)
-    start_cost = sum(u.suc * starts[u.id] for u in gens)
+    start_cost = sum(u.suc * runs(u, seq)[1] for u, seq in zip(gens, combo))
     total_cost = sum(hourly_cost) + start_cost
     curtail_penalty = sum(r.objective_value - r.total_cost for r in results)
-    feasible = all(r.feasible for r in results)
-
-    return UcSchedule(
-        gen_ids=tuple(u.id for u in gens),
-        hours=horizon,
-        committed=committed,
-        hours_on=hours_on,
-        starts=starts,
-        hourly_results=tuple(results),
-        total_cost=total_cost,
-        objective=total_cost + curtail_penalty,
-        feasible=feasible,
-        pruned=pruned,
-    )
+    return UcSchedule(committed, tuple(results), total_cost, total_cost + curtail_penalty, pruned)
 
 
 def single_interval_schedule(result: DispatchResult, gens: Sequence[GeneratorSpec]) -> UcSchedule:
@@ -496,10 +467,11 @@ def run_dauc_ruc(
     hours: Sequence[Mapping[str, float] | None],
     regime_dauc: ConstraintRegime,
     regime_ruc: ConstraintRegime,
-) -> tuple[UcSchedule, UcSchedule, RedispatchRecord]:
+) -> tuple[UcSchedule, UcSchedule, dict[str, tuple[float, ...]]]:
     """Run the day-ahead pass, then the reliability pass under its broader
-    constraint set with the day-ahead commitments as lower bounds, and record
-    the per-unit redispatch between the two."""
+    constraint set with the day-ahead commitments as lower bounds.  Returns
+    both schedules and the redispatch: each unit's reliability minus
+    day-ahead output (MW) per hour, in unit order."""
     dauc_lines = {l.id for l in regime_dauc.monitored_lines(net)}
     ruc_lines = {l.id for l in regime_ruc.monitored_lines(net)}
     if not dauc_lines.issubset(ruc_lines):
@@ -511,12 +483,9 @@ def run_dauc_ruc(
         raise ValueError("reliability reserve requirement must be >= day-ahead requirement")
 
     dauc = solve_uc(net, gens, hours, regime_dauc)
-    floors = {gid: tuple(1 if on else 0 for on in dauc.committed[gid]) for gid in dauc.gen_ids}
-    ruc = solve_uc(net, gens, hours, regime_ruc, lower_bounds=floors)
-
+    ruc = solve_uc(net, gens, hours, regime_ruc, lower_bounds=dauc.committed)
     delta = {
         gid: tuple(r.gen_mw[gid] - d.gen_mw[gid] for r, d in zip(ruc.hourly_results, dauc.hourly_results))
-        for gid in dauc.gen_ids
+        for gid in dauc.committed
     }
-    record = RedispatchRecord(gen_ids=dauc.gen_ids, hours=dauc.hours, delta_mwh=delta)
-    return dauc, ruc, record
+    return dauc, ruc, delta

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from gridclear.commitment import UcSchedule, single_interval_schedule
+from gridclear.commitment import UcSchedule, runs, single_interval_schedule
 from gridclear.dispatch import PRICE_TOL, DispatchResult, GeneratorSpec, location
 from gridclear.grid import MW_TOL, Network
 
@@ -150,16 +150,17 @@ def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) 
     the screened marginal set, with recorded exclusion reasons for every
     screened-out dispatched unit.  ``net`` locates buses and units in zones."""
     specs = {g.id: g for g in gens}
-    for gid in schedule.gen_ids:
+    for gid in schedule.committed:
         if gid not in specs:
             raise PricingContractError(f"schedule unit {gid!r} is not among the priced generators")
+    hours_on = {gid: runs(specs[gid], flags)[0] for gid, flags in schedule.committed.items()}
     prices: list[dict[str, float]] = []
     msets: list[MarginalSet] = []
     for t, result in enumerate(schedule.hourly_results):
         ref = _reference_dual(result, net)
         members: list[str] = []
         exclusions: dict[str, str] = {}
-        for gid in schedule.gen_ids:
+        for gid in schedule.committed:
             q = result.gen_mw[gid]
             if q <= MW_TOL:
                 continue
@@ -178,7 +179,7 @@ def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) 
             raise PriceFormationError(t, exclusions)
         smp = max(
             stack_price(specs[gid], result.gen_mw[gid],
-                        max(schedule.hours_on[gid][t], 1), hour=t).sp
+                        max(hours_on[gid][t], 1), hour=t).sp
             for gid in members
         )
         prices.append({"system": smp})

@@ -161,9 +161,6 @@ class Scenario:
         """``loads_at`` of each hour of the run horizon, as ``solve_uc`` takes them."""
         return [self.loads_at(t) for t in range(self.run.horizon)]
 
-    def regime(self, name: str) -> ConstraintRegime:
-        return self.regimes[name]
-
 
 # ---------------------------------------------------------------------------
 # loading / validation
@@ -211,7 +208,8 @@ def _fields(col, raw, where, table) -> dict[str, Any]:
     return out
 
 
-_CELL_BREAKING = re.compile(r'[,|"\x00-\x1f\x7f-\x9f]')  # CSV and markdown separators, quotes, controls
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")  # C0, DEL and C1
+_CELL_BREAKING = re.compile(r'[,|"]|' + _CONTROL.pattern)  # CSV and markdown separators, quotes, controls
 
 
 def _check_name(col, where, kind, name):  # an id or zone name that would break a report cell
@@ -289,6 +287,8 @@ def parse_scenario(raw: Mapping[str, Any], col: _Collector | None = None,
     name = default_name if top["name"] is None else top["name"]
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):  # report files are named after it
         col.add(E_VALUE, "scenario.name", f"{name!r} is not a single path component")
+    elif _CONTROL.search(name):  # ... and reports print it in headings
+        col.add(E_VALUE, "scenario.name", f"{name!r} may not hold a control character")
 
     net = _parse_network(top["network"], col)
     gens = _parse_generators(top["generators"], net, col)
@@ -561,10 +561,6 @@ def dump_scenario(sc: Scenario) -> dict[str, Any]:
     )
     return _doc(_TOP, sc.name, sc.currency, dict(sc.metadata), network, generators, loads, regimes,
                 run_doc)
-
-
-def save_scenario(sc: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dump_scenario(sc), indent=2, sort_keys=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from gridclear.commitment import RedispatchRecord, UcSchedule
+from gridclear.commitment import UcSchedule, runs
 from gridclear.dispatch import DispatchResult, GeneratorSpec, location
 from gridclear.grid import MW_TOL, Network
 from gridclear.pricing import PriceReport
@@ -118,8 +118,9 @@ def as_cleared_costs(
         qs = _dispatch_series(results, g.id)
         cost = sum(g.ic * q for q in qs)
         if isinstance(source, UcSchedule):
-            cost += g.nlc * sum(1 for on in source.committed.get(g.id, ()) if on)
-            cost += g.suc * source.starts.get(g.id, 0)
+            flags = source.committed.get(g.id, ())
+            cost += g.nlc * sum(1 for on in flags if on)
+            cost += g.suc * runs(g, flags)[1]
         else:
             cost += g.nlc * sum(1 for q in qs if q > MW_TOL)
         out[g.id] = cost
@@ -152,27 +153,29 @@ class RedispatchSettlement:
 
 
 def settle_redispatch(
-    record: RedispatchRecord,
+    delta: Mapping[str, Sequence[float]],
     net: Network,
     gens: Sequence[GeneratorSpec],
     smp_per_hour: Sequence[float],
 ) -> RedispatchSettlement:
     """Out-of-market compensation for deviations from the price-setting
-    schedule: constrained-on energy paid at incremental cost, constrained-off
-    energy paid the lost margin against the hourly uniform price.  Energy and
-    payments are summed per unit, then per zone of the unit's bus, in
-    ``net.zones`` order."""
-    if len(smp_per_hour) != record.hours:
-        raise ValueError(
-            f"price series covers {len(smp_per_hour)} hours, record has {record.hours}"
-        )
+    schedule, ``delta`` (each unit's reliability minus day-ahead MW per hour,
+    as ``run_dauc_ruc`` returns it): constrained-on energy paid at
+    incremental cost, constrained-off energy paid the lost margin against the
+    hourly uniform price.  Energy and payments are summed per unit, in
+    ``delta``'s order, then per zone of the unit's bus, in ``net.zones``
+    order.  A unit whose series is not as long as the price series raises
+    ``ValueError``."""
     specs = {g.id: g for g in gens}
     units: dict[str, tuple[float, ...]] = {}  # (on MWh, off MWh, on payment, off payment)
     zones = {z: (0.0,) * 4 for z in net.zones}
-    for gid in record.gen_ids:
+    for gid, series in delta.items():
+        if len(series) != len(smp_per_hour):
+            raise ValueError(f"price series covers {len(smp_per_hour)} hours, "
+                             f"unit {gid!r} has {len(series)}")
         g = specs[gid]
         up = dn = pay_up = pay_dn = 0.0
-        for t, d in enumerate(record.delta_mwh[gid]):
+        for t, d in enumerate(series):
             if d > 0:
                 up += d
                 pay_up += d * g.ic

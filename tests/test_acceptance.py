@@ -211,15 +211,16 @@ def test_criterion_07_uc_oracle_equivalence():
 
 def test_criterion_08_dauc_ruc_asymmetry(scenario_dir):
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
-    dauc, ruc, record = run_dauc_ruc(
+    dauc, ruc, delta = run_dauc_ruc(
         sc.network, sc.generators, sc.hourly_loads(),
-        sc.regime("DAUC"), sc.regime("RUC"),
+        sc.regimes["DAUC"], sc.regimes["RUC"],
     )
+    hours = len(dauc.hourly_results)
     assert ruc.total_cost >= dauc.total_cost - 1e-9
-    for t in range(record.hours):
-        total = sum(record.delta_mwh[g][t] for g in record.gen_ids)
+    for t in range(hours):
+        total = sum(delta[g][t] for g in delta)
         assert total == pytest.approx(0.0, abs=1e-6)
-    redis = settle_redispatch(record, sc.network, sc.generators, [0.0] * record.hours)  # energy only
+    redis = settle_redispatch(delta, sc.network, sc.generators, [0.0] * hours)  # energy only
     assert redis.zone_coff_mwh["ZE"] > redis.zone_con_mwh["ZE"]
     assert redis.zone_con_mwh["ZI"] > redis.zone_coff_mwh["ZI"]
     print(f"\nACCEPTANCE 8 PASS: reliability cost {ruc.total_cost:.0f} >= day-ahead "
@@ -230,7 +231,7 @@ def test_criterion_08_dauc_ruc_asymmetry(scenario_dir):
 def test_criterion_09_strategic_bidding(scenario_dir):
     sc = load_scenario(scenario_dir / "twobus.scn")
     net, gens = sc.network, sc.generators
-    zonal_regime = sc.regime("zonal")
+    zonal_regime = sc.regimes["zonal"]
     uniform = evaluate_bid_deviation(net, gens, "A3", 70.0, scheme="uniform",
                                      regime=zonal_regime)
     nodal = evaluate_bid_deviation(net, gens, "A3", 70.0, scheme="nodal")

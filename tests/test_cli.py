@@ -18,7 +18,7 @@ from gridclear.cli import main
 from gridclear.grid import GridNumericalError
 from gridclear.lp import LpNumericalError
 from gridclear.pricing import SCHEMES
-from gridclear.scenario import load_scenario, save_scenario
+from gridclear.scenario import dump_scenario, load_scenario
 from gridclear.settlement import AccountingIdentityError, SettlementKeyError
 
 
@@ -448,6 +448,19 @@ def test_name_that_is_not_one_path_component_is_rejected(scenario_dir, tmp_path,
     assert [f.name for f in tmp_path.rglob("*")] == ["twobus.scn"]
 
 
+@pytest.mark.parametrize("name", ["two\nbus\x07", "two\x07bus", "two\x85bus"], ids=["newline", "bel", "nel"])
+def test_name_holding_a_control_character_is_rejected(scenario_dir, tmp_path, capsys, name):
+    """Reports are named and headed after the scenario, so a C0 or C1
+    control character in its name is E_VALUE, printed with its escapes, and
+    no report is written."""
+    p = _edited_scenario(scenario_dir, tmp_path, "twobus", lambda doc: doc.update(name=name))
+    assert run(["validate", p]) == 1
+    assert (f"  - E_VALUE at scenario.name: {name!r} may not hold a control character\n"
+            in capsys.readouterr().err)
+    assert run(["clear", p, "--format", "md", "--out", tmp_path / "nm" / "out"]) == 1
+    assert [f.name for f in tmp_path.rglob("*")] == ["twobus.scn"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [["clear", "fourbus.scn", "--scheme", "zonal", "--tolerance"],
                                   ["bidding", "twobus.scn", "--offered-ic"]], ids=["tolerance", "offered-ic"])
@@ -803,5 +816,5 @@ def test_mutated_scenarios_exit_cleanly_with_coded_rejections(scenario_dir, tmp_
             assert unknown is None or any(l.startswith(f"  - E_KEY at {unknown}: ") for l in issues), lines
         else:
             sc = load_scenario(scn)
-            save_scenario(sc, f"{work}/again.scn")
+            Path(f"{work}/again.scn").write_text(json.dumps(dump_scenario(sc), indent=2))
             assert load_scenario(f"{work}/again.scn") == sc

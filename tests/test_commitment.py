@@ -139,7 +139,7 @@ def test_one_walk_gives_hours_on_and_starts(on, initial_hours):
             run = run + 1 if s else 0
             want.append(run)
         starts = sum(b and not a for a, b in zip((on,) + seq, seq))
-        assert commitment._runs(u, seq) == (tuple(want), starts), seq
+        assert commitment.runs(u, seq) == (tuple(want), starts), seq
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +153,9 @@ def test_always_on_unit_flat_load():
     assert sched.committed["u"] == (True,) * 4
     assert [r.gen_mw["u"] for r in sched.hourly_results] == pytest.approx([80.0] * 4)
     assert sched.total_cost == pytest.approx(4 * (12.0 * 80.0 + 30.0))
-    assert sched.starts["u"] == 0
-    assert sched.hours_on["u"] == (25, 26, 27, 28)  # continues the initial run
+    hours_on, starts = commitment.runs(units[0], sched.committed["u"])
+    assert starts == 0
+    assert hours_on == (25, 26, 27, 28)  # continues the initial run
 
 
 def test_single_interval_schedule_commits_units_that_produce():
@@ -166,17 +167,18 @@ def test_single_interval_schedule_commits_units_that_produce():
     net = uc_net(units)
     result = clear(net, units, COPPER, loads={"n0": 120.0})
     sched = single_interval_schedule(result, units)
-    assert sched.gen_ids == ("base", "peaker", "idle")
-    assert sched.hours == 1
+    assert tuple(sched.committed) == ("base", "peaker", "idle")
+    assert len(sched.hourly_results) == 1
     assert sched.hourly_results == (result,)
     assert sched.committed == {"base": (True,), "peaker": (True,), "idle": (False,)}
     assert result.gen_mw == {"base": 100.0, "peaker": 20.0, "idle": 0.0}
-    assert sched.hours_on == {"base": (6,), "peaker": (1,), "idle": (0,)}
-    assert sched.starts == {"base": 0, "peaker": 1, "idle": 0}
+    # (hours on, starts) of each unit
+    walks = {u.id: commitment.runs(u, sched.committed[u.id]) for u in units}
+    assert walks == {"base": ((6,), 0), "peaker": ((1,), 1), "idle": ((0,), 0)}
     # incremental 100*10 + 20*30, the peaker's no-load and its one start
     assert sched.total_cost == pytest.approx(1000.0 + 600.0 + 20.0 + 50.0)
     assert sched.objective == sched.total_cost  # nothing curtailed
-    assert sched.feasible
+    assert all(r.feasible for r in sched.hourly_results)
 
 
 def test_spike_commitment_matches_oracle():
@@ -199,8 +201,8 @@ def test_dispatch_positive_implies_committed_and_within_bounds():
     ]
     net = uc_net(units)
     sched = solve_uc(net, units, [{"n0": 50.0}, {"n0": 130.0}], COPPER)
-    for gid in sched.gen_ids:
-        for t in range(sched.hours):
+    for gid in sched.committed:
+        for t in range(len(sched.hourly_results)):
             q = sched.hourly_results[t].gen_mw[gid]
             if q > 1e-9:
                 assert sched.committed[gid][t]
@@ -372,10 +374,10 @@ def _fivebus():
     return load_scenario("scenarios/fivebus_ruc.scn")
 
 
-def _redispatch_energy(net, gens, record):
+def _redispatch_energy(net, gens, delta, hours):
     """Constrained-on/off energy per unit and per zone; energy does not depend
     on the price series, so the series is zero."""
-    return settle_redispatch(record, net, gens, [0.0] * record.hours)
+    return settle_redispatch(delta, net, gens, [0.0] * hours)
 
 
 def test_dauc_ruc_line_superset_enforced(scenario_dir):
@@ -383,7 +385,7 @@ def test_dauc_ruc_line_superset_enforced(scenario_dir):
     with pytest.raises(ValueError, match="superset"):
         run_dauc_ruc(
             sc.network, sc.generators, sc.hourly_loads(),
-            sc.regime("RUC"), sc.regime("DAUC"),  # reversed on purpose
+            sc.regimes["RUC"], sc.regimes["DAUC"],  # reversed on purpose
         )
 
 
@@ -393,38 +395,41 @@ def test_dauc_ruc_reserve_ordering_enforced(scenario_dir):
                                     enforce_interfaces=True, reserve_req_mw=50.0)
     with pytest.raises(ValueError, match="reserve"):
         run_dauc_ruc(sc.network, sc.generators, sc.hourly_loads(),
-                     tighter_dauc, sc.regime("RUC"))
+                     tighter_dauc, sc.regimes["RUC"])
 
 
 def test_dauc_ruc_asymmetry_pattern(scenario_dir):
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
-    dauc, ruc, record = run_dauc_ruc(
+    dauc, ruc, delta = run_dauc_ruc(
         sc.network, sc.generators, sc.hourly_loads(),
-        sc.regime("DAUC"), sc.regime("RUC"),
+        sc.regimes["DAUC"], sc.regimes["RUC"],
     )
+    hours = len(dauc.hourly_results)
+    assert list(delta) == list(dauc.committed) == [g.id for g in sc.generators]
     assert ruc.total_cost >= dauc.total_cost - 1e-9
-    for t in range(record.hours):
-        assert sum(record.delta_mwh[g][t] for g in record.gen_ids) == pytest.approx(0.0, abs=1e-6)
+    for t in range(hours):
+        assert sum(delta[g][t] for g in delta) == pytest.approx(0.0, abs=1e-6)
     # export zone sheds cheap output, import zone is constrained on
-    redis = _redispatch_energy(sc.network, sc.generators, record)
+    redis = _redispatch_energy(sc.network, sc.generators, delta, hours)
     assert redis.zone_coff_mwh["ZE"] > redis.zone_con_mwh["ZE"]
     assert redis.zone_con_mwh["ZI"] > 0.0
     assert redis.zone_coff_mwh["ZI"] == 0.0
     # RUC may add commitments but never drop day-ahead ones
-    for gid in dauc.gen_ids:
-        for t in range(dauc.hours):
+    for gid in dauc.committed:
+        for t in range(hours):
             assert ruc.committed[gid][t] >= dauc.committed[gid][t]
 
 
 def test_identical_regimes_zero_redispatch(scenario_dir):
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
-    _, _, record = run_dauc_ruc(
+    dauc, _, delta = run_dauc_ruc(
         sc.network, sc.generators, sc.hourly_loads(),
-        sc.regime("RUC"), sc.regime("RUC"),
+        sc.regimes["RUC"], sc.regimes["RUC"],
     )
-    for gid in record.gen_ids:
-        assert record.delta_mwh[gid] == pytest.approx((0.0,) * record.hours, abs=1e-9)
-    redis = _redispatch_energy(sc.network, sc.generators, record)
+    hours = len(dauc.hourly_results)
+    for gid in dauc.committed:
+        assert delta[gid] == pytest.approx((0.0,) * hours, abs=1e-9)
+    redis = _redispatch_energy(sc.network, sc.generators, delta, hours)
     assert sum(redis.zone_con_mwh.values()) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -436,20 +441,20 @@ def test_higher_ruc_reserve_commits_extra_unit_at_pmin():
     net = uc_net(units)
     dauc_regime = ConstraintRegime(mode="copper_plate", reserve_req_mw=0.0)
     ruc_regime = ConstraintRegime(mode="copper_plate", reserve_req_mw=50.0)
-    dauc, ruc, record = run_dauc_ruc(net, units, [{"n0": 80.0}], dauc_regime, ruc_regime)
+    dauc, ruc, delta = run_dauc_ruc(net, units, [{"n0": 80.0}], dauc_regime, ruc_regime)
     assert dauc.committed["standby"] == (False,)
     assert ruc.committed["standby"] == (True,)
-    assert record.delta_mwh["standby"][0] == pytest.approx(10.0)  # its p_min
-    assert _redispatch_energy(net, units, record).con_mwh["standby"] == pytest.approx(10.0)
+    assert delta["standby"][0] == pytest.approx(10.0)  # its p_min
+    assert _redispatch_energy(net, units, delta, 1).con_mwh["standby"] == pytest.approx(10.0)
 
 
 def test_zone_aggregates_sum_exactly(scenario_dir):
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
-    _, _, record = run_dauc_ruc(
+    dauc, _, delta = run_dauc_ruc(
         sc.network, sc.generators, sc.hourly_loads(),
-        sc.regime("DAUC"), sc.regime("RUC"),
+        sc.regimes["DAUC"], sc.regimes["RUC"],
     )
-    redis = _redispatch_energy(sc.network, sc.generators, record)
+    redis = _redispatch_energy(sc.network, sc.generators, delta, len(dauc.hourly_results))
     for zone in sc.network.zones:
         gens_in_zone = [g.id for g in sc.generators if sc.network.zone_of(g.bus_id) == zone]
         assert redis.zone_con_mwh[zone] == sum(redis.con_mwh[g] for g in gens_in_zone)
@@ -557,7 +562,7 @@ def test_bound_prunes_the_fivebus_commitment(scenario_dir):
     passes, against the 40 the search solves with an infinite prune margin
     (no candidate pruned), and commits the same units."""
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
-    args = (sc.network, sc.generators, sc.hourly_loads(), sc.regime("DAUC"), sc.regime("RUC"))
+    args = (sc.network, sc.generators, sc.hourly_loads(), sc.regimes["DAUC"], sc.regimes["RUC"])
     pruned, unpruned = Counter(), Counter()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(commitment, "_solve_hour", _recording_solve_hour(pruned))

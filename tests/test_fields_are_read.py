@@ -1,10 +1,15 @@
-"""Every field and public method the engine declares is read by the program:
-a dataclass field or a public method of a class under ``src/gridclear/``
-whose name no module under ``src/gridclear/`` or ``scripts/`` reads as an
-attribute is flagged, unless ``KEPT`` names it as an output kept for callers
-of the library, with the reason.  Names are matched without types: a read of
-``x.name`` counts for every class that declares ``name``."""
+"""Every field, public method and public function the engine declares is
+read by the program: a dataclass field or a public method of a class under
+``src/gridclear/`` whose name no module under ``src/gridclear/`` or
+``scripts/`` reads as an attribute is flagged, and so is a public
+module-level function whose name no such module reads, bare or as an
+attribute, and that ``gridclear/__init__.py`` does not import.  ``KEPT``
+exempts a name, or a ``fnmatch`` pattern of names, kept for callers of the
+library, with the reason.  Names are matched without types: a read of
+``x.name`` counts for every class that declares ``name``, and a read of
+``name`` for every module that defines it."""
 import ast
+import fnmatch
 import functools
 from pathlib import Path
 
@@ -12,7 +17,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gridclear"
-READERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+MODULES = sorted(SRC.glob("*.py"))
+READERS = MODULES + sorted((ROOT / "scripts").glob("*.py"))
 
 _PER_UNIT = "per-unit redispatch figures; the reports print only the zone totals"
 KEPT = {
@@ -28,6 +34,9 @@ KEPT = {
     "RedispatchSettlement.coff_payment": _PER_UNIT,
     "PriceSeriesStats.normalized": "the mean-normalized series returned with the percentiles",
     "_Parser.error": "argparse calls it on a usage error",
+    "commitment.feasible_sequences": "perfbench/spantrace.py and its self-test call it; "
+                                     "ROADMAP item 1 moves them to `_count_sequences`",
+    "cli.cmd_*": "`main` looks them up by name",
 }
 
 
@@ -54,10 +63,28 @@ def declared(source: str) -> list[str]:
     return found
 
 
+def functions(source: str) -> list[str]:
+    """The name of each public module-level function of ``source``."""
+    return [st.name for st in ast.parse(source).body
+            if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)) and not st.name.startswith("_")]
+
+
 def attributes_read(source: str) -> set[str]:
     """The name of each attribute ``source`` reads (``x.name`` in a load)."""
     return {n.attr for n in ast.walk(ast.parse(source))
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def names_read(source: str) -> set[str]:
+    """Each name ``source`` reads, bare (``name``) or as an attribute."""
+    return attributes_read(source) | {n.id for n in ast.walk(ast.parse(source))
+                                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def imported(source: str) -> set[str]:
+    """Each name ``source`` imports with ``from ... import``."""
+    return {a.asname or a.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ImportFrom)
+            for a in n.names}
 
 
 @functools.cache
@@ -65,18 +92,37 @@ def _read_anywhere() -> frozenset[str]:
     return frozenset().union(*(attributes_read(p.read_text()) for p in READERS))
 
 
+@functools.cache
+def _called_or_exported() -> frozenset[str]:
+    return frozenset().union(*(names_read(p.read_text()) for p in READERS),
+                             imported((SRC / "__init__.py").read_text()))
+
+
 def _unread(path: Path) -> list[str]:
     return [d for d in declared(path.read_text()) if d.split(".")[1] not in _read_anywhere()]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def _uncalled(path: Path) -> list[str]:
+    return [f"{path.stem}.{f}" for f in functions(path.read_text()) if f not in _called_or_exported()]
+
+
+def _kept(name: str) -> bool:
+    return any(fnmatch.fnmatchcase(name, pattern) for pattern in KEPT)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_declared_field_and_method_is_read(path):
-    assert [d for d in _unread(path) if d not in KEPT] == []
+    assert [d for d in _unread(path) if not _kept(d)] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_function_is_called_or_exported(path):
+    assert [f for f in _uncalled(path) if not _kept(f)] == []
 
 
 def test_every_kept_name_is_declared_and_unread():
-    unread = {d for p in sorted(SRC.glob("*.py")) for d in _unread(p)}
-    assert sorted(set(KEPT) - unread) == []
+    unread = [d for p in MODULES for d in _unread(p) + _uncalled(p)]
+    assert sorted(k for k in KEPT if not fnmatch.filter(unread, k)) == []
 
 
 def test_declared_finds_fields_and_public_methods():
@@ -97,6 +143,25 @@ def test_declared_finds_fields_and_public_methods():
     assert declared(source) == ["A.x", "A.y", "A.f", "A.p", "B.h"]
 
 
+def test_functions_are_public_and_module_level():
+    source = (
+        "def f(): pass\n"
+        "def _g(): pass\n"
+        "async def h(): pass\n"
+        "class A:\n"
+        "    def m(self): pass\n"
+        "if True:\n"
+        "    def k(): pass\n"
+    )
+    assert functions(source) == ["f", "h"]
+
+
 def test_attributes_read_are_loads_only():
     source = "a.b = 1\nc = d.e\nf.g(h.i)\ndel j.k\n"
     assert attributes_read(source) == {"e", "g", "i"}
+
+
+def test_names_read_are_bare_and_attribute_loads():
+    source = "a = b\nc.d(e)\nf.g = h\nfrom m import n\n"
+    assert names_read(source) == {"b", "c", "d", "e", "f", "h"}
+    assert imported(source) == {"n"}

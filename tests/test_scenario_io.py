@@ -25,7 +25,6 @@ from gridclear.scenario import (
     dump_scenario,
     load_scenario,
     parse_scenario,
-    save_scenario,
     write_compare_markdown,
     write_report,
 )
@@ -350,7 +349,7 @@ def test_dump_load_round_trip(scenario_dir, tmp_path):
     for name in ("twobus.scn", "fourbus.scn", "fivebus_ruc.scn"):
         sc = load_scenario(scenario_dir / name)
         out = tmp_path / name
-        save_scenario(sc, out)
+        out.write_text(json.dumps(dump_scenario(sc), indent=2))
         again = load_scenario(out)
         assert again == sc
 
@@ -362,7 +361,7 @@ def test_round_trip_with_hourly_loads(tmp_path):
     p = tmp_path / "t.scn"
     p.write_text(json.dumps(doc))
     sc = load_scenario(p)
-    save_scenario(sc, tmp_path / "t2.scn")
+    (tmp_path / "t2.scn").write_text(json.dumps(dump_scenario(sc), indent=2))
     assert load_scenario(tmp_path / "t2.scn") == sc
 
 

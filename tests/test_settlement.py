@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from gridclear.commitment import RedispatchRecord, run_dauc_ruc, single_interval_schedule
+from gridclear.commitment import run_dauc_ruc, single_interval_schedule
 from gridclear.dispatch import (
     ConstraintRegime,
     GeneratorSpec,
@@ -99,14 +99,9 @@ def test_nodal_dispatch_has_zero_uplift(fourbus):
 ONE_BUS = Network((Bus("n", "Z"),), (), ("Z",), (), "n")  # where the units below sit
 
 
-def _record(delta_by_gen, gens, hours=1):
-    return RedispatchRecord(gen_ids=tuple(g.id for g in gens), hours=hours, delta_mwh=delta_by_gen)
-
-
 def test_constrained_on_paid_at_cost():
     g = GeneratorSpec("g", "n", 0.0, 100.0, 80.0)
-    record = _record({"g": (10.0,)}, [g])
-    out = settle_redispatch(record, ONE_BUS, [g], [100.0])
+    out = settle_redispatch({"g": (10.0,)}, ONE_BUS, [g], [100.0])
     assert out.con_mwh["g"] == pytest.approx(10.0)
     assert out.con_payment["g"] == pytest.approx(800.0)
     assert out.coff_payment["g"] == 0.0
@@ -114,8 +109,7 @@ def test_constrained_on_paid_at_cost():
 
 def test_constrained_off_paid_lost_margin():
     g = GeneratorSpec("g", "n", 0.0, 100.0, 75.0)
-    record = _record({"g": (-10.0,)}, [g])
-    out = settle_redispatch(record, ONE_BUS, [g], [100.0])
+    out = settle_redispatch({"g": (-10.0,)}, ONE_BUS, [g], [100.0])
     assert out.coff_mwh["g"] == pytest.approx(10.0)
     assert out.coff_payment["g"] == pytest.approx(250.0)
     assert out.con_payment["g"] == 0.0
@@ -123,25 +117,30 @@ def test_constrained_off_paid_lost_margin():
 
 def test_out_of_margin_constrained_off_pays_zero():
     g = GeneratorSpec("g", "n", 0.0, 100.0, 120.0)  # ic above price
-    record = _record({"g": (-10.0,)}, [g])
-    out = settle_redispatch(record, ONE_BUS, [g], [100.0])
+    out = settle_redispatch({"g": (-10.0,)}, ONE_BUS, [g], [100.0])
     assert out.coff_payment["g"] == 0.0
+
+
+@pytest.mark.parametrize("hours", [0, 2])
+def test_redispatch_series_not_as_long_as_the_prices_raises(hours):
+    g = GeneratorSpec("g", "n", 0.0, 100.0, 75.0)
+    with pytest.raises(ValueError, match=f"price series covers 1 hours, unit 'g' has {hours}"):
+        settle_redispatch({"g": (5.0,) * hours}, ONE_BUS, [g], [100.0])
 
 
 def test_zero_redispatch_zero_payments():
     g = GeneratorSpec("g", "n", 0.0, 100.0, 75.0)
-    record = _record({"g": (0.0,)}, [g])
-    out = settle_redispatch(record, ONE_BUS, [g], [100.0])
+    out = settle_redispatch({"g": (0.0,)}, ONE_BUS, [g], [100.0])
     assert out.con_payment["g"] == 0.0 and out.coff_payment["g"] == 0.0
 
 
 def test_zone_sums_match_record(scenario_dir):
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
-    _, _, record = run_dauc_ruc(
+    dauc, _, delta = run_dauc_ruc(
         sc.network, sc.generators, sc.hourly_loads(),
-        sc.regime("DAUC"), sc.regime("RUC"),
+        sc.regimes["DAUC"], sc.regimes["RUC"],
     )
-    out = settle_redispatch(record, sc.network, sc.generators, [0.0] * record.hours)
+    out = settle_redispatch(delta, sc.network, sc.generators, [0.0] * len(dauc.hourly_results))
     assert out.zone_con_mwh == pytest.approx({"ZE": 200.0, "ZI": 100.0})
     assert out.zone_coff_mwh == pytest.approx({"ZE": 300.0, "ZI": 0.0})
     assert list(out.zone_con_mwh) == list(sc.network.zones)
@@ -152,7 +151,7 @@ def test_zone_sums_match_record(scenario_dir):
 
 def test_zero_record_gives_zero_zone_sums():
     g = GeneratorSpec("g", "n", 0.0, 100.0, 75.0)
-    out = settle_redispatch(_record({"g": (0.0, 0.0)}, [g], hours=2), ONE_BUS, [g], [100.0, 100.0])
+    out = settle_redispatch({"g": (0.0, 0.0)}, ONE_BUS, [g], [100.0, 100.0])
     assert (out.zone_con_mwh, out.zone_coff_mwh) == ({"Z": 0.0}, {"Z": 0.0})
 
 
@@ -235,7 +234,7 @@ def test_multi_hour_schedule_settlement(scenario_dir):
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
     dauc, _, _ = run_dauc_ruc(
         sc.network, sc.generators, sc.hourly_loads(),
-        sc.regime("DAUC"), sc.regime("RUC"),
+        sc.regimes["DAUC"], sc.regimes["RUC"],
     )
     prices = form_smp(dauc, sc.network, sc.generators)
     report = summarize(prices, dauc, sc.network, sc.generators)
@@ -251,13 +250,13 @@ def test_multi_hour_schedule_settlement(scenario_dir):
 
 def test_daucruc_settlement_is_consistent(scenario_dir):
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
-    dauc, ruc, record = run_dauc_ruc(
+    dauc, ruc, delta = run_dauc_ruc(
         sc.network, sc.generators, sc.hourly_loads(),
-        sc.regime("DAUC"), sc.regime("RUC"),
+        sc.regimes["DAUC"], sc.regimes["RUC"],
     )
     smp = form_smp(dauc, sc.network, sc.generators)
-    series = [smp.prices[t]["system"] for t in range(dauc.hours)]
-    out = settle_redispatch(record, sc.network, sc.generators, series)
+    series = [smp.prices[t]["system"] for t in range(len(dauc.hourly_results))]
+    out = settle_redispatch(delta, sc.network, sc.generators, series)
     assert out.zone_con_mwh["ZI"] == pytest.approx(100.0)
     assert out.zone_coff_mwh["ZE"] == pytest.approx(300.0)
     # constrained-on compensation at incremental cost
