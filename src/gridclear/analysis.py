@@ -26,10 +26,6 @@ from gridclear.settlement import price_at
 
 @dataclass(frozen=True)
 class BidDeviation:
-    generator_id: str
-    scheme: str
-    true_ic: float
-    offered_ic: float
     q_truthful: float
     q_deviated: float
     price_truthful: float
@@ -109,10 +105,6 @@ def evaluate_bid_deviation(
     welfare_delta = _true_welfare(net, gens, deviated) - _true_welfare(net, gens, truthful)
 
     return BidDeviation(
-        generator_id=gen_id,
-        scheme=scheme,
-        true_ic=true_ic,
-        offered_ic=offered_ic,
         q_truthful=q_t,
         q_deviated=q_d,
         price_truthful=price_t,

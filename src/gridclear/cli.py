@@ -197,7 +197,8 @@ def cmd_bidding(args) -> int:
             offered = d_ic
         scheme = scheme or d_scheme
     scheme = scheme or "uniform"
-    if gen not in {g.id for g in sc.generators}:
+    true_ic = next((g.ic for g in sc.generators if g.id == gen), None)
+    if true_ic is None:
         raise CliUsageError(f"unknown generator {gen!r}")
     regime = _regime_for(sc, scheme)
     dev = evaluate_bid_deviation(
@@ -206,10 +207,10 @@ def cmd_bidding(args) -> int:
     )
 
     rows = [
-        ("generator", dev.generator_id),
-        ("scheme", dev.scheme),
-        ("true_ic", dev.true_ic),
-        ("offered_ic", dev.offered_ic),
+        ("generator", gen),
+        ("scheme", scheme),
+        ("true_ic", true_ic),
+        ("offered_ic", offered),
         ("q_truthful_mw", dev.q_truthful),
         ("q_deviated_mw", dev.q_deviated),
         ("price_truthful", dev.price_truthful),
@@ -222,7 +223,7 @@ def cmd_bidding(args) -> int:
     path = write_csv(_out_dir(args) / f"{sc.name}_bidding_{gen}.csv", ("metric", "value"), rows,
                      _timestamp(args))
     print(path)
-    print(f"{gen}: offered {format_number(offered)} vs true {format_number(dev.true_ic)} under {scheme}: "
+    print(f"{gen}: offered {format_number(offered)} vs true {format_number(true_ic)} under {scheme}: "
           f"profit {format_number(dev.profit_deviated)} (truthful {format_number(dev.profit_truthful)}), "
           f"welfare delta {format_number(dev.welfare_delta)}")
     return EXIT_OK

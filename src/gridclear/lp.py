@@ -477,7 +477,7 @@ class _Simplex:
                 pivot_row = Binv[best_row]
                 pivot_row /= d_r
                 d[best_row] = 0.0  # d is spent: keeps row r out of the subtraction
-                Binv -= np.multiply.outer(d, pivot_row)
+                Binv -= np.dot(d[:, None], pivot_row[None, :])  # np.multiply.outer's values, through BLAS
                 age += 1
         raise LpNumericalError("iteration limit exceeded")
 

@@ -53,17 +53,13 @@ class PricingContractError(ValueError):
 
 @dataclass(frozen=True)
 class StackPrice:
-    generator_id: str
-    hour: int
     sp: float
-    ic: float
     nlc_share: float
     suc_share: float
 
 
 @dataclass(frozen=True)
 class MarginalSet:
-    hour: int
     members: tuple[str, ...]
     exclusions: dict[str, str]  # screened-out dispatched units -> reason
 
@@ -80,7 +76,7 @@ class PriceReport:
     scheme: str  # "uniform_smp" | "zonal" | "nodal"
     prices: tuple[dict[str, float], ...]  # one mapping per hour
     decomposition: tuple[dict[str, PriceComponents], ...] = ()
-    marginal_sets: tuple[MarginalSet, ...] = ()
+    marginal_sets: tuple[MarginalSet, ...] = ()  # one per hour, uniform prices only
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ SCHEMES = {
 BID_SCHEMES = ("uniform", "zonal", "nodal")  # the schemes a bid deviation is evaluated under
 
 
-def stack_price(gen: GeneratorSpec, q: float, hours_on: int = 1, hour: int = 0) -> StackPrice:
+def stack_price(gen: GeneratorSpec, q: float, hours_on: int = 1) -> StackPrice:
     """Avoided-cost stack price: incremental cost plus no-load cost spread
     over output plus start-up cost spread over output and online hours."""
     if q <= 0:
@@ -119,7 +115,7 @@ def stack_price(gen: GeneratorSpec, q: float, hours_on: int = 1, hour: int = 0) 
         raise ValueError(f"unit {gen.id}: hours_on must be >= 1")
     nlc_share = gen.nlc / q
     suc_share = gen.suc / (q * hours_on)
-    return StackPrice(gen.id, hour, gen.ic + nlc_share + suc_share, gen.ic, nlc_share, suc_share)
+    return StackPrice(gen.ic + nlc_share + suc_share, nlc_share, suc_share)
 
 
 def _reference_dual(result: DispatchResult, net: Network) -> float:
@@ -177,13 +173,10 @@ def form_smp(schedule: UcSchedule, net: Network, gens: Sequence[GeneratorSpec]) 
             members.append(gid)
         if not members:
             raise PriceFormationError(t, exclusions)
-        smp = max(
-            stack_price(specs[gid], result.gen_mw[gid],
-                        max(hours_on[gid][t], 1), hour=t).sp
-            for gid in members
-        )
+        smp = max(stack_price(specs[gid], result.gen_mw[gid], max(hours_on[gid][t], 1)).sp
+                  for gid in members)
         prices.append({"system": smp})
-        msets.append(MarginalSet(t, tuple(members), exclusions))
+        msets.append(MarginalSet(tuple(members), exclusions))
     return PriceReport("uniform_smp", tuple(prices), (), tuple(msets))
 
 

@@ -320,7 +320,11 @@ def _parse_network(raw, col) -> Network | None:
     f = _fields(col, raw, "network", _NETWORK)
     zones = f["zones"] or ()
     for i, z in enumerate(zones):
-        _check_name(col, f"network.zones[{i}]", "zone", str(z))
+        if isinstance(z, str):
+            _check_name(col, f"network.zones[{i}]", "zone", z)
+        else:
+            col.add(E_TYPE, f"network.zones[{i}]", f"expected a zone name, got {z!r}")
+    names = {str(z) for z in zones}  # a zone entry of another type is one issue, not one more per bus
     if not f["buses"]:
         col.add(E_SECTION, "network.buses", "at least one bus is required")
 
@@ -328,7 +332,7 @@ def _parse_network(raw, col) -> Network | None:
     bus_ids = set()
     for where, b in _entries(col, f["buses"] or (), "network.buses", _BUS, "bus"):
         bus_ids.add(b["id"])
-        if zones and b["zone"] not in zones:
+        if zones and b["zone"] not in names:
             col.add(E_REF, where, f"bus {b['id']!r} references unknown zone {b['zone']!r}")
             continue
         try:
@@ -378,7 +382,7 @@ def _parse_network(raw, col) -> Network | None:
     if len(col.issues) > known:
         return None
     try:
-        return Network(tuple(buses), tuple(lines), tuple(str(z) for z in zones),
+        return Network(tuple(buses), tuple(lines), tuple(zones),
                        tuple(interfaces), f["slack_bus"])
     except GridStructureError as exc:
         col.add(E_TOPOLOGY, "network", str(exc))
@@ -439,9 +443,11 @@ def _parse_run(raw, gens, regimes, col) -> RunSection:
         col.add(E_TYPE, "run", "run must be an object")
         return RunSection()
     f = _fields(col, raw, "run", _RUN)
-    for s in f["schemes"]:
+    for i, s in enumerate(f["schemes"]):
         if not isinstance(s, str) or s not in SCHEMES:
             col.add(E_RUN, "run.schemes", f"unknown scheme {s!r}; allowed: {tuple(SCHEMES)}")
+        elif s in f["schemes"][:i]:
+            col.add(E_RUN, "run.schemes", f"scheme {s!r} is repeated")
     horizon = f["horizon"]
     if not 1 <= horizon <= MAX_HORIZON_H:
         col.add(E_RUN, "run.horizon", f"horizon must be between 1 and {MAX_HORIZON_H} hours")

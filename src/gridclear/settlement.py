@@ -41,7 +41,6 @@ class SettlementKeyError(KeyError):
 
 @dataclass(frozen=True)
 class GeneratorSettlement:
-    generator_id: str
     market_revenue: float
     as_cleared_cost: float
     uplift: float
@@ -49,7 +48,6 @@ class GeneratorSettlement:
 
 @dataclass(frozen=True)
 class SettlementReport:
-    scheme: str
     per_generator: dict[str, GeneratorSettlement]
     consumer_market_payment: float
     consumer_total_payment: float
@@ -211,7 +209,7 @@ def summarize(
             consumer_market += price_at(prices, net, bus, t) * served
             utility += wtp[bus] * served
 
-    per_gen = {g.id: GeneratorSettlement(g.id, revenue[g.id], cleared[g.id], uplift[g.id]) for g in gens}
+    per_gen = {g.id: GeneratorSettlement(revenue[g.id], cleared[g.id], uplift[g.id]) for g in gens}
 
     total_uplift = sum(uplift.values())
     consumer_total = consumer_market + total_uplift
@@ -232,7 +230,6 @@ def summarize(
         rent = consumer_market - total_revenue
 
     report = SettlementReport(
-        scheme=prices.scheme,
         per_generator=per_gen,
         consumer_market_payment=consumer_market,
         consumer_total_payment=consumer_total,

@@ -345,6 +345,7 @@ def test_clear_honours_loads_section(scenario_dir, tmp_path):
     ("forced_bounds", {"P3": {"min": 9999}}, "E_VALUE"),
     ("bid_deviation", {"generator": "P3", "offered_ic": 30.0, "scheme": "banana"}, "E_RUN"),
     ("schemes", [["nodal"]], "E_RUN"),
+    ("schemes", ["nodal", "nodal"], "E_RUN at run.schemes: scheme 'nodal' is repeated"),
 ])
 def test_validate_rejects_bad_run_section(scenario_dir, tmp_path, capsys, key, value, code):
     p = _edited_scenario(scenario_dir, tmp_path, "fourbus", lambda doc: doc["run"].update({key: value}))

@@ -7,10 +7,17 @@ attribute, and that ``gridclear/__init__.py`` does not import.  ``KEPT``
 exempts a name, or a ``fnmatch`` pattern of names, kept for callers of the
 library, with the reason.  Names are matched without types: a read of
 ``x.name`` counts for every class that declares ``name``, and a read of
-``name`` for every module that defines it."""
+``name`` for every module that defines it.  So a field whose name another
+dataclass declares too is checked again at run time, of its own class."""
 import ast
+import collections
+import dataclasses
 import fnmatch
 import functools
+import importlib
+import inspect
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gridclear"
 MODULES = sorted(SRC.glob("*.py"))
 READERS = MODULES + sorted((ROOT / "scripts").glob("*.py"))
+READER_DIRS = (f"{SRC}{os.sep}", f"{ROOT / 'scripts'}{os.sep}")
+PERFBENCH = ROOT / "perfbench"
 
 _PER_UNIT = "per-unit redispatch figures; the reports print only the zone totals"
 KEPT = {
@@ -123,6 +132,54 @@ def test_every_public_function_is_called_or_exported(path):
 def test_every_kept_name_is_declared_and_unread():
     unread = [d for p in MODULES for d in _unread(p) + _uncalled(p)]
     assert sorted(k for k in KEPT if not fnmatch.filter(unread, k)) == []
+
+
+def shared_fields() -> dict[type, frozenset[str]]:
+    """Each dataclass of ``gridclear`` that declares a field name another one
+    declares too, mapped to those of its fields."""
+    classes = []
+    for path in MODULES:
+        module = importlib.import_module(f"gridclear.{path.stem}".removesuffix(".__init__"))
+        classes += [c for c in vars(module).values() if inspect.isclass(c)
+                    and dataclasses.is_dataclass(c) and c.__module__ == module.__name__]
+    declaring = collections.Counter(f.name for c in classes for f in dataclasses.fields(c))
+    shared = {c: frozenset(f.name for f in dataclasses.fields(c) if declaring[f.name] > 1) for c in classes}
+    return {c: names for c, names in shared.items() if names}
+
+
+def _recording(cls: type, names: frozenset[str], reads: set[str]):
+    """A ``__getattribute__`` for ``cls`` that adds ``Class.name`` to
+    ``reads`` when code under src/gridclear/ or scripts/ reads one of
+    ``names``."""
+    get = cls.__getattribute__
+
+    def getattribute(self, name):
+        if name in names and os.path.abspath(sys._getframe(1).f_code.co_filename).startswith(READER_DIRS):
+            reads.add(f"{cls.__name__}.{name}")
+        return get(self, name)
+    return getattribute
+
+
+def test_every_shared_field_name_is_read_of_its_own_class(tmp_path, monkeypatch):
+    """Every op of the benchmark's ``cli_bundled`` workload runs through
+    ``cli.main`` while each field that ``shared_fields`` names records the
+    reads of it that code under src/gridclear/ or scripts/ makes; a field
+    not read of its own class is flagged."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import workloads
+
+    cli, expected = run.import_cli(), run.load_expected()
+    shared, reads = shared_fields(), set()
+    for cls, names in shared.items():
+        monkeypatch.setattr(cls, "__getattribute__", _recording(cls, names, reads))
+    monkeypatch.setenv("GRIDCLEAR_OUT", str(tmp_path / "out"))  # run.execute sets it; restored after
+    failed = []
+    for op in workloads.bundled_ops(run.DEFAULT_SEED, tmp_path, run.SCENARIOS):
+        failed += run.failures(op, run.execute(cli, op, tmp_path / "out")[1], expected)
+    assert failed == []
+    unread = sorted(f"{c.__name__}.{n}" for c, names in shared.items() for n in names)
+    assert [f for f in unread if f not in reads and not _kept(f)] == []
 
 
 def test_declared_finds_fields_and_public_methods():

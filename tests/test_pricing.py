@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -11,7 +14,7 @@ from gridclear.dispatch import (
     location,
     with_forced_bounds,
 )
-from gridclear.grid import Bus, Interface, Line, Network
+from gridclear.grid import Bus, Interface, Line, Network, format_number
 from gridclear.pricing import (
     SCHEMES,
     PriceFormationError,
@@ -21,6 +24,7 @@ from gridclear.pricing import (
     form_smp,
     stack_price,
 )
+from gridclear.scenario import parse_scenario
 
 NODAL = ConstraintRegime(mode="nodal", monitored_profile="nodal", enforce_interfaces=False)
 ZONAL = ConstraintRegime(mode="zonal")
@@ -39,7 +43,7 @@ def test_stack_price_pure_incremental():
 def test_stack_price_amortizes_quasi_fixed_costs():
     g = GeneratorSpec("g", "n", 0.0, 200.0, 40.0, nlc=1000.0, suc=12000.0)
     sp = stack_price(g, 100.0, hours_on=4)
-    assert sp.ic == 40.0
+    assert sp.sp == g.ic + sp.nlc_share + sp.suc_share
     assert sp.nlc_share == pytest.approx(10.0)
     assert sp.suc_share == pytest.approx(30.0)
     assert sp.sp == pytest.approx(80.0)
@@ -262,3 +266,56 @@ def test_stack_price_exact_formula(q, hours):
     g = GeneratorSpec("g", "n", 0.0, 200.0, 33.0, nlc=120.0, suc=900.0)
     sp = stack_price(g, q, hours)
     assert sp.sp == pytest.approx(33.0 + 120.0 / q + 900.0 / (q * hours), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# power-of-two scaling
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+_COSTS = ("ic", "nlc", "suc", "wtp")
+_MW = ("load_mw", "limit_mw", "ttc_mw", "p_min", "p_max", "forced_min", "forced_max",
+       "reserve_req_mw", "min_sync_mw", "loads", "forced_bounds")
+
+
+def _doubled(node, keys, under=False):
+    """The scenario document ``node`` with every number under a key of
+    ``keys``, at any depth, doubled."""
+    if isinstance(node, dict):
+        return {k: _doubled(v, keys, under or k in keys) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_doubled(v, keys, under) for v in node]
+    if under and isinstance(node, (int, float)) and not isinstance(node, bool):
+        return 2 * node
+    return node
+
+
+def _cleared(doc, scheme):
+    """The dispatch and prices of ``doc`` cleared under its regime named
+    ``scheme``, or a default regime of that mode."""
+    sc = parse_scenario(doc)
+    result = clear(sc.network, sc.generators, sc.regimes.get(scheme, ConstraintRegime(mode=scheme)),
+                   loads=sc.loads_at(0))
+    return result.gen_mw, form_prices(scheme, result, sc.network, sc.generators).prices[0]
+
+
+@pytest.mark.parametrize("source", ["fivebus_ruc", "fourbus", "fourbus_tie270", "twobus", *range(60)],
+                         ids=lambda s: s if isinstance(s, str) else f"mesh_k{s}")
+def test_doubling_costs_or_megawatts_scales_prices_and_dispatch_exactly(scenario_dir, monkeypatch, source):
+    """Doubling is exact in binary floating point.  Doubling every cost
+    doubles every price and leaves the dispatch as it is, bit for bit, under
+    nodal and zonal clearing; doubling every MW figure leaves every price as
+    it is.  The dispatch then doubles up to its last bits (2 x 32.2 reads
+    64.39999999999996 in mesh k=17 under nodal), so it is compared as printed."""
+    if isinstance(source, str):
+        doc = json.loads((scenario_dir / f"{source}.scn").read_text())
+    else:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import gen
+        doc = gen.mesh_doc(0, source, 12 + source % 9)
+    for scheme in ("nodal", "zonal"):
+        q, p = _cleared(doc, scheme)
+        assert _cleared(_doubled(doc, _COSTS), scheme) == (q, {k: 2 * v for k, v in p.items()})
+        q2, p2 = _cleared(_doubled(doc, _MW), scheme)
+        assert p2 == p
+        assert {u: format_number(v) for u, v in q2.items()} == {u: format_number(2 * v) for u, v in q.items()}

@@ -18,6 +18,7 @@ from gridclear.scenario import (
     E_RUN,
     E_SECTION,
     E_TOPOLOGY,
+    E_TYPE,
     E_VALUE,
     Scenario,
     ScenarioValidationError,
@@ -235,6 +236,22 @@ def test_one_issue_per_fault_in_the_network_section(scenario_dir, section, index
     with pytest.raises(ScenarioValidationError) as err:
         parse_scenario(doc)
     assert [(i.code, i.where) for i in err.value.issues] == [expected]
+
+
+@pytest.mark.parametrize("zones, za_is, where", [
+    ([1, "ZB"], "1", "network.zones[0]"),
+    (["ZA", "ZB", None], "ZA", "network.zones[2]"),
+], ids=["number", "null"])
+def test_a_zone_that_is_not_a_string_is_one_type_issue(scenario_dir, zones, za_is, where):
+    """A zone entry of another type is E_TYPE at its path, and the only
+    issue: not a reference from the buses that name it as text, and not a
+    zone with no buses."""
+    doc = json.loads((scenario_dir / "twobus.scn").read_text())
+    doc["network"]["zones"] = zones
+    doc["network"]["buses"][0]["zone"] = za_is
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    assert [(i.code, i.where) for i in err.value.issues] == [(E_TYPE, where)]
 
 
 def _at(*path):
