@@ -4,10 +4,13 @@ price-series statistics.
 Bid deviations change the clearing inputs only; every welfare figure is
 evaluated at true costs.  Truthful clearing is cost-minimal over the feasible
 set, so a deviation that changes dispatch can never raise true welfare.
+
+Price-series statistics are the median and the 10th and 90th percentiles of
+an hourly series.  Each price must lie within ``grid.MAGNITUDE``, the domain
+every price the engine forms lies in; a price at or below zero is valid.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -19,7 +22,7 @@ from gridclear.dispatch import (
     GeneratorSpec,
     clear,
 )
-from gridclear.grid import Network
+from gridclear.grid import Network, out_of_range
 from gridclear.pricing import BID_SCHEMES, SCHEMES, PriceFormationError, form_prices
 from gridclear.settlement import price_at
 
@@ -41,7 +44,6 @@ class PriceSeriesStats:
     median: float
     p10: float
     p90: float
-    normalized: tuple[float, ...]  # series divided by its arithmetic mean
 
 
 def _unit_price(net, gens, result: DispatchResult, scheme: str, gen_id: str) -> float:
@@ -118,23 +120,14 @@ def evaluate_bid_deviation(
 
 def price_stats(series: Sequence[float]) -> PriceSeriesStats:
     """Median, 10th and 90th percentiles (linear interpolation between closest
-    ranks) and the mean-normalized series."""
+    ranks) of prices that each lie within ``grid.MAGNITUDE``, as every other
+    price does, so no percentile can overflow."""
     if len(series) == 0:
         raise ValueError("empty price series")
     arr = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("price series contains non-finite values")
-    # huge finite prices overflow the sum, an interpolation span or a ratio to a tiny mean
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mean = float(arr.mean())
-        p10, median, p90 = (float(np.percentile(arr, p)) for p in (10, 50, 90))
-        ratios = arr / mean
-    for name, value in (("mean", mean), ("p10", p10), ("median", median), ("p90", p90)):
-        if not math.isfinite(value):
-            raise ValueError(f"price series {name} is {value}: the prices overflow it")
-    if mean == 0.0:
-        raise ValueError("cannot normalize a zero-mean series")
-    if not np.isfinite(ratios).all():
-        raise ValueError("price series normalized by its mean overflows: the prices are too large for it")
-    normalized = tuple(ratios.tolist())
-    return PriceSeriesStats(median=median, p10=p10, p90=p90, normalized=normalized)
+    if bad := out_of_range({f"price {i}": p for i, p in enumerate(arr.tolist())}):
+        raise ValueError(f"price series: {bad}")
+    p10, median, p90 = (float(np.percentile(arr, p)) for p in (10, 50, 90))
+    return PriceSeriesStats(median=median, p10=p10, p90=p90)

@@ -116,6 +116,8 @@ class Interface:
         for _, sign in self.member_lines:
             if sign not in (1, -1):
                 raise GridStructureError(f"interface {self.id}: signs must be +1/-1")
+        if len(dict(self.member_lines)) != len(self.member_lines):
+            raise GridStructureError(f"interface {self.id}: a member line is listed twice")
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,6 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     primal: tuple[float, ...]  # by variable position
     duals: tuple[float, ...]  # by row position: d(objective)/d(rhs)
-    reduced_costs: tuple[float, ...]  # by variable position
     objective_value: float
 
 
@@ -401,8 +400,7 @@ class _Simplex:
         the basis with its bounds as Python lists are kept across pivots.  At
         the optimum ``x_B`` is solved again on the final basis if a step has
         moved it since it was last set, so ``self.x`` and, in phase 2,
-        ``self.y`` and ``self.rc`` hold what a fresh solve of that basis
-        gives."""
+        ``self.y`` hold what a fresh solve of that basis gives."""
         A, st = self.A, self.status
         movable = ~(self.upper - self.lower <= 0)  # fixed variables never enter
         lower, upper, can_move = self.lower.tolist(), self.upper.tolist(), movable.tolist()
@@ -430,7 +428,7 @@ class _Simplex:
                     continue
                 if moved:
                     self._solve_basics(B)
-                self.y, self.rc, self.Binv, self.age = y, rc, Binv, age
+                self.y, self.Binv, self.age = y, Binv, age
                 return "optimal"
             direction = int(sign[entering]) or (1 if rc[entering] < 0 else -1)
             span = upper[entering] - lower[entering]
@@ -505,12 +503,10 @@ class _Simplex:
     # -- reporting -----------------------------------------------------------
     def _report(self, status: str) -> LpSolution:
         """The solution at the last iterate; an optimum reuses the basic
-        values, duals and reduced costs ``_iterate`` solved on the final
-        basis, so nothing is solved here."""
+        values and duals ``_iterate`` solved on the final basis, so nothing is
+        solved here."""
         n, m = self.n_struct, self.m
         if status != "optimal":
-            zeros = (0.0,) * n
-            return LpSolution(status, zeros, (0.0,) * m, zeros, 0.0)
+            return LpSolution(status, (0.0,) * n, (0.0,) * m, 0.0)
         obj = float(self.cost_real[:n] @ self.x[:n])  # huge finite costs overflow to inf silently
-        return LpSolution(status, tuple(self.x[:n].tolist()), tuple(self.y.tolist()),
-                          tuple(self.rc[:n].tolist()), obj)
+        return LpSolution(status, tuple(self.x[:n].tolist()), tuple(self.y.tolist()), obj)

@@ -318,13 +318,13 @@ def _parse_network(raw, col) -> Network | None:
         col.add(E_SECTION, "network", "missing or empty network section")
         return None
     f = _fields(col, raw, "network", _NETWORK)
-    zones = f["zones"] or ()
-    for i, z in enumerate(zones):
+    zones = f["zones"]  # None when missing or not a list: one issue, not one more per bus
+    for i, z in enumerate(zones or ()):
         if isinstance(z, str):
             _check_name(col, f"network.zones[{i}]", "zone", z)
         else:
             col.add(E_TYPE, f"network.zones[{i}]", f"expected a zone name, got {z!r}")
-    names = {str(z) for z in zones}  # a zone entry of another type is one issue, not one more per bus
+    names = {str(z) for z in zones or ()}  # a zone entry of another type is one issue, not one more per bus
     if not f["buses"]:
         col.add(E_SECTION, "network.buses", "at least one bus is required")
 
@@ -332,7 +332,7 @@ def _parse_network(raw, col) -> Network | None:
     bus_ids = set()
     for where, b in _entries(col, f["buses"] or (), "network.buses", _BUS, "bus"):
         bus_ids.add(b["id"])
-        if zones and b["zone"] not in names:
+        if zones is not None and b["zone"] not in names:
             col.add(E_REF, where, f"bus {b['id']!r} references unknown zone {b['zone']!r}")
             continue
         try:
@@ -361,21 +361,23 @@ def _parse_network(raw, col) -> Network | None:
 
     interfaces: list[Interface] = []
     for where, iface in _entries(col, f["interfaces"], "network.interfaces", _INTERFACE, "interface"):
-        members = []
+        members = {}  # line id -> direction
         for j, m in enumerate(iface["members"]):
             at = f"{where}.members[{j}]"
             if not isinstance(m, dict):
                 col.add(E_TYPE, at, "member must be an object")
                 continue
             m = _fields(col, m, at, _MEMBER)
-            if m["line"] in line_ids:
-                members.append((m["line"], m["direction"]))
+            if m["line"] in members:
+                col.add(E_DUP, at, f"duplicate member line {m['line']!r}")
+            elif m["line"] in line_ids:
+                members[m["line"]] = m["direction"]
             elif m["line"] is not None:
                 col.add(E_REF, at, f"unknown line {m['line']!r}")
         if len(members) < len(iface["members"]):
             continue
         try:
-            interfaces.append(Interface(iface["id"], tuple(members), iface["ttc_mw"]))
+            interfaces.append(Interface(iface["id"], tuple(members.items()), iface["ttc_mw"]))
         except GridStructureError as exc:
             col.add(E_VALUE, where, str(exc))
 

@@ -852,13 +852,11 @@ class _ReferenceSimplex:
     def _report(self, status: str) -> LpSolution:
         n, m = self.n_struct, self.m
         if status != "optimal":
-            return LpSolution(status, (0.0,) * n, (0.0,) * m, (0.0,) * n, 0.0)
+            return LpSolution(status, (0.0,) * n, (0.0,) * m, 0.0)
         self._recompute_basics()
         y = self._duals(self.cost_real)
-        rc_all = self.cost_real - y @ self.A
         primal = tuple(float(self.x[j]) for j in range(n))
         duals = tuple(float(y[i]) for i in range(m))
-        reduced = tuple(float(rc_all[j]) for j in range(n))
         with np.errstate(over="ignore"):  # huge finite costs overflow to inf without a stderr warning
             obj = float(self.cost_real[: self.n_struct] @ self.x[: self.n_struct])
-        return LpSolution(status, primal, duals, reduced, obj)
+        return LpSolution(status, primal, duals, obj)

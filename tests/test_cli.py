@@ -624,6 +624,14 @@ def test_stats_constant_series(tmp_path, capsys):
     assert "median=77.00" in out and "p90=77.00" in out
 
 
+def test_stats_zero_mean_series(tmp_path, capsys):
+    # a price at or below zero is valid; nothing divides by the mean
+    src = tmp_path / "zero.csv"
+    src.write_text("timestamp,price\n1,0\n2,0\n")
+    assert run(["stats", src, "--out", tmp_path, "--no-timestamp"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "median=0.00 p10=0.00 p90=0.00"
+
+
 def test_stats_requires_rows(tmp_path, capsys):
     src = tmp_path / "empty.csv"
     src.write_text("timestamp,price\n")
@@ -636,7 +644,6 @@ _BAD_STATS_INPUTS = [
     ("one_column.csv", "price\n5\n6\n", "need a header row plus timestamp,price rows"),
     ("short_row.csv", "timestamp,price\n1,5\n2\n", "need a header row plus timestamp,price rows"),
     ("text.csv", "timestamp,price\n1,abc\n", "bad price value: could not convert string to float: 'abc'"),
-    ("zero.csv", "timestamp,price\n1,0\n2,0\n", "cannot normalize a zero-mean series"),
     ("nan.csv", "timestamp,price\n1,nan\n2,5\n", "price series contains non-finite values"),
     ("a_directory", "", "Is a directory"),
     ("huge_field.csv", "timestamp,price\n1," + "9" * 200_000 + "\n",
@@ -658,14 +665,15 @@ def test_stats_rejects_bad_input_with_one_error_line(tmp_path, capsys, name, tex
 
 
 @pytest.mark.parametrize("prices, message", [
-    ((1e308, 1e308), "price series mean is inf"),
-    ((1e308, -1e308, 1e308), "price series p10 is inf"),
-    ((1e308, -1e308, 1e-300), "price series normalized by its mean overflows"),
-], ids=["mean", "percentile", "normalized"])
+    ((1e308, 1e308), "price series: price 0 1e+308 outside [-1e+09, 1e+09]"),
+    ((1e308, -1e308, 1e308), "price series: price 0 1e+308 outside [-1e+09, 1e+09]"),
+    ((1e308, -1e308, 1e-300), "price series: price 0 1e+308 outside [-1e+09, 1e+09]"),
+    ((5.0, 2e9), "price series: price 1 2000000000.0 outside [-1e+09, 1e+09]"),
+], ids=["mean", "percentile", "normalized", "2e9"])
 def test_stats_overflowing_series_is_one_error_line(tmp_path, capsys, prices, message):
-    # finite prices whose sum, interpolation span or ratio to the mean
-    # overflows: one error line, never a numpy warning or an all-zero or
-    # infinite normalized series
+    # finite prices beyond grid.MAGNITUDE, some whose sum or interpolation
+    # span would overflow: one error line naming the first such price, never
+    # a numpy warning
     src = tmp_path / "huge.csv"
     src.write_text("timestamp,price\n" + "".join(f"{i},{p!r}\n" for i, p in enumerate(prices)))
     with warnings.catch_warnings(record=True) as caught:

@@ -31,7 +31,6 @@ PERFBENCH = ROOT / "perfbench"
 
 _PER_UNIT = "per-unit redispatch figures; the reports print only the zone totals"
 KEPT = {
-    "LpSolution.reduced_costs": "the solver's reduced costs, checked against the KKT conditions",
     "PriceReport.marginal_sets": "why each unit did or did not set the uniform price",
     "MarginalSet.members": "the units a uniform price was formed over (marginal_sets)",
     "MarginalSet.exclusions": "each screened unit's reason (marginal_sets)",
@@ -41,7 +40,6 @@ KEPT = {
     "RedispatchSettlement.coff_mwh": _PER_UNIT,
     "RedispatchSettlement.con_payment": _PER_UNIT,
     "RedispatchSettlement.coff_payment": _PER_UNIT,
-    "PriceSeriesStats.normalized": "the mean-normalized series returned with the percentiles",
     "_Parser.error": "argparse calls it on a usage error",
     "commitment.feasible_sequences": "perfbench/spantrace.py and its self-test call it; "
                                      "ROADMAP item 1 moves them to `_count_sequences`",

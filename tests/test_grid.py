@@ -110,6 +110,8 @@ def test_structural_validation():
         Bus("x", "Z", load_mw=10.0, wtp=0.0)
     with pytest.raises(GridStructureError):
         Interface("i", (), 10.0)
+    with pytest.raises(GridStructureError, match="listed twice"):
+        Interface("i", (("l", 1), ("l", -1)), 10.0)
 
 
 def test_unknown_interface_member_rejected():

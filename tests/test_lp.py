@@ -70,9 +70,9 @@ def build_wild_lp(rng: random.Random, max_vars: int = 8, max_rows: int = 8):
 
 def dual_objective(lp: LinearProgram, sol) -> float:
     """Dual objective under the rhs-derivative convention, with variable bound
-    multipliers recovered from the reduced costs."""
+    multipliers recovered as the reduced costs ``cost - duals @ A``."""
     val = sum(y * b for y, b in zip(sol.duals, lp.rhs))
-    for j, rc in enumerate(sol.reduced_costs):
+    for j, rc in enumerate(lp.cost - np.asarray(sol.duals) @ lp.A):
         if rc > 0 and lp.lower[j] > -INF:
             val += rc * lp.lower[j]
         elif rc < 0 and lp.upper[j] < INF:

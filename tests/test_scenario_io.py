@@ -254,6 +254,29 @@ def test_a_zone_that_is_not_a_string_is_one_type_issue(scenario_dir, zones, za_i
     assert [(i.code, i.where) for i in err.value.issues] == [(E_TYPE, where)]
 
 
+def test_an_empty_zone_list_is_one_reference_issue_per_bus(scenario_dir):
+    """``zones: []`` declares no zone, so each bus names an unknown one:
+    E_REF at each bus, and no topology issue after them."""
+    doc = json.loads((scenario_dir / "twobus.scn").read_text())
+    doc["network"]["zones"] = []
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    assert [(i.code, i.where) for i in err.value.issues] == [
+        (E_REF, "network.buses[0]"), (E_REF, "network.buses[1]")]
+
+
+def test_an_interface_member_listed_twice_is_one_dup_issue(scenario_dir):
+    """A line an interface already counts is E_DUP at its second entry, so
+    the interface's flow never counts a line twice."""
+    doc = json.loads((scenario_dir / "twobus.scn").read_text())
+    members = doc["network"]["interfaces"][0]["members"]
+    members.append(dict(members[0]))
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(doc)
+    assert [str(i) for i in err.value.issues] == [
+        "E_DUP at network.interfaces[0].members[1]: duplicate member line 'lab'"]
+
+
 def _at(*path):
     """An edit that sets the field at ``path`` of a document."""
     def edit(doc, v):
