@@ -236,7 +236,7 @@ def cmd_stats(args) -> int:
             rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
         except csv.Error as exc:
             raise CliUsageError(f"bad CSV: {exc}") from exc
-    if len(rows) < 2 or any(len(r) < 2 for r in rows):
+    if len(rows) < 2 or any(len(r) != 2 for r in rows):
         raise CliUsageError("need a header row plus timestamp,price rows")
     try:
         series = [float(r[1]) for r in rows[1:]]

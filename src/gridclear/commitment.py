@@ -15,21 +15,28 @@ hours.
 Candidates are evaluated as arrays, in fixed-size blocks of
 ``itertools.product`` order: commitment costs are summed per candidate in unit
 order, then hour costs in hour order, so every objective is the float the
-one-at-a-time scan computes; a candidate is dropped at its first infeasible
-hour, and only on-sets of candidates still alive are solved.  The choice
-is the scan's: the first feasible candidate, replaced by each later one whose
-objective is below the current best minus 1e-9.  Identical inputs yield
-identical schedules across runs.
+one-at-a-time scan computes.  The choice is the scan's: the first feasible
+candidate, replaced by each later one whose objective is below the current
+best minus 1e-9.  Identical inputs yield identical schedules across runs.
 
 A block's candidates are bounded below by one Lagrangian bound: commitment
 costs plus, per hour, the on-set's greatest value over the hour's price rows
 (``_price_terms``).  Each hour starts with a row per uniform system price at
 its cost breakpoints, whose greatest is the merit-order fill of the LP
 without network, reserve and ``min_sync`` rows; each LP solved adds the row
-at its own multipliers, which sees the network.  Candidates whose bound
-exceeds a known feasible objective by more than ``_PRUNE_MARGIN`` could
-never be chosen (``_search``) and are not solved, so an ``LpNumericalError``
-only their LPs would raise no longer surfaces.
+at its own multipliers, which sees the network.  Once a feasible objective
+is known (the best so far, else that of the block's least-bound candidate
+whose floors fit the load), the block is searched best first
+(``_best_first``): each pass drops the candidates with an hour whose LP has
+no optimum and those whose bound exceeds the least known objective by more
+than ``_PRUNE_MARGIN``, which could never be chosen (``_search``), then
+solves the unsolved hours of the live candidate of least bound.  Each LP
+solved tightens the bounds, and each candidate solved in full at a lower
+objective lowers the cutoff; the scan then runs over the candidates left.  A
+block with no known feasible objective solves every candidate hour by hour,
+dropping it at its first hour without an optimum.  Candidates the bound
+drops are not solved, so an ``LpNumericalError`` only their LPs would raise
+no longer surfaces.
 
 Two sequential passes with divergent constraint sets model the split between
 market scheduling (day-ahead commitment, narrower line set) and system
@@ -85,7 +92,7 @@ class UcSchedule:
     hourly_results: tuple[DispatchResult, ...]
     total_cost: float  # incremental, no-load and start-up costs
     objective: float  # total_cost plus curtailment penalties
-    pruned: int = 0  # candidates the search's lower bound left unsolved
+    pruned: int = 0  # candidates the search's lower bound dropped
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +310,11 @@ def _price_terms(template: ClearingTemplate):
 
 def _search(gens, seq_options, horizon, hour_lp, rows,
             demand) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The first cheapest candidate of ``itertools.product(*seq_options)``:
-    the first feasible one, then each later one that beats the current best
-    by more than 1e-9.  Candidates are evaluated as arrays, ``_BLOCK`` at a
+    """The first cheapest candidate of ``itertools.product(*seq_options)``: the
+    first feasible one, then each later one that beats the current best by
+    more than 1e-9.  Candidates are evaluated as arrays, ``_BLOCK`` at a
     time in product order; each hour's distinct on-sets are keyed once per
-    block, then solved once, in key order, and a candidate whose LP at an
+    block and each is solved at most once, and a candidate whose LP at an
     hour has no optimum is dropped there.
 
     Each candidate is bounded below by its commitment terms plus, per hour,
@@ -316,18 +323,26 @@ def _search(gens, seq_options, horizon, hour_lp, rows,
     ``hour_lp`` appends (``_price_terms``).  A feasible objective ``least``
     is the best so far, else that of the block's least-bound candidate whose
     units' floors fit each hour's total load ``demand[t]``, solved hour by
-    hour; with the rows it added, each candidate whose bound exceeds
-    ``least`` by more than ``_PRUNE_MARGIN * (1 + |least|)`` is dropped
-    unsolved, and how many were is returned with the choice.  A row holds
-    for any balance dual and flowgate multipliers <= 0, so whichever LPs
-    were solved: the angles are eliminated through ``net.ptdf`` and the
-    reserve and ``min_sync`` multipliers set to 0.  The relative part of the
-    margin covers float error between bound and LP.  Once the scan has seen
-    a near-minimal candidate a dropped one can never beat the best by 1e-9;
-    taken as best before that, it could change which later ones do only
-    along a chain of candidates each within 1e-9 of the last, and the
-    absolute part, over ``(_BLOCK + 2) * 1e-9``, outlasts any chain in a
-    block.  So the choice is the scan's, from a subset of its LPs."""
+    hour.  ``_best_first`` then lowers ``least`` to each lesser objective it
+    solves in full, and drops unsolved each candidate whose bound exceeds
+    the current ``least`` by more than ``_PRUNE_MARGIN * (1 + |least|)``;
+    how many it dropped is returned with the choice.  A row holds for any
+    balance dual and flowgate multipliers <= 0, so whichever LPs were
+    solved: the angles are eliminated through ``net.ptdf`` and the reserve
+    and ``min_sync`` multipliers set to 0.  ``least`` is always a feasible
+    candidate's objective, so it never falls below the least objective of
+    the candidates so far.  It only falls, bounds only rise, and the cutoff
+    ``l + _PRUNE_MARGIN * (1 + |l|)`` rises with ``l``: a candidate dropped
+    against any of the block's cutoffs has its bound above the last one, and
+    every feasible candidate within the last is solved in full and scanned.
+    So the block is pruned as if once, against its final ``least``.  The
+    relative part of the margin covers float error between bound and LP.
+    Once the scan has seen a near-minimal candidate a dropped one can never
+    beat the best by 1e-9; taken as best before that, it could change which
+    later ones do only along a chain of candidates each within 1e-9 of the
+    last, and the absolute part, over ``(_BLOCK + 2) * 1e-9``, outlasts any
+    chain in a block.  So the choice is the scan's, from a subset of its
+    LPs."""
     ids = [u.id for u in gens]
     floors = np.array([u.effective_bounds()[0] for u in gens])
     sizes = [len(opts) for opts in seq_options]
@@ -379,11 +394,12 @@ def _search(gens, seq_options, horizon, hour_lp, rows,
             z = int(np.where(fits, _bound(obj, rows, members, inverses), math.inf).argmin())
             least = float(min(_survivors(hour_lp, on_sets, inverses, np.array([z]), obj[[z]])[1],
                               default=math.inf))
-        cutoff = least + _PRUNE_MARGIN * (1 + abs(least))
-        alive = np.flatnonzero(_bound(obj, rows, members, inverses) <= cutoff)
-        pruned += len(pos) - len(alive)
-        alive, obj, bad = _survivors(hour_lp, on_sets, inverses, alive, obj[alive])
-        first_bad_hour = min(first_bad_hour, bad)
+        if least < math.inf:
+            alive, obj, dropped = _best_first(hour_lp, rows, on_sets, members, inverses, obj, least)
+            pruned += dropped
+        else:  # nothing to prune against: solve every candidate, finding its first bad hour
+            alive, obj, bad = _survivors(hour_lp, on_sets, inverses, np.arange(len(pos)), obj)
+            first_bad_hour = min(first_bad_hour, bad)
         pos = pos[alive]
         i = 0
         if best_obj is None and len(pos):
@@ -407,6 +423,48 @@ def _bound(obj, rows, members, inverses):
     for r, m, inverse in zip(rows, members, inverses):
         bound += (r[:, :1] + r[:, 1:] @ m.T).max(axis=0, initial=-math.inf)[inverse]
     return bound
+
+
+def _best_first(hour_lp, rows, on_sets, members, inverses, obj, least):
+    """The candidates that may be chosen against the feasible objective
+    ``least``, their objectives ``obj`` plus each hour's, and how many the
+    bound dropped.  Each pass drops every live candidate whose on-set has no
+    optimum at some hour, then every one whose bound exceeds the cutoff, and
+    solves in hour order the unsolved hours of the live candidate of least
+    bound, up to its first hour without an optimum; a candidate solved in
+    full lowers ``least`` to its objective if that is less.  Passes end when
+    every live candidate is solved in full."""
+    known = [np.zeros(len(sets), dtype=bool) for sets in on_sets]
+    ok = [np.ones(len(sets), dtype=bool) for sets in on_sets]
+    val = [np.zeros(len(sets)) for sets in on_sets]
+    alive, pruned = np.arange(len(obj)), 0
+    while True:
+        at = [inverse[alive] for inverse in inverses]
+        feasible = np.logical_and.reduce([o[i] for o, i in zip(ok, at)])
+        bound = _bound(obj[alive], rows, members, at)
+        keep = bound <= least + _PRUNE_MARGIN * (1 + abs(least))
+        pruned += int((feasible & ~keep).sum())
+        keep &= feasible
+        alive, bound = alive[keep], bound[keep]
+        open_ = ~np.logical_and.reduce([k[i[keep]] for k, i in zip(known, at)])
+        if not open_.any():
+            break
+        c = int(alive[open_][bound[open_].argmin()])
+        total = obj[c]
+        for t, inverse in enumerate(inverses):
+            j = inverse[c]
+            if not known[t][j]:
+                sol = hour_lp(t, on_sets[t][j])
+                known[t][j], ok[t][j], val[t][j] = True, sol.status == "optimal", sol.objective_value
+            if not ok[t][j]:
+                break
+            total += val[t][j]
+        else:
+            least = min(least, float(total))
+    obj = obj[alive]
+    for v, inverse in zip(val, inverses):
+        obj = obj + v[inverse[alive]]
+    return alive, obj, pruned
 
 
 def _survivors(hour_lp, on_sets, inverses, alive, obj):

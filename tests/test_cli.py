@@ -643,6 +643,7 @@ _BAD_STATS_INPUTS = [
     ("header.csv", "timestamp,price\n", "need a header row plus timestamp,price rows"),
     ("one_column.csv", "price\n5\n6\n", "need a header row plus timestamp,price rows"),
     ("short_row.csv", "timestamp,price\n1,5\n2\n", "need a header row plus timestamp,price rows"),
+    ("long_row.csv", "timestamp,price\n1,5,6\n", "need a header row plus timestamp,price rows"),
     ("text.csv", "timestamp,price\n1,abc\n", "bad price value: could not convert string to float: 'abc'"),
     ("nan.csv", "timestamp,price\n1,nan\n2,5\n", "price series contains non-finite values"),
     ("a_directory", "", "Is a directory"),

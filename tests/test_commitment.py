@@ -558,7 +558,7 @@ def test_networked_uc_choice_matches_reference_scan(seed):
 
 
 def test_bound_prunes_the_fivebus_commitment(scenario_dir):
-    """``daucruc`` on ``fivebus_ruc.scn`` solves 10 hour LPs over both
+    """``daucruc`` on ``fivebus_ruc.scn`` solves 6 hour LPs over both
     passes, against the 40 the search solves with an infinite prune margin
     (no candidate pruned), and commits the same units."""
     sc = load_scenario(scenario_dir / "fivebus_ruc.scn")
@@ -570,9 +570,46 @@ def test_bound_prunes_the_fivebus_commitment(scenario_dir):
         mp.setattr(commitment, "_solve_hour", _recording_solve_hour(unpruned))
         mp.setattr(commitment, "_PRUNE_MARGIN", math.inf)
         want = run_dauc_ruc(*args)
-    assert (sum(pruned.values()), sum(unpruned.values())) == (10, 40)
+    assert (sum(pruned.values()), sum(unpruned.values())) == (6, 40)
     assert all(pruned[k] <= unpruned[k] for k in pruned)
     assert [(s.committed, s.objective) for s in got[:2]] == [(s.committed, s.objective) for s in want[:2]]
+
+
+def test_a_cheaper_schedule_tightens_the_cutoff_inside_a_block():
+    """Two units feed a load behind a 100 MW line: u1 at its near end, u0
+    further out with a 30 MW floor.  The least bound (the merit-order fill,
+    which ignores the line) is both units on, so that schedule is the first
+    incumbent, at 56320.  The row of its LP puts u0 alone at 56320 too,
+    inside the first cutoff; u1 alone, of lesser bound, is solved next at
+    56000, and the cutoff it sets drops u0 alone unsolved.  So the search
+    solves 2 hour LPs, its bound drops 3 of the 4 candidates (the first
+    incumbent among them), and it commits the scan's choice."""
+    net = Network(
+        (Bus("e", "Z", 0.0, 60.0), Bus("i1", "Z", 0.0, 60.0), Bus("i2", "Z", 210.0, 500.0)),
+        (Line("le", "e", "i1", 0.1, 150.0, frozenset({"DA"})),
+         Line("li", "i1", "i2", 0.1, 100.0, frozenset({"DA"}))),
+        ("Z",), (), "i1")
+    units = [GeneratorSpec("u0", "e", 30.0, 150.0, 20.0, 20.0, 0.0),
+             GeneratorSpec("u1", "i1", 30.0, 150.0, 10.0, 0.0, 0.0)]
+    regime = ConstraintRegime(mode="nodal", monitored_profile="DA")
+    hours = [{"i2": 210.0}]
+    solved = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commitment, "_solve_hour", _recording_solve_hour(solved))
+        got = solve_uc(net, units, hours, regime)
+    want = reference_solve_uc(net, units, hours, regime)
+    assert (got.committed, got.objective) == (want.committed, want.objective) == (
+        {"u0": (False,), "u1": (True,)}, 56000.0)
+    assert [on_ids for _, on_ids in solved] == [frozenset({"u0", "u1"}), frozenset({"u1"})]
+    assert (sum(solved.values()), got.pruned) == (2, 3)
+
+    template = dispatch.build_template(net, units, regime)
+    uniform_rows, lp_rows = commitment._price_terms(template)
+    load = dispatch.bus_loads(net, hours[0])
+    first = commitment._solve_hour(template, load, frozenset({"u0", "u1"}))
+    rows = np.vstack((uniform_rows(load), lp_rows(*first)))
+    u0_alone = units[0].nlc + (rows[:, 0] + rows[:, 1]).max()
+    assert u0_alone == first[1].objective_value + units[0].nlc == 56320.0  # kept by the first cutoff
 
 
 @settings(max_examples=60, deadline=None)
